@@ -10,7 +10,9 @@ verifies confirmed predictions by computing the emanating branch of
 periodic orbits with a harmonic-balance Newton solver.
 """
 
-from . import analysis, cli, degree, errors, linalg, model, orbits
+import importlib
+
+from . import analysis, degree, errors, linalg, model, orbits
 from .analysis import (
     AnalyzeOptions,
     BifurcationCandidate,
@@ -36,6 +38,14 @@ from .model import (
 from .orbits import Branch, FourierOrbit, continue_branch, minimal_period_check, solve_orbit
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # ``cli`` loads on first use, so ``python -m hambif.cli`` runs a module
+    # that importing the package has not already executed
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "analysis",

@@ -278,18 +278,30 @@ def _orbit_bases(system: HamiltonianSystem, z: np.ndarray):
 
 
 def _isotropy_trivial(system: HamiltonianSystem, z0: np.ndarray) -> bool:
-    """Heuristic check that only the identity fixes z0 (64-point subgroup grid)."""
+    """Whether each generator's circle moves z0 off itself for every t not a period.
+
+    A generator X is skew and commutes with J, so ``i X`` is Hermitian and
+    its eigenvalues are the weights ``w`` of the circle action.
+    ``exp(t X) z0 = z0`` exactly when ``w t`` is a multiple of 2 pi for every
+    weight z0 occupies, so the isotropy within the circle is ``Z_g`` with
+    ``g = gcd(occupied nonzero weights) / gcd(all nonzero weights)``.  Weights
+    that are not integer multiples of the smallest one report False
+    (unverified), as does a z0 that the generator fixes.
+    """
     scale = 1e-8 * (1.0 + float(np.linalg.norm(z0)))
-    dim = system.dim
-    for idx, gen in enumerate(system.symmetry.generators):
+    for gen in system.symmetry.generators:
         if float(np.linalg.norm(gen @ z0)) <= scale:
             return False
-        for k in range(1, 64):
-            gamma = system.symmetry.element(idx, 2.0 * np.pi * k / 64.0)
-            if float(np.linalg.norm(gamma - np.eye(dim))) < 1e-8:
-                continue  # the element is the identity, not an isotropy witness
-            if float(np.linalg.norm(gamma @ z0 - z0)) <= scale:
-                return False
+        weights, vectors = np.linalg.eigh(1j * gen)
+        weights = np.abs(weights)
+        nonzero = weights > 1e-9 * float(np.max(weights))
+        ratios = weights[nonzero] / float(np.min(weights[nonzero]))
+        multiples = np.rint(ratios)
+        if float(np.max(np.abs(ratios - multiples))) > 1e-9 * float(np.max(ratios)):
+            return False
+        occupied = np.abs(vectors[:, nonzero].conj().T @ z0) > scale
+        if np.gcd.reduce(multiples[occupied].astype(int)) != 1:
+            return False
     return True
 
 

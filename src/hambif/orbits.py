@@ -16,6 +16,14 @@ at solutions.  The solver therefore carries one unfolding multiplier per
 identity, multiplying the gradient field of the matching conserved
 quantity; the multipliers vanish at solutions and restore a square,
 nonsingular bordered system that dense LU can handle.
+
+Newton's Jacobian is assembled exactly by the alternating frequency/time
+method (Cameron & Griffin, J. Appl. Mech. 56, 1989; Krack & Gross,
+Harmonic Balance for Nonlinear Vibration Problems, 2019): one Hessian of H
+per collocation point, projected onto the Fourier basis, plus the
+Galerkin projections of the multiplier fields and the linear constraint
+rows.  A Newton step therefore costs one gradient and one Hessian per
+collocation point, independent of the number of unknowns.
 """
 
 from __future__ import annotations
@@ -151,7 +159,12 @@ def residual_field(system: HamiltonianSystem, orbit: FourierOrbit, collocation_p
 
 
 class _HarmonicBalance:
-    """Galerkin residual and constraints for one amplitude-pinned solve."""
+    """Galerkin residual, constraints and their exact Jacobian for one amplitude-pinned solve.
+
+    The coefficient vector stacks ``a0, a_1..a_M, b_1..b_M`` (each of length
+    2N), so its first ``n_coeff`` entries reshape to a ``(2M + 1, 2N)`` matrix
+    whose rows multiply the basis ``(1, cos kt, sin kt)``.
+    """
 
     def __init__(self, system, eq, predictor, s, m):
         self.system = system
@@ -167,13 +180,21 @@ class _HarmonicBalance:
         self.points = 4 * m
         t = np.arange(self.points) * TWO_PI / self.points
         k = np.arange(1, m + 1)
-        self.cos = np.cos(np.outer(t, k))  # (P, m)
-        self.sin = np.sin(np.outer(t, k))
-        self.k = k
+        cos, sin = np.cos(np.outer(t, k)), np.sin(np.outer(t, k))  # (P, m)
+        # basis, its time derivative and the Galerkin test weights, each (P, 2M + 1)
+        self.phi = np.hstack([np.ones((self.points, 1)), cos, sin])
+        self.dphi = np.hstack([np.zeros((self.points, 1)), -k * sin, k * cos])
+        self.weights = self.phi * np.concatenate([[1.0], np.full(2 * m, 2.0)]) / self.points
         self.j = standard_symplectic(self.dim // 2)
         self.pin_rows = [g @ self.z0 for g in self.generators]
         # gradient fields of the conserved momenta: grad( -z.(J X z)/2 ) = -J X z
         self.moment_mats = [-(self.j @ g) for g in self.generators]
+        # d/dz' part of the coefficient block, (W^T phi') times I, independent of x
+        self.derivative_weights = self.weights.T @ self.dphi
+        # test weight times basis, ((2M + 1)^2, P), contiguous for one BLAS product per Jacobian
+        self.weight_basis = np.ascontiguousarray(
+            np.einsum("pr,pc->rcp", self.weights, self.phi).reshape(-1, self.points)
+        )
 
     def pack(self, a0, a, b, lam, mus) -> np.ndarray:
         return np.concatenate([a0, a.ravel(), b.ravel(), [lam], mus])
@@ -187,36 +208,52 @@ class _HarmonicBalance:
         mus = x[self.n_coeff + 1 :]
         return a0, a, b, lam, mus
 
-    def orbit_curves(self, a0, a, b):
-        z = a0 + self.cos @ a + self.sin @ b
-        zdot = self.cos @ (self.k[:, None] * b) - self.sin @ (self.k[:, None] * a)
-        return z, zdot
-
-    def physical_residual(self, z, zdot, lam):
+    def _curve(self, x):
+        coeffs = x[: self.n_coeff].reshape(-1, self.dim)
+        z = self.phi @ coeffs
         grads = np.array([gradient_of(self.system, zi) for zi in z])
-        return zdot - lam * grads @ self.j.T, grads
+        return coeffs, z, grads
 
     def __call__(self, x) -> np.ndarray:
         a0, a, b, lam, mus = self.unpack(x)
-        z, zdot = self.orbit_curves(a0, a, b)
-        r, grads = self.physical_residual(z, zdot, lam)
-        fld = r - mus[0] * grads
+        coeffs, z, grads = self._curve(x)
+        fld = self.dphi @ coeffs - lam * grads @ self.j.T - mus[0] * grads
         for i, mat in enumerate(self.moment_mats):
             fld = fld - mus[1 + i] * z @ mat.T
-        g0 = fld.mean(axis=0)
-        gc = (2.0 / self.points) * self.cos.T @ fld
-        gs = (2.0 / self.points) * self.sin.T @ fld
         c_amp = np.pi * (float(a[0] @ self.ap) + float(b[0] @ self.bp)) - self.s
         c_phase = np.pi * (float(a[0] @ self.bp) - float(b[0] @ self.ap))
         cons = [c_amp, c_phase] + [float((a0 - self.z0) @ row) for row in self.pin_rows]
-        return np.concatenate([g0, gc.ravel(), gs.ravel(), cons])
+        return np.concatenate([(self.weights.T @ fld).ravel(), cons])
 
-    def jacobian(self, x, f0, step: float = 1e-7) -> np.ndarray:
-        jac = np.empty((self.size, self.size))
-        for i in range(self.size):
-            xp = x.copy()
-            xp[i] += step
-            jac[:, i] = (self(xp) - f0) / step
+    def jacobian(self, x) -> np.ndarray:
+        """Exact Jacobian of ``__call__`` (alternating frequency/time assembly).
+
+        The field at each collocation point has z-derivative
+        ``D = -(lam J + mu0 I) H(z) - sum_i mu_i M_i``, so the coefficient
+        block is ``sum_p w_r(t_p) [phi_c(t_p) D(t_p) + phi'_c(t_p) I]``; the
+        lambda and mu columns project ``-J grad H``, ``-grad H`` and
+        ``-M_i z``; the constraint rows are linear.
+        """
+        d, m, n = self.dim, self.m, self.n_coeff
+        lam, mus = x[n], x[n + 1 :]
+        _, z, grads = self._curve(x)
+        hess = np.array([hessian_of(self.system, zi) for zi in z])
+        dfield = -np.einsum("ij,pjk->pik", lam * self.j + mus[0] * np.eye(d), hess)
+        for i, mat in enumerate(self.moment_mats):
+            dfield -= mus[1 + i] * mat
+        width = 2 * m + 1
+        blocks = (self.weight_basis @ dfield.reshape(self.points, -1)).reshape(width, width, d, d)
+        diag = np.arange(d)
+        blocks[:, :, diag, diag] += self.derivative_weights[:, :, None]
+        jac = np.zeros((self.size, self.size))
+        jac[:n, :n] = blocks.transpose(0, 2, 1, 3).reshape(n, n)
+        fields = [-grads @ self.j.T, -grads] + [-z @ mat.T for mat in self.moment_mats]
+        jac[:n, n:] = np.column_stack([(self.weights.T @ f).ravel() for f in fields])
+        a1, b1 = slice(d, 2 * d), slice(d + d * m, 2 * d + d * m)
+        jac[n, a1], jac[n, b1] = np.pi * self.ap, np.pi * self.bp
+        jac[n + 1, a1], jac[n + 1, b1] = np.pi * self.bp, -np.pi * self.ap
+        for i, row in enumerate(self.pin_rows):
+            jac[n + 2 + i, :d] = row
         return jac
 
 
@@ -239,6 +276,10 @@ def solve_orbit(
     tol: Optional[float] = None,
 ) -> FourierOrbit:
     """One amplitude-pinned Newton solve of the mode-1 branch.
+
+    Each Newton step solves with the exactly assembled harmonic-balance
+    Jacobian (one Hessian of H per collocation point; see the module
+    docstring) and halves the step until the residual decreases.
 
     Parameters
     ----------
@@ -321,7 +362,7 @@ def _newton(problem, x, tol_inner, max_iter=40):
         nf = float(np.max(np.abs(f)))
         if nf < tol_inner:
             return x, f, True
-        jac = problem.jacobian(x, f)
+        jac = problem.jacobian(x)
         try:
             dx = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hambif
 from hambif import cli
 from hambif.errors import ConfigParse
 
@@ -275,3 +280,18 @@ def test_flag_overrides_config(tmp_path):
     rec = [json.loads(line) for line in out.splitlines() if line.startswith("{")][0]
     assert abs(rec["beta"] - 2.0) < 1e-12
     assert abs(rec["period"] - np.pi) < 1e-12
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    # importing the package must not execute hambif.cli before runpy does
+    src = str(Path(hambif.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hambif.cli", "presets"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "satellite" in proc.stdout

@@ -122,6 +122,53 @@ def test_satellite_equilibrium_distance_kepler_limit():
         assert abs(d0**5 - d0**2 - 3 * c) < 1e-12
 
 
+def weighted_circle_system(w1, w2):
+    """H = |z1|^2 / 2 + (|z2|^2 - 1)^2 / 4 on C^2 under z_j -> exp(i w_j t) z_j.
+
+    Its critical circle |z2| = 1, z1 = 0 is one group orbit, on which a
+    point has isotropy Z_(w2 / gcd(w1, w2)) for integer weights.
+    """
+
+    def gradient(z):
+        r2 = z[1] ** 2 + z[3] ** 2
+        return np.array([z[0], (r2 - 1.0) * z[1], z[2], (r2 - 1.0) * z[3]])
+
+    weights = np.diag([w1, w2])
+    generator = np.block([[np.zeros((2, 2)), -weights], [weights, np.zeros((2, 2))]])
+    return model.HamiltonianSystem(
+        n=2,
+        energy=lambda z: 0.5 * (z[0] ** 2 + z[2] ** 2) + 0.25 * (z[1] ** 2 + z[3] ** 2 - 1.0) ** 2,
+        gradient=gradient,
+        symmetry=model.SymmetryGroup((generator,)),
+    )
+
+
+@pytest.mark.parametrize(
+    "weights, trivial",
+    [((1, 3), False), ((1, 5), False), ((2, 6), False), ((3, 1), True), ((1, np.sqrt(2.0)), False)],
+)
+def test_isotropy_from_generator_weights(weights, trivial):
+    system = weighted_circle_system(*weights)
+    eq = model.refine_equilibrium(system, np.array([0.0, 1.02, 0.0, 0.1]))
+    assert abs(np.linalg.norm(eq.z0[[1, 3]]) - 1.0) < 1e-10
+    assert eq.isotropy_trivial is trivial
+
+
+def test_isotropy_trivial_for_presets_and_chain():
+    chain = model.newtonian_to_hamiltonian(
+        potential=lambda q: 0.5 * float(q @ q) + 0.25 * float((q[0] - q[1]) ** 4),
+        n=2,
+        gradient=lambda q: q + (q[0] - q[1]) ** 3 * np.array([1.0, -1.0]),
+    )
+    cases = [
+        (model.preset("satellite", omega=1.0, c=0.1), np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0])),
+        (model.preset("harmonic", beta=1.0), np.array([0.1, 0.1])),
+        (chain, np.array([0.1, -0.1, 0.0, 0.05])),
+    ]
+    for system, guess in cases:
+        assert model.refine_equilibrium(system, guess).isotropy_trivial
+
+
 def test_refine_equilibrium_satellite():
     omega, c = 1.0, 0.1
     sat = model.preset("satellite", omega=omega, c=c)

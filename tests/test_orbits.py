@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -231,6 +233,81 @@ def test_solve_orbit_group_pinning_blocks_drift():
     orbit = orbits.solve_orbit(sat, eq, cand, 1e-2)
     pin = sat.symmetry.generators[0] @ eq.z0
     assert abs((orbit.a0 - eq.z0) @ pin) < 1e-9
+
+
+def fd_jacobian(problem, x, step=1e-7):
+    """Forward-difference Jacobian of the harmonic-balance residual: the oracle."""
+    f0 = problem(x)
+    jac = np.empty((f0.size, x.size))
+    for i in range(x.size):
+        xp = x.copy()
+        xp[i] += step
+        jac[:, i] = (problem(xp) - f0) / step
+    return jac
+
+
+def perturbed_unknowns(problem, eq, cand, s, rng):
+    """Linear predictor at amplitude s with random perturbations and nonzero multipliers."""
+    a = 0.01 * s * rng.standard_normal((problem.m, problem.dim))
+    b = 0.01 * s * rng.standard_normal((problem.m, problem.dim))
+    a[0] += s * problem.ap
+    b[0] += s * problem.bp
+    a0 = eq.z0 + 0.01 * s * rng.standard_normal(problem.dim)
+    mus = 0.05 * rng.standard_normal(1 + problem.n_gen)
+    return problem.pack(a0, a, b, cand.lambda0 * (1.0 + 0.01 * rng.standard_normal()), mus)
+
+
+def gradient_only_satellite_setup():
+    sat, eq, cand = satellite_setup()
+    return replace(sat, hessian=None), eq, cand
+
+
+@pytest.mark.parametrize(
+    "setup, modes",
+    [(satellite_setup, 8), (pendulum_setup, 16), (gradient_only_satellite_setup, 8)],
+    ids=["satellite-M8", "pendulum-M16", "gradient-only-satellite-M8"],
+)
+def test_assembled_jacobian_matches_finite_differences(setup, modes):
+    system, eq, cand = setup()
+    predictor = orbits.kernel_direction(system, eq, cand)
+    rng = np.random.default_rng(3)
+    problem = orbits._HarmonicBalance(system, eq, predictor, 0.05, modes)
+    n = problem.n_coeff
+    blocks = {
+        "coefficients": (slice(0, n), slice(0, n)),
+        "lambda column": (slice(0, n), slice(n, n + 1)),
+        "mu columns": (slice(0, n), slice(n + 1, None)),
+        "constraint rows": (slice(n, None), slice(None)),
+    }
+    # forward differences with step 1e-7 are good to about 1e-7 relative, so
+    # every block must agree to 1e-5 of its largest entry
+    for _ in range(3):
+        x = perturbed_unknowns(problem, eq, cand, 0.05, rng)
+        exact = problem.jacobian(x)
+        oracle = fd_jacobian(problem, x)
+        assert exact.shape == oracle.shape == (problem.size, problem.size)
+        for name, (rows, cols) in blocks.items():
+            scale = float(np.max(np.abs(oracle[rows, cols])))
+            assert scale > 0.0, name
+            err = float(np.max(np.abs(exact[rows, cols] - oracle[rows, cols])))
+            assert err <= 1e-5 * scale, (name, err, scale)
+
+
+def test_branch_gradient_calls_stay_per_collocation_point():
+    # a finite-difference Jacobian costs one residual (4M gradient calls)
+    # per unknown per Newton step: 44,616 calls on this branch
+    sat, eq, _ = satellite_setup()
+    cand = next(c for c in analysis.analyze(sat, eq) if c.j0 == 1)
+    calls = [0]
+
+    def counted_gradient(z):
+        calls[0] += 1
+        return sat.gradient(z)
+
+    counted = replace(sat, gradient=counted_gradient)
+    branch = orbits.continue_branch(counted, eq, cand, steps=8, s0=1e-3)
+    assert len(branch.orbits) == 8 and not branch.failures
+    assert calls[0] <= 5000
 
 
 def test_solve_orbit_rejects_absurd_amplitude():
