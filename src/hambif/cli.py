@@ -4,7 +4,8 @@ Configuration is a flat key = value file with sections ([system],
 [analysis], [branch], [output], [run]); every value can be overridden on
 the command line.  Machine output is emitted as json-lines (one record per
 line) or csv (header row + fixed column order); identical configuration
-and seed produce byte-identical machine output.
+and seed produce byte-identical machine output.  Each command builds a text
+report and its records; ``_emit`` alone decides where they are written.
 
 Exit codes: analyze returns 0 when at least one candidate is confirmed,
 2 when none is, 1 on error.  branch returns 0 when the computed branch has
@@ -18,7 +19,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,7 +64,7 @@ BRANCH_COLUMNS = (
 
 COEFF_COLUMNS = ("index", "k", "component", "a", "b")
 
-_PRESET_PARAM_FLAGS = ("omega", "c", "beta", "j2", "r_eq", "frequencies")
+FORMATS = ("text", "json-lines", "csv")
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,10 @@ class RunConfig:
             raise ConfigParse("exactly one of 'preset' or 'monomials' must be given")
         if self.monomials and self.n is None:
             raise ConfigParse("inline monomials require 'n' (half the phase dimension)")
-        if self.fmt not in ("text", "json-lines", "csv"):
+        for _, exps in self.monomials:
+            if len(exps) != 2 * self.n or any(e < 0 for e in exps):
+                raise ConfigParse(f"a monomial needs {2 * self.n} non-negative exponents, got {list(exps)}")
+        if self.fmt not in FORMATS:
             raise ConfigParse(f"unknown output format {self.fmt!r}")
         for variant in self.variants:
             if variant not in analysis_mod.A7_VARIANTS:
@@ -103,47 +107,18 @@ class RunConfig:
 
     def to_ini(self) -> str:
         """Deterministic flat-text serialization; parse_config inverts it."""
-        out = ["[system]"]
-        if self.preset is not None:
-            out.append(f"preset = {self.preset}")
-        for key, value in self.params:
-            if isinstance(value, tuple):
-                out.append(f"{key} = {' '.join(_fmt(v) for v in value)}")
-            else:
-                out.append(f"{key} = {_fmt(value)}")
-        if self.n is not None:
-            out.append(f"n = {self.n}")
-        if self.monomials:
-            parts = [" ".join([_fmt(c)] + [str(e) for e in exps]) for c, exps in self.monomials]
-            out.append(f"monomials = {' ; '.join(parts)}")
-        for i, gen in enumerate(self.generators, start=1):
-            rows = " ; ".join(" ".join(_fmt(v) for v in row) for row in gen)
-            out.append(f"generator{i} = {rows}")
-        if self.guess is not None:
-            out.append(f"guess = {' '.join(_fmt(v) for v in self.guess)}")
-        out += [
-            "",
-            "[analysis]",
-            f"kmax = {self.k_max}",
-        ]
-        if self.j0 is not None:
-            out.append(f"j0 = {self.j0}")
-        out.append(f"variants = {' '.join(self.variants)}")
-        out += [
-            "",
-            "[branch]",
-            f"steps = {self.steps}",
-            f"s0 = {_fmt(self.s0)}",
-            f"growth = {_fmt(self.growth)}",
-            f"modes = {self.modes}",
-            "",
-            "[output]",
-            f"format = {self.fmt}",
-        ]
-        if self.output is not None:
-            out.append(f"path = {self.output}")
-        out += ["", "[run]", f"seed = {self.seed}", ""]
-        return "\n".join(out)
+        sections: dict = {}
+        for section, key, name, _, _, show in _KEYS:
+            value = getattr(self, name)
+            lines = sections.setdefault(section, [])
+            if value is None or value == () == getattr(RunConfig, name):
+                continue  # unset: None, or empty by default (the monomials of a preset run)
+            lines.append(f"{key} = {show(value)}")
+        system = sections["system"]
+        system += [f"{key} = {_show_param(value)}" for key, value in self.params]
+        system += [f"generator{i} = {_show_matrix(g)}" for i, g in enumerate(self.generators, start=1)]
+        blocks = (f"[{name}]\n" + "".join(f"{line}\n" for line in lines) for name, lines in sections.items())
+        return "\n".join(blocks)
 
 
 def _fmt(x) -> str:
@@ -157,10 +132,69 @@ def _fmt17(x) -> str:
 
 
 def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split())
+
+
+def _show_floats(values) -> str:
+    return " ".join(_fmt(v) for v in values)
+
+
+def _param(text: str):
+    values = _floats(text)
+    if not values:
+        raise ValueError("expected at least one number")
+    return values if len(values) > 1 else values[0]
+
+
+def _show_param(value) -> str:
+    return _show_floats(value) if isinstance(value, tuple) else _fmt(value)
+
+
+def _matrix(text: str) -> tuple:
+    return tuple(_floats(row) for row in text.split(";"))
+
+
+def _show_matrix(rows) -> str:
+    return " ; ".join(_show_floats(row) for row in rows)
+
+
+def _monomials(text: str) -> tuple:
+    terms = [part.split() for part in text.split(";")]
+    return tuple((float(t[0]), tuple(int(e) for e in t[1:])) for t in terms if t)
+
+
+def _show_monomials(terms) -> str:
+    return " ; ".join(" ".join([_fmt(c)] + [str(e) for e in exps]) for c, exps in terms)
+
+
+# Every fixed configuration key: (section, key, RunConfig field, command-line
+# flag or None, parse, show).  parse raises ValueError on a malformed value.
+# The other [system] keys are generator1, generator2, ... and preset parameters.
+_KEYS = (
+    ("system", "preset", "preset", "preset", str, str),
+    ("system", "n", "n", None, int, str),
+    ("system", "monomials", "monomials", None, _monomials, _show_monomials),
+    ("system", "guess", "guess", None, _floats, _show_floats),
+    ("analysis", "kmax", "k_max", "kmax", int, str),
+    ("analysis", "j0", "j0", "j0", int, str),
+    ("analysis", "variants", "variants", None, lambda text: tuple(text.split()), " ".join),
+    ("branch", "steps", "steps", "steps", int, str),
+    ("branch", "s0", "s0", "s0", float, _fmt),
+    ("branch", "growth", "growth", "growth", float, _fmt),
+    ("branch", "modes", "modes", "modes", int, str),
+    ("output", "format", "fmt", "format", str, str),
+    ("output", "path", "output", "output", str, str),
+    ("run", "seed", "seed", "seed", int, str),
+)
+
+_SYSTEM_KEYS = {key for section, key, *_ in _KEYS if section == "system"}
+
+
+def _parse_value(section: str, key: str, parse, text: str):
     try:
-        return tuple(float(v) for v in text.split())
+        return parse(text)
     except ValueError as exc:
-        raise ConfigParse(f"expected whitespace-separated numbers, got {text!r}") from exc
+        raise ConfigParse(f"[{section}] {key} = {text!r}: {exc}") from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -170,117 +204,49 @@ def parse_config(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigParse(f"bad configuration: {exc}") from exc
-    kw: dict = {}
+    kw = {
+        name: _parse_value(section, key, parse, parser.get(section, key))
+        for section, key, name, _, parse, _ in _KEYS
+        if parser.has_option(section, key)
+    }
     if parser.has_section("system"):
-        sec = dict(parser.items("system"))
-        if "preset" in sec:
-            kw["preset"] = sec.pop("preset")
-        if "n" in sec:
-            kw["n"] = int(sec.pop("n"))
-        if "monomials" in sec:
-            monos = []
-            for part in sec.pop("monomials").split(";"):
-                values = part.split()
-                if not values:
-                    continue
-                monos.append((float(values[0]), tuple(int(e) for e in values[1:])))
-            kw["monomials"] = tuple(monos)
-        if "guess" in sec:
-            kw["guess"] = _floats(sec.pop("guess"))
-        gens = []
-        for key in sorted(k for k in sec if k.startswith("generator")):
-            rows = tuple(_floats(row) for row in sec.pop(key).split(";"))
-            gens.append(rows)
-        if gens:
-            kw["generators"] = tuple(gens)
-        params = []
-        for key, value in sorted(sec.items()):
-            values = _floats(value)
-            params.append((key, values if len(values) > 1 else values[0]))
-        kw["params"] = tuple(params)
-    if parser.has_section("analysis"):
-        sec = dict(parser.items("analysis"))
-        if "kmax" in sec:
-            kw["k_max"] = int(sec["kmax"])
-        if "j0" in sec:
-            kw["j0"] = int(sec["j0"])
-        if "variants" in sec:
-            kw["variants"] = tuple(sec["variants"].split())
-    if parser.has_section("branch"):
-        sec = dict(parser.items("branch"))
-        if "steps" in sec:
-            kw["steps"] = int(sec["steps"])
-        if "s0" in sec:
-            kw["s0"] = float(sec["s0"])
-        if "growth" in sec:
-            kw["growth"] = float(sec["growth"])
-        if "modes" in sec:
-            kw["modes"] = int(sec["modes"])
-    if parser.has_section("output"):
-        sec = dict(parser.items("output"))
-        if "format" in sec:
-            kw["fmt"] = sec["format"]
-        if "path" in sec:
-            kw["output"] = sec["path"]
-    if parser.has_section("run") and parser.has_option("run", "seed"):
-        kw["seed"] = int(parser.get("run", "seed"))
-    try:
-        return RunConfig(**kw)
-    except TypeError as exc:
-        raise ConfigParse(str(exc)) from exc
+        free = sorted((k, v) for k, v in parser.items("system") if k not in _SYSTEM_KEYS)
+        gens = [(k, v) for k, v in free if k.startswith("generator")]
+        kw["generators"] = tuple(_parse_value("system", k, _matrix, v) for k, v in gens)
+        kw["params"] = tuple((k, _parse_value("system", k, _param, v)) for k, v in free if (k, v) not in gens)
+    return RunConfig(**kw)
 
 
 def _polynomial_system(config: RunConfig) -> HamiltonianSystem:
-    n = config.n
-    dim = 2 * n
+    """``H(z) = sum_m c_m prod_i z_i^e_mi`` with tabulated first and second derivatives.
+
+    An exponent is lowered below 0 only in a term whose factor is 0, so the
+    lowered exponents are clipped at 0 and each derivative is one product
+    over the whole table.
+    """
+    dim = 2 * config.n
+    eye = np.eye(dim)
     coeffs = np.array([c for c, _ in config.monomials])
-    exps = []
-    for _, e in config.monomials:
-        if len(e) != dim:
-            raise ConfigParse(f"monomial exponent vector must have {dim} entries, got {len(e)}")
-        exps.append(e)
-    exps = np.array(exps, dtype=float)
+    exps = np.array([e for _, e in config.monomials], dtype=float)  # (terms, dim)
+    # d/dz_i: factor c e_i, exponents e - e_i; shapes (terms, i) and (terms, i, dim)
+    grad_factor = coeffs[:, None] * exps
+    grad_exps = np.clip(exps[:, None, :] - eye, 0.0, None)
+    # d2/dz_i dz_j: factor c e_i (e_j - delta_ij), exponents e - e_i - e_j
+    hess_factor = coeffs[:, None, None] * (exps[:, :, None] * (exps[:, None, :] - eye))
+    hess_exps = np.clip(exps[:, None, None, :] - eye[:, None, :] - eye[None, :, :], 0.0, None)
 
     def energy(z):
         return float(np.sum(coeffs * np.prod(z**exps, axis=1)))
 
     def gradient(z):
-        g = np.zeros(dim)
-        for i in range(dim):
-            ei = exps[:, i]
-            mask = ei > 0
-            if not np.any(mask):
-                continue
-            de = exps[mask].copy()
-            de[:, i] -= 1.0
-            g[i] = float(np.sum(coeffs[mask] * ei[mask] * np.prod(z**de, axis=1)))
-        return g
+        return np.sum(grad_factor * np.prod(z**grad_exps, axis=-1), axis=0)
 
     def hessian(z):
-        h = np.zeros((dim, dim))
-        for i in range(dim):
-            for jj in range(i, dim):
-                ei = exps[:, i]
-                ej = exps[:, jj]
-                if i == jj:
-                    mask = ei > 1
-                    factor = ei * (ei - 1.0)
-                else:
-                    mask = (ei > 0) & (ej > 0)
-                    factor = ei * ej
-                if not np.any(mask):
-                    continue
-                de = exps[mask].copy()
-                de[:, i] -= 1.0
-                de[:, jj] -= 1.0
-                val = float(np.sum(coeffs[mask] * factor[mask] * np.prod(z**de, axis=1)))
-                h[i, jj] = val
-                h[jj, i] = val
-        return h
+        return np.sum(hess_factor * np.prod(z**hess_exps, axis=-1), axis=0)
 
     generators = tuple(np.array(g, dtype=float) for g in config.generators)
     return HamiltonianSystem(
-        n=n,
+        n=config.n,
         energy=energy,
         gradient=gradient,
         hessian=hessian,
@@ -291,23 +257,16 @@ def _polynomial_system(config: RunConfig) -> HamiltonianSystem:
 
 def build_system(config: RunConfig) -> tuple:
     """System plus the default equilibrium guess for it."""
-    if config.preset is not None:
+    if config.preset is None:
+        system = _polynomial_system(config)
+    else:
         system = model_mod.preset(config.preset, config.param_dict())
-        if config.guess is not None:
-            guess = np.array(config.guess, dtype=float)
-        elif config.preset == "satellite":
-            omega = dict(config.params).get("omega", 1.0)
-            guess = np.array([1.0, 0.0, 0.0, 0.0, -float(omega), 0.0])
-        else:
-            guess = np.zeros(system.dim)
-        return system, guess
-    system = _polynomial_system(config)
-    guess = (
-        np.array(config.guess, dtype=float)
-        if config.guess is not None
-        else np.zeros(system.dim)
-    )
-    return system, guess
+    if config.guess is not None:
+        return system, np.array(config.guess, dtype=float)
+    if config.preset == "satellite":
+        omega = float(dict(config.params).get("omega", 1.0))
+        return system, np.array([1.0, 0.0, 0.0, 0.0, -omega, 0.0])
+    return system, np.zeros(system.dim)
 
 
 def _candidate_record(index: int, cand) -> dict:
@@ -358,24 +317,41 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit_csv(records, columns) -> str:
+def _csv(columns, rows) -> str:
     lines = [",".join(columns)]
-    for rec in records:
+    for rec in rows:
         cells = [_csv_cell(rec.get(col)) for col in columns]
         lines.append(",".join('"' + c.replace('"', '""') + '"' if ("," in c or '"' in c) else c for c in cells))
     return "\n".join(lines) + "\n"
 
 
-def _emit_jsonl(records) -> str:
-    return "".join(json.dumps(rec, ensure_ascii=True) + "\n" for rec in records)
+def _emit(stdout, fmt: str, path: str | None, report: str, records, table, side=None) -> None:
+    """Write one command's output (no other function does), by the rule in ``_HELP_EPILOG``.
 
-
-def _write_output(text: str, path: str | None, stdout) -> None:
-    if path is None:
-        stdout.write(text)
+    ``records`` is the json-lines payload, ``table`` the csv payload as
+    ``(columns, rows)`` and ``side`` the csv table for ``<path>.coeffs.csv``.
+    """
+    stdout = sys.stdout if stdout is None else stdout
+    if fmt == "text":
+        payload = report
+    elif fmt == "json-lines":
+        payload = "".join(json.dumps(rec, ensure_ascii=True) + "\n" for rec in records)
+    elif fmt == "csv":
+        payload = _csv(*table)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
+        raise ConfigParse(f"unknown output format {fmt!r}")
+    if path is None:
+        stdout.write(payload)
+        if fmt != "text":
+            sys.stderr.write(report)
+        return
+    files = [(path, payload)]
+    if fmt == "csv" and side is not None:
+        files.append((path + ".coeffs.csv", _csv(*side)))
+    for name, text in files:
+        with open(name, "w", encoding="utf-8") as handle:
             handle.write(text)
+    stdout.write(report)
 
 
 def _run_analysis(config: RunConfig):
@@ -389,7 +365,6 @@ def _run_analysis(config: RunConfig):
 
 
 def cmd_analyze(config: RunConfig, stdout=None) -> int:
-    stdout = sys.stdout if stdout is None else stdout
     system, eq, candidates = _run_analysis(config)
     lines = [
         f"system: {system.name or 'custom'} (N={system.n})",
@@ -404,12 +379,11 @@ def cmd_analyze(config: RunConfig, stdout=None) -> int:
             f"hessian: m+ = {diag['m_plus']}, m- = {diag['m_minus']}, kernel dim = {diag['kernel_dim']}, "
             f"orbit nondegenerate = {'yes' if diag['orbit_nondegenerate'] else 'no'}"
         )
-        header = (
+        lines.append(
             f"{'idx':>3} {'j0':>3} {'beta':>12} {'lambda0':>12} {'period':>12} "
             f"{'A6':>3} {'jump':>4} {'degree':>7} {'path':>13} "
             f"{'A7.1':>4} {'A7.3':>4} {'A7.4':>4} {'A7.5':>4}  verdict"
         )
-        lines.append(header)
         for i, cand in enumerate(candidates, start=1):
             a7 = cand.a7_results
 
@@ -430,32 +404,19 @@ def cmd_analyze(config: RunConfig, stdout=None) -> int:
                 lines.append(f"      - {reason}")
     report = "\n".join(lines) + "\n"
     records = [_candidate_record(i, c) for i, c in enumerate(candidates, start=1)]
-    if config.fmt == "text":
-        _write_output(report, config.output, stdout)
-        if config.output is not None:
-            stdout.write(report)
-    else:
-        stdout.write(report)
-        payload = (
-            _emit_jsonl(records) if config.fmt == "json-lines" else _emit_csv(records, ANALYZE_COLUMNS)
-        )
-        _write_output(payload, config.output, stdout)
+    _emit(stdout, config.fmt, config.output, report, records, (ANALYZE_COLUMNS, records))
     return 0 if any(c.confirmed for c in candidates) else 2
 
 
 def cmd_branch(config: RunConfig, candidate_index: int | None = None, stdout=None) -> int:
-    stdout = sys.stdout if stdout is None else stdout
     system, eq, candidates = _run_analysis(config)
-    confirmed = [c for c in candidates if c.confirmed]
-    chosen = None
-    if candidate_index is not None:
-        picks = [c for c in candidates if c.j0 == candidate_index]
-        chosen = picks[0] if picks else None
-    elif confirmed:
-        chosen = confirmed[0]
-    if chosen is None or not chosen.confirmed:
-        stdout.write("no confirmed candidate to verify\n")
+    # the candidate with the requested j0, else the first confirmed one; it must be confirmed
+    picks = [c for c in candidates if (c.confirmed if candidate_index is None else c.j0 == candidate_index)]
+    if not picks or not picks[0].confirmed:
+        report = "no confirmed candidate to verify\n"
+        _emit(stdout, config.fmt, config.output, report, [], (BRANCH_COLUMNS, []))
         return 2
+    chosen = picks[0]
     branch = orbits_mod.continue_branch(
         system,
         eq,
@@ -471,11 +432,18 @@ def cmd_branch(config: RunConfig, candidate_index: int | None = None, stdout=Non
             "record": "coefficients",
             "index": i,
             "modes": orbit.m,
-            "a0": [float(v) for v in orbit.a0],
-            "a": [[float(v) for v in row] for row in orbit.a],
-            "b": [[float(v) for v in row] for row in orbit.b],
+            "a0": orbit.a0.tolist(),
+            "a": orbit.a.tolist(),
+            "b": orbit.b.tolist(),
         }
         for i, orbit in enumerate(branch.orbits, start=1)
+    ]
+    # csv side table: k = 0 rows hold the constant coefficient in 'a'
+    coeff_rows = [
+        {"index": i, "k": k, "component": comp, "a": float(a_k[comp]), "b": float(b_k[comp]) if k else None}
+        for i, orbit in enumerate(branch.orbits, start=1)
+        for k, (a_k, b_k) in enumerate(zip([orbit.a0, *orbit.a], [None, *orbit.b]))
+        for comp in range(system.dim)
     ]
     lines = [
         f"candidate j0={chosen.j0}: beta = {chosen.beta:.9g}, predicted period = "
@@ -500,42 +468,22 @@ def cmd_branch(config: RunConfig, candidate_index: int | None = None, stdout=Non
         lines.append(f"sup-distance at smallest amplitude: {smallest['sup_distance']:.3e}")
     lines.append(f"branch verdict: {'ok' if ok else 'not verified'}")
     report = "\n".join(lines) + "\n"
-    stdout.write(report)
-    if config.fmt == "json-lines":
-        payload = _emit_jsonl(records + coeff_records)
-        _write_output(payload, config.output, stdout)
-    elif config.fmt == "csv":
-        payload = _emit_csv(records, BRANCH_COLUMNS)
-        _write_output(payload, config.output, stdout)
-        coeff_rows = []
-        for i, orbit in enumerate(branch.orbits, start=1):
-            for comp in range(system.dim):
-                coeff_rows.append(
-                    {"index": i, "k": 0, "component": comp, "a": float(orbit.a0[comp]), "b": None}
-                )
-            for k in range(1, orbit.m + 1):
-                for comp in range(system.dim):
-                    coeff_rows.append(
-                        {
-                            "index": i,
-                            "k": k,
-                            "component": comp,
-                            "a": float(orbit.a[k - 1, comp]),
-                            "b": float(orbit.b[k - 1, comp]),
-                        }
-                    )
-        if config.output is not None:
-            _write_output(_emit_csv(coeff_rows, COEFF_COLUMNS), config.output + ".coeffs.csv", stdout)
-    elif config.output is not None:
-        _write_output(report, config.output, stdout)
+    _emit(
+        stdout,
+        config.fmt,
+        config.output,
+        report,
+        records + coeff_records,
+        (BRANCH_COLUMNS, records),
+        side=(COEFF_COLUMNS, coeff_rows),
+    )
     return 0 if ok else 1
 
 
 def _branch_healthy(branch, candidate, config: RunConfig) -> bool:
-    orbits_list = branch.orbits
-    if len(orbits_list) < 3:
+    amps = [o.amplitude for o in branch.orbits]
+    if len(amps) < 3:
         return False
-    amps = [o.amplitude for o in orbits_list]
     if any(a2 <= a1 for a1, a2 in zip(amps, amps[1:])):
         return False
     if amps[0] > config.s0 * (1.0 + 1e-6):
@@ -546,10 +494,7 @@ def _branch_healthy(branch, candidate, config: RunConfig) -> bool:
     return period_gaps[0] <= period_gaps[-1] + 1e-12 and sups[0] <= sups[-1]
 
 
-def cmd_presets(config: RunConfig | None = None, stdout=None) -> int:
-    stdout = sys.stdout if stdout is None else stdout
-    fmt = config.fmt if config is not None else "text"
-    output = config.output if config is not None else None
+def cmd_presets(fmt: str = "text", output: str | None = None, stdout=None) -> int:
     info = model_mod.preset_info()
     samples = {
         "satellite": RunConfig(preset="satellite", params=(("c", 0.5 * model_mod.EARTH_J2), ("omega", 1.0))),
@@ -558,10 +503,12 @@ def cmd_presets(config: RunConfig | None = None, stdout=None) -> int:
     }
     lines = []
     records = []
+    rows = []
     for name in sorted(info):
         entry = info[name]
+        parameters = sorted(entry["parameters"].items())
         lines.append(f"{name}:")
-        for pname, default in sorted(entry["parameters"].items()):
+        for pname, default in parameters:
             shown = "required" if default is None else _fmt(default) if isinstance(default, float) else str(default)
             lines.append(f"  {pname} = {shown}")
         lines.append(f"  note: {entry['notes']}")
@@ -569,31 +516,15 @@ def cmd_presets(config: RunConfig | None = None, stdout=None) -> int:
             {
                 "record": "preset",
                 "name": name,
-                "parameters": {
-                    k: (None if v is None else float(v)) for k, v in sorted(entry["parameters"].items())
-                },
+                "parameters": {k: (None if v is None else float(v)) for k, v in parameters},
                 "notes": entry["notes"],
                 "sample_config": samples[name].to_ini(),
             }
         )
+        flat = " ".join(f"{k}={'required' if v is None else _fmt(v)}" for k, v in parameters)
+        rows.append({"name": name, "parameters": flat, "notes": entry["notes"]})
     report = "\n".join(lines) + "\n"
-    stdout.write(report)
-    if fmt == "json-lines":
-        _write_output(_emit_jsonl(records), output, stdout)
-    elif fmt == "csv":
-        flat = [
-            {
-                "name": rec["name"],
-                "parameters": " ".join(
-                    f"{k}={'required' if v is None else _fmt(v)}" for k, v in rec["parameters"].items()
-                ),
-                "notes": rec["notes"],
-            }
-            for rec in records
-        ]
-        _write_output(_emit_csv(flat, ("name", "parameters", "notes")), output, stdout)
-    elif output is not None:
-        _write_output(report, output, stdout)
+    _emit(stdout, fmt, output, report, records, (("name", "parameters", "notes"), rows))
     return 0
 
 
@@ -603,11 +534,14 @@ machine output formats:
     keys in the order: %s.
     branch emits orbit records (keys: %s)
     followed by one coefficients record per orbit (record, index, modes, a0, a, b).
-  csv: header row then one row per record, columns as above; branch coefficient
-    tables go to <path>.coeffs.csv with columns %s
+  csv: header row then one row per record, columns as above; with --output,
+    branch coefficient tables go to <path>.coeffs.csv with columns %s
     (k = 0 rows hold the constant coefficient in 'a').
 Floats are printed with up to 17 significant digits; identical configuration
 and seed give byte-identical machine output.
+With --output PATH the output goes to PATH and the text report to stdout.
+Without it, json-lines or csv output is alone on stdout and the text report
+goes to stderr; text output goes to stdout.
 """ % (
     ", ".join(ANALYZE_COLUMNS),
     ", ".join(BRANCH_COLUMNS),
@@ -626,6 +560,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_output(p):
+        p.add_argument("--output", help="write machine output to this path")
+        p.add_argument("--format", choices=FORMATS, help="output format")
+
     def add_common(p):
         p.add_argument("--config", help="configuration file (flat key = value with sections)")
         p.add_argument("--preset", help="preset name (see the presets command)")
@@ -635,76 +573,53 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kmax", type=int, help="resonance-set depth (default 20)")
         p.add_argument("--j0", type=int, help="restrict to one candidate index")
         p.add_argument("--seed", type=int, help="seed for randomized subroutines")
-        p.add_argument("--output", help="write machine output to this path")
-        p.add_argument("--format", choices=["text", "json-lines", "csv"], help="output format")
+        add_output(p)
 
-    p_analyze = sub.add_parser("analyze", help="run the candidate-level analysis")
-    add_common(p_analyze)
+    add_common(sub.add_parser("analyze", help="run the candidate-level analysis"))
     p_branch = sub.add_parser("branch", help="verify a confirmed candidate by branch continuation")
     add_common(p_branch)
     p_branch.add_argument("--steps", type=int, help="number of amplitude steps (default 8)")
     p_branch.add_argument("--s0", type=float, help="smallest amplitude (default 1e-3)")
     p_branch.add_argument("--growth", type=float, help="amplitude growth factor (default 2.0)")
     p_branch.add_argument("--modes", type=int, help="initial Fourier truncation (default 8)")
-    p_presets = sub.add_parser("presets", help="list preset systems and their parameters")
-    p_presets.add_argument("--output", help="write machine output to this path")
-    p_presets.add_argument("--format", choices=["text", "json-lines", "csv"], help="output format")
+    add_output(sub.add_parser("presets", help="list preset systems and their parameters"))
     return parser
 
 
 def _effective_config(args) -> RunConfig:
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 config = parse_config(handle.read())
         except OSError as exc:
             raise ConfigParse(f"cannot read config file: {exc}") from exc
+    elif args.preset is None:
+        raise ConfigParse("either --config or --preset is required")
     else:
-        if getattr(args, "preset", None) is None:
-            raise ConfigParse("either --config or --preset is required")
         config = RunConfig(preset=args.preset)
-    updates: dict = {}
-    if getattr(args, "preset", None) is not None and args.config:
-        updates["preset"] = args.preset
+    updates = {
+        name: getattr(args, flag)
+        for _, _, name, flag, _, _ in _KEYS
+        if flag is not None and getattr(args, flag, None) is not None
+    }
     params = dict(config.params)
     for flag in ("omega", "c", "beta"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            params[flag] = value
+        if getattr(args, flag) is not None:
+            params[flag] = getattr(args, flag)
     if params != dict(config.params):
         updates["params"] = tuple(sorted(params.items()))
-    if getattr(args, "kmax", None) is not None:
-        updates["k_max"] = args.kmax
-    if getattr(args, "j0", None) is not None:
-        updates["j0"] = args.j0
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "output", None) is not None:
-        updates["output"] = args.output
-    if getattr(args, "format", None) is not None:
-        updates["fmt"] = args.format
-    for flag, key in (("steps", "steps"), ("s0", "s0"), ("growth", "growth"), ("modes", "modes")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[key] = value
     return replace(config, **updates) if updates else config
 
 
 def main(argv=None, stdout=None) -> int:
-    stdout = sys.stdout if stdout is None else stdout
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "presets":
-            fmt = args.format or "text"
-            config = RunConfig(preset="harmonic", fmt=fmt, output=args.output)
-            return cmd_presets(config, stdout=stdout)
+            return cmd_presets(args.format or "text", args.output, stdout=stdout)
         config = _effective_config(args)
         if args.command == "analyze":
             return cmd_analyze(config, stdout=stdout)
-        if args.command == "branch":
-            return cmd_branch(config, candidate_index=config.j0, stdout=stdout)
-        raise ConfigParse(f"unknown command {args.command!r}")
+        return cmd_branch(config, candidate_index=config.j0, stdout=stdout)
     except HambifError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -186,6 +186,7 @@ class _HarmonicBalance:
         self.dphi = np.hstack([np.zeros((self.points, 1)), -k * sin, k * cos])
         self.weights = self.phi * np.concatenate([[1.0], np.full(2 * m, 2.0)]) / self.points
         self.j = standard_symplectic(self.dim // 2)
+        self._last = None  # (x, coeffs, z, grads) of the last _curve call
         self.pin_rows = [g @ self.z0 for g in self.generators]
         # gradient fields of the conserved momenta: grad( -z.(J X z)/2 ) = -J X z
         self.moment_mats = [-(self.j @ g) for g in self.generators]
@@ -209,10 +210,14 @@ class _HarmonicBalance:
         return a0, a, b, lam, mus
 
     def _curve(self, x):
-        coeffs = x[: self.n_coeff].reshape(-1, self.dim)
-        z = self.phi @ coeffs
-        grads = np.array([gradient_of(self.system, zi) for zi in z])
-        return coeffs, z, grads
+        # kept for the last x: Newton's Jacobian follows a residual at the same x
+        if self._last is None or not np.array_equal(self._last[0], x):
+            x = np.array(x, dtype=float)
+            coeffs = x[: self.n_coeff].reshape(-1, self.dim)
+            z = self.phi @ coeffs
+            grads = np.array([gradient_of(self.system, zi) for zi in z])
+            self._last = (x, coeffs, z, grads)
+        return self._last[1:]
 
     def __call__(self, x) -> np.ndarray:
         a0, a, b, lam, mus = self.unpack(x)

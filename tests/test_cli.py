@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -11,6 +12,8 @@ import pytest
 import hambif
 from hambif import cli
 from hambif.errors import ConfigParse
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(args):
@@ -295,3 +298,123 @@ def test_module_entry_point_runs_without_runpy_warning():
     )
     assert proc.returncode == 0, proc.stderr
     assert "satellite" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--preset", "harmonic", "--beta", "1"],
+        ["branch", "--preset", "harmonic", "--beta", "1", "--steps", "3"],
+        ["presets"],
+    ],
+    ids=["analyze", "branch", "presets"],
+)
+@pytest.mark.parametrize("fmt", ["json-lines", "csv"])
+def test_machine_output_alone_on_stdout(argv, fmt, capsys):
+    # without --output the payload owns stdout and the text report goes to stderr
+    code, out = run_cli(argv + ["--format", fmt])
+    assert code == 0
+    if fmt == "json-lines":
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records
+    else:
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert len(rows) > 1
+        assert len({len(row) for row in rows}) == 1
+    assert capsys.readouterr().err.strip()
+
+
+def test_text_report_to_stdout_and_file(tmp_path, capsys):
+    out_path = tmp_path / "report.txt"
+    code, out = run_cli(["analyze", "--preset", "harmonic", "--format", "text", "--output", str(out_path)])
+    assert code == 0
+    assert out == out_path.read_text(encoding="utf-8")
+    assert "confirmed" in out
+    assert capsys.readouterr().err == ""
+
+
+def test_csv_coefficients_only_beside_output(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _ = run_cli(["branch", "--preset", "harmonic", "--steps", "3", "--format", "csv"])
+    assert code == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json-lines", "jsonl"), ("csv", "csv")])
+def test_presets_golden_output(tmp_path, fmt, ext):
+    out_path = tmp_path / f"presets.{ext}"
+    code, _ = run_cli(["presets", "--format", fmt, "--output", str(out_path)])
+    assert code == 0
+    assert out_path.read_bytes() == (DATA / f"presets.{ext}").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[system]\nn = 1\nmonomials = 0.5 2.5 0 ; 0.5 0 2\n",
+        "[system]\npreset = harmonic\n[analysis]\nkmax = ten\n",
+        "[system]\nn = 1\nmonomials = 0.5 -1 0 ; 0.5 0 2\n",
+        "[system]\nn = 1.5\nmonomials = 0.5 2 0 ; 0.5 0 2\n",
+        "[system]\npreset = harmonic\n[branch]\nsteps = 2.5\n",
+        "[system]\npreset = harmonic\n[branch]\nmodes = eight\n",
+        "[system]\npreset = harmonic\n[run]\nseed = 0.5\n",
+        "[system]\npreset = harmonic\nbeta =\n",
+    ],
+    ids=["fractional-exponent", "kmax", "negative-exponent", "n", "steps", "modes", "seed", "empty-parameter"],
+)
+def test_bad_config_values_are_config_errors(tmp_path, text, capsys):
+    with pytest.raises(ConfigParse):
+        cli.parse_config(text)
+    path = tmp_path / "bad.ini"
+    path.write_text(text, encoding="utf-8")
+    code, out = run_cli(["branch", "--config", str(path)])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_negative_exponent_rejected_in_run_config():
+    # a negative exponent kept the term in the energy but dropped it from the derivatives
+    with pytest.raises(ConfigParse):
+        cli.RunConfig(n=1, monomials=((0.5, (-1, 0)), (0.5, (0, 2))))
+    with pytest.raises(ConfigParse):
+        cli.RunConfig(n=1, monomials=((0.5, (2, 0, 0)),))
+
+
+def _loop_derivatives(coeffs, exps, z):
+    """Gradient and Hessian by explicit loops over the dimensions (reference)."""
+    dim = exps.shape[1]
+    g = np.zeros(dim)
+    h = np.zeros((dim, dim))
+    for i in range(dim):
+        mask = exps[:, i] > 0
+        de = exps[mask].copy()
+        de[:, i] -= 1.0
+        g[i] = np.sum(coeffs[mask] * exps[mask, i] * np.prod(z**de, axis=1))
+        for j in range(dim):
+            factor = exps[:, i] * (exps[:, j] - float(i == j))
+            mask = factor != 0.0
+            de = exps[mask].copy()
+            de[:, i] -= 1.0
+            de[:, j] -= 1.0
+            h[i, j] = np.sum(coeffs[mask] * factor[mask] * np.prod(z**de, axis=1))
+    return g, h
+
+
+def test_polynomial_derivative_table_matches_loops():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        for _ in range(6):
+            exps = rng.integers(0, 5, size=(int(rng.integers(1, 10)), 2 * n))
+            coeffs = rng.standard_normal(len(exps))
+            config = cli.RunConfig(n=n, monomials=tuple((float(c), tuple(int(e) for e in row)) for c, row in zip(coeffs, exps)))
+            system, _ = cli.build_system(config)
+            points = rng.uniform(-1.5, 1.5, size=(4, 2 * n))
+            points[0, 0] = 0.0
+            for z in points:
+                g_ref, h_ref = _loop_derivatives(coeffs, exps.astype(float), z)
+                # rounding is bounded by the sum of the absolute terms
+                g_abs, h_abs = _loop_derivatives(np.abs(coeffs), exps.astype(float), np.abs(z))
+                g, h = system.gradient(z), system.hessian(z)
+                assert np.all(np.abs(g - g_ref) <= 1e-14 * g_abs)
+                assert np.all(np.abs(h - h_ref) <= 1e-14 * h_abs)
+                assert np.array_equal(h, h.T)

@@ -310,6 +310,33 @@ def test_branch_gradient_calls_stay_per_collocation_point():
     assert calls[0] <= 5000
 
 
+def test_jacobian_reuses_residual_gradients():
+    # Newton evaluates the residual at x and then asks for the Jacobian at
+    # the same x: the gradients at the collocation points are not recomputed
+    sat, eq, cand = satellite_setup()
+    calls = [0]
+
+    def counted_gradient(z):
+        calls[0] += 1
+        return sat.gradient(z)
+
+    counted = replace(sat, gradient=counted_gradient)
+    predictor = orbits.kernel_direction(counted, eq, cand)
+    problem = orbits._HarmonicBalance(counted, eq, predictor, 0.05, 8)
+    x = perturbed_unknowns(problem, eq, cand, 0.05, np.random.default_rng(5))
+    fresh = orbits._HarmonicBalance(sat, eq, predictor, 0.05, 8).jacobian(x)
+    problem(x)
+    before = calls[0]
+    assert before == problem.points
+    reused = problem.jacobian(x)
+    assert calls[0] == before
+    assert np.array_equal(reused, fresh)
+    moved = x.copy()
+    moved[0] += 1e-3
+    problem.jacobian(moved)  # a different point is evaluated afresh
+    assert calls[0] == before + problem.points
+
+
 def test_solve_orbit_rejects_absurd_amplitude():
     pend, eq, cand = pendulum_setup()
     with pytest.raises(NoConvergence):
