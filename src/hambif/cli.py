@@ -96,6 +96,10 @@ class RunConfig:
         for _, exps in self.monomials:
             if len(exps) != 2 * self.n or any(e < 0 for e in exps):
                 raise ConfigParse(f"a monomial needs {2 * self.n} non-negative exponents, got {list(exps)}")
+        for rows in self.generators if self.monomials else ():  # presets bring their own symmetry
+            if len(rows) != 2 * self.n or any(len(row) != 2 * self.n for row in rows):
+                lengths = [len(row) for row in rows]
+                raise ConfigParse(f"a generator must be {2 * self.n} x {2 * self.n}, got rows of lengths {lengths}")
         if self.fmt not in FORMATS:
             raise ConfigParse(f"unknown output format {self.fmt!r}")
         for variant in self.variants:
@@ -256,12 +260,22 @@ def _polynomial_system(config: RunConfig) -> HamiltonianSystem:
 
 
 def build_system(config: RunConfig) -> tuple:
-    """System plus the default equilibrium guess for it."""
-    if config.preset is None:
-        system = _polynomial_system(config)
-    else:
-        system = model_mod.preset(config.preset, config.param_dict())
+    """System plus the default equilibrium guess for it.
+
+    The model rejects bad parameters and generators with ``ValueError``, or
+    ``TypeError`` for a list where a number belongs; both are configuration
+    errors here.
+    """
+    try:
+        if config.preset is None:
+            system = _polynomial_system(config)
+        else:
+            system = model_mod.preset(config.preset, config.param_dict())
+    except (TypeError, ValueError) as exc:
+        raise ConfigParse(f"bad system: {exc}") from exc
     if config.guess is not None:
+        if len(config.guess) != system.dim:
+            raise ConfigParse(f"guess needs {system.dim} numbers, got {len(config.guess)}")
         return system, np.array(config.guess, dtype=float)
     if config.preset == "satellite":
         omega = float(dict(config.params).get("omega", 1.0))
@@ -349,8 +363,11 @@ def _emit(stdout, fmt: str, path: str | None, report: str, records, table, side=
     if fmt == "csv" and side is not None:
         files.append((path + ".coeffs.csv", _csv(*side)))
     for name, text in files:
-        with open(name, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(name, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigParse(f"cannot write {name}: {exc.strerror or exc}") from exc
     stdout.write(report)
 
 

@@ -2,9 +2,12 @@
 
 A system is a first-order flow ``z' = J grad H(z)`` on R^(2N).  Continuous
 symmetries are encoded by Lie-algebra generators ``X`` (skew-symmetric,
-commuting with J); group elements are sampled as matrix exponentials
-``exp(t X)``.  Finite groups are out of scope; the empty generator list is
-the trivial group.
+commuting with J).  Such an ``X`` has the weight decomposition
+``i X = V diag(w) V^H`` (``V`` unitary, ``w`` the real weights of the circle
+it generates), so the group element ``exp(t X) = V diag(exp(-i w t)) V^H`` is
+read off one Hermitian eigendecomposition, and the isotropy of a point from
+the weights it occupies.  Finite groups are out of scope; the empty
+generator list is the trivial group.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from .errors import (
     DegenerateSection,
@@ -84,8 +85,9 @@ class SymmetryGroup:
         return len(self.generators)
 
     def element(self, index: int, t: float) -> np.ndarray:
-        """Group element exp(t * X_index)."""
-        return expm(t * self.generators[index])
+        """Group element exp(t * X_index), from the weights of ``i X_index``."""
+        weights, vectors = np.linalg.eigh(1j * self.generators[index])
+        return ((vectors * np.exp(-1j * t * weights)) @ vectors.conj().T).real
 
     @staticmethod
     def trivial() -> "SymmetryGroup":
@@ -409,9 +411,11 @@ def newtonian_to_hamiltonian(
 def satellite_equilibrium_distance(omega: float, c: float) -> float:
     """Unique positive root of ``omega^2 d^5 - d^2 - 3 c = 0``.
 
-    Bracketing plus Brent, then a Newton polish down to residual below
+    Bracketing plus bisection, then a Newton polish down to residual below
     1e-12.  Existence and uniqueness of the positive root follow from the
-    single sign change of the coefficient sequence.
+    single sign change of the coefficient sequence; ``f(0) = -3c < 0`` and
+    ``f < 0`` up to the root, so the sign of ``f`` at a midpoint says which
+    half holds it.
     """
     if omega <= 0.0 or c <= 0.0:
         raise ValueError("omega and c must be positive")
@@ -422,7 +426,13 @@ def satellite_equilibrium_distance(omega: float, c: float) -> float:
     hi = 1.0
     while f(hi) <= 0.0:
         hi *= 2.0
-    root = brentq(f, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
+    lo, root = 0.0, 0.5 * hi
+    while lo < root < hi:  # bisect until the midpoint is an endpoint
+        if f(root) > 0.0:
+            hi = root
+        else:
+            lo = root
+        root = 0.5 * (lo + hi)
     for _ in range(3):
         root -= f(root) / (5.0 * omega**2 * root**4 - 2.0 * root)
     return float(root)

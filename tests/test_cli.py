@@ -22,6 +22,12 @@ def run_cli(args):
     return code, buf.getvalue()
 
 
+def src_env():
+    """Environment for a fresh interpreter that imports hambif from this checkout."""
+    src = str(Path(hambif.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_analyze_satellite_exit_zero():
     code, out = run_cli(["analyze", "--preset", "satellite", "--omega", "1", "--c", "0.1"])
     assert code == 0
@@ -287,13 +293,11 @@ def test_flag_overrides_config(tmp_path):
 
 def test_module_entry_point_runs_without_runpy_warning():
     # importing the package must not execute hambif.cli before runpy does
-    src = str(Path(hambif.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "hambif.cli", "presets"],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -370,6 +374,69 @@ def test_bad_config_values_are_config_errors(tmp_path, text, capsys):
     code, out = run_cli(["branch", "--config", str(path)])
     assert code == 1 and out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "[system]\nn = 1\nmonomials = 0.5 2 0 ; 0.5 0 2\ngenerator1 = 1 0\n",
+        "[system]\nn = 1\nmonomials = 0.5 2 0 ; 0.5 0 2\ngenerator1 = 0 -1 0 0 ; 1 0 0 0 ; 0 0 0 -1 ; 0 0 1 0\n",
+        "[system]\nn = 1\nmonomials = 0.5 2 0 ; 0.5 0 2\ngenerator1 = 1 0 ; 0 1\n",
+        ["--preset", "satellite", "--omega", "-1", "--c", "0.1"],
+        "[system]\npreset = coupled-springs\nfrequencies = -1\n",
+        "[system]\npreset = satellite\nomega = 1 2\n",
+        "[system]\npreset = harmonic\ngamma = 2\n",
+        "[system]\npreset = harmonic\nguess = 1 2 3\n",
+    ],
+    ids=[
+        "generator-1x2",
+        "generator-4x4-for-n-1",
+        "generator-not-skew",
+        "satellite-negative-omega",
+        "negative-frequency",
+        "parameter-list-for-number",
+        "unknown-parameter",
+        "guess-length",
+    ],
+)
+@pytest.mark.parametrize("command", ["analyze", "branch"])
+def test_bad_system_inputs_are_config_errors(tmp_path, capsys, command, case):
+    # the model raises ValueError for these; the CLI reports them, it does not crash
+    argv = case
+    if isinstance(case, str):
+        path = tmp_path / "bad.ini"
+        path.write_text(case, encoding="utf-8")
+        argv = ["--config", str(path)]
+    code, out = run_cli([command, *argv])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--preset", "harmonic"], ["presets"]], ids=["analyze", "presets"])
+def test_unwritable_output_is_an_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing-dir" / "x.jsonl"
+    code, out = run_cli([*argv, "--format", "json-lines", "--output", str(path)])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}")
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # the package and both README commands run on numpy alone; scipy is a test-only oracle
+    script = (
+        "import sys, hambif, hambif.cli\n"
+        "common = ['--preset', 'satellite', '--omega', '1', '--c', '0.1', '--format', 'json-lines']\n"
+        "assert hambif.cli.main(['analyze', *common, '--output', sys.argv[1]]) == 0\n"
+        "assert hambif.cli.main(['branch', *common, '--steps', '2', '--output', sys.argv[2]]) == 1\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    outputs = [tmp_path / "analyze.jsonl", tmp_path / "branch.jsonl"]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, outputs)], capture_output=True, text=True, env=src_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    for path in outputs:
+        assert [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 def test_negative_exponent_rejected_in_run_config():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from hambif import linalg, model
 from hambif.errors import MissingParameter, NoConvergence, UnknownPreset
@@ -122,6 +124,30 @@ def test_satellite_equilibrium_distance_kepler_limit():
         assert abs(d0**5 - d0**2 - 3 * c) < 1e-12
 
 
+def _brentq_distance(omega, c):
+    """The bracket, Brent solve and Newton polish model used before it dropped scipy (reference)."""
+
+    def f(d):
+        return omega**2 * d**5 - d**2 - 3.0 * c
+
+    hi = 1.0
+    while f(hi) <= 0.0:
+        hi *= 2.0
+    root = brentq(f, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
+    for _ in range(3):
+        root -= f(root) / (5.0 * omega**2 * root**4 - 2.0 * root)
+    return float(root)
+
+
+@pytest.mark.parametrize("omega", [1e-2, 0.5, 1.0, 3.0, 50.0])
+@pytest.mark.parametrize("c", [1e-12, 1e-6, 5.4e-4, 0.1, 10.0])
+def test_satellite_distance_matches_brentq_reference(omega, c):
+    d0 = model.satellite_equilibrium_distance(omega, c)
+    reference = _brentq_distance(omega, c)
+    assert abs(d0 - reference) <= 1e-15 * reference
+    assert abs(omega**2 * d0**5 - d0**2 - 3.0 * c) <= 1e-12 * (1.0 + 3.0 * c)
+
+
 def weighted_circle_system(w1, w2):
     """H = |z1|^2 / 2 + (|z2|^2 - 1)^2 / 4 on C^2 under z_j -> exp(i w_j t) z_j.
 
@@ -152,6 +178,24 @@ def test_isotropy_from_generator_weights(weights, trivial):
     eq = model.refine_equilibrium(system, np.array([0.0, 1.02, 0.0, 0.1]))
     assert abs(np.linalg.norm(eq.z0[[1, 3]]) - 1.0) < 1e-10
     assert eq.isotropy_trivial is trivial
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        model.preset("satellite", omega=1.0, c=0.1),
+        *(weighted_circle_system(*w) for w in [(1, 3), (1, 5), (2, 6), (1, np.sqrt(2.0))]),
+    ],
+    ids=["satellite", "weights-1-3", "weights-1-5", "weights-2-6", "weights-1-sqrt2"],
+)
+def test_group_element_matches_expm(system):
+    gen = system.symmetry.generators[0]
+    j = linalg.standard_symplectic(system.n)
+    for t in np.linspace(0.0, 2.0 * np.pi, 17):
+        gamma = system.symmetry.element(0, t)
+        assert np.max(np.abs(gamma - expm(t * gen))) <= 1e-12
+        assert np.max(np.abs(gamma.T @ gamma - np.eye(system.dim))) <= 1e-12
+        assert np.max(np.abs(gamma @ j - j @ gamma)) <= 1e-12
 
 
 def test_isotropy_trivial_for_presets_and_chain():
