@@ -105,7 +105,7 @@ class ResonanceSet:
 
 def spectral_report(system: HamiltonianSystem, eq: EquilibriumOrbit) -> SpectralReport:
     """Assemble the spectral data of J * hessian(H) at the equilibrium."""
-    return matrix_report(check_symmetric(hessian_of(system, eq.z0), tol=1e-9))
+    return matrix_report(hessian_of(system, eq.z0))
 
 
 def matrix_report(a) -> SpectralReport:
@@ -280,10 +280,9 @@ def check_definite_z(report: SpectralReport) -> bool:
     return _definite(compress(report.hessian, basis))
 
 
-def check_mplus(report: SpectralReport, n: Optional[int] = None) -> bool:
+def check_mplus(report: SpectralReport) -> bool:
     """Positive-index count criterion: m+(hessian) != N."""
-    n = report.n if n is None else n
-    return report.m_plus != n
+    return report.m_plus != report.n
 
 
 def newtonian_blocks(etas, lam: float):

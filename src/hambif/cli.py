@@ -93,10 +93,19 @@ class RunConfig:
             raise ConfigParse("exactly one of 'preset' or 'monomials' must be given")
         if self.monomials and self.n is None:
             raise ConfigParse("inline monomials require 'n' (half the phase dimension)")
+        if self.preset is not None and self.generators:
+            raise ConfigParse(f"generators cannot be given with preset {self.preset!r}: presets bring their own symmetry")
+        counts = (("n", self.n), ("kmax", self.k_max), ("j0", self.j0), ("steps", self.steps), ("modes", self.modes))
+        for key, value in counts:
+            if value is not None and value < 1:
+                raise ConfigParse(f"{key} must be at least 1, got {value}")
+        for key, value in (("s0", self.s0), ("growth", self.growth)):
+            if not value > 0.0:
+                raise ConfigParse(f"{key} must be positive, got {value}")
         for _, exps in self.monomials:
             if len(exps) != 2 * self.n or any(e < 0 for e in exps):
                 raise ConfigParse(f"a monomial needs {2 * self.n} non-negative exponents, got {list(exps)}")
-        for rows in self.generators if self.monomials else ():  # presets bring their own symmetry
+        for rows in self.generators:
             if len(rows) != 2 * self.n or any(len(row) != 2 * self.n for row in rows):
                 lengths = [len(row) for row in rows]
                 raise ConfigParse(f"a generator must be {2 * self.n} x {2 * self.n}, got rows of lengths {lengths}")
@@ -173,7 +182,8 @@ def _show_monomials(terms) -> str:
 
 # Every fixed configuration key: (section, key, RunConfig field, command-line
 # flag or None, parse, show).  parse raises ValueError on a malformed value.
-# The other [system] keys are generator1, generator2, ... and preset parameters.
+# The other [system] keys are generator1, generator2, ... and preset parameters;
+# parse_config rejects any other key or section.
 _KEYS = (
     ("system", "preset", "preset", "preset", str, str),
     ("system", "n", "n", None, int, str),
@@ -191,7 +201,7 @@ _KEYS = (
     ("run", "seed", "seed", "seed", int, str),
 )
 
-_SYSTEM_KEYS = {key for section, key, *_ in _KEYS if section == "system"}
+_SECTION_KEYS = {section: {key for s, key, *_ in _KEYS if s == section} for section, *_ in _KEYS}
 
 
 def _parse_value(section: str, key: str, parse, text: str):
@@ -202,19 +212,27 @@ def _parse_value(section: str, key: str, parse, text: str):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse the flat key = value configuration format."""
+    """Parse the flat key = value configuration format; an unknown section or key is an error."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigParse(f"bad configuration: {exc}") from exc
+    if parser.defaults():
+        raise ConfigParse(f"unknown section [{parser.default_section}]")
+    for section in parser.sections():
+        if section not in _SECTION_KEYS:
+            raise ConfigParse(f"unknown section [{section}]")
+        for key in parser.options(section) if section != "system" else ():
+            if key not in _SECTION_KEYS[section]:
+                raise ConfigParse(f"unknown key {key!r} in [{section}]")
     kw = {
         name: _parse_value(section, key, parse, parser.get(section, key))
         for section, key, name, _, parse, _ in _KEYS
         if parser.has_option(section, key)
     }
     if parser.has_section("system"):
-        free = sorted((k, v) for k, v in parser.items("system") if k not in _SYSTEM_KEYS)
+        free = sorted((k, v) for k, v in parser.items("system") if k not in _SECTION_KEYS["system"])
         gens = [(k, v) for k, v in free if k.startswith("generator")]
         kw["generators"] = tuple(_parse_value("system", k, _matrix, v) for k, v in gens)
         kw["params"] = tuple((k, _parse_value("system", k, _param, v)) for k, v in free if (k, v) not in gens)
@@ -425,10 +443,10 @@ def cmd_analyze(config: RunConfig, stdout=None) -> int:
     return 0 if any(c.confirmed for c in candidates) else 2
 
 
-def cmd_branch(config: RunConfig, candidate_index: int | None = None, stdout=None) -> int:
+def cmd_branch(config: RunConfig, stdout=None) -> int:
     system, eq, candidates = _run_analysis(config)
-    # the candidate with the requested j0, else the first confirmed one; it must be confirmed
-    picks = [c for c in candidates if (c.confirmed if candidate_index is None else c.j0 == candidate_index)]
+    # the candidate with the configured j0, else the first confirmed one; it must be confirmed
+    picks = [c for c in candidates if (c.confirmed if config.j0 is None else c.j0 == config.j0)]
     if not picks or not picks[0].confirmed:
         report = "no confirmed candidate to verify\n"
         _emit(stdout, config.fmt, config.output, report, [], (BRANCH_COLUMNS, []))
@@ -636,7 +654,7 @@ def main(argv=None, stdout=None) -> int:
         config = _effective_config(args)
         if args.command == "analyze":
             return cmd_analyze(config, stdout=stdout)
-        return cmd_branch(config, candidate_index=config.j0, stdout=stdout)
+        return cmd_branch(config, stdout=stdout)
     except HambifError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -66,16 +66,16 @@ class DegreeReport:
     detail: str = ""
 
 
-def section_map(system: HamiltonianSystem, eq: EquilibriumOrbit, radius: float | None = None) -> SectionMap:
+def section_map(system: HamiltonianSystem, eq: EquilibriumOrbit) -> SectionMap:
+    """The section field of ``eq`` on the ball of radius ``1e-2 (1 + |z0|)``."""
     basis = eq.section_basis
     z0 = eq.z0
-    if radius is None:
-        radius = 1e-2 * (1.0 + float(np.linalg.norm(z0)))
+    radius = 1e-2 * (1.0 + float(np.linalg.norm(z0)))
 
     def evaluator(u):
         return basis.T @ gradient_of(system, z0 + basis @ np.asarray(u, dtype=float))
 
-    return SectionMap(dim=basis.shape[1], evaluator=evaluator, radius=float(radius))
+    return SectionMap(dim=basis.shape[1], evaluator=evaluator, radius=radius)
 
 
 def degree_nondegenerate(smap: SectionMap, jac) -> int:
@@ -92,31 +92,31 @@ def _sphere_points(rng: np.random.Generator, dim: int, count: int) -> np.ndarray
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def _fd_jacobian_map(f, u, step: float = 1e-7) -> np.ndarray:
+def _fd_jacobian_map(f, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     f0 = np.asarray(f(u), dtype=float)
     jac = np.empty((f0.size, u.size))
     for i in range(u.size):
         du = u.copy()
-        h = step * (1.0 + abs(u[i]))
+        h = 1e-7 * (1.0 + abs(u[i]))
         du[i] += h
         jac[:, i] = (np.asarray(f(du), dtype=float) - f0) / h
     return jac
 
 
-def degree_minimum(smap: SectionMap, probes: int = 64, seed: int = 0) -> int:
+def degree_minimum(smap: SectionMap, seed: int = 0) -> int:
     """Degree +1 after certifying an isolated local minimum on the section.
 
     Certification: the finite-difference Jacobian of the section field at
-    the origin is positive semidefinite and the field has no zero on a
-    probe sphere of radius ``smap.radius``.
+    the origin is positive semidefinite and the field has no zero at 64
+    random points of the probe sphere of radius ``smap.radius``.
     """
     jac = _fd_jacobian_map(smap.evaluator, np.zeros(smap.dim))
     w = np.linalg.eigvalsh(0.5 * (jac + jac.T))
     if np.any(w < -max(zero_threshold(w), 1e-7)):
         raise NotAMinimum(f"section Hessian has a negative eigenvalue {w.min():.3e}")
     rng = np.random.default_rng(seed)
-    for point in _sphere_points(rng, smap.dim, probes):
+    for point in _sphere_points(rng, smap.dim, 64):
         if np.linalg.norm(smap.evaluator(smap.radius * point)) < 1e-10:
             raise NotAMinimum("section field vanishes on the probe sphere")
     return 1
@@ -184,17 +184,13 @@ def degree_regular_value(smap: SectionMap, attempts: int = 64, seed: int = 0) ->
     return values[0]
 
 
-def section_degree(
-    system: HamiltonianSystem,
-    eq: EquilibriumOrbit,
-    seed: int = 0,
-    attempts: int = 64,
-) -> DegreeReport:
+def section_degree(system: HamiltonianSystem, eq: EquilibriumOrbit, seed: int = 0) -> DegreeReport:
     """Fallback chain nondegenerate -> minimum -> regular value.
 
-    The first applicable path wins.  Boundary zeros shrink the ball radius
-    by halves, at most 10 times.  A failed regular-value consistency check
-    reports ``value=None`` instead of raising.
+    The first applicable path wins; the regular-value path makes 64 Newton
+    starts per run.  Boundary zeros shrink the ball radius by halves, at
+    most 10 times.  A failed regular-value consistency check reports
+    ``value=None`` instead of raising.
     """
     smap = section_map(system, eq)
     jac = compress(hessian_of(system, eq.z0), eq.section_basis)
@@ -214,7 +210,7 @@ def section_degree(
     for _ in range(10):
         shrunk = SectionMap(dim=smap.dim, evaluator=smap.evaluator, radius=radius)
         try:
-            value = degree_regular_value(shrunk, attempts=attempts, seed=seed)
+            value = degree_regular_value(shrunk, seed=seed)
             return DegreeReport(
                 value=value,
                 path="regular-value",

@@ -44,15 +44,15 @@ def zero_threshold(values) -> float:
     return 1e-8 * (1.0 + radius)
 
 
-def check_symmetric(a, tol: float = 1e-10) -> np.ndarray:
-    """Validate symmetry of ``a`` up to ``tol`` (relative) and return (a + a^T)/2."""
+def check_symmetric(a) -> np.ndarray:
+    """Validate symmetry of ``a`` up to 1e-10 (relative) and return (a + a^T)/2."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSymmetric(f"expected a square matrix, got shape {a.shape}")
     scale = 1.0 + (float(np.max(np.abs(a))) if a.size else 0.0)
     gap = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if gap > tol * scale:
-        raise NonSymmetric(f"symmetry violation {gap:.3e} exceeds {tol:.1e} * scale")
+    if gap > 1e-10 * scale:
+        raise NonSymmetric(f"symmetry violation {gap:.3e} exceeds 1.0e-10 * scale")
     return 0.5 * (a + a.T)
 
 
@@ -92,17 +92,15 @@ def general_eigenvalues(m) -> np.ndarray:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
 
 
-def orthonormal_columns(mat, rel_tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the column span (SVD, rank by relative threshold)."""
+def orthonormal_columns(mat) -> np.ndarray:
+    """Orthonormal basis of the column span (SVD, rank: singular values above 1e-10 of the largest)."""
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim == 1:
-        mat = mat[:, None]
     if mat.size == 0:
         return np.zeros((mat.shape[0], 0))
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros((mat.shape[0], 0))
-    rank = int(np.sum(s > rel_tol * s[0]))
+    rank = int(np.sum(s > 1e-10 * s[0]))
     return u[:, :rank]
 
 

@@ -8,11 +8,17 @@ it generates), so the group element ``exp(t X) = V diag(exp(-i w t)) V^H`` is
 read off one Hermitian eigendecomposition, and the isotropy of a point from
 the weights it occupies.  Finite groups are out of scope; the empty
 generator list is the trivial group.
+
+Every call of a supplied evaluator goes through ``_evaluate``, which turns
+any failure that is not a ``HambifError`` into ``EvaluationFailure``.
+``gradient_of`` and ``hessian_of`` fill a missing derivative from one
+central-difference kernel or, from the energy alone, second differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -89,10 +95,6 @@ class SymmetryGroup:
         weights, vectors = np.linalg.eigh(1j * self.generators[index])
         return ((vectors * np.exp(-1j * t * weights)) @ vectors.conj().T).real
 
-    @staticmethod
-    def trivial() -> "SymmetryGroup":
-        return SymmetryGroup(())
-
 
 @dataclass
 class HamiltonianSystem:
@@ -107,7 +109,7 @@ class HamiltonianSystem:
     energy: Callable[[np.ndarray], float]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    symmetry: SymmetryGroup = field(default_factory=SymmetryGroup.trivial)
+    symmetry: SymmetryGroup = field(default_factory=SymmetryGroup)
     name: str = ""
 
     @property
@@ -134,34 +136,53 @@ class InvarianceReport:
     samples: int
 
 
-def _energy_at(system: HamiltonianSystem, z: np.ndarray) -> float:
+def _evaluate(system: HamiltonianSystem, what: str, z: np.ndarray):
+    """``system.<what>(z)`` as a float (energy) or float array; a non-HambifError failure becomes EvaluationFailure."""
     try:
-        return float(system.energy(z))
+        value = getattr(system, what)(z)
+        return float(value) if what == "energy" else np.asarray(value, dtype=float)
     except HambifError:
         raise
     except Exception as exc:
-        raise EvaluationFailure(f"energy evaluator failed at |z|={np.linalg.norm(z):.3g}: {exc}") from exc
+        raise EvaluationFailure(f"{what} evaluator failed at |z|={np.linalg.norm(z):.3g}: {exc}") from exc
 
 
-def gradient_of(system: HamiltonianSystem, z) -> np.ndarray:
-    """Gradient of H at z: supplied evaluator, else central differences."""
-    z = np.asarray(z, dtype=float)
-    if system.gradient is not None:
-        try:
-            return np.asarray(system.gradient(z), dtype=float)
-        except HambifError:
-            raise
-        except Exception as exc:
-            raise EvaluationFailure(f"gradient evaluator failed: {exc}") from exc
-    g = np.empty(system.dim)
-    for i in range(system.dim):
+def _central_differences(f, z: np.ndarray) -> np.ndarray:
+    """Columns ``(f(z + h_i e_i) - f(z - h_i e_i)) / (2 h_i)`` with ``h_i = 1e-6 (1 + |z_i|)``."""
+    columns = []
+    for i in range(z.size):
         h = _FD_GRADIENT_STEP * (1.0 + abs(z[i]))
         zp = z.copy()
         zm = z.copy()
         zp[i] += h
         zm[i] -= h
-        g[i] = (_energy_at(system, zp) - _energy_at(system, zm)) / (2.0 * h)
-    return g
+        columns.append((f(zp) - f(zm)) / (2.0 * h))
+    return np.array(columns).T
+
+
+def _second_differences(system: HamiltonianSystem, z: np.ndarray) -> np.ndarray:
+    """Hessian of the energy by four-point second differences with steps ``1e-4 (1 + |z_i|)``."""
+    d = z.size
+    steps = (_FD_HESSIAN_STEP * (1.0 + np.abs(z))).tolist()
+    m = np.empty((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            values = []
+            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                zs = z.copy()
+                zs[i] += si * steps[i]
+                zs[j] += sj * steps[j]
+                values.append(_evaluate(system, "energy", zs))
+            m[i, j] = m[j, i] = (values[0] - values[1] - values[2] + values[3]) / (4.0 * steps[i] * steps[j])
+    return m
+
+
+def gradient_of(system: HamiltonianSystem, z) -> np.ndarray:
+    """Gradient of H at z: supplied evaluator, else central differences of the energy."""
+    z = np.asarray(z, dtype=float)
+    if system.gradient is not None:
+        return _evaluate(system, "gradient", z)
+    return _central_differences(partial(_evaluate, system, "energy"), z)
 
 
 def hessian_of(system: HamiltonianSystem, z) -> np.ndarray:
@@ -172,51 +193,23 @@ def hessian_of(system: HamiltonianSystem, z) -> np.ndarray:
     energy otherwise.
     """
     z = np.asarray(z, dtype=float)
-    d = system.dim
     if system.hessian is not None:
-        try:
-            m = np.asarray(system.hessian(z), dtype=float)
-        except HambifError:
-            raise
-        except Exception as exc:
-            raise EvaluationFailure(f"hessian evaluator failed: {exc}") from exc
-        return 0.5 * (m + m.T)
-    if system.gradient is not None:
-        m = np.empty((d, d))
-        for i in range(d):
-            h = _FD_GRADIENT_STEP * (1.0 + abs(z[i]))
-            zp = z.copy()
-            zm = z.copy()
-            zp[i] += h
-            zm[i] -= h
-            m[:, i] = (gradient_of(system, zp) - gradient_of(system, zm)) / (2.0 * h)
-        return 0.5 * (m + m.T)
-    m = np.empty((d, d))
-    steps = _FD_HESSIAN_STEP * (1.0 + np.abs(z))
-    for i in range(d):
-        for jj in range(i, d):
-            hi, hj = steps[i], steps[jj]
-            zpp = z.copy()
-            zpm = z.copy()
-            zmp = z.copy()
-            zmm = z.copy()
-            zpp[i] += hi
-            zpp[jj] += hj
-            zpm[i] += hi
-            zpm[jj] -= hj
-            zmp[i] -= hi
-            zmp[jj] += hj
-            zmm[i] -= hi
-            zmm[jj] -= hj
-            val = (
-                _energy_at(system, zpp)
-                - _energy_at(system, zpm)
-                - _energy_at(system, zmp)
-                + _energy_at(system, zmm)
-            ) / (4.0 * hi * hj)
-            m[i, jj] = val
-            m[jj, i] = val
+        m = _evaluate(system, "hessian", z)
+    elif system.gradient is not None:
+        m = _central_differences(partial(_evaluate, system, "gradient"), z)
+    else:
+        m = _second_differences(system, z)
     return 0.5 * (m + m.T)
+
+
+def _probes(system: HamiltonianSystem, count: int, seed: int, base, spread: float):
+    """Yield ``(z, [exp(t_i X_i)])``: ``z = base + spread * normal``, each t_i uniform in (0, 2 pi)."""
+    rng = np.random.default_rng(seed)
+    base = np.zeros(system.dim) if base is None else np.asarray(base, dtype=float)
+    group = system.symmetry
+    for _ in range(count):
+        z = base + spread * rng.standard_normal(system.dim)
+        yield z, [group.element(idx, rng.uniform(0.0, 2.0 * np.pi)) for idx in range(group.group_dim)]
 
 
 def invariance_check(
@@ -233,16 +226,11 @@ def invariance_check(
     violation stays below ``1e-8 * (1 + |H(z)|)``.  A trivial group passes
     vacuously.
     """
-    rng = np.random.default_rng(seed)
-    base = np.zeros(system.dim) if base is None else np.asarray(base, dtype=float)
     worst = 0.0
-    for _ in range(samples):
-        z = base + spread * rng.standard_normal(system.dim)
-        hz = _energy_at(system, z)
-        for idx in range(system.symmetry.group_dim):
-            t = rng.uniform(0.0, 2.0 * np.pi)
-            gamma = system.symmetry.element(idx, t)
-            violation = abs(_energy_at(system, gamma @ z) - hz) / (1.0 + abs(hz))
+    for z, gammas in _probes(system, samples, seed, base, spread):
+        hz = _evaluate(system, "energy", z)
+        for gamma in gammas:
+            violation = abs(_evaluate(system, "energy", gamma @ z) - hz) / (1.0 + abs(hz))
             worst = max(worst, violation)
     return InvarianceReport(passed=worst < 1e-8, max_violation=worst, samples=samples)
 
@@ -255,15 +243,10 @@ def gradient_equivariance_residual(
     spread: float = 0.5,
 ) -> float:
     """Max of |grad H(exp(tX) z) - exp(tX) grad H(z)| over random probes."""
-    rng = np.random.default_rng(seed)
-    base = np.zeros(system.dim) if base is None else np.asarray(base, dtype=float)
     worst = 0.0
-    for _ in range(probes):
-        z = base + spread * rng.standard_normal(system.dim)
+    for z, gammas in _probes(system, probes, seed, base, spread):
         g = gradient_of(system, z)
-        for idx in range(system.symmetry.group_dim):
-            t = rng.uniform(0.0, 2.0 * np.pi)
-            gamma = system.symmetry.element(idx, t)
+        for gamma in gammas:
             resid = np.linalg.norm(gradient_of(system, gamma @ z) - gamma @ g)
             worst = max(worst, resid)
     return worst
@@ -307,7 +290,7 @@ def _isotropy_trivial(system: HamiltonianSystem, z0: np.ndarray) -> bool:
     return True
 
 
-def refine_equilibrium(system: HamiltonianSystem, guess, max_iter: int = 50) -> EquilibriumOrbit:
+def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
     """Newton-refine a critical point of H, quotienting out the group direction.
 
     Each step solves the gradient system restricted to the orthogonal
@@ -324,7 +307,7 @@ def refine_equilibrium(system: HamiltonianSystem, guess, max_iter: int = 50) -> 
     z = np.asarray(guess, dtype=float).copy()
     best_z, best_norm = z.copy(), np.inf
     stall = 0
-    for _ in range(max_iter):
+    for _ in range(50):
         g = gradient_of(system, z)
         gn = float(np.linalg.norm(g))
         if gn < best_norm:
@@ -348,7 +331,7 @@ def refine_equilibrium(system: HamiltonianSystem, guess, max_iter: int = 50) -> 
         z = z + section @ du
     z0, gn = best_z, best_norm
     if not gn <= 1e-10 * (1.0 + float(np.linalg.norm(z0))):
-        raise NoConvergence(f"gradient norm {gn:.3e} after {max_iter} iterations")
+        raise NoConvergence(f"gradient norm {gn:.3e} after 50 iterations")
     tangent, section = _orbit_bases(system, z0)
     return EquilibriumOrbit(
         z0=z0,

@@ -36,7 +36,7 @@ import numpy as np
 from .analysis import BifurcationCandidate, t_matrix
 from .errors import EmptyKernel, HambifError, NoConvergence, WrongBranch
 from .linalg import standard_symplectic
-from .model import EquilibriumOrbit, HamiltonianSystem, gradient_of, hessian_of
+from .model import EquilibriumOrbit, HamiltonianSystem, _evaluate, gradient_of, hessian_of
 
 __all__ = [
     "FourierOrbit",
@@ -99,18 +99,18 @@ def sobolev_amplitude(orbit: FourierOrbit, z0) -> float:
     return float(np.sqrt(np.sum(orbit.mode_energies(z0))))
 
 
-def sup_distance(orbit: FourierOrbit, z0, points: Optional[int] = None) -> float:
-    """max_t |z(t) - z0| on an equispaced grid (8M points by default)."""
-    points = 8 * orbit.m if points is None else points
+def sup_distance(orbit: FourierOrbit, z0) -> float:
+    """max_t |z(t) - z0| on an equispaced grid of 8M points."""
+    points = 8 * orbit.m
     t = np.arange(points) * TWO_PI / points
     return float(np.max(np.linalg.norm(orbit.evaluate(t) - np.asarray(z0, float), axis=1)))
 
 
-def orbit_energy_range(system: HamiltonianSystem, orbit: FourierOrbit, points: Optional[int] = None):
-    """(min, max) of H along the orbit on an equispaced grid."""
-    points = 4 * orbit.m + 1 if points is None else points
+def orbit_energy_range(system: HamiltonianSystem, orbit: FourierOrbit):
+    """(min, max) of H along the orbit on an equispaced grid of 4M + 1 points."""
+    points = 4 * orbit.m + 1
     t = np.arange(points) * TWO_PI / points
-    values = [float(system.energy(z)) for z in orbit.evaluate(t)]
+    values = [_evaluate(system, "energy", z) for z in orbit.evaluate(t)]
     return min(values), max(values)
 
 
@@ -125,12 +125,12 @@ class Branch:
     failures: list = field(default_factory=list)
 
 
-def kernel_direction(system: HamiltonianSystem, eq: EquilibriumOrbit, candidate) -> tuple:
-    """Normalized kernel vector (a1, b1) of the mode-1 matrix at the candidate level.
+def kernel_direction(system: HamiltonianSystem, eq: EquilibriumOrbit, candidate: BifurcationCandidate) -> tuple:
+    """Normalized kernel vector (a1, b1) of the mode-1 matrix at the level ``candidate.lambda0``.
 
     The returned pair is scaled to unit Sobolev norm of ``a1 cos t + b1 sin t``.
     """
-    lam0 = candidate.lambda0 if hasattr(candidate, "lambda0") else float(candidate)
+    lam0 = candidate.lambda0
     a = hessian_of(system, eq.z0)
     t = t_matrix(a, 1, lam0)
     _, svals, vt = np.linalg.svd(t)
@@ -278,7 +278,6 @@ def solve_orbit(
     modes: int = 8,
     initial_guess: Optional[FourierOrbit] = None,
     max_modes: int = 64,
-    tol: Optional[float] = None,
 ) -> FourierOrbit:
     """One amplitude-pinned Newton solve of the mode-1 branch.
 
@@ -299,7 +298,7 @@ def solve_orbit(
     Raises
     ------
     NoConvergence
-        If Newton stalls above tolerance.
+        If Newton stalls above the tolerance ``1e-9 * (1 + |z0|)``.
     WrongBranch
         If the converged orbit is not mode-1 dominated.
     """
@@ -307,7 +306,7 @@ def solve_orbit(
         raise ValueError(f"candidate verdict is {candidate.verdict!r}; branch solving needs a confirmed one")
     if amplitude_s <= 0.0:
         raise ValueError("amplitude must be positive")
-    tol = 1e-9 * (1.0 + float(np.linalg.norm(eq.z0))) if tol is None else tol
+    tol = 1e-9 * (1.0 + float(np.linalg.norm(eq.z0)))
     predictor = kernel_direction(system, eq, candidate)
     m = modes
     guess = initial_guess
@@ -360,10 +359,10 @@ def solve_orbit(
         return orbit
 
 
-def _newton(problem, x, tol_inner, max_iter=40):
+def _newton(problem, x, tol_inner):
     f = problem(x)
     best = (x, f)
-    for _ in range(max_iter):
+    for _ in range(40):
         nf = float(np.max(np.abs(f)))
         if nf < tol_inner:
             return x, f, True
@@ -398,13 +397,13 @@ def continue_branch(
     s0: float = 1e-3,
     growth: float = 2.0,
     modes: int = 8,
-    max_modes: int = 64,
 ) -> Branch:
     """Grow the branch outward over amplitudes ``s0 * growth**i``.
 
     Each step warm-starts from the previous orbit (the first from the
-    linear predictor).  A failed step is recorded and stops the branch;
-    the partial branch is returned with the failure list populated.
+    linear predictor) and lets ``solve_orbit`` double the modes up to 64.
+    A failed step is recorded and stops the branch; the partial branch is
+    returned with the failure list populated.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -413,9 +412,7 @@ def continue_branch(
     for i in range(steps):
         s = s0 * growth**i
         try:
-            orbit = solve_orbit(
-                system, eq, candidate, s, modes=modes, initial_guess=guess, max_modes=max_modes
-            )
+            orbit = solve_orbit(system, eq, candidate, s, modes=modes, initial_guess=guess)
         except HambifError as exc:
             branch.failures.append(f"step {i} (amplitude {s:.3e}): {exc}")
             break

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -485,3 +486,59 @@ def test_polynomial_derivative_table_matches_loops():
                 assert np.all(np.abs(g - g_ref) <= 1e-14 * g_abs)
                 assert np.all(np.abs(h - h_ref) <= 1e-14 * h_abs)
                 assert np.array_equal(h, h.T)
+
+
+def test_generators_with_preset_are_an_error(tmp_path, capsys):
+    # a preset brings its own symmetry; generators given beside it used to be dropped silently
+    path = tmp_path / "run.ini"
+    path.write_text("[system]\npreset = harmonic\ngenerator1 = 0 1 ; -1 0\n", encoding="utf-8")
+    code, out = run_cli(["analyze", "--config", str(path)])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: generators cannot be given with preset")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--steps", "0"],
+        ["--s0", "-1"],
+        ["--growth", "0"],
+        ["--modes", "0"],
+        ["--kmax", "0"],
+        ["--j0", "0"],
+        "[system]\nn = 0\nmonomials = 1\n",
+    ],
+    ids=["steps", "s0", "growth", "modes", "kmax", "j0", "n"],
+)
+def test_out_of_range_run_options_are_config_errors(tmp_path, capsys, argv):
+    if isinstance(argv, str):
+        path = tmp_path / "bad.ini"
+        path.write_text(argv, encoding="utf-8")
+        argv = ["--config", str(path)]
+    else:
+        argv = ["--preset", "harmonic", *argv]
+    code, out = run_cli(["branch", *argv])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[system]\npreset = harmonic\n[analysis]\nkmaxx = 0\n", "'kmaxx'"),
+        ("[system]\npreset = harmonic\n[brnch]\nsteps = 3\n", "[brnch]"),
+        ("[system]\npreset = harmonic\n[run]\nsteps = 3\n", "'steps'"),
+        ("[DEFAULT]\nkmax = 3\n[system]\npreset = harmonic\n", "[DEFAULT]"),
+    ],
+    ids=["misspelled-key", "misspelled-section", "key-in-wrong-section", "default-section"],
+)
+def test_unknown_config_keys_and_sections_are_errors(text, named):
+    with pytest.raises(ConfigParse, match=re.escape(named)):
+        cli.parse_config(text)
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    config = cli.parse_config(example)
+    assert config.n == 1 and config.steps == 6 and config.s0 == 0.01

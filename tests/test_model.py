@@ -4,7 +4,8 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from hambif import linalg, model
-from hambif.errors import MissingParameter, NoConvergence, UnknownPreset
+from hambif import orbits
+from hambif.errors import EvaluationFailure, MissingParameter, NoConvergence, UnknownPreset
 
 
 def _bisect_quintic(omega, c, lo, hi, iters=200):
@@ -321,3 +322,99 @@ def test_refine_equilibrium_no_convergence():
     )
     with pytest.raises(NoConvergence):
         model.refine_equilibrium(sys, np.array([0.0, 0.5]))
+
+
+def _reference_fd_gradient(energy, z):
+    """Central differences of the energy as model computed them before one kernel served both (reference)."""
+    g = np.empty(z.size)
+    for i in range(z.size):
+        h = 1e-6 * (1.0 + abs(z[i]))
+        zp = z.copy()
+        zm = z.copy()
+        zp[i] += h
+        zm[i] -= h
+        g[i] = (float(energy(zp)) - float(energy(zm))) / (2.0 * h)
+    return g
+
+
+def _reference_fd_hessian_from_gradient(gradient, z):
+    """Central differences of the gradient, symmetrized (reference)."""
+    d = z.size
+    m = np.empty((d, d))
+    for i in range(d):
+        h = 1e-6 * (1.0 + abs(z[i]))
+        zp = z.copy()
+        zm = z.copy()
+        zp[i] += h
+        zm[i] -= h
+        m[:, i] = (np.asarray(gradient(zp), dtype=float) - np.asarray(gradient(zm), dtype=float)) / (2.0 * h)
+    return 0.5 * (m + m.T)
+
+
+def _reference_fd_hessian_from_energy(energy, z):
+    """Second differences of the energy on the upper triangle, symmetrized (reference)."""
+    d = z.size
+    m = np.empty((d, d))
+    steps = 1e-4 * (1.0 + np.abs(z))
+    for i in range(d):
+        for jj in range(i, d):
+            hi, hj = steps[i], steps[jj]
+            zpp = z.copy()
+            zpm = z.copy()
+            zmp = z.copy()
+            zmm = z.copy()
+            zpp[i] += hi
+            zpp[jj] += hj
+            zpm[i] += hi
+            zpm[jj] -= hj
+            zmp[i] -= hi
+            zmp[jj] += hj
+            zmm[i] -= hi
+            zmm[jj] -= hj
+            val = (float(energy(zpp)) - float(energy(zpm)) - float(energy(zmp)) + float(energy(zmm))) / (4.0 * hi * hj)
+            m[i, jj] = val
+            m[jj, i] = val
+    return 0.5 * (m + m.T)
+
+
+def test_fd_derivatives_bit_identical_to_reference_loops():
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    gradient_only = model.HamiltonianSystem(n=3, energy=sat.energy, gradient=sat.gradient)
+    energy_only = model.HamiltonianSystem(n=3, energy=sat.energy)
+    rng = np.random.default_rng(17)
+    base = np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0])
+    for _ in range(200):
+        z = base + 0.3 * rng.standard_normal(6)
+        assert np.array_equal(model.gradient_of(energy_only, z), _reference_fd_gradient(sat.energy, z))
+        assert np.array_equal(model.hessian_of(energy_only, z), _reference_fd_hessian_from_energy(sat.energy, z))
+        assert np.array_equal(model.hessian_of(gradient_only, z), _reference_fd_hessian_from_gradient(sat.gradient, z))
+        assert np.array_equal(model.gradient_of(gradient_only, z), sat.gradient(z))
+
+
+def _failing(z):
+    raise ValueError("planted failure")
+
+
+@pytest.mark.parametrize(
+    "evaluators, derivative",
+    [
+        ({"gradient": _failing}, model.gradient_of),
+        ({"energy": _failing}, model.gradient_of),
+        ({"hessian": _failing}, model.hessian_of),
+        ({"gradient": _failing}, model.hessian_of),
+        ({"energy": _failing}, model.hessian_of),
+    ],
+    ids=["gradient", "fd-gradient", "hessian", "fd-hessian-from-gradient", "fd-hessian-from-energy"],
+)
+def test_evaluator_failures_are_typed(evaluators, derivative):
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    system = model.HamiltonianSystem(n=3, **{"energy": sat.energy, **evaluators})
+    with pytest.raises(EvaluationFailure, match="planted failure"):
+        derivative(system, np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0]))
+
+
+def test_orbit_energy_range_failure_is_typed():
+    system = model.HamiltonianSystem(n=1, energy=_failing)
+    orbit = orbits.FourierOrbit(a0=np.zeros(2), a=np.array([[1.0, 0.0]]), b=np.array([[0.0, 1.0]]), lam=1.0)
+    with pytest.raises(EvaluationFailure, match="energy evaluator failed"):
+        orbits.orbit_energy_range(system, orbit)
