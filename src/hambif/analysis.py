@@ -334,11 +334,11 @@ class AnalyzeOptions:
     k_max: int = 20
     j0: Optional[int] = None
     variants: tuple = A7_VARIANTS
-    seed: int = 0
+    seed: int = 0  # accepted for compatibility; nothing in the analysis is randomized
     require_minimal: bool = False
 
 
-def _candidate_verdict(nonres, jump, jump_reason, a7, degree_value, degree_reliable):
+def _candidate_verdict(nonres, jump, jump_reason, a7, degree_value):
     reasons = []
     if jump_reason:
         reasons.append(jump_reason)
@@ -350,8 +350,6 @@ def _candidate_verdict(nonres, jump, jump_reason, a7, degree_value, degree_relia
     if degree_value == 0:
         reasons.append("section degree vanishes; the criteria are silent here")
         return "inconclusive", None, reasons
-    if not degree_reliable:
-        reasons.append("section degree is heuristic (regular-value path)")
     if certificate and nonres:
         reasons.append("index jump at an isolated, nonresonant level; minimal periods certified")
         return "confirmed", "nonresonant-jump", reasons
@@ -390,7 +388,7 @@ def analyze(
     if not report.betas:
         return []
     try:
-        degree_report = degree_mod.section_degree(system, eq, seed=opts.seed)
+        degree_report = degree_mod.section_degree(system, eq)
     except HambifError as exc:
         degree_report = degree_mod.DegreeReport(
             value=None, path="none", reliable=False, radius=0.0, detail=str(exc)
@@ -434,7 +432,7 @@ def analyze(
         if "mplus" in opts.variants:
             a7["mplus"] = check_mplus(report)
         verdict, path, reasons = _candidate_verdict(
-            nonres, jump, jump_reason, a7, degree_report.value, degree_report.reliable
+            nonres, jump, jump_reason, a7, degree_report.value
         )
         if report.multiplicities[j0 - 1] > 1:
             reasons.append(f"multiplicity > 1 (cluster size {report.multiplicities[j0 - 1]})")

@@ -4,7 +4,7 @@ Configuration is a flat key = value file with sections ([system],
 [analysis], [branch], [output], [run]); every value can be overridden on
 the command line.  Machine output is emitted as json-lines (one record per
 line) or csv (header row + fixed column order); identical configuration
-and seed produce byte-identical machine output.  Each command builds a text
+produces byte-identical machine output.  Each command builds a text
 report and its records; ``_emit`` alone decides where they are written.
 
 Exit codes: analyze returns 0 when at least one candidate is confirmed,
@@ -86,7 +86,7 @@ class RunConfig:
     modes: int = 8
     fmt: str = "text"
     output: str | None = None
-    seed: int = 0
+    seed: int = 0  # accepted for compatibility; nothing is randomized
 
     def __post_init__(self):
         if (self.preset is None) == (not self.monomials):
@@ -95,6 +95,8 @@ class RunConfig:
             raise ConfigParse("inline monomials require 'n' (half the phase dimension)")
         if self.preset is not None and self.generators:
             raise ConfigParse(f"generators cannot be given with preset {self.preset!r}: presets bring their own symmetry")
+        if self.preset is not None and self.n is not None:
+            raise ConfigParse(f"n cannot be given with preset {self.preset!r}: presets bring their own dimension")
         counts = (("n", self.n), ("kmax", self.k_max), ("j0", self.j0), ("steps", self.steps), ("modes", self.modes))
         for key, value in counts:
             if value is not None and value < 1:
@@ -392,9 +394,7 @@ def _emit(stdout, fmt: str, path: str | None, report: str, records, table, side=
 def _run_analysis(config: RunConfig):
     system, guess = build_system(config)
     eq = model_mod.refine_equilibrium(system, guess)
-    options = analysis_mod.AnalyzeOptions(
-        k_max=config.k_max, j0=config.j0, variants=config.variants, seed=config.seed
-    )
+    options = analysis_mod.AnalyzeOptions(k_max=config.k_max, j0=config.j0, variants=config.variants)
     candidates = analysis_mod.analyze(system, eq, options)
     return system, eq, candidates
 
@@ -573,7 +573,7 @@ machine output formats:
     branch coefficient tables go to <path>.coeffs.csv with columns %s
     (k = 0 rows hold the constant coefficient in 'a').
 Floats are printed with up to 17 significant digits; identical configuration
-and seed give byte-identical machine output.
+gives byte-identical machine output.
 With --output PATH the output goes to PATH and the text report to stdout.
 Without it, json-lines or csv output is alone on stdout and the text report
 goes to stderr; text output goes to stdout.
@@ -607,7 +607,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", type=float, help="harmonic oscillator frequency")
         p.add_argument("--kmax", type=int, help="resonance-set depth (default 20)")
         p.add_argument("--j0", type=int, help="restrict to one candidate index")
-        p.add_argument("--seed", type=int, help="seed for randomized subroutines")
+        p.add_argument("--seed", type=int, help="accepted for compatibility; nothing is randomized")
         add_output(p)
 
     add_common(sub.add_parser("analyze", help="run the candidate-level analysis"))

@@ -1,19 +1,25 @@
 """Brouwer degree of the gradient restricted to the orthogonal section.
 
-The degree is taken over a small ball around the equilibrium inside the
-section perpendicular to the group orbit.  Three paths, tried in order:
+The degree is the local index of the equilibrium as a zero of the section
+field ``F(u) = B^T grad H(z0 + B u)``.  Two paths, tried in order:
 
-1. nondegenerate: the section-compressed Hessian is nonsingular and the
-   degree is the sign of its determinant;
-2. minimum: the equilibrium is certified an isolated local minimum on the
-   section, which forces degree +1;
-3. regular value: heuristic signed count of preimages of a small random
-   regular value, computed by multi-start Newton and cross-checked over
-   three seeds.
+1. nondegenerate: the section-compressed Hessian ``A`` is nonsingular and
+   the degree is the sign of its determinant;
+2. reduced (Lyapunov-Schmidt): split the section into the kernel ``K`` and
+   the range ``R`` of ``A``, solve the range equation ``R^T F(K c + R y) = 0``
+   for ``y(c)`` by chord Newton with the fixed block ``A_R = R^T A R``, and
+   use the product formula ``deg F = sign det(A_R) * deg g`` for the reduced
+   field ``g(c) = K^T F(K c + R y(c))`` (Golubitsky & Schaeffer,
+   *Singularities and Groups in Bifurcation Theory I*, 1985; Lloyd, *Degree
+   Theory*, 1978).  ``deg g`` is ``(sign g(r) - sign g(-r)) / 2`` for a
+   one-dimensional kernel and the winding number of ``g`` on the circle of
+   radius ``r`` for a two-dimensional one.  A larger kernel has no certified
+   degree here and is reported without a value.
 
-The orientation convention is the one induced by the order of the
-orthonormal section basis; only the nonvanishing of the degree matters to
-the downstream verdicts.
+Every value either path returns is a certificate: the computation is
+deterministic, and a reduced field within its evaluation error of zero at
+a sample raises instead of guessing.  The orientation is that of the
+section basis; only the nonvanishing of the degree matters downstream.
 """
 
 from __future__ import annotations
@@ -23,24 +29,38 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BoundaryZero,
-    Degenerate,
-    NotAMinimum,
-    Unreliable,
-)
-from .linalg import compress, zero_threshold
-from .model import EquilibriumOrbit, HamiltonianSystem, gradient_of, hessian_of
+from .errors import BoundaryZero, Degenerate, HambifError, NoConvergence, NotAMinimum
+from .linalg import compress
+from .model import EquilibriumOrbit, HamiltonianSystem, _central_differences, gradient_of, hessian_of
 
 __all__ = [
     "SectionMap",
     "DegreeReport",
     "section_map",
     "degree_nondegenerate",
+    "degree_reduced",
     "degree_minimum",
     "degree_regular_value",
     "section_degree",
 ]
+
+# An eigenvalue w of the section Jacobian belongs to the kernel, on both
+# paths, when |w| <= _KERNEL_TOL * (1 + max|w|).  This sits two orders above
+# the error of every Jacobian the reduction sees: central differences of a
+# gradient (about 1e-10), second differences of an energy (about 1e-8) and
+# central differences of a bare section map (exact for quadratic terms).
+# linalg.zero_threshold's 1e-8 is too tight: a forward-difference Jacobian
+# of the squaring field at 0 has entries of about 1e-7, which it would read
+# as nonsingular.
+_KERNEL_TOL = 1e-6
+# The reduced field is trusted at a sample only where |g| exceeds _SIGNAL
+# times its evaluation error, estimated as |F(0)| + 1e-14 (1 + max|w|):
+# F vanishes at the origin in exact arithmetic, so |F(0)| measures the
+# evaluator's noise, and the second term is the roundoff floor.
+_SIGNAL = 100.0
+# The winding number starts from 16 equal angles and bisects every arc
+# whose angle increment is not below pi/2, up to this many samples.
+_MAX_CIRCLE_SAMPLES = 1024
 
 
 @dataclass
@@ -82,115 +102,116 @@ def degree_nondegenerate(smap: SectionMap, jac) -> int:
     """Sign of det(jac) for a nonsingular section-compressed Hessian."""
     jac = np.asarray(jac, dtype=float)
     w = np.linalg.eigvalsh(0.5 * (jac + jac.T))
-    if float(np.min(np.abs(w))) <= 1e-8:
+    if np.any(_in_kernel(w)):
         raise Degenerate("section Hessian has a near-zero eigenvalue")
     return -1 if int(np.sum(w < 0.0)) % 2 else 1
 
 
-def _sphere_points(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
-    pts = rng.standard_normal((count, dim))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+def _in_kernel(w) -> np.ndarray:
+    return np.abs(w) <= _KERNEL_TOL * (1.0 + float(np.max(np.abs(w))))
 
 
-def _fd_jacobian_map(f, u) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    f0 = np.asarray(f(u), dtype=float)
-    jac = np.empty((f0.size, u.size))
-    for i in range(u.size):
-        du = u.copy()
-        h = 1e-7 * (1.0 + abs(u[i]))
-        du[i] += h
-        jac[:, i] = (np.asarray(f(du), dtype=float) - f0) / h
-    return jac
+def _fd_jacobian(smap: SectionMap) -> np.ndarray:
+    return _central_differences(lambda u: np.asarray(smap.evaluator(u), dtype=float), np.zeros(smap.dim))
 
 
-def degree_minimum(smap: SectionMap, seed: int = 0) -> int:
-    """Degree +1 after certifying an isolated local minimum on the section.
+def _winding_number(g, r: float) -> int:
+    """Winding number of ``g`` on the circle of radius ``r``, by adaptive bisection of the arcs."""
 
-    Certification: the finite-difference Jacobian of the section field at
-    the origin is positive semidefinite and the field has no zero at 64
-    random points of the probe sphere of radius ``smap.radius``.
+    def sample(t):
+        value = g(r * np.array([np.cos(t), np.sin(t)]))
+        return t, float(np.arctan2(value[1], value[0]))
+
+    points = [sample(t) for t in np.linspace(0.0, 2.0 * np.pi, 17)[:-1]]
+    points.append((2.0 * np.pi, points[0][1]))
+    total = 0.0
+    i = 0
+    while i < len(points) - 1:
+        (t0, a0), (t1, a1) = points[i], points[i + 1]
+        step = (a1 - a0 + np.pi) % (2.0 * np.pi) - np.pi
+        if abs(step) < 0.5 * np.pi:
+            total += step
+            i += 1
+        elif len(points) < _MAX_CIRCLE_SAMPLES:
+            points.insert(i + 1, sample(0.5 * (t0 + t1)))
+        else:
+            raise BoundaryZero(f"angle of g unresolved with {len(points)} samples")
+    return int(round(total / (2.0 * np.pi)))
+
+
+def degree_reduced(smap: SectionMap, jac=None) -> int:
+    """Degree by Lyapunov-Schmidt reduction onto a kernel of dimension at most 2.
+
+    ``jac`` is the section Jacobian at the origin; without it, central
+    differences of ``smap.evaluator`` give it.  The reduced field is sampled
+    at radius ``smap.radius / 2``.  Raises :class:`Degenerate` for a larger
+    kernel, :class:`BoundaryZero` where ``|g|`` does not clear 100 times
+    its evaluation error, and :class:`NoConvergence` where the range
+    equation cannot be solved inside the ball.
     """
-    jac = _fd_jacobian_map(smap.evaluator, np.zeros(smap.dim))
-    w = np.linalg.eigvalsh(0.5 * (jac + jac.T))
-    if np.any(w < -max(zero_threshold(w), 1e-7)):
-        raise NotAMinimum(f"section Hessian has a negative eigenvalue {w.min():.3e}")
-    rng = np.random.default_rng(seed)
-    for point in _sphere_points(rng, smap.dim, 64):
-        if np.linalg.norm(smap.evaluator(smap.radius * point)) < 1e-10:
-            raise NotAMinimum("section field vanishes on the probe sphere")
-    return 1
+    jac = _fd_jacobian(smap) if jac is None else np.asarray(jac, dtype=float)
+    w, v = np.linalg.eigh(0.5 * (jac + jac.T))
+    in_kernel = _in_kernel(w)
+    kernel, image, w_range = v[:, in_kernel], v[:, ~in_kernel], w[~in_kernel]
+    sign, dim = (-1) ** int(np.sum(w_range < 0.0)), kernel.shape[1]
+    if dim == 0:
+        return sign
+    if dim > 2:
+        raise Degenerate(f"section kernel of dimension {dim}; the reduced degree is certified up to dimension 2")
+    noise = float(np.linalg.norm(smap.evaluator(np.zeros(smap.dim)))) + 1e-14 * (1.0 + float(np.max(np.abs(w))))
 
-
-def _regular_value_once(smap: SectionMap, attempts: int, rng: np.random.Generator) -> int:
-    r = smap.radius
-    boundary = _sphere_points(rng, smap.dim, max(32, 16 * smap.dim))
-    norms = [float(np.linalg.norm(smap.evaluator(r * point))) for point in boundary]
-    if min(norms) < 1e-10:
-        raise BoundaryZero(f"boundary sample with |F| = {min(norms):.3e}")
-    infimum = min(norms)
-    for _ in range(5):  # retry with a fresh target if a preimage is degenerate
-        y = 0.01 * infimum * _sphere_points(rng, smap.dim, 1)[0]
-        roots = []
-        degenerate = False
-        for start in rng.uniform(-r, r, size=(attempts, smap.dim)):
-            if np.linalg.norm(start) >= r:
-                continue
-            u = start.copy()
-            ok = False
-            for _ in range(40):
-                fu = smap.evaluator(u) - y
-                if np.linalg.norm(fu) < 1e-12 + 1e-9 * np.linalg.norm(y):
-                    ok = True
-                    break
-                jac = _fd_jacobian_map(smap.evaluator, u)
-                try:
-                    du = np.linalg.solve(jac, -fu)
-                except np.linalg.LinAlgError:
-                    break
-                if np.linalg.norm(du) > 4.0 * r:
-                    break
-                u = u + du
-            if not ok or np.linalg.norm(u) >= r * (1.0 - 1e-9):
-                continue
-            if any(np.linalg.norm(u - known) < 1e-6 * r for known, _ in roots):
-                continue
-            det = float(np.linalg.det(_fd_jacobian_map(smap.evaluator, u)))
-            if abs(det) < 1e-12:
-                degenerate = True
+    def g(c):  # the range equation by chord Newton with the fixed block A_R
+        y = np.zeros(image.shape[1])
+        for _ in range(50):
+            f = np.asarray(smap.evaluator(kernel @ c + image @ y), dtype=float)
+            residual = image.T @ f
+            if np.linalg.norm(residual) <= noise:
+                value = kernel.T @ f
+                if not np.linalg.norm(value) > _SIGNAL * noise:
+                    raise BoundaryZero(f"|g| = {np.linalg.norm(value):.3e} at |c| = {np.linalg.norm(c):.3e}")
+                return value
+            y = y - residual / w_range
+            if np.linalg.norm(y) > smap.radius:
                 break
-            roots.append((u, 1 if det > 0.0 else -1))
-        if degenerate:
-            continue
-        roots.sort(key=lambda item: tuple(item[0]))
-        return sum(sign for _, sign in roots)
-    raise Unreliable("could not find a regular target value")
+        raise NoConvergence(f"range equation unsolved at |c| = {np.linalg.norm(c):.3e}")
+
+    r = 0.5 * smap.radius
+    if dim == 2:
+        return sign * _winding_number(g, r)
+    ends = [float(g(np.array([c]))[0]) for c in (r, -r)]
+    return sign * (int(np.sign(ends[0]) - np.sign(ends[1])) // 2)
+
+
+def degree_minimum(smap: SectionMap) -> int:
+    """Degree +1 of a section field with a positive semidefinite Jacobian.
+
+    Raises :class:`NotAMinimum` when the central-difference Jacobian has a
+    negative eigenvalue or the degree of :func:`degree_reduced` is not +1.
+    """
+    jac = _fd_jacobian(smap)
+    w = np.linalg.eigvalsh(0.5 * (jac + jac.T))
+    if np.any((w < 0.0) & ~_in_kernel(w)):
+        raise NotAMinimum(f"section Hessian has a negative eigenvalue {w.min():.3e}")
+    value = degree_reduced(smap, jac)
+    if value != 1:
+        raise NotAMinimum(f"reduced degree is {value:+d}, not +1")
+    return value
 
 
 def degree_regular_value(smap: SectionMap, attempts: int = 64, seed: int = 0) -> int:
-    """Signed preimage count of a small regular value (heuristic path).
+    """The degree of ``smap`` by :func:`degree_reduced`.
 
-    Runs the whole procedure under three distinct seeds derived from
-    ``seed``; raises :class:`Unreliable` unless all runs agree.  Preimage
-    completeness is not certified, so callers must treat the result as
-    heuristic.
+    ``attempts`` and ``seed`` are accepted for compatibility and ignored:
+    the computation is deterministic, and no regular value is drawn.
     """
-    values = [
-        _regular_value_once(smap, attempts, np.random.default_rng(seed + 101 * i))
-        for i in range(3)
-    ]
-    if len(set(values)) != 1:
-        raise Unreliable(f"seed runs disagree: {values}")
-    return values[0]
+    return degree_reduced(smap)
 
 
-def section_degree(system: HamiltonianSystem, eq: EquilibriumOrbit, seed: int = 0) -> DegreeReport:
-    """Fallback chain nondegenerate -> minimum -> regular value.
+def section_degree(system: HamiltonianSystem, eq: EquilibriumOrbit) -> DegreeReport:
+    """Chain nondegenerate -> reduced; the first path that gives a value wins.
 
-    The first applicable path wins; the regular-value path makes 64 Newton
-    starts per run.  Boundary zeros shrink the ball radius by halves, at
-    most 10 times.  A failed regular-value consistency check reports
-    ``value=None`` instead of raising.
+    Without one the report has ``value=None`` and the reason in ``detail``;
+    with one it always has ``reliable=True``.
     """
     smap = section_map(system, eq)
     jac = compress(hessian_of(system, eq.z0), eq.section_basis)
@@ -200,34 +221,8 @@ def section_degree(system: HamiltonianSystem, eq: EquilibriumOrbit, seed: int = 
     except Degenerate as exc:
         first_failure = str(exc)
     try:
-        value = degree_minimum(smap, seed=seed)
-        return DegreeReport(
-            value=value, path="minimum", reliable=True, radius=smap.radius, detail=first_failure
-        )
-    except NotAMinimum as exc:
-        second_failure = str(exc)
-    radius = smap.radius
-    for _ in range(10):
-        shrunk = SectionMap(dim=smap.dim, evaluator=smap.evaluator, radius=radius)
-        try:
-            value = degree_regular_value(shrunk, seed=seed)
-            return DegreeReport(
-                value=value,
-                path="regular-value",
-                reliable=False,
-                radius=radius,
-                detail=f"{first_failure}; {second_failure}",
-            )
-        except BoundaryZero:
-            radius *= 0.5
-        except Unreliable as exc:
-            return DegreeReport(
-                value=None, path="regular-value", reliable=False, radius=radius, detail=str(exc)
-            )
-    return DegreeReport(
-        value=None,
-        path="regular-value",
-        reliable=False,
-        radius=radius,
-        detail="boundary zeros persisted through 10 radius halvings",
-    )
+        value = degree_reduced(smap, jac)
+    except HambifError as exc:
+        detail = f"{first_failure}; {exc}"
+        return DegreeReport(value=None, path="reduced", reliable=False, radius=smap.radius, detail=detail)
+    return DegreeReport(value=value, path="reduced", reliable=True, radius=smap.radius, detail=first_failure)

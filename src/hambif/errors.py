@@ -46,7 +46,7 @@ class EpsilonUnderflow(HambifError):
 
 
 class Degenerate(HambifError):
-    """The section Jacobian is singular; the nondegenerate degree path fails."""
+    """The section Jacobian is too singular for a degree path: any kernel for the nondegenerate one, over 2 for the reduction."""
 
 
 class NotAMinimum(HambifError):
@@ -54,11 +54,7 @@ class NotAMinimum(HambifError):
 
 
 class BoundaryZero(HambifError):
-    """The section field has a (near-)zero on the probe sphere."""
-
-
-class Unreliable(HambifError):
-    """Degree runs with independent seeds disagree."""
+    """The reduced section field comes within its evaluation error of zero at a sample."""
 
 
 class EmptyKernel(HambifError):

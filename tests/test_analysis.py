@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hambif import analysis, linalg, model
+from hambif import analysis, cli, linalg, model
 from hambif.errors import NoImaginaryPairs
 
 
@@ -206,6 +206,36 @@ def test_analyze_satellite_confirms():
     assert top.degree_on_section in (-1, 1)
     assert abs(top.predicted_period * top.beta - 2.0 * np.pi) < 1e-12 * 2.0 * np.pi
     assert top.diagnostics["orbit_nondegenerate"]
+
+
+def analyze_inline(monomials, seed=0, guess=None):
+    text = f"[system]\nn = 2\nmonomials = {monomials}\n" + (f"guess = {guess}\n" if guess else "")
+    system, start = cli.build_system(cli.parse_config(text))
+    eq = model.refine_equilibrium(system, start)
+    return analysis.analyze(system, eq, analysis.AnalyzeOptions(seed=seed))
+
+
+# From the off-equilibrium guess the refinement stops at q2 ~ 2.4e-7, where
+# the Hessian eigenvalue 2 q2 ~ 5e-7 is nonzero but below the degree's
+# kernel threshold; the nondegenerate path must not read its sign.
+@pytest.mark.parametrize("guess", [None, "0.001 0.002 -0.001 0.0005"], ids=["origin", "off-equilibrium"])
+def test_analyze_cubic_section_is_not_confirmed(guess):
+    # H = (q1^2 + p1^2 + p2^2) / 2 + q2^3 / 3: the reduced section field is
+    # q2^2, whose degree is 0, so the criteria are silent
+    cands = analyze_inline("0.5 2 0 0 0 ; 0.5 0 0 2 0 ; 0.5 0 0 0 2 ; 0.3333333333333333 0 3 0 0", guess=guess)
+    assert cands
+    for cand in cands:
+        assert (cand.degree_on_section, cand.degree_path, cand.degree_reliable) == (0, "reduced", True)
+        assert not cand.confirmed
+        assert "section degree vanishes; the criteria are silent here" in cand.reasons
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_analyze_indefinite_quartic_section_degree(seed):
+    # H = (q1^2 + p1^2 - p2^2) / 2 + q2^4 / 4: sign det A_R = -1 times the
+    # degree +1 of g(c) = c^3; the seed changes nothing
+    (cand,) = analyze_inline("0.5 2 0 0 0 ; 0.5 0 0 2 0 ; -0.5 0 0 0 2 ; 0.25 0 4 0 0", seed=seed)
+    assert (cand.degree_on_section, cand.degree_path, cand.degree_reliable) == (-1, "reduced", True)
 
 
 def test_analyze_coupled_springs_paths():

@@ -497,6 +497,35 @@ def test_generators_with_preset_are_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: generators cannot be given with preset")
 
 
+def test_n_with_preset_is_an_error(tmp_path, capsys):
+    # a preset fixes its own dimension; n given beside it used to be dropped silently
+    path = tmp_path / "run.ini"
+    path.write_text("[system]\npreset = harmonic\nn = 3\n", encoding="utf-8")
+    code, out = run_cli(["analyze", "--config", str(path)])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: n cannot be given with preset")
+
+
+# H = (q1^2 + p1^2 + p2^2) / 2 + q2^4 / 4: the reduced section field is q2^3, degree +1
+QUARTIC_SECTION = "[system]\nn = 2\nmonomials = 0.5 0 0 2 0 ; 0.5 0 0 0 2 ; 0.5 2 0 0 0 ; 0.25 0 4 0 0\n"
+
+
+@pytest.mark.parametrize("name, expected_code", [("quartic", 0), ("cubic", 2)])
+def test_negative_seed_on_degenerate_sections(tmp_path, capsys, name, expected_code):
+    # the degree past the nondegenerate path used to draw random numbers
+    # from the seed, and a negative seed ended in a numpy traceback
+    path = DATA / "cubic.ini"
+    if name == "quartic":
+        path = tmp_path / "quartic.ini"
+        path.write_text(QUARTIC_SECTION, encoding="utf-8")
+    code, out = run_cli(["analyze", "--config", str(path), "--seed", "-1", "--format", "json-lines"])
+    assert code == expected_code
+    assert "Traceback" not in capsys.readouterr().err
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["degree_path"] for r in records] == ["reduced"]
+    assert records[0]["verdict"].startswith("confirmed") == (name == "quartic")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hambif import degree, model
-from hambif.errors import BoundaryZero, Degenerate, NotAMinimum, Unreliable
+from hambif import cli, degree, model
+from hambif.errors import BoundaryZero, Degenerate, NotAMinimum
 
 
 def make_map(dim, evaluator, radius=0.5):
@@ -64,13 +64,21 @@ def test_regular_value_seed_stability():
 
 
 def test_regular_value_boundary_zero():
-    r = 0.3
+    # kernel dimension 2; the reduced field is sampled on the circle of half
+    # the map radius, where this one vanishes, so no degree can be certified
+    r = 0.15
 
-    def vanishing_on_sphere(u):
-        return (float(u @ u) - r * r) * u
+    def vanishing_on_circle(u):
+        return (float(u @ u) - r * r) * complex_square(u)
 
     with pytest.raises(BoundaryZero):
-        degree.degree_regular_value(make_map(2, vanishing_on_sphere, radius=r), seed=0)
+        degree.degree_regular_value(make_map(2, vanishing_on_circle, radius=2.0 * r), seed=0)
+
+
+def test_reduced_rejects_kernel_beyond_two():
+    smap = make_map(3, lambda u: float(u @ u) * u)
+    with pytest.raises(Degenerate):
+        degree.degree_reduced(smap)
 
 
 def test_homotopy_scaling_invariance():
@@ -127,5 +135,40 @@ def test_section_degree_minimum_fallback():
     )
     eq = model.refine_equilibrium(sys, np.array([1e-4, -1e-4]))
     rep = degree.section_degree(sys, eq)
-    assert rep.path == "minimum"
+    assert rep.path == "reduced"
     assert rep.value == 1
+    assert rep.reliable
+
+
+def inline_system(n, monomials):
+    system, guess = cli.build_system(cli.parse_config(f"[system]\nn = {n}\nmonomials = {monomials}\n"))
+    return system, model.refine_equilibrium(system, guess)
+
+
+@pytest.mark.parametrize(
+    "n, monomials, expected",
+    [
+        # H = (q1^2 + p1^2 - p2^2) / 2 + q2^4 / 4: A_R has one negative
+        # eigenvalue and g(c) = c^3, so the degree is -1
+        (2, "0.5 2 0 0 0 ; 0.5 0 0 2 0 ; -0.5 0 0 0 2 ; 0.25 0 4 0 0", -1),
+        # H = (q1^2 + p1^2 + p2^2) / 2 + q2^3 / 3: g(c) = c^2 has degree 0
+        (2, "0.5 2 0 0 0 ; 0.5 0 0 2 0 ; 0.5 0 0 0 2 ; 0.3333333333333333 0 3 0 0", 0),
+        # H = q^3 / 3 - q p^2: grad H = conj((q + i p)^2), kernel dimension 2
+        (1, "0.3333333333333333 3 0 ; -1 1 2", -2),
+        # H = (q^2 + p^2)^2 / 4: the flat quartic, kernel dimension 2
+        (1, "0.25 4 0 ; 0.5 2 2 ; 0.25 0 4", 1),
+    ],
+    ids=["poly-regular-value", "cubic", "conjugate-square", "flat-quartic"],
+)
+def test_section_degree_reduced_path(n, monomials, expected):
+    system, eq = inline_system(n, monomials)
+    rep = degree.section_degree(system, eq)
+    assert (rep.value, rep.path, rep.reliable) == (expected, "reduced", True)
+
+
+def test_section_degree_without_a_certificate_has_no_value():
+    # H = (q1^4 + q2^4 + p1^4 + p2^4) / 4: the whole section is kernel
+    system, eq = inline_system(2, "0.25 4 0 0 0 ; 0.25 0 4 0 0 ; 0.25 0 0 4 0 ; 0.25 0 0 0 4")
+    rep = degree.section_degree(system, eq)
+    assert (rep.value, rep.path, rep.reliable) == (None, "reduced", False)
+    assert "dimension 4" in rep.detail
