@@ -9,10 +9,10 @@ through the checks below and aggregated into a verdict:
 * nonresonance: no other beta_j is an integer multiple of the chosen one
   (guarantees minimal periods for the emanating orbits);
 * Morse jump: change of the negative index of the mode-1 block matrix
-  across the level, evaluated on an interval isolating the level from the
-  rest of the resonance set;
-* index criteria on the invariant subspaces (equivalent to a nonzero jump
-  for the level's own subspace, by the classical index theorem);
+  across the level, which is the signature of the Hessian restricted to the
+  level's invariant subspace; undefined when that restriction is singular;
+* index criteria on the invariant subspaces (the signature imbalance on the
+  level's own subspace is a nonzero jump wherever the jump is defined);
 * Brouwer degree of the section-restricted gradient (delegated to
   :mod:`hambif.degree`).
 """
@@ -25,13 +25,11 @@ from typing import Optional
 import numpy as np
 
 from . import degree as degree_mod
-from .errors import EpsilonUnderflow, HambifError, NoImaginaryPairs
+from .errors import Degenerate, HambifError, NoImaginaryPairs
 from .linalg import (
     check_symmetric,
     compress,
     general_eigenvalues,
-    morse_index_negative,
-    morse_index_positive,
     orthonormal_columns,
     real_invariant_subspace,
     standard_symplectic,
@@ -58,9 +56,6 @@ __all__ = [
     "newtonian_blocks",
     "analyze",
 ]
-
-A7_VARIANTS = ("szulkin", "definite-zj", "definite-z", "mplus")
-
 
 @dataclass(frozen=True)
 class SpectralReport:
@@ -214,55 +209,61 @@ def check_nonresonance(report: SpectralReport, j0: int) -> bool:
     return True
 
 
-def morse_jump(a, lambda0: float, report: SpectralReport, k_max: int = 20) -> int:
-    """Change of the mode-1 negative index across the level ``lambda0``.
+def _inertia(sym: np.ndarray) -> tuple:
+    """``(m+, m-, kernel)`` of a symmetric matrix, kernel under :func:`zero_threshold`."""
+    w = np.linalg.eigvalsh(sym)
+    eps = zero_threshold(w)
+    pos, neg = int(np.sum(w > eps)), int(np.sum(w < -eps))
+    return pos, neg, w.size - pos - neg
 
-    The evaluation interval ``[lambda0 (1-eps), lambda0 (1+eps)]`` starts at
-    eps = 1e-2 and halves until it isolates ``lambda0`` within the
-    resonance set (up to k_max).
 
-    Raises
-    ------
-    EpsilonUnderflow
-        If no admissible eps > 1e-10 exists (clustered resonances).
-    """
-    a = check_symmetric(a)
-    if lambda0 <= 0.0:
-        raise ValueError(f"lambda0 must be positive, got {lambda0}")
-    lams = resonance_set(report, k_max).values()
-    others = lams[np.abs(lams - lambda0) > 1e-9 * lambda0]
-    eps = 1e-2
-    while True:
-        lo, hi = lambda0 * (1.0 - eps), lambda0 * (1.0 + eps)
-        if lo > 0.0 and not np.any((others >= lo) & (others <= hi)):
-            break
-        eps *= 0.5
-        if eps < 1e-10:
-            raise EpsilonUnderflow(
-                f"no isolation interval around {lambda0:.6g} (clustered resonances)"
-            )
-    return morse_index_negative(t_matrix(a, 1, hi)) - morse_index_negative(t_matrix(a, 1, lo))
+def _definite(sym: np.ndarray) -> bool:
+    pos, neg, _ = _inertia(sym)
+    return sym.shape[0] in (pos, neg)
 
 
 def _restricted(report: SpectralReport, j0: int) -> np.ndarray:
     return compress(report.hessian, report.subspaces[j0 - 1])
 
 
-def _definite(sym: np.ndarray) -> bool:
-    w = np.linalg.eigvalsh(sym)
-    eps = zero_threshold(w)
-    return bool(np.all(w > eps) or np.all(w < -eps))
+def morse_jump(a, lambda0: float, report: SpectralReport) -> int:
+    """Change of the mode-1 negative index across the level ``lambda0``.
+
+    The crossing form of ``T_1`` at ``lambda0 = 1/beta_j`` is congruent to
+    the Hessian restricted to the level's invariant subspace ``E_j``, so the
+    jump is the signature ``m+(C) - m-(C)`` of ``C = compress(a, E_j)``
+    (Robbin & Salamon, Bull. LMS 27, 1995).  A ``lambda0`` within
+    ``1e-9 lambda0`` of no level ``1/beta_j`` gives 0.
+
+    Raises
+    ------
+    Degenerate
+        If ``C`` has a kernel: the Hessian is singular on the level's
+        invariant subspace and the jump is not defined.
+    """
+    a = check_symmetric(a)
+    if lambda0 <= 0.0:
+        raise ValueError(f"lambda0 must be positive, got {lambda0}")
+    levels = [j for j, beta in enumerate(report.betas) if abs(1.0 / beta - lambda0) <= 1e-9 * lambda0]
+    if not levels:
+        return 0
+    pos, neg, kernel = _inertia(compress(a, report.subspaces[levels[0]]))
+    if kernel:
+        raise Degenerate(
+            f"the Hessian is singular on the level's invariant subspace (kernel dimension {kernel})"
+        )
+    return pos - neg
 
 
 def check_szulkin_zj(report: SpectralReport, j0: int) -> bool:
     """Signature imbalance of the Hessian on the level's invariant subspace.
 
-    Equivalent to a nonzero mode-1 index jump at lambda = 1/beta_{j0} by
-    the classical index theorem for this restriction.
+    Equivalent to a nonzero mode-1 index jump at lambda = 1/beta_{j0}
+    wherever that restriction is nonsingular (see :func:`morse_jump`).
     """
     report.beta(j0)
-    c = _restricted(report, j0)
-    return morse_index_negative(c) != morse_index_positive(c)
+    pos, neg, _ = _inertia(_restricted(report, j0))
+    return pos != neg
 
 
 def check_definite_zj(report: SpectralReport, j0: int) -> bool:
@@ -331,19 +332,15 @@ class BifurcationCandidate:
 
 @dataclass(frozen=True)
 class AnalyzeOptions:
-    k_max: int = 20
     j0: Optional[int] = None
-    variants: tuple = A7_VARIANTS
     seed: int = 0  # accepted for compatibility; nothing in the analysis is randomized
-    require_minimal: bool = False
 
 
 def _candidate_verdict(nonres, jump, jump_reason, a7, degree_value):
     reasons = []
     if jump_reason:
         reasons.append(jump_reason)
-    szulkin_cert = a7.get("szulkin", False) or a7.get("definite-zj", False)
-    certificate = (jump is not None and jump != 0) or (jump is None and szulkin_cert)
+    certificate = jump is not None and jump != 0
     if degree_value is None:
         reasons.append("section degree unavailable; existence chain cannot close")
         return "inconclusive", None, reasons
@@ -379,9 +376,9 @@ def analyze(
     """Run every candidate level through the full criteria chain.
 
     Returns one :class:`BifurcationCandidate` per distinct beta (possibly
-    filtered by ``options.j0`` / ``options.require_minimal``), ordered by
-    decreasing beta.  Sub-check failures downgrade the affected candidate
-    to "inconclusive" instead of failing the whole analysis.
+    filtered by ``options.j0``), ordered by decreasing beta.  Sub-check
+    failures downgrade the affected candidate to "inconclusive" instead of
+    failing the whole analysis.
     """
     opts = options or AnalyzeOptions()
     report = spectral_report(system, eq)
@@ -407,30 +404,25 @@ def analyze(
         "nonkernel_eigenvalue_product": float(np.prod(nonkernel)) if nonkernel.size else 0.0,
         "degree_detail": degree_report.detail,
     }
+    report_a7 = {"definite-z": check_definite_z(report), "mplus": check_mplus(report)}
     candidates = []
     for j0 in range(1, len(report.betas) + 1):
         if opts.j0 is not None and j0 != opts.j0:
             continue
         beta = report.beta(j0)
         nonres = check_nonresonance(report, j0)
-        if opts.require_minimal and not nonres:
-            continue
         lambda0 = 1.0 / beta
         jump = None
         jump_reason = ""
         try:
-            jump = morse_jump(report.hessian, lambda0, report, k_max=opts.k_max)
+            jump = morse_jump(report.hessian, lambda0, report)
         except HambifError as exc:
             jump_reason = f"morse jump unavailable: {exc}"
-        a7 = {}
-        if "szulkin" in opts.variants:
-            a7["szulkin"] = check_szulkin_zj(report, j0)
-        if "definite-zj" in opts.variants:
-            a7["definite-zj"] = check_definite_zj(report, j0)
-        if "definite-z" in opts.variants:
-            a7["definite-z"] = check_definite_z(report)
-        if "mplus" in opts.variants:
-            a7["mplus"] = check_mplus(report)
+        a7 = {
+            "szulkin": check_szulkin_zj(report, j0),
+            "definite-zj": check_definite_zj(report, j0),
+            **report_a7,
+        }
         verdict, path, reasons = _candidate_verdict(
             nonres, jump, jump_reason, a7, degree_report.value
         )

@@ -77,9 +77,7 @@ class RunConfig:
     monomials: tuple = ()  # ((coeff, (e_1, ..., e_2N)), ...)
     generators: tuple = ()  # tuples of row tuples
     guess: tuple | None = None
-    k_max: int = 20
     j0: int | None = None
-    variants: tuple = analysis_mod.A7_VARIANTS
     steps: int = 8
     s0: float = 1e-3
     growth: float = 2.0
@@ -97,7 +95,7 @@ class RunConfig:
             raise ConfigParse(f"generators cannot be given with preset {self.preset!r}: presets bring their own symmetry")
         if self.preset is not None and self.n is not None:
             raise ConfigParse(f"n cannot be given with preset {self.preset!r}: presets bring their own dimension")
-        counts = (("n", self.n), ("kmax", self.k_max), ("j0", self.j0), ("steps", self.steps), ("modes", self.modes))
+        counts = (("n", self.n), ("j0", self.j0), ("steps", self.steps), ("modes", self.modes))
         for key, value in counts:
             if value is not None and value < 1:
                 raise ConfigParse(f"{key} must be at least 1, got {value}")
@@ -113,9 +111,6 @@ class RunConfig:
                 raise ConfigParse(f"a generator must be {2 * self.n} x {2 * self.n}, got rows of lengths {lengths}")
         if self.fmt not in FORMATS:
             raise ConfigParse(f"unknown output format {self.fmt!r}")
-        for variant in self.variants:
-            if variant not in analysis_mod.A7_VARIANTS:
-                raise ConfigParse(f"unknown analysis variant {variant!r}")
 
     def param_dict(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v) for k, v in self.params}
@@ -191,9 +186,7 @@ _KEYS = (
     ("system", "n", "n", None, int, str),
     ("system", "monomials", "monomials", None, _monomials, _show_monomials),
     ("system", "guess", "guess", None, _floats, _show_floats),
-    ("analysis", "kmax", "k_max", "kmax", int, str),
     ("analysis", "j0", "j0", "j0", int, str),
-    ("analysis", "variants", "variants", None, lambda text: tuple(text.split()), " ".join),
     ("branch", "steps", "steps", "steps", int, str),
     ("branch", "s0", "s0", "s0", float, _fmt),
     ("branch", "growth", "growth", "growth", float, _fmt),
@@ -394,7 +387,7 @@ def _emit(stdout, fmt: str, path: str | None, report: str, records, table, side=
 def _run_analysis(config: RunConfig):
     system, guess = build_system(config)
     eq = model_mod.refine_equilibrium(system, guess)
-    options = analysis_mod.AnalyzeOptions(k_max=config.k_max, j0=config.j0, variants=config.variants)
+    options = analysis_mod.AnalyzeOptions(j0=config.j0)
     candidates = analysis_mod.analyze(system, eq, options)
     return system, eq, candidates
 
@@ -605,7 +598,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omega", type=float, help="satellite spin rate")
         p.add_argument("--c", type=float, help="satellite oblateness strength")
         p.add_argument("--beta", type=float, help="harmonic oscillator frequency")
-        p.add_argument("--kmax", type=int, help="resonance-set depth (default 20)")
         p.add_argument("--j0", type=int, help="restrict to one candidate index")
         p.add_argument("--seed", type=int, help="accepted for compatibility; nothing is randomized")
         add_output(p)

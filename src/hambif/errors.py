@@ -41,12 +41,13 @@ class NoImaginaryPairs(HambifError):
     """The linearization has no purely imaginary eigenvalue pairs."""
 
 
-class EpsilonUnderflow(HambifError):
-    """No isolation interval around the candidate level could be found."""
-
-
 class Degenerate(HambifError):
-    """The section Jacobian is too singular for a degree path: any kernel for the nondegenerate one, over 2 for the reduction."""
+    """A matrix is too singular for the computation asked of it.
+
+    The section Jacobian for a degree path (any kernel for the nondegenerate
+    one, over 2 for the reduction), or the Hessian on a level's invariant
+    subspace for the Morse jump.
+    """
 
 
 class NotAMinimum(HambifError):

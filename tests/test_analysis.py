@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hambif import analysis, cli, linalg, model
-from hambif.errors import NoImaginaryPairs
+from hambif.errors import Degenerate, NoImaginaryPairs
 
 
 def random_definite_matrix(rng, two_n, low=0.5, high=2.5):
@@ -144,6 +146,108 @@ def test_morse_jump_away_from_levels():
     assert analysis.morse_jump(np.eye(2), 0.7, rep) == 0
 
 
+def interval_jump(a, lambda0, report):
+    """Reference: T_1's negative index at both ends of an interval isolating lambda0.
+
+    The interval ``[lambda0 (1 - eps), lambda0 (1 + eps)]`` starts at
+    eps = 1e-2 and halves until no other level k/beta_j (k <= 20) lies in it.
+    """
+    lams = analysis.resonance_set(report, k_max=20).values()
+    others = lams[np.abs(lams - lambda0) > 1e-9 * lambda0]
+    eps = 1e-2
+    while np.any(np.abs(others - lambda0) <= eps * lambda0):
+        eps *= 0.5
+        assert eps >= 1e-10
+    lo, hi = lambda0 * (1.0 - eps), lambda0 * (1.0 + eps)
+    t_lo, t_hi = analysis.t_matrix(a, 1, lo), analysis.t_matrix(a, 1, hi)
+    return linalg.morse_index_negative(t_hi) - linalg.morse_index_negative(t_lo)
+
+
+def random_symplectic(rng, n):
+    """Product of two symmetric shears and a block-diagonal ``diag(M, M^-T)``."""
+    eye, zero = np.eye(n), np.zeros((n, n))
+    b, c, m = (0.3 / np.sqrt(n) * rng.standard_normal((n, n)) for _ in range(3))
+    m += eye
+    upper = np.block([[eye, b + b.T], [zero, eye]])
+    lower = np.block([[eye, zero], [c + c.T, eye]])
+    diag = np.block([[m, zero], [zero, np.linalg.inv(m).T]])
+    return upper @ lower @ diag
+
+
+def clustered_hessian(rng):
+    """Hessian with elliptic clusters of multiplicity 1-3 and mixed Krein signs.
+
+    Each elliptic degree of freedom is ``s beta (q^2 + p^2) / 2`` with a
+    random sign ``s``; a hyperbolic one is ``h q p``.  A random symplectic
+    change of variables keeps the frequencies and the signature on each
+    invariant subspace, so the jump at ``1/beta`` is ``2 sum s`` over its
+    cluster.  Returns the Hessian and ``{beta: [s, ...]}``.
+    """
+    betas = rng.permutation([0.4, 0.7, 1.1, 1.6, 2.3])[: int(rng.integers(1, 3))]
+    dofs = []
+    for beta in betas:
+        dofs += [(beta, float(rng.choice([1.0, -1.0]))) for _ in range(int(rng.integers(1, 4)))]
+    dofs += [(None, float(rng.uniform(0.5, 2.0))) for _ in range(int(rng.integers(0, 2)))]
+    n = len(dofs)
+    a = np.zeros((2 * n, 2 * n))
+    signs = {}
+    for i, (beta, value) in enumerate(dofs):
+        if beta is None:
+            a[i, n + i] = a[n + i, i] = value
+        else:
+            a[i, i] = a[n + i, n + i] = value * beta
+            signs.setdefault(beta, []).append(int(value))
+    s = random_symplectic(rng, n)
+    return s.T @ a @ s, signs
+
+
+def test_morse_jump_matches_two_sided_index_on_mixed_clusters():
+    rng = np.random.default_rng(31)
+    mixed = {2: 0, 3: 0}
+    for _ in range(60):
+        a, signs = clustered_hessian(rng)
+        rep = analysis.matrix_report(a)
+        levels = sorted(signs, reverse=True)
+        assert np.allclose(rep.betas, levels, atol=1e-8)
+        assert rep.multiplicities == tuple(len(signs[beta]) for beta in levels)
+        for j, beta in enumerate(rep.betas):
+            cluster = signs[levels[j]]
+            if len(set(cluster)) > 1:
+                mixed[len(cluster)] += 1
+            jump = analysis.morse_jump(a, 1.0 / beta, rep)
+            assert jump == 2 * sum(cluster) == interval_jump(a, 1.0 / beta, rep)
+            assert analysis.check_szulkin_zj(rep, j + 1) == (jump != 0)
+    assert min(mixed.values()) >= 5  # both cluster sizes with mixed signs are exercised
+
+
+def test_morse_jump_singular_restriction_is_degenerate():
+    # q2 has stiffness 1e-10: its level 1/beta = 1e5 exists, but the
+    # Hessian on its invariant subspace, diag(1e-10, 1), is singular at
+    # the kernel threshold 2e-8
+    a = np.diag([1.0, 1e-10, 1.0, 1.0])
+    rep = analysis.matrix_report(a)
+    assert np.allclose(rep.betas, [1.0, 1e-5])
+    assert analysis.morse_jump(a, 1.0, rep) == 2
+    with pytest.raises(Degenerate, match="singular on the level's invariant subspace"):
+        analysis.morse_jump(a, 1e5, rep)
+
+
+def test_gradient_only_satellite_spurious_level_is_inconclusive():
+    # the finite-difference Hessian splits the group-orbit block into a
+    # third level with beta ~ 3e-6, on which the restricted Hessian is singular
+    sat = replace(model.preset("satellite", omega=1.0, c=0.1), hessian=None)
+    eq = model.refine_equilibrium(sat, np.array([1.0, 0, 0, 0, -1.0, 0.0]))
+    cands = analysis.analyze(sat, eq)
+    assert [(c.morse_jump, c.verdict) for c in cands[:2]] == [(2, "confirmed"), (2, "confirmed")]
+    (third,) = cands[2:]
+    assert third.beta < 1e-5
+    assert (third.morse_jump, third.verdict, third.theorem_path) == (None, "inconclusive", None)
+    assert third.reasons[:2] == (
+        "morse jump unavailable: the Hessian is singular on the level's invariant subspace (kernel dimension 1)",
+        "no index certificate available for this level",
+    )
+
+
 def test_newtonian_block_polynomial():
     rng = np.random.default_rng(9)
     for _ in range(10):
@@ -265,13 +369,11 @@ def test_analyze_no_imaginary_pairs_empty():
     assert analysis.analyze(sys, eq) == []
 
 
-def test_analyze_j0_filter_and_minimal_gate():
+def test_analyze_j0_filter():
     sys = model.preset("coupled-springs", frequencies=[1.0, 2.0])
     eq = model.refine_equilibrium(sys, 0.05 * np.ones(4))
     only_second = analysis.analyze(sys, eq, analysis.AnalyzeOptions(j0=2))
     assert len(only_second) == 1 and only_second[0].j0 == 2
-    minimal = analysis.analyze(sys, eq, analysis.AnalyzeOptions(require_minimal=True))
-    assert [c.j0 for c in minimal] == [1]
 
 
 def test_morse_limits_random():

@@ -214,7 +214,6 @@ def test_config_roundtrip_full():
         preset="satellite",
         params=(("c", 0.1), ("omega", 1.0)),
         guess=(1.0, 0.0, 0.0, 0.0, -1.0, 0.0),
-        k_max=15,
         j0=1,
         steps=5,
         s0=2e-3,
@@ -281,7 +280,7 @@ def test_determinism_byte_identical(tmp_path):
 def test_flag_overrides_config(tmp_path):
     config = tmp_path / "base.ini"
     config.write_text(
-        "[system]\npreset = harmonic\nbeta = 1.0\n[analysis]\nkmax = 5\n", encoding="utf-8"
+        "[system]\npreset = harmonic\nbeta = 1.0\n", encoding="utf-8"
     )
     code, out = run_cli(
         ["analyze", "--config", str(config), "--beta", "2.0", "--format", "json-lines"]
@@ -357,7 +356,7 @@ def test_presets_golden_output(tmp_path, fmt, ext):
     "text",
     [
         "[system]\nn = 1\nmonomials = 0.5 2.5 0 ; 0.5 0 2\n",
-        "[system]\npreset = harmonic\n[analysis]\nkmax = ten\n",
+        "[system]\npreset = harmonic\n[analysis]\nj0 = ten\n",
         "[system]\nn = 1\nmonomials = 0.5 -1 0 ; 0.5 0 2\n",
         "[system]\nn = 1.5\nmonomials = 0.5 2 0 ; 0.5 0 2\n",
         "[system]\npreset = harmonic\n[branch]\nsteps = 2.5\n",
@@ -365,7 +364,7 @@ def test_presets_golden_output(tmp_path, fmt, ext):
         "[system]\npreset = harmonic\n[run]\nseed = 0.5\n",
         "[system]\npreset = harmonic\nbeta =\n",
     ],
-    ids=["fractional-exponent", "kmax", "negative-exponent", "n", "steps", "modes", "seed", "empty-parameter"],
+    ids=["fractional-exponent", "j0", "negative-exponent", "n", "steps", "modes", "seed", "empty-parameter"],
 )
 def test_bad_config_values_are_config_errors(tmp_path, text, capsys):
     with pytest.raises(ConfigParse):
@@ -533,11 +532,10 @@ def test_negative_seed_on_degenerate_sections(tmp_path, capsys, name, expected_c
         ["--s0", "-1"],
         ["--growth", "0"],
         ["--modes", "0"],
-        ["--kmax", "0"],
         ["--j0", "0"],
         "[system]\nn = 0\nmonomials = 1\n",
     ],
-    ids=["steps", "s0", "growth", "modes", "kmax", "j0", "n"],
+    ids=["steps", "s0", "growth", "modes", "j0", "n"],
 )
 def test_out_of_range_run_options_are_config_errors(tmp_path, capsys, argv):
     if isinstance(argv, str):
@@ -564,6 +562,20 @@ def test_out_of_range_run_options_are_config_errors(tmp_path, capsys, argv):
 def test_unknown_config_keys_and_sections_are_errors(text, named):
     with pytest.raises(ConfigParse, match=re.escape(named)):
         cli.parse_config(text)
+
+
+@pytest.mark.parametrize("key", ["kmax = 20", "variants = szulkin definite-zj definite-z mplus"], ids=["kmax", "variants"])
+def test_removed_analysis_keys_are_errors(key):
+    name = key.split()[0]
+    with pytest.raises(ConfigParse, match=f"unknown key '{name}' in \\[analysis\\]"):
+        cli.parse_config(f"[system]\npreset = harmonic\n[analysis]\n{key}\n")
+
+
+def test_kmax_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--preset", "harmonic", "--kmax", "5"], stdout=io.StringIO())
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --kmax 5" in capsys.readouterr().err
 
 
 def test_readme_config_example_parses():
