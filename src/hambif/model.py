@@ -13,6 +13,8 @@ Every call of a supplied evaluator goes through ``_evaluate``, which turns
 any failure that is not a ``HambifError`` into ``EvaluationFailure``.
 ``gradient_of`` and ``hessian_of`` fill a missing derivative from one
 central-difference kernel or, from the energy alone, second differences.
+The forward-difference kernel beside them serves callers that already
+hold the function value at the base point.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ EARTH_J2 = 1.0826359e-3
 
 _FD_GRADIENT_STEP = 1e-6
 _FD_HESSIAN_STEP = 1e-4
+# about sqrt(eps): the forward-difference step that balances truncation and rounding
+_FD_FORWARD_STEP = 1.5e-8
 
 
 @dataclass(frozen=True)
@@ -157,6 +161,19 @@ def _central_differences(f, z: np.ndarray) -> np.ndarray:
         zp[i] += h
         zm[i] -= h
         columns.append((f(zp) - f(zm)) / (2.0 * h))
+    return np.array(columns).T
+
+
+def _forward_differences(f, z: np.ndarray, f0: np.ndarray) -> np.ndarray:
+    """Columns ``(f(z + h_i e_i) - f0) / h_i`` with ``f0 = f(z)`` and ``h_i = 1.5e-8 (1 + |z_i|)``.
+
+    Each ``h_i`` is taken as the representable step ``(z + h_i e_i)_i - z_i``.
+    """
+    columns = []
+    for i in range(z.size):
+        zp = z.copy()
+        zp[i] += _FD_FORWARD_STEP * (1.0 + abs(z[i]))
+        columns.append((f(zp) - f0) / (zp[i] - z[i]))
     return np.array(columns).T
 
 

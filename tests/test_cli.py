@@ -128,6 +128,20 @@ def test_branch_satellite_period_trend(tmp_path):
     assert abs(period - predicted) < 1e-6
 
 
+def test_branch_far_from_the_origin_reaches_its_tolerance(tmp_path):
+    # |z0| = 1e6: Newton's stopping tolerance must scale with the rounding of
+    # the collocation values, or the third step stalls at a residual of 7e-11
+    out_path = tmp_path / "far.jsonl"
+    argv = ["branch", "--config", str(DATA / "far-equilibrium.ini"), "--steps", "3", "--s0", "1e-2"]
+    code, out = run_cli(argv + ["--format", "json-lines", "--output", str(out_path)])
+    assert code == 0, out
+    assert "branch verdict: ok" in out
+    records = [json.loads(line) for line in out_path.read_text().splitlines()]
+    orbit_records = [r for r in records if "period" in r]
+    assert len(orbit_records) == 3
+    assert all(r["residual"] < 1e-9 * (1.0 + 1e6) for r in orbit_records)
+
+
 def test_branch_forced_failure_partial_file(tmp_path):
     out_path = tmp_path / "fail.csv"
     code, out = run_cli(

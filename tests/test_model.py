@@ -69,6 +69,21 @@ def test_fd_hessian_matches_analytic_satellite():
     assert np.max(np.abs(h_fd - h)) < 1e-7
 
 
+def test_forward_differences_from_a_held_gradient():
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    z = np.array([1.05, 0.1, -0.05, 0.02, -1.0, 0.03])
+    calls = []
+
+    def gradient(zp):
+        calls.append(zp)
+        return sat.gradient(zp)
+
+    h_fd = model._forward_differences(gradient, z, sat.gradient(z))
+    assert len(calls) == z.size  # one call per column; f(z) is not recomputed
+    # a step of about sqrt(eps) leaves an error of about sqrt(eps) |H|
+    assert np.max(np.abs(h_fd - sat.hessian(z))) < 1e-6
+
+
 def test_invariance_check_satellite_passes():
     sat = model.preset("satellite", omega=1.0, c=0.1)
     base = np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0])

@@ -341,3 +341,147 @@ def test_solve_orbit_rejects_absurd_amplitude():
     pend, eq, cand = pendulum_setup()
     with pytest.raises(NoConvergence):
         orbits.solve_orbit(pend, eq, cand, 50.0, modes=4, max_modes=8)
+
+
+def counting_jacobians(monkeypatch):
+    """Patch the harmonic-balance Jacobian to count its assemblies."""
+    count = [0]
+    assemble = orbits._HarmonicBalance.jacobian
+
+    def counted(self, x):
+        count[0] += 1
+        return assemble(self, x)
+
+    monkeypatch.setattr(orbits._HarmonicBalance, "jacobian", counted)
+    return count
+
+
+def test_chord_newton_keeps_the_jacobian_across_steps(monkeypatch):
+    # rebuilding the Jacobian at every Newton step costs 13 assemblies
+    # (424 Hessian calls) on this branch
+    sat, eq, _ = satellite_setup()
+    cand = next(c for c in analysis.analyze(sat, eq) if c.j0 == 1)
+    jacobians = counting_jacobians(monkeypatch)
+    branch = orbits.continue_branch(sat, eq, cand, steps=8, s0=1e-3)
+    assert len(branch.orbits) == 8 and not branch.failures
+    assert jacobians[0] <= 8
+    tol = 1e-9 * (1.0 + np.linalg.norm(eq.z0))
+    assert all(orbit.residual <= tol for orbit in branch.orbits)
+
+
+def test_gradient_only_jacobian_differences_forward_from_held_gradients():
+    # central differences and a Jacobian per Newton step cost 6,024 calls
+    sat, eq, _ = gradient_only_satellite_setup()
+    cand = next(c for c in analysis.analyze(sat, eq) if c.j0 == 1)
+    calls = [0]
+
+    def counted_gradient(z):
+        calls[0] += 1
+        return sat.gradient(z)
+
+    branch = orbits.continue_branch(replace(sat, gradient=counted_gradient), eq, cand, steps=8, s0=1e-3)
+    assert len(branch.orbits) == 8 and not branch.failures
+    assert calls[0] <= 3000
+
+
+class LinearStub:
+    """Residual ``A x`` with scripted Jacobians; records where each is asked for."""
+
+    def __init__(self, a, jacobians):
+        self.a = np.asarray(a, dtype=float)
+        self.jacobians = list(jacobians)
+        self.asked_at = []
+
+    def __call__(self, x):
+        return self.a @ x
+
+    def jacobian(self, x):
+        self.asked_at.append(np.array(x))
+        return np.array(self.jacobians[min(len(self.asked_at), len(self.jacobians)) - 1], dtype=float)
+
+
+# With the identity as the Jacobian of A x, the first step takes the
+# residual from (1, 0) to (0, 0.05): a contraction of 0.05 that keeps the
+# Jacobian.  From there every damped identity step moves the residual to
+# (50 s, 0.05 (1 - s)), larger for every s >= 1/256, so the line search fails.
+STUB_A = np.array([[1.0, -1000.0], [-0.05, 1.0]])
+STUB_X0 = np.linalg.solve(STUB_A, [1.0, 0.0])
+
+
+def test_newton_rebuilds_a_stale_jacobian_whose_line_search_fails():
+    stub = LinearStub(STUB_A, [np.eye(2), STUB_A])
+    x, f, converged = orbits._newton(stub, STUB_X0.copy(), tol_inner=1e-12)
+    assert converged and np.max(np.abs(f)) < 1e-12
+    assert len(stub.asked_at) == 2
+    # rebuilt where the stale Jacobian's step was accepted, not at the start
+    assert np.allclose(stub.asked_at[1], STUB_X0 - [1.0, 0.0], rtol=0.0, atol=1e-12)
+
+
+def test_newton_ends_when_a_fresh_jacobians_line_search_fails():
+    stub = LinearStub(STUB_A, [-STUB_A])
+    x, f, converged = orbits._newton(stub, STUB_X0.copy(), tol_inner=1e-12)
+    assert not converged
+    assert len(stub.asked_at) == 1
+    assert np.array_equal(x, STUB_X0) and np.allclose(f, [1.0, 0.0])
+
+
+def spring_chain(freqs):
+    """``U(q) = sum f_i^2 q_i^2 / 2 + sum (q_i - q_{i+1})^4 / 4`` with its derivatives."""
+    f2 = np.asarray(freqs, dtype=float) ** 2
+    idx = np.arange(f2.size - 1)
+
+    def gradient(q):
+        d3 = (q[:-1] - q[1:]) ** 3
+        g = f2 * q
+        g[:-1] += d3
+        g[1:] -= d3
+        return g
+
+    def hessian(q):
+        w = 3.0 * (q[:-1] - q[1:]) ** 2
+        h = np.diag(f2)
+        h[idx, idx] += w
+        h[idx + 1, idx + 1] += w
+        h[idx, idx + 1] -= w
+        h[idx + 1, idx] -= w
+        return h
+
+    return model.newtonian_to_hamiltonian(
+        lambda q: 0.5 * float(f2 @ (q * q)) + 0.25 * float(np.sum((q[:-1] - q[1:]) ** 4)),
+        f2.size,
+        gradient=gradient,
+        hessian=hessian,
+    )
+
+
+def test_lu_sees_no_entry_below_rounding_of_the_jacobian(monkeypatch):
+    chain = spring_chain([1.0 + 0.12 * i for i in range(8)])
+    eq = model.refine_equilibrium(chain, np.zeros(16))
+    cand = next(c for c in analysis.analyze(chain, eq) if c.j0 == 1)
+    branch = orbits.continue_branch(chain, eq, cand, steps=7, s0=1e-3)
+    last = branch.orbits[-1]
+    # the eighth step's start: the warm start continue_branch would hand on
+    problem = orbits._HarmonicBalance(chain, eq, orbits.kernel_direction(chain, eq, cand), 0.128, last.m)
+    a0 = eq.z0 + 2.0 * (last.a0 - eq.z0)
+    x = problem.pack(a0, 2.0 * last.a, 2.0 * last.b, last.lam, np.zeros(1 + problem.n_gen))
+    f = problem(x)
+    raw = problem.jacobian(x)
+    floor = np.finfo(float).eps * np.max(np.abs(raw))
+    assert np.count_nonzero((raw != 0.0) & (np.abs(raw) < floor)) > 1000
+    cleaned = orbits._lu_ready(raw.copy())
+    assert not np.any((cleaned != 0.0) & (np.abs(cleaned) < floor))
+    step, exact = np.linalg.solve(cleaned, -f), np.linalg.solve(raw, -f)
+    assert np.max(np.abs(step - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    handed = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        handed.append(a.copy())
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    _, _, converged = orbits._newton(problem, x, tol_inner=1e-11)
+    assert converged and handed
+    for a in handed:
+        assert not np.any((a != 0.0) & (np.abs(a) < np.finfo(float).eps * np.max(np.abs(a))))
