@@ -1,7 +1,10 @@
 """Computable bifurcation criteria near a symmetric equilibrium.
 
 Candidate levels are lambda = 1/beta_j, where +/- i beta_j runs through the
-purely imaginary eigenvalue pairs of J * hessian(H).  Each candidate is put
+purely imaginary eigenvalue pairs of J * hessian(H).  One eigendecomposition
+of J * hessian(H) decides them: its purely imaginary eigenvalues are
+clustered as sets of indices, and each level's beta_j, multiplicity and
+invariant subspace E_j come from its one index set.  Each candidate is put
 through the checks below and aggregated into a verdict:
 
 * resonance set: all levels k/beta_j at which the mode-k linearization of
@@ -25,11 +28,12 @@ from typing import Optional
 import numpy as np
 
 from . import degree as degree_mod
-from .errors import Degenerate, HambifError, NoImaginaryPairs
+from .errors import Degenerate, HambifError, NoImaginaryPairs, NoSuchLevel
 from .linalg import (
     check_symmetric,
     compress,
-    general_eigenvalues,
+    general_eigensystem,
+    inertia,
     orthonormal_columns,
     real_invariant_subspace,
     standard_symplectic,
@@ -79,7 +83,7 @@ class SpectralReport:
 
     def beta(self, j0: int) -> float:
         if not 1 <= j0 <= len(self.betas):
-            raise IndexError(f"j0 must be in 1..{len(self.betas)}, got {j0}")
+            raise NoSuchLevel(f"j0 must be in 1..{len(self.betas)}, got {j0}")
         return self.betas[j0 - 1]
 
 
@@ -110,48 +114,34 @@ def matrix_report(a) -> SpectralReport:
         raise ValueError("the matrix must act on an even-dimensional space")
     n = a.shape[0] // 2
     wa = np.linalg.eigvalsh(a)
-    eps_a = zero_threshold(wa)
-    m_plus = int(np.sum(wa > eps_a))
-    m_minus = int(np.sum(wa < -eps_a))
+    m_plus, m_minus, kernel_dim = inertia(wa)
     ja = standard_symplectic(n) @ a
-    wja = general_eigenvalues(ja)
-    scale = 1.0 + float(np.max(np.abs(wja))) if wja.size else 1.0
+    wja, vja = general_eigensystem(ja)
+    scale = 1.0 + float(np.max(np.abs(wja)))
     # the degenerate-orbit modes sit numerically near 0 and are not
     # oscillation frequencies; require beta well above the splitting noise
     beta_floor = 1e-6 * scale
-    raw = sorted(
-        (v.imag for v in wja if abs(v.real) < 1e-8 * scale and v.imag > beta_floor),
-        reverse=True,
-    )
-    betas, mults = [], []
-    i = 0
-    while i < len(raw):
-        cluster = [raw[i]]
-        i += 1
-        while i < len(raw) and abs(raw[i] - cluster[0]) < 1e-8 * (1.0 + cluster[0]):
-            cluster.append(raw[i])
-            i += 1
-        betas.append(float(np.mean(cluster)))
-        mults.append(len(cluster))
-    bases = []
-    for j, center in enumerate(betas):
-        # keep the extraction window clear of the nearest distinct cluster
-        gaps = [abs(center - other) for jj, other in enumerate(betas) if jj != j]
-        tol = 1e-6
-        if gaps:
-            tol = min(tol, 0.4 * min(gaps) / scale)
-        bases.append(real_invariant_subspace(ja, center, cluster_tol=max(tol, 1e-9)))
+    imaginary = [i for i, v in enumerate(wja) if abs(v.real) < 1e-8 * scale and v.imag > beta_floor]
+    # clusters of indices, by decreasing beta; each level's beta, multiplicity
+    # and invariant subspace come from its one index set
+    clusters = []
+    for i in sorted(imaginary, key=lambda i: wja[i].imag, reverse=True):
+        head = wja[clusters[-1][0]].imag if clusters else None
+        if head is not None and abs(wja[i].imag - head) < 1e-8 * (1.0 + head):
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
     return SpectralReport(
         n=n,
         hessian=a,
         hessian_eigenvalues=wa,
         eigenvalues_ja=wja,
-        betas=tuple(betas),
-        multiplicities=tuple(mults),
-        subspaces=tuple(bases),
+        betas=tuple(float(np.mean(wja[c].imag)) for c in clusters),
+        multiplicities=tuple(len(c) for c in clusters),
+        subspaces=tuple(real_invariant_subspace(ja, vja[:, sorted(c)], scale) for c in clusters),
         m_plus=m_plus,
         m_minus=m_minus,
-        kernel_dim=2 * n - m_plus - m_minus,
+        kernel_dim=kernel_dim,
     )
 
 
@@ -209,16 +199,8 @@ def check_nonresonance(report: SpectralReport, j0: int) -> bool:
     return True
 
 
-def _inertia(sym: np.ndarray) -> tuple:
-    """``(m+, m-, kernel)`` of a symmetric matrix, kernel under :func:`zero_threshold`."""
-    w = np.linalg.eigvalsh(sym)
-    eps = zero_threshold(w)
-    pos, neg = int(np.sum(w > eps)), int(np.sum(w < -eps))
-    return pos, neg, w.size - pos - neg
-
-
 def _definite(sym: np.ndarray) -> bool:
-    pos, neg, _ = _inertia(sym)
+    pos, neg, _ = inertia(np.linalg.eigvalsh(sym))
     return sym.shape[0] in (pos, neg)
 
 
@@ -247,7 +229,7 @@ def morse_jump(a, lambda0: float, report: SpectralReport) -> int:
     levels = [j for j, beta in enumerate(report.betas) if abs(1.0 / beta - lambda0) <= 1e-9 * lambda0]
     if not levels:
         return 0
-    pos, neg, kernel = _inertia(compress(a, report.subspaces[levels[0]]))
+    pos, neg, kernel = inertia(np.linalg.eigvalsh(compress(a, report.subspaces[levels[0]])))
     if kernel:
         raise Degenerate(
             f"the Hessian is singular on the level's invariant subspace (kernel dimension {kernel})"
@@ -262,7 +244,7 @@ def check_szulkin_zj(report: SpectralReport, j0: int) -> bool:
     wherever that restriction is nonsingular (see :func:`morse_jump`).
     """
     report.beta(j0)
-    pos, neg, _ = _inertia(_restricted(report, j0))
+    pos, neg, _ = inertia(np.linalg.eigvalsh(_restricted(report, j0)))
     return pos != neg
 
 
@@ -375,15 +357,23 @@ def analyze(
 ) -> list:
     """Run every candidate level through the full criteria chain.
 
-    Returns one :class:`BifurcationCandidate` per distinct beta (possibly
-    filtered by ``options.j0``), ordered by decreasing beta.  Sub-check
-    failures downgrade the affected candidate to "inconclusive" instead of
-    failing the whole analysis.
+    Returns one :class:`BifurcationCandidate` per distinct beta (only the
+    one of ``options.j0`` when that is set), ordered by decreasing beta; an
+    empty list when there is no level.  Sub-check failures downgrade the
+    affected candidate to "inconclusive" instead of failing the whole
+    analysis.
+
+    Raises
+    ------
+    NoSuchLevel
+        If ``options.j0`` is set and there are levels, but not that many.
     """
     opts = options or AnalyzeOptions()
     report = spectral_report(system, eq)
     if not report.betas:
         return []
+    levels = range(1, len(report.betas) + 1) if opts.j0 is None else [opts.j0]
+    report.beta(levels[0])  # NoSuchLevel for an out-of-range j0
     try:
         degree_report = degree_mod.section_degree(system, eq)
     except HambifError as exc:
@@ -406,9 +396,7 @@ def analyze(
     }
     report_a7 = {"definite-z": check_definite_z(report), "mplus": check_mplus(report)}
     candidates = []
-    for j0 in range(1, len(report.betas) + 1):
-        if opts.j0 is not None and j0 != opts.j0:
-            continue
+    for j0 in levels:
         beta = report.beta(j0)
         nonres = check_nonresonance(report, j0)
         lambda0 = 1.0 / beta

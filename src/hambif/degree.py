@@ -1,10 +1,12 @@
 """Brouwer degree of the gradient restricted to the orthogonal section.
 
 The degree is the local index of the equilibrium as a zero of the section
-field ``F(u) = B^T grad H(z0 + B u)``.  Two paths, tried in order:
+field ``F(u) = B^T grad H(z0 + B u)``.  One eigendecomposition of the
+section-compressed Hessian ``A`` decides the path, and one computation
+serves both:
 
-1. nondegenerate: the section-compressed Hessian ``A`` is nonsingular and
-   the degree is the sign of its determinant;
+1. nondegenerate: ``A`` has no kernel and the degree is the sign of its
+   determinant, the kernel-dimension-0 case of the reduction;
 2. reduced (Lyapunov-Schmidt): split the section into the kernel ``K`` and
    the range ``R`` of ``A``, solve the range equation ``R^T F(K c + R y) = 0``
    for ``y(c)`` by chord Newton with the fixed block ``A_R = R^T A R``, and
@@ -61,6 +63,7 @@ _SIGNAL = 100.0
 # The winding number starts from 16 equal angles and bisects every arc
 # whose angle increment is not below pi/2, up to this many samples.
 _MAX_CIRCLE_SAMPLES = 1024
+_SINGULAR = "section Hessian has a near-zero eigenvalue"
 
 
 @dataclass
@@ -72,9 +75,14 @@ class SectionMap:
     radius: float
 
     def __post_init__(self):
+        # relative to the radius, which scales with 1 + |z0| like the
+        # refinement's gradient bound, so that every refined equilibrium passes
         origin = np.linalg.norm(self.evaluator(np.zeros(self.dim)))
-        if not origin < 1e-9:
-            raise ValueError(f"section map must vanish at the origin, got |F(0)|={origin:.3e}")
+        if not origin < 1e-7 * self.radius:
+            raise ValueError(
+                f"section map must vanish at the origin, got |F(0)|={origin:.3e} "
+                f"(bound {1e-7 * self.radius:.3e})"
+            )
 
 
 @dataclass(frozen=True)
@@ -100,11 +108,15 @@ def section_map(system: HamiltonianSystem, eq: EquilibriumOrbit) -> SectionMap:
 
 def degree_nondegenerate(smap: SectionMap, jac) -> int:
     """Sign of det(jac) for a nonsingular section-compressed Hessian."""
-    jac = np.asarray(jac, dtype=float)
-    w = np.linalg.eigvalsh(0.5 * (jac + jac.T))
+    w, v = _eigh(jac)
     if np.any(_in_kernel(w)):
-        raise Degenerate("section Hessian has a near-zero eigenvalue")
-    return -1 if int(np.sum(w < 0.0)) % 2 else 1
+        raise Degenerate(_SINGULAR)
+    return _degree(smap, w, v)
+
+
+def _eigh(jac):
+    jac = np.asarray(jac, dtype=float)
+    return np.linalg.eigh(0.5 * (jac + jac.T))
 
 
 def _in_kernel(w) -> np.ndarray:
@@ -149,8 +161,11 @@ def degree_reduced(smap: SectionMap, jac=None) -> int:
     its evaluation error, and :class:`NoConvergence` where the range
     equation cannot be solved inside the ball.
     """
-    jac = _fd_jacobian(smap) if jac is None else np.asarray(jac, dtype=float)
-    w, v = np.linalg.eigh(0.5 * (jac + jac.T))
+    return _degree(smap, *_eigh(_fd_jacobian(smap) if jac is None else jac))
+
+
+def _degree(smap: SectionMap, w, v) -> int:
+    """:func:`degree_reduced` from the eigendecomposition ``(w, v)`` of the symmetrised Jacobian."""
     in_kernel = _in_kernel(w)
     kernel, image, w_range = v[:, in_kernel], v[:, ~in_kernel], w[~in_kernel]
     sign, dim = (-1) ** int(np.sum(w_range < 0.0)), kernel.shape[1]
@@ -188,11 +203,10 @@ def degree_minimum(smap: SectionMap) -> int:
     Raises :class:`NotAMinimum` when the central-difference Jacobian has a
     negative eigenvalue or the degree of :func:`degree_reduced` is not +1.
     """
-    jac = _fd_jacobian(smap)
-    w = np.linalg.eigvalsh(0.5 * (jac + jac.T))
+    w, v = _eigh(_fd_jacobian(smap))
     if np.any((w < 0.0) & ~_in_kernel(w)):
         raise NotAMinimum(f"section Hessian has a negative eigenvalue {w.min():.3e}")
-    value = degree_reduced(smap, jac)
+    value = _degree(smap, w, v)
     if value != 1:
         raise NotAMinimum(f"reduced degree is {value:+d}, not +1")
     return value
@@ -208,21 +222,17 @@ def degree_regular_value(smap: SectionMap, attempts: int = 64, seed: int = 0) ->
 
 
 def section_degree(system: HamiltonianSystem, eq: EquilibriumOrbit) -> DegreeReport:
-    """Chain nondegenerate -> reduced; the first path that gives a value wins.
+    """The degree of the section field from one eigendecomposition of its Jacobian.
 
-    Without one the report has ``value=None`` and the reason in ``detail``;
-    with one it always has ``reliable=True``.
+    The path is "nondegenerate" when the Jacobian has no kernel and
+    "reduced" otherwise.  Without a value the report has ``value=None`` and
+    the reason in ``detail``; with one it always has ``reliable=True``.
     """
     smap = section_map(system, eq)
-    jac = compress(hessian_of(system, eq.z0), eq.section_basis)
+    w, v = _eigh(compress(hessian_of(system, eq.z0), eq.section_basis))
+    path, detail = ("reduced", _SINGULAR) if np.any(_in_kernel(w)) else ("nondegenerate", "")
     try:
-        value = degree_nondegenerate(smap, jac)
-        return DegreeReport(value=value, path="nondegenerate", reliable=True, radius=smap.radius)
-    except Degenerate as exc:
-        first_failure = str(exc)
-    try:
-        value = degree_reduced(smap, jac)
+        value = _degree(smap, w, v)
     except HambifError as exc:
-        detail = f"{first_failure}; {exc}"
-        return DegreeReport(value=None, path="reduced", reliable=False, radius=smap.radius, detail=detail)
-    return DegreeReport(value=value, path="reduced", reliable=True, radius=smap.radius, detail=first_failure)
+        return DegreeReport(value=None, path=path, reliable=False, radius=smap.radius, detail=f"{detail}; {exc}")
+    return DegreeReport(value=value, path=path, reliable=True, radius=smap.radius, detail=detail)

@@ -13,8 +13,8 @@ class ConvergenceFailure(HambifError):
     """An eigensolver failed, or an eigenvalue cluster is defective."""
 
 
-class NotAnEigenvalue(HambifError):
-    """No eigenvalue of the matrix lies within tolerance of the requested one."""
+class NoSuchLevel(HambifError, IndexError):
+    """A candidate level index j0 lies outside 1..(number of levels)."""
 
 
 class EvaluationFailure(HambifError):

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NonSymmetric, NotAnEigenvalue
+from .errors import ConvergenceFailure, NonSymmetric
 
 __all__ = [
     "standard_symplectic",
     "zero_threshold",
     "check_symmetric",
+    "inertia",
     "morse_index_negative",
     "morse_index_positive",
     "kernel_dimension",
+    "general_eigensystem",
     "general_eigenvalues",
     "real_invariant_subspace",
     "orthogonal_complement",
@@ -56,40 +58,46 @@ def check_symmetric(a) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _signed_counts(a) -> tuple[int, int, int]:
-    w = np.linalg.eigvalsh(check_symmetric(a))
+def inertia(w) -> tuple[int, int, int]:
+    """``(m+, m-, kernel)`` of symmetric-matrix eigenvalues ``w``, the kernel under :func:`zero_threshold`."""
+    w = np.asarray(w)
     eps = zero_threshold(w)
-    neg = int(np.sum(w < -eps))
-    pos = int(np.sum(w > eps))
-    return neg, pos, w.size - neg - pos
+    pos, neg = int(np.sum(w > eps)), int(np.sum(w < -eps))
+    return pos, neg, w.size - pos - neg
 
 
 def morse_index_negative(a) -> int:
     """Number of negative eigenvalues of a symmetric matrix, with multiplicity."""
-    return _signed_counts(a)[0]
+    return inertia(np.linalg.eigvalsh(check_symmetric(a)))[1]
 
 
 def morse_index_positive(a) -> int:
     """Number of positive eigenvalues of a symmetric matrix, with multiplicity."""
-    return _signed_counts(a)[1]
+    return inertia(np.linalg.eigvalsh(check_symmetric(a)))[0]
 
 
 def kernel_dimension(a) -> int:
     """Dimension of the numerical kernel of a symmetric matrix."""
-    return _signed_counts(a)[2]
+    return inertia(np.linalg.eigvalsh(check_symmetric(a)))[2]
 
 
-def general_eigenvalues(m) -> np.ndarray:
-    """All eigenvalues (with multiplicity) of a real square matrix."""
+def general_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues ``w`` (with multiplicity) of a real square matrix and unit eigenvectors ``v[:, i]`` for ``w[i]``."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     try:
-        return np.linalg.eigvals(m)
+        w, v = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
+    return w, v
+
+
+def general_eigenvalues(m) -> np.ndarray:
+    """All eigenvalues (with multiplicity) of a real square matrix."""
+    return general_eigensystem(m)[0]
 
 
 def orthonormal_columns(mat) -> np.ndarray:
@@ -104,58 +112,43 @@ def orthonormal_columns(mat) -> np.ndarray:
     return u[:, :rank]
 
 
-def real_invariant_subspace(m, beta: float, cluster_tol: float = 1e-6) -> np.ndarray:
-    """Orthonormal basis of the real invariant subspace for the pair {+i*beta, -i*beta}.
+def real_invariant_subspace(m, vectors, scale: float) -> np.ndarray:
+    """Orthonormal basis of the real invariant subspace spanned by one eigenvalue cluster.
 
     Parameters
     ----------
     m : array_like, shape (n, n)
-        Real matrix whose spectrum contains +/- i*beta.
-    beta : float
-        Positive imaginary part of the target eigenvalue pair.
-    cluster_tol : float
-        Relative tolerance for matching eigenvalues of ``m`` to ``i*beta``.
+        Real matrix.
+    vectors : array_like, shape (n, mult)
+        Complex eigenvectors of ``m``, one for each eigenvalue of a cluster
+        that holds no conjugate pair (for instance all near ``+i*beta``).
+    scale : float
+        ``1 + max|eigenvalue of m|``; the invariance residual must stay
+        below ``1e-8 * scale``.
 
     Returns
     -------
     basis : ndarray, shape (n, 2*mult)
-        Orthonormal columns spanning the maximal real invariant subspace of
-        the cluster; ``mult`` is the complex multiplicity of ``i*beta``.
+        Orthonormal columns spanning the real and imaginary parts of
+        ``vectors``.
 
-    Notes
-    -----
-    The basis is assembled from real and imaginary parts of the complex
-    eigenvectors of the cluster and then orthonormalized.  Defective
-    (non-diagonalizable) clusters are rejected rather than silently
-    mishandled.
+    Raises
+    ------
+    ConvergenceFailure
+        If the cluster is defective (the real span has fewer than
+        ``2*mult`` dimensions) or the span is not invariant under ``m``.
     """
     m = np.asarray(m, dtype=float)
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    try:
-        w, v = np.linalg.eig(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
-    scale = 1.0 + float(np.max(np.abs(w)))
-    sel = np.nonzero(np.abs(w - 1j * beta) < cluster_tol * scale)[0]
-    if sel.size == 0:
-        raise NotAnEigenvalue(f"no eigenvalue within tolerance of {beta}i")
-    mult = int(sel.size)
-    cols = []
-    for col in sel:
-        cols.append(v[:, col].real)
-        cols.append(v[:, col].imag)
-    basis = orthonormal_columns(np.column_stack(cols))
+    vectors = np.asarray(vectors)
+    mult = vectors.shape[1]
+    basis = orthonormal_columns(np.column_stack([part for col in vectors.T for part in (col.real, col.imag)]))
     if basis.shape[1] != 2 * mult:
         raise ConvergenceFailure(
-            f"eigenvalue cluster at {beta}i is defective "
-            f"(real span {basis.shape[1]} < {2 * mult})"
+            f"eigenvalue cluster of multiplicity {mult} is defective (real span {basis.shape[1]} < {2 * mult})"
         )
     residual = float(np.linalg.norm(m @ basis - basis @ (basis.T @ m @ basis)))
     if residual > 1e-8 * scale:
-        raise ConvergenceFailure(
-            f"invariance residual {residual:.3e} too large for cluster at {beta}i"
-        )
+        raise ConvergenceFailure(f"invariance residual {residual:.3e} too large for a cluster of multiplicity {mult}")
     return basis
 
 

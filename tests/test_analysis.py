@@ -1,10 +1,13 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hambif import analysis, cli, linalg, model
-from hambif.errors import Degenerate, NoImaginaryPairs
+from hambif.errors import Degenerate, NoImaginaryPairs, NoSuchLevel
+
+DATA = Path(__file__).parent / "data"
 
 
 def random_definite_matrix(rng, two_n, low=0.5, high=2.5):
@@ -220,6 +223,55 @@ def test_morse_jump_matches_two_sided_index_on_mixed_clusters():
     assert min(mixed.values()) >= 5  # both cluster sizes with mixed signs are exercised
 
 
+def hessian_with_quartets(rng):
+    """Elliptic clusters plus complex quartets next to them, in random symplectic coordinates.
+
+    An elliptic degree of freedom is ``s beta (q^2 + p^2) / 2``; a quartet
+    on the pair (i, k) is ``eps (q_i p_i + q_k p_k) + b (q_k p_i - q_i p_k)``,
+    whose eigenvalues ``+/-eps +/- i b`` sit ``eps`` (1e-7 to 1e-5) from the
+    level ``b``, an elliptic beta.  Returns the Hessian and ``{beta: count}``.
+    """
+    betas = rng.permutation([0.4, 0.7, 1.1, 1.6, 2.3])[: int(rng.integers(1, 3))]
+    elliptic = [float(beta) for beta in betas for _ in range(int(rng.integers(1, 3)))]
+    quartets = [float(rng.choice(betas)) for _ in range(int(rng.integers(1, 3)))]
+    n = len(elliptic) + 2 * len(quartets)
+    a = np.zeros((2 * n, 2 * n))
+    for i, beta in enumerate(elliptic):
+        a[i, i] = a[n + i, n + i] = float(rng.choice([1.0, -1.0])) * beta
+    for m, b in enumerate(quartets):
+        i = len(elliptic) + 2 * m
+        k, eps = i + 1, 10.0 ** rng.uniform(-7.0, -5.0)
+        a[i, n + i] = a[n + i, i] = a[k, n + k] = a[n + k, k] = eps
+        a[k, n + i] = a[n + i, k] = b
+        a[i, n + k] = a[n + k, i] = -b
+    s = random_symplectic(rng, n)
+    return s.T @ a @ s, {beta: elliptic.count(beta) for beta in set(elliptic)}
+
+
+def test_invariant_subspaces_have_two_columns_per_multiplicity():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        a, counts = hessian_with_quartets(rng)
+        rep = analysis.matrix_report(a)
+        levels = sorted(counts, reverse=True)
+        assert np.allclose(rep.betas, levels, atol=1e-8)
+        assert rep.multiplicities == tuple(counts[beta] for beta in levels)
+        for mult, basis in zip(rep.multiplicities, rep.subspaces):
+            assert basis.shape == (a.shape[0], 2 * mult)
+
+
+def test_quartet_next_to_a_level_stays_out_of_its_subspace():
+    system, start = cli.build_system(cli.parse_config((DATA / "quartet.ini").read_text(encoding="utf-8")))
+    eq = model.refine_equilibrium(system, start)
+    rep = analysis.spectral_report(system, eq)
+    assert rep.multiplicities == (1,)
+    assert rep.subspaces[0].shape == (6, 2)
+    assert np.allclose(linalg.compress(rep.hessian, rep.subspaces[0]), np.eye(2), atol=1e-10)
+    assert analysis.check_definite_zj(rep, 1) and analysis.check_definite_z(rep)
+    (cand,) = analysis.analyze(system, eq)
+    assert cand.a7_results["definite-zj"] and cand.a7_results["definite-z"]
+
+
 def test_morse_jump_singular_restriction_is_degenerate():
     # q2 has stiffness 1e-10: its level 1/beta = 1e5 exists, but the
     # Hessian on its invariant subspace, diag(1e-10, 1), is singular at
@@ -374,6 +426,13 @@ def test_analyze_j0_filter():
     eq = model.refine_equilibrium(sys, 0.05 * np.ones(4))
     only_second = analysis.analyze(sys, eq, analysis.AnalyzeOptions(j0=2))
     assert len(only_second) == 1 and only_second[0].j0 == 2
+
+
+def test_analyze_out_of_range_j0_raises():
+    sys = model.preset("coupled-springs", frequencies=[1.0, 2.0])
+    eq = model.refine_equilibrium(sys, 0.05 * np.ones(4))
+    with pytest.raises(NoSuchLevel, match=r"j0 must be in 1\.\.2, got 3"):
+        analysis.analyze(sys, eq, analysis.AnalyzeOptions(j0=3))
 
 
 def test_morse_limits_random():

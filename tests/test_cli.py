@@ -142,6 +142,23 @@ def test_branch_far_from_the_origin_reaches_its_tolerance(tmp_path):
     assert all(r["residual"] < 1e-9 * (1.0 + 1e6) for r in orbit_records)
 
 
+def test_analyze_far_section_is_confirmed(capsys):
+    # the refinement accepts |grad H| = 1.5e-8 at |z0| = 8.05e7; the section
+    # map's origin check must accept it too instead of raising ValueError
+    code, out = run_cli(["analyze", "--config", str(DATA / "far-section.ini"), "--format", "json-lines"])
+    assert code == 0
+    (record,) = [json.loads(line) for line in out.splitlines()]
+    assert (record["verdict"], record["degree"], record["degree_path"]) == ("confirmed", 1, "nondegenerate")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "branch"])
+def test_out_of_range_j0_is_an_error(capsys, command):
+    code, out = run_cli([command, "--preset", "satellite", "--omega", "1", "--c", "0.1", "--j0", "5"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: j0 must be in 1..2, got 5\n"
+
+
 def test_branch_forced_failure_partial_file(tmp_path):
     out_path = tmp_path / "fail.csv"
     code, out = run_cli(

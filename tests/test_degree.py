@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -172,3 +174,19 @@ def test_section_degree_without_a_certificate_has_no_value():
     rep = degree.section_degree(system, eq)
     assert (rep.value, rep.path, rep.reliable) == (None, "reduced", False)
     assert "dimension 4" in rep.detail
+
+
+def test_section_degree_far_from_the_origin():
+    # |F(0)| = 1.5e-8 at |z0| = 8.05e7 is refinement noise, under the
+    # origin bound 1e-7 * radius = 8.05e-3
+    text = (Path(__file__).parent / "data" / "far-section.ini").read_text(encoding="utf-8")
+    system, guess = cli.build_system(cli.parse_config(text))
+    eq = model.refine_equilibrium(system, guess)
+    rep = degree.section_degree(system, eq)
+    assert (rep.value, rep.path, rep.reliable, rep.detail) == (1, "nondegenerate", True, "")
+
+
+def test_section_degree_detail_names_the_kernel():
+    system, eq = inline_system(2, "0.5 2 0 0 0 ; 0.5 0 0 2 0 ; 0.5 0 0 0 2 ; 0.3333333333333333 0 3 0 0")
+    rep = degree.section_degree(system, eq)
+    assert (rep.value, rep.path, rep.detail) == (0, "reduced", "section Hessian has a near-zero eigenvalue")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hambif import linalg
-from hambif.errors import ConvergenceFailure, NonSymmetric, NotAnEigenvalue
+from hambif.errors import ConvergenceFailure, NonSymmetric
 
 
 def test_standard_symplectic_2x2():
@@ -77,8 +77,29 @@ def test_general_eigenvalues_conjugation_closed():
             remaining.pop(match)
 
 
+def cluster_subspace(m, beta):
+    """The invariant subspace of the eigenvalues of ``m`` within 1e-9 of ``i*beta``."""
+    w, v = linalg.general_eigensystem(m)
+    cluster = np.nonzero(np.abs(w - 1j * beta) < 1e-9)[0]
+    return linalg.real_invariant_subspace(m, v[:, cluster], 1.0 + float(np.max(np.abs(w))))
+
+
+def test_general_eigensystem_pairs():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((5, 5))
+    w, v = linalg.general_eigensystem(m)
+    assert np.array_equal(w, np.linalg.eigvals(m))
+    assert np.allclose(m @ v, v * w, atol=1e-10)
+    assert np.allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-12)
+
+
+def test_general_eigensystem_rejects_non_finite():
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.general_eigensystem(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
 def test_real_invariant_subspace_full_plane():
-    basis = linalg.real_invariant_subspace(linalg.standard_symplectic(1), 1.0)
+    basis = cluster_subspace(linalg.standard_symplectic(1), 1.0)
     assert basis.shape == (2, 2)
     assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-12)
 
@@ -88,7 +109,7 @@ def test_real_invariant_subspace_block():
     m = np.zeros((4, 4))
     m[:2, :2] = j
     m[2:, 2:] = 2.0 * j
-    basis = linalg.real_invariant_subspace(m, 2.0)
+    basis = cluster_subspace(m, 2.0)
     assert basis.shape == (4, 2)
     # span of the last two coordinate axes
     assert np.max(np.abs(basis[:2, :])) < 1e-10
@@ -105,15 +126,20 @@ def test_real_invariant_subspace_invariance_residual():
         m = j @ a
         w = linalg.general_eigenvalues(m)
         beta = max(v.imag for v in w)
-        basis = linalg.real_invariant_subspace(m, beta)
+        basis = cluster_subspace(m, beta)
         resid = np.linalg.norm(m @ basis - basis @ (basis.T @ m @ basis))
         assert resid < 1e-8
         assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-10)
 
 
-def test_real_invariant_subspace_rejects_bad_beta():
-    with pytest.raises(NotAnEigenvalue):
-        linalg.real_invariant_subspace(linalg.standard_symplectic(1), 3.0)
+def test_real_invariant_subspace_rejects_non_invariant_span():
+    # a unit vector of a rotation plane mixed with the other plane spans no invariant subspace
+    m = np.zeros((4, 4))
+    m[:2, :2] = linalg.standard_symplectic(1)
+    m[2:, 2:] = 2.0 * linalg.standard_symplectic(1)
+    vector = np.array([1.0, 1j, 1.0, 0.0]) / np.sqrt(3.0)
+    with pytest.raises(ConvergenceFailure, match="invariance residual"):
+        linalg.real_invariant_subspace(m, vector[:, None], 3.0)
 
 
 def test_real_invariant_subspace_rejects_defective():
@@ -126,8 +152,17 @@ def test_real_invariant_subspace_rejects_defective():
             [0.0, 0.0, -1.0, 0.0],
         ]
     )
-    with pytest.raises((ConvergenceFailure, NotAnEigenvalue)):
-        linalg.real_invariant_subspace(m, 1.0)
+    w, v = linalg.general_eigensystem(m)
+    upper = np.nonzero(w.imag > 0.0)[0]
+    assert upper.size == 2
+    with pytest.raises(ConvergenceFailure, match="defective"):
+        linalg.real_invariant_subspace(m, v[:, upper], 1.0 + float(np.max(np.abs(w))))
+
+
+def test_inertia_counts_at_the_zero_threshold():
+    w = np.array([-2.0, -1e-9, 0.0, 1e-9, 3.0])
+    assert linalg.inertia(w) == (1, 1, 3)
+    assert linalg.inertia(np.array([])) == (0, 0, 0)
 
 
 def test_orthogonal_complement_basic():
