@@ -39,7 +39,7 @@ from .linalg import (
     standard_symplectic,
     zero_threshold,
 )
-from .model import EquilibriumOrbit, HamiltonianSystem, hessian_of
+from .model import EquilibriumOrbit, HamiltonianSystem
 
 __all__ = [
     "SpectralReport",
@@ -66,8 +66,10 @@ class SpectralReport:
     """Eigen-data of the linearization at an equilibrium.
 
     ``betas`` are the distinct imaginary parts beta_1 > ... > beta_m > 0 of
-    the eigenvalue pairs of J A, ``multiplicities`` their cluster sizes and
-    ``subspaces`` the matching orthonormal real invariant subspace bases.
+    the eigenvalue pairs of J A, ``multiplicities`` their cluster sizes,
+    ``subspaces`` the matching orthonormal real invariant subspace bases E_j
+    and ``inertias`` the inertia ``(m+, m-, kernel)`` of ``compress(A, E_j)``
+    from one ``eigvalsh`` each, read by the Morse jump and the A7.1/A7.3 checks.
     """
 
     n: int
@@ -77,6 +79,7 @@ class SpectralReport:
     betas: tuple
     multiplicities: tuple
     subspaces: tuple
+    inertias: tuple
     m_plus: int
     m_minus: int
     kernel_dim: int
@@ -103,8 +106,8 @@ class ResonanceSet:
 
 
 def spectral_report(system: HamiltonianSystem, eq: EquilibriumOrbit) -> SpectralReport:
-    """Assemble the spectral data of J * hessian(H) at the equilibrium."""
-    return matrix_report(hessian_of(system, eq.z0))
+    """Spectral data of J * hessian(H) at the equilibrium, from ``eq.hessian`` (``system`` is not evaluated)."""
+    return matrix_report(eq.hessian)
 
 
 def matrix_report(a) -> SpectralReport:
@@ -131,6 +134,7 @@ def matrix_report(a) -> SpectralReport:
             clusters[-1].append(i)
         else:
             clusters.append([i])
+    subspaces = tuple(real_invariant_subspace(ja, vja[:, sorted(c)], scale) for c in clusters)
     return SpectralReport(
         n=n,
         hessian=a,
@@ -138,7 +142,8 @@ def matrix_report(a) -> SpectralReport:
         eigenvalues_ja=wja,
         betas=tuple(float(np.mean(wja[c].imag)) for c in clusters),
         multiplicities=tuple(len(c) for c in clusters),
-        subspaces=tuple(real_invariant_subspace(ja, vja[:, sorted(c)], scale) for c in clusters),
+        subspaces=subspaces,
+        inertias=tuple(inertia(np.linalg.eigvalsh(compress(a, e))) for e in subspaces),
         m_plus=m_plus,
         m_minus=m_minus,
         kernel_dim=kernel_dim,
@@ -199,13 +204,8 @@ def check_nonresonance(report: SpectralReport, j0: int) -> bool:
     return True
 
 
-def _definite(sym: np.ndarray) -> bool:
-    pos, neg, _ = inertia(np.linalg.eigvalsh(sym))
-    return sym.shape[0] in (pos, neg)
-
-
-def _restricted(report: SpectralReport, j0: int) -> np.ndarray:
-    return compress(report.hessian, report.subspaces[j0 - 1])
+def _definite(pos: int, neg: int, kernel: int) -> bool:
+    return pos + neg + kernel in (pos, neg)
 
 
 def morse_jump(a, lambda0: float, report: SpectralReport) -> int:
@@ -215,21 +215,25 @@ def morse_jump(a, lambda0: float, report: SpectralReport) -> int:
     the Hessian restricted to the level's invariant subspace ``E_j``, so the
     jump is the signature ``m+(C) - m-(C)`` of ``C = compress(a, E_j)``
     (Robbin & Salamon, Bull. LMS 27, 1995).  A ``lambda0`` within
-    ``1e-9 lambda0`` of no level ``1/beta_j`` gives 0.
+    ``1e-9 lambda0`` of no level ``1/beta_j`` gives 0.  The inertia of ``C``
+    is read from ``report.inertias``.
 
     Raises
     ------
+    ValueError
+        If ``check_symmetric(a)`` is not exactly ``report.hessian``.
     Degenerate
         If ``C`` has a kernel: the Hessian is singular on the level's
         invariant subspace and the jump is not defined.
     """
-    a = check_symmetric(a)
+    if not np.array_equal(check_symmetric(a), report.hessian):
+        raise ValueError("a is not the Hessian the spectral report was made from")
     if lambda0 <= 0.0:
         raise ValueError(f"lambda0 must be positive, got {lambda0}")
     levels = [j for j, beta in enumerate(report.betas) if abs(1.0 / beta - lambda0) <= 1e-9 * lambda0]
     if not levels:
         return 0
-    pos, neg, kernel = inertia(np.linalg.eigvalsh(compress(a, report.subspaces[levels[0]])))
+    pos, neg, kernel = report.inertias[levels[0]]
     if kernel:
         raise Degenerate(
             f"the Hessian is singular on the level's invariant subspace (kernel dimension {kernel})"
@@ -244,14 +248,14 @@ def check_szulkin_zj(report: SpectralReport, j0: int) -> bool:
     wherever that restriction is nonsingular (see :func:`morse_jump`).
     """
     report.beta(j0)
-    pos, neg, _ = inertia(np.linalg.eigvalsh(_restricted(report, j0)))
+    pos, neg, _ = report.inertias[j0 - 1]
     return pos != neg
 
 
 def check_definite_zj(report: SpectralReport, j0: int) -> bool:
     """Definiteness of the Hessian restricted to the level's invariant subspace."""
     report.beta(j0)
-    return _definite(_restricted(report, j0))
+    return _definite(*report.inertias[j0 - 1])
 
 
 def check_definite_z(report: SpectralReport) -> bool:
@@ -260,7 +264,7 @@ def check_definite_z(report: SpectralReport) -> bool:
         return False
     stacked = np.hstack(report.subspaces)
     basis = orthonormal_columns(stacked)
-    return _definite(compress(report.hessian, basis))
+    return _definite(*inertia(np.linalg.eigvalsh(compress(report.hessian, basis))))
 
 
 def check_mplus(report: SpectralReport) -> bool:
@@ -300,7 +304,6 @@ class BifurcationCandidate:
     morse_jump: Optional[int]
     degree_on_section: Optional[int]
     degree_path: Optional[str]
-    degree_reliable: bool
     a7_results: dict
     verdict: str
     theorem_path: Optional[str]
@@ -310,6 +313,10 @@ class BifurcationCandidate:
     @property
     def confirmed(self) -> bool:
         return self.verdict.startswith("confirmed")
+
+    @property
+    def degree_reliable(self) -> bool:  # every section degree with a value is a certificate
+        return self.degree_on_section is not None
 
 
 @dataclass(frozen=True)
@@ -377,9 +384,7 @@ def analyze(
     try:
         degree_report = degree_mod.section_degree(system, eq)
     except HambifError as exc:
-        degree_report = degree_mod.DegreeReport(
-            value=None, path="none", reliable=False, radius=0.0, detail=str(exc)
-        )
+        degree_report = degree_mod.DegreeReport(value=None, path="none", detail=str(exc))
     nonkernel = report.hessian_eigenvalues[
         np.abs(report.hessian_eigenvalues) > zero_threshold(report.hessian_eigenvalues)
     ]
@@ -429,7 +434,6 @@ def analyze(
                 morse_jump=jump,
                 degree_on_section=degree_report.value,
                 degree_path=degree_report.path,
-                degree_reliable=degree_report.reliable,
                 a7_results=a7,
                 verdict=verdict,
                 theorem_path=path,

@@ -100,8 +100,8 @@ class RunConfig:
             if value is not None and value < 1:
                 raise ConfigParse(f"{key} must be at least 1, got {value}")
         for key, value in (("s0", self.s0), ("growth", self.growth)):
-            if not value > 0.0:
-                raise ConfigParse(f"{key} must be positive, got {value}")
+            if not 0.0 < value < np.inf:
+                raise ConfigParse(f"{key} must be positive and finite, got {value}")
         for _, exps in self.monomials:
             if len(exps) != 2 * self.n or any(e < 0 for e in exps):
                 raise ConfigParse(f"a monomial needs {2 * self.n} non-negative exponents, got {list(exps)}")
@@ -109,6 +109,12 @@ class RunConfig:
             if len(rows) != 2 * self.n or any(len(row) != 2 * self.n for row in rows):
                 lengths = [len(row) for row in rows]
                 raise ConfigParse(f"a generator must be {2 * self.n} x {2 * self.n}, got rows of lengths {lengths}")
+        numbers = [*self.params, ("guess", self.guess or ()), *(("monomials", c) for c, _ in self.monomials)]
+        numbers += [(f"generator{i}", rows) for i, rows in enumerate(self.generators, start=1)]
+        for key, value in numbers:
+            bad = [v for v in np.ravel(value) if not np.isfinite(v)]
+            if bad:
+                raise ConfigParse(f"non-finite value {bad[0]} for {key}")
         if self.fmt not in FORMATS:
             raise ConfigParse(f"unknown output format {self.fmt!r}")
 
@@ -320,14 +326,14 @@ def _candidate_record(index: int, cand) -> dict:
     }
 
 
-def _orbit_record(index: int, orbit, z0) -> dict:
+def _orbit_record(index: int, orbit, branch) -> dict:
     return {
         "index": index,
         "amplitude": orbit.amplitude,
         "lambda": orbit.lam,
         "period": orbit.period,
         "residual": orbit.residual,
-        "sup_distance": orbits_mod.sup_distance(orbit, z0),
+        "sup_distance": branch.sup_distance_trend[index - 1][1],
         "minimal_period": orbits_mod.minimal_period_check(orbit),
     }
 
@@ -454,7 +460,7 @@ def cmd_branch(config: RunConfig, stdout=None) -> int:
         growth=config.growth,
         modes=config.modes,
     )
-    records = [_orbit_record(i, orbit, eq.z0) for i, orbit in enumerate(branch.orbits, start=1)]
+    records = [_orbit_record(i, orbit, branch) for i, orbit in enumerate(branch.orbits, start=1)]
     coeff_records = [
         {
             "record": "coefficients",

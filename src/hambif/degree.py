@@ -26,14 +26,14 @@ section basis; only the nonvanishing of the degree matters downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import BoundaryZero, Degenerate, HambifError, NoConvergence, NotAMinimum
 from .linalg import compress
-from .model import EquilibriumOrbit, HamiltonianSystem, _central_differences, gradient_of, hessian_of
+from .model import EquilibriumOrbit, HamiltonianSystem, _central_differences, gradient_of
 
 __all__ = [
     "SectionMap",
@@ -57,8 +57,8 @@ __all__ = [
 _KERNEL_TOL = 1e-6
 # The reduced field is trusted at a sample only where |g| exceeds _SIGNAL
 # times its evaluation error, estimated as |F(0)| + 1e-14 (1 + max|w|):
-# F vanishes at the origin in exact arithmetic, so |F(0)| measures the
-# evaluator's noise, and the second term is the roundoff floor.
+# F vanishes at the origin in exact arithmetic, so |F(0)| (SectionMap.origin)
+# measures the evaluator's noise, and the second term is the roundoff floor.
 _SIGNAL = 100.0
 # The winding number starts from 16 equal angles and bisects every arc
 # whose angle increment is not below pi/2, up to this many samples.
@@ -68,29 +68,30 @@ _SINGULAR = "section Hessian has a near-zero eigenvalue"
 
 @dataclass
 class SectionMap:
-    """The compressed gradient u -> B^T grad H(z0 + B u) on a ball |u| < radius."""
+    """The compressed gradient u -> B^T grad H(z0 + B u) on a ball |u| < radius; ``origin`` is |F(0)|."""
 
     dim: int
     evaluator: Callable[[np.ndarray], np.ndarray]
     radius: float
+    origin: float = field(init=False)
 
     def __post_init__(self):
         # relative to the radius, which scales with 1 + |z0| like the
         # refinement's gradient bound, so that every refined equilibrium passes
-        origin = np.linalg.norm(self.evaluator(np.zeros(self.dim)))
-        if not origin < 1e-7 * self.radius:
+        self.origin = float(np.linalg.norm(self.evaluator(np.zeros(self.dim))))
+        if not self.origin < 1e-7 * self.radius:
             raise ValueError(
-                f"section map must vanish at the origin, got |F(0)|={origin:.3e} "
+                f"section map must vanish at the origin, got |F(0)|={self.origin:.3e} "
                 f"(bound {1e-7 * self.radius:.3e})"
             )
 
 
 @dataclass(frozen=True)
 class DegreeReport:
+    """The section degree: ``value`` is a certificate, or ``None`` with the reason in ``detail``."""
+
     value: int | None
     path: str
-    reliable: bool
-    radius: float
     detail: str = ""
 
 
@@ -173,7 +174,7 @@ def _degree(smap: SectionMap, w, v) -> int:
         return sign
     if dim > 2:
         raise Degenerate(f"section kernel of dimension {dim}; the reduced degree is certified up to dimension 2")
-    noise = float(np.linalg.norm(smap.evaluator(np.zeros(smap.dim)))) + 1e-14 * (1.0 + float(np.max(np.abs(w))))
+    noise = smap.origin + 1e-14 * (1.0 + float(np.max(np.abs(w))))
 
     def g(c):  # the range equation by chord Newton with the fixed block A_R
         y = np.zeros(image.shape[1])
@@ -224,15 +225,15 @@ def degree_regular_value(smap: SectionMap, attempts: int = 64, seed: int = 0) ->
 def section_degree(system: HamiltonianSystem, eq: EquilibriumOrbit) -> DegreeReport:
     """The degree of the section field from one eigendecomposition of its Jacobian.
 
-    The path is "nondegenerate" when the Jacobian has no kernel and
-    "reduced" otherwise.  Without a value the report has ``value=None`` and
-    the reason in ``detail``; with one it always has ``reliable=True``.
+    The Jacobian is ``eq.hessian`` compressed to the section.  The path is
+    "nondegenerate" when it has no kernel and "reduced" otherwise.  Without
+    a value the report has ``value=None`` and the reason in ``detail``.
     """
     smap = section_map(system, eq)
-    w, v = _eigh(compress(hessian_of(system, eq.z0), eq.section_basis))
+    w, v = _eigh(compress(eq.hessian, eq.section_basis))
     path, detail = ("reduced", _SINGULAR) if np.any(_in_kernel(w)) else ("nondegenerate", "")
     try:
         value = _degree(smap, w, v)
     except HambifError as exc:
-        return DegreeReport(value=None, path=path, reliable=False, radius=smap.radius, detail=f"{detail}; {exc}")
-    return DegreeReport(value=value, path=path, reliable=True, radius=smap.radius, detail=detail)
+        return DegreeReport(value=None, path=path, detail=f"{detail}; {exc}")
+    return DegreeReport(value=value, path=path, detail=detail)

@@ -123,9 +123,13 @@ class HamiltonianSystem:
 
 @dataclass(frozen=True)
 class EquilibriumOrbit:
-    """A critical point of H together with bases adapted to its group orbit."""
+    """A critical point of H, its Hessian and bases adapted to its group orbit.
+
+    ``hessian`` is evaluated once, on the refining system, and is kept when used with another system.
+    """
 
     z0: np.ndarray
+    hessian: np.ndarray
     gradient_norm: float
     tangent_basis: np.ndarray  # (2N, orbit_dim), orthonormal span of {X z0}
     section_basis: np.ndarray  # (2N, 2N - orbit_dim), orthonormal complement
@@ -317,7 +321,8 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
     Raises
     ------
     NoConvergence
-        If 50 iterations do not reach ``|grad H| < 1e-10 * (1 + |z|)``.
+        If 50 iterations do not reach ``|grad H| < 1e-10 * (1 + |z|)``, or
+        the gradient at the guess or the Hessian at the result is not finite.
     DegenerateSection
         If the section-restricted Hessian is singular beyond tolerance.
     """
@@ -335,7 +340,8 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
             best_z, best_norm = z.copy(), gn
         else:
             stall += 1
-        if gn <= 1e-13 * (1.0 + float(np.linalg.norm(z))) or stall >= 3:
+        # no Newton step from a non-finite gradient: the best iterate stands
+        if not np.isfinite(gn) or gn <= 1e-13 * (1.0 + float(np.linalg.norm(z))) or stall >= 3:
             break
         _, section = _orbit_bases(system, z)
         hs = compress(hessian_of(system, z), section)
@@ -347,11 +353,17 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
         du = np.linalg.solve(hs, -(section.T @ g))
         z = z + section @ du
     z0, gn = best_z, best_norm
+    if not np.isfinite(gn):
+        raise NoConvergence("the gradient norm at the guess is not finite")
     if not gn <= 1e-10 * (1.0 + float(np.linalg.norm(z0))):
         raise NoConvergence(f"gradient norm {gn:.3e} after 50 iterations")
+    hessian = hessian_of(system, z0)
+    if not np.all(np.isfinite(hessian)):
+        raise NoConvergence("the Hessian at the refined point is not finite")
     tangent, section = _orbit_bases(system, z0)
     return EquilibriumOrbit(
         z0=z0,
+        hessian=hessian,
         gradient_norm=gn,
         tangent_basis=tangent,
         section_basis=section,
@@ -417,8 +429,8 @@ def satellite_equilibrium_distance(omega: float, c: float) -> float:
     ``f < 0`` up to the root, so the sign of ``f`` at a midpoint says which
     half holds it.
     """
-    if omega <= 0.0 or c <= 0.0:
-        raise ValueError("omega and c must be positive")
+    if not (0.0 < omega < np.inf and 0.0 < c < np.inf):
+        raise ValueError("omega and c must be positive and finite")
 
     def f(d):
         return omega**2 * d**5 - d**2 - 3.0 * c
@@ -551,14 +563,14 @@ def preset(name: str, params: Optional[dict] = None, **kwargs) -> HamiltonianSys
             r_eq = float(merged.pop("r_eq", 1.0))
             c = 0.5 * r_eq**2 * j2
         _reject_extras(name, merged)
-        if omega <= 0.0 or c <= 0.0:
-            raise ValueError("satellite preset needs omega > 0 and c > 0")
+        if not (0.0 < omega < np.inf and 0.0 < c < np.inf):
+            raise ValueError("satellite preset needs finite omega > 0 and c > 0")
         return _satellite_system(omega, c)
     if name == "harmonic":
         beta = float(merged.pop("beta", 1.0))
         _reject_extras(name, merged)
-        if beta <= 0.0:
-            raise ValueError("harmonic preset needs beta > 0")
+        if not 0.0 < beta < np.inf:
+            raise ValueError("harmonic preset needs finite beta > 0")
         return HamiltonianSystem(
             n=1,
             energy=lambda z: 0.5 * (z[1] ** 2 + beta**2 * z[0] ** 2),
@@ -571,8 +583,8 @@ def preset(name: str, params: Optional[dict] = None, **kwargs) -> HamiltonianSys
             raise MissingParameter("coupled-springs preset needs 'frequencies'")
         freqs = np.asarray(merged.pop("frequencies"), dtype=float).ravel()
         _reject_extras(name, merged)
-        if freqs.size == 0 or np.any(freqs <= 0.0):
-            raise ValueError("frequencies must be a non-empty list of positive reals")
+        if freqs.size == 0 or not np.all((0.0 < freqs) & (freqs < np.inf)):
+            raise ValueError("frequencies must be a non-empty list of positive finite reals")
         stiff = freqs**2
 
         return newtonian_to_hamiltonian(

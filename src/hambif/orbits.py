@@ -152,22 +152,19 @@ class Branch:
 
 
 def kernel_direction(system: HamiltonianSystem, eq: EquilibriumOrbit, candidate: BifurcationCandidate) -> tuple:
-    """Normalized kernel vector (a1, b1) of the mode-1 matrix at the level ``candidate.lambda0``.
+    """Normalized kernel vector (a1, b1) of the mode-1 matrix of ``eq.hessian`` at the level ``candidate.lambda0``.
 
-    The returned pair is scaled to unit Sobolev norm of ``a1 cos t + b1 sin t``.
+    The returned pair is scaled to unit Sobolev norm of ``a1 cos t + b1 sin t``;
+    ``system`` is not evaluated.
     """
-    lam0 = candidate.lambda0
-    a = hessian_of(system, eq.z0)
-    t = t_matrix(a, 1, lam0)
+    t = t_matrix(eq.hessian, 1, candidate.lambda0)
     _, svals, vt = np.linalg.svd(t)
     if svals[-1] > 1e-6:
         raise EmptyKernel(
-            f"smallest singular value {svals[-1]:.3e} at level {lam0:.6g}; "
+            f"smallest singular value {svals[-1]:.3e} at level {candidate.lambda0:.6g}; "
             "no mode-1 kernel (candidate inconsistent)"
         )
-    vec = vt[-1]
-    two_n = a.shape[0]
-    a1, b1 = vec[:two_n], vec[two_n:]
+    a1, b1 = np.split(vt[-1], 2)
     scale = np.sqrt(np.pi * (float(a1 @ a1) + float(b1 @ b1)))
     return a1 / scale, b1 / scale
 
@@ -349,23 +346,16 @@ def solve_orbit(
     tol_inner = min(0.02 * tol, max(1e-11, 64.0 * _EPS * scale))
     predictor = kernel_direction(system, eq, candidate)
     m = modes
-    guess = initial_guess
+    a1, b1 = (amplitude_s * p[None, :] for p in predictor)
+    guess = initial_guess or FourierOrbit(a0=eq.z0, a=a1, b=b1, lam=candidate.lambda0)
     while True:
         problem = _HarmonicBalance(system, eq, predictor, amplitude_s, m)
+        take = min(guess.m, m)
         a = np.zeros((m, system.dim))
         b = np.zeros((m, system.dim))
-        if guess is None:
-            a0 = eq.z0.copy()
-            a[0] = amplitude_s * predictor[0]
-            b[0] = amplitude_s * predictor[1]
-            lam = candidate.lambda0
-        else:
-            take = min(guess.m, m)
-            a0 = guess.a0.copy()
-            a[:take] = guess.a[:take]
-            b[:take] = guess.b[:take]
-            lam = guess.lam
-        x = problem.pack(a0, a, b, lam, np.zeros(1 + problem.n_gen))
+        a[:take] = guess.a[:take]
+        b[:take] = guess.b[:take]
+        x = problem.pack(guess.a0, a, b, guess.lam, np.zeros(1 + problem.n_gen))
         x, fvec, converged = _newton(problem, x, tol_inner)
         a0, a, b, lam, _ = problem.unpack(x)
         orbit = FourierOrbit(a0=a0, a=a, b=b, lam=float(lam))
@@ -478,13 +468,12 @@ def continue_branch(
         branch.orbits.append(orbit)
         branch.period_trend.append((orbit.amplitude, orbit.period))
         branch.sup_distance_trend.append((orbit.amplitude, sup_distance(orbit, eq.z0)))
-        scaled = FourierOrbit(
+        guess = FourierOrbit(
             a0=eq.z0 + growth * (orbit.a0 - eq.z0),
             a=growth * orbit.a,
             b=growth * orbit.b,
             lam=orbit.lam,
         )
-        guess = scaled
     return branch
 
 

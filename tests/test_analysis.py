@@ -258,6 +258,8 @@ def test_invariant_subspaces_have_two_columns_per_multiplicity():
         assert rep.multiplicities == tuple(counts[beta] for beta in levels)
         for mult, basis in zip(rep.multiplicities, rep.subspaces):
             assert basis.shape == (a.shape[0], 2 * mult)
+        for j, basis in enumerate(rep.subspaces):
+            assert rep.inertias[j] == linalg.inertia(np.linalg.eigvalsh(linalg.compress(rep.hessian, basis)))
 
 
 def test_quartet_next_to_a_level_stays_out_of_its_subspace():
@@ -282,6 +284,16 @@ def test_morse_jump_singular_restriction_is_degenerate():
     assert analysis.morse_jump(a, 1.0, rep) == 2
     with pytest.raises(Degenerate, match="singular on the level's invariant subspace"):
         analysis.morse_jump(a, 1e5, rep)
+
+
+def test_morse_jump_rejects_a_matrix_other_than_the_reports():
+    # the jump is read from the report's per-level inertia, so a matrix the
+    # report was not made from must not be silently ignored
+    a = np.diag([3.0, 0.4, 1.0, 1.0])
+    rep = analysis.matrix_report(a)
+    assert analysis.morse_jump(a, 1.0 / np.sqrt(3.0), rep) == 2
+    with pytest.raises(ValueError, match="not the Hessian"):
+        analysis.morse_jump(2.0 * a, 1.0 / np.sqrt(3.0), rep)
 
 
 def test_gradient_only_satellite_spurious_level_is_inconclusive():

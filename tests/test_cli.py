@@ -443,6 +443,50 @@ def test_bad_system_inputs_are_config_errors(tmp_path, capsys, command, case):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "case, key",
+    [
+        (["analyze", "--preset", "satellite", "--omega", "nan", "--c", "0.1"], "omega"),
+        (["analyze", "--preset", "satellite", "--omega", "1", "--c", "nan"], "c"),
+        (["analyze", "--preset", "harmonic", "--beta", "inf"], "beta"),
+        (["branch", "--preset", "harmonic", "--s0", "inf"], "s0"),
+        (["branch", "--preset", "harmonic", "--growth", "nan"], "growth"),
+        ("[system]\npreset = coupled-springs\nfrequencies = 1 nan\n", "frequencies"),
+        ("[system]\npreset = harmonic\nguess = nan 0\n", "guess"),
+        ("[system]\nn = 1\nmonomials = nan 2 0 ; 0.5 0 2\n", "monomials"),
+        ("[system]\nn = 1\nmonomials = 0.5 2 0 ; 0.5 0 2\ngenerator1 = 0 -inf ; inf 0\n", "generator1"),
+    ],
+    ids=["omega", "c", "beta", "s0", "growth", "frequencies", "guess", "monomial-coefficient", "generator-entry"],
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, case, key):
+    # NaN passes every 'x <= 0' check; each non-finite number must be
+    # rejected by name before it reaches numpy
+    if isinstance(case, str):
+        path = tmp_path / "bad.ini"
+        path.write_text(case, encoding="utf-8")
+        case = ["analyze", "--config", str(path)]
+    code, out = run_cli(case)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert re.search(rf"\b{key}\b", err.splitlines()[0])
+
+
+def test_overflowing_guess_is_an_error():
+    # a fresh interpreter: the evaluator's own overflow warnings go to stderr
+    # as warnings, and the refinement ends the run with a typed error
+    proc = subprocess.run(
+        [sys.executable, "-m", "hambif.cli", "analyze", "--config", str(DATA / "overflow-guess.ini")],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "error: the gradient norm at the guess is not finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [["analyze", "--preset", "harmonic"], ["presets"]], ids=["analyze", "presets"])
 def test_unwritable_output_is_an_error(tmp_path, capsys, argv):
     path = tmp_path / "missing-dir" / "x.jsonl"

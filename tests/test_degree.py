@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +112,7 @@ def test_section_degree_quadratic_system():
     rep = degree.section_degree(sys, eq)
     assert rep.value == 1
     assert rep.path == "nondegenerate"
-    assert rep.reliable
+    assert rep.value is not None
 
 
 def test_section_degree_satellite():
@@ -139,7 +140,7 @@ def test_section_degree_minimum_fallback():
     rep = degree.section_degree(sys, eq)
     assert rep.path == "reduced"
     assert rep.value == 1
-    assert rep.reliable
+    assert rep.value is not None
 
 
 def inline_system(n, monomials):
@@ -165,14 +166,29 @@ def inline_system(n, monomials):
 def test_section_degree_reduced_path(n, monomials, expected):
     system, eq = inline_system(n, monomials)
     rep = degree.section_degree(system, eq)
-    assert (rep.value, rep.path, rep.reliable) == (expected, "reduced", True)
+    assert (rep.value, rep.path, rep.value is not None) == (expected, "reduced", True)
+
+
+def test_reduced_path_evaluates_the_section_field_at_the_origin_once():
+    # |F(0)| is the noise estimate of the reduced field; the section map
+    # evaluates it on construction and the reduction reads it from there
+    plain, eq = inline_system(2, "0.5 2 0 0 0 ; 0.5 0 0 2 0 ; -0.5 0 0 0 2 ; 0.25 0 4 0 0")
+    at_z0 = [0]
+
+    def counted_gradient(z):
+        at_z0[0] += int(np.array_equal(z, eq.z0))
+        return plain.gradient(z)
+
+    rep = degree.section_degree(replace(plain, gradient=counted_gradient), eq)
+    assert (rep.value, rep.path) == (-1, "reduced")
+    assert at_z0[0] == 1
 
 
 def test_section_degree_without_a_certificate_has_no_value():
     # H = (q1^4 + q2^4 + p1^4 + p2^4) / 4: the whole section is kernel
     system, eq = inline_system(2, "0.25 4 0 0 0 ; 0.25 0 4 0 0 ; 0.25 0 0 4 0 ; 0.25 0 0 0 4")
     rep = degree.section_degree(system, eq)
-    assert (rep.value, rep.path, rep.reliable) == (None, "reduced", False)
+    assert (rep.value, rep.path, rep.value is not None) == (None, "reduced", False)
     assert "dimension 4" in rep.detail
 
 
@@ -183,7 +199,7 @@ def test_section_degree_far_from_the_origin():
     system, guess = cli.build_system(cli.parse_config(text))
     eq = model.refine_equilibrium(system, guess)
     rep = degree.section_degree(system, eq)
-    assert (rep.value, rep.path, rep.reliable, rep.detail) == (1, "nondegenerate", True, "")
+    assert (rep.value, rep.path, rep.value is not None, rep.detail) == (1, "nondegenerate", True, "")
 
 
 def test_section_degree_detail_names_the_kernel():

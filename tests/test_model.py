@@ -1,11 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from hambif import linalg, model
+from hambif import cli, linalg, model
 from hambif import orbits
 from hambif.errors import EvaluationFailure, MissingParameter, NoConvergence, UnknownPreset
+
+DATA = Path(__file__).parent / "data"
 
 
 def _bisect_quintic(omega, c, lo, hi, iters=200):
@@ -337,6 +341,48 @@ def test_refine_equilibrium_no_convergence():
     )
     with pytest.raises(NoConvergence):
         model.refine_equilibrium(sys, np.array([0.0, 0.5]))
+
+
+def test_refine_equilibrium_rejects_an_overflowing_guess():
+    # q^3 overflows at q = 1e200: |grad H| = inf there, and the old bound
+    # 1e-10 (1 + |z0|) overflowed with it and accepted the guess
+    config = cli.parse_config((DATA / "overflow-guess.ini").read_text(encoding="utf-8"))
+    system, guess = cli.build_system(config)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NoConvergence, match="not finite"):
+        model.refine_equilibrium(system, guess)
+
+
+def test_refine_equilibrium_requires_a_finite_hessian():
+    sys = model.HamiltonianSystem(
+        n=1,
+        energy=lambda z: 0.5 * float(z @ z),
+        gradient=lambda z: z,
+        hessian=lambda z: np.diag([np.inf, 1.0]),
+    )
+    with pytest.raises(NoConvergence, match="Hessian"):
+        model.refine_equilibrium(sys, np.zeros(2))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("satellite", lambda v: {"omega": v, "c": 0.1}),
+        ("satellite", lambda v: {"omega": 1.0, "c": v}),
+        ("harmonic", lambda v: {"beta": v}),
+        ("coupled-springs", lambda v: {"frequencies": [1.0, v]}),
+    ],
+    ids=["satellite-omega", "satellite-c", "harmonic-beta", "coupled-springs-frequencies"],
+)
+def test_presets_reject_non_finite_parameters(name, params, value):
+    with pytest.raises(ValueError, match="finite"):
+        model.preset(name, params(value))
+
+
+@pytest.mark.parametrize("omega, c", [(1.0, np.nan), (np.nan, 0.1), (np.inf, 0.1), (1.0, np.inf)])
+def test_satellite_distance_rejects_non_finite_parameters(omega, c):
+    with pytest.raises(ValueError, match="finite"):
+        model.satellite_equilibrium_distance(omega, c)
 
 
 def _reference_fd_gradient(energy, z):

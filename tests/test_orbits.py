@@ -310,6 +310,26 @@ def test_branch_gradient_calls_stay_per_collocation_point():
     assert calls[0] <= 5000
 
 
+def test_analysis_and_branch_read_the_equilibrium_hessian():
+    # the refinement evaluates the Hessian at z0 once and the equilibrium
+    # carries it: the spectral report, the section degree and every step's
+    # kernel direction read it instead of evaluating it again
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    eq = model.refine_equilibrium(sat, np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0]))
+    assert np.array_equal(eq.hessian, model.hessian_of(sat, eq.z0))
+    at_z0 = [0]
+
+    def counted_hessian(z):
+        at_z0[0] += int(np.array_equal(z, eq.z0))
+        return sat.hessian(z)
+
+    counted = replace(sat, hessian=counted_hessian)
+    cand = analysis.analyze(counted, eq)[0]
+    branch = orbits.continue_branch(counted, eq, cand, steps=8, s0=1e-3)
+    assert len(branch.orbits) == 8 and not branch.failures
+    assert at_z0[0] == 0
+
+
 def test_jacobian_reuses_residual_gradients():
     # Newton evaluates the residual at x and then asks for the Jacobian at
     # the same x: the gradients at the collocation points are not recomputed
