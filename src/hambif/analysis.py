@@ -422,7 +422,10 @@ def analyze(
         if report.multiplicities[j0 - 1] > 1:
             reasons.append(f"multiplicity > 1 (cluster size {report.multiplicities[j0 - 1]})")
         if not shared_diag["orbit_nondegenerate"]:
-            reasons.append("orbit isolatedness unverified (kernel exceeds orbit dimension)")
+            reasons.append(
+                f"orbit isolatedness unverified (kernel dimension {report.kernel_dim} "
+                f"differs from orbit dimension {eq.orbit_dim})"
+            )
         candidates.append(
             BifurcationCandidate(
                 j0=j0,

@@ -15,6 +15,14 @@ any failure that is not a ``HambifError`` into ``EvaluationFailure``.
 central-difference kernel or, from the energy alone, second differences.
 The forward-difference kernel beside them serves callers that already
 hold the function value at the base point.
+
+A supplied ``gradient`` or ``hessian`` may carry a stacked form as its
+``batch`` attribute: called on a ``(P, 2N)`` stack of points, it returns the
+``(P, 2N)`` gradients or the ``(P, 2N, 2N)`` Hessians, row ``i`` being the
+value at point ``i``.  ``gradients_of`` and ``hessians_of`` make one such
+call for a whole stack and loop ``gradient_of``/``hessian_of`` over the
+points otherwise.  The stacked form belongs to the callable, so a system
+whose evaluator is replaced never keeps a stale one.
 """
 
 from __future__ import annotations
@@ -48,6 +56,8 @@ __all__ = [
     "InvarianceReport",
     "gradient_of",
     "hessian_of",
+    "gradients_of",
+    "hessians_of",
     "invariance_check",
     "refine_equilibrium",
     "newtonian_to_hamiltonian",
@@ -106,7 +116,10 @@ class HamiltonianSystem:
 
     ``gradient``/``hessian`` may be omitted; central finite differences on
     ``energy`` are used as the fallback.  Evaluators must be pure and
-    reentrant.
+    reentrant.  A supplied ``gradient``/``hessian`` may carry a stacked form
+    as its ``batch`` attribute, which maps a ``(P, 2N)`` array of points to
+    the ``(P, 2N)`` array of their gradients or the ``(P, 2N, 2N)`` array of
+    their Hessians (see the module docstring).
     """
 
     n: int
@@ -144,15 +157,28 @@ class InvarianceReport:
     samples: int
 
 
-def _evaluate(system: HamiltonianSystem, what: str, z: np.ndarray):
-    """``system.<what>(z)`` as a float (energy) or float array; a non-HambifError failure becomes EvaluationFailure."""
+def _evaluate(system: HamiltonianSystem, what: str, z: np.ndarray, stacked: bool = False):
+    """``system.<what>(z)`` as a float (energy) or float array; a non-HambifError failure becomes EvaluationFailure.
+
+    With ``stacked``, ``z`` is a ``(P, 2N)`` stack and the stacked form
+    ``system.<what>.batch(z)`` is called; a result of any shape but
+    ``(P, 2N)`` (gradient) or ``(P, 2N, 2N)`` (hessian) is an EvaluationFailure too.
+    """
     try:
-        value = getattr(system, what)(z)
-        return float(value) if what == "energy" else np.asarray(value, dtype=float)
+        evaluator = getattr(system, what)
+        value = evaluator.batch(z) if stacked else evaluator(z)
+        value = float(value) if what == "energy" else np.asarray(value, dtype=float)
     except HambifError:
         raise
     except Exception as exc:
-        raise EvaluationFailure(f"{what} evaluator failed at |z|={np.linalg.norm(z):.3g}: {exc}") from exc
+        # max |z_i|, not |z|: the norm of a huge but finite z overflows
+        where = np.max(np.abs(z), initial=0.0)
+        raise EvaluationFailure(f"{what} evaluator failed at max|z_i|={where:.3g}: {exc}") from exc
+    if stacked:
+        expected = z.shape + z.shape[1:] if what == "hessian" else z.shape
+        if value.shape != expected:
+            raise EvaluationFailure(f"stacked {what} evaluator returned shape {value.shape}, not {expected}")
+    return value
 
 
 def _central_differences(f, z: np.ndarray) -> np.ndarray:
@@ -221,6 +247,29 @@ def hessian_of(system: HamiltonianSystem, z) -> np.ndarray:
     else:
         m = _second_differences(system, z)
     return 0.5 * (m + m.T)
+
+
+def gradients_of(system: HamiltonianSystem, zs) -> np.ndarray:
+    """Gradients of H at the rows of a ``(P, 2N)`` stack.
+
+    One stacked call when the evaluator has one, else ``gradient_of`` per row.
+    """
+    zs = np.asarray(zs, dtype=float)
+    if hasattr(system.gradient, "batch"):
+        return _evaluate(system, "gradient", zs, stacked=True)
+    return np.array([gradient_of(system, z) for z in zs])
+
+
+def hessians_of(system: HamiltonianSystem, zs) -> np.ndarray:
+    """Hessians of H at the rows of a ``(P, 2N)`` stack, each symmetrized as in ``hessian_of``.
+
+    One stacked call when the evaluator has one, else ``hessian_of`` per row.
+    """
+    zs = np.asarray(zs, dtype=float)
+    if hasattr(system.hessian, "batch"):
+        m = _evaluate(system, "hessian", zs, stacked=True)
+        return 0.5 * (m + m.transpose(0, 2, 1))
+    return np.array([hessian_of(system, z) for z in zs])
 
 
 def _probes(system: HamiltonianSystem, count: int, seed: int, base, spread: float):
@@ -502,6 +551,50 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
         m[3:, :3] = coupling.T
         m[3:, 3:] = np.eye(3)
         return m
+
+    # Stacked forms: the per-point operations in the same order on a (P, 6)
+    # stack.  |q|^2 comes from the same dot kernel as the per-point q @ q;
+    # q3^2 is an array square where the per-point form calls pow, so a value
+    # can differ from the per-point one in its last bit.
+    def distances(q):
+        d2 = (q[:, None, :] @ q[:, :, None])[:, 0, 0]
+        return d2, np.sqrt(d2)
+
+    def gradients(zs):
+        q, p = zs[:, :3], zs[:, 3:]
+        d2, d = distances(q)
+        d3, d5, d7 = d * d2, d * d2 * d2, d * d2 * d2 * d2
+        g = (1.0 / d3 + 3.0 * c / d5 - 15.0 * c * q[:, 2] ** 2 / d7)[:, None] * q
+        g[:, 2] += 6.0 * c * q[:, 2] / d5
+        zero = np.zeros(len(zs))
+        gq = g + omega * np.column_stack([p[:, 1], -p[:, 0], zero])
+        gp = p + omega * np.column_stack([-q[:, 1], q[:, 0], zero])
+        return np.hstack([gq, gp])
+
+    def hessians(zs):
+        q = zs[:, :3]
+        d2, d = distances(q)
+        d3 = d * d2
+        d5 = d3 * d2
+        d7 = d5 * d2
+        d9 = d7 * d2
+        q3 = q[:, 2]
+        s1 = 1.0 / d3 + 3.0 * c / d5
+        s2 = -3.0 / d5 - 15.0 * c / d7
+        e3q = e3[:, None] * q[:, None, :] + q[:, :, None] * e3  # outer(e3, q) + outer(q, e3) per point
+        hp = (s1 - 15.0 * c * q3**2 / d7)[:, None, None] * np.eye(3)
+        hp += (s2 + 105.0 * c * q3**2 / d9)[:, None, None] * (q[:, :, None] * q[:, None, :])
+        hp += (6.0 * c / d5)[:, None, None] * np.outer(e3, e3)
+        hp -= (30.0 * c * q3 / d7)[:, None, None] * e3q
+        m = np.zeros((len(zs), 6, 6))
+        m[:, :3, :3] = hp
+        m[:, :3, 3:] = coupling
+        m[:, 3:, :3] = coupling.T
+        m[:, 3:, 3:] = np.eye(3)
+        return m
+
+    gradient.batch = gradients
+    hessian.batch = hessians
 
     spin = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     generator = np.zeros((6, 6))

@@ -19,15 +19,18 @@ nonsingular bordered system that dense LU can handle.
 
 Newton's Jacobian is assembled by the alternating frequency/time method
 (Cameron & Griffin, J. Appl. Mech. 56, 1989; Krack & Gross, Harmonic
-Balance for Nonlinear Vibration Problems, 2019): one Hessian of H per
-collocation point, projected onto the Fourier basis, plus the Galerkin
-projections of the multiplier fields and the linear constraint rows.
-Without an analytic Hessian, each point's Hessian is a forward difference
-of the gradient the residual already holds there (2N gradient calls).
+Balance for Nonlinear Vibration Problems, 2019): the Hessians of H at the
+collocation points, from one stacked call per evaluation where the
+evaluator has a stacked form (``model.hessians_of``), projected onto the
+Fourier basis, plus the Galerkin projections of the multiplier fields and
+the linear constraint rows.  The residual likewise takes the gradients at
+all collocation points from one ``model.gradients_of`` call.  Without an
+analytic Hessian, each point's Hessian is a forward difference of the
+gradient the residual already holds there (2N gradient calls).
 Newton is a chord iteration (Kelley, Solving Nonlinear Equations with
 Newton's Method, SIAM 2003): one Jacobian serves as many steps as keep
 contracting the residual by ``CHORD_CONTRACTION``, so a step with a kept
-Jacobian costs one residual, one gradient per collocation point, and an
+Jacobian costs one residual, the gradients at the collocation points, and an
 assembly is paid only when the contraction slows.  Before its first solve,
 each assembly drops the entries below ``eps * max|J|``; they lie under its
 rounding, and their products slow the LU with subnormal arithmetic.
@@ -44,7 +47,15 @@ import numpy as np
 from .analysis import BifurcationCandidate, t_matrix
 from .errors import EmptyKernel, HambifError, NoConvergence, WrongBranch
 from .linalg import standard_symplectic
-from .model import EquilibriumOrbit, HamiltonianSystem, _evaluate, _forward_differences, gradient_of, hessian_of
+from .model import (
+    EquilibriumOrbit,
+    HamiltonianSystem,
+    _evaluate,
+    _forward_differences,
+    gradient_of,
+    gradients_of,
+    hessians_of,
+)
 
 __all__ = [
     "FourierOrbit",
@@ -177,8 +188,7 @@ def residual_field(system: HamiltonianSystem, orbit: FourierOrbit, collocation_p
     z = orbit.evaluate(t)
     zdot = orbit.derivative(t)
     j = standard_symplectic(z.shape[1] // 2)
-    grads = np.array([gradient_of(system, zi) for zi in z])
-    return zdot - orbit.lam * grads @ j.T
+    return zdot - orbit.lam * gradients_of(system, z) @ j.T
 
 
 class _HarmonicBalance:
@@ -238,7 +248,7 @@ class _HarmonicBalance:
             x = np.array(x, dtype=float)
             coeffs = x[: self.n_coeff].reshape(-1, self.dim)
             z = self.phi @ coeffs
-            grads = np.array([gradient_of(self.system, zi) for zi in z])
+            grads = gradients_of(self.system, z)
             self._last = (x, coeffs, z, grads)
         return self._last[1:]
 
@@ -271,7 +281,7 @@ class _HarmonicBalance:
             fd = np.array([_forward_differences(gradient, zi, gi) for zi, gi in zip(z, grads)])
             hess = 0.5 * (fd + fd.transpose(0, 2, 1))
         else:
-            hess = np.array([hessian_of(self.system, zi) for zi in z])
+            hess = hessians_of(self.system, z)
         dfield = -np.einsum("ij,pjk->pik", lam * self.j + mus[0] * np.eye(d), hess)
         for i, mat in enumerate(self.moment_mats):
             dfield -= mus[1 + i] * mat
@@ -310,8 +320,8 @@ def solve_orbit(
 ) -> FourierOrbit:
     """One amplitude-pinned Newton solve of the mode-1 branch.
 
-    Newton solves with the assembled harmonic-balance Jacobian (one Hessian
-    of H per collocation point; see the module docstring) and halves each
+    Newton solves with the assembled harmonic-balance Jacobian (the Hessians
+    of H at the collocation points; see the module docstring) and halves each
     step until the max-norm residual decreases.  The Jacobian is kept while
     full steps cut the residual by at least ``CHORD_CONTRACTION``, and
     rebuilt at the current iterate after a damped or slower step, or when

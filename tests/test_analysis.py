@@ -376,8 +376,9 @@ def test_analyze_satellite_confirms():
     assert top.diagnostics["orbit_nondegenerate"]
 
 
-def analyze_inline(monomials, seed=0, guess=None):
+def analyze_inline(monomials, seed=0, guess=None, generator=None):
     text = f"[system]\nn = 2\nmonomials = {monomials}\n" + (f"guess = {guess}\n" if guess else "")
+    text += f"generator1 = {generator}\n" if generator else ""
     system, start = cli.build_system(cli.parse_config(text))
     eq = model.refine_equilibrium(system, start)
     return analysis.analyze(system, eq, analysis.AnalyzeOptions(seed=seed))
@@ -404,6 +405,21 @@ def test_analyze_indefinite_quartic_section_degree(seed):
     # degree +1 of g(c) = c^3; the seed changes nothing
     (cand,) = analyze_inline("0.5 2 0 0 0 ; 0.5 0 0 2 0 ; -0.5 0 0 0 2 ; 0.25 0 4 0 0", seed=seed)
     assert (cand.degree_on_section, cand.degree_path, cand.degree_reliable) == (-1, "reduced", True)
+
+
+def test_reason_names_a_kernel_smaller_than_the_orbit():
+    # the last monomial breaks the declared rotation, so the refined point's
+    # Hessian has no kernel while its declared group orbit is a circle
+    cands = analyze_inline(
+        "0.25 4 0 0 0 ; 0.25 0 4 0 0 ; 0.5 2 2 0 0 ; -0.5 2 0 0 0 ; -0.5 0 2 0 0 ; "
+        "0.5 0 0 2 0 ; 0.5 0 0 0 2 ; 0.1 2 0 0 0",
+        guess="0 1 0 0",
+        generator="0 -1 0 0 ; 1 0 0 0 ; 0 0 0 -1 ; 0 0 1 0",
+    )
+    assert cands
+    for cand in cands:
+        assert (cand.diagnostics["kernel_dim"], cand.diagnostics["orbit_dim"]) == (0, 1)
+        assert "orbit isolatedness unverified (kernel dimension 0 differs from orbit dimension 1)" in cand.reasons
 
 
 def test_analyze_coupled_springs_paths():

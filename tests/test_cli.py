@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -485,6 +486,17 @@ def test_overflowing_guess_is_an_error():
     assert proc.returncode == 1 and proc.stdout == ""
     assert "error: the gradient norm at the guess is not finite" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_overflowing_guess_is_an_error_with_warnings_as_errors(capsys):
+    # the evaluator's overflow warning is raised, and the typed error that
+    # carries it must not overflow in turn while reporting where it happened
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(["analyze", "--config", str(DATA / "overflow-guess.ini")])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [["analyze", "--preset", "harmonic"], ["presets"]], ids=["analyze", "presets"])

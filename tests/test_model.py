@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -479,3 +480,45 @@ def test_orbit_energy_range_failure_is_typed():
     orbit = orbits.FourierOrbit(a0=np.zeros(2), a=np.array([[1.0, 0.0]]), b=np.array([[0.0, 1.0]]), lam=1.0)
     with pytest.raises(EvaluationFailure, match="energy evaluator failed"):
         orbits.orbit_energy_range(system, orbit)
+
+
+def test_stacked_satellite_forms_agree_with_per_point_forms():
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    rng = np.random.default_rng(23)
+    zs = np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0]) + 0.3 * rng.standard_normal((200, 6))
+    grads = model.gradients_of(sat, zs)
+    hessians = model.hessians_of(sat, zs)
+    assert grads.shape == (200, 6) and hessians.shape == (200, 6, 6)
+    for z, g, h in zip(zs, grads, hessians):
+        g1, h1 = model.gradient_of(sat, z), model.hessian_of(sat, z)
+        assert np.max(np.abs(g - g1)) <= 1e-15 * np.max(np.abs(g1))
+        assert np.max(np.abs(h - h1)) <= 1e-15 * np.max(np.abs(h1))
+        assert np.array_equal(h, h.T)
+
+
+def _with_stacked_form(f, batch):
+    def point(z):
+        return f(z)
+
+    point.batch = batch
+    return point
+
+
+@pytest.mark.parametrize("what", ["gradient", "hessian"])
+@pytest.mark.parametrize(
+    "bad_batch, scale, message",
+    [
+        (lambda f: lambda zs: f.batch(zs)[:-1], 1.0, r"returned shape \(3, 6"),
+        (lambda f: lambda zs: f.batch(zs)[0], 1.0, r"returned shape \(6"),
+        # the message reports max |z_i|, which cannot overflow where |z| would
+        (lambda f: _failing, 1e200, r"failed at max\|z_i\|=1e\+200: planted failure"),
+    ],
+    ids=["one-row-short", "one-point", "raises"],
+)
+def test_stacked_form_failures_are_typed(what, bad_batch, scale, message):
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    f = getattr(sat, what)
+    system = replace(sat, **{what: _with_stacked_form(f, bad_batch(f))})
+    stacked_of = {"gradient": model.gradients_of, "hessian": model.hessians_of}[what]
+    with pytest.raises(EvaluationFailure, match=message):
+        stacked_of(system, np.full((4, 6), scale))

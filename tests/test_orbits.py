@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -355,6 +356,65 @@ def test_jacobian_reuses_residual_gradients():
     moved[0] += 1e-3
     problem.jacobian(moved)  # a different point is evaluated afresh
     assert calls[0] == before + problem.points
+
+
+def counting_evaluators(system):
+    """``system`` whose gradient and Hessian count their per-point and stacked calls."""
+    calls = Counter()
+
+    def counted(what, f):
+        def point(z):
+            calls[what] += 1
+            return f(z)
+
+        if hasattr(f, "batch"):
+
+            def batch(zs):
+                calls[f"{what}.batch"] += 1
+                return f.batch(zs)
+
+            point.batch = batch
+        return point
+
+    evaluators = {what: getattr(system, what) for what in ("gradient", "hessian")}
+    return replace(system, **{w: counted(w, f) for w, f in evaluators.items() if f is not None}), calls
+
+
+def test_satellite_harmonic_balance_makes_one_stacked_call_per_evaluation():
+    sat, eq, cand = satellite_setup()
+    counted, calls = counting_evaluators(sat)
+    predictor = orbits.kernel_direction(counted, eq, cand)
+    problem = orbits._HarmonicBalance(counted, eq, predictor, 0.05, 8)
+    x = perturbed_unknowns(problem, eq, cand, 0.05, np.random.default_rng(5))
+    problem(x)
+    assert calls == {"gradient.batch": 1}
+    problem.jacobian(x)
+    assert calls == {"gradient.batch": 1, "hessian.batch": 1}
+    a0, a, b, lam, _ = problem.unpack(x)
+    orbits.residual_field(counted, orbits.FourierOrbit(a0=a0, a=a, b=b, lam=lam), problem.points + 1)
+    assert calls == {"gradient.batch": 2, "hessian.batch": 1}
+
+
+@pytest.mark.parametrize(
+    "replaced, expected",
+    [
+        # a replaced gradient has no stacked form; the Hessian keeps its own
+        (lambda sat: replace(sat, gradient=lambda z: sat.gradient(z)), {"gradient": 32, "hessian.batch": 1}),
+        # without a Hessian the Jacobian differences the held gradients, 2N calls per point
+        (lambda sat: replace(sat, hessian=None), {"gradient.batch": 1, "gradient": 32 * 6}),
+    ],
+    ids=["gradient-replaced", "hessian-none"],
+)
+def test_replaced_satellite_evaluators_fall_back_to_per_point_calls(replaced, expected):
+    sat, eq, cand = satellite_setup()
+    counted, calls = counting_evaluators(replaced(sat))
+    predictor = orbits.kernel_direction(counted, eq, cand)
+    problem = orbits._HarmonicBalance(counted, eq, predictor, 0.05, 8)
+    assert problem.points == 32
+    x = perturbed_unknowns(problem, eq, cand, 0.05, np.random.default_rng(5))
+    problem(x)
+    problem.jacobian(x)
+    assert calls == expected
 
 
 def test_solve_orbit_rejects_absurd_amplitude():
