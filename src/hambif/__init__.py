@@ -29,7 +29,6 @@ from .model import (
     EquilibriumOrbit,
     HamiltonianSystem,
     SymmetryGroup,
-    invariance_check,
     newtonian_to_hamiltonian,
     preset,
     refine_equilibrium,
@@ -68,7 +67,6 @@ __all__ = [
     "EquilibriumOrbit",
     "HamiltonianSystem",
     "SymmetryGroup",
-    "invariance_check",
     "newtonian_to_hamiltonian",
     "preset",
     "refine_equilibrium",

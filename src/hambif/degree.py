@@ -51,7 +51,7 @@ __all__ = [
 # the error of every Jacobian the reduction sees: central differences of a
 # gradient (about 1e-10), second differences of an energy (about 1e-8) and
 # central differences of a bare section map (exact for quadratic terms).
-# linalg.zero_threshold's 1e-8 is too tight: a forward-difference Jacobian
+# linalg.inertia's 1e-8 is too tight: a forward-difference Jacobian
 # of the squaring field at 0 has entries of about 1e-7, which it would read
 # as nonsingular.
 _KERNEL_TOL = 1e-6
@@ -152,17 +152,17 @@ def _winding_number(g, r: float) -> int:
     return int(round(total / (2.0 * np.pi)))
 
 
-def degree_reduced(smap: SectionMap, jac=None) -> int:
+def degree_reduced(smap: SectionMap) -> int:
     """Degree by Lyapunov-Schmidt reduction onto a kernel of dimension at most 2.
 
-    ``jac`` is the section Jacobian at the origin; without it, central
-    differences of ``smap.evaluator`` give it.  The reduced field is sampled
-    at radius ``smap.radius / 2``.  Raises :class:`Degenerate` for a larger
-    kernel, :class:`BoundaryZero` where ``|g|`` does not clear 100 times
-    its evaluation error, and :class:`NoConvergence` where the range
-    equation cannot be solved inside the ball.
+    Central differences of ``smap.evaluator`` give the section Jacobian at
+    the origin.  The reduced field is sampled at radius ``smap.radius / 2``.
+    Raises :class:`Degenerate` for a larger kernel, :class:`BoundaryZero`
+    where ``|g|`` does not clear 100 times its evaluation error, and
+    :class:`NoConvergence` where the range equation cannot be solved inside
+    the ball.
     """
-    return _degree(smap, *_eigh(_fd_jacobian(smap) if jac is None else jac))
+    return _degree(smap, *_eigh(_fd_jacobian(smap)))
 
 
 def _degree(smap: SectionMap, w, v) -> int:

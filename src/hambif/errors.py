@@ -25,6 +25,10 @@ class NoConvergence(HambifError):
     """An iterative solve (Newton) failed to reach its tolerance."""
 
 
+class NotASymmetry(HambifError):
+    """A declared generator is not a symmetry of H at the refined equilibrium."""
+
+
 class DegenerateSection(HambifError):
     """The section-restricted Hessian is singular beyond tolerance."""
 

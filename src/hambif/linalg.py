@@ -14,14 +14,10 @@ from .errors import ConvergenceFailure, NonSymmetric
 
 __all__ = [
     "standard_symplectic",
-    "zero_threshold",
     "check_symmetric",
     "inertia",
     "morse_index_negative",
-    "morse_index_positive",
-    "kernel_dimension",
     "general_eigensystem",
-    "general_eigenvalues",
     "real_invariant_subspace",
     "orthogonal_complement",
     "orthonormal_columns",
@@ -39,13 +35,6 @@ def standard_symplectic(n: int) -> np.ndarray:
     return j
 
 
-def zero_threshold(values) -> float:
-    """Scale-aware cutoff separating numerical kernel from signed spectrum."""
-    vals = np.asarray(values)
-    radius = float(np.max(np.abs(vals))) if vals.size else 0.0
-    return 1e-8 * (1.0 + radius)
-
-
 def check_symmetric(a) -> np.ndarray:
     """Validate symmetry of ``a`` up to 1e-10 (relative) and return (a + a^T)/2."""
     a = np.asarray(a, dtype=float)
@@ -59,9 +48,9 @@ def check_symmetric(a) -> np.ndarray:
 
 
 def inertia(w) -> tuple[int, int, int]:
-    """``(m+, m-, kernel)`` of symmetric-matrix eigenvalues ``w``, the kernel under :func:`zero_threshold`."""
+    """``(m+, m-, kernel)`` of symmetric-matrix eigenvalues ``w``, the kernel within ``1e-8 (1 + max|w|)`` of 0."""
     w = np.asarray(w)
-    eps = zero_threshold(w)
+    eps = 1e-8 * (1.0 + (float(np.max(np.abs(w))) if w.size else 0.0))
     pos, neg = int(np.sum(w > eps)), int(np.sum(w < -eps))
     return pos, neg, w.size - pos - neg
 
@@ -69,16 +58,6 @@ def inertia(w) -> tuple[int, int, int]:
 def morse_index_negative(a) -> int:
     """Number of negative eigenvalues of a symmetric matrix, with multiplicity."""
     return inertia(np.linalg.eigvalsh(check_symmetric(a)))[1]
-
-
-def morse_index_positive(a) -> int:
-    """Number of positive eigenvalues of a symmetric matrix, with multiplicity."""
-    return inertia(np.linalg.eigvalsh(check_symmetric(a)))[0]
-
-
-def kernel_dimension(a) -> int:
-    """Dimension of the numerical kernel of a symmetric matrix."""
-    return inertia(np.linalg.eigvalsh(check_symmetric(a)))[2]
 
 
 def general_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
@@ -93,11 +72,6 @@ def general_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
     return w, v
-
-
-def general_eigenvalues(m) -> np.ndarray:
-    """All eigenvalues (with multiplicity) of a real square matrix."""
-    return general_eigensystem(m)[0]
 
 
 def orthonormal_columns(mat) -> np.ndarray:

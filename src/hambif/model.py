@@ -23,6 +23,13 @@ value at point ``i``.  ``gradients_of`` and ``hessians_of`` make one such
 call for a whole stack and loop ``gradient_of``/``hessian_of`` over the
 points otherwise.  The stacked form belongs to the callable, so a system
 whose evaluator is replaced never keeps a stale one.
+
+A generator ``X`` of a symmetry of ``H`` gives ``A X z = X grad H(z)``, ``A`` the
+Hessian at ``z`` (differentiate ``grad H(exp(t X) z) = exp(t X) grad H(z)`` at
+``t = 0``).  ``refine_equilibrium`` requires of each generator, in spectral norms,
+``|A X z0| <= |X| |grad H(z0)| + 1e-6 (1 + |A|) |X z0|`` at the refined point and
+raises ``NotASymmetry`` otherwise: the section and a branch's drift pins treat
+``X z0`` as a flat direction.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .errors import (
     HambifError,
     MissingParameter,
     NoConvergence,
+    NotASymmetry,
     UnknownPreset,
 )
 from .linalg import (
@@ -53,12 +61,10 @@ __all__ = [
     "SymmetryGroup",
     "HamiltonianSystem",
     "EquilibriumOrbit",
-    "InvarianceReport",
     "gradient_of",
     "hessian_of",
     "gradients_of",
     "hessians_of",
-    "invariance_check",
     "refine_equilibrium",
     "newtonian_to_hamiltonian",
     "preset",
@@ -144,17 +150,9 @@ class EquilibriumOrbit:
     z0: np.ndarray
     hessian: np.ndarray
     gradient_norm: float
-    tangent_basis: np.ndarray  # (2N, orbit_dim), orthonormal span of {X z0}
     section_basis: np.ndarray  # (2N, 2N - orbit_dim), orthonormal complement
     orbit_dim: int
     isotropy_trivial: bool
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    passed: bool
-    max_violation: float
-    samples: int
 
 
 def _evaluate(system: HamiltonianSystem, what: str, z: np.ndarray, stacked: bool = False):
@@ -272,39 +270,6 @@ def hessians_of(system: HamiltonianSystem, zs) -> np.ndarray:
     return np.array([hessian_of(system, z) for z in zs])
 
 
-def _probes(system: HamiltonianSystem, count: int, seed: int, base, spread: float):
-    """Yield ``(z, [exp(t_i X_i)])``: ``z = base + spread * normal``, each t_i uniform in (0, 2 pi)."""
-    rng = np.random.default_rng(seed)
-    base = np.zeros(system.dim) if base is None else np.asarray(base, dtype=float)
-    group = system.symmetry
-    for _ in range(count):
-        z = base + spread * rng.standard_normal(system.dim)
-        yield z, [group.element(idx, rng.uniform(0.0, 2.0 * np.pi)) for idx in range(group.group_dim)]
-
-
-def invariance_check(
-    system: HamiltonianSystem,
-    samples: int,
-    seed: int = 0,
-    base=None,
-    spread: float = 1.0,
-) -> InvarianceReport:
-    """Check H(gamma z) = H(z) at random probe points and group elements.
-
-    Probes are ``base + spread * normal`` draws, group elements are
-    ``exp(t X)`` with t uniform in (0, 2 pi).  The check passes when every
-    violation stays below ``1e-8 * (1 + |H(z)|)``.  A trivial group passes
-    vacuously.
-    """
-    worst = 0.0
-    for z, gammas in _probes(system, samples, seed, base, spread):
-        hz = _evaluate(system, "energy", z)
-        for gamma in gammas:
-            violation = abs(_evaluate(system, "energy", gamma @ z) - hz) / (1.0 + abs(hz))
-            worst = max(worst, violation)
-    return InvarianceReport(passed=worst < 1e-8, max_violation=worst, samples=samples)
-
-
 def gradient_equivariance_residual(
     system: HamiltonianSystem,
     probes: int,
@@ -312,9 +277,14 @@ def gradient_equivariance_residual(
     base=None,
     spread: float = 0.5,
 ) -> float:
-    """Max of |grad H(exp(tX) z) - exp(tX) grad H(z)| over random probes."""
+    """Max of |grad H(exp(tX) z) - exp(tX) grad H(z)| over ``z = base + spread * normal``, t uniform in (0, 2 pi)."""
+    rng = np.random.default_rng(seed)
+    base = np.zeros(system.dim) if base is None else np.asarray(base, dtype=float)
+    group = system.symmetry
     worst = 0.0
-    for z, gammas in _probes(system, probes, seed, base, spread):
+    for _ in range(probes):
+        z = base + spread * rng.standard_normal(system.dim)
+        gammas = [group.element(idx, rng.uniform(0.0, 2.0 * np.pi)) for idx in range(group.group_dim)]
         g = gradient_of(system, z)
         for gamma in gammas:
             resid = np.linalg.norm(gradient_of(system, gamma @ z) - gamma @ g)
@@ -374,6 +344,8 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
         the gradient at the guess or the Hessian at the result is not finite.
     DegenerateSection
         If the section-restricted Hessian is singular beyond tolerance.
+    NotASymmetry
+        If a generator fails the symmetry identity of the module docstring at the result.
     """
     z = np.asarray(guess, dtype=float).copy()
     best_z, best_norm = z.copy(), np.inf
@@ -409,12 +381,17 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
     hessian = hessian_of(system, z0)
     if not np.all(np.isfinite(hessian)):
         raise NoConvergence("the Hessian at the refined point is not finite")
+    for i, x in enumerate(system.symmetry.generators, start=1):
+        moved = x @ z0
+        residual = np.linalg.norm(hessian @ moved)
+        bound = np.linalg.norm(x, 2) * gn + 1e-6 * (1.0 + np.linalg.norm(hessian, 2)) * np.linalg.norm(moved)
+        if residual > bound:
+            raise NotASymmetry(f"generator {i} is not a symmetry of H: |A X z0| = {residual:.3e} exceeds {bound:.3e}")
     tangent, section = _orbit_bases(system, z0)
     return EquilibriumOrbit(
         z0=z0,
         hessian=hessian,
         gradient_norm=gn,
-        tangent_basis=tangent,
         section_basis=section,
         orbit_dim=tangent.shape[1],
         isotropy_trivial=_isotropy_trivial(system, z0),

@@ -73,6 +73,9 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 _EPS = float(np.finfo(float).eps)
 
+MAX_MODES = 64
+"""Largest Fourier truncation the mode doubling of ``solve_orbit`` reaches."""
+
 NEWTON_MAX_STEPS = 40
 """Newton steps per solve, counting a retry with a rebuilt Jacobian."""
 
@@ -155,7 +158,6 @@ def orbit_energy_range(system: HamiltonianSystem, orbit: FourierOrbit):
 class Branch:
     """Orbits emanating from the equilibrium, ordered by increasing amplitude."""
 
-    candidate: BifurcationCandidate
     orbits: list
     period_trend: list  # (amplitude, 2 pi lambda)
     sup_distance_trend: list  # (amplitude, max_t |z - z0|)
@@ -316,7 +318,6 @@ def solve_orbit(
     amplitude_s: float,
     modes: int = 8,
     initial_guess: Optional[FourierOrbit] = None,
-    max_modes: int = 64,
 ) -> FourierOrbit:
     """One amplitude-pinned Newton solve of the mode-1 branch.
 
@@ -333,7 +334,7 @@ def solve_orbit(
     amplitude_s : float
         Target amplitude in the Sobolev norm (the pinning constraint value).
     modes : int
-        Initial Fourier truncation; doubled (up to ``max_modes``) whenever
+        Initial Fourier truncation; doubled (up to ``MAX_MODES``) whenever
         the last mode holds more than 1e-10 of the oscillatory energy.
     initial_guess : FourierOrbit, optional
         Warm start; by default the linear kernel predictor at ``lambda0``.
@@ -382,9 +383,9 @@ def solve_orbit(
             )
         # truncation control: grow M while the tail carries energy or the
         # collocation residual is still above tolerance
-        if (_tail_fraction(orbit, eq.z0) > 1e-10 or orbit.residual >= tol) and m < max_modes:
+        if (_tail_fraction(orbit, eq.z0) > 1e-10 or orbit.residual >= tol) and m < MAX_MODES:
             guess = orbit
-            m = min(2 * m, max_modes)
+            m = min(2 * m, MAX_MODES)
             continue
         if orbit.residual >= tol:
             raise NoConvergence(
@@ -466,7 +467,7 @@ def continue_branch(
     """
     if steps < 1:
         raise ValueError("need at least one step")
-    branch = Branch(candidate=candidate, orbits=[], period_trend=[], sup_distance_trend=[])
+    branch = Branch(orbits=[], period_trend=[], sup_distance_trend=[])
     guess = None
     for i in range(steps):
         s = s0 * growth**i

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hambif import analysis, cli, linalg, model
-from hambif.errors import Degenerate, NoImaginaryPairs, NoSuchLevel
+from hambif.errors import Degenerate, NoImaginaryPairs, NoSuchLevel, NotASymmetry
 
 DATA = Path(__file__).parent / "data"
 
@@ -363,6 +363,60 @@ def test_check_definite_z_and_mplus():
     assert not analysis.check_mplus(rep2)  # m+ = 2 = N
 
 
+def stacked_definite_z(rep):
+    """A7.4 from one orthonormal basis of all the level subspaces: the reference computation."""
+    basis = linalg.orthonormal_columns(np.hstack(rep.subspaces))
+    pos, neg, kernel = linalg.inertia(np.linalg.eigvalsh(linalg.compress(rep.hessian, basis)))
+    return kernel == 0 and min(pos, neg) == 0
+
+
+def test_definite_z_from_per_level_inertias_matches_the_stacked_subspace():
+    rng = np.random.default_rng(17)
+
+    def singular(two_n):
+        # degrees of freedom s beta (q^2 + p^2) / 2, (1e-10 q^2 + p^2) / 2 (a
+        # level 1e-5 whose subspace holds a kernel direction) and p^2 / 2 (a
+        # kernel outside every level subspace), in random symplectic coordinates
+        n = two_n // 2
+        a = np.zeros((two_n, two_n))
+        for i in range(n):
+            kind = int(rng.integers(3))
+            if kind == 0:
+                a[i, i] = a[n + i, n + i] = float(rng.choice([1.0, -1.0])) * rng.uniform(0.5, 2.5)
+            else:
+                a[i, i], a[n + i, n + i] = (1e-10 if kind == 1 else 0.0), 1.0
+        s = random_symplectic(rng, n)
+        return s.T @ a @ s
+
+    def indefinite(two_n):
+        a = rng.standard_normal((two_n, two_n))
+        return a + a.T
+
+    def newtonian(two_n):
+        etas = rng.uniform(0.2, 3.0, size=two_n // 2) * rng.choice([1.0, 0.0, -1.0], size=two_n // 2)
+        return np.diag(np.concatenate([etas, np.ones(two_n // 2)]))
+
+    kinds = {
+        "definite": lambda two_n: random_definite_matrix(rng, two_n) * float(rng.choice([1.0, -1.0])),
+        "indefinite": indefinite,
+        "singular": singular,
+        "newtonian": newtonian,
+    }
+    seen = {kind: set() for kind in kinds}
+    for kind, make in kinds.items():
+        for _ in range(60):
+            rep = analysis.matrix_report(make(2 * int(rng.integers(1, 5))))
+            if rep.betas:
+                value = analysis.check_definite_z(rep)
+                assert value == stacked_definite_z(rep), kind
+                seen[kind].add(value)
+    # a Newtonian level's subspace only ever meets positive eta q^2 + p^2
+    assert seen == {"definite": {True}, "indefinite": {True, False}, "singular": {True, False}, "newtonian": {True}}
+    system, start = cli.build_system(cli.parse_config((DATA / "quartet.ini").read_text(encoding="utf-8")))
+    rep = analysis.spectral_report(system, model.refine_equilibrium(system, start))
+    assert analysis.check_definite_z(rep) and stacked_definite_z(rep)
+
+
 def test_analyze_satellite_confirms():
     sat = model.preset("satellite", omega=1.0, c=0.1)
     eq = model.refine_equilibrium(sat, np.array([1.0, 0, 0, 0, -1.0, 0.0]))
@@ -397,6 +451,9 @@ def test_analyze_cubic_section_is_not_confirmed(guess):
         assert (cand.degree_on_section, cand.degree_path, cand.degree_reliable) == (0, "reduced", True)
         assert not cand.confirmed
         assert "section degree vanishes; the criteria are silent here" in cand.reasons
+    if guess is None:  # at the origin q2 is exactly a kernel direction
+        reason = "orbit isolatedness unverified (kernel dimension 1 differs from orbit dimension 0)"
+        assert all(reason in cand.reasons for cand in cands)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -407,19 +464,17 @@ def test_analyze_indefinite_quartic_section_degree(seed):
     assert (cand.degree_on_section, cand.degree_path, cand.degree_reliable) == (-1, "reduced", True)
 
 
-def test_reason_names_a_kernel_smaller_than_the_orbit():
-    # the last monomial breaks the declared rotation, so the refined point's
-    # Hessian has no kernel while its declared group orbit is a circle
-    cands = analyze_inline(
-        "0.25 4 0 0 0 ; 0.25 0 4 0 0 ; 0.5 2 2 0 0 ; -0.5 2 0 0 0 ; -0.5 0 2 0 0 ; "
-        "0.5 0 0 2 0 ; 0.5 0 0 0 2 ; 0.1 2 0 0 0",
-        guess="0 1 0 0",
-        generator="0 -1 0 0 ; 1 0 0 0 ; 0 0 0 -1 ; 0 0 1 0",
-    )
-    assert cands
-    for cand in cands:
-        assert (cand.diagnostics["kernel_dim"], cand.diagnostics["orbit_dim"]) == (0, 1)
-        assert "orbit isolatedness unverified (kernel dimension 0 differs from orbit dimension 1)" in cand.reasons
+def test_analyze_rejects_a_generator_that_is_not_a_symmetry():
+    # the last monomial breaks the declared rotation: its direction at the
+    # refined point is not flat, so no level may be read off a section
+    # orthogonal to it
+    with pytest.raises(NotASymmetry, match="generator 1 is not a symmetry of H"):
+        analyze_inline(
+            "0.25 4 0 0 0 ; 0.25 0 4 0 0 ; 0.5 2 2 0 0 ; -0.5 2 0 0 0 ; -0.5 0 2 0 0 ; "
+            "0.5 0 0 2 0 ; 0.5 0 0 0 2 ; 0.1 2 0 0 0",
+            guess="0 1 0 0",
+            generator="0 -1 0 0 ; 1 0 0 0 ; 0 0 0 -1 ; 0 0 1 0",
+        )
 
 
 def test_analyze_coupled_springs_paths():

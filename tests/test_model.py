@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from hambif import cli, linalg, model
 from hambif import orbits
-from hambif.errors import EvaluationFailure, MissingParameter, NoConvergence, UnknownPreset
+from hambif.errors import EvaluationFailure, MissingParameter, NoConvergence, NotASymmetry, UnknownPreset
 
 DATA = Path(__file__).parent / "data"
 
@@ -90,31 +90,37 @@ def test_forward_differences_from_a_held_gradient():
 
 
 def test_invariance_check_satellite_passes():
+    # refine_equilibrium checks A X z0 = X grad H(z0) for each generator;
+    # the finite-difference variants pass within the check's 1e-6 bound
     sat = model.preset("satellite", omega=1.0, c=0.1)
-    base = np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0])
-    rep = model.invariance_check(sat, samples=40, seed=1, base=base, spread=0.2)
-    assert rep.passed
-    assert rep.max_violation < 1e-10
+    guess = np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0])
+    for variant in (sat, replace(sat, hessian=None), replace(sat, gradient=None, hessian=None)):
+        eq = model.refine_equilibrium(variant, guess)
+        assert eq.orbit_dim == 1
 
 
 def test_invariance_check_trivial_group_vacuous():
-    sys = model.HamiltonianSystem(n=1, energy=lambda z: z[0] ** 4)
-    rep = model.invariance_check(sys, samples=10, seed=0)
-    assert rep.passed and rep.max_violation == 0.0
+    # no generator, so nothing is checked even though H has no symmetry
+    sys = model.HamiltonianSystem(n=1, energy=lambda z: 0.5 * float(z @ z) + z[0] ** 3 + z[1])
+    eq = model.refine_equilibrium(sys, np.array([0.1, -0.9]))
+    assert eq.orbit_dim == 0
 
 
 def test_invariance_check_detects_broken_symmetry():
-    spin = np.array([[0.0, -1.0], [1.0, 0.0]])
-    gen = np.zeros((4, 4))
-    gen[:2, :2] = spin
-    gen[2:, 2:] = spin
-    sys = model.HamiltonianSystem(
-        n=2,
-        energy=lambda z: z[0],
-        symmetry=model.SymmetryGroup((gen,)),
-    )
-    rep = model.invariance_check(sys, samples=20, seed=2)
-    assert not rep.passed
+    # tests/data/broken-symmetry.ini: at z0 = (0, 1, 0, 0) the Hessian is
+    # diag(0.2, 2, 1, 1), so |A X z0| = 0.2 against 1e-6 (1 + 2) |X z0|
+    system, guess = cli.build_system(cli.parse_config((DATA / "broken-symmetry.ini").read_text(encoding="utf-8")))
+    with pytest.raises(NotASymmetry, match=r"generator 1 .*\|A X z0\| = 2\.000e-01 exceeds 3\.000e-06"):
+        model.refine_equilibrium(system, guess)
+    # a rotation about the q1 axis is no symmetry of the satellite; its
+    # rotation about the q3 axis, declared first, is
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    spin_x = np.zeros((6, 6))
+    spin_x[1, 2] = spin_x[4, 5] = -1.0
+    spin_x[2, 1] = spin_x[5, 4] = 1.0
+    tilted = replace(sat, symmetry=model.SymmetryGroup((*sat.symmetry.generators, spin_x)))
+    with pytest.raises(NotASymmetry, match="generator 2 "):
+        model.refine_equilibrium(tilted, np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0]))
 
 
 def test_refine_equilibrium_quadratic():
@@ -244,12 +250,13 @@ def test_refine_equilibrium_satellite():
     assert eq.orbit_dim == 1
     assert eq.gradient_norm < 1e-10 * (1.0 + np.linalg.norm(eq.z0))
     assert eq.isotropy_trivial
-    # tangent vectors sit in the kernel of the Hessian
+    # the tangent vector sits in the kernel of the Hessian
+    tangent = sat.symmetry.generators[0] @ eq.z0
     h = model.hessian_of(sat, eq.z0)
-    assert np.max(np.abs(h @ eq.tangent_basis)) < 1e-7
-    # bases are mutually orthogonal and complete
-    assert np.max(np.abs(eq.tangent_basis.T @ eq.section_basis)) < 1e-12
-    assert eq.tangent_basis.shape[1] + eq.section_basis.shape[1] == 6
+    assert np.max(np.abs(h @ tangent)) < 1e-7 * np.linalg.norm(tangent)
+    # the section basis is orthonormal and completes the tangent
+    assert np.allclose(eq.section_basis.T @ eq.section_basis, np.eye(5), atol=1e-12)
+    assert np.max(np.abs(eq.section_basis.T @ tangent)) < 1e-12 * np.linalg.norm(tangent)
 
 
 def test_satellite_hessian_sign_pattern():
@@ -283,7 +290,7 @@ def test_newtonian_lift_spectrum():
         hessian=lambda q: np.diag([1.0, 4.0]),
     )
     j = linalg.standard_symplectic(2)
-    w = linalg.general_eigenvalues(j @ model.hessian_of(sys, np.zeros(4)))
+    w = linalg.general_eigensystem(j @ model.hessian_of(sys, np.zeros(4)))[0]
     imag = sorted(v.imag for v in w)
     assert np.allclose(imag, [-2.0, -1.0, 1.0, 2.0], atol=1e-12)
     assert max(abs(v.real) for v in w) < 1e-12
@@ -294,7 +301,7 @@ def test_newtonian_flat_potential_no_imaginary_pairs():
     h = model.hessian_of(sys, np.zeros(2))
     assert np.allclose(h, np.diag([0.0, 1.0]), atol=1e-7)
     j = linalg.standard_symplectic(1)
-    w = linalg.general_eigenvalues(j @ h)
+    w = linalg.general_eigensystem(j @ h)[0]
     assert max(abs(v.imag) for v in w) < 1e-3  # FD noise only, no unit-size pair
 
 
@@ -320,7 +327,7 @@ def test_preset_errors():
 def test_preset_harmonic_spectrum():
     sys = model.preset("harmonic", beta=1.0)
     j = linalg.standard_symplectic(1)
-    w = np.sort_complex(linalg.general_eigenvalues(j @ model.hessian_of(sys, np.zeros(2))))
+    w = np.sort_complex(linalg.general_eigensystem(j @ model.hessian_of(sys, np.zeros(2)))[0])
     assert np.allclose(w, [-1j, 1j], atol=1e-12)
 
 

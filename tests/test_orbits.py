@@ -417,10 +417,11 @@ def test_replaced_satellite_evaluators_fall_back_to_per_point_calls(replaced, ex
     assert calls == expected
 
 
-def test_solve_orbit_rejects_absurd_amplitude():
+def test_solve_orbit_rejects_absurd_amplitude(monkeypatch):
     pend, eq, cand = pendulum_setup()
+    monkeypatch.setattr(orbits, "MAX_MODES", 8)
     with pytest.raises(NoConvergence):
-        orbits.solve_orbit(pend, eq, cand, 50.0, modes=4, max_modes=8)
+        orbits.solve_orbit(pend, eq, cand, 50.0, modes=4)
 
 
 def counting_jacobians(monkeypatch):
