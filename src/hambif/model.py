@@ -14,7 +14,8 @@ any failure that is not a ``HambifError`` into ``EvaluationFailure``.
 ``gradient_of`` and ``hessian_of`` fill a missing derivative from one
 central-difference kernel or, from the energy alone, second differences.
 The forward-difference kernel beside them serves callers that already
-hold the function value at the base point.
+hold the gradients at a stack of base points, and evaluates all its
+shifted points through one ``gradients_of`` call.
 
 A supplied ``gradient`` or ``hessian`` may carry a stacked form as its
 ``batch`` attribute: called on a ``(P, 2N)`` stack of points, it returns the
@@ -22,7 +23,8 @@ A supplied ``gradient`` or ``hessian`` may carry a stacked form as its
 value at point ``i``.  ``gradients_of`` and ``hessians_of`` make one such
 call for a whole stack and loop ``gradient_of``/``hessian_of`` over the
 points otherwise.  The stacked form belongs to the callable, so a system
-whose evaluator is replaced never keeps a stale one.
+whose evaluator is replaced never keeps a stale one.  The satellite preset
+and every system from ``newtonian_to_hamiltonian`` carry stacked forms.
 
 A generator ``X`` of a symmetry of ``H`` gives ``A X z = X grad H(z)``, ``A`` the
 Hessian at ``z`` (differentiate ``grad H(exp(t X) z) = exp(t X) grad H(z)`` at
@@ -192,17 +194,22 @@ def _central_differences(f, z: np.ndarray) -> np.ndarray:
     return np.array(columns).T
 
 
-def _forward_differences(f, z: np.ndarray, f0: np.ndarray) -> np.ndarray:
-    """Columns ``(f(z + h_i e_i) - f0) / h_i`` with ``f0 = f(z)`` and ``h_i = 1.5e-8 (1 + |z_i|)``.
+def _forward_differences(system: HamiltonianSystem, zs: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Gradient Jacobians at the rows of a ``(P, 2N)`` stack, from the gradients ``grads`` held there.
 
-    Each ``h_i`` is taken as the representable step ``(z + h_i e_i)_i - z_i``.
+    Matrix ``p`` has columns ``(grad H(z_p + h_i e_i) - grads[p]) / h_i`` with
+    ``h_i = 1.5e-8 (1 + |z_pi|)``, each taken as the representable step
+    ``(z_p + h_i e_i)_i - z_pi``.  The ``P * 2N`` shifted points go through
+    one ``gradients_of`` call, which is one stacked evaluator call where the
+    gradient has a stacked form (every Newtonian system has one).
     """
-    columns = []
-    for i in range(z.size):
-        zp = z.copy()
-        zp[i] += _FD_FORWARD_STEP * (1.0 + abs(z[i]))
-        columns.append((f(zp) - f0) / (zp[i] - z[i]))
-    return np.array(columns).T
+    count, d = zs.shape
+    diag = np.arange(d)
+    shifted = np.repeat(zs, d, axis=0).reshape(count, d, d)  # shifted[p, i] = z_p + h_i e_i
+    shifted[:, diag, diag] += _FD_FORWARD_STEP * (1.0 + np.abs(zs))
+    steps = shifted[:, diag, diag] - zs
+    moved = gradients_of(system, shifted.reshape(count * d, d)).reshape(count, d, d)
+    return ((moved - grads[:, None, :]) / steps[:, :, None]).transpose(0, 2, 1)
 
 
 def _second_differences(system: HamiltonianSystem, z: np.ndarray) -> np.ndarray:
@@ -410,6 +417,13 @@ def newtonian_to_hamiltonian(
 
     Produces ``H(q, r) = |r|^2 / 2 + U(q)`` on R^(2n) with the symmetry
     generators lifted diagonally to act on positions and momenta alike.
+
+    The lifted ``gradient`` and ``hessian`` carry stacked forms (see the
+    module docstring), so a harmonic-balance evaluation makes one stacked
+    call.  They call the supplied q-level ``gradient``/``hessian`` once per
+    row, or, where that callable has its own ``batch`` attribute mapping a
+    ``(P, n)`` stack of positions to the ``(P, n)`` gradients or the
+    ``(P, n, n)`` Hessians, once for the whole stack; nothing else is needed.
     """
 
     def energy(z):
@@ -421,6 +435,13 @@ def newtonian_to_hamiltonian(
         def grad(z):
             return np.concatenate([np.asarray(gradient(z[:n]), dtype=float), z[n:]])
 
+        def grads(zs):
+            qs = zs[:, :n]
+            gq = gradient.batch(qs) if hasattr(gradient, "batch") else [gradient(q) for q in qs]
+            return np.concatenate([np.asarray(gq, dtype=float), zs[:, n:]], axis=1)
+
+        grad.batch = grads
+
     hess = None
     if hessian is not None:
         def hess(z):
@@ -428,6 +449,22 @@ def newtonian_to_hamiltonian(
             m[:n, :n] = np.asarray(hessian(z[:n]), dtype=float)
             m[n:, n:] = np.eye(n)
             return m
+
+        def hesses(zs):
+            qs = zs[:, :n]
+            m = np.zeros((len(zs), 2 * n, 2 * n))
+            if hasattr(hessian, "batch"):
+                hq = np.asarray(hessian.batch(qs), dtype=float)
+                if hq.shape != (len(zs), n, n):  # an assignment would broadcast it
+                    raise ValueError(f"stacked q-Hessian has shape {hq.shape}, not {(len(zs), n, n)}")
+                m[:, :n, :n] = hq
+            else:
+                for mp, q in zip(m, qs):
+                    mp[:n, :n] = hessian(q)
+            m[:, n:, n:] = np.eye(n)
+            return m
+
+        hess.batch = hesses
 
     lifted = []
     for x in generators:
@@ -657,11 +694,14 @@ def preset(name: str, params: Optional[dict] = None, **kwargs) -> HamiltonianSys
             raise ValueError("frequencies must be a non-empty list of positive finite reals")
         stiff = freqs**2
 
+        gradient, hessian = (lambda q: stiff * q), (lambda q: np.diag(stiff))
+        gradient.batch = lambda qs: stiff * qs
+        hessian.batch = lambda qs: np.broadcast_to(np.diag(stiff), (len(qs), stiff.size, stiff.size))
         return newtonian_to_hamiltonian(
             potential=lambda q: 0.5 * float(stiff @ (q * q)),
             n=freqs.size,
-            gradient=lambda q: stiff * q,
-            hessian=lambda q: np.diag(stiff),
+            gradient=gradient,
+            hessian=hessian,
             name="coupled-springs",
         )
     raise UnknownPreset(f"unknown preset {name!r}")

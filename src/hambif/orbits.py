@@ -26,7 +26,8 @@ Fourier basis, plus the Galerkin projections of the multiplier fields and
 the linear constraint rows.  The residual likewise takes the gradients at
 all collocation points from one ``model.gradients_of`` call.  Without an
 analytic Hessian, each point's Hessian is a forward difference of the
-gradient the residual already holds there (2N gradient calls).
+gradient the residual already holds there, the gradients at the 2N shifted
+copies of every point coming from one more ``gradients_of`` call.
 Newton is a chord iteration (Kelley, Solving Nonlinear Equations with
 Newton's Method, SIAM 2003): one Jacobian serves as many steps as keep
 contracting the residual by ``CHORD_CONTRACTION``, so a step with a kept
@@ -39,7 +40,6 @@ rounding, and their products slow the LU with subnormal arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -52,7 +52,6 @@ from .model import (
     HamiltonianSystem,
     _evaluate,
     _forward_differences,
-    gradient_of,
     gradients_of,
     hessians_of,
 )
@@ -279,8 +278,7 @@ class _HarmonicBalance:
         _, z, grads = self._curve(x)
         if self.system.hessian is None:
             # forward differences from the gradients the residual already holds
-            gradient = partial(gradient_of, self.system)
-            fd = np.array([_forward_differences(gradient, zi, gi) for zi, gi in zip(z, grads)])
+            fd = _forward_differences(self.system, z, grads)
             hess = 0.5 * (fd + fd.transpose(0, 2, 1))
         else:
             hess = hessians_of(self.system, z)

@@ -400,8 +400,8 @@ def test_satellite_harmonic_balance_makes_one_stacked_call_per_evaluation():
     [
         # a replaced gradient has no stacked form; the Hessian keeps its own
         (lambda sat: replace(sat, gradient=lambda z: sat.gradient(z)), {"gradient": 32, "hessian.batch": 1}),
-        # without a Hessian the Jacobian differences the held gradients, 2N calls per point
-        (lambda sat: replace(sat, hessian=None), {"gradient.batch": 1, "gradient": 32 * 6}),
+        # without a Hessian the Jacobian differences the held gradients in one stacked call
+        (lambda sat: replace(sat, hessian=None), {"gradient.batch": 2}),
     ],
     ids=["gradient-replaced", "hessian-none"],
 )
@@ -506,12 +506,17 @@ def test_newton_ends_when_a_fresh_jacobians_line_search_fails():
     assert np.array_equal(x, STUB_X0) and np.allclose(f, [1.0, 0.0])
 
 
-def spring_chain(freqs):
-    """``U(q) = sum f_i^2 q_i^2 / 2 + sum (q_i - q_{i+1})^4 / 4`` with its derivatives."""
+def spring_chain(freqs, with_hessian=True, calls=None):
+    """``U(q) = sum f_i^2 q_i^2 / 2 + sum (q_i - q_{i+1})^4 / 4`` with its derivatives.
+
+    ``calls``, a Counter, counts the calls of the q-level gradient and Hessian.
+    """
     f2 = np.asarray(freqs, dtype=float) ** 2
     idx = np.arange(f2.size - 1)
+    calls = Counter() if calls is None else calls
 
     def gradient(q):
+        calls["gradient"] += 1
         d3 = (q[:-1] - q[1:]) ** 3
         g = f2 * q
         g[:-1] += d3
@@ -519,6 +524,7 @@ def spring_chain(freqs):
         return g
 
     def hessian(q):
+        calls["hessian"] += 1
         w = 3.0 * (q[:-1] - q[1:]) ** 2
         h = np.diag(f2)
         h[idx, idx] += w
@@ -531,8 +537,30 @@ def spring_chain(freqs):
         lambda q: 0.5 * float(f2 @ (q * q)) + 0.25 * float(np.sum((q[:-1] - q[1:]) ** 4)),
         f2.size,
         gradient=gradient,
-        hessian=hessian,
+        hessian=hessian if with_hessian else None,
     )
+
+
+@pytest.mark.parametrize("with_hessian", [True, False], ids=["hessian", "gradient-only"])
+def test_newtonian_harmonic_balance_makes_one_stacked_call_per_evaluation(with_hessian):
+    q_calls = Counter()
+    chain = spring_chain([1.0, 1.3, 1.7], with_hessian, q_calls)
+    eq = model.refine_equilibrium(chain, np.zeros(6))
+    cand = analysis.analyze(chain, eq)[0]
+    counted, calls = counting_evaluators(chain)
+    problem = orbits._HarmonicBalance(counted, eq, orbits.kernel_direction(counted, eq, cand), 0.05, 8)
+    x = perturbed_unknowns(problem, eq, cand, 0.05, np.random.default_rng(7))
+    q_calls.clear()
+    problem(x)
+    assert calls == {"gradient.batch": 1} and q_calls == {"gradient": problem.points}
+    problem.jacobian(x)
+    if with_hessian:
+        assert calls == {"gradient.batch": 1, "hessian.batch": 1}
+        assert q_calls == {"gradient": problem.points, "hessian": problem.points}
+    else:
+        # one more stacked call, on 2N shifted copies of every collocation point
+        assert calls == {"gradient.batch": 2}
+        assert q_calls == {"gradient": problem.points + problem.dim * problem.points}
 
 
 def test_lu_sees_no_entry_below_rounding_of_the_jacobian(monkeypatch):
