@@ -421,9 +421,8 @@ def newtonian_to_hamiltonian(
     The lifted ``gradient`` and ``hessian`` carry stacked forms (see the
     module docstring), so a harmonic-balance evaluation makes one stacked
     call.  They call the supplied q-level ``gradient``/``hessian`` once per
-    row, or, where that callable has its own ``batch`` attribute mapping a
-    ``(P, n)`` stack of positions to the ``(P, n)`` gradients or the
-    ``(P, n, n)`` Hessians, once for the whole stack; nothing else is needed.
+    row, with the per-point forms' arithmetic, so their values are the same
+    to the bit.
     """
 
     def energy(z):
@@ -436,9 +435,9 @@ def newtonian_to_hamiltonian(
             return np.concatenate([np.asarray(gradient(z[:n]), dtype=float), z[n:]])
 
         def grads(zs):
-            qs = zs[:, :n]
-            gq = gradient.batch(qs) if hasattr(gradient, "batch") else [gradient(q) for q in qs]
-            return np.concatenate([np.asarray(gq, dtype=float), zs[:, n:]], axis=1)
+            # copy each row as it comes back: a gradient may reuse its buffer
+            gq = [np.array(gradient(q), dtype=float) for q in zs[:, :n]]
+            return np.concatenate([np.asarray(gq), zs[:, n:]], axis=1)
 
         grad.batch = grads
 
@@ -451,16 +450,9 @@ def newtonian_to_hamiltonian(
             return m
 
         def hesses(zs):
-            qs = zs[:, :n]
             m = np.zeros((len(zs), 2 * n, 2 * n))
-            if hasattr(hessian, "batch"):
-                hq = np.asarray(hessian.batch(qs), dtype=float)
-                if hq.shape != (len(zs), n, n):  # an assignment would broadcast it
-                    raise ValueError(f"stacked q-Hessian has shape {hq.shape}, not {(len(zs), n, n)}")
-                m[:, :n, :n] = hq
-            else:
-                for mp, q in zip(m, qs):
-                    mp[:n, :n] = hessian(q)
+            for mp, q in zip(m, zs[:, :n]):
+                mp[:n, :n] = np.asarray(hessian(q), dtype=float)
             m[:, n:, n:] = np.eye(n)
             return m
 
@@ -694,14 +686,11 @@ def preset(name: str, params: Optional[dict] = None, **kwargs) -> HamiltonianSys
             raise ValueError("frequencies must be a non-empty list of positive finite reals")
         stiff = freqs**2
 
-        gradient, hessian = (lambda q: stiff * q), (lambda q: np.diag(stiff))
-        gradient.batch = lambda qs: stiff * qs
-        hessian.batch = lambda qs: np.broadcast_to(np.diag(stiff), (len(qs), stiff.size, stiff.size))
         return newtonian_to_hamiltonian(
             potential=lambda q: 0.5 * float(stiff @ (q * q)),
             n=freqs.size,
-            gradient=gradient,
-            hessian=hessian,
+            gradient=lambda q: stiff * q,
+            hessian=lambda q: np.diag(stiff),
             name="coupled-springs",
         )
     raise UnknownPreset(f"unknown preset {name!r}")

@@ -535,127 +535,21 @@ def test_stacked_form_failures_are_typed(what, bad_batch, scale, message):
         stacked_of(system, np.full((4, 6), scale))
 
 
-def _chain(n, with_hessian=True, stacked=False):
-    """``U(q) = sum f_i^2 q_i^2 / 2 + sum (q_i - q_{i+1})^4 / 4``, lifted.
-
-    The q-derivatives take a point or a stack of points alike; ``stacked``
-    attaches each as its own ``batch`` form.
-    """
-    f2 = (1.0 + 0.3 * np.arange(n)) ** 2
-    diag, idx = np.arange(n), np.arange(n - 1)
-
-    def gradient(q):
-        d3 = (q[..., :-1] - q[..., 1:]) ** 3
-        g = f2 * q
-        g[..., :-1] += d3
-        g[..., 1:] -= d3
-        return g
-
-    def hessian(q):
-        w = 3.0 * (q[..., :-1] - q[..., 1:]) ** 2
-        h = np.zeros(q.shape + (n,))
-        h[..., diag, diag] = f2
-        h[..., idx, idx] += w
-        h[..., idx + 1, idx + 1] += w
-        h[..., idx, idx + 1] -= w
-        h[..., idx + 1, idx] -= w
-        return h
-
-    if stacked:
-        gradient, hessian = _with_stacked_form(gradient, gradient), _with_stacked_form(hessian, hessian)
-    return model.newtonian_to_hamiltonian(
-        lambda q: 0.5 * float(f2 @ (q * q)) + 0.25 * float(np.sum((q[:-1] - q[1:]) ** 4)),
-        n,
-        gradient=gradient,
-        hessian=hessian if with_hessian else None,
-    )
-
-
-def _pendulum():
-    return model.newtonian_to_hamiltonian(
-        potential=lambda q: 1.0 - np.cos(q[0]),
-        n=1,
-        gradient=lambda q: np.array([np.sin(q[0])]),
-        hessian=lambda q: np.array([[np.cos(q[0])]]),
-    )
-
-
-NEWTONIAN_SYSTEMS = {
-    "chain": lambda: _chain(4),
-    "chain-gradient-only": lambda: _chain(4, with_hessian=False),
-    "chain-stacked-q": lambda: _chain(4, stacked=True),
-    "pendulum": _pendulum,
-    "coupled-springs": lambda: model.preset("coupled-springs", frequencies=[1.0, 1.45, 2.2]),
-}
-
-
-@pytest.mark.parametrize("build", NEWTONIAN_SYSTEMS.values(), ids=NEWTONIAN_SYSTEMS.keys())
-def test_stacked_newtonian_forms_equal_per_point_forms(build):
-    # the lifted stacked forms make the per-point arithmetic on each row,
-    # so they agree to the bit, not to a tolerance
-    system = build()
-    assert hasattr(system.gradient, "batch")
-    zs = 0.8 * np.random.default_rng(31).standard_normal((50, system.dim))
-    assert np.array_equal(model.gradients_of(system, zs), [model.gradient_of(system, z) for z in zs])
-    assert np.array_equal(model.hessians_of(system, zs), [model.hessian_of(system, z) for z in zs])
-
-
-def _forward_differences_per_point(system, z, g0):
-    """The per-point reference: one ``gradient_of`` call per shifted copy of ``z``."""
-    columns = []
-    for i in range(z.size):
-        zp = z.copy()
-        zp[i] += 1.5e-8 * (1.0 + abs(z[i]))
-        columns.append((model.gradient_of(system, zp) - g0) / (zp[i] - z[i]))
-    return np.array(columns).T
-
-
-def _per_point_satellite():
-    # the per-point gradient alone: the satellite's stacked form may differ
-    # in the last bit (test_stacked_satellite_forms_agree_with_per_point_forms)
-    sat = model.preset("satellite", omega=1.0, c=0.1)
-    return replace(sat, gradient=lambda z: sat.gradient(z), hessian=None)
-
-
-@pytest.mark.parametrize(
-    "build, base",
-    [
-        (_per_point_satellite, np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0])),
-        (lambda: _chain(4, with_hessian=False), np.zeros(8)),
-    ],
-    ids=["satellite", "chain"],
-)
-def test_stacked_forward_differences_equal_the_per_point_loop(build, base):
-    system = build()
-    zs = base + 0.3 * np.random.default_rng(37).standard_normal((20, base.size))
-    grads = model.gradients_of(system, zs)
-    expected = [_forward_differences_per_point(system, z, g) for z, g in zip(zs, grads)]
-    assert np.array_equal(model._forward_differences(system, zs, grads), expected)
-
-
 @pytest.mark.parametrize(
     "what, q_callable, message",
     [
         ("gradient", _failing, r"gradient evaluator failed at max\|z_i\|=1: planted failure"),
         ("gradient", lambda q: np.append(q, 0.0), r"stacked gradient evaluator returned shape \(4, 5\), not \(4, 4\)"),
         ("gradient", lambda q: q[0], "gradient evaluator failed"),
-        ("gradient", _with_stacked_form(lambda q: q, lambda qs: qs[:-1]), "gradient evaluator failed"),
         ("hessian", _failing, "hessian evaluator failed.*planted failure"),
         ("hessian", lambda q: np.eye(3), "hessian evaluator failed"),
-        (
-            "hessian",
-            _with_stacked_form(lambda q: np.eye(2), lambda qs: np.eye(2)),
-            r"stacked q-Hessian has shape \(2, 2\), not \(4, 2, 2\)",
-        ),
     ],
     ids=[
         "gradient-raises",
         "gradient-too-long",
         "gradient-scalar",
-        "gradient-batch-short",
         "hessian-raises",
         "hessian-too-big",
-        "hessian-batch-one-matrix",
     ],
 )
 def test_stacked_newtonian_failures_are_typed(what, q_callable, message):

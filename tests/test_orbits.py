@@ -563,6 +563,71 @@ def test_newtonian_harmonic_balance_makes_one_stacked_call_per_evaluation(with_h
         assert q_calls == {"gradient": problem.points + problem.dim * problem.points}
 
 
+def reused_buffer_springs():
+    """Linear springs whose q-gradient returns one buffer, overwritten at every call."""
+    stiff, out = np.array([1.0, 2.1]), np.empty(2)
+
+    def gradient(q):
+        np.multiply(stiff, q, out=out)
+        return out
+
+    return model.newtonian_to_hamiltonian(lambda q: 0.5 * float(stiff @ (q * q)), 2, gradient=gradient)
+
+
+CHAIN_FREQS = [1.0, 1.3, 1.6, 1.9]
+NEWTONIAN_SYSTEMS = {
+    "chain": lambda: spring_chain(CHAIN_FREQS),
+    "chain-gradient-only": lambda: spring_chain(CHAIN_FREQS, with_hessian=False),
+    "pendulum": lambda: pendulum_setup()[0],
+    "coupled-springs": lambda: model.preset("coupled-springs", frequencies=[1.0, 1.45, 2.2]),
+    "reused-gradient-buffer": reused_buffer_springs,
+}
+
+
+@pytest.mark.parametrize("build", NEWTONIAN_SYSTEMS.values(), ids=NEWTONIAN_SYSTEMS.keys())
+def test_stacked_newtonian_forms_equal_per_point_forms(build):
+    # the lifted stacked forms make the per-point arithmetic on each row,
+    # so they agree to the bit, not to a tolerance
+    system = build()
+    assert hasattr(system.gradient, "batch")
+    zs = 0.8 * np.random.default_rng(31).standard_normal((50, system.dim))
+    assert np.array_equal(model.gradients_of(system, zs), [model.gradient_of(system, z) for z in zs])
+    assert np.array_equal(model.hessians_of(system, zs), [model.hessian_of(system, z) for z in zs])
+
+
+def forward_differences_per_point(system, z, g0):
+    """The per-point reference: one ``gradient_of`` call per shifted copy of ``z``."""
+    columns = []
+    for i in range(z.size):
+        zp = z.copy()
+        zp[i] += 1.5e-8 * (1.0 + abs(z[i]))
+        columns.append((model.gradient_of(system, zp) - g0) / (zp[i] - z[i]))
+    return np.array(columns).T
+
+
+def per_point_satellite():
+    # the per-point gradient alone: the satellite's stacked form may differ
+    # in the last bit (test_stacked_satellite_forms_agree_with_per_point_forms)
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    return replace(sat, gradient=lambda z: sat.gradient(z), hessian=None)
+
+
+@pytest.mark.parametrize(
+    "build, base",
+    [
+        (per_point_satellite, np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0])),
+        (lambda: spring_chain(CHAIN_FREQS, with_hessian=False), np.zeros(8)),
+    ],
+    ids=["satellite", "chain"],
+)
+def test_stacked_forward_differences_equal_the_per_point_loop(build, base):
+    system = build()
+    zs = base + 0.3 * np.random.default_rng(37).standard_normal((20, base.size))
+    grads = model.gradients_of(system, zs)
+    expected = [forward_differences_per_point(system, z, g) for z, g in zip(zs, grads)]
+    assert np.array_equal(model._forward_differences(system, zs, grads), expected)
+
+
 def test_lu_sees_no_entry_below_rounding_of_the_jacobian(monkeypatch):
     chain = spring_chain([1.0 + 0.12 * i for i in range(8)])
     eq = model.refine_equilibrium(chain, np.zeros(16))
