@@ -321,15 +321,15 @@ class AnalyzeOptions:
     seed: int = 0  # accepted for compatibility; nothing in the analysis is randomized
 
 
-def _candidate_verdict(nonres, jump, jump_reason, a7, degree_value):
+def _candidate_verdict(nonres, jump, jump_reason, a7, degree):
     reasons = []
     if jump_reason:
         reasons.append(jump_reason)
     certificate = jump is not None and jump != 0
-    if degree_value is None:
-        reasons.append("section degree unavailable; existence chain cannot close")
+    if degree.value is None:
+        reasons.append(f"section degree unavailable ({degree.detail}); existence chain cannot close")
         return "inconclusive", None, reasons
-    if degree_value == 0:
+    if degree.value == 0:
         reasons.append("section degree vanishes; the criteria are silent here")
         return "inconclusive", None, reasons
     if certificate and nonres:
@@ -385,9 +385,7 @@ def analyze(
         "m_plus": report.m_plus,
         "m_minus": report.m_minus,
         "kernel_dim": report.kernel_dim,
-        "orbit_dim": eq.orbit_dim,
         "orbit_nondegenerate": report.kernel_dim == eq.orbit_dim,
-        "degree_detail": degree_report.detail,
     }
     report_a7 = {"definite-z": check_definite_z(report), "mplus": check_mplus(report)}
     candidates = []
@@ -406,9 +404,7 @@ def analyze(
             "definite-zj": check_definite_zj(report, j0),
             **report_a7,
         }
-        verdict, path, reasons = _candidate_verdict(
-            nonres, jump, jump_reason, a7, degree_report.value
-        )
+        verdict, path, reasons = _candidate_verdict(nonres, jump, jump_reason, a7, degree_report)
         if report.multiplicities[j0 - 1] > 1:
             reasons.append(f"multiplicity > 1 (cluster size {report.multiplicities[j0 - 1]})")
         if not shared_diag["orbit_nondegenerate"]:

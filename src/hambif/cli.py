@@ -2,10 +2,12 @@
 
 Configuration is a flat key = value file with sections ([system],
 [analysis], [branch], [output], [run]); every value can be overridden on
-the command line.  Machine output is emitted as json-lines (one record per
-line) or csv (header row + fixed column order); identical configuration
-produces byte-identical machine output.  Each command builds a text
-report and its records; ``_emit`` alone decides where they are written.
+the command line.  Each command builds its records once, each from the one
+ordered column -> value table of its kind (candidate, orbit, coefficients,
+coefficient row).  The text report, json-lines (one record per line) and
+csv (header row + the table's column order) are all rendered from those
+records, and ``_emit`` alone decides where they are written.  Identical
+configuration produces byte-identical machine output.
 
 Exit codes: analyze returns 0 when at least one candidate is confirmed,
 2 when none is, 1 on error.  branch returns 0 when the computed branch has
@@ -31,38 +33,62 @@ from .model import HamiltonianSystem, SymmetryGroup
 
 __all__ = ["RunConfig", "parse_config", "main", "console_entry", "cmd_analyze", "cmd_branch", "cmd_presets"]
 
-ANALYZE_COLUMNS = (
-    "index",
-    "j0",
-    "beta",
-    "multiplicity",
-    "lambda0",
-    "period",
-    "nonresonant",
-    "morse_jump",
-    "degree",
-    "degree_path",
-    "degree_reliable",
-    "szulkin",
-    "definite_zj",
-    "definite_z",
-    "mplus",
-    "verdict",
-    "theorem_path",
-    "reasons",
-)
+# One ordered column -> value table per record kind; its keys are the
+# json-lines keys and the csv columns.
+_CANDIDATE = {
+    "index": lambda i, cand: i,
+    "j0": lambda i, cand: cand.j0,
+    "beta": lambda i, cand: cand.beta,
+    "multiplicity": lambda i, cand: cand.multiplicity,
+    "lambda0": lambda i, cand: cand.lambda0,
+    "period": lambda i, cand: cand.predicted_period,
+    "nonresonant": lambda i, cand: cand.nonresonant,
+    "morse_jump": lambda i, cand: cand.morse_jump,
+    "degree": lambda i, cand: cand.degree_on_section,
+    "degree_path": lambda i, cand: cand.degree_path,
+    "degree_reliable": lambda i, cand: cand.degree_reliable,
+    "szulkin": lambda i, cand: cand.a7_results.get("szulkin"),
+    "definite_zj": lambda i, cand: cand.a7_results.get("definite-zj"),
+    "definite_z": lambda i, cand: cand.a7_results.get("definite-z"),
+    "mplus": lambda i, cand: cand.a7_results.get("mplus"),
+    "verdict": lambda i, cand: cand.verdict,
+    "theorem_path": lambda i, cand: cand.theorem_path,
+    "reasons": lambda i, cand: list(cand.reasons),
+}
 
-BRANCH_COLUMNS = (
-    "index",
-    "amplitude",
-    "lambda",
-    "period",
-    "residual",
-    "sup_distance",
-    "minimal_period",
-)
+_ORBIT = {
+    "index": lambda i, orbit, branch: i,
+    "amplitude": lambda i, orbit, branch: orbit.amplitude,
+    "lambda": lambda i, orbit, branch: orbit.lam,
+    "period": lambda i, orbit, branch: orbit.period,
+    "residual": lambda i, orbit, branch: orbit.residual,
+    "sup_distance": lambda i, orbit, branch: branch.sup_distance_trend[i - 1][1],
+    "minimal_period": lambda i, orbit, branch: orbits_mod.minimal_period_check(orbit),
+}
 
-COEFF_COLUMNS = ("index", "k", "component", "a", "b")
+# json-lines only: one per orbit, after the orbit records
+_COEFFICIENTS = {
+    "record": lambda i, orbit: "coefficients",
+    "index": lambda i, orbit: i,
+    "modes": lambda i, orbit: orbit.m,
+    "a0": lambda i, orbit: orbit.a0.tolist(),
+    "a": lambda i, orbit: orbit.a.tolist(),
+    "b": lambda i, orbit: orbit.b.tolist(),
+}
+
+# csv side table, one row per coefficient of a coefficients record; k = 0
+# rows hold the constant coefficient in 'a'
+_COEFF_ROW = {
+    "index": lambda rec, k, comp: rec["index"],
+    "k": lambda rec, k, comp: k,
+    "component": lambda rec, k, comp: comp,
+    "a": lambda rec, k, comp: (rec["a"][k - 1] if k else rec["a0"])[comp],
+    "b": lambda rec, k, comp: rec["b"][k - 1][comp] if k else None,
+}
+
+ANALYZE_COLUMNS = tuple(_CANDIDATE)
+BRANCH_COLUMNS = tuple(_ORBIT)
+COEFF_COLUMNS = tuple(_COEFF_ROW)
 
 FORMATS = ("text", "json-lines", "csv")
 
@@ -118,9 +144,6 @@ class RunConfig:
         if self.fmt not in FORMATS:
             raise ConfigParse(f"unknown output format {self.fmt!r}")
 
-    def param_dict(self) -> dict:
-        return {k: (list(v) if isinstance(v, tuple) else v) for k, v in self.params}
-
     def to_ini(self) -> str:
         """Deterministic flat-text serialization; parse_config inverts it."""
         sections: dict = {}
@@ -140,11 +163,6 @@ class RunConfig:
 def _fmt(x) -> str:
     """Shortest exact decimal form (round-trips bit-faithfully)."""
     return repr(float(x))
-
-
-def _fmt17(x) -> str:
-    """Fixed 17-significant-digit form for csv cells."""
-    return format(float(x), ".17g")
 
 
 def _floats(text: str) -> tuple:
@@ -285,11 +303,12 @@ def build_system(config: RunConfig) -> tuple:
     ``TypeError`` for a list where a number belongs; both are configuration
     errors here.
     """
+    params = {k: (list(v) if isinstance(v, tuple) else v) for k, v in config.params}
     try:
         if config.preset is None:
             system = _polynomial_system(config)
         else:
-            system = model_mod.preset(config.preset, config.param_dict())
+            system = model_mod.preset(config.preset, params)
     except (TypeError, ValueError) as exc:
         raise ConfigParse(f"bad system: {exc}") from exc
     if config.guess is not None:
@@ -297,45 +316,17 @@ def build_system(config: RunConfig) -> tuple:
             raise ConfigParse(f"guess needs {system.dim} numbers, got {len(config.guess)}")
         return system, np.array(config.guess, dtype=float)
     if config.preset == "satellite":
-        omega = float(dict(config.params).get("omega", 1.0))
+        omega = float({**model_mod.preset_info()["satellite"]["parameters"], **params}["omega"])
         return system, np.array([1.0, 0.0, 0.0, 0.0, -omega, 0.0])
     return system, np.zeros(system.dim)
 
 
-def _candidate_record(index: int, cand) -> dict:
-    a7 = cand.a7_results
-    return {
-        "index": index,
-        "j0": cand.j0,
-        "beta": cand.beta,
-        "multiplicity": cand.multiplicity,
-        "lambda0": cand.lambda0,
-        "period": cand.predicted_period,
-        "nonresonant": cand.nonresonant,
-        "morse_jump": cand.morse_jump,
-        "degree": cand.degree_on_section,
-        "degree_path": cand.degree_path,
-        "degree_reliable": cand.degree_reliable,
-        "szulkin": a7.get("szulkin"),
-        "definite_zj": a7.get("definite-zj"),
-        "definite_z": a7.get("definite-z"),
-        "mplus": a7.get("mplus"),
-        "verdict": cand.verdict,
-        "theorem_path": cand.theorem_path,
-        "reasons": list(cand.reasons),
-    }
+def _record(table: dict, *sources) -> dict:
+    return {column: value(*sources) for column, value in table.items()}
 
 
-def _orbit_record(index: int, orbit, branch) -> dict:
-    return {
-        "index": index,
-        "amplitude": orbit.amplitude,
-        "lambda": orbit.lam,
-        "period": orbit.period,
-        "residual": orbit.residual,
-        "sup_distance": branch.sup_distance_trend[index - 1][1],
-        "minimal_period": orbits_mod.minimal_period_check(orbit),
-    }
+def _flag(value) -> str:
+    return "-" if value is None else "yes" if value else "no"
 
 
 def _csv_cell(value) -> str:
@@ -344,7 +335,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _fmt17(value)
+        return format(float(value), ".17g")  # a fixed 17-significant-digit form
     if isinstance(value, (list, tuple)):
         return "; ".join(str(v) for v in value)
     return str(value)
@@ -358,13 +349,15 @@ def _csv(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(stdout, fmt: str, path: str | None, report: str, records, table, side=None) -> None:
+def _emit(stdout, fmt: str, path: str | None, lines, records, table, side=None) -> None:
     """Write one command's output (no other function does), by the rule in ``_HELP_EPILOG``.
 
-    ``records`` is the json-lines payload, ``table`` the csv payload as
-    ``(columns, rows)`` and ``side`` the csv table for ``<path>.coeffs.csv``.
+    ``lines`` are the text report's lines, ``records`` the json-lines payload,
+    ``table`` the csv payload as ``(columns, rows)`` and ``side`` the csv
+    table for ``<path>.coeffs.csv``.
     """
     stdout = sys.stdout if stdout is None else stdout
+    report = "".join(f"{line}\n" for line in lines)
     if fmt == "text":
         payload = report
     elif fmt == "json-lines":
@@ -393,13 +386,13 @@ def _emit(stdout, fmt: str, path: str | None, report: str, records, table, side=
 def _run_analysis(config: RunConfig):
     system, guess = build_system(config)
     eq = model_mod.refine_equilibrium(system, guess)
-    options = analysis_mod.AnalyzeOptions(j0=config.j0)
-    candidates = analysis_mod.analyze(system, eq, options)
+    candidates = analysis_mod.analyze(system, eq, analysis_mod.AnalyzeOptions(j0=config.j0))
     return system, eq, candidates
 
 
 def cmd_analyze(config: RunConfig, stdout=None) -> int:
     system, eq, candidates = _run_analysis(config)
+    records = [_record(_CANDIDATE, i, cand) for i, cand in enumerate(candidates, start=1)]
     lines = [
         f"system: {system.name or 'custom'} (N={system.n})",
         f"equilibrium: |grad H| = {eq.gradient_norm:.3e}, orbit dim = {eq.orbit_dim}, "
@@ -418,27 +411,16 @@ def cmd_analyze(config: RunConfig, stdout=None) -> int:
             f"{'A6':>3} {'jump':>4} {'degree':>7} {'path':>13} "
             f"{'A7.1':>4} {'A7.3':>4} {'A7.4':>4} {'A7.5':>4}  verdict"
         )
-        for i, cand in enumerate(candidates, start=1):
-            a7 = cand.a7_results
-
-            def flag(key):
-                value = a7.get(key)
-                return "-" if value is None else ("yes" if value else "no")
-
-            jump = "?" if cand.morse_jump is None else f"{cand.morse_jump:+d}"
-            degree = "?" if cand.degree_on_section is None else f"{cand.degree_on_section:+d}"
+        for rec in records:
+            jump, degree = ("?" if v is None else f"{v:+d}" for v in (rec["morse_jump"], rec["degree"]))
             lines.append(
-                f"{i:>3} {cand.j0:>3} {cand.beta:>12.6f} {cand.lambda0:>12.6f} "
-                f"{cand.predicted_period:>12.6f} {'yes' if cand.nonresonant else 'no':>3} "
-                f"{jump:>4} {degree:>7} {str(cand.degree_path):>13} "
-                f"{flag('szulkin'):>4} {flag('definite-zj'):>4} {flag('definite-z'):>4} "
-                f"{flag('mplus'):>4}  {cand.verdict}"
+                f"{rec['index']:>3} {rec['j0']:>3} {rec['beta']:>12.6f} {rec['lambda0']:>12.6f} "
+                f"{rec['period']:>12.6f} {_flag(rec['nonresonant']):>3} {jump:>4} {degree:>7} "
+                f"{str(rec['degree_path']):>13} {_flag(rec['szulkin']):>4} {_flag(rec['definite_zj']):>4} "
+                f"{_flag(rec['definite_z']):>4} {_flag(rec['mplus']):>4}  {rec['verdict']}"
             )
-            for reason in cand.reasons:
-                lines.append(f"      - {reason}")
-    report = "\n".join(lines) + "\n"
-    records = [_candidate_record(i, c) for i, c in enumerate(candidates, start=1)]
-    _emit(stdout, config.fmt, config.output, report, records, (ANALYZE_COLUMNS, records))
+            lines += [f"      - {reason}" for reason in rec["reasons"]]
+    _emit(stdout, config.fmt, config.output, lines, records, (ANALYZE_COLUMNS, records))
     return 0 if any(c.confirmed for c in candidates) else 2
 
 
@@ -447,8 +429,7 @@ def cmd_branch(config: RunConfig, stdout=None) -> int:
     # the candidate with the configured j0, else the first confirmed one; it must be confirmed
     picks = [c for c in candidates if (c.confirmed if config.j0 is None else c.j0 == config.j0)]
     if not picks or not picks[0].confirmed:
-        report = "no confirmed candidate to verify\n"
-        _emit(stdout, config.fmt, config.output, report, [], (BRANCH_COLUMNS, []))
+        _emit(stdout, config.fmt, config.output, ["no confirmed candidate to verify"], [], (BRANCH_COLUMNS, []))
         return 2
     chosen = picks[0]
     branch = orbits_mod.continue_branch(
@@ -460,24 +441,14 @@ def cmd_branch(config: RunConfig, stdout=None) -> int:
         growth=config.growth,
         modes=config.modes,
     )
-    records = [_orbit_record(i, orbit, branch) for i, orbit in enumerate(branch.orbits, start=1)]
-    coeff_records = [
-        {
-            "record": "coefficients",
-            "index": i,
-            "modes": orbit.m,
-            "a0": orbit.a0.tolist(),
-            "a": orbit.a.tolist(),
-            "b": orbit.b.tolist(),
-        }
-        for i, orbit in enumerate(branch.orbits, start=1)
-    ]
-    # csv side table: k = 0 rows hold the constant coefficient in 'a'
+    numbered = list(enumerate(branch.orbits, start=1))
+    records = [_record(_ORBIT, i, orbit, branch) for i, orbit in numbered]
+    coeff_records = [_record(_COEFFICIENTS, i, orbit) for i, orbit in numbered]
     coeff_rows = [
-        {"index": i, "k": k, "component": comp, "a": float(a_k[comp]), "b": float(b_k[comp]) if k else None}
-        for i, orbit in enumerate(branch.orbits, start=1)
-        for k, (a_k, b_k) in enumerate(zip([orbit.a0, *orbit.a], [None, *orbit.b]))
-        for comp in range(system.dim)
+        _record(_COEFF_ROW, rec, k, comp)
+        for rec in coeff_records
+        for k in range(rec["modes"] + 1)
+        for comp in range(len(rec["a0"]))
     ]
     lines = [
         f"candidate j0={chosen.j0}: beta = {chosen.beta:.9g}, predicted period = "
@@ -492,7 +463,7 @@ def cmd_branch(config: RunConfig, stdout=None) -> int:
         )
     for failure in branch.failures:
         lines.append(f"  failed: {failure}")
-    ok = _branch_healthy(branch, chosen, config)
+    ok = _branch_healthy(records, chosen, config.s0)
     if branch.orbits:
         smallest = records[0]
         lines.append(
@@ -501,12 +472,11 @@ def cmd_branch(config: RunConfig, stdout=None) -> int:
         )
         lines.append(f"sup-distance at smallest amplitude: {smallest['sup_distance']:.3e}")
     lines.append(f"branch verdict: {'ok' if ok else 'not verified'}")
-    report = "\n".join(lines) + "\n"
     _emit(
         stdout,
         config.fmt,
         config.output,
-        report,
+        lines,
         records + coeff_records,
         (BRANCH_COLUMNS, records),
         side=(COEFF_COLUMNS, coeff_rows),
@@ -514,51 +484,43 @@ def cmd_branch(config: RunConfig, stdout=None) -> int:
     return 0 if ok else 1
 
 
-def _branch_healthy(branch, candidate, config: RunConfig) -> bool:
-    amps = [o.amplitude for o in branch.orbits]
+def _branch_healthy(records, candidate, s0: float) -> bool:
+    amps = [rec["amplitude"] for rec in records]
     if len(amps) < 3:
         return False
     if any(a2 <= a1 for a1, a2 in zip(amps, amps[1:])):
         return False
-    if amps[0] > config.s0 * (1.0 + 1e-6):
+    if amps[0] > s0 * (1.0 + 1e-6):
         return False
-    target = candidate.predicted_period
-    period_gaps = [abs(p - target) for _, p in branch.period_trend]
-    sups = [d for _, d in branch.sup_distance_trend]
-    return period_gaps[0] <= period_gaps[-1] + 1e-12 and sups[0] <= sups[-1]
+    gaps = [abs(rec["period"] - candidate.predicted_period) for rec in records]
+    return gaps[0] <= gaps[-1] + 1e-12 and records[0]["sup_distance"] <= records[-1]["sup_distance"]
 
 
 def cmd_presets(fmt: str = "text", output: str | None = None, stdout=None) -> int:
     info = model_mod.preset_info()
-    samples = {
-        "satellite": RunConfig(preset="satellite", params=(("c", 0.5 * model_mod.EARTH_J2), ("omega", 1.0))),
-        "harmonic": RunConfig(preset="harmonic", params=(("beta", 1.0),)),
-        "coupled-springs": RunConfig(preset="coupled-springs", params=(("frequencies", (1.0, 2.0)),)),
-    }
-    lines = []
+    # each sample configuration sets these parameters, at their defaults or at an example value
+    sample_keys = {"satellite": ("c", "omega"), "harmonic": ("beta",), "coupled-springs": ("frequencies",)}
+    examples = {"frequencies": (1.0, 2.0)}  # a required parameter has no default
     records = []
-    rows = []
-    for name in sorted(info):
-        entry = info[name]
-        parameters = sorted(entry["parameters"].items())
-        lines.append(f"{name}:")
-        for pname, default in parameters:
-            shown = "required" if default is None else _fmt(default) if isinstance(default, float) else str(default)
-            lines.append(f"  {pname} = {shown}")
-        lines.append(f"  note: {entry['notes']}")
+    for name, entry in sorted(info.items()):
+        values = {**entry["parameters"], **examples}
+        sample = RunConfig(preset=name, params=tuple((key, values[key]) for key in sample_keys[name]))
         records.append(
             {
                 "record": "preset",
                 "name": name,
-                "parameters": {k: (None if v is None else float(v)) for k, v in parameters},
+                "parameters": {k: (None if v is None else float(v)) for k, v in sorted(entry["parameters"].items())},
                 "notes": entry["notes"],
-                "sample_config": samples[name].to_ini(),
+                "sample_config": sample.to_ini(),
             }
         )
-        flat = " ".join(f"{k}={'required' if v is None else _fmt(v)}" for k, v in parameters)
-        rows.append({"name": name, "parameters": flat, "notes": entry["notes"]})
-    report = "\n".join(lines) + "\n"
-    _emit(stdout, fmt, output, report, records, (("name", "parameters", "notes"), rows))
+    lines = []
+    rows = []
+    for rec in records:
+        shown = {k: "required" if v is None else _fmt(v) for k, v in rec["parameters"].items()}
+        lines += [f"{rec['name']}:", *(f"  {k} = {v}" for k, v in shown.items()), f"  note: {rec['notes']}"]
+        rows.append({**rec, "parameters": " ".join(f"{k}={v}" for k, v in shown.items())})
+    _emit(stdout, fmt, output, lines, records, (("name", "parameters", "notes"), rows))
     return 0
 
 
@@ -567,7 +529,7 @@ machine output formats:
   json-lines: one JSON record per line.  analyze emits candidate records with
     keys in the order: %s.
     branch emits orbit records (keys: %s)
-    followed by one coefficients record per orbit (record, index, modes, a0, a, b).
+    followed by one coefficients record per orbit (%s).
   csv: header row then one row per record, columns as above; with --output,
     branch coefficient tables go to <path>.coeffs.csv with columns %s
     (k = 0 rows hold the constant coefficient in 'a').
@@ -579,6 +541,7 @@ goes to stderr; text output goes to stdout.
 """ % (
     ", ".join(ANALYZE_COLUMNS),
     ", ".join(BRANCH_COLUMNS),
+    ", ".join(_COEFFICIENTS),
     ", ".join(COEFF_COLUMNS),
 )
 

@@ -10,7 +10,9 @@ the weights it occupies.  Finite groups are out of scope; the empty
 generator list is the trivial group.
 
 Every call of a supplied evaluator goes through ``_evaluate``, which turns
-any failure that is not a ``HambifError`` into ``EvaluationFailure``.
+any failure that is not a ``HambifError`` into ``EvaluationFailure``, as it
+does a gradient or Hessian of the wrong shape.  It copies each per-point
+result, so an evaluator may return one reused buffer.
 ``gradient_of`` and ``hessian_of`` fill a missing derivative from one
 central-difference kernel or, from the energy alone, second differences.
 The forward-difference kernel beside them serves callers that already
@@ -20,11 +22,12 @@ shifted points through one ``gradients_of`` call.
 A supplied ``gradient`` or ``hessian`` may carry a stacked form as its
 ``batch`` attribute: called on a ``(P, 2N)`` stack of points, it returns the
 ``(P, 2N)`` gradients or the ``(P, 2N, 2N)`` Hessians, row ``i`` being the
-value at point ``i``.  ``gradients_of`` and ``hessians_of`` make one such
-call for a whole stack and loop ``gradient_of``/``hessian_of`` over the
-points otherwise.  The stacked form belongs to the callable, so a system
-whose evaluator is replaced never keeps a stale one.  The satellite preset
-and every system from ``newtonian_to_hamiltonian`` carry stacked forms.
+value at point ``i``, in a new array on each call.  ``gradients_of`` and
+``hessians_of`` make one such call for a whole stack and loop
+``gradient_of``/``hessian_of`` over the points otherwise.  The stacked
+form belongs to the callable, so a system whose evaluator is replaced never
+keeps a stale one.  The satellite preset and every system from
+``newtonian_to_hamiltonian`` carry stacked forms.
 
 A generator ``X`` of a symmetry of ``H`` gives ``A X z = X grad H(z)``, ``A`` the
 Hessian at ``z`` (differentiate ``grad H(exp(t X) z) = exp(t X) grad H(z)`` at
@@ -160,24 +163,26 @@ class EquilibriumOrbit:
 def _evaluate(system: HamiltonianSystem, what: str, z: np.ndarray, stacked: bool = False):
     """``system.<what>(z)`` as a float (energy) or float array; a non-HambifError failure becomes EvaluationFailure.
 
-    With ``stacked``, ``z`` is a ``(P, 2N)`` stack and the stacked form
-    ``system.<what>.batch(z)`` is called; a result of any shape but
-    ``(P, 2N)`` (gradient) or ``(P, 2N, 2N)`` (hessian) is an EvaluationFailure too.
+    With ``stacked``, ``z`` is a ``(P, 2N)`` stack and ``system.<what>.batch(z)``
+    is called.  A gradient not of the shape of ``z``, or a Hessian not of that
+    shape plus ``(2N,)``, is an EvaluationFailure too; only a per-point result is copied.
     """
     try:
         evaluator = getattr(system, what)
         value = evaluator.batch(z) if stacked else evaluator(z)
-        value = float(value) if what == "energy" else np.asarray(value, dtype=float)
+        if what == "energy":
+            return float(value)
+        value = np.asarray(value, dtype=float) if stacked else np.array(value, dtype=float)
     except HambifError:
         raise
     except Exception as exc:
         # max |z_i|, not |z|: the norm of a huge but finite z overflows
         where = np.max(np.abs(z), initial=0.0)
         raise EvaluationFailure(f"{what} evaluator failed at max|z_i|={where:.3g}: {exc}") from exc
-    if stacked:
-        expected = z.shape + z.shape[1:] if what == "hessian" else z.shape
-        if value.shape != expected:
-            raise EvaluationFailure(f"stacked {what} evaluator returned shape {value.shape}, not {expected}")
+    expected = z.shape + z.shape[-1:] if what == "hessian" else z.shape
+    if value.shape != expected:
+        kind = "stacked " if stacked else ""
+        raise EvaluationFailure(f"{kind}{what} evaluator returned shape {value.shape}, not {expected}")
     return value
 
 
@@ -648,26 +653,32 @@ def preset_info() -> dict:
 
 
 def preset(name: str, params: Optional[dict] = None, **kwargs) -> HamiltonianSystem:
-    """Build a named system. Known names: satellite, harmonic, coupled-springs."""
-    merged = dict(params or {})
-    merged.update(kwargs)
+    """Build a named system; a parameter not given takes its ``preset_info`` default.
+
+    Raises ``UnknownPreset`` for an undeclared name, ``MissingParameter``
+    for a required parameter left out and ``ValueError`` for an undeclared
+    or out-of-range one.
+    """
+    info = preset_info()
+    if name not in info:
+        raise UnknownPreset(f"unknown preset {name!r}")
+    declared = info[name]["parameters"]
+    given = {**(params or {}), **kwargs}
+    for key, default in declared.items():
+        if default is None and key not in given:
+            raise MissingParameter(f"{name} preset needs {key!r}")
+    extras = sorted(set(given) - set(declared))
+    if extras:
+        raise ValueError(f"unknown parameters for preset {name!r}: {extras}")
+    values = {**declared, **given}
     if name == "satellite":
-        omega = float(merged.pop("omega", 1.0))
-        if "c" in merged:
-            c = float(merged.pop("c"))
-            merged.pop("j2", None)
-            merged.pop("r_eq", None)
-        else:
-            j2 = float(merged.pop("j2", EARTH_J2))
-            r_eq = float(merged.pop("r_eq", 1.0))
-            c = 0.5 * r_eq**2 * j2
-        _reject_extras(name, merged)
+        omega = float(values["omega"])
+        c = float(values["c"]) if "c" in given else 0.5 * float(values["r_eq"]) ** 2 * float(values["j2"])
         if not (0.0 < omega < np.inf and 0.0 < c < np.inf):
             raise ValueError("satellite preset needs finite omega > 0 and c > 0")
         return _satellite_system(omega, c)
     if name == "harmonic":
-        beta = float(merged.pop("beta", 1.0))
-        _reject_extras(name, merged)
+        beta = float(values["beta"])
         if not 0.0 < beta < np.inf:
             raise ValueError("harmonic preset needs finite beta > 0")
         return HamiltonianSystem(
@@ -677,25 +688,14 @@ def preset(name: str, params: Optional[dict] = None, **kwargs) -> HamiltonianSys
             hessian=lambda z: np.diag([beta**2, 1.0]),
             name="harmonic",
         )
-    if name == "coupled-springs":
-        if "frequencies" not in merged:
-            raise MissingParameter("coupled-springs preset needs 'frequencies'")
-        freqs = np.asarray(merged.pop("frequencies"), dtype=float).ravel()
-        _reject_extras(name, merged)
-        if freqs.size == 0 or not np.all((0.0 < freqs) & (freqs < np.inf)):
-            raise ValueError("frequencies must be a non-empty list of positive finite reals")
-        stiff = freqs**2
-
-        return newtonian_to_hamiltonian(
-            potential=lambda q: 0.5 * float(stiff @ (q * q)),
-            n=freqs.size,
-            gradient=lambda q: stiff * q,
-            hessian=lambda q: np.diag(stiff),
-            name="coupled-springs",
-        )
-    raise UnknownPreset(f"unknown preset {name!r}")
-
-
-def _reject_extras(name: str, leftover: dict) -> None:
-    if leftover:
-        raise ValueError(f"unknown parameters for preset {name!r}: {sorted(leftover)}")
+    freqs = np.asarray(values["frequencies"], dtype=float).ravel()  # coupled-springs
+    if freqs.size == 0 or not np.all((0.0 < freqs) & (freqs < np.inf)):
+        raise ValueError("frequencies must be a non-empty list of positive finite reals")
+    stiff = freqs**2
+    return newtonian_to_hamiltonian(
+        potential=lambda q: 0.5 * float(stiff @ (q * q)),
+        n=freqs.size,
+        gradient=lambda q: stiff * q,
+        hessian=lambda q: np.diag(stiff),
+        name="coupled-springs",
+    )

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hambif import analysis, cli, linalg, model
+from hambif import analysis, cli, degree, linalg, model
 from hambif.errors import Degenerate, NoImaginaryPairs, NoSuchLevel, NotASymmetry
 
 DATA = Path(__file__).parent / "data"
@@ -530,3 +530,45 @@ def test_morse_limits_random():
         above = analysis.t_matrix(a, 1, 2.0 * lams.max())
         assert linalg.morse_index_negative(below) == two_n
         assert linalg.morse_index_negative(above) == 2 * rep.m_plus
+
+
+def test_unavailable_degree_reason_names_the_kernel():
+    # tests/data/kernel3.ini: a section kernel of dimension 3 is beyond the
+    # reduced degree, and the reason must say so
+    system, guess = cli.build_system(cli.parse_config((DATA / "kernel3.ini").read_text(encoding="utf-8")))
+    (cand,) = analysis.analyze(system, model.refine_equilibrium(system, guess))
+    assert (cand.degree_on_section, cand.verdict) == (None, "inconclusive")
+    assert cand.reasons[0] == (
+        "section degree unavailable (section Hessian has a near-zero eigenvalue; section kernel of dimension 3; "
+        "the reduced degree is certified up to dimension 2); existence chain cannot close"
+    )
+
+
+# Every outcome of the verdict chain, in its order: (A6 nonresonant, Morse
+# jump, A7 results, section degree) -> (verdict, theorem path, last reason).
+@pytest.mark.parametrize(
+    "nonres, jump, a7, value, verdict, path, reason",
+    [
+        (True, 2, {}, None, "inconclusive", None,
+         "section degree unavailable (section kernel of dimension 3); existence chain cannot close"),
+        (True, 2, {}, 0, "inconclusive", None, "section degree vanishes; the criteria are silent here"),
+        (True, 2, {}, 1, "confirmed", "nonresonant-jump",
+         "index jump at an isolated, nonresonant level; minimal periods certified"),
+        (False, -2, {"definite-z": True, "mplus": True}, 1, "confirmed (period not certified minimal)",
+         "definite-total", "definite Hessian on the full oscillatory subspace; periods may be non-minimal"),
+        (False, 2, {"definite-z": False, "mplus": True}, -1, "confirmed (period not certified minimal)",
+         "index-count", "positive index count differs from N; periods may be non-minimal"),
+        (False, 2, {"definite-z": False, "mplus": False}, 1, "inconclusive", None,
+         "resonant level; multi-mode jump analysis not implemented and no global criterion applies"),
+        (True, 0, {"definite-z": True, "mplus": True}, 1, "rejected", None,
+         "mode-1 negative index does not change at this level"),
+        (True, None, {"definite-z": True, "mplus": True}, 1, "inconclusive", None,
+         "no index certificate available for this level"),
+    ],
+    ids=["no-degree", "degree-0", "nonresonant-jump", "definite-total", "index-count", "resonant", "jump-0", "no-jump"],
+)
+def test_candidate_verdict_outcomes(nonres, jump, a7, value, verdict, path, reason):
+    detail = "section kernel of dimension 3" if value is None else ""
+    report = degree.DegreeReport(value=value, path="reduced", detail=detail)
+    got_verdict, got_path, reasons = analysis._candidate_verdict(nonres, jump, "", a7, report)
+    assert (got_verdict, got_path, reasons[-1]) == (verdict, path, reason)

@@ -557,3 +557,45 @@ def test_stacked_newtonian_failures_are_typed(what, q_callable, message):
     stacked_of = {"gradient": model.gradients_of, "hessian": model.hessians_of}[what]
     with pytest.raises(EvaluationFailure, match=message):
         stacked_of(system, np.ones((4, 4)))
+
+
+def _reused_buffer_gradient():
+    # the gradient of H = z0^2 + z1^2 / 2, written into one buffer on every call
+    buffer = np.empty(2)
+
+    def gradient(z):
+        buffer[:] = 2.0 * z[0], z[1]
+        return buffer
+
+    return model.HamiltonianSystem(n=1, energy=lambda z: z[0] ** 2 + 0.5 * z[1] ** 2, gradient=gradient)
+
+
+def test_a_gradient_that_reuses_its_buffer_gives_the_true_derivatives():
+    system = _reused_buffer_gradient()
+    assert np.allclose(model.hessian_of(system, np.array([0.3, 0.2])), [[2.0, 0.0], [0.0, 1.0]], atol=1e-8)
+    assert np.array_equal(model.gradients_of(system, np.array([[1.0, 2.0], [3.0, 4.0]])), [[2.0, 2.0], [6.0, 4.0]])
+    eq = model.refine_equilibrium(system, np.array([0.3, 0.2]))
+    assert np.allclose(eq.z0, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "system, guess, message",
+    [
+        (
+            model.newtonian_to_hamiltonian(lambda q: 0.5 * float(q @ q), 2, gradient=lambda q: np.append(q, 0.0)),
+            [0.1, 0.1, 0.0, 0.0],
+            r"^gradient evaluator returned shape \(5,\), not \(4,\)$",
+        ),
+        (
+            model.HamiltonianSystem(
+                n=1, energy=lambda z: 0.5 * float(z @ z), gradient=lambda z: z, hessian=lambda z: np.eye(3)
+            ),
+            [0.1, 0.1],
+            r"^hessian evaluator returned shape \(3, 3\), not \(2, 2\)$",
+        ),
+    ],
+    ids=["newtonian-gradient-too-long", "hessian-too-big"],
+)
+def test_per_point_results_of_the_wrong_shape_are_typed(system, guess, message):
+    with pytest.raises(EvaluationFailure, match=message):
+        model.refine_equilibrium(system, np.array(guess))
