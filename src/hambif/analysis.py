@@ -18,6 +18,10 @@ through the checks below and aggregated into a verdict:
   level's own subspace is a nonzero jump wherever the jump is defined);
 * Brouwer degree of the section-restricted gradient (delegated to
   :mod:`hambif.degree`).
+
+The verdicts rest on the symmetric Liapunov center theorem on the slice at
+``z0`` (Perez-Chavela, Rybicki & Strzelecki, Calc. Var. PDE 56, 2017; Palais,
+Ann. Math. 73, 1961), which needs no fact about the isotropy group of ``z0``.
 """
 
 from __future__ import annotations

@@ -5,9 +5,12 @@ symmetries are encoded by Lie-algebra generators ``X`` (skew-symmetric,
 commuting with J).  Such an ``X`` has the weight decomposition
 ``i X = V diag(w) V^H`` (``V`` unitary, ``w`` the real weights of the circle
 it generates), so the group element ``exp(t X) = V diag(exp(-i w t)) V^H`` is
-read off one Hermitian eigendecomposition, and the isotropy of a point from
-the weights it occupies.  Finite groups are out of scope; the empty
-generator list is the trivial group.
+read off one Hermitian eigendecomposition.  Finite groups are out of scope;
+the empty generator list is the trivial group.
+
+The equilibrium owns its orbit: one SVD of ``[X_1 z0, ..., X_g z0]`` gives the
+section and the orbit generators that the criteria and a branch's pins read
+(``_orbit_bases``); a generator that fixes ``z0`` adds none.
 
 Every call of a supplied evaluator goes through ``_evaluate``, which turns
 any failure that is not a ``HambifError`` into ``EvaluationFailure``, as it
@@ -33,7 +36,7 @@ A generator ``X`` of a symmetry of ``H`` gives ``A X z = X grad H(z)``, ``A`` th
 Hessian at ``z`` (differentiate ``grad H(exp(t X) z) = exp(t X) grad H(z)`` at
 ``t = 0``).  ``refine_equilibrium`` requires of each generator, in spectral norms,
 ``|A X z0| <= |X| |grad H(z0)| + 1e-6 (1 + |A|) |X z0|`` at the refined point and
-raises ``NotASymmetry`` otherwise: the section and a branch's drift pins treat
+raises ``NotASymmetry`` otherwise: the section and a branch's pins treat
 ``X z0`` as a flat direction.
 """
 
@@ -54,12 +57,7 @@ from .errors import (
     NotASymmetry,
     UnknownPreset,
 )
-from .linalg import (
-    compress,
-    orthogonal_complement,
-    orthonormal_columns,
-    standard_symplectic,
-)
+from .linalg import compress, orthogonal_complement, standard_symplectic
 
 __all__ = [
     "EARTH_J2",
@@ -156,8 +154,11 @@ class EquilibriumOrbit:
     hessian: np.ndarray
     gradient_norm: float
     section_basis: np.ndarray  # (2N, 2N - orbit_dim), orthonormal complement
-    orbit_dim: int
-    isotropy_trivial: bool
+    orbit_generators: tuple  # combinations of the generators, one per orbit dimension (_orbit_bases)
+
+    @property
+    def orbit_dim(self) -> int:
+        return len(self.orbit_generators)
 
 
 def _evaluate(system: HamiltonianSystem, what: str, z: np.ndarray, stacked: bool = False):
@@ -305,41 +306,20 @@ def gradient_equivariance_residual(
 
 
 def _orbit_bases(system: HamiltonianSystem, z: np.ndarray):
-    tangents = [g @ z for g in system.symmetry.generators]
-    if tangents:
-        tangent = orthonormal_columns(np.column_stack(tangents))
-    else:
-        tangent = np.zeros((system.dim, 0))
-    section = orthogonal_complement([tangent[:, i] for i in range(tangent.shape[1])], system.dim)
-    return tangent, section
+    """The orbit generators at ``z`` and the orthonormal section complementing the orbit's tangent.
 
-
-def _isotropy_trivial(system: HamiltonianSystem, z0: np.ndarray) -> bool:
-    """Whether each generator's circle moves z0 off itself for every t not a period.
-
-    A generator X is skew and commutes with J, so ``i X`` is Hermitian and
-    its eigenvalues are the weights ``w`` of the circle action.
-    ``exp(t X) z0 = z0`` exactly when ``w t`` is a multiple of 2 pi for every
-    weight z0 occupies, so the isotropy within the circle is ``Z_g`` with
-    ``g = gcd(occupied nonzero weights) / gcd(all nonzero weights)``.  Weights
-    that are not integer multiples of the smallest one report False
-    (unverified), as does a z0 that the generator fixes.
+    One SVD ``[X_1 z, ..., X_g z] = U diag(s) V^T`` gives the rank ``r`` (``s``
+    above 1e-10 of its largest), the tangent ``U[:, :r]`` and the unnormalised
+    orbit generators ``Y_k = sum_i V_ik X_i``, ``k < r`` (``Y_k z = s_k U[:, k]``).
+    A lone generator that moves ``z`` comes back as exactly ``+X`` or ``-X``.
     """
-    scale = 1e-8 * (1.0 + float(np.linalg.norm(z0)))
-    for gen in system.symmetry.generators:
-        if float(np.linalg.norm(gen @ z0)) <= scale:
-            return False
-        weights, vectors = np.linalg.eigh(1j * gen)
-        weights = np.abs(weights)
-        nonzero = weights > 1e-9 * float(np.max(weights))
-        ratios = weights[nonzero] / float(np.min(weights[nonzero]))
-        multiples = np.rint(ratios)
-        if float(np.max(np.abs(ratios - multiples))) > 1e-9 * float(np.max(ratios)):
-            return False
-        occupied = np.abs(vectors[:, nonzero].conj().T @ z0) > scale
-        if np.gcd.reduce(multiples[occupied].astype(int)) != 1:
-            return False
-    return True
+    generators = system.symmetry.generators
+    if generators:
+        u, s, vt = np.linalg.svd(np.column_stack([g @ z for g in generators]), full_matrices=False)
+        if s[0] > 0.0:
+            rank = int(np.sum(s > 1e-10 * s[0]))
+            return tuple(np.tensordot(vt[:rank], generators, axes=1)), orthogonal_complement(u[:, :rank].T, system.dim)
+    return (), np.eye(system.dim)
 
 
 def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
@@ -399,14 +379,13 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
         bound = np.linalg.norm(x, 2) * gn + 1e-6 * (1.0 + np.linalg.norm(hessian, 2)) * np.linalg.norm(moved)
         if residual > bound:
             raise NotASymmetry(f"generator {i} is not a symmetry of H: |A X z0| = {residual:.3e} exceeds {bound:.3e}")
-    tangent, section = _orbit_bases(system, z0)
+    orbit_generators, section = _orbit_bases(system, z0)
     return EquilibriumOrbit(
         z0=z0,
         hessian=hessian,
         gradient_norm=gn,
         section_basis=section,
-        orbit_dim=tangent.shape[1],
-        isotropy_trivial=_isotropy_trivial(system, z0),
+        orbit_generators=orbit_generators,
     )
 
 

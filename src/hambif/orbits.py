@@ -7,11 +7,12 @@ branch by amplitude in the Sobolev norm
     |z|^2 = 2 pi |a0|^2 + pi sum_k k (|a_k|^2 + |b_k|^2),
 
 kills the time-shift freedom with a phase condition against the linear
-predictor, and kills group drift with one pinning row per generator.
+predictor, and kills group drift with one pinning row per orbit generator
+(``EquilibriumOrbit.orbit_generators``, one per dimension of the orbit).
 
 The Galerkin equations of an autonomous invariant flow satisfy one
 integral identity per conserved quantity (the energy, plus one momentum
-per symmetry generator), which makes the naive bordered Jacobian singular
+per orbit generator), which makes the naive bordered Jacobian singular
 at solutions.  The solver therefore carries one unfolding multiplier per
 identity, multiplying the gradient field of the matching conserved
 quantity; the multipliers vanish at solutions and restore a square,
@@ -207,8 +208,7 @@ class _HarmonicBalance:
         self.m = m
         self.s = s
         self.ap, self.bp = predictor
-        self.generators = system.symmetry.generators
-        self.n_gen = len(self.generators)
+        self.n_gen = eq.orbit_dim
         self.n_coeff = self.dim * (2 * m + 1)
         self.size = self.n_coeff + 2 + self.n_gen
         self.points = 4 * m
@@ -221,9 +221,9 @@ class _HarmonicBalance:
         self.weights = self.phi * np.concatenate([[1.0], np.full(2 * m, 2.0)]) / self.points
         self.j = standard_symplectic(self.dim // 2)
         self._last = None  # (x, coeffs, z, grads) of the last _curve call
-        self.pin_rows = [g @ self.z0 for g in self.generators]
+        self.pin_rows = [g @ self.z0 for g in eq.orbit_generators]
         # gradient fields of the conserved momenta: grad( -z.(J X z)/2 ) = -J X z
-        self.moment_mats = [-(self.j @ g) for g in self.generators]
+        self.moment_mats = [-(self.j @ g) for g in eq.orbit_generators]
         # d/dz' part of the coefficient block, (W^T phi') times I, independent of x
         self.derivative_weights = self.weights.T @ self.dphi
         # test weight times basis, ((2M + 1)^2, P), contiguous for one BLAS product per Jacobian

@@ -183,7 +183,8 @@ def weighted_circle_system(w1, w2):
     """H = |z1|^2 / 2 + (|z2|^2 - 1)^2 / 4 on C^2 under z_j -> exp(i w_j t) z_j.
 
     Its critical circle |z2| = 1, z1 = 0 is one group orbit, on which a
-    point has isotropy Z_(w2 / gcd(w1, w2)) for integer weights.
+    point has isotropy Z_(w2 / gcd(w1, w2)) for integer weights; the orbit
+    generator is the declared one whatever that isotropy is.
     """
 
     def gradient(z):
@@ -200,15 +201,23 @@ def weighted_circle_system(w1, w2):
     )
 
 
+def assert_lone_generator_kept(system, eq):
+    # the SVD of the single column X z0 has V = +-1 exactly, so Y = +-X to the bit
+    (x,) = system.symmetry.generators
+    (y,) = eq.orbit_generators
+    assert np.array_equal(y, x) or np.array_equal(y, -x)
+
+
 @pytest.mark.parametrize(
-    "weights, trivial",
-    [((1, 3), False), ((1, 5), False), ((2, 6), False), ((3, 1), True), ((1, np.sqrt(2.0)), False)],
+    "weights",
+    [(1, 3), (1, 5), (2, 6), (3, 1), (1, np.sqrt(2.0))],
+    ids=["weights-1-3", "weights-1-5", "weights-2-6", "weights-3-1", "weights-1-sqrt2"],
 )
-def test_isotropy_from_generator_weights(weights, trivial):
+def test_refine_onto_the_weighted_circle(weights):
     system = weighted_circle_system(*weights)
     eq = model.refine_equilibrium(system, np.array([0.0, 1.02, 0.0, 0.1]))
     assert abs(np.linalg.norm(eq.z0[[1, 3]]) - 1.0) < 1e-10
-    assert eq.isotropy_trivial is trivial
+    assert_lone_generator_kept(system, eq)
 
 
 @pytest.mark.parametrize(
@@ -229,19 +238,36 @@ def test_group_element_matches_expm(system):
         assert np.max(np.abs(gamma @ j - j @ gamma)) <= 1e-12
 
 
-def test_isotropy_trivial_for_presets_and_chain():
+def test_orbit_generators_of_presets_and_chain():
     chain = model.newtonian_to_hamiltonian(
         potential=lambda q: 0.5 * float(q @ q) + 0.25 * float((q[0] - q[1]) ** 4),
         n=2,
         gradient=lambda q: q + (q[0] - q[1]) ** 3 * np.array([1.0, -1.0]),
     )
-    cases = [
-        (model.preset("satellite", omega=1.0, c=0.1), np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0])),
-        (model.preset("harmonic", beta=1.0), np.array([0.1, 0.1])),
-        (chain, np.array([0.1, -0.1, 0.0, 0.05])),
-    ]
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    assert_lone_generator_kept(sat, model.refine_equilibrium(sat, np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0])))
+    cases = [(model.preset("harmonic", beta=1.0), np.array([0.1, 0.1])), (chain, np.array([0.1, -0.1, 0.0, 0.05]))]
     for system, guess in cases:
-        assert model.refine_equilibrium(system, guess).isotropy_trivial
+        eq = model.refine_equilibrium(system, guess)
+        assert eq.orbit_generators == () and eq.orbit_dim == 0
+
+
+def test_orbit_generators_leave_out_the_isotropy():
+    # SO(3) on the unit sphere in q: three declared rotations, an orbit of
+    # dimension 2; the rotation about q0 fixes z0 and gets no orbit generator
+    system, guess = cli.build_system(cli.parse_config((DATA / "so3-hat.ini").read_text(encoding="utf-8")))
+    eq = model.refine_equilibrium(system, guess)
+    assert eq.orbit_dim == 2
+    tangents = np.column_stack([y @ eq.z0 for y in eq.orbit_generators])
+    assert np.max(np.abs(eq.section_basis.T @ tangents)) < 1e-14
+    gram = tangents.T @ tangents
+    assert abs(gram[0, 1]) < 1e-14 * gram[0, 0] and gram[1, 1] > 1e-2 * gram[0, 0]
+    # each orbit generator is still a symmetry: A Y z0 = Y grad H(z0) = 0 at a critical point
+    assert np.max(np.abs(eq.hessian @ tangents)) < 1e-12
+    # the rotation of the fixed-point example fixes the origin: no orbit, full section
+    system, guess = cli.build_system(cli.parse_config((DATA / "fixed-point.ini").read_text(encoding="utf-8")))
+    eq = model.refine_equilibrium(system, guess)
+    assert eq.orbit_generators == () and np.array_equal(eq.section_basis, np.eye(4))
 
 
 def test_refine_equilibrium_satellite():
@@ -253,7 +279,6 @@ def test_refine_equilibrium_satellite():
     assert np.linalg.norm(eq.z0 - expected) < 1e-9
     assert eq.orbit_dim == 1
     assert eq.gradient_norm < 1e-10 * (1.0 + np.linalg.norm(eq.z0))
-    assert eq.isotropy_trivial
     # the tangent vector sits in the kernel of the Hessian
     tangent = sat.symmetry.generators[0] @ eq.z0
     h = model.hessian_of(sat, eq.z0)

@@ -1,13 +1,16 @@
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from hambif import analysis, model, orbits
+from hambif import analysis, cli, model, orbits
 from hambif.errors import EmptyKernel, NoConvergence
+
+DATA = Path(__file__).parent / "data"
 
 
 def harmonic_setup():
@@ -234,6 +237,44 @@ def test_solve_orbit_group_pinning_blocks_drift():
     orbit = orbits.solve_orbit(sat, eq, cand, 1e-2)
     pin = sat.symmetry.generators[0] @ eq.z0
     assert abs((orbit.a0 - eq.z0) @ pin) < 1e-9
+
+
+def hat_period_oracle(energy):
+    # radial motion of H = |p|^2/2 + |q|^4/4 - |q|^2/2 at zero angular
+    # momentum: T = 2 int dr / sqrt(2 (E - V(r))) between the roots
+    # u = 1 -+ sqrt(1 + 4E) of V(sqrt u) = E, with u = r^2 = c + d cos(theta)
+    c, d = 1.0, np.sqrt(1.0 + 4.0 * energy)
+    val, _ = quad(lambda theta: 1.0 / np.sqrt(c + d * np.cos(theta)), 0.0, np.pi, epsabs=0.0, epsrel=1e-13)
+    return np.sqrt(2.0) * val
+
+
+def quartic_period_oracle(energy):
+    # x'' = -x - x^3 at energy E: T = 4 int_0^{pi/2} (1 + xm^2 (1 + sin^2 phi) / 2)^(-1/2) dphi
+    xm2 = np.sqrt(1.0 + 4.0 * energy) - 1.0
+    integrand = lambda phi: 1.0 / np.sqrt(1.0 + 0.5 * xm2 * (1.0 + np.sin(phi) ** 2))
+    val, _ = quad(integrand, 0.0, np.pi / 2, epsabs=0.0, epsrel=1e-13)
+    return 4.0 * val
+
+
+@pytest.mark.parametrize(
+    "name, steps, oracle, rtol",
+    [("so3-hat", 5, hat_period_oracle, 1e-8), ("fixed-point", 4, quartic_period_oracle, 1e-10)],
+    ids=["so3-hat", "fixed-point"],
+)
+def test_branch_pins_only_the_orbit_generators(name, steps, oracle, rtol):
+    # so3-hat: three rotations, an orbit of dimension 2 (the rotation about q0
+    # fixes z0); fixed-point: a rotation that fixes the origin.  A pin or a
+    # momentum multiplier per declared generator makes the bordered Jacobian
+    # singular there and the branch stalls at its first step.
+    system, guess = cli.build_system(cli.parse_config((DATA / f"{name}.ini").read_text(encoding="utf-8")))
+    eq = model.refine_equilibrium(system, guess)
+    cand = analysis.analyze(system, eq)[0]
+    branch = orbits.continue_branch(system, eq, cand, steps=steps, s0=1e-2)
+    assert len(branch.orbits) == steps and not branch.failures
+    for orbit in branch.orbits:
+        emin, emax = orbits.orbit_energy_range(system, orbit)
+        expected = oracle(0.5 * (emin + emax))
+        assert abs(orbit.period - expected) <= rtol * expected
 
 
 def fd_jacobian(problem, x, step=1e-7):
