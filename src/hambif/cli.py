@@ -263,7 +263,9 @@ def _polynomial_system(config: RunConfig) -> HamiltonianSystem:
 
     An exponent is lowered below 0 only in a term whose factor is 0, so the
     lowered exponents are clipped at 0 and each derivative is one product
-    over the whole table.
+    over the whole table.  When every monomial has even degree in ``p``,
+    ``H(q, -p) = H(q, p)`` exactly and the system carries the reversor
+    ``diag(I, -I)``.
     """
     dim = 2 * config.n
     eye = np.eye(dim)
@@ -292,6 +294,7 @@ def _polynomial_system(config: RunConfig) -> HamiltonianSystem:
         return np.sum(hess_factor * np.prod(z**hess_exps, axis=-1), axis=0)
 
     generators = tuple(np.array(g, dtype=float) for g in config.generators)
+    even_in_p = all(sum(e[config.n :]) % 2 == 0 for _, e in config.monomials)
     return HamiltonianSystem(
         n=config.n,
         energy=energy,
@@ -299,6 +302,7 @@ def _polynomial_system(config: RunConfig) -> HamiltonianSystem:
         hessian=hessian,
         symmetry=SymmetryGroup(generators),
         name="inline-polynomial",
+        reversor=np.repeat([1.0, -1.0], config.n) if even_in_p else None,
     )
 
 

@@ -38,6 +38,13 @@ Hessian at ``z`` (differentiate ``grad H(exp(t X) z) = exp(t X) grad H(z)`` at
 ``|A X z0| <= |X| |grad H(z0)| + 1e-6 (1 + |A|) |X z0|`` at the refined point and
 raises ``NotASymmetry`` otherwise: the section and a branch's pins treat
 ``X z0`` as a flat direction.
+
+A reversor is a diagonal ``R = diag(r)``, ``r_i = +-1``, with ``R J R = -J``
+(``r[N:] = -r[:N]``) and ``H(R z) = H(z)``, so that ``R z(-t)`` solves the flow
+whenever ``z(t)`` does.  Only constructors that know ``H`` set it:
+``newtonian_to_hamiltonian`` (``R = diag(I, -I)``), the satellite preset
+(``R = diag(1, -1, 1, -1, 1, -1)``) and the CLI's inline polynomials whose
+every monomial has even degree in ``p``.
 """
 
 from __future__ import annotations
@@ -129,6 +136,12 @@ class HamiltonianSystem:
     as its ``batch`` attribute, which maps a ``(P, 2N)`` array of points to
     the ``(P, 2N)`` array of their gradients or the ``(P, 2N, 2N)`` array of
     their Hessians (see the module docstring).
+
+    ``reversor``, when known, is the diagonal ``r`` of a reversing symmetry
+    ``R = diag(r)`` of H (see the module docstring); ``orbits.solve_orbit``
+    then solves for the ``R``-symmetric orbits with half the unknowns.
+    ``None`` means no reversor is known, and every branch takes the full
+    harmonic-balance system.
     """
 
     n: int
@@ -137,6 +150,15 @@ class HamiltonianSystem:
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     symmetry: SymmetryGroup = field(default_factory=SymmetryGroup)
     name: str = ""
+    reversor: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.reversor is not None:
+            r = np.asarray(self.reversor, dtype=float)
+            anti_symplectic = r.shape == (2 * self.n,) and np.array_equal(r[self.n :], -r[: self.n])
+            if not (anti_symplectic and np.all(np.abs(r) == 1.0)):
+                raise ValueError("reversor must be 2N entries +-1 with r[N:] = -r[:N]")
+            self.reversor = r
 
     @property
     def dim(self) -> int:
@@ -400,7 +422,8 @@ def newtonian_to_hamiltonian(
     """First-order form of the second-order system ``q'' = -grad U(q)``.
 
     Produces ``H(q, r) = |r|^2 / 2 + U(q)`` on R^(2n) with the symmetry
-    generators lifted diagonally to act on positions and momenta alike.
+    generators lifted diagonally to act on positions and momenta alike, and
+    the reversor ``r -> -r``.
 
     The lifted ``gradient`` and ``hessian`` carry stacked forms (see the
     module docstring), so a harmonic-balance evaluation makes one stacked
@@ -456,6 +479,7 @@ def newtonian_to_hamiltonian(
         hessian=hess,
         symmetry=SymmetryGroup(tuple(lifted)),
         name=name or "newtonian",
+        reversor=np.repeat([1.0, -1.0], n),
     )
 
 
@@ -597,6 +621,7 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
         hessian=hessian,
         symmetry=SymmetryGroup((generator,)),
         name="satellite",
+        reversor=np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0]),
     )
 
 

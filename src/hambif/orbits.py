@@ -18,6 +18,28 @@ identity, multiplying the gradient field of the matching conserved
 quantity; the multipliers vanish at solutions and restore a square,
 nonsingular bordered system that dense LU can handle.
 
+Reversible systems take a symmetric ansatz with half the unknowns.  Let
+``R`` be a reversor of H (``model.HamiltonianSystem.reversor``: diagonal,
+``R J R = -J``, ``H(R z) = H(z)``) that fixes ``z0``.  By the reversible
+Lyapunov centre theorem (Devaney, Trans. AMS 218, 1976; Lamb & Roberts,
+Physica D 112, 1998) the family through ``z0`` is symmetric,
+``z(-t) = R z(t)`` after a time shift: ``a0`` and the ``a_k`` lie in
+``Fix(R)``, the ``b_k`` in ``Fix(-R)``.  The field ``z' - lambda J grad H``
+of such a curve is ``-R``-odd, so only the ``Fix(-R)`` part of its constant
+and cosine Galerkin rows and the ``Fix(R)`` part of its sine rows can be
+nonzero: as many equations as unknowns, with ``lambda`` and the amplitude
+pin.  The symmetry fixes the phase, so the phase row goes.  The energy
+identity's integrand ``grad H . z'`` is odd on symmetric curves, so it
+constrains none of the kept rows and the energy multiplier goes.  So do the
+pin row and the momentum multiplier of a generator ``X`` with ``R X R = -X``:
+``exp(s X)`` moves a symmetric curve off the symmetric ones, the pin
+``(a0 - z0) . X z0`` vanishes on ``Fix(R)``, and the momentum identity's
+integrand is odd too.  ``solve_orbit`` takes this ansatz when
+``_symmetric_frame`` finds its hypotheses hold at ``z0``, solves in the time
+frame where the linear predictor is symmetric, and shifts each orbit back,
+so callers get the full solver's coefficients; ``residual_field`` checks
+the full, unsymmetrised equations either way.
+
 Newton's Jacobian is assembled by the alternating frequency/time method
 (Cameron & Griffin, J. Appl. Mech. 56, 1989; Krack & Gross, Harmonic
 Balance for Nonlinear Vibration Problems, 2019): the Hessians of H at the
@@ -196,84 +218,148 @@ def residual_field(system: HamiltonianSystem, orbit: FourierOrbit, collocation_p
 class _HarmonicBalance:
     """Galerkin residual, constraints and their exact Jacobian for one amplitude-pinned solve.
 
-    The coefficient vector stacks ``a0, a_1..a_M, b_1..b_M`` (each of length
-    2N), so its first ``n_coeff`` entries reshape to a ``(2M + 1, 2N)`` matrix
-    whose rows multiply the basis ``(1, cos kt, sin kt)``.
+    The coefficients ``a0, a_1..a_M, b_1..b_M`` (each of length 2N) are the
+    rows of a ``(2M + 1, 2N)`` matrix that multiply the basis
+    ``(1, cos kt, sin kt)``.  The unknowns are the entries of that matrix
+    in ``keep`` (row by row), then ``lam`` and ``n_mult`` multipliers; the
+    equations are the Galerkin rows in ``rows``, then the constraints.
+
+    Without ``reversor`` every entry and every row is kept, on ``4M`` points,
+    with the energy multiplier, the phase row and one pin row and momentum
+    multiplier per orbit generator.  With ``reversor`` (the diagonal of
+    ``R``) this is the symmetric ansatz of the module docstring: ``keep``
+    holds ``a0, a_k`` in ``Fix(R)`` and ``b_k`` in ``Fix(-R)``, ``rows`` the
+    ``Fix(-R)`` part of the constant and cosine rows and the ``Fix(R)`` part
+    of the sine rows, and the amplitude pin is the only constraint.  Its
+    ``2M + 1`` points are those of the full grid in ``[0, pi]``: the field
+    at ``t_(4M - p) = -t_p`` is ``-R`` times the field at ``t_p``, so every
+    kept Galerkin sum over the full grid is the sum over ``[0, pi]`` with
+    the weights of the interior points doubled.
     """
 
-    def __init__(self, system, eq, predictor, s, m):
+    def __init__(self, system, eq, predictor, s, m, reversor=None):
         self.system = system
         self.z0 = eq.z0
-        self.dim = system.dim
+        self.dim = d = system.dim
         self.m = m
         self.s = s
         self.ap, self.bp = predictor
-        self.n_gen = eq.orbit_dim
-        self.n_coeff = self.dim * (2 * m + 1)
-        self.size = self.n_coeff + 2 + self.n_gen
-        self.points = 4 * m
-        t = np.arange(self.points) * TWO_PI / self.points
+        width = 2 * m + 1
+        points = 4 * m
+        t = np.arange(points) * TWO_PI / points
         k = np.arange(1, m + 1)
         cos, sin = np.cos(np.outer(t, k)), np.sin(np.outer(t, k))  # (P, m)
         # basis, its time derivative and the Galerkin test weights, each (P, 2M + 1)
-        self.phi = np.hstack([np.ones((self.points, 1)), cos, sin])
-        self.dphi = np.hstack([np.zeros((self.points, 1)), -k * sin, k * cos])
-        self.weights = self.phi * np.concatenate([[1.0], np.full(2 * m, 2.0)]) / self.points
-        self.j = standard_symplectic(self.dim // 2)
-        self._last = None  # (x, coeffs, z, grads) of the last _curve call
-        self.pin_rows = [g @ self.z0 for g in eq.orbit_generators]
-        # gradient fields of the conserved momenta: grad( -z.(J X z)/2 ) = -J X z
-        self.moment_mats = [-(self.j @ g) for g in eq.orbit_generators]
+        self.phi = np.hstack([np.ones((points, 1)), cos, sin])
+        self.dphi = np.hstack([np.zeros((points, 1)), -k * sin, k * cos])
+        self.weights = self.phi * np.concatenate([[1.0], np.full(2 * m, 2.0)]) / points
         # d/dz' part of the coefficient block, (W^T phi') times I, independent of x
-        self.derivative_weights = self.weights.T @ self.dphi
-        # test weight times basis, ((2M + 1)^2, P), contiguous for one BLAS product per Jacobian
-        self.weight_basis = np.ascontiguousarray(
-            np.einsum("pr,pc->rcp", self.weights, self.phi).reshape(-1, self.points)
-        )
+        derivative_weights = self.weights.T @ self.dphi
+        self.j = standard_symplectic(d // 2)
+        self._last = None  # (x, coeffs, z, grads) of the last _curve call
+        a1, b1 = slice(d, 2 * d), slice(d + d * m, 2 * d + d * m)
+        if reversor is None:
+            generators = eq.orbit_generators
+            self.n_mult = 1 + len(generators)  # energy, then one momentum per generator
+            self.keep = np.ones(width * d, dtype=bool)
+            self.rows = self.keep
+            row_groups = col_groups = [(slice(None), slice(None), "all")]
+            cons = np.zeros((2 + len(generators), width * d))
+            cons[1, a1], cons[1, b1] = np.pi * self.bp, -np.pi * self.ap
+            for i, g in enumerate(generators):
+                cons[2 + i, :d] = g @ self.z0
+        else:
+            generators = ()
+            self.n_mult = 0
+            plus, minus = np.flatnonzero(reversor > 0), np.flatnonzero(reversor < 0)
+            cosine = np.arange(width) <= m
+            self.keep = np.where(cosine[:, None], reversor > 0, reversor < 0).ravel()
+            self.rows = ~self.keep
+            fold = np.concatenate([[1.0], np.full(2 * m - 1, 2.0), [1.0]])
+            self.phi, self.dphi = self.phi[: 2 * m + 1], self.dphi[: 2 * m + 1]
+            self.weights = self.weights[: 2 * m + 1] * fold[:, None]
+            row_groups = [(slice(0, m + 1), minus[:, None], "-"), (slice(m + 1, None), plus[:, None], "+")]
+            col_groups = [(slice(0, m + 1), plus, "+"), (slice(m + 1, None), minus, "-")]
+            cons = np.zeros((1, width * d))
+        cons[0, a1], cons[0, b1] = np.pi * self.ap, np.pi * self.bp
+        self.constraint_rows = cons[:, self.keep]
+        self.points = len(self.phi)
+        self.n_coeff = int(np.count_nonzero(self.keep))
+        self.size = self.n_coeff + 1 + self.n_mult
+        self.pin_rows = list(cons[2:, :d])
+        # gradient fields of the conserved momenta: grad( -z.(J X z)/2 ) = -J X z
+        self.moment_mats = [-(self.j @ g) for g in generators]
+        # one block of the coefficient Jacobian per (row group, column group),
+        # a group being basis functions times components of one parity:
+        # (jacobian rows, columns, test weight times basis ((rows x columns), P)
+        # contiguous for one BLAS product, the index of D's components, the
+        # block shape, and the phi' part where the component sets coincide)
+        self.blocks = []
+        r0 = 0
+        for rb, rc, rkind in row_groups:
+            c0, nr, dr = 0, len(range(width)[rb]), np.arange(d)[rc].size
+            for cb, cc, ckind in col_groups:
+                nc, dc = len(range(width)[cb]), np.arange(d)[cc].size
+                weight_basis = np.einsum("pr,pc->rcp", self.weights[:, rb], self.phi[:, cb])
+                rows, cols = slice(r0, r0 + nr * dr), slice(c0, c0 + nc * dc)
+                self.blocks.append((
+                    rows,
+                    cols,
+                    np.ascontiguousarray(weight_basis.reshape(-1, self.points)),
+                    (slice(None), rc, cc),
+                    (nr, nc, dr, dc),
+                    derivative_weights[rb, cb] if rkind == ckind else None,
+                ))
+                c0 = cols.stop
+            r0 = rows.stop
 
     def pack(self, a0, a, b, lam, mus) -> np.ndarray:
-        return np.concatenate([a0, a.ravel(), b.ravel(), [lam], mus])
+        return np.concatenate([np.concatenate([a0, a.ravel(), b.ravel()])[self.keep], [lam], mus])
+
+    def _coefficients(self, x) -> np.ndarray:
+        coeffs = np.zeros(self.keep.size)
+        coeffs[self.keep] = x[: self.n_coeff]
+        return coeffs.reshape(-1, self.dim)
 
     def unpack(self, x):
-        d, m = self.dim, self.m
-        a0 = x[:d]
-        a = x[d : d + d * m].reshape(m, d)
-        b = x[d + d * m : d + 2 * d * m].reshape(m, d)
-        lam = x[self.n_coeff]
-        mus = x[self.n_coeff + 1 :]
-        return a0, a, b, lam, mus
+        coeffs = self._coefficients(x)
+        return coeffs[0], coeffs[1 : self.m + 1], coeffs[self.m + 1 :], x[self.n_coeff], x[self.n_coeff + 1 :]
 
     def _curve(self, x):
         # kept for the last x: Newton's Jacobian follows a residual at the same x
         if self._last is None or not np.array_equal(self._last[0], x):
             x = np.array(x, dtype=float)
-            coeffs = x[: self.n_coeff].reshape(-1, self.dim)
+            coeffs = self._coefficients(x)
             z = self.phi @ coeffs
             grads = gradients_of(self.system, z)
             self._last = (x, coeffs, z, grads)
         return self._last[1:]
 
     def __call__(self, x) -> np.ndarray:
-        a0, a, b, lam, mus = self.unpack(x)
         coeffs, z, grads = self._curve(x)
-        fld = self.dphi @ coeffs - lam * grads @ self.j.T - mus[0] * grads
-        for i, mat in enumerate(self.moment_mats):
-            fld = fld - mus[1 + i] * z @ mat.T
-        c_amp = np.pi * (float(a[0] @ self.ap) + float(b[0] @ self.bp)) - self.s
-        c_phase = np.pi * (float(a[0] @ self.bp) - float(b[0] @ self.ap))
-        cons = [c_amp, c_phase] + [float((a0 - self.z0) @ row) for row in self.pin_rows]
-        return np.concatenate([(self.weights.T @ fld).ravel(), cons])
+        lam, mus = x[self.n_coeff], x[self.n_coeff + 1 :]
+        a0, a1, b1 = coeffs[0], coeffs[1], coeffs[self.m + 1]
+        fld = self.dphi @ coeffs - lam * grads @ self.j.T
+        cons = [np.pi * (float(a1 @ self.ap) + float(b1 @ self.bp)) - self.s]
+        if self.n_mult:
+            fld = fld - mus[0] * grads
+            for i, mat in enumerate(self.moment_mats):
+                fld = fld - mus[1 + i] * z @ mat.T
+            cons.append(np.pi * (float(a1 @ self.bp) - float(b1 @ self.ap)))
+            cons += [float((a0 - self.z0) @ row) for row in self.pin_rows]
+        return np.concatenate([(self.weights.T @ fld).ravel()[self.rows], cons])
 
     def jacobian(self, x) -> np.ndarray:
         """Exact Jacobian of ``__call__`` (alternating frequency/time assembly).
 
         The field at each collocation point has z-derivative
         ``D = -(lam J + mu0 I) H(z) - sum_i mu_i M_i``, so the coefficient
-        block is ``sum_p w_r(t_p) [phi_c(t_p) D(t_p) + phi'_c(t_p) I]``; the
-        lambda and mu columns project ``-J grad H``, ``-grad H`` and
-        ``-M_i z``; the constraint rows are linear.
+        block is ``sum_p w_r(t_p) [phi_c(t_p) D(t_p) + phi'_c(t_p) I]``,
+        assembled only for the kept rows and columns; the lambda and mu
+        columns project ``-J grad H``, ``-grad H`` and ``-M_i z``; the
+        constraint rows are linear.
         """
-        d, m, n = self.dim, self.m, self.n_coeff
+        n = self.n_coeff
         lam, mus = x[n], x[n + 1 :]
         _, z, grads = self._curve(x)
         if self.system.hessian is None:
@@ -282,22 +368,22 @@ class _HarmonicBalance:
             hess = 0.5 * (fd + fd.transpose(0, 2, 1))
         else:
             hess = hessians_of(self.system, z)
-        dfield = -np.einsum("ij,pjk->pik", lam * self.j + mus[0] * np.eye(d), hess)
+        mix = lam * self.j + mus[0] * np.eye(self.dim) if self.n_mult else lam * self.j
+        dfield = -np.einsum("ij,pjk->pik", mix, hess)
         for i, mat in enumerate(self.moment_mats):
             dfield -= mus[1 + i] * mat
-        width = 2 * m + 1
-        blocks = (self.weight_basis @ dfield.reshape(self.points, -1)).reshape(width, width, d, d)
-        diag = np.arange(d)
-        blocks[:, :, diag, diag] += self.derivative_weights[:, :, None]
         jac = np.zeros((self.size, self.size))
-        jac[:n, :n] = blocks.transpose(0, 2, 1, 3).reshape(n, n)
-        fields = [-grads @ self.j.T, -grads] + [-z @ mat.T for mat in self.moment_mats]
-        jac[:n, n:] = np.column_stack([(self.weights.T @ f).ravel() for f in fields])
-        a1, b1 = slice(d, 2 * d), slice(d + d * m, 2 * d + d * m)
-        jac[n, a1], jac[n, b1] = np.pi * self.ap, np.pi * self.bp
-        jac[n + 1, a1], jac[n + 1, b1] = np.pi * self.bp, -np.pi * self.ap
-        for i, row in enumerate(self.pin_rows):
-            jac[n + 2 + i, :d] = row
+        for rows, cols, weight_basis, index, shape, derivative in self.blocks:
+            block = (weight_basis @ dfield[index].reshape(self.points, -1)).reshape(shape)
+            if derivative is not None:
+                diag = np.arange(shape[2])
+                block[:, :, diag, diag] += derivative[:, :, None]
+            jac[rows, cols] = block.transpose(0, 2, 1, 3).reshape(rows.stop - rows.start, cols.stop - cols.start)
+        fields = [-grads @ self.j.T]
+        if self.n_mult:
+            fields += [-grads] + [-z @ mat.T for mat in self.moment_mats]
+        jac[:n, n:] = np.column_stack([(self.weights.T @ f).ravel()[self.rows] for f in fields])
+        jac[n:, :n] = self.constraint_rows
         return jac
 
 
@@ -307,6 +393,38 @@ def _tail_fraction(orbit: FourierOrbit, z0) -> float:
         return 0.0
     total = float(np.sum(energies))
     return float(energies[-1] / total) if total > 0.0 else 0.0
+
+
+def _symmetric_frame(system: HamiltonianSystem, eq: EquilibriumOrbit, predictor) -> tuple:
+    """``(reversor, theta, predictor)`` of the symmetric ansatz, or ``(None, 0.0, predictor)`` without one.
+
+    The ansatz holds when the system has a reversor ``R`` with ``R z0 = z0``
+    (to 1e-12 of ``1 + |z0|``) and ``A = R A R`` for the Hessian ``A`` at
+    ``z0`` (to ``1e-6 (1 + |A|)``, the tolerance of ``NotASymmetry``, in
+    Frobenius norms), every declared generator anticommutes with ``R``
+    (``R X R = -X``), and a time shift ``theta`` carries the kernel pair
+    ``(a1, b1)`` into ``(Fix R, Fix -R)`` (to 1e-8).  The returned predictor
+    is the shifted pair, ``a1 cos(t + theta) + b1 sin(t + theta)``.
+    """
+    r, z0, hess = system.reversor, eq.z0, eq.hessian
+    full = (None, 0.0, predictor)
+    if r is None or np.linalg.norm(r * z0 - z0) > 1e-12 * (1.0 + np.linalg.norm(z0)):
+        return full
+    if np.linalg.norm(hess - r[:, None] * hess * r) > 1e-6 * (1.0 + np.linalg.norm(hess)):
+        return full
+    for x in system.symmetry.generators:
+        if np.max(np.abs(r[:, None] * x * r + x)) > 1e-12 * (1.0 + np.max(np.abs(x))):
+            return full
+    a1, b1 = predictor
+    # the shifted pair's parts outside (Fix R, Fix -R) are cos(theta) u + sin(theta) v;
+    # theta minimises their norm
+    u = np.concatenate([a1[r < 0], b1[r > 0]])
+    v = np.concatenate([b1[r < 0], -a1[r > 0]])
+    theta = 0.5 * float(np.arctan2(-2.0 * (u @ v), v @ v - u @ u))
+    c, s = np.cos(theta), np.sin(theta)
+    if np.linalg.norm(c * u + s * v) > 1e-8:
+        return full
+    return r, theta, (c * a1 + s * b1, -s * a1 + c * b1)
 
 
 def solve_orbit(
@@ -326,6 +444,19 @@ def solve_orbit(
     rebuilt at the current iterate after a damped or slower step, or when
     the line search fails with a kept Jacobian.  Newton stops below
     ``min(0.02 tol, max(1e-11, 64 eps (1 + |z0|)))``.
+
+    Where ``_symmetric_frame`` finds a reversor ``R`` that fixes ``z0``,
+    keeps ``A = R A R`` there and anticommutes with every declared
+    generator, Newton solves the symmetric ansatz of the module docstring:
+    ``a0, a_k`` in ``Fix(R)``, ``b_k`` in ``Fix(-R)`` and ``lambda``, about
+    half the unknowns, with the gradients and Hessians taken at the ``2M + 1``
+    collocation points in ``[0, pi]`` alone.  By the reversible Lyapunov
+    centre theorem the branch is symmetric, so this is the same orbit: the
+    warm start is shifted into the frame where the linear predictor is
+    symmetric, and the solution is shifted back.  A generator with
+    ``R X R = -X`` needs no pin row and no momentum multiplier there, since
+    its group drift leaves the symmetric curves and its momentum identity
+    holds identically on them.  Every other system takes the full ansatz.
 
     Parameters
     ----------
@@ -357,20 +488,23 @@ def solve_orbit(
     m = modes
     a1, b1 = (amplitude_s * p[None, :] for p in predictor)
     guess = initial_guess or FourierOrbit(a0=eq.z0, a=a1, b=b1, lam=candidate.lambda0)
+    reversor, theta, predictor = _symmetric_frame(system, eq, predictor)
     while True:
-        problem = _HarmonicBalance(system, eq, predictor, amplitude_s, m)
-        take = min(guess.m, m)
+        problem = _HarmonicBalance(system, eq, predictor, amplitude_s, m, reversor)
+        start = transform_orbit(guess, time_shift=theta)
+        take = min(start.m, m)
         a = np.zeros((m, system.dim))
         b = np.zeros((m, system.dim))
-        a[:take] = guess.a[:take]
-        b[:take] = guess.b[:take]
-        x = problem.pack(guess.a0, a, b, guess.lam, np.zeros(1 + problem.n_gen))
+        a[:take] = start.a[:take]
+        b[:take] = start.b[:take]
+        x = problem.pack(start.a0, a, b, start.lam, np.zeros(problem.n_mult))
         x, fvec, converged = _newton(problem, x, tol_inner)
         a0, a, b, lam, _ = problem.unpack(x)
-        orbit = FourierOrbit(a0=a0, a=a, b=b, lam=float(lam))
-        # validate on 4M + 1 points: finer than and incommensurate with the
-        # solve grid, so aliased spurious solutions cannot hide
-        check = residual_field(system, orbit, problem.points + 1)
+        orbit = transform_orbit(FourierOrbit(a0=a0, a=a, b=b, lam=float(lam)), time_shift=-theta)
+        # validate the full equations on 4M + 1 points: finer than and
+        # incommensurate with the solve grid, so aliased spurious solutions
+        # and a wrong symmetry assumption cannot hide
+        check = residual_field(system, orbit, 4 * m + 1)
         orbit.residual = float(np.max(np.linalg.norm(check, axis=1)))
         orbit.amplitude = sobolev_amplitude(orbit, eq.z0)
         cons = np.max(np.abs(fvec[problem.n_coeff :])) if fvec.size > problem.n_coeff else 0.0
@@ -522,11 +656,9 @@ def transform_orbit(orbit: FourierOrbit, rotation=None, time_shift: float = 0.0)
     a = orbit.a.copy()
     b = orbit.b.copy()
     if time_shift != 0.0:
-        for k in range(1, orbit.m + 1):
-            ck, sk = np.cos(k * time_shift), np.sin(k * time_shift)
-            ak, bk = a[k - 1].copy(), b[k - 1].copy()
-            a[k - 1] = ck * ak + sk * bk
-            b[k - 1] = -sk * ak + ck * bk
+        phase = np.arange(1, orbit.m + 1) * time_shift
+        ck, sk = np.cos(phase)[:, None], np.sin(phase)[:, None]
+        a, b = ck * a + sk * b, -sk * a + ck * b
     if rotation is not None:
         rotation = np.asarray(rotation, dtype=float)
         a0 = rotation @ a0

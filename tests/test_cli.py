@@ -598,6 +598,21 @@ def _loop_derivatives(coeffs, exps, z):
     return g, h
 
 
+@pytest.mark.parametrize(
+    "monomials, reversor",
+    [
+        ("0.5 2 0 0 0 ; 0.5 0 0 2 0 ; 0.5 0 0 0 2 ; 0.2 1 1 1 1", [1.0, 1.0, -1.0, -1.0]),
+        # one monomial odd in p: q1 p2
+        ("0.5 2 0 0 0 ; 0.5 0 0 2 0 ; 0.5 0 0 0 2 ; 0.1 1 0 0 1", None),
+        ("0.5 2 0 0 0 ; 0.5 0 0 2 0 ; 0.5 0 0 0 3", None),
+    ],
+    ids=["even", "gyroscopic", "odd-power"],
+)
+def test_inline_reversor_only_when_every_monomial_is_even_in_p(monomials, reversor):
+    system, _ = cli.build_system(cli.parse_config(f"[system]\nn = 2\nmonomials = {monomials}\n"))
+    assert (system.reversor is None) if reversor is None else np.array_equal(system.reversor, reversor)
+
+
 def test_polynomial_derivative_table_matches_loops():
     rng = np.random.default_rng(11)
     for n in (1, 2, 3):

@@ -344,6 +344,51 @@ def test_newtonian_lifted_generators_valid():
     assert sys.symmetry.group_dim == 1  # SymmetryGroup validation passed
 
 
+def inline_even_in_p():
+    # every monomial of even degree in p, mixed p1 p2 included
+    text = "[system]\nn = 2\nmonomials = 0.5 2 0 0 0 ; 1.3 0 2 0 0 ; 0.5 0 0 2 0 ; 0.5 0 0 0 2 ; 0.2 1 1 1 1 ; 0.1 3 0 0 0\n"
+    return cli.build_system(cli.parse_config(text))[0]
+
+
+REVERSIBLE = {
+    "satellite": (lambda: model.preset("satellite", omega=1.0, c=0.1), [1.0, 0.0, 0.0, 0.0, -1.0, 0.0]),
+    "newtonian": (
+        lambda: model.newtonian_to_hamiltonian(
+            lambda q: float(np.cos(q[0]) + q[0] * q[1] ** 2),
+            2,
+            gradient=lambda q: np.array([-np.sin(q[0]) + q[1] ** 2, 2.0 * q[0] * q[1]]),
+        ),
+        [0.1, 0.2, 0.0, 0.0],
+    ),
+    "coupled-springs": (lambda: model.preset("coupled-springs", frequencies=[1.0, 1.45]), [0.0] * 4),
+    "inline-even-in-p": (inline_even_in_p, [0.0] * 4),
+}
+
+
+@pytest.mark.parametrize("build, base", REVERSIBLE.values(), ids=REVERSIBLE.keys())
+def test_declared_reversors_reverse_the_flow(build, base):
+    # R J R = -J and H(R z) = H(z), so grad H(R z) = R grad H(z): R z(-t) solves the flow with z(t)
+    system = build()
+    r = system.reversor
+    j = linalg.standard_symplectic(system.n)
+    assert np.array_equal(r[:, None] * j * r, -j)
+    rng = np.random.default_rng(17)
+    for z in np.asarray(base) + 0.3 * rng.standard_normal((10, system.dim)):
+        energy = system.energy(z)
+        assert abs(system.energy(r * z) - energy) <= 1e-14 * (1.0 + abs(energy))
+        g = model.gradient_of(system, z)
+        assert np.max(np.abs(model.gradient_of(system, r * z) - r * g)) <= 1e-13 * (1.0 + np.max(np.abs(g)))
+
+
+def test_reversor_must_be_an_anti_symplectic_diagonal():
+    energy = lambda z: 0.5 * float(z @ z)
+    assert np.array_equal(model.HamiltonianSystem(n=1, energy=energy, reversor=(-1, 1)).reversor, [-1.0, 1.0])
+    assert model.preset("harmonic").reversor is None
+    for bad in ([1.0, 1.0], [1.0, -1.0, 1.0], [0.5, -0.5], [[1.0, -1.0]]):
+        with pytest.raises(ValueError, match="reversor"):
+            model.HamiltonianSystem(n=1, energy=energy, reversor=bad)
+
+
 def test_preset_errors():
     with pytest.raises(UnknownPreset):
         model.preset("nope")

@@ -216,6 +216,24 @@ def test_transform_orbit_time_shift_is_translation():
     assert np.max(np.abs(shifted.evaluate(t) - orbit.evaluate(t + theta))) < 1e-12
 
 
+def test_transform_orbit_time_shift_matches_the_per_mode_loop():
+    # the per-mode loop is the reference: the vectorised shift makes the same
+    # products cos(k theta) a_k + sin(k theta) b_k, so it agrees to the bit
+    rng = np.random.default_rng(11)
+    for m, theta in ((1, 0.3), (8, -2.7), (64, 1e-9), (16, 40.0)):
+        a0, a, b = rng.standard_normal(4), rng.standard_normal((m, 4)), rng.standard_normal((m, 4))
+        orbit = orbits.FourierOrbit(a0=a0, a=a, b=b, lam=1.0)
+        a, b = a.copy(), b.copy()
+        for k in range(1, m + 1):
+            ck, sk = np.cos(k * theta), np.sin(k * theta)
+            ak, bk = a[k - 1].copy(), b[k - 1].copy()
+            a[k - 1] = ck * ak + sk * bk
+            b[k - 1] = -sk * ak + ck * bk
+        shifted = orbits.transform_orbit(orbit, time_shift=theta)
+        assert np.array_equal(shifted.a, a) and np.array_equal(shifted.b, b)
+        assert np.array_equal(shifted.a0, orbit.a0)
+
+
 def test_orbit_symmetry_residual_invariance():
     sat, eq, cand = satellite_setup()
     orbit = orbits.solve_orbit(sat, eq, cand, 5e-3)
@@ -295,7 +313,7 @@ def perturbed_unknowns(problem, eq, cand, s, rng):
     a[0] += s * problem.ap
     b[0] += s * problem.bp
     a0 = eq.z0 + 0.01 * s * rng.standard_normal(problem.dim)
-    mus = 0.05 * rng.standard_normal(1 + problem.n_gen)
+    mus = 0.05 * rng.standard_normal(problem.n_mult)
     return problem.pack(a0, a, b, cand.lambda0 * (1.0 + 0.01 * rng.standard_normal()), mus)
 
 
@@ -304,16 +322,32 @@ def gradient_only_satellite_setup():
     return replace(sat, hessian=None), eq, cand
 
 
-@pytest.mark.parametrize(
-    "setup, modes",
-    [(satellite_setup, 8), (pendulum_setup, 16), (gradient_only_satellite_setup, 8)],
-    ids=["satellite-M8", "pendulum-M16", "gradient-only-satellite-M8"],
-)
-def test_assembled_jacobian_matches_finite_differences(setup, modes):
-    system, eq, cand = setup()
+def problem_for(system, eq, cand, s, modes, symmetric):
+    """The problem ``solve_orbit`` builds: the symmetric ansatz (which must apply) or the full system."""
     predictor = orbits.kernel_direction(system, eq, cand)
+    reversor, _, shifted = orbits._symmetric_frame(system, eq, predictor)
+    if not symmetric:
+        return orbits._HarmonicBalance(system, eq, predictor, s, modes)
+    assert reversor is not None
+    return orbits._HarmonicBalance(system, eq, shifted, s, modes, reversor)
+
+
+JACOBIAN_CASES = {
+    "satellite-M8": (satellite_setup, 8),
+    "pendulum-M16": (pendulum_setup, 16),
+    "gradient-only-satellite-M8": (gradient_only_satellite_setup, 8),
+}
+
+
+@pytest.mark.parametrize(
+    "setup, modes, symmetric",
+    [(*case, False) for case in JACOBIAN_CASES.values()] + [(*case, True) for case in JACOBIAN_CASES.values()],
+    ids=list(JACOBIAN_CASES) + [f"{name}-symmetric" for name in JACOBIAN_CASES],
+)
+def test_assembled_jacobian_matches_finite_differences(setup, modes, symmetric):
+    system, eq, cand = setup()
     rng = np.random.default_rng(3)
-    problem = orbits._HarmonicBalance(system, eq, predictor, 0.05, modes)
+    problem = problem_for(system, eq, cand, 0.05, modes, symmetric)
     n = problem.n_coeff
     blocks = {
         "coefficients": (slice(0, n), slice(0, n)),
@@ -321,6 +355,9 @@ def test_assembled_jacobian_matches_finite_differences(setup, modes):
         "mu columns": (slice(0, n), slice(n + 1, None)),
         "constraint rows": (slice(n, None), slice(None)),
     }
+    if symmetric:  # no multipliers: the symmetric ansatz keeps lam alone
+        assert problem.size == n + 1
+        del blocks["mu columns"]
     # forward differences with step 1e-7 are good to about 1e-7 relative, so
     # every block must agree to 1e-5 of its largest entry
     for _ in range(3):
@@ -372,9 +409,10 @@ def test_analysis_and_branch_read_the_equilibrium_hessian():
     assert at_z0[0] == 0
 
 
-def test_jacobian_reuses_residual_gradients():
+def test_jacobian_reuses_residual_gradients(symmetric=False, points=32):
     # Newton evaluates the residual at x and then asks for the Jacobian at
-    # the same x: the gradients at the collocation points are not recomputed
+    # the same x: the gradients at the collocation points (4M, or the 2M + 1
+    # in [0, pi] of the symmetric ansatz) are not recomputed
     sat, eq, cand = satellite_setup()
     calls = [0]
 
@@ -383,13 +421,12 @@ def test_jacobian_reuses_residual_gradients():
         return sat.gradient(z)
 
     counted = replace(sat, gradient=counted_gradient)
-    predictor = orbits.kernel_direction(counted, eq, cand)
-    problem = orbits._HarmonicBalance(counted, eq, predictor, 0.05, 8)
+    problem = problem_for(counted, eq, cand, 0.05, 8, symmetric)
     x = perturbed_unknowns(problem, eq, cand, 0.05, np.random.default_rng(5))
-    fresh = orbits._HarmonicBalance(sat, eq, predictor, 0.05, 8).jacobian(x)
+    fresh = problem_for(sat, eq, cand, 0.05, 8, symmetric).jacobian(x)
     problem(x)
     before = calls[0]
-    assert before == problem.points
+    assert before == problem.points == points
     reused = problem.jacobian(x)
     assert calls[0] == before
     assert np.array_equal(reused, fresh)
@@ -397,6 +434,10 @@ def test_jacobian_reuses_residual_gradients():
     moved[0] += 1e-3
     problem.jacobian(moved)  # a different point is evaluated afresh
     assert calls[0] == before + problem.points
+
+
+def test_jacobian_reuses_residual_gradients_in_the_symmetric_ansatz():
+    test_jacobian_reuses_residual_gradients(symmetric=True, points=17)
 
 
 def counting_evaluators(system):
@@ -421,11 +462,10 @@ def counting_evaluators(system):
     return replace(system, **{w: counted(w, f) for w, f in evaluators.items() if f is not None}), calls
 
 
-def test_satellite_harmonic_balance_makes_one_stacked_call_per_evaluation():
+def test_satellite_harmonic_balance_makes_one_stacked_call_per_evaluation(symmetric=False):
     sat, eq, cand = satellite_setup()
     counted, calls = counting_evaluators(sat)
-    predictor = orbits.kernel_direction(counted, eq, cand)
-    problem = orbits._HarmonicBalance(counted, eq, predictor, 0.05, 8)
+    problem = problem_for(counted, eq, cand, 0.05, 8, symmetric)
     x = perturbed_unknowns(problem, eq, cand, 0.05, np.random.default_rng(5))
     problem(x)
     assert calls == {"gradient.batch": 1}
@@ -436,26 +476,36 @@ def test_satellite_harmonic_balance_makes_one_stacked_call_per_evaluation():
     assert calls == {"gradient.batch": 2, "hessian.batch": 1}
 
 
+def test_satellite_symmetric_ansatz_makes_one_stacked_call_per_evaluation():
+    test_satellite_harmonic_balance_makes_one_stacked_call_per_evaluation(symmetric=True)
+
+
+REPLACED_EVALUATORS = {
+    # a replaced gradient has no stacked form; the Hessian keeps its own
+    "gradient-replaced": (
+        lambda sat: replace(sat, gradient=lambda z: sat.gradient(z)),
+        {"gradient": "points", "hessian.batch": 1},
+    ),
+    # without a Hessian the Jacobian differences the held gradients in one stacked call
+    "hessian-none": (lambda sat: replace(sat, hessian=None), {"gradient.batch": 2}),
+}
+
+
 @pytest.mark.parametrize(
-    "replaced, expected",
-    [
-        # a replaced gradient has no stacked form; the Hessian keeps its own
-        (lambda sat: replace(sat, gradient=lambda z: sat.gradient(z)), {"gradient": 32, "hessian.batch": 1}),
-        # without a Hessian the Jacobian differences the held gradients in one stacked call
-        (lambda sat: replace(sat, hessian=None), {"gradient.batch": 2}),
-    ],
-    ids=["gradient-replaced", "hessian-none"],
+    "replaced, expected, symmetric, points",
+    [(*case, False, 32) for case in REPLACED_EVALUATORS.values()]
+    + [(*case, True, 17) for case in REPLACED_EVALUATORS.values()],
+    ids=list(REPLACED_EVALUATORS) + [f"{name}-symmetric" for name in REPLACED_EVALUATORS],
 )
-def test_replaced_satellite_evaluators_fall_back_to_per_point_calls(replaced, expected):
+def test_replaced_satellite_evaluators_fall_back_to_per_point_calls(replaced, expected, symmetric, points):
     sat, eq, cand = satellite_setup()
     counted, calls = counting_evaluators(replaced(sat))
-    predictor = orbits.kernel_direction(counted, eq, cand)
-    problem = orbits._HarmonicBalance(counted, eq, predictor, 0.05, 8)
-    assert problem.points == 32
+    problem = problem_for(counted, eq, cand, 0.05, 8, symmetric)
+    assert problem.points == points
     x = perturbed_unknowns(problem, eq, cand, 0.05, np.random.default_rng(5))
     problem(x)
     problem.jacobian(x)
-    assert calls == expected
+    assert calls == {what: points if count == "points" else count for what, count in expected.items()}
 
 
 def test_solve_orbit_rejects_absurd_amplitude(monkeypatch):
@@ -582,14 +632,19 @@ def spring_chain(freqs, with_hessian=True, calls=None):
     )
 
 
-@pytest.mark.parametrize("with_hessian", [True, False], ids=["hessian", "gradient-only"])
-def test_newtonian_harmonic_balance_makes_one_stacked_call_per_evaluation(with_hessian):
+@pytest.mark.parametrize(
+    "with_hessian, symmetric, points",
+    [(True, False, 32), (False, False, 32), (True, True, 17), (False, True, 17)],
+    ids=["hessian", "gradient-only", "hessian-symmetric", "gradient-only-symmetric"],
+)
+def test_newtonian_harmonic_balance_makes_one_stacked_call_per_evaluation(with_hessian, symmetric, points):
     q_calls = Counter()
     chain = spring_chain([1.0, 1.3, 1.7], with_hessian, q_calls)
     eq = model.refine_equilibrium(chain, np.zeros(6))
     cand = analysis.analyze(chain, eq)[0]
     counted, calls = counting_evaluators(chain)
-    problem = orbits._HarmonicBalance(counted, eq, orbits.kernel_direction(counted, eq, cand), 0.05, 8)
+    problem = problem_for(counted, eq, cand, 0.05, 8, symmetric)
+    assert problem.points == points
     x = perturbed_unknowns(problem, eq, cand, 0.05, np.random.default_rng(7))
     q_calls.clear()
     problem(x)
@@ -669,16 +724,18 @@ def test_stacked_forward_differences_equal_the_per_point_loop(build, base):
     assert np.array_equal(model._forward_differences(system, zs, grads), expected)
 
 
-def test_lu_sees_no_entry_below_rounding_of_the_jacobian(monkeypatch):
+def test_lu_sees_no_entry_below_rounding_of_the_jacobian(monkeypatch, symmetric=False):
     chain = spring_chain([1.0 + 0.12 * i for i in range(8)])
     eq = model.refine_equilibrium(chain, np.zeros(16))
     cand = next(c for c in analysis.analyze(chain, eq) if c.j0 == 1)
     branch = orbits.continue_branch(chain, eq, cand, steps=7, s0=1e-3)
-    last = branch.orbits[-1]
-    # the eighth step's start: the warm start continue_branch would hand on
-    problem = orbits._HarmonicBalance(chain, eq, orbits.kernel_direction(chain, eq, cand), 0.128, last.m)
+    # the eighth step's start, in the problem's frame: the warm start
+    # continue_branch would hand on
+    theta = orbits._symmetric_frame(chain, eq, orbits.kernel_direction(chain, eq, cand))[1] if symmetric else 0.0
+    last = orbits.transform_orbit(branch.orbits[-1], time_shift=theta)
+    problem = problem_for(chain, eq, cand, 0.128, last.m, symmetric)
     a0 = eq.z0 + 2.0 * (last.a0 - eq.z0)
-    x = problem.pack(a0, 2.0 * last.a, 2.0 * last.b, last.lam, np.zeros(1 + problem.n_gen))
+    x = problem.pack(a0, 2.0 * last.a, 2.0 * last.b, last.lam, np.zeros(problem.n_mult))
     f = problem(x)
     raw = problem.jacobian(x)
     floor = np.finfo(float).eps * np.max(np.abs(raw))
@@ -700,3 +757,94 @@ def test_lu_sees_no_entry_below_rounding_of_the_jacobian(monkeypatch):
     assert converged and handed
     for a in handed:
         assert not np.any((a != 0.0) & (np.abs(a) < np.finfo(float).eps * np.max(np.abs(a))))
+
+
+def test_lu_sees_no_entry_below_rounding_of_the_symmetric_jacobian(monkeypatch):
+    test_lu_sees_no_entry_below_rounding_of_the_jacobian(monkeypatch, symmetric=True)
+
+
+def ini_setup(name):
+    system, guess = cli.build_system(cli.parse_config((DATA / f"{name}.ini").read_text(encoding="utf-8")))
+    eq = model.refine_equilibrium(system, guess)
+    return system, eq, analysis.analyze(system, eq)[0]
+
+
+def chain_setup(with_hessian):
+    chain = spring_chain(CHAIN_FREQS, with_hessian)
+    eq = model.refine_equilibrium(chain, np.zeros(8))
+    return chain, eq, analysis.analyze(chain, eq)[0]
+
+
+def satellite_j0_setup(j0):
+    sat, eq, _ = satellite_setup()
+    return sat, eq, next(c for c in analysis.analyze(sat, eq) if c.j0 == j0)
+
+
+def full_branch(system, eq, cand, steps, s0):
+    """The branch of ``system`` with its reversor dropped: the full harmonic-balance system."""
+    return orbits.continue_branch(replace(system, reversor=None), eq, cand, steps=steps, s0=s0)
+
+
+SYMMETRIC_BRANCHES = {
+    # (setup, steps, s0); the N = 4 chains double their modes to M = 16
+    "chain-n4": (lambda: chain_setup(True), 6, 0.1),
+    "chain-n4-gradient-only": (lambda: chain_setup(False), 6, 0.1),
+    "pendulum": (pendulum_setup, 5, 0.1),
+    "satellite-j1": (lambda: satellite_j0_setup(1), 8, 1e-3),
+    "satellite-j2": (lambda: satellite_j0_setup(2), 8, 1e-3),
+    "springs": (lambda: ini_setup("springs"), 4, 1e-2),
+    "far-equilibrium": (lambda: ini_setup("far-equilibrium"), 3, 1e-2),
+}
+
+
+@pytest.mark.parametrize("setup, steps, s0", SYMMETRIC_BRANCHES.values(), ids=SYMMETRIC_BRANCHES.keys())
+def test_symmetric_ansatz_agrees_with_the_full_system(setup, steps, s0):
+    system, eq, cand = setup()
+    assert orbits._symmetric_frame(system, eq, orbits.kernel_direction(system, eq, cand))[0] is not None
+    branch = orbits.continue_branch(system, eq, cand, steps=steps, s0=s0)
+    full = full_branch(system, eq, cand, steps, s0)
+    assert len(branch.orbits) == len(full.orbits) == steps and not branch.failures
+    for orbit, ref in zip(branch.orbits, full.orbits):
+        assert orbit.m == ref.m
+        assert abs(orbit.period - ref.period) <= 1e-12 * ref.period
+        # the symmetric orbit shifted back in time is the full solver's orbit
+        scale = np.max(np.abs(np.vstack([ref.a, ref.b])))
+        assert np.max(np.abs(np.vstack([orbit.a - ref.a, orbit.b - ref.b]))) <= 1e-10 * scale
+        assert np.max(np.abs(orbit.a0 - ref.a0)) <= 1e-10 * (scale + np.max(np.abs(ref.a0)))
+
+
+def rotated_satellite_setup():
+    # a guess off the x-axis refines to a point of the circle of equilibria
+    # that R does not fix
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    eq = model.refine_equilibrium(sat, np.array([1.0, 0.02, 0.0, 0.01, -1.0, 0.0]))
+    assert np.linalg.norm(sat.reversor * eq.z0 - eq.z0) > 1e-3
+    return sat, eq, analysis.analyze(sat, eq)[0]
+
+
+def wrong_reversor_setup():
+    # q -> q, p -> -p is no symmetry of the gyroscopic term: A != R A R at z0
+    system, eq, cand = ini_setup("gyroscopic")
+    return replace(system, reversor=np.array([1.0, 1.0, -1.0, -1.0])), eq, cand
+
+
+FULL_BRANCHES = {
+    "satellite-off-fix-r": (rotated_satellite_setup, 3, 1e-3),
+    # generators that commute with R = diag(I, -I): the lifted rotations
+    "so3-hat": (lambda: ini_setup("so3-hat"), 3, 1e-2),
+    "fixed-point": (lambda: ini_setup("fixed-point"), 3, 1e-2),
+    "odd-in-p": (lambda: ini_setup("gyroscopic"), 3, 1e-2),
+    "reversor-not-a-symmetry": (wrong_reversor_setup, 3, 1e-2),
+}
+
+
+@pytest.mark.parametrize("setup, steps, s0", FULL_BRANCHES.values(), ids=FULL_BRANCHES.keys())
+def test_full_system_where_the_symmetric_ansatz_does_not_apply(setup, steps, s0):
+    system, eq, cand = setup()
+    assert orbits._symmetric_frame(system, eq, orbits.kernel_direction(system, eq, cand))[0] is None
+    branch = orbits.continue_branch(system, eq, cand, steps=steps, s0=s0)
+    full = full_branch(system, eq, cand, steps, s0)
+    assert len(branch.orbits) == steps and not branch.failures
+    for orbit, ref in zip(branch.orbits, full.orbits):
+        for key in ("a0", "a", "b", "lam", "residual"):
+            assert np.array_equal(getattr(orbit, key), getattr(ref, key))
