@@ -38,7 +38,9 @@ integrand is odd too.  ``solve_orbit`` takes this ansatz when
 ``_symmetric_frame`` finds its hypotheses hold at ``z0``, solves in the time
 frame where the linear predictor is symmetric, and shifts each orbit back,
 so callers get the full solver's coefficients; ``residual_field`` checks
-the full, unsymmetrised equations either way.
+the full, unsymmetrised equations either way.  Only the amplitude pin moves
+along a branch: ``continue_branch`` finds the kernel pair and the frame once
+and builds each truncation's problem once, for every step and doubling.
 
 Newton's Jacobian is assembled by the alternating frequency/time method
 (Cameron & Griffin, J. Appl. Mech. 56, 1989; Krack & Gross, Harmonic
@@ -62,6 +64,7 @@ rounding, and their products slow the LU with subnormal arithmetic.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -427,6 +430,25 @@ def _symmetric_frame(system: HamiltonianSystem, eq: EquilibriumOrbit, predictor)
     return r, theta, (c * a1 + s * b1, -s * a1 + c * b1)
 
 
+class _BranchSetup:
+    """What every step of one branch shares: the kernel pair, the symmetric frame and one problem per ``M``."""
+
+    def __init__(self, system, eq, candidate):
+        if not candidate.confirmed:
+            raise ValueError(f"candidate verdict is {candidate.verdict!r}; branch solving needs a confirmed one")
+        self.system, self.eq, self.problems = system, eq, {}
+        self.kernel = kernel_direction(system, eq, candidate)
+        self.reversor, self.theta, self.predictor = _symmetric_frame(system, eq, self.kernel)
+
+    def problem(self, s, m) -> _HarmonicBalance:
+        """The ``M = m`` problem, built at its first use, as a copy sharing its arrays with its own pin ``s`` and memo."""
+        if m not in self.problems:
+            self.problems[m] = _HarmonicBalance(self.system, self.eq, self.predictor, s, m, self.reversor)
+        problem = copy.copy(self.problems[m])
+        problem.s, problem._last = s, None
+        return problem
+
+
 def solve_orbit(
     system: HamiltonianSystem,
     eq: EquilibriumOrbit,
@@ -434,6 +456,8 @@ def solve_orbit(
     amplitude_s: float,
     modes: int = 8,
     initial_guess: Optional[FourierOrbit] = None,
+    *,
+    _setup: Optional[_BranchSetup] = None,
 ) -> FourierOrbit:
     """One amplitude-pinned Newton solve of the mode-1 branch.
 
@@ -457,6 +481,8 @@ def solve_orbit(
     ``R X R = -X`` needs no pin row and no momentum multiplier there, since
     its group drift leaves the symmetric curves and its momentum identity
     holds identically on them.  Every other system takes the full ansatz.
+    The kernel pair, the frame and each ``M``'s problem come from ``_setup``,
+    which ``continue_branch`` builds once per branch; a lone call builds its own.
 
     Parameters
     ----------
@@ -470,37 +496,32 @@ def solve_orbit(
 
     Raises
     ------
+    ValueError
+        If the candidate is not confirmed or ``amplitude_s`` is not positive and finite.
     NoConvergence
         If Newton stalls above the tolerance ``1e-9 * (1 + |z0|)``.
     WrongBranch
         If the converged orbit is not mode-1 dominated.
     """
-    if not candidate.confirmed:
-        raise ValueError(f"candidate verdict is {candidate.verdict!r}; branch solving needs a confirmed one")
-    if amplitude_s <= 0.0:
-        raise ValueError("amplitude must be positive")
+    if not 0.0 < amplitude_s < np.inf:
+        raise ValueError(f"amplitude must be positive and finite, got {amplitude_s}")
+    setup = _setup or _BranchSetup(system, eq, candidate)
     scale = 1.0 + float(np.linalg.norm(eq.z0))
     tol = 1e-9 * scale
     # Newton's own stop: 1e-11 where |z0| is moderate, never below the
     # rounding of the collocation values (about eps |z0|) far from the origin
     tol_inner = min(0.02 * tol, max(1e-11, 64.0 * _EPS * scale))
-    predictor = kernel_direction(system, eq, candidate)
     m = modes
-    a1, b1 = (amplitude_s * p[None, :] for p in predictor)
-    guess = initial_guess or FourierOrbit(a0=eq.z0, a=a1, b=b1, lam=candidate.lambda0)
-    reversor, theta, predictor = _symmetric_frame(system, eq, predictor)
+    guess = initial_guess or FourierOrbit(eq.z0, *(amplitude_s * p[None, :] for p in setup.kernel), candidate.lambda0)
     while True:
-        problem = _HarmonicBalance(system, eq, predictor, amplitude_s, m, reversor)
-        start = transform_orbit(guess, time_shift=theta)
-        take = min(start.m, m)
-        a = np.zeros((m, system.dim))
-        b = np.zeros((m, system.dim))
-        a[:take] = start.a[:take]
-        b[:take] = start.b[:take]
+        problem = setup.problem(amplitude_s, m)
+        start = transform_orbit(guess, time_shift=setup.theta)
+        a, b = np.zeros((2, m, system.dim))  # the warm start's first M modes, zeros above its own
+        a[: start.m], b[: start.m] = start.a[:m], start.b[:m]
         x = problem.pack(start.a0, a, b, start.lam, np.zeros(problem.n_mult))
         x, fvec, converged = _newton(problem, x, tol_inner)
         a0, a, b, lam, _ = problem.unpack(x)
-        orbit = transform_orbit(FourierOrbit(a0=a0, a=a, b=b, lam=float(lam)), time_shift=-theta)
+        orbit = transform_orbit(FourierOrbit(a0=a0, a=a, b=b, lam=float(lam)), time_shift=-setup.theta)
         # validate the full equations on 4M + 1 points: finer than and
         # incommensurate with the solve grid, so aliased spurious solutions
         # and a wrong symmetry assumption cannot hide
@@ -526,9 +547,7 @@ def solve_orbit(
             )
         energies = orbit.mode_energies(eq.z0)[1:]
         if int(np.argmax(energies)) != 0:
-            raise WrongBranch(
-                f"dominant Fourier mode is k={int(np.argmax(energies)) + 1}, not k=1"
-            )
+            raise WrongBranch(f"dominant Fourier mode is k={int(np.argmax(energies)) + 1}, not k=1")
         return orbit
 
 
@@ -592,6 +611,9 @@ def continue_branch(
 ) -> Branch:
     """Grow the branch outward over amplitudes ``s0 * growth**i``.
 
+    ``s0``, ``growth`` and the last amplitude must be positive and finite
+    (``ValueError`` before any work).  The kernel pair, the symmetric frame
+    and one harmonic-balance problem per ``M`` are built once for the branch.
     Each step warm-starts from the previous orbit (the first from the
     linear predictor) and lets ``solve_orbit`` double the modes up to 64.
     A failed step is recorded and stops the branch; the partial branch is
@@ -599,24 +621,25 @@ def continue_branch(
     """
     if steps < 1:
         raise ValueError("need at least one step")
+    with np.errstate(over="ignore"):  # an amplitude past the float range is inf, rejected below
+        last = s0 * np.float64(growth) ** (steps - 1)
+    for key, value in (("s0", s0), ("growth", growth), ("s0 * growth**(steps - 1)", last)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{key} must be positive and finite, got {value}")
     branch = Branch(orbits=[], period_trend=[], sup_distance_trend=[])
-    guess = None
+    guess = setup = None
     for i in range(steps):
         s = s0 * growth**i
         try:
-            orbit = solve_orbit(system, eq, candidate, s, modes=modes, initial_guess=guess)
+            setup = setup or _BranchSetup(system, eq, candidate)  # at step 0, whose failure an EmptyKernel is
+            orbit = solve_orbit(system, eq, candidate, s, modes=modes, initial_guess=guess, _setup=setup)
         except HambifError as exc:
             branch.failures.append(f"step {i} (amplitude {s:.3e}): {exc}")
             break
         branch.orbits.append(orbit)
         branch.period_trend.append((orbit.amplitude, orbit.period))
         branch.sup_distance_trend.append((orbit.amplitude, sup_distance(orbit, eq.z0)))
-        guess = FourierOrbit(
-            a0=eq.z0 + growth * (orbit.a0 - eq.z0),
-            a=growth * orbit.a,
-            b=growth * orbit.b,
-            lam=orbit.lam,
-        )
+        guess = FourierOrbit(eq.z0 + growth * (orbit.a0 - eq.z0), growth * orbit.a, growth * orbit.b, orbit.lam)
     return branch
 
 

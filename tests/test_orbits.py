@@ -848,3 +848,84 @@ def test_full_system_where_the_symmetric_ansatz_does_not_apply(setup, steps, s0)
     for orbit, ref in zip(branch.orbits, full.orbits):
         for key in ("a0", "a", "b", "lam", "residual"):
             assert np.array_equal(getattr(orbit, key), getattr(ref, key))
+
+
+BAD_AMPLITUDES = {
+    "solve-nan": lambda system, eq, cand: orbits.solve_orbit(system, eq, cand, float("nan")),
+    "solve-inf": lambda system, eq, cand: orbits.solve_orbit(system, eq, cand, float("inf")),
+    "branch-s0-nan": lambda system, eq, cand: orbits.continue_branch(system, eq, cand, s0=float("nan")),
+    "branch-growth-negative": lambda system, eq, cand: orbits.continue_branch(system, eq, cand, growth=-2.0),
+    "branch-growth-inf": lambda system, eq, cand: orbits.continue_branch(system, eq, cand, growth=float("inf")),
+    "branch-amplitude-overflows": lambda system, eq, cand: orbits.continue_branch(system, eq, cand, s0=1e10, growth=1e100),
+}
+
+
+@pytest.mark.parametrize("call", BAD_AMPLITUDES.values(), ids=BAD_AMPLITUDES.keys())
+def test_amplitudes_and_growth_must_be_positive_and_finite_before_any_work(call):
+    # the rule of cli.RunConfig, 0 < value < inf; NaN and inf used to run a
+    # whole Newton solve, and a negative growth failed only at step 1
+    sat, eq, cand = satellite_setup()
+    counted, calls = counting_evaluators(sat)
+    with pytest.raises(ValueError, match="positive and finite"):
+        call(counted, eq, cand)
+    assert not calls
+
+
+def chained_solves(system, eq, cand, steps, s0, growth=2.0):
+    """One ``solve_orbit`` call per step, each warm-started as ``continue_branch`` does."""
+    found, guess = [], None
+    for i in range(steps):
+        orbit = orbits.solve_orbit(system, eq, cand, s0 * growth**i, initial_guess=guess)
+        found.append(orbit)
+        guess = orbits.FourierOrbit(
+            a0=eq.z0 + growth * (orbit.a0 - eq.z0), a=growth * orbit.a, b=growth * orbit.b, lam=orbit.lam
+        )
+    return found
+
+
+CHAINED_BRANCHES = {
+    "satellite-j1": (lambda: satellite_j0_setup(1), 8, 1e-3),
+    "satellite-j2": (lambda: satellite_j0_setup(2), 8, 1e-3),
+    # M = 16 at steps 5 and 6, each of which starts again at M = 8
+    "chain-n4-gradient-only": (lambda: chain_setup(False), 6, 0.1),
+    "so3-hat": (lambda: ini_setup("so3-hat"), 5, 1e-2),
+    "gyroscopic": (lambda: ini_setup("gyroscopic"), 4, 1e-2),
+}
+
+
+@pytest.mark.parametrize("setup, steps, s0", CHAINED_BRANCHES.values(), ids=CHAINED_BRANCHES.keys())
+def test_branch_equals_chained_solves_to_the_bit(setup, steps, s0):
+    # the branch reuses one problem per M across its steps; no pin, memo or
+    # other state may carry from one step into the next
+    system, eq, cand = setup()
+    branch = orbits.continue_branch(system, eq, cand, steps=steps, s0=s0)
+    chained = chained_solves(system, eq, cand, steps, s0)
+    assert len(branch.orbits) == len(chained) == steps and not branch.failures
+    for orbit, ref in zip(branch.orbits, chained):
+        for key in ("a0", "a", "b", "lam", "residual", "amplitude"):
+            assert np.array_equal(getattr(orbit, key), getattr(ref, key)), key
+
+
+def test_branch_builds_its_setup_once_and_each_problem_once_per_modes(monkeypatch):
+    # rebuilt at every step and doubling, the gradient-only N = 4 chain made
+    # 8 problems and 6 kernel directions and symmetric frames
+    system, eq, cand = chain_setup(False)
+    calls, built = Counter(), []
+    for name in ("kernel_direction", "_symmetric_frame", "solve_orbit"):
+
+        def counted(*args, _name=name, _fn=getattr(orbits, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(orbits, name, counted)
+    build = orbits._HarmonicBalance.__init__
+
+    def counted_build(self, system, eq, predictor, s, m, reversor=None):
+        built.append(m)
+        build(self, system, eq, predictor, s, m, reversor)
+
+    monkeypatch.setattr(orbits._HarmonicBalance, "__init__", counted_build)
+    branch = orbits.continue_branch(system, eq, cand, steps=6, s0=0.1)
+    assert [orbit.m for orbit in branch.orbits] == [8, 8, 8, 8, 16, 16] and not branch.failures
+    assert built == [8, 16]
+    assert calls == {"kernel_direction": 1, "_symmetric_frame": 1, "solve_orbit": 6}
