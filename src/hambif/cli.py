@@ -125,6 +125,8 @@ class RunConfig:
         for key, value in counts:
             if value is not None and value < 1:
                 raise ConfigParse(f"{key} must be at least 1, got {value}")
+        if self.modes > orbits_mod.MAX_MODES:
+            raise ConfigParse(f"modes must be at most {orbits_mod.MAX_MODES}, got {self.modes}")
         for key, value in (("s0", self.s0), ("growth", self.growth)):
             if not 0.0 < value < np.inf:
                 raise ConfigParse(f"{key} must be positive and finite, got {value}")
@@ -583,7 +585,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_branch.add_argument("--steps", type=int, help="number of amplitude steps (default 8)")
     p_branch.add_argument("--s0", type=float, help="smallest amplitude (default 1e-3)")
     p_branch.add_argument("--growth", type=float, help="amplitude growth factor (default 2.0)")
-    p_branch.add_argument("--modes", type=int, help="initial Fourier truncation (default 8)")
+    p_branch.add_argument("--modes", type=int, help=f"initial Fourier truncation, 1 to {orbits_mod.MAX_MODES} (default 8)")
     add_output(sub.add_parser("presets", help="list preset systems and their parameters"))
     return parser
 

@@ -30,7 +30,11 @@ value at point ``i``, in a new array on each call.  ``gradients_of`` and
 ``gradient_of``/``hessian_of`` over the points otherwise.  The stacked
 form belongs to the callable, so a system whose evaluator is replaced never
 keeps a stale one.  The satellite preset and every system from
-``newtonian_to_hamiltonian`` carry stacked forms.
+``newtonian_to_hamiltonian`` carry stacked forms.  A lifted gradient from
+``newtonian_to_hamiltonian`` also carries the marker ``newtonian = True``:
+its momentum half is ``p`` itself, so the forward-difference kernel
+evaluates only the position shifts.  Only that constructor sets it, and a
+gradient replaced through ``dataclasses.replace`` loses it with the callable.
 
 A generator ``X`` of a symmetry of ``H`` gives ``A X z = X grad H(z)``, ``A`` the
 Hessian at ``z`` (differentiate ``grad H(exp(t X) z) = exp(t X) grad H(z)`` at
@@ -227,16 +231,23 @@ def _forward_differences(system: HamiltonianSystem, zs: np.ndarray, grads: np.nd
 
     Matrix ``p`` has columns ``(grad H(z_p + h_i e_i) - grads[p]) / h_i`` with
     ``h_i = 1.5e-8 (1 + |z_pi|)``, each taken as the representable step
-    ``(z_p + h_i e_i)_i - z_pi``.  The ``P * 2N`` shifted points go through
-    one ``gradients_of`` call, which is one stacked evaluator call where the
-    gradient has a stacked form (every Newtonian system has one).
+    ``(z_p + h_i e_i)_i - z_pi``.  The shifted points go through one
+    ``gradients_of`` call, which is one stacked evaluator call where the
+    gradient has a stacked form (every Newtonian system has one).  A
+    Newtonian lift's gradient (its ``newtonian`` marker) is
+    ``(grad U(q), p)``, so at a momentum shift it is the held q-half beside
+    the shifted momenta: only the ``N`` position shifts are evaluated, and
+    the momentum columns are the same quotients of those known values.
     """
     count, d = zs.shape
     diag = np.arange(d)
     shifted = np.repeat(zs, d, axis=0).reshape(count, d, d)  # shifted[p, i] = z_p + h_i e_i
     shifted[:, diag, diag] += _FD_FORWARD_STEP * (1.0 + np.abs(zs))
     steps = shifted[:, diag, diag] - zs
-    moved = gradients_of(system, shifted.reshape(count * d, d)).reshape(count, d, d)
+    k = system.n if getattr(system.gradient, "newtonian", False) else d  # the shifts evaluated
+    moved = shifted.copy()  # at a momentum shift of a Newtonian lift: the held q-half beside the shifted p
+    moved[:, k:, :k] = grads[:, None, :k]
+    moved[:, :k] = gradients_of(system, shifted[:, :k].reshape(count * k, d)).reshape(count, k, d)
     return ((moved - grads[:, None, :]) / steps[:, :, None]).transpose(0, 2, 1)
 
 
@@ -429,7 +440,11 @@ def newtonian_to_hamiltonian(
     module docstring), so a harmonic-balance evaluation makes one stacked
     call.  They call the supplied q-level ``gradient``/``hessian`` once per
     row, with the per-point forms' arithmetic, so their values are the same
-    to the bit.
+    to the bit.  The lifted ``gradient`` is ``(grad U(q), p)`` and says so by
+    its ``newtonian`` marker: without a ``hessian``, a harmonic-balance
+    Jacobian differences it in the ``n`` positions alone, and its momentum
+    columns are the same bits a shifted call would give, because the
+    q-gradient gets the same ``q`` there.
     """
 
     def energy(z):
@@ -447,6 +462,7 @@ def newtonian_to_hamiltonian(
             return np.concatenate([np.asarray(gq), zs[:, n:]], axis=1)
 
         grad.batch = grads
+        grad.newtonian = True
 
     hess = None
     if hessian is not None:

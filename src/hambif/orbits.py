@@ -51,8 +51,10 @@ Fourier basis, plus the Galerkin projections of the multiplier fields and
 the linear constraint rows.  The residual likewise takes the gradients at
 all collocation points from one ``model.gradients_of`` call.  Without an
 analytic Hessian, each point's Hessian is a forward difference of the
-gradient the residual already holds there, the gradients at the 2N shifted
-copies of every point coming from one more ``gradients_of`` call.
+gradient the residual already holds there, the gradients at the shifted
+copies of every point coming from one more ``gradients_of`` call: 2N copies,
+or N for a Newtonian lift, whose gradient's momentum half is ``p`` itself
+(``model._forward_differences``).
 Newton is a chord iteration (Kelley, Solving Nonlinear Equations with
 Newton's Method, SIAM 2003): one Jacobian serves as many steps as keep
 contracting the residual by ``CHORD_CONTRACTION``, so a step with a kept
@@ -489,15 +491,17 @@ def solve_orbit(
     amplitude_s : float
         Target amplitude in the Sobolev norm (the pinning constraint value).
     modes : int
-        Initial Fourier truncation; doubled (up to ``MAX_MODES``) whenever
-        the last mode holds more than 1e-10 of the oscillatory energy.
+        Initial Fourier truncation, an integer in ``1..MAX_MODES``; doubled
+        (up to ``MAX_MODES``) whenever the last mode holds more than 1e-10 of
+        the oscillatory energy.
     initial_guess : FourierOrbit, optional
         Warm start; by default the linear kernel predictor at ``lambda0``.
 
     Raises
     ------
     ValueError
-        If the candidate is not confirmed or ``amplitude_s`` is not positive and finite.
+        If the candidate is not confirmed, ``amplitude_s`` is not positive and
+        finite, or ``modes`` is not an integer in ``1..MAX_MODES``.
     NoConvergence
         If Newton stalls above the tolerance ``1e-9 * (1 + |z0|)``.
     WrongBranch
@@ -505,6 +509,7 @@ def solve_orbit(
     """
     if not 0.0 < amplitude_s < np.inf:
         raise ValueError(f"amplitude must be positive and finite, got {amplitude_s}")
+    _check_modes(modes)
     setup = _setup or _BranchSetup(system, eq, candidate)
     scale = 1.0 + float(np.linalg.norm(eq.z0))
     tol = 1e-9 * scale
@@ -549,6 +554,12 @@ def solve_orbit(
         if int(np.argmax(energies)) != 0:
             raise WrongBranch(f"dominant Fourier mode is k={int(np.argmax(energies)) + 1}, not k=1")
         return orbit
+
+
+def _check_modes(modes) -> None:
+    """``ValueError`` naming ``modes`` unless it is an integer in ``1..MAX_MODES``."""
+    if not (isinstance(modes, (int, np.integer)) and 1 <= modes <= MAX_MODES):
+        raise ValueError(f"modes must be an integer in 1..{MAX_MODES}, got {modes!r}")
 
 
 def _lu_ready(jac: np.ndarray) -> np.ndarray:
@@ -611,9 +622,10 @@ def continue_branch(
 ) -> Branch:
     """Grow the branch outward over amplitudes ``s0 * growth**i``.
 
-    ``s0``, ``growth`` and the last amplitude must be positive and finite
-    (``ValueError`` before any work).  The kernel pair, the symmetric frame
-    and one harmonic-balance problem per ``M`` are built once for the branch.
+    ``s0``, ``growth`` and the last amplitude must be positive and finite,
+    and ``modes`` an integer in ``1..MAX_MODES`` (``ValueError`` before any
+    work).  The kernel pair, the symmetric frame and one harmonic-balance
+    problem per ``M`` are built once for the branch.
     Each step warm-starts from the previous orbit (the first from the
     linear predictor) and lets ``solve_orbit`` double the modes up to 64.
     A failed step is recorded and stops the branch; the partial branch is
@@ -621,6 +633,7 @@ def continue_branch(
     """
     if steps < 1:
         raise ValueError("need at least one step")
+    _check_modes(modes)
     with np.errstate(over="ignore"):  # an amplitude past the float range is inf, rejected below
         last = s0 * np.float64(growth) ** (steps - 1)
     for key, value in (("s0", s0), ("growth", growth), ("s0 * growth**(steps - 1)", last)):

@@ -321,6 +321,8 @@ def test_config_validation_errors():
         cli.RunConfig(monomials=((1.0, (2, 0)),))  # missing n
     with pytest.raises(ConfigParse):
         cli.RunConfig(preset="harmonic", fmt="yaml")
+    with pytest.raises(ConfigParse, match="modes must be at most 64, got 100"):
+        cli.RunConfig(preset="harmonic", modes=100)  # past orbits.MAX_MODES
     with pytest.raises(ConfigParse):
         cli.parse_config("[system]\npreset = harmonic\nbeta = abc\n")
 
@@ -678,10 +680,11 @@ def test_negative_seed_on_degenerate_sections(tmp_path, capsys, name, expected_c
         ["--s0", "-1"],
         ["--growth", "0"],
         ["--modes", "0"],
+        ["--modes", "100"],
         ["--j0", "0"],
         "[system]\nn = 0\nmonomials = 1\n",
     ],
-    ids=["steps", "s0", "growth", "modes", "j0", "n"],
+    ids=["steps", "s0", "growth", "modes", "modes-above-max", "j0", "n"],
 )
 def test_out_of_range_run_options_are_config_errors(tmp_path, capsys, argv):
     if isinstance(argv, str):

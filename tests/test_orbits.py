@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -441,7 +442,11 @@ def test_jacobian_reuses_residual_gradients_in_the_symmetric_ansatz():
 
 
 def counting_evaluators(system):
-    """``system`` whose gradient and Hessian count their per-point and stacked calls."""
+    """``system`` whose gradient and Hessian count their per-point and stacked calls.
+
+    The counted gradient carries the Newtonian marker where the original has
+    it, so a Newtonian system keeps its position-only forward differences.
+    """
     calls = Counter()
 
     def counted(what, f):
@@ -456,6 +461,8 @@ def counting_evaluators(system):
                 return f.batch(zs)
 
             point.batch = batch
+        if getattr(f, "newtonian", False):
+            point.newtonian = True
         return point
 
     evaluators = {what: getattr(system, what) for what in ("gradient", "hessian")}
@@ -654,9 +661,10 @@ def test_newtonian_harmonic_balance_makes_one_stacked_call_per_evaluation(with_h
         assert calls == {"gradient.batch": 1, "hessian.batch": 1}
         assert q_calls == {"gradient": problem.points, "hessian": problem.points}
     else:
-        # one more stacked call, on 2N shifted copies of every collocation point
+        # one more stacked call, on the N position shifts of every collocation
+        # point: the momentum shifts would call the q-gradient at the same q
         assert calls == {"gradient.batch": 2}
-        assert q_calls == {"gradient": problem.points + problem.dim * problem.points}
+        assert q_calls == {"gradient": problem.points + chain.n * problem.points}
 
 
 def reused_buffer_springs():
@@ -708,20 +716,66 @@ def per_point_satellite():
     return replace(sat, gradient=lambda z: sat.gradient(z), hessian=None)
 
 
+def gradient_only_pendulum():
+    return replace(pendulum_setup()[0], hessian=None)
+
+
 @pytest.mark.parametrize(
     "build, base",
     [
         (per_point_satellite, np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0])),
         (lambda: spring_chain(CHAIN_FREQS, with_hessian=False), np.zeros(8)),
+        (gradient_only_pendulum, np.zeros(2)),
+        (reused_buffer_springs, np.zeros(4)),
     ],
-    ids=["satellite", "chain"],
+    ids=["satellite", "chain", "pendulum-gradient-only", "reused-gradient-buffer"],
 )
 def test_stacked_forward_differences_equal_the_per_point_loop(build, base):
+    # the Newtonian systems shift only the positions; the loop shifts all 2N
     system = build()
     zs = base + 0.3 * np.random.default_rng(37).standard_normal((20, base.size))
     grads = model.gradients_of(system, zs)
     expected = [forward_differences_per_point(system, z, g) for z, g in zip(zs, grads)]
     assert np.array_equal(model._forward_differences(system, zs, grads), expected)
+
+
+def without_newtonian_marker(system):
+    """``system`` whose lifted gradient keeps its stacked form but not its marker: the generic 2N-shift path."""
+    lifted = system.gradient
+
+    def gradient(z):
+        return lifted(z)
+
+    gradient.batch = lifted.batch
+    return replace(system, gradient=gradient)
+
+
+def refined_setup(system, guess):
+    eq = model.refine_equilibrium(system, guess)
+    return system, eq, analysis.analyze(system, eq)[0]
+
+
+MARKED_BRANCHES = {
+    # (setup, steps, s0); the chain doubles its modes to M = 16
+    "chain-n4-gradient-only": (lambda: chain_setup(False), 6, 0.1),
+    "pendulum-gradient-only": (lambda: refined_setup(gradient_only_pendulum(), np.array([0.1, 0.0])), 5, 0.1),
+    "reused-gradient-buffer": (lambda: refined_setup(reused_buffer_springs(), np.zeros(4)), 4, 1e-2),
+}
+
+
+@pytest.mark.parametrize("setup, steps, s0", MARKED_BRANCHES.values(), ids=MARKED_BRANCHES.keys())
+def test_position_only_forward_differences_give_the_generic_branch_to_the_bit(setup, steps, s0):
+    # the momentum shifts of the generic path call the q-gradient at an
+    # unchanged q, so writing their columns from the held gradients changes no bit
+    system, eq, cand = setup()
+    generic = without_newtonian_marker(system)
+    assert system.hessian is None and system.gradient.newtonian and not hasattr(generic.gradient, "newtonian")
+    branch = orbits.continue_branch(system, eq, cand, steps=steps, s0=s0)
+    reference = orbits.continue_branch(generic, eq, cand, steps=steps, s0=s0)
+    assert len(branch.orbits) == len(reference.orbits) == steps and not branch.failures
+    for orbit, ref in zip(branch.orbits, reference.orbits):
+        for key in ("a0", "a", "b", "lam", "residual", "amplitude"):
+            assert np.array_equal(getattr(orbit, key), getattr(ref, key)), key
 
 
 def test_lu_sees_no_entry_below_rounding_of_the_jacobian(monkeypatch, symmetric=False):
@@ -868,6 +922,21 @@ def test_amplitudes_and_growth_must_be_positive_and_finite_before_any_work(call)
     counted, calls = counting_evaluators(sat)
     with pytest.raises(ValueError, match="positive and finite"):
         call(counted, eq, cand)
+    assert not calls
+
+
+@pytest.mark.parametrize(
+    "entry, modes",
+    [("solve_orbit", 0), ("solve_orbit", -2), ("solve_orbit", 100), ("solve_orbit", 2.5), ("continue_branch", 0)],
+)
+def test_modes_outside_one_to_max_modes_are_rejected_before_any_work(entry, modes):
+    # 0 and -2 ended in numpy's "negative dimensions are not allowed", and
+    # 100 solved at M = 100, past MAX_MODES
+    sat, eq, cand = satellite_setup()
+    counted, calls = counting_evaluators(sat)
+    amplitude = (1e-3,) if entry == "solve_orbit" else ()
+    with pytest.raises(ValueError, match=re.escape(f"modes must be an integer in 1..64, got {modes!r}")):
+        getattr(orbits, entry)(counted, eq, cand, *amplitude, modes=modes)
     assert not calls
 
 
