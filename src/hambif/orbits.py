@@ -34,13 +34,13 @@ constrains none of the kept rows and the energy multiplier goes.  So do the
 pin row and the momentum multiplier of a generator ``X`` with ``R X R = -X``:
 ``exp(s X)`` moves a symmetric curve off the symmetric ones, the pin
 ``(a0 - z0) . X z0`` vanishes on ``Fix(R)``, and the momentum identity's
-integrand is odd too.  ``solve_orbit`` takes this ansatz when
-``_symmetric_frame`` finds its hypotheses hold at ``z0``, solves in the time
-frame where the linear predictor is symmetric, and shifts each orbit back,
-so callers get the full solver's coefficients; ``residual_field`` checks
-the full, unsymmetrised equations either way.  Only the amplitude pin moves
-along a branch: ``continue_branch`` finds the kernel pair and the frame once
-and builds each truncation's problem once, for every step and doubling.
+integrand is odd too.  ``kernel_direction`` takes the linear predictor in
+this symmetric frame, and ``solve_orbit`` takes the ansatz when
+``_symmetric_frame`` finds its hypotheses hold at ``z0``; ``residual_field``
+checks the full, unsymmetrised equations either way.  Only the amplitude pin
+moves along a branch: ``continue_branch`` finds the kernel pair and the
+reversor once and builds each truncation's problem once, for every step and
+doubling.
 
 Newton's Jacobian is assembled by the alternating frequency/time method
 (Cameron & Griffin, J. Appl. Mech. 56, 1989; Krack & Gross, Harmonic
@@ -72,7 +72,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import BifurcationCandidate, t_matrix
+from .analysis import BifurcationCandidate, spectral_report
 from .errors import EmptyKernel, HambifError, NoConvergence, WrongBranch
 from .linalg import standard_symplectic
 from .model import (
@@ -192,19 +192,23 @@ class Branch:
 
 
 def kernel_direction(system: HamiltonianSystem, eq: EquilibriumOrbit, candidate: BifurcationCandidate) -> tuple:
-    """Normalized kernel vector (a1, b1) of the mode-1 matrix of ``eq.hessian`` at the level ``candidate.lambda0``.
+    """Kernel pair ``(a1, b1)`` of the mode-1 matrix ``T_1`` of ``eq.hessian`` at the level ``candidate.lambda0``.
 
-    The returned pair is scaled to unit Sobolev norm of ``a1 cos t + b1 sin t``;
-    ``system`` is not evaluated.
+    ``a1 = E w``, with ``E`` the level's invariant subspace of ``J A`` and
+    ``w`` the top eigenvector of ``E^T R E`` (``R`` the reversor, or the
+    identity), and ``b1 = lambda0 J A a1``, scaled to unit Sobolev norm.
+    Where ``R`` is a reversible symmetry of ``A`` it maps ``E`` to itself, so
+    ``a1`` lies in ``Fix(R)`` and ``b1`` in ``Fix(-R)``.  ``EmptyKernel``
+    unless ``lambda0`` is within ``1e-9 lambda0`` of ``1/beta_j0`` (the level
+    rule of ``analysis.morse_jump``).
     """
-    t = t_matrix(eq.hessian, 1, candidate.lambda0)
-    _, svals, vt = np.linalg.svd(t)
-    if svals[-1] > 1e-6:
-        raise EmptyKernel(
-            f"smallest singular value {svals[-1]:.3e} at level {candidate.lambda0:.6g}; "
-            "no mode-1 kernel (candidate inconsistent)"
-        )
-    a1, b1 = np.split(vt[-1], 2)
+    report, lam, j0 = spectral_report(system, eq), candidate.lambda0, candidate.j0
+    if not (1 <= j0 <= len(report.betas) and abs(1.0 / report.betas[j0 - 1] - lam) <= 1e-9 * lam):
+        raise EmptyKernel(f"level {lam:.6g} is not 1/beta_{j0}; no mode-1 kernel (candidate inconsistent)")
+    e = report.subspaces[j0 - 1]
+    r = np.ones(system.dim) if system.reversor is None else system.reversor
+    a1 = e @ np.linalg.eigh(e.T @ (r[:, None] * e))[1][:, -1]
+    b1 = lam * standard_symplectic(system.dim // 2) @ (eq.hessian @ a1)
     scale = np.sqrt(np.pi * (float(a1 @ a1) + float(b1 @ b1)))
     return a1 / scale, b1 / scale
 
@@ -400,52 +404,44 @@ def _tail_fraction(orbit: FourierOrbit, z0) -> float:
     return float(energies[-1] / total) if total > 0.0 else 0.0
 
 
-def _symmetric_frame(system: HamiltonianSystem, eq: EquilibriumOrbit, predictor) -> tuple:
-    """``(reversor, theta, predictor)`` of the symmetric ansatz, or ``(None, 0.0, predictor)`` without one.
+def _symmetric_frame(system: HamiltonianSystem, eq: EquilibriumOrbit, predictor) -> Optional[np.ndarray]:
+    """The reversor of the symmetric ansatz, or ``None`` where the full system is solved.
 
     The ansatz holds when the system has a reversor ``R`` with ``R z0 = z0``
     (to 1e-12 of ``1 + |z0|``) and ``A = R A R`` for the Hessian ``A`` at
     ``z0`` (to ``1e-6 (1 + |A|)``, the tolerance of ``NotASymmetry``, in
     Frobenius norms), every declared generator anticommutes with ``R``
-    (``R X R = -X``), and a time shift ``theta`` carries the kernel pair
-    ``(a1, b1)`` into ``(Fix R, Fix -R)`` (to 1e-8).  The returned predictor
-    is the shifted pair, ``a1 cos(t + theta) + b1 sin(t + theta)``.
+    (``R X R = -X``), and the kernel pair ``(a1, b1)`` lies in
+    ``(Fix R, Fix -R)`` (to 1e-8).
     """
     r, z0, hess = system.reversor, eq.z0, eq.hessian
-    full = (None, 0.0, predictor)
     if r is None or np.linalg.norm(r * z0 - z0) > 1e-12 * (1.0 + np.linalg.norm(z0)):
-        return full
+        return None
     if np.linalg.norm(hess - r[:, None] * hess * r) > 1e-6 * (1.0 + np.linalg.norm(hess)):
-        return full
+        return None
     for x in system.symmetry.generators:
         if np.max(np.abs(r[:, None] * x * r + x)) > 1e-12 * (1.0 + np.max(np.abs(x))):
-            return full
+            return None
     a1, b1 = predictor
-    # the shifted pair's parts outside (Fix R, Fix -R) are cos(theta) u + sin(theta) v;
-    # theta minimises their norm
-    u = np.concatenate([a1[r < 0], b1[r > 0]])
-    v = np.concatenate([b1[r < 0], -a1[r > 0]])
-    theta = 0.5 * float(np.arctan2(-2.0 * (u @ v), v @ v - u @ u))
-    c, s = np.cos(theta), np.sin(theta)
-    if np.linalg.norm(c * u + s * v) > 1e-8:
-        return full
-    return r, theta, (c * a1 + s * b1, -s * a1 + c * b1)
+    if np.linalg.norm(np.concatenate([a1[r < 0], b1[r > 0]])) > 1e-8:
+        return None
+    return r
 
 
 class _BranchSetup:
-    """What every step of one branch shares: the kernel pair, the symmetric frame and one problem per ``M``."""
+    """What every step of one branch shares: the kernel pair, the reversor of the ansatz and one problem per ``M``."""
 
     def __init__(self, system, eq, candidate):
         if not candidate.confirmed:
             raise ValueError(f"candidate verdict is {candidate.verdict!r}; branch solving needs a confirmed one")
         self.system, self.eq, self.problems = system, eq, {}
         self.kernel = kernel_direction(system, eq, candidate)
-        self.reversor, self.theta, self.predictor = _symmetric_frame(system, eq, self.kernel)
+        self.reversor = _symmetric_frame(system, eq, self.kernel)
 
     def problem(self, s, m) -> _HarmonicBalance:
         """The ``M = m`` problem, built at its first use, as a copy sharing its arrays with its own pin ``s`` and memo."""
         if m not in self.problems:
-            self.problems[m] = _HarmonicBalance(self.system, self.eq, self.predictor, s, m, self.reversor)
+            self.problems[m] = _HarmonicBalance(self.system, self.eq, self.kernel, s, m, self.reversor)
         problem = copy.copy(self.problems[m])
         problem.s, problem._last = s, None
         return problem
@@ -477,14 +473,14 @@ def solve_orbit(
     ``a0, a_k`` in ``Fix(R)``, ``b_k`` in ``Fix(-R)`` and ``lambda``, about
     half the unknowns, with the gradients and Hessians taken at the ``2M + 1``
     collocation points in ``[0, pi]`` alone.  By the reversible Lyapunov
-    centre theorem the branch is symmetric, so this is the same orbit: the
-    warm start is shifted into the frame where the linear predictor is
-    symmetric, and the solution is shifted back.  A generator with
-    ``R X R = -X`` needs no pin row and no momentum multiplier there, since
-    its group drift leaves the symmetric curves and its momentum identity
-    holds identically on them.  Every other system takes the full ansatz.
-    The kernel pair, the frame and each ``M``'s problem come from ``_setup``,
-    which ``continue_branch`` builds once per branch; a lone call builds its own.
+    centre theorem the branch is symmetric, so this is the same orbit, in
+    the symmetric frame of the kernel pair; a warm start's parts outside the
+    ansatz are dropped.  A generator with ``R X R = -X`` needs no pin row
+    and no momentum multiplier there, since its group drift leaves the
+    symmetric curves and its momentum identity holds identically on them.
+    Every other system takes the full ansatz.  The kernel pair, the reversor
+    and each ``M``'s problem come from ``_setup``, which ``continue_branch``
+    builds once per branch; a lone call builds its own.
 
     Parameters
     ----------
@@ -520,13 +516,12 @@ def solve_orbit(
     guess = initial_guess or FourierOrbit(eq.z0, *(amplitude_s * p[None, :] for p in setup.kernel), candidate.lambda0)
     while True:
         problem = setup.problem(amplitude_s, m)
-        start = transform_orbit(guess, time_shift=setup.theta)
         a, b = np.zeros((2, m, system.dim))  # the warm start's first M modes, zeros above its own
-        a[: start.m], b[: start.m] = start.a[:m], start.b[:m]
-        x = problem.pack(start.a0, a, b, start.lam, np.zeros(problem.n_mult))
+        a[: guess.m], b[: guess.m] = guess.a[:m], guess.b[:m]
+        x = problem.pack(guess.a0, a, b, guess.lam, np.zeros(problem.n_mult))
         x, fvec, converged = _newton(problem, x, tol_inner)
         a0, a, b, lam, _ = problem.unpack(x)
-        orbit = transform_orbit(FourierOrbit(a0=a0, a=a, b=b, lam=float(lam)), time_shift=-setup.theta)
+        orbit = FourierOrbit(a0=a0, a=a, b=b, lam=float(lam))
         # validate the full equations on 4M + 1 points: finer than and
         # incommensurate with the solve grid, so aliased spurious solutions
         # and a wrong symmetry assumption cannot hide
@@ -624,7 +619,7 @@ def continue_branch(
 
     ``s0``, ``growth`` and the last amplitude must be positive and finite,
     and ``modes`` an integer in ``1..MAX_MODES`` (``ValueError`` before any
-    work).  The kernel pair, the symmetric frame and one harmonic-balance
+    work).  The kernel pair, the reversor and one harmonic-balance
     problem per ``M`` are built once for the branch.
     Each step warm-starts from the previous orbit (the first from the
     linear predictor) and lets ``solve_orbit`` double the modes up to 64.

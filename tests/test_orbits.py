@@ -62,23 +62,14 @@ def test_kernel_direction_harmonic():
     assert np.max(np.abs(res)) < 1e-12
 
 
-def test_kernel_direction_satellite_pair_structure():
-    sat, eq, cand = satellite_setup()
-    t = analysis.t_matrix(model.hessian_of(sat, eq.z0), 1, cand.lambda0)
-    assert t.shape == (12, 12)
-    svals = np.linalg.svd(t, compute_uv=False)
-    assert np.sum(svals < 1e-6) >= 2  # time-shift pair
-    a1, b1 = orbits.kernel_direction(sat, eq, cand)
-    assert np.linalg.norm(t @ np.concatenate([a1, b1])) < 1e-8
-
-
 def test_kernel_direction_empty_kernel():
     sys, eq, cand = harmonic_setup()
-    from dataclasses import replace
-
-    off_level = replace(cand, lambda0=1.7)
     with pytest.raises(EmptyKernel):
-        orbits.kernel_direction(sys, eq, off_level)
+        orbits.kernel_direction(sys, eq, replace(cand, lambda0=1.7))
+    # the pair is taken from the j0 level's subspace, so the level must be the j0 one
+    sat, eq, cand = satellite_j0_setup(1)
+    with pytest.raises(EmptyKernel):
+        orbits.kernel_direction(sat, eq, replace(cand, j0=2))
 
 
 def test_residual_field_constant_orbit():
@@ -326,11 +317,9 @@ def gradient_only_satellite_setup():
 def problem_for(system, eq, cand, s, modes, symmetric):
     """The problem ``solve_orbit`` builds: the symmetric ansatz (which must apply) or the full system."""
     predictor = orbits.kernel_direction(system, eq, cand)
-    reversor, _, shifted = orbits._symmetric_frame(system, eq, predictor)
-    if not symmetric:
-        return orbits._HarmonicBalance(system, eq, predictor, s, modes)
-    assert reversor is not None
-    return orbits._HarmonicBalance(system, eq, shifted, s, modes, reversor)
+    reversor = orbits._symmetric_frame(system, eq, predictor) if symmetric else None
+    assert symmetric == (reversor is not None)
+    return orbits._HarmonicBalance(system, eq, predictor, s, modes, reversor)
 
 
 JACOBIAN_CASES = {
@@ -783,10 +772,8 @@ def test_lu_sees_no_entry_below_rounding_of_the_jacobian(monkeypatch, symmetric=
     eq = model.refine_equilibrium(chain, np.zeros(16))
     cand = next(c for c in analysis.analyze(chain, eq) if c.j0 == 1)
     branch = orbits.continue_branch(chain, eq, cand, steps=7, s0=1e-3)
-    # the eighth step's start, in the problem's frame: the warm start
-    # continue_branch would hand on
-    theta = orbits._symmetric_frame(chain, eq, orbits.kernel_direction(chain, eq, cand))[1] if symmetric else 0.0
-    last = orbits.transform_orbit(branch.orbits[-1], time_shift=theta)
+    # the eighth step's start: the warm start continue_branch would hand on
+    last = branch.orbits[-1]
     problem = problem_for(chain, eq, cand, 0.128, last.m, symmetric)
     a0 = eq.z0 + 2.0 * (last.a0 - eq.z0)
     x = problem.pack(a0, 2.0 * last.a, 2.0 * last.b, last.lam, np.zeros(problem.n_mult))
@@ -823,10 +810,10 @@ def ini_setup(name):
     return system, eq, analysis.analyze(system, eq)[0]
 
 
-def chain_setup(with_hessian):
+def chain_setup(with_hessian, j0=1):
     chain = spring_chain(CHAIN_FREQS, with_hessian)
     eq = model.refine_equilibrium(chain, np.zeros(8))
-    return chain, eq, analysis.analyze(chain, eq)[0]
+    return chain, eq, next(c for c in analysis.analyze(chain, eq) if c.j0 == j0)
 
 
 def satellite_j0_setup(j0):
@@ -834,9 +821,39 @@ def satellite_j0_setup(j0):
     return sat, eq, next(c for c in analysis.analyze(sat, eq) if c.j0 == j0)
 
 
-def full_branch(system, eq, cand, steps, s0):
-    """The branch of ``system`` with its reversor dropped: the full harmonic-balance system."""
-    return orbits.continue_branch(replace(system, reversor=None), eq, cand, steps=steps, s0=s0)
+KERNEL_LEVELS = {
+    "satellite-j1": lambda: satellite_j0_setup(1),
+    "satellite-j2": lambda: satellite_j0_setup(2),
+    **{f"chain-j{j0}": lambda j0=j0: chain_setup(True, j0) for j0 in range(1, len(CHAIN_FREQS) + 1)},
+}
+
+
+@pytest.mark.parametrize("setup", KERNEL_LEVELS.values(), ids=KERNEL_LEVELS.keys())
+def test_kernel_direction_pair_structure(setup):
+    # the pair and its quarter-period shift (b1, -a1) span the kernel of T_1,
+    # and the pair starts in the symmetric frame: a1 in Fix(R), b1 in Fix(-R)
+    system, eq, cand = setup()
+    t = analysis.t_matrix(eq.hessian, 1, cand.lambda0)
+    a1, b1 = orbits.kernel_direction(system, eq, cand)
+    pair = np.column_stack([np.concatenate([a1, b1]), np.concatenate([b1, -a1])])
+    assert np.max(np.abs(t @ pair)) <= 16 * np.finfo(float).eps * np.max(np.abs(t))
+    _, svals, vt = np.linalg.svd(t)
+    kernel = vt[svals < 1e-6 * svals[0]].T
+    assert kernel.shape[1] == 2
+    # each SVD kernel vector is a combination of the pair, and conversely
+    for basis, other in ((pair, kernel), (kernel, pair)):
+        coeffs = np.linalg.lstsq(basis, other, rcond=None)[0]
+        assert np.max(np.abs(basis @ coeffs - other)) <= 1e-12 * np.max(np.abs(other))
+    r = system.reversor
+    assert np.max(np.abs(np.concatenate([a1[r < 0], b1[r > 0]]))) <= 1e-15
+    assert orbits._symmetric_frame(system, eq, (a1, b1)) is r
+
+
+def full_branch(monkeypatch, system, eq, cand, steps, s0):
+    """The branch of ``system`` on the full harmonic-balance system, from the same kernel pair."""
+    with monkeypatch.context() as patch:
+        patch.setattr(orbits, "_symmetric_frame", lambda *args: None)
+        return orbits.continue_branch(system, eq, cand, steps=steps, s0=s0)
 
 
 SYMMETRIC_BRANCHES = {
@@ -852,16 +869,19 @@ SYMMETRIC_BRANCHES = {
 
 
 @pytest.mark.parametrize("setup, steps, s0", SYMMETRIC_BRANCHES.values(), ids=SYMMETRIC_BRANCHES.keys())
-def test_symmetric_ansatz_agrees_with_the_full_system(setup, steps, s0):
+def test_symmetric_ansatz_agrees_with_the_full_system(monkeypatch, setup, steps, s0):
     system, eq, cand = setup()
-    assert orbits._symmetric_frame(system, eq, orbits.kernel_direction(system, eq, cand))[0] is not None
+    r = orbits._symmetric_frame(system, eq, orbits.kernel_direction(system, eq, cand))
+    assert r is not None
     branch = orbits.continue_branch(system, eq, cand, steps=steps, s0=s0)
-    full = full_branch(system, eq, cand, steps, s0)
+    full = full_branch(monkeypatch, system, eq, cand, steps, s0)
     assert len(branch.orbits) == len(full.orbits) == steps and not branch.failures
     for orbit, ref in zip(branch.orbits, full.orbits):
+        # the branch comes back symmetric, z(-t) = R z(t), in its own frame
+        assert not np.any(orbit.a[:, r < 0]) and not np.any(orbit.b[:, r > 0]) and not np.any(orbit.a0[r < 0])
         assert orbit.m == ref.m
         assert abs(orbit.period - ref.period) <= 1e-12 * ref.period
-        # the symmetric orbit shifted back in time is the full solver's orbit
+        # the full solver from the same kernel pair finds the same orbit
         scale = np.max(np.abs(np.vstack([ref.a, ref.b])))
         assert np.max(np.abs(np.vstack([orbit.a - ref.a, orbit.b - ref.b]))) <= 1e-10 * scale
         assert np.max(np.abs(orbit.a0 - ref.a0)) <= 1e-10 * (scale + np.max(np.abs(ref.a0)))
@@ -893,11 +913,11 @@ FULL_BRANCHES = {
 
 
 @pytest.mark.parametrize("setup, steps, s0", FULL_BRANCHES.values(), ids=FULL_BRANCHES.keys())
-def test_full_system_where_the_symmetric_ansatz_does_not_apply(setup, steps, s0):
+def test_full_system_where_the_symmetric_ansatz_does_not_apply(monkeypatch, setup, steps, s0):
     system, eq, cand = setup()
-    assert orbits._symmetric_frame(system, eq, orbits.kernel_direction(system, eq, cand))[0] is None
+    assert orbits._symmetric_frame(system, eq, orbits.kernel_direction(system, eq, cand)) is None
     branch = orbits.continue_branch(system, eq, cand, steps=steps, s0=s0)
-    full = full_branch(system, eq, cand, steps, s0)
+    full = full_branch(monkeypatch, system, eq, cand, steps, s0)
     assert len(branch.orbits) == steps and not branch.failures
     for orbit, ref in zip(branch.orbits, full.orbits):
         for key in ("a0", "a", "b", "lam", "residual"):
