@@ -40,7 +40,9 @@ this symmetric frame, and ``solve_orbit`` takes the ansatz when
 checks the full, unsymmetrised equations either way.  Only the amplitude pin
 moves along a branch: ``continue_branch`` finds the kernel pair and the
 reversor once and builds each truncation's problem once, for every step and
-doubling.
+doubling.  Each step starts from the last orbit scaled by the
+Lyapunov-Schmidt orders of the family (``_predict``): mode ``k`` is
+``O(s^k)``, ``a0 - z0`` and ``lambda - lambda0`` are ``O(s^2)``.
 
 Newton's Jacobian is assembled by the alternating frequency/time method
 (Cameron & Griffin, J. Appl. Mech. 56, 1989; Krack & Gross, Harmonic
@@ -562,8 +564,12 @@ def _lu_ready(jac: np.ndarray) -> np.ndarray:
 
     Such entries lie under the assembly's own rounding, and their products
     make subnormal intermediates that slow LAPACK's LU several times over.
+    ``|J|`` is taken once for the max and the mask: a chain's Jacobian is
+    over 100 KB, and with a second temporary of that size alive the
+    allocator hands their pages back and faults them in again at every call.
     """
-    jac[np.abs(jac) < _EPS * float(np.max(np.abs(jac)))] = 0.0
+    magnitude = np.abs(jac)
+    jac[magnitude < _EPS * float(magnitude.max())] = 0.0
     return jac
 
 
@@ -606,6 +612,33 @@ def _newton(problem, x, tol_inner):
     return x, f, float(np.max(np.abs(f))) < tol_inner
 
 
+def _predict(orbit: FourierOrbit, z0, lambda0: float, growth: float) -> FourierOrbit:
+    """Warm start at ``growth`` times the amplitude of ``orbit``, by the Lyapunov-Schmidt orders.
+
+    Near ``z0`` mode ``k`` of the family is ``O(s^k)`` and ``a0 - z0`` and
+    ``lam - lambda0`` are ``O(s^2)``, so ``a_k, b_k`` are scaled by
+    ``growth**k`` and the mean and period shifts by ``growth**2``.  Where that
+    prediction is not finite, has ``lam <= 0`` (the family's period is
+    positive) or lets a mode other than 1 dominate (``solve_orbit``'s test of
+    an orbit), the orders do not describe the step: a growth far past the
+    family's scale, a period that falls steeply, or modes at rounding level
+    blown up by ``growth**k``.  The whole orbit is then scaled by ``growth``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = np.float64(growth) ** np.arange(1, orbit.m + 1)[:, None]
+        square = np.float64(growth) ** 2
+        guess = FourierOrbit(
+            a0=z0 + square * (orbit.a0 - z0),
+            a=factors * orbit.a,
+            b=factors * orbit.b,
+            lam=lambda0 + square * (orbit.lam - lambda0),
+        )
+        energies = guess.mode_energies(z0)
+    if np.all(np.isfinite(energies)) and 0.0 < guess.lam < np.inf and int(np.argmax(energies[1:])) == 0:
+        return guess
+    return FourierOrbit(z0 + growth * (orbit.a0 - z0), growth * orbit.a, growth * orbit.b, orbit.lam)
+
+
 def continue_branch(
     system: HamiltonianSystem,
     eq: EquilibriumOrbit,
@@ -621,8 +654,10 @@ def continue_branch(
     and ``modes`` an integer in ``1..MAX_MODES`` (``ValueError`` before any
     work).  The kernel pair, the reversor and one harmonic-balance
     problem per ``M`` are built once for the branch.
-    Each step warm-starts from the previous orbit (the first from the
-    linear predictor) and lets ``solve_orbit`` double the modes up to 64.
+    The first step starts from the linear kernel predictor, each later one
+    from the previous orbit scaled by the Lyapunov-Schmidt orders
+    (``_predict``: mode ``k`` by ``growth**k``, the mean and period shifts by
+    ``growth**2``), and ``solve_orbit`` doubles the modes up to 64.
     A failed step is recorded and stops the branch; the partial branch is
     returned with the failure list populated.
     """
@@ -647,7 +682,7 @@ def continue_branch(
         branch.orbits.append(orbit)
         branch.period_trend.append((orbit.amplitude, orbit.period))
         branch.sup_distance_trend.append((orbit.amplitude, sup_distance(orbit, eq.z0)))
-        guess = FourierOrbit(eq.z0 + growth * (orbit.a0 - eq.z0), growth * orbit.a, growth * orbit.b, orbit.lam)
+        guess = _predict(orbit, eq.z0, candidate.lambda0, growth)
     return branch
 
 

@@ -1,4 +1,5 @@
 import re
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -772,7 +773,7 @@ def test_lu_sees_no_entry_below_rounding_of_the_jacobian(monkeypatch, symmetric=
     eq = model.refine_equilibrium(chain, np.zeros(16))
     cand = next(c for c in analysis.analyze(chain, eq) if c.j0 == 1)
     branch = orbits.continue_branch(chain, eq, cand, steps=7, s0=1e-3)
-    # the eighth step's start: the warm start continue_branch would hand on
+    # a start near the eighth step's: the seventh orbit scaled by 2
     last = branch.orbits[-1]
     problem = problem_for(chain, eq, cand, 0.128, last.m, symmetric)
     a0 = eq.z0 + 2.0 * (last.a0 - eq.z0)
@@ -857,19 +858,21 @@ def full_branch(monkeypatch, system, eq, cand, steps, s0):
 
 
 SYMMETRIC_BRANCHES = {
-    # (setup, steps, s0); the N = 4 chains double their modes to M = 16
-    "chain-n4": (lambda: chain_setup(True), 6, 0.1),
-    "chain-n4-gradient-only": (lambda: chain_setup(False), 6, 0.1),
-    "pendulum": (pendulum_setup, 5, 0.1),
-    "satellite-j1": (lambda: satellite_j0_setup(1), 8, 1e-3),
-    "satellite-j2": (lambda: satellite_j0_setup(2), 8, 1e-3),
-    "springs": (lambda: ini_setup("springs"), 4, 1e-2),
-    "far-equilibrium": (lambda: ini_setup("far-equilibrium"), 3, 1e-2),
+    # (setup, steps, s0, bounds from the residuals); the N = 4 chains double their modes to M = 16
+    "chain-n4": (lambda: chain_setup(True), 6, 0.1, False),
+    "chain-n4-gradient-only": (lambda: chain_setup(False), 6, 0.1, False),
+    "pendulum": (pendulum_setup, 5, 0.1, False),
+    "satellite-j1": (lambda: satellite_j0_setup(1), 8, 1e-3, False),
+    "satellite-j2": (lambda: satellite_j0_setup(2), 8, 1e-3, False),
+    "springs": (lambda: ini_setup("springs"), 4, 1e-2, False),
+    "far-equilibrium": (lambda: ini_setup("far-equilibrium"), 3, 1e-2, True),
 }
 
 
-@pytest.mark.parametrize("setup, steps, s0", SYMMETRIC_BRANCHES.values(), ids=SYMMETRIC_BRANCHES.keys())
-def test_symmetric_ansatz_agrees_with_the_full_system(monkeypatch, setup, steps, s0):
+@pytest.mark.parametrize(
+    "setup, steps, s0, from_residuals", SYMMETRIC_BRANCHES.values(), ids=SYMMETRIC_BRANCHES.keys()
+)
+def test_symmetric_ansatz_agrees_with_the_full_system(monkeypatch, setup, steps, s0, from_residuals):
     system, eq, cand = setup()
     r = orbits._symmetric_frame(system, eq, orbits.kernel_direction(system, eq, cand))
     assert r is not None
@@ -880,10 +883,23 @@ def test_symmetric_ansatz_agrees_with_the_full_system(monkeypatch, setup, steps,
         # the branch comes back symmetric, z(-t) = R z(t), in its own frame
         assert not np.any(orbit.a[:, r < 0]) and not np.any(orbit.b[:, r > 0]) and not np.any(orbit.a0[r < 0])
         assert orbit.m == ref.m
-        assert abs(orbit.period - ref.period) <= 1e-12 * ref.period
-        # the full solver from the same kernel pair finds the same orbit
         scale = np.max(np.abs(np.vstack([ref.a, ref.b])))
-        assert np.max(np.abs(np.vstack([orbit.a - ref.a, orbit.b - ref.b]))) <= 1e-10 * scale
+        period_bound, coefficient_bound = 1e-12 * ref.period, 1e-10 * scale
+        if from_residuals:
+            # |z0| = 1e6: Newton stops at 64 eps |z0| ~ 1.4e-8, so the two
+            # solvers end wherever their own paths cross that stop, not at the
+            # same bits.  Two curves whose fields are off by r1 and r2 differ
+            # by the inverse linearised field applied to r1 + r2.  Near z0,
+            # A = I and lambda ~ 1: mode k's block is about k - lambda, of
+            # inverse norm at most about 1 for k != 1 (the pin and lambda fix
+            # mode 1), and lambda's column, J grad H along the orbit, has size
+            # s.  So a coefficient moves by about r1 + r2 and lambda by about
+            # (r1 + r2) / s.
+            slack = orbit.residual + ref.residual
+            period_bound, coefficient_bound = orbits.TWO_PI * slack / ref.amplitude, slack
+        assert abs(orbit.period - ref.period) <= period_bound
+        # the full solver from the same kernel pair finds the same orbit
+        assert np.max(np.abs(np.vstack([orbit.a - ref.a, orbit.b - ref.b]))) <= coefficient_bound
         assert np.max(np.abs(orbit.a0 - ref.a0)) <= 1e-10 * (scale + np.max(np.abs(ref.a0)))
 
 
@@ -966,9 +982,7 @@ def chained_solves(system, eq, cand, steps, s0, growth=2.0):
     for i in range(steps):
         orbit = orbits.solve_orbit(system, eq, cand, s0 * growth**i, initial_guess=guess)
         found.append(orbit)
-        guess = orbits.FourierOrbit(
-            a0=eq.z0 + growth * (orbit.a0 - eq.z0), a=growth * orbit.a, b=growth * orbit.b, lam=orbit.lam
-        )
+        guess = orbits._predict(orbit, eq.z0, cand.lambda0, growth)
     return found
 
 
@@ -993,6 +1007,62 @@ def test_branch_equals_chained_solves_to_the_bit(setup, steps, s0):
     for orbit, ref in zip(branch.orbits, chained):
         for key in ("a0", "a", "b", "lam", "residual", "amplitude"):
             assert np.array_equal(getattr(orbit, key), getattr(ref, key)), key
+
+
+FAMILY_BRANCHES = {
+    # (with_hessian, growth, steps).  Scaled whole by 2, the fifth orbit put
+    # the sixth step on another family, of period 3.30097 against 2.68202 on
+    # the fine ladder
+    "hessian": (True, 2.0, 6),
+    "gradient-only": (False, 2.0, 6),
+    # the period shift scaled by 3**2 predicts lambda < 0, and Newton from
+    # there ends at period -1.11163 against 1.64640 on the ladder
+    "hessian-growth-3": (True, 3.0, 5),
+}
+
+
+@pytest.mark.parametrize("with_hessian, growth, steps", FAMILY_BRANCHES.values(), ids=FAMILY_BRANCHES.keys())
+def test_branch_stays_on_its_family(with_hessian, growth, steps):
+    # the last orbit must be the one a ladder of growth**(1/8) reaches
+    system, eq, cand = chain_setup(with_hessian)
+    branch = orbits.continue_branch(system, eq, cand, steps=steps, s0=0.1, growth=growth)
+    rungs = 8 * (steps - 1) + 1
+    ladder = orbits.continue_branch(system, eq, cand, steps=rungs, s0=0.1, growth=growth ** (1 / 8))
+    assert len(branch.orbits) == steps and len(ladder.orbits) == rungs and not branch.failures + ladder.failures
+    periods = [orbit.period for orbit in branch.orbits]
+    assert all(a > b for a, b in zip(periods, periods[1:])), periods
+    assert abs(periods[-1] - ladder.orbits[-1].period) <= 1e-8 * ladder.orbits[-1].period
+
+
+PAST_THE_ORDERS = {
+    # (setup, steps, s0, growth), all at M = 64.  growth**k overflows, and
+    # the zero and rounding-level modes scaled by it became inf and NaN
+    "harmonic-growth-1e5": (harmonic_setup, 2, 1e-6, 1e5),
+    "satellite-growth-1e5": (satellite_setup, 2, 1e-6, 1e5),
+    # finite, but the rounding-level tail scaled by 2**k outweighs mode 1,
+    # and Newton stalls at step 2
+    "satellite-growth-2": (satellite_setup, 3, 1e-3, 2.0),
+}
+
+
+@pytest.mark.parametrize("setup, steps, s0, growth", PAST_THE_ORDERS.values(), ids=PAST_THE_ORDERS.keys())
+def test_predictor_stays_finite_and_mode_1_dominated_past_the_orders(monkeypatch, setup, steps, s0, growth):
+    system, eq, cand = setup()
+    guesses, solve = [], orbits.solve_orbit
+
+    def spy(*args, initial_guess=None, **kwargs):
+        guesses.append(initial_guess)
+        return solve(*args, initial_guess=initial_guess, **kwargs)
+
+    monkeypatch.setattr(orbits, "solve_orbit", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        branch = orbits.continue_branch(system, eq, cand, steps=steps, s0=s0, growth=growth, modes=64)
+    assert len(branch.orbits) == steps and not branch.failures
+    assert guesses[0] is None and len(guesses) == steps
+    for guess in guesses[1:]:
+        assert all(np.all(np.isfinite(part)) for part in (guess.a0, guess.a, guess.b, guess.lam))
+        assert int(np.argmax(guess.mode_energies(eq.z0)[1:])) == 0
 
 
 def test_branch_builds_its_setup_once_and_each_problem_once_per_modes(monkeypatch):
