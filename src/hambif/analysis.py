@@ -106,8 +106,10 @@ class ResonanceSet:
 
 
 def spectral_report(system: HamiltonianSystem, eq: EquilibriumOrbit) -> SpectralReport:
-    """Spectral data of J * hessian(H) at the equilibrium, from ``eq.hessian`` (``system`` is not evaluated)."""
-    return matrix_report(eq.hessian)
+    """Spectral data of J * hessian(H) from ``eq.hessian`` (``system`` is not evaluated), made once and kept on ``eq``."""
+    if eq._report is None:
+        object.__setattr__(eq, "_report", matrix_report(eq.hessian))
+    return eq._report
 
 
 def matrix_report(a) -> SpectralReport:

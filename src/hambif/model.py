@@ -181,6 +181,7 @@ class EquilibriumOrbit:
     gradient_norm: float
     section_basis: np.ndarray  # (2N, 2N - orbit_dim), orthonormal complement
     orbit_generators: tuple  # combinations of the generators, one per orbit dimension (_orbit_bases)
+    _report: object = field(default=None, init=False, compare=False, repr=False)  # spectral_report's; none on a replace
 
     @property
     def orbit_dim(self) -> int:

@@ -38,11 +38,12 @@ integrand is odd too.  ``kernel_direction`` takes the linear predictor in
 this symmetric frame, and ``solve_orbit`` takes the ansatz when
 ``_symmetric_frame`` finds its hypotheses hold at ``z0``; ``residual_field``
 checks the full, unsymmetrised equations either way.  Only the amplitude pin
-moves along a branch: ``continue_branch`` finds the kernel pair and the
-reversor once and builds each truncation's problem once, for every step and
-doubling.  Each step starts from the last orbit scaled by the
-Lyapunov-Schmidt orders of the family (``_predict``): mode ``k`` is
-``O(s^k)``, ``a0 - z0`` and ``lambda - lambda0`` are ``O(s^2)``.
+moves along a branch: ``continue_branch`` builds the kernel pair (from the
+report ``analyze`` kept on ``eq``), the reversor, ``J``, each truncation's
+problem and the cos/sin tables of its ``4M + 1``-point residual and
+``8M``-point sup checks once, for every step and doubling.  Each step starts
+from the last orbit scaled by the Lyapunov-Schmidt orders (``_predict``):
+mode ``k`` is ``O(s^k)``, ``a0 - z0`` and ``lambda - lambda0`` are ``O(s^2)``.
 
 Newton's Jacobian is assembled by the alternating frequency/time method
 (Cameron & Griffin, J. Appl. Mech. 56, 1989; Krack & Gross, Harmonic
@@ -69,6 +70,7 @@ rounding, and their products slow the LU with subnormal arithmetic.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -144,16 +146,15 @@ class FourierOrbit:
         return TWO_PI * self.lam
 
     def evaluate(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        k = np.arange(1, self.m + 1)
-        phases = np.outer(t, k)
-        return self.a0 + np.cos(phases) @ self.a + np.sin(phases) @ self.b
+        return self._values(_trig(t, self.m))
 
-    def derivative(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        k = np.arange(1, self.m + 1)
-        phases = np.outer(t, k)
-        return np.cos(phases) @ (k[:, None] * self.b) - np.sin(phases) @ (k[:, None] * self.a)
+    def _values(self, table) -> np.ndarray:
+        """z, and ``_rates`` z', at the times of a ``_trig`` table."""
+        return self.a0 + table[0] @ self.a + table[1] @ self.b
+
+    def _rates(self, table) -> np.ndarray:
+        k = np.arange(1, self.m + 1)[:, None]
+        return table[0] @ (k * self.b) - table[1] @ (k * self.a)
 
     def mode_energies(self, z0) -> np.ndarray:
         """Sobolev-weighted energy per mode of z - z0 (index 0 is the mean)."""
@@ -164,22 +165,26 @@ class FourierOrbit:
         return np.concatenate([[e0], ek])
 
 
-def sobolev_amplitude(orbit: FourierOrbit, z0) -> float:
-    return float(np.sqrt(np.sum(orbit.mode_energies(z0))))
+def _trig(t, m: int) -> tuple:
+    """``(cos kt, sin kt)`` for ``k = 1..m``, each ``(len(t), m)``."""
+    phases = np.outer(np.asarray(t, dtype=float), np.arange(1, m + 1))
+    return np.cos(phases), np.sin(phases)
 
 
-def sup_distance(orbit: FourierOrbit, z0) -> float:
+def _grid(points: int, m: int) -> tuple:
+    """``_trig`` on the equispaced grid ``t_p = 2 pi p / points``; ``_BranchSetup.grid`` keeps each one of a branch."""
+    return _trig(np.arange(points) * TWO_PI / points, m)
+
+
+def sup_distance(orbit: FourierOrbit, z0, *, _setup=None) -> float:
     """max_t |z(t) - z0| on an equispaced grid of 8M points."""
-    points = 8 * orbit.m
-    t = np.arange(points) * TWO_PI / points
-    return float(np.max(np.linalg.norm(orbit.evaluate(t) - np.asarray(z0, float), axis=1)))
+    table = (_setup.grid if _setup else _grid)(8 * orbit.m, orbit.m)
+    return float(np.max(np.linalg.norm(orbit._values(table) - np.asarray(z0, float), axis=1)))
 
 
 def orbit_energy_range(system: HamiltonianSystem, orbit: FourierOrbit):
     """(min, max) of H along the orbit on an equispaced grid of 4M + 1 points."""
-    points = 4 * orbit.m + 1
-    t = np.arange(points) * TWO_PI / points
-    values = [_evaluate(system, "energy", z) for z in orbit.evaluate(t)]
+    values = [_evaluate(system, "energy", z) for z in orbit._values(_grid(4 * orbit.m + 1, orbit.m))]
     return min(values), max(values)
 
 
@@ -215,15 +220,13 @@ def kernel_direction(system: HamiltonianSystem, eq: EquilibriumOrbit, candidate:
     return a1 / scale, b1 / scale
 
 
-def residual_field(system: HamiltonianSystem, orbit: FourierOrbit, collocation_points: int) -> np.ndarray:
+def residual_field(system: HamiltonianSystem, orbit: FourierOrbit, collocation_points: int, *, _setup=None) -> np.ndarray:
     """z'(t_i) - lambda J grad H(z(t_i)) at equispaced collocation points."""
     if collocation_points < 2 * orbit.m + 1:
         raise ValueError("need at least 2M + 1 collocation points")
-    t = np.arange(collocation_points) * TWO_PI / collocation_points
-    z = orbit.evaluate(t)
-    zdot = orbit.derivative(t)
-    j = standard_symplectic(z.shape[1] // 2)
-    return zdot - orbit.lam * gradients_of(system, z) @ j.T
+    table = (_setup.grid if _setup else _grid)(collocation_points, orbit.m)
+    j = _setup.j if _setup else standard_symplectic(orbit.a0.size // 2)
+    return orbit._rates(table) - orbit.lam * gradients_of(system, orbit._values(table)) @ j.T
 
 
 class _HarmonicBalance:
@@ -257,9 +260,8 @@ class _HarmonicBalance:
         self.ap, self.bp = predictor
         width = 2 * m + 1
         points = 4 * m
-        t = np.arange(points) * TWO_PI / points
         k = np.arange(1, m + 1)
-        cos, sin = np.cos(np.outer(t, k)), np.sin(np.outer(t, k))  # (P, m)
+        cos, sin = _grid(points, m)  # (P, m)
         # basis, its time derivative and the Galerkin test weights, each (P, 2M + 1)
         self.phi = np.hstack([np.ones((points, 1)), cos, sin])
         self.dphi = np.hstack([np.zeros((points, 1)), -k * sin, k * cos])
@@ -379,8 +381,8 @@ class _HarmonicBalance:
             hess = 0.5 * (fd + fd.transpose(0, 2, 1))
         else:
             hess = hessians_of(self.system, z)
-        mix = lam * self.j + mus[0] * np.eye(self.dim) if self.n_mult else lam * self.j
-        dfield = -np.einsum("ij,pjk->pik", mix, hess)
+        jh = np.concatenate([hess[:, self.dim // 2 :], -hess[:, : self.dim // 2]], axis=1)  # J H, one +-1 per row of J
+        dfield = -(lam * jh + mus[0] * hess) if self.n_mult else -(lam * jh)
         for i, mat in enumerate(self.moment_mats):
             dfield -= mus[1 + i] * mat
         jac = np.zeros((self.size, self.size))
@@ -396,14 +398,6 @@ class _HarmonicBalance:
         jac[:n, n:] = np.column_stack([(self.weights.T @ f).ravel()[self.rows] for f in fields])
         jac[n:, :n] = self.constraint_rows
         return jac
-
-
-def _tail_fraction(orbit: FourierOrbit, z0) -> float:
-    energies = orbit.mode_energies(z0)[1:]
-    if energies.size < 2:
-        return 0.0
-    total = float(np.sum(energies))
-    return float(energies[-1] / total) if total > 0.0 else 0.0
 
 
 def _symmetric_frame(system: HamiltonianSystem, eq: EquilibriumOrbit, predictor) -> Optional[np.ndarray]:
@@ -431,7 +425,7 @@ def _symmetric_frame(system: HamiltonianSystem, eq: EquilibriumOrbit, predictor)
 
 
 class _BranchSetup:
-    """What every step of one branch shares: the kernel pair, the reversor of the ansatz and one problem per ``M``."""
+    """What every step of one branch shares: the kernel pair, the reversor, ``J``, each ``M``'s problem and check grids."""
 
     def __init__(self, system, eq, candidate):
         if not candidate.confirmed:
@@ -439,6 +433,7 @@ class _BranchSetup:
         self.system, self.eq, self.problems = system, eq, {}
         self.kernel = kernel_direction(system, eq, candidate)
         self.reversor = _symmetric_frame(system, eq, self.kernel)
+        self.j, self.grid = standard_symplectic(system.dim // 2), functools.cache(_grid)
 
     def problem(self, s, m) -> _HarmonicBalance:
         """The ``M = m`` problem, built at its first use, as a copy sharing its arrays with its own pin ``s`` and memo."""
@@ -480,9 +475,9 @@ def solve_orbit(
     ansatz are dropped.  A generator with ``R X R = -X`` needs no pin row
     and no momentum multiplier there, since its group drift leaves the
     symmetric curves and its momentum identity holds identically on them.
-    Every other system takes the full ansatz.  The kernel pair, the reversor
-    and each ``M``'s problem come from ``_setup``, which ``continue_branch``
-    builds once per branch; a lone call builds its own.
+    Every other system takes the full ansatz.  The kernel pair, the reversor,
+    each ``M``'s problem and the residual check's grid come from ``_setup``,
+    which ``continue_branch`` builds once per branch; a lone call builds its own.
 
     Parameters
     ----------
@@ -503,7 +498,7 @@ def solve_orbit(
     NoConvergence
         If Newton stalls above the tolerance ``1e-9 * (1 + |z0|)``.
     WrongBranch
-        If the converged orbit is not mode-1 dominated.
+        If the converged orbit's period is not positive or it is not mode-1 dominated.
     """
     if not 0.0 < amplitude_s < np.inf:
         raise ValueError(f"amplitude must be positive and finite, got {amplitude_s}")
@@ -527,18 +522,21 @@ def solve_orbit(
         # validate the full equations on 4M + 1 points: finer than and
         # incommensurate with the solve grid, so aliased spurious solutions
         # and a wrong symmetry assumption cannot hide
-        check = residual_field(system, orbit, 4 * m + 1)
+        check = residual_field(system, orbit, 4 * m + 1, _setup=setup)
         orbit.residual = float(np.max(np.linalg.norm(check, axis=1)))
-        orbit.amplitude = sobolev_amplitude(orbit, eq.z0)
+        energies = orbit.mode_energies(eq.z0)
+        orbit.amplitude = float(np.sqrt(np.sum(energies)))
         cons = np.max(np.abs(fvec[problem.n_coeff :])) if fvec.size > problem.n_coeff else 0.0
         if not (converged and cons < 1e-8 * (1.0 + amplitude_s)):
             raise NoConvergence(
                 f"Newton stalled (residual {orbit.residual:.3e}, tol {tol:.1e}) "
                 f"at amplitude {amplitude_s:.3e}, M={m}"
             )
-        # truncation control: grow M while the tail carries energy or the
-        # collocation residual is still above tolerance
-        if (_tail_fraction(orbit, eq.z0) > 1e-10 or orbit.residual >= tol) and m < MAX_MODES:
+        # truncation control: grow M while the last mode carries more than 1e-10
+        # of the oscillatory energy or the collocation residual is above tolerance
+        total = float(np.sum(energies[1:]))
+        tail = energies[-1] / total if m > 1 and total > 0.0 else 0.0
+        if (tail > 1e-10 or orbit.residual >= tol) and m < MAX_MODES:
             guess = orbit
             m = min(2 * m, MAX_MODES)
             continue
@@ -547,9 +545,10 @@ def solve_orbit(
                 f"residual {orbit.residual:.3e} above tol {tol:.1e} at M={m} "
                 f"(amplitude {amplitude_s:.3e})"
             )
-        energies = orbit.mode_energies(eq.z0)[1:]
-        if int(np.argmax(energies)) != 0:
-            raise WrongBranch(f"dominant Fourier mode is k={int(np.argmax(energies)) + 1}, not k=1")
+        if orbit.lam <= 0.0:
+            raise WrongBranch(f"period {orbit.period:.8g} is not positive: the orbit is not on the family")
+        if int(np.argmax(energies[1:])) != 0:
+            raise WrongBranch(f"dominant Fourier mode is k={int(np.argmax(energies[1:])) + 1}, not k=1")
         return orbit
 
 
@@ -652,8 +651,7 @@ def continue_branch(
 
     ``s0``, ``growth`` and the last amplitude must be positive and finite,
     and ``modes`` an integer in ``1..MAX_MODES`` (``ValueError`` before any
-    work).  The kernel pair, the reversor and one harmonic-balance
-    problem per ``M`` are built once for the branch.
+    work).  What the steps share is built once (``_BranchSetup``).
     The first step starts from the linear kernel predictor, each later one
     from the previous orbit scaled by the Lyapunov-Schmidt orders
     (``_predict``: mode ``k`` by ``growth**k``, the mean and period shifts by
@@ -681,7 +679,7 @@ def continue_branch(
             break
         branch.orbits.append(orbit)
         branch.period_trend.append((orbit.amplitude, orbit.period))
-        branch.sup_distance_trend.append((orbit.amplitude, sup_distance(orbit, eq.z0)))
+        branch.sup_distance_trend.append((orbit.amplitude, sup_distance(orbit, eq.z0, _setup=setup)))
         guess = _predict(orbit, eq.z0, candidate.lambda0, growth)
     return branch
 
@@ -722,8 +720,7 @@ def transform_orbit(orbit: FourierOrbit, rotation=None, time_shift: float = 0.0)
     a = orbit.a.copy()
     b = orbit.b.copy()
     if time_shift != 0.0:
-        phase = np.arange(1, orbit.m + 1) * time_shift
-        ck, sk = np.cos(phase)[:, None], np.sin(phase)[:, None]
+        ck, sk = (c.T for c in _trig([time_shift], orbit.m))
         a, b = ck * a + sk * b, -sk * a + ck * b
     if rotation is not None:
         rotation = np.asarray(rotation, dtype=float)

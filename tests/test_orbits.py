@@ -9,8 +9,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from hambif import analysis, cli, model, orbits
-from hambif.errors import EmptyKernel, NoConvergence
+from hambif import analysis, cli, linalg, model, orbits
+from hambif.errors import EmptyKernel, NoConvergence, WrongBranch
 
 DATA = Path(__file__).parent / "data"
 
@@ -178,7 +178,7 @@ def test_minimal_period_check_cases():
         b=np.array([[0.0, 0.0], [0.0, -0.3]]),
         lam=1.0,
     )
-    pure2.amplitude = orbits.sobolev_amplitude(pure2, np.zeros(2))
+    pure2.amplitude = float(np.sqrt(np.sum(pure2.mode_energies(np.zeros(2)))))
     assert orbits.minimal_period_check(pure2) == "subharmonic"
 
     mixed = orbits.FourierOrbit(
@@ -187,7 +187,7 @@ def test_minimal_period_check_cases():
         b=np.array([[0.0, -1.0], [0.0, 0.0]]),
         lam=1.0,
     )
-    mixed.amplitude = orbits.sobolev_amplitude(mixed, np.zeros(2))
+    mixed.amplitude = float(np.sqrt(np.sum(mixed.mode_energies(np.zeros(2)))))
     assert orbits.minimal_period_check(mixed) == "minimal"
 
     murky = orbits.FourierOrbit(
@@ -196,7 +196,7 @@ def test_minimal_period_check_cases():
         b=np.array([[0.0, -1.0], [0.0, 0.0]]),
         lam=1.0,
     )
-    murky.amplitude = orbits.sobolev_amplitude(murky, np.zeros(2))
+    murky.amplitude = float(np.sqrt(np.sum(murky.mode_energies(np.zeros(2)))))
     assert orbits.minimal_period_check(murky) == "undetermined"
 
 
@@ -1077,14 +1077,148 @@ def test_branch_builds_its_setup_once_and_each_problem_once_per_modes(monkeypatc
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(orbits, name, counted)
-    build = orbits._HarmonicBalance.__init__
+    build, grid, grids = orbits._HarmonicBalance.__init__, orbits._grid, Counter()
 
     def counted_build(self, system, eq, predictor, s, m, reversor=None):
         built.append(m)
         build(self, system, eq, predictor, s, m, reversor)
 
+    def counted_grid(points, m):
+        grids[points, m] += 1
+        return grid(points, m)
+
     monkeypatch.setattr(orbits._HarmonicBalance, "__init__", counted_build)
+    monkeypatch.setattr(orbits, "_grid", counted_grid)
     branch = orbits.continue_branch(system, eq, cand, steps=6, s0=0.1)
     assert [orbit.m for orbit in branch.orbits] == [8, 8, 8, 8, 16, 16] and not branch.failures
     assert built == [8, 16]
     assert calls == {"kernel_direction": 1, "_symmetric_frame": 1, "solve_orbit": 6}
+    # each cos/sin table once: every M's solve grid (4M points), residual
+    # check (4M + 1) and sup distance (8M); they were rebuilt at every step
+    assert grids == {(32, 8): 1, (33, 8): 1, (64, 8): 1, (64, 16): 1, (65, 16): 1, (128, 16): 1}
+
+
+def test_solve_orbit_rejects_a_negative_period():
+    # warm-started by the unguarded Lyapunov-Schmidt orders at growth 3
+    # (lam = -0.0792), Newton converges to period -1.11163 with residual
+    # 1.6e-14 at M = 32, and solve_orbit returned that orbit
+    system, eq, cand = chain_setup(True)
+    branch = orbits.continue_branch(system, eq, cand, steps=4, s0=0.1, growth=3.0)
+    assert len(branch.orbits) == 4 and not branch.failures
+    last = branch.orbits[-1]
+    factors = 3.0 ** np.arange(1, last.m + 1)[:, None]
+    mean, lam = eq.z0 + 9.0 * (last.a0 - eq.z0), cand.lambda0 + 9.0 * (last.lam - cand.lambda0)
+    guess = orbits.FourierOrbit(mean, factors * last.a, factors * last.b, lam)
+    assert guess.lam < 0.0
+    with pytest.raises(WrongBranch, match=r"period -1\.1116309 is not positive"):
+        orbits.solve_orbit(system, eq, cand, 0.1 * 3.0**4, modes=last.m, initial_guess=guess)
+
+
+def reference_curve(orbit, t):
+    """``z(t)`` and ``z'(t)`` by the per-call formulas ``FourierOrbit.evaluate`` and ``derivative`` had: the reference."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    k = np.arange(1, orbit.m + 1)
+    phases = np.outer(t, k)
+    z = orbit.a0 + np.cos(phases) @ orbit.a + np.sin(phases) @ orbit.b
+    return z, np.cos(phases) @ (k[:, None] * orbit.b) - np.sin(phases) @ (k[:, None] * orbit.a)
+
+
+GRID_ORBITS = {"satellite": (lambda: satellite_j0_setup(1), 1e-3), "chain": (lambda: chain_setup(True), 0.1)}
+
+
+@pytest.mark.parametrize("setup, s", GRID_ORBITS.values(), ids=GRID_ORBITS.keys())
+def test_shared_grid_tables_give_the_per_call_formulas_to_the_bit(setup, s):
+    # the residual check, the sup distance and the energy range sample the
+    # orbit on tables shared by a branch (or built by a lone call); each
+    # must give the numbers of the per-call formulas exactly
+    system, eq, cand = setup()
+    solved, shared = orbits.solve_orbit(system, eq, cand, s), orbits._BranchSetup(system, eq, cand)
+    j, rng = linalg.standard_symplectic(system.dim // 2), np.random.default_rng(7)
+    for m in (1, 8, 16, 64):
+        a, b = 1e-4 * s * rng.standard_normal((2, m, system.dim))  # modes past the solved ones
+        a[: solved.m], b[: solved.m] = solved.a[:m], solved.b[:m]
+        orbit = orbits.FourierOrbit(solved.a0, a, b, solved.lam)
+        t = rng.uniform(-10.0, 10.0, 5)
+        assert np.array_equal(orbit.evaluate(t), reference_curve(orbit, t)[0])
+        z, zdot = reference_curve(orbit, np.arange(4 * m + 1) * orbits.TWO_PI / (4 * m + 1))
+        residual = zdot - orbit.lam * model.gradients_of(system, z) @ j.T
+        energies = [float(system.energy(point)) for point in z]
+        sup_grid = reference_curve(orbit, np.arange(8 * m) * orbits.TWO_PI / (8 * m))[0]
+        sup = np.max(np.linalg.norm(sup_grid - eq.z0, axis=1))
+        for _ in range(2):  # the second call of the shared path reads the kept tables
+            assert np.array_equal(orbits.residual_field(system, orbit, 4 * m + 1), residual)
+            assert np.array_equal(orbits.residual_field(system, orbit, 4 * m + 1, _setup=shared), residual)
+            assert orbits.sup_distance(orbit, eq.z0) == orbits.sup_distance(orbit, eq.z0, _setup=shared) == sup
+        assert orbits.orbit_energy_range(system, orbit) == (min(energies), max(energies))
+
+
+class RecordingBasis:
+    """Stands in for a block's weight-basis matrix and records the stacked field derivative it multiplies."""
+
+    def __init__(self, matrix, seen):
+        self.matrix, self.seen = matrix, seen
+
+    def __matmul__(self, other):
+        self.seen.append(np.array(other))
+        return self.matrix @ other
+
+
+@pytest.mark.parametrize("name", ["gyroscopic", "so3-hat"])
+def test_swapped_field_derivative_equals_the_einsum_to_the_bit(name):
+    # -(lam J + mu0 I) H at every collocation point was an einsum; each row of
+    # J holds one +-1, so H with its row blocks swapped gives the same bits,
+    # signed zeros included, on the full ansatz with its energy multiplier
+    system, eq, cand = ini_setup(name)
+    problem = problem_for(system, eq, cand, 0.05, 8, symmetric=False)
+    assert problem.n_mult >= 1 and system.hessian is not None
+    x = perturbed_unknowns(problem, eq, cand, 0.05, np.random.default_rng(5))
+    seen = []
+    problem.blocks = [(rows, cols, RecordingBasis(basis, seen), *rest) for rows, cols, basis, *rest in problem.blocks]
+    problem.jacobian(x)
+    lam, mus = x[problem.n_coeff], x[problem.n_coeff + 1 :]
+    mix = lam * problem.j + mus[0] * np.eye(problem.dim)
+    reference = -np.einsum("ij,pjk->pik", mix, model.hessians_of(system, problem._curve(x)[1]))
+    for i, mat in enumerate(problem.moment_mats):
+        reference -= mus[1 + i] * mat
+    reference = reference.reshape(problem.points, -1)
+    assert len(seen) == 1 and np.array_equal(seen[0], reference)
+    assert np.array_equal(np.signbit(seen[0]), np.signbit(reference))
+
+
+def test_analyze_and_branch_make_one_spectral_report(monkeypatch):
+    # kernel_direction made a second report of the Hessian analyze had just reported on
+    made, report = [], analysis.matrix_report
+    monkeypatch.setattr(analysis, "matrix_report", lambda a: made.append(a) or report(a))
+    sat, eq, cand = satellite_setup()
+    branch = orbits.continue_branch(sat, eq, cand, steps=8, s0=1e-3)
+    assert len(branch.orbits) == 8 and not branch.failures and len(made) == 1
+    # a replaced equilibrium starts without one
+    assert analysis.spectral_report(sat, replace(eq)).betas == analysis.spectral_report(sat, eq).betas
+    assert len(made) == 2
+
+
+def orbit_bits(branch):
+    keys = ("a0", "a", "b", "lam", "residual", "amplitude")
+    return [np.asarray(getattr(orbit, key), dtype=float).tobytes() for orbit in branch.orbits for key in keys] + [
+        np.asarray(branch.sup_distance_trend).tobytes()
+    ]
+
+
+INTERLEAVED = {"satellite": (lambda: satellite_j0_setup(1), 8, 1e-3), "chain": (lambda: chain_setup(True), 6, 0.1)}
+
+
+def test_interleaved_branches_equal_fresh_ones():
+    # what a branch builds stays with it: a satellite branch, a chain branch of
+    # another dimension and the satellite again on the same equilibrium give
+    # the bits of branches from freshly built systems and equilibria
+    kept = {name: setup() for name, (setup, _, _) in INTERLEAVED.items()}
+
+    def run(name, setup):
+        steps, s0 = INTERLEAVED[name][1:]
+        branch = orbits.continue_branch(*setup, steps=steps, s0=s0)
+        assert len(branch.orbits) == steps and not branch.failures
+        return orbit_bits(branch)
+
+    order = ["satellite", "chain", "satellite"]
+    interleaved = [run(name, kept[name]) for name in order]
+    assert interleaved == [run(name, INTERLEAVED[name][0]()) for name in order]
