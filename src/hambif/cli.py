@@ -121,15 +121,16 @@ class RunConfig:
             raise ConfigParse(f"generators cannot be given with preset {self.preset!r}: presets bring their own symmetry")
         if self.preset is not None and self.n is not None:
             raise ConfigParse(f"n cannot be given with preset {self.preset!r}: presets bring their own dimension")
-        counts = (("n", self.n), ("j0", self.j0), ("steps", self.steps), ("modes", self.modes))
+        counts = (("n", self.n), ("j0", self.j0), ("modes", self.modes))
         for key, value in counts:
             if value is not None and value < 1:
                 raise ConfigParse(f"{key} must be at least 1, got {value}")
         if self.modes > orbits_mod.MAX_MODES:
             raise ConfigParse(f"modes must be at most {orbits_mod.MAX_MODES}, got {self.modes}")
-        for key, value in (("s0", self.s0), ("growth", self.growth)):
-            if not 0.0 < value < np.inf:
-                raise ConfigParse(f"{key} must be positive and finite, got {value}")
+        try:
+            orbits_mod._check_ladder(self.steps, self.s0, self.growth)  # the rule continue_branch applies
+        except ValueError as exc:
+            raise ConfigParse(str(exc)) from exc
         for _, exps in self.monomials:
             if len(exps) != 2 * self.n or any(e < 0 for e in exps):
                 raise ConfigParse(f"a monomial needs {2 * self.n} non-negative exponents, got {list(exps)}")

@@ -30,7 +30,11 @@ value at point ``i``, in a new array on each call.  ``gradients_of`` and
 ``gradient_of``/``hessian_of`` over the points otherwise.  The stacked
 form belongs to the callable, so a system whose evaluator is replaced never
 keeps a stale one.  The satellite preset and every system from
-``newtonian_to_hamiltonian`` carry stacked forms.  A lifted gradient from
+``newtonian_to_hamiltonian`` carry stacked forms.  Their per-point Hessians
+are derived, row 0 of the stacked form on a one-row stack (``_per_point``),
+so the two agree to the bit.  Their per-point gradients are written out: a
+one-row stacked call costs several per-point ones, and a finite-difference
+Hessian makes ``4N`` per-point gradient calls.  A lifted gradient from
 ``newtonian_to_hamiltonian`` also carries the marker ``newtonian = True``:
 its momentum half is ``p`` itself, so the forward-difference kernel
 evaluates only the position shifts.  Only that constructor sets it, and a
@@ -317,6 +321,16 @@ def hessians_of(system: HamiltonianSystem, zs) -> np.ndarray:
     return np.array([hessian_of(system, z) for z in zs])
 
 
+def _per_point(stacked):
+    """The per-point form of a stacked evaluator: row 0 of its value on the one-row stack, with ``batch = stacked``."""
+
+    def evaluator(z):
+        return stacked(z[None])[0]
+
+    evaluator.batch = stacked
+    return evaluator
+
+
 def gradient_equivariance_residual(
     system: HamiltonianSystem,
     probes: int,
@@ -440,12 +454,13 @@ def newtonian_to_hamiltonian(
     The lifted ``gradient`` and ``hessian`` carry stacked forms (see the
     module docstring), so a harmonic-balance evaluation makes one stacked
     call.  They call the supplied q-level ``gradient``/``hessian`` once per
-    row, with the per-point forms' arithmetic, so their values are the same
-    to the bit.  The lifted ``gradient`` is ``(grad U(q), p)`` and says so by
-    its ``newtonian`` marker: without a ``hessian``, a harmonic-balance
-    Jacobian differences it in the ``n`` positions alone, and its momentum
-    columns are the same bits a shifted call would give, because the
-    q-gradient gets the same ``q`` there.
+    row.  The per-point ``hessian`` is the stacked one on one row, and the
+    per-point ``gradient`` repeats the stacked form's arithmetic, so each
+    gives the same bits either way.  The lifted ``gradient`` is
+    ``(grad U(q), p)`` and says so by its ``newtonian`` marker: without a
+    ``hessian``, a harmonic-balance Jacobian differences it in the ``n``
+    positions alone, and its momentum columns are the same bits a shifted
+    call would give, because the q-gradient gets the same ``q`` there.
     """
 
     def energy(z):
@@ -467,12 +482,6 @@ def newtonian_to_hamiltonian(
 
     hess = None
     if hessian is not None:
-        def hess(z):
-            m = np.zeros((2 * n, 2 * n))
-            m[:n, :n] = np.asarray(hessian(z[:n]), dtype=float)
-            m[n:, n:] = np.eye(n)
-            return m
-
         def hesses(zs):
             m = np.zeros((len(zs), 2 * n, 2 * n))
             for mp, q in zip(m, zs[:, :n]):
@@ -480,7 +489,7 @@ def newtonian_to_hamiltonian(
             m[:, n:, n:] = np.eye(n)
             return m
 
-        hess.batch = hesses
+        hess = _per_point(hesses)
 
     lifted = []
     for x in generators:
@@ -546,22 +555,6 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
         g[2] += 6.0 * c * q[2] / d5
         return g
 
-    def hess_potential(q):
-        d2 = float(q @ q)
-        d = np.sqrt(d2)
-        d3 = d * d2
-        d5 = d3 * d2
-        d7 = d5 * d2
-        d9 = d7 * d2
-        q3 = q[2]
-        s1 = 1.0 / d3 + 3.0 * c / d5
-        s2 = -3.0 / d5 - 15.0 * c / d7
-        m = (s1 - 15.0 * c * q3**2 / d7) * np.eye(3)
-        m += (s2 + 105.0 * c * q3**2 / d9) * np.outer(q, q)
-        m += (6.0 * c / d5) * np.outer(e3, e3)
-        m -= (30.0 * c * q3 / d7) * (np.outer(e3, q) + np.outer(q, e3))
-        return m
-
     coupling = np.array([[0.0, omega, 0.0], [-omega, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
     def energy(z):
@@ -574,19 +567,12 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
         gp = p + omega * np.array([-q[1], q[0], 0.0])
         return np.concatenate([gq, gp])
 
-    def hessian(z):
-        q = z[:3]
-        m = np.zeros((6, 6))
-        m[:3, :3] = hess_potential(q)
-        m[:3, 3:] = coupling
-        m[3:, :3] = coupling.T
-        m[3:, 3:] = np.eye(3)
-        return m
-
-    # Stacked forms: the per-point operations in the same order on a (P, 6)
-    # stack.  |q|^2 comes from the same dot kernel as the per-point q @ q;
-    # q3^2 is an array square where the per-point form calls pow, so a value
-    # can differ from the per-point one in its last bit.
+    # Stacked forms.  The per-point Hessian is derived: row 0 of the stacked
+    # one on a one-row stack.  The stacked gradient makes the per-point
+    # operations in the same order on a (P, 6) stack.  |q|^2 comes from the
+    # same dot kernel as the per-point q @ q; q3^2 is an array square where
+    # the per-point form calls pow, so a value can differ from the per-point
+    # one in its last bit.
     def distances(q):
         d2 = (q[:, None, :] @ q[:, :, None])[:, 0, 0]
         return d2, np.sqrt(d2)
@@ -625,7 +611,6 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
         return m
 
     gradient.batch = gradients
-    hessian.batch = hessians
 
     spin = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     generator = np.zeros((6, 6))
@@ -635,7 +620,7 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
         n=3,
         energy=energy,
         gradient=gradient,
-        hessian=hessian,
+        hessian=_per_point(hessians),
         symmetry=SymmetryGroup((generator,)),
         name="satellite",
         reversor=np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0]),

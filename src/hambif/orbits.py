@@ -558,6 +558,20 @@ def _check_modes(modes) -> None:
         raise ValueError(f"modes must be an integer in 1..{MAX_MODES}, got {modes!r}")
 
 
+def _check_ladder(steps, s0, growth) -> None:
+    """``ValueError`` unless ``steps`` is an integer of at least 1 and ``s0``, ``growth`` and the last amplitude are positive and finite.
+
+    The last amplitude is ``s0 * growth**(steps - 1)``.  ``cli.RunConfig`` applies this rule at parse time.
+    """
+    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+        raise ValueError(f"steps must be an integer of at least 1, got {steps!r}")
+    with np.errstate(over="ignore"):  # an amplitude past the float range is inf, rejected below
+        last = s0 * np.float64(growth) ** (steps - 1)
+    for key, value in (("s0", s0), ("growth", growth), ("s0 * growth**(steps - 1)", last)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{key} must be positive and finite, got {value}")
+
+
 def _lu_ready(jac: np.ndarray) -> np.ndarray:
     """``jac`` with every entry below ``eps * max|J|`` set to zero, in place.
 
@@ -649,9 +663,10 @@ def continue_branch(
 ) -> Branch:
     """Grow the branch outward over amplitudes ``s0 * growth**i``.
 
-    ``s0``, ``growth`` and the last amplitude must be positive and finite,
-    and ``modes`` an integer in ``1..MAX_MODES`` (``ValueError`` before any
-    work).  What the steps share is built once (``_BranchSetup``).
+    ``steps`` must be a positive integer, ``s0``, ``growth`` and the last
+    amplitude positive and finite (``_check_ladder``), and ``modes`` an
+    integer in ``1..MAX_MODES`` (``ValueError`` before any work).  What the
+    steps share is built once (``_BranchSetup``).
     The first step starts from the linear kernel predictor, each later one
     from the previous orbit scaled by the Lyapunov-Schmidt orders
     (``_predict``: mode ``k`` by ``growth**k``, the mean and period shifts by
@@ -659,14 +674,8 @@ def continue_branch(
     A failed step is recorded and stops the branch; the partial branch is
     returned with the failure list populated.
     """
-    if steps < 1:
-        raise ValueError("need at least one step")
+    _check_ladder(steps, s0, growth)
     _check_modes(modes)
-    with np.errstate(over="ignore"):  # an amplitude past the float range is inf, rejected below
-        last = s0 * np.float64(growth) ** (steps - 1)
-    for key, value in (("s0", s0), ("growth", growth), ("s0 * growth**(steps - 1)", last)):
-        if not 0.0 < value < np.inf:
-            raise ValueError(f"{key} must be positive and finite, got {value}")
     branch = Branch(orbits=[], period_trend=[], sup_distance_trend=[])
     guess = setup = None
     for i in range(steps):
@@ -688,19 +697,18 @@ def minimal_period_check(orbit: FourierOrbit) -> str:
     """Classify the orbit period as minimal, subharmonic, or undetermined.
 
     Subharmonic means the orbit repeats after 2 pi / r for some r in 2..5
-    (so its fundamental period is shorter than 2 pi); minimal requires the
-    mode-1 energy to dominate every higher mode by a factor of 100.
+    (so its fundamental period is shorter than 2 pi).  It does exactly when
+    every mode ``k`` with ``r`` not dividing ``k`` is empty, so the test is
+    that the Sobolev energy of those modes is at most ``(1e-6 A)^2``, ``A``
+    the orbit's amplitude.  Minimal requires the mode-1 energy to dominate
+    every higher mode by a factor of 100.
     """
     if not np.isfinite(orbit.amplitude) or orbit.amplitude <= 0.0:
         return "undetermined"
-    points = max(64, 8 * orbit.m)
-    t = np.arange(points) * TWO_PI / points
-    z = orbit.evaluate(t)
-    for r in range(2, 6):
-        shifted = orbit.evaluate(t + TWO_PI / r)
-        if float(np.max(np.linalg.norm(z - shifted, axis=1))) <= 1e-6 * orbit.amplitude:
-            return "subharmonic"
     energies = orbit.mode_energies(orbit.a0)[1:]
+    k = np.arange(1, orbit.m + 1)
+    if any(float(np.sum(energies[k % r != 0])) <= (1e-6 * orbit.amplitude) ** 2 for r in range(2, 6)):
+        return "subharmonic"
     if energies.size == 1:
         return "minimal"
     others = energies[1:]

@@ -683,10 +683,18 @@ def test_negative_seed_on_degenerate_sections(tmp_path, capsys, name, expected_c
         ["--modes", "100"],
         ["--j0", "0"],
         "[system]\nn = 0\nmonomials = 1\n",
+        # continue_branch's rule for the last amplitude: these ran the
+        # refinement and the analysis, then ended in its ValueError traceback
+        ["--steps", "400", "--growth", "10"],
+        ["--steps", "200", "--growth", "1e-3"],
     ],
-    ids=["steps", "s0", "growth", "modes", "modes-above-max", "j0", "n"],
+    ids=["steps", "s0", "growth", "modes", "modes-above-max", "j0", "n", "last-overflows", "last-underflows"],
 )
-def test_out_of_range_run_options_are_config_errors(tmp_path, capsys, argv):
+def test_out_of_range_run_options_are_config_errors(tmp_path, capsys, monkeypatch, argv):
+    def no_work(*args):
+        raise AssertionError("a bad run configuration reached the refinement")
+
+    monkeypatch.setattr(cli.model_mod, "refine_equilibrium", no_work)
     if isinstance(argv, str):
         path = tmp_path / "bad.ini"
         path.write_text(argv, encoding="utf-8")

@@ -577,6 +577,34 @@ def test_stacked_satellite_forms_agree_with_per_point_forms():
         assert np.array_equal(h, h.T)
 
 
+def test_satellite_per_point_hessian_is_row_zero_of_the_stacked_one():
+    # at this point the separately written per-point form differed from the
+    # stacked one in the last bit (2.2e-16)
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    z = np.array([
+        0.9589665327342726, -0.27284736524283815, 0.7294716928251465,
+        -0.2721839989505945, -0.6333917099199842, -0.5496969084774124,
+    ])
+    assert np.array_equal(sat.hessian(z), sat.hessian.batch(z[None])[0])
+    assert np.array_equal(model.hessian_of(sat, z), model.hessians_of(sat, z[None])[0])
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_lifted_per_point_hessian_is_row_zero_of_the_stacked_one(n):
+    # the Hessian of the spring chain U = sum f_i^2 q_i^2 / 2 + sum (q_i - q_{i+1})^4 / 4; U itself is not read
+    f2 = np.linspace(1.0, 2.0, n) ** 2
+
+    def hessian(q):
+        w = 3.0 * (q[:-1] - q[1:]) ** 2
+        return np.diag(f2) + np.diag(np.append(w, 0.0) + np.append(0.0, w)) - np.diag(w, 1) - np.diag(w, -1)
+
+    chain = model.newtonian_to_hamiltonian(lambda q: 0.0, n, hessian=hessian)
+    zs = np.random.default_rng(n).standard_normal((20, 2 * n))
+    stacked = chain.hessian.batch(zs)
+    assert all(np.array_equal(chain.hessian(z), h) for z, h in zip(zs, stacked))
+    assert all(np.array_equal(model.hessian_of(chain, z), h) for z, h in zip(zs, model.hessians_of(chain, zs)))
+
+
 def _with_stacked_form(f, batch):
     def point(z):
         return f(z)

@@ -167,6 +167,16 @@ def test_continue_branch_retains_partial_on_failure():
     assert all(a2 > a1 for a1, a2 in zip(amps, amps[1:]))
 
 
+def circles(modes, m):
+    """Circles ``c (cos kt, -sin kt)`` for the ``{k: c}`` of ``modes`` in an M = ``m`` truncation, amplitude set."""
+    a, b = np.zeros((m, 2)), np.zeros((m, 2))
+    for k, c in modes.items():
+        a[k - 1, 0], b[k - 1, 1] = c, -c
+    orbit = orbits.FourierOrbit(a0=np.zeros(2), a=a, b=b, lam=1.0)
+    orbit.amplitude = float(np.sqrt(np.sum(orbit.mode_energies(np.zeros(2)))))
+    return orbit
+
+
 def test_minimal_period_check_cases():
     sys, eq, cand = harmonic_setup()
     circle = orbits.solve_orbit(sys, eq, cand, 0.05, modes=2)
@@ -198,6 +208,18 @@ def test_minimal_period_check_cases():
     )
     murky.amplitude = float(np.sqrt(np.sum(murky.mode_energies(np.zeros(2)))))
     assert orbits.minimal_period_check(murky) == "undetermined"
+
+    # the orbit repeats after 2 pi / r exactly when every mode k with r not dividing k is empty
+    cases = [
+        ({2: 0.3}, 64, "subharmonic"),
+        ({1: 0.3e-9, 2: 0.3}, 8, "subharmonic"),  # a stray mode 1 far under the tolerance
+        ({1: 0.3e-3, 2: 0.3}, 8, "undetermined"),  # one that breaks the half-period symmetry
+        ({3: 0.3}, 4, "subharmonic"),
+        ({3: 0.3, 6: 0.1}, 8, "subharmonic"),
+        ({1: 1.0, 3: 0.3}, 4, "undetermined"),
+    ]
+    for modes, m, expected in cases:
+        assert orbits.minimal_period_check(circles(modes, m)) == expected, modes
 
 
 def test_transform_orbit_time_shift_is_translation():
@@ -947,6 +969,9 @@ BAD_AMPLITUDES = {
     "branch-growth-negative": lambda system, eq, cand: orbits.continue_branch(system, eq, cand, growth=-2.0),
     "branch-growth-inf": lambda system, eq, cand: orbits.continue_branch(system, eq, cand, growth=float("inf")),
     "branch-amplitude-overflows": lambda system, eq, cand: orbits.continue_branch(system, eq, cand, s0=1e10, growth=1e100),
+    "branch-amplitude-underflows": lambda system, eq, cand: orbits.continue_branch(
+        system, eq, cand, steps=200, growth=1e-3
+    ),
 }
 
 
@@ -973,6 +998,16 @@ def test_modes_outside_one_to_max_modes_are_rejected_before_any_work(entry, mode
     amplitude = (1e-3,) if entry == "solve_orbit" else ()
     with pytest.raises(ValueError, match=re.escape(f"modes must be an integer in 1..64, got {modes!r}")):
         getattr(orbits, entry)(counted, eq, cand, *amplitude, modes=modes)
+    assert not calls
+
+
+@pytest.mark.parametrize("steps", [3.0, 0, -1])
+def test_steps_must_be_a_positive_integer_before_any_work(steps):
+    # 3.0 passed a bare 'steps < 1' and ended in range()'s TypeError
+    sat, eq, cand = satellite_setup()
+    counted, calls = counting_evaluators(sat)
+    with pytest.raises(ValueError, match=re.escape(f"steps must be an integer of at least 1, got {steps!r}")):
+        orbits.continue_branch(counted, eq, cand, steps=steps)
     assert not calls
 
 
