@@ -121,14 +121,13 @@ class RunConfig:
             raise ConfigParse(f"generators cannot be given with preset {self.preset!r}: presets bring their own symmetry")
         if self.preset is not None and self.n is not None:
             raise ConfigParse(f"n cannot be given with preset {self.preset!r}: presets bring their own dimension")
-        counts = (("n", self.n), ("j0", self.j0), ("modes", self.modes))
-        for key, value in counts:
+        for key, value in (("n", self.n), ("j0", self.j0)):
             if value is not None and value < 1:
                 raise ConfigParse(f"{key} must be at least 1, got {value}")
-        if self.modes > orbits_mod.MAX_MODES:
-            raise ConfigParse(f"modes must be at most {orbits_mod.MAX_MODES}, got {self.modes}")
         try:
-            orbits_mod._check_ladder(self.steps, self.s0, self.growth)  # the rule continue_branch applies
+            # the rules continue_branch applies
+            orbits_mod._check_ladder(self.steps, self.s0, self.growth)
+            orbits_mod._check_modes(self.modes)
         except ValueError as exc:
             raise ConfigParse(str(exc)) from exc
         for _, exps in self.monomials:

@@ -20,7 +20,10 @@ result, so an evaluator may return one reused buffer.
 central-difference kernel or, from the energy alone, second differences.
 The forward-difference kernel beside them serves callers that already
 hold the gradients at a stack of base points, and evaluates all its
-shifted points through one ``gradients_of`` call.
+shifted points through one ``gradients_of`` call.  ``_energy_gradient``
+gives the energy's central-difference gradient with its rounding floor
+``eps max|H(z +- h_i e_i)| |1/h|``, from the stencil's own energies; only
+``refine_equilibrium`` reads the floor, as a stop of its Newton loop.
 
 A supplied ``gradient`` or ``hessian`` may carry a stacked form as its
 ``batch`` attribute: called on a ``(P, 2N)`` stack of points, it returns the
@@ -94,6 +97,7 @@ __all__ = [
 # Earth dynamical form factor (dimensionless second zonal harmonic).
 EARTH_J2 = 1.0826359e-3
 
+_EPS = float(np.finfo(float).eps)
 _FD_GRADIENT_STEP = 1e-6
 _FD_HESSIAN_STEP = 1e-4
 # about sqrt(eps): the forward-difference step that balances truncation and rounding
@@ -229,6 +233,27 @@ def _central_differences(f, z: np.ndarray) -> np.ndarray:
         zm[i] -= h
         columns.append((f(zp) - f(zm)) / (2.0 * h))
     return np.array(columns).T
+
+
+def _energy_gradient(system: HamiltonianSystem, z: np.ndarray) -> tuple:
+    """The central-difference gradient of the energy, as ``gradient_of`` gives it, and its rounding floor.
+
+    Each energy value carries a rounding error of about ``eps |H|``, so column
+    ``i`` of the stencil is uncertain by about ``eps |H| / h_i``, and the
+    gradient norm by the floor ``eps max|H(z +- h_i e_i)| |1/h|``, read from
+    the stencil's own energies.  Below it Newton sees no progress.  The floor
+    is a-priori: an energy whose evaluation cancels (``1 - cos q`` near
+    ``q = 0``) carries more noise than ``eps |H|``.
+    """
+    values = []
+
+    def energy(x):
+        values.append(_evaluate(system, "energy", x))
+        return values[-1]
+
+    gradient = _central_differences(energy, z)
+    steps = _FD_GRADIENT_STEP * (1.0 + np.abs(z))
+    return gradient, _EPS * max(map(abs, values)) * float(np.linalg.norm(1.0 / steps))
 
 
 def _forward_differences(system: HamiltonianSystem, zs: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -375,13 +400,20 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
 
     Each step solves the gradient system restricted to the orthogonal
     section at the current iterate, so the (flat) group direction never
-    enters the linear solve.
+    enters the linear solve.  The loop keeps the iterate of least gradient
+    norm and stops at a norm of at most ``1e-13 * (1 + |z|)``, after three
+    iterations that each fail to cut the norm by 10% (a stall), after 50
+    iterations, or, for a system without a ``gradient``, once the norm is at
+    or below the rounding floor of its central-difference gradient
+    (``_energy_gradient``), where Newton can no longer see progress.
 
     Raises
     ------
     NoConvergence
-        If 50 iterations do not reach ``|grad H| < 1e-10 * (1 + |z|)``, or
-        the gradient at the guess or the Hessian at the result is not finite.
+        If the best iterate misses ``|grad H| <= 1e-10 * (1 + |z|)``, with the
+        iterations run and the stop that ended them (the rounding floor, a
+        stall or the 50-iteration cap), or if the gradient at the guess or the
+        Hessian at the result is not finite.
     DegenerateSection
         If the section-restricted Hessian is singular beyond tolerance.
     NotASymmetry
@@ -390,8 +422,9 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
     z = np.asarray(guess, dtype=float).copy()
     best_z, best_norm = z.copy(), np.inf
     stall = 0
-    for _ in range(50):
-        g = gradient_of(system, z)
+    stop = "the 50-iteration cap"
+    for iterations in range(1, 51):
+        g, floor = _energy_gradient(system, z) if system.gradient is None else (gradient_of(system, z), 0.0)
         gn = float(np.linalg.norm(g))
         if gn < best_norm:
             if gn > 0.9 * best_norm:
@@ -402,7 +435,16 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
         else:
             stall += 1
         # no Newton step from a non-finite gradient: the best iterate stands
-        if not np.isfinite(gn) or gn <= 1e-13 * (1.0 + float(np.linalg.norm(z))) or stall >= 3:
+        if not np.isfinite(gn):
+            stop = "a non-finite gradient"
+            break
+        if gn <= 1e-13 * (1.0 + float(np.linalg.norm(z))):
+            break
+        if gn <= floor:
+            stop = f"the central-difference gradient's rounding floor {floor:.3e}"
+            break
+        if stall >= 3:
+            stop = "a stall (3 iterations without a 10% fall)"
             break
         _, section = _orbit_bases(system, z)
         hs = compress(hessian_of(system, z), section)
@@ -416,8 +458,11 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
     z0, gn = best_z, best_norm
     if not np.isfinite(gn):
         raise NoConvergence("the gradient norm at the guess is not finite")
-    if not gn <= 1e-10 * (1.0 + float(np.linalg.norm(z0))):
-        raise NoConvergence(f"gradient norm {gn:.3e} after 50 iterations")
+    tol = 1e-10 * (1.0 + float(np.linalg.norm(z0)))
+    if not gn <= tol:
+        raise NoConvergence(
+            f"gradient norm {gn:.3e} above tolerance {tol:.3e} after {iterations} iterations, stopped by {stop}"
+        )
     hessian = hessian_of(system, z0)
     if not np.all(np.isfinite(hessian)):
         raise NoConvergence("the Hessian at the refined point is not finite")

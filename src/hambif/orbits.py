@@ -485,8 +485,8 @@ def solve_orbit(
         Target amplitude in the Sobolev norm (the pinning constraint value).
     modes : int
         Initial Fourier truncation, an integer in ``1..MAX_MODES``; doubled
-        (up to ``MAX_MODES``) whenever the last mode holds more than 1e-10 of
-        the oscillatory energy.
+        (up to ``MAX_MODES``) whenever mode ``M - 1`` or ``M`` (mode 2 alone at
+        ``M = 2``) holds more than 1e-10 of the oscillatory energy.
     initial_guess : FourierOrbit, optional
         Warm start; by default the linear kernel predictor at ``lambda0``.
 
@@ -532,10 +532,13 @@ def solve_orbit(
                 f"Newton stalled (residual {orbit.residual:.3e}, tol {tol:.1e}) "
                 f"at amplitude {amplitude_s:.3e}, M={m}"
             )
-        # truncation control: grow M while the last mode carries more than 1e-10
-        # of the oscillatory energy or the collocation residual is above tolerance
+        # truncation control: grow M while the last two modes carry more than
+        # 1e-10 of the oscillatory energy or the collocation residual is above
+        # tolerance.  Mode M alone is not enough: where H is even about z0 (the
+        # chains, the pendulum) the family has odd harmonics only, so every even
+        # mode is empty.  At M = 2 mode 1 dominates, so mode 2 is tested alone.
         total = float(np.sum(energies[1:]))
-        tail = energies[-1] / total if m > 1 and total > 0.0 else 0.0
+        tail = np.max(energies[max(2, m - 1) :]) / total if m > 1 and total > 0.0 else 0.0
         if (tail > 1e-10 or orbit.residual >= tol) and m < MAX_MODES:
             guess = orbit
             m = min(2 * m, MAX_MODES)
@@ -553,7 +556,7 @@ def solve_orbit(
 
 
 def _check_modes(modes) -> None:
-    """``ValueError`` naming ``modes`` unless it is an integer in ``1..MAX_MODES``."""
+    """``ValueError`` naming ``modes`` unless it is an integer in ``1..MAX_MODES``; ``cli.RunConfig`` applies it at parse time."""
     if not (isinstance(modes, (int, np.integer)) and 1 <= modes <= MAX_MODES):
         raise ValueError(f"modes must be an integer in 1..{MAX_MODES}, got {modes!r}")
 

@@ -1,3 +1,5 @@
+import re
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -421,8 +423,131 @@ def test_refine_equilibrium_no_convergence():
         gradient=lambda z: np.array([1.0, z[1]]),
         hessian=lambda z: np.diag([1e-2, 1.0]) + np.eye(2) * 1e-3,
     )
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence, match=re.escape("after 5 iterations, stopped by a stall")):
         model.refine_equilibrium(sys, np.array([0.0, 0.5]))
+
+
+def test_refine_equilibrium_reports_the_iteration_cap():
+    # a Hessian twice too large halves the gradient at each step: 49 steps
+    # from |z| = 1e6 leave 1.8e-9, above the tolerance 1e-10
+    sys = model.HamiltonianSystem(
+        n=1,
+        energy=lambda z: 0.5 * float(z @ z),
+        gradient=lambda z: z,
+        hessian=lambda z: 2.0 * np.eye(2),
+    )
+    with pytest.raises(NoConvergence, match=re.escape("after 50 iterations, stopped by the 50-iteration cap")):
+        model.refine_equilibrium(sys, np.array([1e6, 0.0]))
+
+
+def counting_evaluators(system):
+    """``system`` whose energy, gradient and Hessian (those it has) count their calls in ``calls``."""
+    calls = Counter()
+
+    def counted(what, f):
+        def point(z):
+            calls[what] += 1
+            return f(z)
+
+        return point
+
+    evaluators = {what: getattr(system, what) for what in ("energy", "gradient", "hessian")}
+    return replace(system, **{w: counted(w, f) for w, f in evaluators.items() if f is not None}), calls
+
+
+def stencil_mirror(energy_only):
+    """``energy_only`` with its own finite-difference gradient and Hessian supplied.
+
+    The mirror computes the same derivative bits from the same energy calls,
+    but a supplied gradient never takes the energy-only rounding-floor stop.
+    """
+    return replace(
+        energy_only,
+        gradient=lambda z: model.gradient_of(energy_only, z),
+        hessian=lambda z: model.hessian_of(energy_only, z),
+    )
+
+
+SATELLITE_README_GUESS = np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0])
+SATELLITE_STALL_GUESS = np.array(
+    [0.9943324924879209, -0.014568354543669056, 0.0, 0.01532655571890801, -1.0319217266759086, 0.0]
+)
+
+
+def test_energy_only_refinement_stops_at_its_rounding_floor():
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    energy_only, calls = counting_evaluators(replace(sat, gradient=None, hessian=None))
+    # each iteration but the last: 12 energies for the gradient, 84 for the Hessian
+    with pytest.raises(NoConvergence) as floor_stop:
+        model.refine_equilibrium(energy_only, SATELLITE_STALL_GUESS)
+    assert calls["energy"] == 4 * 96 + 12
+    floor_reason = r"after 5 iterations, stopped by the central-difference gradient's rounding floor \d"
+    assert re.search(floor_reason, str(floor_stop.value))
+    calls.clear()
+    # the same iterates without the floor stop stall five iterations later
+    with pytest.raises(NoConvergence, match=re.escape("after 10 iterations, stopped by a stall")):
+        model.refine_equilibrium(stencil_mirror(energy_only), SATELLITE_STALL_GUESS)
+    assert calls["energy"] == 9 * 96 + 12
+
+
+def test_energy_only_refinement_from_the_readme_guess_is_unchanged_by_the_floor():
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    energy_only, calls = counting_evaluators(replace(sat, gradient=None, hessian=None))
+    eq = model.refine_equilibrium(energy_only, SATELLITE_README_GUESS)
+    # five iterations, the last stopping at |grad H| = 0, and the Hessian at z0
+    assert calls["energy"] == 4 * 96 + 12 + 84 == 480
+    calls.clear()
+    mirrored = model.refine_equilibrium(stencil_mirror(energy_only), SATELLITE_README_GUESS)
+    assert calls["energy"] == 480
+    assert np.array_equal(eq.z0, mirrored.z0) and eq.gradient_norm == mirrored.gradient_norm
+
+
+@pytest.mark.parametrize(
+    "variant, expected", [("analytic", {"gradient": 5, "hessian": 5}), ("gradient-only", {"gradient": 65})]
+)
+@pytest.mark.parametrize("guess", [SATELLITE_README_GUESS, SATELLITE_STALL_GUESS], ids=["readme", "stall"])
+def test_refinement_with_a_supplied_gradient_makes_the_same_calls(variant, expected, guess):
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    system = sat if variant == "analytic" else replace(sat, hessian=None)
+    counted, calls = counting_evaluators(system)
+    eq = model.refine_equilibrium(counted, guess)
+    assert calls == expected
+    assert np.array_equal(eq.z0, model.refine_equilibrium(system, guess).z0)
+
+
+def pendulum_energy_only():
+    return model.newtonian_to_hamiltonian(lambda q: 1.0 - np.cos(q[0]), 1)
+
+
+def quartic_energy_only():
+    def energy(z):
+        q, p = z[:2], z[2:]
+        return 0.5 * float(p @ p) + 0.5 * (q[0] ** 2 + 2.0 * q[1] ** 2) + 0.25 * (q[0] - q[1]) ** 4
+
+    return model.HamiltonianSystem(n=2, energy=energy)
+
+
+@pytest.mark.parametrize(
+    "build, guess",
+    [
+        (pendulum_energy_only, [0.3, 0.2]),
+        (pendulum_energy_only, [1.0, -0.5]),
+        (quartic_energy_only, [0.4, -0.3, 0.2, 0.1]),
+        (quartic_energy_only, [1e-3, 2e-3, -1e-3, 5e-4]),
+    ],
+    ids=["pendulum-near", "pendulum-far", "quartic-near", "quartic-small"],
+)
+def test_energy_only_refinement_at_zero_energy_never_takes_the_floor_stop(build, guess):
+    # H(z0) = 0: the floor eps max|H(z +- h e_i)| |1/h| is about eps |A| h,
+    # below any gradient norm that the 1e-13 stop lets through
+    energy_only, calls = counting_evaluators(build())
+    eq = model.refine_equilibrium(energy_only, np.array(guess))
+    count = calls["energy"]
+    calls.clear()
+    mirrored = model.refine_equilibrium(stencil_mirror(energy_only), np.array(guess))
+    assert calls["energy"] == count
+    assert np.array_equal(eq.z0, mirrored.z0) and eq.gradient_norm == mirrored.gradient_norm
+    assert energy_only.energy(eq.z0) <= 1e-20
 
 
 def test_refine_equilibrium_rejects_an_overflowing_guess():

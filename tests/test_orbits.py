@@ -925,6 +925,18 @@ def test_symmetric_ansatz_agrees_with_the_full_system(monkeypatch, setup, steps,
         assert np.max(np.abs(orbit.a0 - ref.a0)) <= 1e-10 * (scale + np.max(np.abs(ref.a0)))
 
 
+def test_odd_harmonic_branch_doubles_its_modes_on_mode_m_minus_1():
+    # H = ((q - 1e6)^2 + p^2) / 2 + p^4 / 4 + const is even about z0 = (1e6, 0),
+    # so the family has odd harmonics only and mode M = 8 stays empty.  Mode 7
+    # carries up to 2.2e-7 of the energy on the last three orbits, whose
+    # residuals at M = 8 were 3.6e-7, 1.9e-5 and 2.4e-4
+    system, eq, cand = ini_setup("far-equilibrium")
+    branch = orbits.continue_branch(system, eq, cand, steps=8, s0=0.05)
+    assert len(branch.orbits) == 8 and not branch.failures
+    assert [orbit.m for orbit in branch.orbits] == [8] * 5 + [16] * 3
+    assert max(orbit.residual for orbit in branch.orbits) <= 1e-8
+
+
 def rotated_satellite_setup():
     # a guess off the x-axis refines to a point of the circle of equilibria
     # that R does not fix
