@@ -20,10 +20,11 @@ result, so an evaluator may return one reused buffer.
 central-difference kernel or, from the energy alone, second differences.
 The forward-difference kernel beside them serves callers that already
 hold the gradients at a stack of base points, and evaluates all its
-shifted points through one ``gradients_of`` call.  ``_energy_gradient``
-gives the energy's central-difference gradient with its rounding floor
-``eps max|H(z +- h_i e_i)| |1/h|``, from the stencil's own energies; only
-``refine_equilibrium`` reads the floor, as a stop of its Newton loop.
+shifted points through one ``gradients_of`` call.  ``_gradient_and_floor``
+gives the gradient with the rounding floor of its central-difference stencil,
+``eps max|H(z +- h_i e_i)| |1/h|``, from the stencil's own energies (0 for a
+supplied gradient); ``refine_equilibrium`` reads the floor, to stop its
+Newton loop at an iterate that already passes, and names it when it raises.
 
 A supplied ``gradient`` or ``hessian`` may carry a stacked form as its
 ``batch`` attribute: called on a ``(P, 2N)`` stack of points, it returns the
@@ -60,6 +61,7 @@ every monomial has even degree in ``p``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -222,11 +224,15 @@ def _evaluate(system: HamiltonianSystem, what: str, z: np.ndarray, stacked: bool
     return value
 
 
+def _gradient_steps(z: np.ndarray) -> np.ndarray:
+    """The central-difference steps ``h_i = 1e-6 (1 + |z_i|)``."""
+    return _FD_GRADIENT_STEP * (1.0 + np.abs(z))
+
+
 def _central_differences(f, z: np.ndarray) -> np.ndarray:
-    """Columns ``(f(z + h_i e_i) - f(z - h_i e_i)) / (2 h_i)`` with ``h_i = 1e-6 (1 + |z_i|)``."""
+    """Columns ``(f(z + h_i e_i) - f(z - h_i e_i)) / (2 h_i)`` with the steps of ``_gradient_steps``."""
     columns = []
-    for i in range(z.size):
-        h = _FD_GRADIENT_STEP * (1.0 + abs(z[i]))
+    for i, h in enumerate(_gradient_steps(z)):
         zp = z.copy()
         zm = z.copy()
         zp[i] += h
@@ -235,16 +241,19 @@ def _central_differences(f, z: np.ndarray) -> np.ndarray:
     return np.array(columns).T
 
 
-def _energy_gradient(system: HamiltonianSystem, z: np.ndarray) -> tuple:
-    """The central-difference gradient of the energy, as ``gradient_of`` gives it, and its rounding floor.
+def _gradient_and_floor(system: HamiltonianSystem, z: np.ndarray) -> tuple:
+    """The gradient that ``gradient_of`` gives, and the rounding floor of its stencil.
 
-    Each energy value carries a rounding error of about ``eps |H|``, so column
-    ``i`` of the stencil is uncertain by about ``eps |H| / h_i``, and the
-    gradient norm by the floor ``eps max|H(z +- h_i e_i)| |1/h|``, read from
-    the stencil's own energies.  Below it Newton sees no progress.  The floor
-    is a-priori: an energy whose evaluation cancels (``1 - cos q`` near
-    ``q = 0``) carries more noise than ``eps |H|``.
+    A supplied gradient has floor 0.  For the energy's central differences,
+    each energy value carries a rounding error of about ``eps |H|``, so column
+    ``i`` is uncertain by about ``eps |H| / h_i``, and the gradient norm by the
+    floor ``eps max|H(z +- h_i e_i)| |1/h|``, read from the stencil's own
+    energies.  Below it Newton sees no progress.  The floor is a-priori: an
+    energy whose evaluation cancels (``1 - cos q`` near ``q = 0``) carries
+    more noise than ``eps |H|``.
     """
+    if system.gradient is not None:
+        return _evaluate(system, "gradient", z), 0.0
     values = []
 
     def energy(x):
@@ -252,8 +261,7 @@ def _energy_gradient(system: HamiltonianSystem, z: np.ndarray) -> tuple:
         return values[-1]
 
     gradient = _central_differences(energy, z)
-    steps = _FD_GRADIENT_STEP * (1.0 + np.abs(z))
-    return gradient, _EPS * max(map(abs, values)) * float(np.linalg.norm(1.0 / steps))
+    return gradient, _EPS * max(map(abs, values)) * float(np.linalg.norm(1.0 / _gradient_steps(z)))
 
 
 def _forward_differences(system: HamiltonianSystem, zs: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -287,23 +295,23 @@ def _second_differences(system: HamiltonianSystem, z: np.ndarray) -> np.ndarray:
     steps = (_FD_HESSIAN_STEP * (1.0 + np.abs(z))).tolist()
     m = np.empty((d, d))
     for i in range(d):
+        plus, minus = z.copy(), z.copy()
+        plus[i] += steps[i]
+        minus[i] -= steps[i]
         for j in range(i, d):
             values = []
-            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                zs = z.copy()
-                zs[i] += si * steps[i]
-                zs[j] += sj * steps[j]
-                values.append(_evaluate(system, "energy", zs))
+            for base in (plus, minus):
+                for sj in (1, -1):
+                    zs = base.copy()
+                    zs[j] += sj * steps[j]
+                    values.append(_evaluate(system, "energy", zs))
             m[i, j] = m[j, i] = (values[0] - values[1] - values[2] + values[3]) / (4.0 * steps[i] * steps[j])
     return m
 
 
 def gradient_of(system: HamiltonianSystem, z) -> np.ndarray:
     """Gradient of H at z: supplied evaluator, else central differences of the energy."""
-    z = np.asarray(z, dtype=float)
-    if system.gradient is not None:
-        return _evaluate(system, "gradient", z)
-    return _central_differences(partial(_evaluate, system, "energy"), z)
+    return _gradient_and_floor(system, np.asarray(z, dtype=float))[0]
 
 
 def hessian_of(system: HamiltonianSystem, z) -> np.ndarray:
@@ -395,6 +403,11 @@ def _orbit_bases(system: HamiltonianSystem, z: np.ndarray):
     return (), np.eye(system.dim)
 
 
+def _acceptance_tolerance(z: np.ndarray) -> float:
+    """``refine_equilibrium``'s acceptance bound on ``|grad H|`` at ``z``: ``1e-10 (1 + |z|)``."""
+    return 1e-10 * (1.0 + float(np.linalg.norm(z)))
+
+
 def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
     """Newton-refine a critical point of H, quotienting out the group direction.
 
@@ -403,35 +416,39 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
     enters the linear solve.  The loop keeps the iterate of least gradient
     norm and stops at a norm of at most ``1e-13 * (1 + |z|)``, after three
     iterations that each fail to cut the norm by 10% (a stall), after 50
-    iterations, or, for a system without a ``gradient``, once the norm is at
-    or below the rounding floor of its central-difference gradient
-    (``_energy_gradient``), where Newton can no longer see progress.
+    iterations, or once the norm is at or below the rounding floor of a
+    central-difference gradient (``_gradient_and_floor``; only a system
+    without a ``gradient`` has one) while the best iterate already passes the
+    acceptance test below.  There Newton sees only rounding noise, and the
+    outcome is decided.  Above the acceptance tolerance the loop goes on, as
+    for a supplied gradient: a later noise reading may pass.
 
     Raises
     ------
     NoConvergence
         If the best iterate misses ``|grad H| <= 1e-10 * (1 + |z|)``, with the
-        iterations run and the stop that ended them (the rounding floor, a
-        stall or the 50-iteration cap), or if the gradient at the guess or the
-        Hessian at the result is not finite.
+        iterations run, the stop that ended them (a stall, a non-finite
+        gradient or the 50-iteration cap) and, without a ``gradient``, the
+        rounding floor at the best iterate; or if the gradient at the guess or
+        the Hessian at the result is not finite.
     DegenerateSection
         If the section-restricted Hessian is singular beyond tolerance.
     NotASymmetry
         If a generator fails the symmetry identity of the module docstring at the result.
     """
     z = np.asarray(guess, dtype=float).copy()
-    best_z, best_norm = z.copy(), np.inf
+    best_z, best_norm, best_floor = z.copy(), np.inf, 0.0
     stall = 0
     stop = "the 50-iteration cap"
     for iterations in range(1, 51):
-        g, floor = _energy_gradient(system, z) if system.gradient is None else (gradient_of(system, z), 0.0)
+        g, floor = _gradient_and_floor(system, z)
         gn = float(np.linalg.norm(g))
         if gn < best_norm:
             if gn > 0.9 * best_norm:
                 stall += 1
             else:
                 stall = 0
-            best_z, best_norm = z.copy(), gn
+            best_z, best_norm, best_floor = z.copy(), gn, floor
         else:
             stall += 1
         # no Newton step from a non-finite gradient: the best iterate stands
@@ -440,8 +457,7 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
             break
         if gn <= 1e-13 * (1.0 + float(np.linalg.norm(z))):
             break
-        if gn <= floor:
-            stop = f"the central-difference gradient's rounding floor {floor:.3e}"
+        if gn <= floor and best_norm <= _acceptance_tolerance(best_z):
             break
         if stall >= 3:
             stop = "a stall (3 iterations without a 10% fall)"
@@ -458,10 +474,11 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
     z0, gn = best_z, best_norm
     if not np.isfinite(gn):
         raise NoConvergence("the gradient norm at the guess is not finite")
-    tol = 1e-10 * (1.0 + float(np.linalg.norm(z0)))
+    tol = _acceptance_tolerance(z0)
     if not gn <= tol:
+        note = f"; the central-difference gradient's rounding floor there is {best_floor:.3e}" if best_floor else ""
         raise NoConvergence(
-            f"gradient norm {gn:.3e} above tolerance {tol:.3e} after {iterations} iterations, stopped by {stop}"
+            f"gradient norm {gn:.3e} above tolerance {tol:.3e} after {iterations} iterations, stopped by {stop}{note}"
         )
     hessian = hessian_of(system, z0)
     if not np.all(np.isfinite(hessian)):
@@ -587,11 +604,6 @@ def satellite_equilibrium_distance(omega: float, c: float) -> float:
 def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
     e3 = np.array([0.0, 0.0, 1.0])
 
-    def potential(q):
-        d2 = float(q @ q)
-        d = np.sqrt(d2)
-        return -1.0 / d - c / d**3 + 3.0 * c * q[2] ** 2 / d**5
-
     def grad_potential(q):
         d2 = float(q @ q)
         d = np.sqrt(d2)
@@ -602,9 +614,27 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
 
     coupling = np.array([[0.0, omega, 0.0], [-omega, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
+    def potential(d, q3):
+        return -1.0 / d - c / d**3 + 3.0 * c * q3**2 / d**5
+
+    # The energy makes the operations of ``q @ q`` and of numpy scalar
+    # arithmetic to the bit at a third of their cost: ``q.dot(q)`` is the same dot
+    # kernel without the matmul dispatch, and Python floats round as numpy
+    # scalars do (math.sqrt and ** are the C sqrt and pow).  Where Python
+    # would raise instead (q = 0, an overflowing power), numpy scalars give
+    # the inf or nan with their warning.  An energy-only refinement makes
+    # hundreds of calls.
     def energy(z):
         q, p = z[:3], z[3:]
-        return 0.5 * float(p @ p) + omega * (q[0] * p[1] - q[1] * p[0]) + potential(q)
+        q1, q2, q3, p1, p2, _ = z.tolist()
+        d = math.sqrt(float(q.dot(q)))
+        try:
+            u = potential(d, q3) if 0.0 < d < math.inf else None
+        except ArithmeticError:
+            u = None
+        if u is None:
+            u = potential(np.float64(d), np.float64(q3))
+        return 0.5 * float(p.dot(p)) + omega * (q1 * p2 - q2 * p1) + u
 
     def gradient(z):
         q, p = z[:3], z[3:]

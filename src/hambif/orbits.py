@@ -82,6 +82,7 @@ from .linalg import standard_symplectic
 from .model import (
     EquilibriumOrbit,
     HamiltonianSystem,
+    _EPS,
     _evaluate,
     _forward_differences,
     gradients_of,
@@ -102,7 +103,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-_EPS = float(np.finfo(float).eps)
 
 MAX_MODES = 64
 """Largest Fourier truncation the mode doubling of ``solve_orbit`` reaches."""

@@ -55,6 +55,29 @@ def test_fd_gradient_and_hessian_quadratic():
     assert np.allclose(model.hessian_of(sys, z), np.eye(4), atol=1e-6)
 
 
+def test_satellite_energy_is_its_numpy_scalar_form_to_the_bit():
+    omega, c = 1.1, 0.07
+    sat = model.preset("satellite", omega=omega, c=c)
+
+    def numpy_scalar_energy(z):
+        q, p = z[:3], z[3:]
+        d = np.sqrt(float(q @ q))
+        potential = -1.0 / d - c / d**3 + 3.0 * c * q[2] ** 2 / d**5
+        return 0.5 * float(p @ p) + omega * (q[0] * p[1] - q[1] * p[0]) + potential
+
+    rng = np.random.default_rng(11)
+    base = np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0])
+    for z in base + rng.standard_normal((500, 6)) * rng.choice([1e-6, 0.1, 3.0], size=(500, 1)):
+        assert np.float64(sat.energy(z)).tobytes() == np.float64(numpy_scalar_energy(z)).tobytes()
+    # where Python floats would raise, the numpy scalars' inf or nan and warning
+    for q in ([0.0, 0.0, 0.0], [1e-120, 0.0, 0.0], [1e70, 0.0, 1e70]):
+        z = np.array(q + [0.0, -1.0, 0.0])
+        with pytest.warns(RuntimeWarning):
+            value = sat.energy(z)
+        with np.errstate(all="ignore"):
+            assert np.float64(value).tobytes() == np.float64(numpy_scalar_energy(z)).tobytes()
+
+
 def test_fd_gradient_matches_analytic_satellite():
     sat = model.preset("satellite", omega=1.0, c=0.1)
     blind = model.HamiltonianSystem(n=3, energy=sat.energy)
@@ -474,20 +497,55 @@ SATELLITE_STALL_GUESS = np.array(
 )
 
 
-def test_energy_only_refinement_stops_at_its_rounding_floor():
+def test_energy_only_refinement_from_the_stall_guess_iterates_on_above_its_tolerance():
     sat = model.preset("satellite", omega=1.0, c=0.1)
     energy_only, calls = counting_evaluators(replace(sat, gradient=None, hessian=None))
-    # each iteration but the last: 12 energies for the gradient, 84 for the Hessian
-    with pytest.raises(NoConvergence) as floor_stop:
+    # from the fifth iterate |grad H| reads below the rounding floor 7.45e-10
+    # but above the tolerance 2.53e-10, so the floor stop does not end the
+    # loop: a later reading could pass.  None does, and a stall ends it.
+    with pytest.raises(NoConvergence) as stalled:
         model.refine_equilibrium(energy_only, SATELLITE_STALL_GUESS)
-    assert calls["energy"] == 4 * 96 + 12
-    floor_reason = r"after 5 iterations, stopped by the central-difference gradient's rounding floor \d"
-    assert re.search(floor_reason, str(floor_stop.value))
+    # each iteration but the last: 12 energies for the gradient, 84 for the Hessian
+    assert calls["energy"] == 9 * 96 + 12
+    reason = str(stalled.value)
+    assert "after 10 iterations, stopped by a stall" in reason
+    assert re.search(r"the central-difference gradient's rounding floor there is 7\.4", reason)
     calls.clear()
-    # the same iterates without the floor stop stall five iterations later
-    with pytest.raises(NoConvergence, match=re.escape("after 10 iterations, stopped by a stall")):
+    with pytest.raises(NoConvergence, match=re.escape("after 10 iterations, stopped by a stall")) as mirrored:
         model.refine_equilibrium(stencil_mirror(energy_only), SATELLITE_STALL_GUESS)
     assert calls["energy"] == 9 * 96 + 12
+    assert "rounding floor" not in str(mirrored.value)
+
+
+def satellite_guess(seed):
+    """The README guess with ``0.02 N(0, 1)`` added to ``q_1, q_2, p_1, p_2``."""
+    guess = SATELLITE_README_GUESS.copy()
+    guess[[0, 1, 3, 4]] += 0.02 * np.random.default_rng(seed).standard_normal(4)
+    return guess
+
+
+def test_energy_only_refinement_stops_at_its_rounding_floor_once_the_best_iterate_passes():
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    energy_only, calls = counting_evaluators(replace(sat, gradient=None, hessian=None))
+    # the fifth iterate reads 2.45e-10, below the floor and the tolerance 2.53e-10
+    eq = model.refine_equilibrium(energy_only, satellite_guess(6))
+    assert calls["energy"] == 4 * 96 + 12 + 84
+    assert eq.gradient_norm <= 1e-10 * (1.0 + np.linalg.norm(eq.z0))
+    calls.clear()
+    # without the floor stop, five more noise readings until a stall
+    model.refine_equilibrium(stencil_mirror(energy_only), satellite_guess(6))
+    assert calls["energy"] == 9 * 96 + 12 + 84
+
+
+def test_energy_only_refinement_accepts_wherever_the_loop_without_the_floor_stop_does():
+    # the floor stop ends the loop only where the best iterate already
+    # passes, so it never turns an accepted guess into NoConvergence
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    energy_only = replace(sat, gradient=None, hessian=None)
+    for seed in range(30):
+        mirrored = model.refine_equilibrium(stencil_mirror(energy_only), satellite_guess(seed))
+        eq = model.refine_equilibrium(energy_only, satellite_guess(seed))
+        assert np.linalg.norm(eq.z0 - mirrored.z0) < 1e-8
 
 
 def test_energy_only_refinement_from_the_readme_guess_is_unchanged_by_the_floor():
