@@ -595,7 +595,7 @@ def _effective_config(args) -> RunConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 config = parse_config(handle.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigParse(f"cannot read config file: {exc}") from exc
     elif args.preset is None:
         raise ConfigParse("either --config or --preset is required")

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BoundaryZero, Degenerate, HambifError, NoConvergence, NotAMinimum
+from .errors import BoundaryZero, Degenerate, HambifError, NoConvergence, NotAMinimum, SectionNotZero
 from .linalg import compress
 from .model import EquilibriumOrbit, HamiltonianSystem, _central_differences, gradient_of
 
@@ -80,7 +80,7 @@ class SectionMap:
         # refinement's gradient bound, so that every refined equilibrium passes
         self.origin = float(np.linalg.norm(self.evaluator(np.zeros(self.dim))))
         if not self.origin < 1e-7 * self.radius:
-            raise ValueError(
+            raise SectionNotZero(
                 f"section map must vanish at the origin, got |F(0)|={self.origin:.3e} "
                 f"(bound {1e-7 * self.radius:.3e})"
             )
@@ -229,11 +229,10 @@ def section_degree(system: HamiltonianSystem, eq: EquilibriumOrbit) -> DegreeRep
     "nondegenerate" when it has no kernel and "reduced" otherwise.  Without
     a value the report has ``value=None`` and the reason in ``detail``.
     """
-    smap = section_map(system, eq)
     w, v = _eigh(compress(eq.hessian, eq.section_basis))
     path, detail = ("reduced", _SINGULAR) if np.any(_in_kernel(w)) else ("nondegenerate", "")
     try:
-        value = _degree(smap, w, v)
+        value = _degree(section_map(system, eq), w, v)
     except HambifError as exc:
-        return DegreeReport(value=None, path=path, detail=f"{detail}; {exc}")
+        return DegreeReport(value=None, path=path, detail="; ".join(filter(None, (detail, str(exc)))))
     return DegreeReport(value=value, path=path, detail=detail)

@@ -29,6 +29,10 @@ class NotASymmetry(HambifError):
     """A declared generator is not a symmetry of H at the refined equilibrium."""
 
 
+class SectionNotZero(HambifError, ValueError):
+    """The section field does not vanish at ``z0`` to its noise bound: ``z0`` is no equilibrium."""
+
+
 class DegenerateSection(HambifError):
     """The section-restricted Hessian is singular beyond tolerance."""
 

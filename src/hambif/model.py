@@ -122,6 +122,9 @@ class SymmetryGroup:
         for g in gens:
             if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2:
                 raise ValueError(f"generator must be square of even size, got {g.shape}")
+            if not np.all(np.isfinite(g)):  # NaN would pass the comparisons below
+                bad = ", ".join(f"[{i}, {j}] = {g[i, j]}" for i, j in np.argwhere(~np.isfinite(g)))
+                raise ValueError(f"generator has non-finite entries {bad}")
             scale = 1.0 + float(np.max(np.abs(g)))
             if float(np.max(np.abs(g + g.T))) > 1e-12 * scale:
                 raise ValueError("generator is not skew-symmetric")

@@ -39,25 +39,27 @@ this symmetric frame, and ``solve_orbit`` takes the ansatz when
 ``_symmetric_frame`` finds its hypotheses hold at ``z0``; ``residual_field``
 checks the full, unsymmetrised equations either way.  Only the amplitude pin
 moves along a branch: ``continue_branch`` builds the kernel pair (from the
-report ``analyze`` kept on ``eq``), the reversor, ``J``, each truncation's
-problem and the cos/sin tables of its ``4M + 1``-point residual and
-``8M``-point sup checks once, for every step and doubling.  Each step starts
-from the last orbit scaled by the Lyapunov-Schmidt orders (``_predict``):
-mode ``k`` is ``O(s^k)``, ``a0 - z0`` and ``lambda - lambda0`` are ``O(s^2)``.
+report ``analyze`` kept on ``eq``), the reversor, each truncation's problem
+and the cos/sin tables of its ``4M + 1``-point residual and ``8M``-point sup
+checks once, for every step and doubling.  Each step starts from the last
+orbit scaled by the Lyapunov-Schmidt orders (``_predict``): mode ``k`` is
+``O(s^k)``, ``a0 - z0`` and ``lambda - lambda0`` are ``O(s^2)``.
 
-Newton's Jacobian is assembled by the alternating frequency/time method
+The harmonic-balance equations are one constant affine operator, the ``z'``
+rows and the constraints, built once per truncation, plus the Galerkin
+projection of the nonlinear fields.  Newton's Jacobian is that operator plus
+the fields' derivatives, assembled by the alternating frequency/time method
 (Cameron & Griffin, J. Appl. Mech. 56, 1989; Krack & Gross, Harmonic
 Balance for Nonlinear Vibration Problems, 2019): the Hessians of H at the
 collocation points, from one stacked call per evaluation where the
 evaluator has a stacked form (``model.hessians_of``), projected onto the
-Fourier basis, plus the Galerkin projections of the multiplier fields and
-the linear constraint rows.  The residual likewise takes the gradients at
-all collocation points from one ``model.gradients_of`` call.  Without an
-analytic Hessian, each point's Hessian is a forward difference of the
-gradient the residual already holds there, the gradients at the shifted
-copies of every point coming from one more ``gradients_of`` call: 2N copies,
-or N for a Newtonian lift, whose gradient's momentum half is ``p`` itself
-(``model._forward_differences``).
+Fourier basis.  ``J`` is applied as a swap of the halves with one sign
+flip.  The residual likewise takes the gradients at all collocation points
+from one ``model.gradients_of`` call.  Without an analytic Hessian, each
+point's Hessian is a forward difference of the gradient the residual already
+holds there, the gradients at the shifted copies of every point coming from
+one more ``gradients_of`` call: 2N copies, or N for a Newtonian lift, whose
+gradient's momentum half is ``p`` itself (``model._forward_differences``).
 Newton is a chord iteration (Kelley, Solving Nonlinear Equations with
 Newton's Method, SIAM 2003): one Jacobian serves as many steps as keep
 contracting the residual by ``CHORD_CONTRACTION``, so a step with a kept
@@ -69,7 +71,6 @@ rounding, and their products slow the LU with subnormal arithmetic.
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass, field
 from typing import Optional
@@ -78,7 +79,6 @@ import numpy as np
 
 from .analysis import BifurcationCandidate, spectral_report
 from .errors import EmptyKernel, HambifError, NoConvergence, WrongBranch
-from .linalg import standard_symplectic
 from .model import (
     EquilibriumOrbit,
     HamiltonianSystem,
@@ -171,6 +171,12 @@ def _trig(t, m: int) -> tuple:
     return np.cos(phases), np.sin(phases)
 
 
+def _apply_j(v, axis=-1) -> np.ndarray:
+    """``J v`` along ``axis`` for ``J = [[0, I], [-I, 0]]``: the two halves swapped and the new second half negated."""
+    head, half = (slice(None),) * (axis % v.ndim), v.shape[axis] // 2
+    return np.concatenate([v[head + (slice(half, None),)], -v[head + (slice(None, half),)]], axis=axis)
+
+
 def _grid(points: int, m: int) -> tuple:
     """``_trig`` on the equispaced grid ``t_p = 2 pi p / points``; ``_BranchSetup.grid`` keeps each one of a branch."""
     return _trig(np.arange(points) * TWO_PI / points, m)
@@ -215,7 +221,7 @@ def kernel_direction(system: HamiltonianSystem, eq: EquilibriumOrbit, candidate:
     e = report.subspaces[j0 - 1]
     r = np.ones(system.dim) if system.reversor is None else system.reversor
     a1 = e @ np.linalg.eigh(e.T @ (r[:, None] * e))[1][:, -1]
-    b1 = lam * standard_symplectic(system.dim // 2) @ (eq.hessian @ a1)
+    b1 = lam * _apply_j(eq.hessian @ a1)
     scale = np.sqrt(np.pi * (float(a1 @ a1) + float(b1 @ b1)))
     return a1 / scale, b1 / scale
 
@@ -225,8 +231,7 @@ def residual_field(system: HamiltonianSystem, orbit: FourierOrbit, collocation_p
     if collocation_points < 2 * orbit.m + 1:
         raise ValueError("need at least 2M + 1 collocation points")
     table = (_setup.grid if _setup else _grid)(collocation_points, orbit.m)
-    j = _setup.j if _setup else standard_symplectic(orbit.a0.size // 2)
-    return orbit._rates(table) - orbit.lam * gradients_of(system, orbit._values(table)) @ j.T
+    return orbit._rates(table) - orbit.lam * _apply_j(gradients_of(system, orbit._values(table)))
 
 
 class _HarmonicBalance:
@@ -237,6 +242,15 @@ class _HarmonicBalance:
     ``(1, cos kt, sin kt)``.  The unknowns are the entries of that matrix
     in ``keep`` (row by row), then ``lam`` and ``n_mult`` multipliers; the
     equations are the Galerkin rows in ``rows``, then the constraints.
+
+    Each equation is an affine part plus a projection of fields: the
+    residual is ``linear @ x - offsets``, the pin ``s`` off the first
+    constraint, plus the kept Galerkin rows of ``sum_q x_q F_q(z)`` over the
+    unknowns ``x_q = lam, mu_0, ...``.  ``linear`` holds the rows of ``z'``,
+    ``W^T phi'`` times ``I`` (exactly ``k`` from ``b_k`` to row ``a_k`` and
+    ``-k`` from ``a_k`` to row ``b_k``), and the constraint rows; ``offsets``
+    the group pins' ``X_i z0 . z0``.  ``_fields`` gives the residual and the
+    Jacobian the ``F_q``: ``-J grad H``, ``-grad H``, each ``-M_i z``.
 
     Without ``reversor`` every entry and every row is kept, on ``4M`` points,
     with the energy multiplier, the phase row and one pin row and momentum
@@ -253,22 +267,16 @@ class _HarmonicBalance:
 
     def __init__(self, system, eq, predictor, s, m, reversor=None):
         self.system = system
-        self.z0 = eq.z0
         self.dim = d = system.dim
         self.m = m
         self.s = s
-        self.ap, self.bp = predictor
+        ap, bp = predictor
         width = 2 * m + 1
         points = 4 * m
-        k = np.arange(1, m + 1)
         cos, sin = _grid(points, m)  # (P, m)
-        # basis, its time derivative and the Galerkin test weights, each (P, 2M + 1)
+        # basis and Galerkin test weights, each (P, 2M + 1)
         self.phi = np.hstack([np.ones((points, 1)), cos, sin])
-        self.dphi = np.hstack([np.zeros((points, 1)), -k * sin, k * cos])
         self.weights = self.phi * np.concatenate([[1.0], np.full(2 * m, 2.0)]) / points
-        # d/dz' part of the coefficient block, (W^T phi') times I, independent of x
-        derivative_weights = self.weights.T @ self.dphi
-        self.j = standard_symplectic(d // 2)
         self._last = None  # (x, coeffs, z, grads) of the last _curve call
         a1, b1 = slice(d, 2 * d), slice(d + d * m, 2 * d + d * m)
         if reversor is None:
@@ -276,11 +284,11 @@ class _HarmonicBalance:
             self.n_mult = 1 + len(generators)  # energy, then one momentum per generator
             self.keep = np.ones(width * d, dtype=bool)
             self.rows = self.keep
-            row_groups = col_groups = [(slice(None), slice(None), "all")]
+            row_groups = col_groups = [(slice(None), slice(None))]
             cons = np.zeros((2 + len(generators), width * d))
-            cons[1, a1], cons[1, b1] = np.pi * self.bp, -np.pi * self.ap
+            cons[1, a1], cons[1, b1] = np.pi * bp, -np.pi * ap
             for i, g in enumerate(generators):
-                cons[2 + i, :d] = g @ self.z0
+                cons[2 + i, :d] = g @ eq.z0
         else:
             generators = ()
             self.n_mult = 0
@@ -289,40 +297,37 @@ class _HarmonicBalance:
             self.keep = np.where(cosine[:, None], reversor > 0, reversor < 0).ravel()
             self.rows = ~self.keep
             fold = np.concatenate([[1.0], np.full(2 * m - 1, 2.0), [1.0]])
-            self.phi, self.dphi = self.phi[: 2 * m + 1], self.dphi[: 2 * m + 1]
+            self.phi = self.phi[: 2 * m + 1]
             self.weights = self.weights[: 2 * m + 1] * fold[:, None]
-            row_groups = [(slice(0, m + 1), minus[:, None], "-"), (slice(m + 1, None), plus[:, None], "+")]
-            col_groups = [(slice(0, m + 1), plus, "+"), (slice(m + 1, None), minus, "-")]
+            row_groups = [(slice(0, m + 1), minus[:, None]), (slice(m + 1, None), plus[:, None])]
+            col_groups = [(slice(0, m + 1), plus), (slice(m + 1, None), minus)]
             cons = np.zeros((1, width * d))
-        cons[0, a1], cons[0, b1] = np.pi * self.ap, np.pi * self.bp
-        self.constraint_rows = cons[:, self.keep]
+        cons[0, a1], cons[0, b1] = np.pi * ap, np.pi * bp
         self.points = len(self.phi)
-        self.n_coeff = int(np.count_nonzero(self.keep))
-        self.size = self.n_coeff + 1 + self.n_mult
-        self.pin_rows = list(cons[2:, :d])
+        self.n_coeff = n = int(np.count_nonzero(self.keep))
+        self.size = n + 1 + self.n_mult
+        derivative = np.diag(np.arange(m + 1.0), m) - np.diag(np.arange(m + 1.0), -m)  # W^T phi'
+        at_rows, at_cols = (np.divmod(np.flatnonzero(mask), d) for mask in (self.rows, self.keep))  # (basis, component)
+        self.linear = np.zeros((self.size, self.size))
+        self.linear[:n, :n] = derivative[at_rows[0][:, None], at_cols[0]] * (at_rows[1][:, None] == at_cols[1])
+        self.linear[n:, :n] = cons[:, self.keep]
+        self.offsets = np.concatenate([np.zeros(n), cons[:, :d] @ eq.z0])
         # gradient fields of the conserved momenta: grad( -z.(J X z)/2 ) = -J X z
-        self.moment_mats = [-(self.j @ g) for g in generators]
-        # one block of the coefficient Jacobian per (row group, column group),
-        # a group being basis functions times components of one parity:
-        # (jacobian rows, columns, test weight times basis ((rows x columns), P)
-        # contiguous for one BLAS product, the index of D's components, the
-        # block shape, and the phi' part where the component sets coincide)
+        self.moment_mats = [-_apply_j(g, axis=0) for g in generators]
+        # one block of D's coefficient Jacobian per (row group, column group), a
+        # group being basis functions times components of one parity: (rows,
+        # columns, test weight times basis ((rows x columns), P) contiguous for
+        # one BLAS product, the index of D's components, the block shape)
         self.blocks = []
         r0 = 0
-        for rb, rc, rkind in row_groups:
+        for rb, rc in row_groups:
             c0, nr, dr = 0, len(range(width)[rb]), np.arange(d)[rc].size
-            for cb, cc, ckind in col_groups:
+            for cb, cc in col_groups:
                 nc, dc = len(range(width)[cb]), np.arange(d)[cc].size
                 weight_basis = np.einsum("pr,pc->rcp", self.weights[:, rb], self.phi[:, cb])
                 rows, cols = slice(r0, r0 + nr * dr), slice(c0, c0 + nc * dc)
-                self.blocks.append((
-                    rows,
-                    cols,
-                    np.ascontiguousarray(weight_basis.reshape(-1, self.points)),
-                    (slice(None), rc, cc),
-                    (nr, nc, dr, dc),
-                    derivative_weights[rb, cb] if rkind == ckind else None,
-                ))
+                basis = np.ascontiguousarray(weight_basis.reshape(-1, self.points))
+                self.blocks.append((rows, cols, basis, (slice(None), rc, cc), (nr, nc, dr, dc)))
                 c0 = cols.stop
             r0 = rows.stop
 
@@ -348,29 +353,28 @@ class _HarmonicBalance:
             self._last = (x, coeffs, z, grads)
         return self._last[1:]
 
-    def __call__(self, x) -> np.ndarray:
-        coeffs, z, grads = self._curve(x)
-        lam, mus = x[self.n_coeff], x[self.n_coeff + 1 :]
-        a0, a1, b1 = coeffs[0], coeffs[1], coeffs[self.m + 1]
-        fld = self.dphi @ coeffs - lam * grads @ self.j.T
-        cons = [np.pi * (float(a1 @ self.ap) + float(b1 @ self.bp)) - self.s]
+    def _fields(self, z, grads) -> np.ndarray:
+        """Kept Galerkin rows of the fields ``lam`` and ``mu`` weigh: ``-J grad H``, ``-grad H``, each ``-M_i z``."""
+        fields = [-_apply_j(grads)]
         if self.n_mult:
-            fld = fld - mus[0] * grads
-            for i, mat in enumerate(self.moment_mats):
-                fld = fld - mus[1 + i] * z @ mat.T
-            cons.append(np.pi * (float(a1 @ self.bp) - float(b1 @ self.ap)))
-            cons += [float((a0 - self.z0) @ row) for row in self.pin_rows]
-        return np.concatenate([(self.weights.T @ fld).ravel()[self.rows], cons])
+            fields += [-grads] + [-z @ mat.T for mat in self.moment_mats]
+        return (self.weights.T @ np.array(fields)).reshape(len(fields), -1)[:, self.rows]
+
+    def __call__(self, x) -> np.ndarray:
+        n = self.n_coeff
+        f = self.linear @ x - self.offsets
+        f[n] -= self.s
+        f[:n] += x[n:] @ self._fields(*self._curve(x)[1:])
+        return f
 
     def jacobian(self, x) -> np.ndarray:
         """Exact Jacobian of ``__call__`` (alternating frequency/time assembly).
 
-        The field at each collocation point has z-derivative
-        ``D = -(lam J + mu0 I) H(z) - sum_i mu_i M_i``, so the coefficient
-        block is ``sum_p w_r(t_p) [phi_c(t_p) D(t_p) + phi'_c(t_p) I]``,
-        assembled only for the kept rows and columns; the lambda and mu
-        columns project ``-J grad H``, ``-grad H`` and ``-M_i z``; the
-        constraint rows are linear.
+        ``linear`` plus the fields' derivatives: the z-derivative at each
+        collocation point, ``D = -(lam J + mu0 I) H(z) - sum_i mu_i M_i``
+        (``J H`` is ``H`` with its row halves swapped and one negated), adds
+        ``sum_p w_r(t_p) phi_c(t_p) D(t_p)`` on the kept rows and columns, and
+        the ``lam`` and ``mu`` columns are ``_fields``.
         """
         n = self.n_coeff
         lam, mus = x[n], x[n + 1 :]
@@ -381,22 +385,15 @@ class _HarmonicBalance:
             hess = 0.5 * (fd + fd.transpose(0, 2, 1))
         else:
             hess = hessians_of(self.system, z)
-        jh = np.concatenate([hess[:, self.dim // 2 :], -hess[:, : self.dim // 2]], axis=1)  # J H, one +-1 per row of J
+        jh = _apply_j(hess, axis=1)
         dfield = -(lam * jh + mus[0] * hess) if self.n_mult else -(lam * jh)
         for i, mat in enumerate(self.moment_mats):
             dfield -= mus[1 + i] * mat
-        jac = np.zeros((self.size, self.size))
-        for rows, cols, weight_basis, index, shape, derivative in self.blocks:
+        jac = self.linear.copy()
+        for rows, cols, weight_basis, index, shape in self.blocks:
             block = (weight_basis @ dfield[index].reshape(self.points, -1)).reshape(shape)
-            if derivative is not None:
-                diag = np.arange(shape[2])
-                block[:, :, diag, diag] += derivative[:, :, None]
-            jac[rows, cols] = block.transpose(0, 2, 1, 3).reshape(rows.stop - rows.start, cols.stop - cols.start)
-        fields = [-grads @ self.j.T]
-        if self.n_mult:
-            fields += [-grads] + [-z @ mat.T for mat in self.moment_mats]
-        jac[:n, n:] = np.column_stack([(self.weights.T @ f).ravel()[self.rows] for f in fields])
-        jac[n:, :n] = self.constraint_rows
+            jac[rows, cols] += block.transpose(0, 2, 1, 3).reshape(rows.stop - rows.start, cols.stop - cols.start)
+        jac[:n, n:] = self._fields(z, grads).T
         return jac
 
 
@@ -425,7 +422,7 @@ def _symmetric_frame(system: HamiltonianSystem, eq: EquilibriumOrbit, predictor)
 
 
 class _BranchSetup:
-    """What every step of one branch shares: the kernel pair, the reversor, ``J``, each ``M``'s problem and check grids."""
+    """What every step of one branch shares: the kernel pair, the reversor, each ``M``'s problem and check grids."""
 
     def __init__(self, system, eq, candidate):
         if not candidate.confirmed:
@@ -433,15 +430,14 @@ class _BranchSetup:
         self.system, self.eq, self.problems = system, eq, {}
         self.kernel = kernel_direction(system, eq, candidate)
         self.reversor = _symmetric_frame(system, eq, self.kernel)
-        self.j, self.grid = standard_symplectic(system.dim // 2), functools.cache(_grid)
+        self.grid = functools.cache(_grid)
 
     def problem(self, s, m) -> _HarmonicBalance:
-        """The ``M = m`` problem, built at its first use, as a copy sharing its arrays with its own pin ``s`` and memo."""
+        """The one ``M = m`` problem, built at its first use, with its pin set to ``s``; its memo reads ``x`` alone."""
         if m not in self.problems:
             self.problems[m] = _HarmonicBalance(self.system, self.eq, self.kernel, s, m, self.reversor)
-        problem = copy.copy(self.problems[m])
-        problem.s, problem._last = s, None
-        return problem
+        self.problems[m].s = s
+        return self.problems[m]
 
 
 def solve_orbit(

@@ -332,6 +332,15 @@ def test_cli_error_exit_code(tmp_path):
     assert code == 1
 
 
+def test_config_file_not_utf8_is_a_config_error(tmp_path, capsys):
+    # the UnicodeDecodeError of reading the file escaped as a traceback
+    path = tmp_path / "bad.ini"
+    path.write_bytes(b"\xff\xfe[system]\n")
+    code, out = run_cli(["analyze", "--config", str(path)])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: cannot read config file: ")
+
+
 def test_determinism_byte_identical(tmp_path):
     args = [
         "analyze",

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hambif import cli, degree, model
+from hambif import analysis, cli, degree, model
 from hambif.errors import BoundaryZero, Degenerate, NotAMinimum
 
 
@@ -200,6 +200,20 @@ def test_section_degree_far_from_the_origin():
     eq = model.refine_equilibrium(system, guess)
     rep = degree.section_degree(system, eq)
     assert (rep.value, rep.path, rep.value is not None, rep.detail) == (1, "nondegenerate", True, "")
+
+
+def test_a_section_field_not_zero_at_z0_leaves_each_candidate_inconclusive():
+    # z0 moved off the equilibrium: the section map's origin check raised a
+    # ValueError out of analyze instead of downgrading the candidates
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    eq = model.refine_equilibrium(sat, np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0]))
+    moved = replace(eq, z0=eq.z0 + 1e-3)
+    rep = degree.section_degree(sat, moved)
+    assert (rep.value, rep.path) == (None, "nondegenerate")
+    assert rep.detail.startswith("section map must vanish at the origin, got |F(0)|=")
+    candidates = analysis.analyze(sat, moved)
+    assert [c.verdict for c in candidates] == ["inconclusive"] * 2
+    assert all(any(rep.detail in reason for reason in c.reasons) for c in candidates)
 
 
 def test_section_degree_detail_names_the_kernel():

@@ -34,6 +34,12 @@ def test_symmetry_group_validation():
     assert grp.group_dim == 1
     with pytest.raises(ValueError):
         model.SymmetryGroup((np.eye(2),))  # not skew
+    # a NaN entry compared False against both tolerances and passed
+    for value, named in ((np.nan, r"\[0, 1\] = nan, \[1, 0\] = nan"), (np.inf, r"\[0, 1\] = inf, \[1, 0\] = -inf")):
+        odd = good.copy()
+        odd[0, 1], odd[1, 0] = value, -value
+        with pytest.raises(ValueError, match="generator has non-finite entries " + named):
+            model.SymmetryGroup((odd,))
     bad = np.zeros((4, 4))
     bad[0, 1], bad[1, 0] = -1.0, 1.0  # skew but does not commute with J
     with pytest.raises(ValueError):

@@ -325,8 +325,9 @@ def perturbed_unknowns(problem, eq, cand, s, rng):
     """Linear predictor at amplitude s with random perturbations and nonzero multipliers."""
     a = 0.01 * s * rng.standard_normal((problem.m, problem.dim))
     b = 0.01 * s * rng.standard_normal((problem.m, problem.dim))
-    a[0] += s * problem.ap
-    b[0] += s * problem.bp
+    ap, bp = orbits.kernel_direction(problem.system, eq, cand)
+    a[0] += s * ap
+    b[0] += s * bp
     a0 = eq.z0 + 0.01 * s * rng.standard_normal(problem.dim)
     mus = 0.05 * rng.standard_normal(problem.n_mult)
     return problem.pack(a0, a, b, cand.lambda0 * (1.0 + 0.01 * rng.standard_normal()), mus)
@@ -1223,7 +1224,7 @@ def test_swapped_field_derivative_equals_the_einsum_to_the_bit(name):
     problem.blocks = [(rows, cols, RecordingBasis(basis, seen), *rest) for rows, cols, basis, *rest in problem.blocks]
     problem.jacobian(x)
     lam, mus = x[problem.n_coeff], x[problem.n_coeff + 1 :]
-    mix = lam * problem.j + mus[0] * np.eye(problem.dim)
+    mix = lam * linalg.standard_symplectic(problem.dim // 2) + mus[0] * np.eye(problem.dim)
     reference = -np.einsum("ij,pjk->pik", mix, model.hessians_of(system, problem._curve(x)[1]))
     for i, mat in enumerate(problem.moment_mats):
         reference -= mus[1 + i] * mat
