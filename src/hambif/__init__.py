@@ -7,34 +7,13 @@ equilibria, checks the computable criteria for each level (nonresonance,
 Morse-index jumps of the mode-1 block matrix, signature conditions on
 invariant subspaces, Brouwer degree on the orthogonal section), and
 verifies confirmed predictions by computing the emanating branch of
-periodic orbits with a harmonic-balance Newton solver.
+periodic orbits with a harmonic-balance Newton solver.  The library is
+used through its modules (``from hambif import analysis, model, orbits``).
 """
 
 import importlib
 
 from . import analysis, degree, errors, linalg, model, orbits
-from .analysis import (
-    AnalyzeOptions,
-    BifurcationCandidate,
-    ResonanceSet,
-    SpectralReport,
-    analyze,
-    check_nonresonance,
-    morse_jump,
-    resonance_set,
-    spectral_report,
-    t_matrix,
-)
-from .model import (
-    EquilibriumOrbit,
-    HamiltonianSystem,
-    SymmetryGroup,
-    newtonian_to_hamiltonian,
-    preset,
-    refine_equilibrium,
-    satellite_equilibrium_distance,
-)
-from .orbits import Branch, FourierOrbit, continue_branch, minimal_period_check, solve_orbit
 
 __version__ = "0.1.0"
 
@@ -46,35 +25,5 @@ def __getattr__(name):
         return importlib.import_module(".cli", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-__all__ = [
-    "analysis",
-    "cli",
-    "degree",
-    "errors",
-    "linalg",
-    "model",
-    "orbits",
-    "AnalyzeOptions",
-    "BifurcationCandidate",
-    "ResonanceSet",
-    "SpectralReport",
-    "analyze",
-    "check_nonresonance",
-    "morse_jump",
-    "resonance_set",
-    "spectral_report",
-    "t_matrix",
-    "EquilibriumOrbit",
-    "HamiltonianSystem",
-    "SymmetryGroup",
-    "newtonian_to_hamiltonian",
-    "preset",
-    "refine_equilibrium",
-    "satellite_equilibrium_distance",
-    "Branch",
-    "FourierOrbit",
-    "continue_branch",
-    "minimal_period_check",
-    "solve_orbit",
-    "__version__",
-]
+
+__all__ = ["analysis", "cli", "degree", "errors", "linalg", "model", "orbits", "__version__"]

@@ -7,10 +7,11 @@ clustered as sets of indices, and each level's beta_j, multiplicity and
 invariant subspace E_j come from its one index set.  Each candidate is put
 through the checks below and aggregated into a verdict:
 
-* resonance set: all levels k/beta_j at which the mode-k linearization of
-  the 2-pi-periodic problem is singular;
-* nonresonance: no other beta_j is an integer multiple of the chosen one
-  (guarantees minimal periods for the emanating orbits);
+* resonance: one rule, ``SpectralReport.contributors``, gives the levels
+  k/beta_j (where the mode-k linearization is singular) that coincide with a
+  level lambda; the nonresonance check (minimal periods for the emanating
+  orbits), the Morse jump's level, the resonance set and the branch's kernel
+  all read it;
 * Morse jump: change of the negative index of the mode-1 block matrix
   across the level, which is the signature of the Hessian restricted to the
   level's invariant subspace; undefined when that restriction is singular;
@@ -89,6 +90,20 @@ class SpectralReport:
         if not 1 <= j0 <= len(self.betas):
             raise NoSuchLevel(f"j0 must be in 1..{len(self.betas)}, got {j0}")
         return self.betas[j0 - 1]
+
+    def contributors(self, lam: float) -> tuple:
+        """The ``(k, j)`` pairs, ``k >= 1``, whose level ``k/beta_j`` is ``lam`` to within ``1e-9 lam``.
+
+        The one resonance rule: per pair, only ``k = round(lam beta_j)`` can
+        qualify, so the cost is one test per level however far apart the
+        levels are.
+        """
+        pairs = []
+        for j, beta in enumerate(self.betas, start=1):
+            k = round(lam * beta)
+            if k >= 1 and abs(k / beta - lam) <= 1e-9 * lam:
+                pairs.append((k, j))
+        return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -171,37 +186,24 @@ def t_matrix(a, k: int, lam: float) -> np.ndarray:
 
 
 def resonance_set(report: SpectralReport, k_max: int = 20) -> ResonanceSet:
-    """All candidate levels k/beta_j for 1 <= k <= k_max, merged and sorted."""
+    """The distinct levels k/beta_j, 1 <= k <= k_max, sorted, each with its ``report.contributors`` up to ``k_max``."""
     if not report.betas:
         raise NoImaginaryPairs("the linearization has no purely imaginary pairs")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    items = sorted(
-        (k / beta, k, j + 1)
-        for j, beta in enumerate(report.betas)
-        for k in range(1, k_max + 1)
-    )
-    entries = []
-    for lam, k, j in items:
-        if entries and abs(lam - entries[-1][0]) <= 1e-9 * entries[-1][0]:
-            entries[-1][1].append((k, j))
-        else:
-            entries.append([lam, [(k, j)]])
-    return ResonanceSet(
-        entries=tuple(ResonanceLevel(lam=lam, contributors=tuple(c)) for lam, c in entries),
-    )
+    ladder = sorted((k / beta, k, j) for j, beta in enumerate(report.betas, start=1) for k in range(1, k_max + 1))
+    entries, seen = [], set()
+    for lam, k, j in ladder:
+        if (k, j) not in seen:
+            pairs = tuple(p for p in report.contributors(lam) if p[0] <= k_max)
+            seen.update(pairs)
+            entries.append(ResonanceLevel(lam=lam, contributors=pairs))
+    return ResonanceSet(entries=tuple(entries))
 
 
 def check_nonresonance(report: SpectralReport, j0: int) -> bool:
-    """True when beta_j / beta_{j0} is not a positive integer for any j != j0."""
-    beta0 = report.beta(j0)
-    for j, beta in enumerate(report.betas, start=1):
-        if j == j0:
-            continue
-        ratio = beta / beta0
-        if ratio >= 0.5 and abs(ratio - round(ratio)) < 1e-9:
-            return False
-    return True
+    """True when the level ``1/beta_{j0}`` has no contributor but ``(1, j0)``."""
+    return report.contributors(1.0 / report.beta(j0)) == ((1, j0),)
 
 
 def _definite(pos: int, neg: int, kernel: int) -> bool:
@@ -214,9 +216,9 @@ def morse_jump(a, lambda0: float, report: SpectralReport) -> int:
     The crossing form of ``T_1`` at ``lambda0 = 1/beta_j`` is congruent to
     the Hessian restricted to the level's invariant subspace ``E_j``, so the
     jump is the signature ``m+(C) - m-(C)`` of ``C = compress(a, E_j)``
-    (Robbin & Salamon, Bull. LMS 27, 1995).  A ``lambda0`` within
-    ``1e-9 lambda0`` of no level ``1/beta_j`` gives 0.  The inertia of ``C``
-    is read from ``report.inertias``.
+    (Robbin & Salamon, Bull. LMS 27, 1995).  A ``lambda0`` with no ``k = 1``
+    contributor (``SpectralReport.contributors``) gives 0.  The inertia of
+    ``C`` is read from ``report.inertias``.
 
     Raises
     ------
@@ -230,10 +232,10 @@ def morse_jump(a, lambda0: float, report: SpectralReport) -> int:
         raise ValueError("a is not the Hessian the spectral report was made from")
     if lambda0 <= 0.0:
         raise ValueError(f"lambda0 must be positive, got {lambda0}")
-    levels = [j for j, beta in enumerate(report.betas) if abs(1.0 / beta - lambda0) <= 1e-9 * lambda0]
+    levels = [j for k, j in report.contributors(lambda0) if k == 1]
     if not levels:
         return 0
-    pos, neg, kernel = report.inertias[levels[0]]
+    pos, neg, kernel = report.inertias[levels[0] - 1]
     if kernel:
         raise Degenerate(
             f"the Hessian is singular on the level's invariant subspace (kernel dimension {kernel})"

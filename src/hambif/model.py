@@ -486,10 +486,12 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
     hessian = hessian_of(system, z0)
     if not np.all(np.isfinite(hessian)):
         raise NoConvergence("the Hessian at the refined point is not finite")
-    for i, x in enumerate(system.symmetry.generators, start=1):
+    generators = system.symmetry.generators
+    hessian_norm = np.linalg.norm(hessian, 2) if generators else 0.0  # one SVD for all generators
+    for i, x in enumerate(generators, start=1):
         moved = x @ z0
         residual = np.linalg.norm(hessian @ moved)
-        bound = np.linalg.norm(x, 2) * gn + 1e-6 * (1.0 + np.linalg.norm(hessian, 2)) * np.linalg.norm(moved)
+        bound = np.linalg.norm(x, 2) * gn + 1e-6 * (1.0 + hessian_norm) * np.linalg.norm(moved)
         if residual > bound:
             raise NotASymmetry(f"generator {i} is not a symmetry of H: |A X z0| = {residual:.3e} exceeds {bound:.3e}")
     orbit_generators, section = _orbit_bases(system, z0)

@@ -212,11 +212,11 @@ def kernel_direction(system: HamiltonianSystem, eq: EquilibriumOrbit, candidate:
     identity), and ``b1 = lambda0 J A a1``, scaled to unit Sobolev norm.
     Where ``R`` is a reversible symmetry of ``A`` it maps ``E`` to itself, so
     ``a1`` lies in ``Fix(R)`` and ``b1`` in ``Fix(-R)``.  ``EmptyKernel``
-    unless ``lambda0`` is within ``1e-9 lambda0`` of ``1/beta_j0`` (the level
-    rule of ``analysis.morse_jump``).
+    unless ``(1, j0)`` is a contributor of ``lambda0``
+    (``SpectralReport.contributors``).
     """
     report, lam, j0 = spectral_report(system, eq), candidate.lambda0, candidate.j0
-    if not (1 <= j0 <= len(report.betas) and abs(1.0 / report.betas[j0 - 1] - lam) <= 1e-9 * lam):
+    if (1, j0) not in report.contributors(lam):
         raise EmptyKernel(f"level {lam:.6g} is not 1/beta_{j0}; no mode-1 kernel (candidate inconsistent)")
     e = report.subspaces[j0 - 1]
     r = np.ones(system.dim) if system.reversor is None else system.reversor

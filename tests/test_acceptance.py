@@ -8,10 +8,11 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.linalg import expm
 
 from hambif import analysis, cli, degree, linalg, model, orbits
+
+quad = pytest.importorskip("scipy.integrate").quad
+expm = pytest.importorskip("scipy.linalg").expm
 
 
 def _random_unitary(rng, n):

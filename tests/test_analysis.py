@@ -1,11 +1,13 @@
+import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hambif import analysis, cli, degree, linalg, model
-from hambif.errors import Degenerate, NoImaginaryPairs, NoSuchLevel, NotASymmetry
+from hambif import analysis, cli, degree, linalg, model, orbits
+from hambif.errors import Degenerate, EmptyKernel, NoImaginaryPairs, NoSuchLevel, NotASymmetry
 
 DATA = Path(__file__).parent / "data"
 
@@ -119,6 +121,69 @@ def test_nonresonance_checks():
     rep2 = analysis.matrix_report(np.diag([4.0, 1.0, 1.0, 1.0]))  # betas 2, 1
     assert not analysis.check_nonresonance(rep2, 2)  # 2/1 = 2
     assert analysis.check_nonresonance(rep2, 1)
+
+
+def lattice_report(rng, n):
+    """Report of a quadratic H whose frequencies are integer multiples of one base, each off by 0 or 1e-12..1e-7 relative.
+
+    Block-diagonal in canonical (q_i, p_i) pairs, some negative definite,
+    conjugated by the orthogonal symplectic ``[[X, -Y], [Y, X]]`` of a random
+    unitary ``X + iY``, which keeps the spectrum of J A.
+    """
+    offsets = rng.choice([0.0, 1.0], n) * rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12, -7, n)
+    freq = rng.uniform(0.5, 1.5) * rng.integers(1, 5, n) * (1.0 + offsets)
+    ratio, sign = rng.uniform(0.5, 2.0, n), rng.choice([-1.0, 1.0], n)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    s = np.block([[u.real, -u.imag], [u.imag, u.real]])
+    a = s @ np.diag(np.concatenate([sign * freq * ratio, sign * freq / ratio])) @ s.T
+    return analysis.matrix_report(0.5 * (a + a.T))
+
+
+def test_every_resonance_reader_takes_the_contributors_rule():
+    rng = np.random.default_rng(27)
+    for trial in range(60):
+        rep = lattice_report(rng, 1 + trial % 4)
+        m, two_n = len(rep.betas), rep.hessian.shape[0]
+        system = model.HamiltonianSystem(n=rep.n, energy=lambda z, a=rep.hessian: 0.5 * z @ a @ z)
+        eq = model.EquilibriumOrbit(
+            z0=np.zeros(two_n), hessian=rep.hessian, gradient_norm=0.0, section_basis=np.eye(two_n), orbit_generators=()
+        )
+        for j0 in range(1, m + 1):
+            own = rep.contributors(1.0 / rep.beta(j0))
+            assert analysis.check_nonresonance(rep, j0) == (own == ((1, j0),))
+        ladder = [k / beta for beta in rep.betas for k in range(1, 6)]
+        for lam in ladder + [lam * (1.0 + 3e-9) for lam in ladder]:
+            pairs = rep.contributors(lam)
+            # the k = round(lam beta_j) shortcut finds every pair of the brute-force k <= 5 ladder
+            brute = {
+                (k, j) for j, beta in enumerate(rep.betas, 1) for k in range(1, 6) if abs(k / beta - lam) <= 1e-9 * lam
+            }
+            assert {p for p in pairs if p[0] <= 5} == brute
+            ones = [j for k, j in pairs if k == 1]
+            pos, neg, kernel = rep.inertias[ones[0] - 1] if ones else (0, 0, 0)
+            if kernel:
+                with pytest.raises(Degenerate):
+                    analysis.morse_jump(rep.hessian, lam, rep)
+            else:
+                assert analysis.morse_jump(rep.hessian, lam, rep) == pos - neg
+            for j0 in range(m + 2):
+                candidate = SimpleNamespace(j0=j0, lambda0=lam)
+                if (1, j0) in pairs:
+                    orbits.kernel_direction(system, eq, candidate)
+                else:
+                    with pytest.raises(EmptyKernel):
+                        orbits.kernel_direction(system, eq, candidate)
+        for level in analysis.resonance_set(rep, k_max=5).entries:
+            assert level.contributors == tuple(p for p in rep.contributors(level.lam) if p[0] <= 5)
+
+
+def test_nonresonance_cost_does_not_grow_with_the_level_ratio():
+    # a k ladder reaching the level 1 from 1/300000 takes seconds
+    rep = analysis.matrix_report(np.diag([3e5, 1.0, 3e5, 1.0]))  # betas 3e5, 1
+    start = time.perf_counter()
+    verdicts = analysis.check_nonresonance(rep, 1), analysis.check_nonresonance(rep, 2)
+    assert time.perf_counter() - start < 0.01
+    assert verdicts == (True, False)
 
 
 def test_morse_jump_harmonic():

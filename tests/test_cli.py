@@ -391,6 +391,20 @@ def test_module_entry_point_runs_without_runpy_warning():
     assert "satellite" in proc.stdout
 
 
+def test_package_exports_only_its_modules():
+    # the library is used through its modules; in a fresh interpreter cli
+    # resolves through the package's lazy __getattr__
+    assert hambif.__all__ == ["analysis", "cli", "degree", "errors", "linalg", "model", "orbits", "__version__"]
+    script = (
+        "import sys, hambif\n"
+        "assert 'hambif.cli' not in sys.modules\n"
+        "print([type(getattr(hambif, name)).__name__ for name in hambif.__all__])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(["module"] * 7 + ["str"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,12 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from hambif import cli, linalg, model
 from hambif import orbits
 from hambif.errors import EvaluationFailure, MissingParameter, NoConvergence, NotASymmetry, UnknownPreset
+
+expm = pytest.importorskip("scipy.linalg").expm
+brentq = pytest.importorskip("scipy.optimize").brentq
 
 DATA = Path(__file__).parent / "data"
 

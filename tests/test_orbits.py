@@ -6,11 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.linalg import expm
 
 from hambif import analysis, cli, linalg, model, orbits
 from hambif.errors import EmptyKernel, NoConvergence, WrongBranch
+
+quad = pytest.importorskip("scipy.integrate").quad
+expm = pytest.importorskip("scipy.linalg").expm
 
 DATA = Path(__file__).parent / "data"
 
