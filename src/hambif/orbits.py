@@ -37,9 +37,33 @@ pin row and the momentum multiplier of a generator ``X`` with ``R X R = -X``:
 integrand is odd too.  ``kernel_direction`` takes the linear predictor in
 this symmetric frame, and ``solve_orbit`` takes the ansatz when
 ``_symmetric_frame`` finds its hypotheses hold at ``z0``; ``residual_field``
-checks the full, unsymmetrised equations either way.  Only the amplitude pin
+checks the full, unsymmetrised equations either way.
+
+Where H is also even about ``z0``, ``H(2 z0 - z) = H(z)``, the family lies
+in the fixed space of the twisted Z2 ``{(-I, pi)}`` (Golubitsky, Stewart &
+Schaeffer, Singularities and Groups in Bifurcation Theory II, ch. XVI;
+Montaldi, Roberts & Stewart, Phil. Trans. R. Soc. A 325, 1988):
+``2 z0 - z(t + pi)`` solves the same equations, is symmetric when ``z`` is,
+and has the same mode 1, so by the uniqueness of the nonresonant family it is
+``z`` itself.  So ``z(t + pi) = 2 z0 - z(t)``: the mean is exactly ``z0`` and
+every even mode is empty.  The half-wave ansatz keeps the odd ``a_k`` in
+``Fix(R)``, the odd ``b_k`` in ``Fix(-R)`` and their Galerkin rows, with
+``a0 = z0`` no unknown.  Its field has ``F(t + pi) = -F(t)`` and
+``F(-t) = -R F(t)``, so each kept Galerkin sum over the full ``4M``-point
+grid is exactly the sum over its ``M + 1`` points in ``[0, pi/2]`` with the
+weights ``2 (1, 2, ..., 2, 1)``.  ``_half_wave`` decides once per branch,
+from one stacked gradient call at ``z0 +- v`` for points ``v`` on the kernel
+pair's circle and on generic directions, at three radii, that
+``grad H(z0 + v) + grad H(z0 - v)`` vanishes to rounding; a system without a
+gradient makes no probe and keeps the symmetric ansatz.  The probe sees
+finitely many points, so the ``4M + 1``-point check of the full equations
+stays the guard, and a half-wave solve that fails it, or fails otherwise, is
+solved again in the symmetric ansatz, which the branch then keeps: a wrong
+hypothesis costs time, never an orbit.
+
+Only the amplitude pin
 moves along a branch: ``continue_branch`` builds the kernel pair (from the
-report ``analyze`` kept on ``eq``), the reversor, each truncation's problem
+report ``analyze`` kept on ``eq``), the ansatz, each truncation's problem
 and the cos/sin tables of its ``4M + 1``-point residual and ``8M``-point sup
 checks once, for every step and doubling.  Each step starts from the last
 orbit scaled by the Lyapunov-Schmidt orders (``_predict``): mode ``k`` is
@@ -262,10 +286,13 @@ class _HarmonicBalance:
     ``2M + 1`` points are those of the full grid in ``[0, pi]``: the field
     at ``t_(4M - p) = -t_p`` is ``-R`` times the field at ``t_p``, so every
     kept Galerkin sum over the full grid is the sum over ``[0, pi]`` with
-    the weights of the interior points doubled.
+    the weights of the interior points doubled.  With ``half_wave`` too,
+    ``keep`` and ``rows`` hold the odd ``k`` alone, ``a0`` is ``fixed`` at
+    ``z0``, and the ``M + 1`` points in ``[0, pi/2]`` carry twice those
+    weights, the field being odd under ``t -> t + pi`` as well.
     """
 
-    def __init__(self, system, eq, predictor, s, m, reversor=None):
+    def __init__(self, system, eq, predictor, s, m, reversor=None, half_wave=False):
         self.system = system
         self.dim = d = system.dim
         self.m = m
@@ -277,6 +304,7 @@ class _HarmonicBalance:
         # basis and Galerkin test weights, each (P, 2M + 1)
         self.phi = np.hstack([np.ones((points, 1)), cos, sin])
         self.weights = self.phi * np.concatenate([[1.0], np.full(2 * m, 2.0)]) / points
+        self.fixed = np.zeros(width * d)  # the coefficients that are not unknowns: a0 = z0 in the half-wave
         self._last = None  # (x, coeffs, z, grads) of the last _curve call
         a1, b1 = slice(d, 2 * d), slice(d + d * m, 2 * d + d * m)
         if reversor is None:
@@ -294,13 +322,20 @@ class _HarmonicBalance:
             self.n_mult = 0
             plus, minus = np.flatnonzero(reversor > 0), np.flatnonzero(reversor < 0)
             cosine = np.arange(width) <= m
-            self.keep = np.where(cosine[:, None], reversor > 0, reversor < 0).ravel()
-            self.rows = ~self.keep
-            fold = np.concatenate([[1.0], np.full(2 * m - 1, 2.0), [1.0]])
-            self.phi = self.phi[: 2 * m + 1]
-            self.weights = self.weights[: 2 * m + 1] * fold[:, None]
-            row_groups = [(slice(0, m + 1), minus[:, None]), (slice(m + 1, None), plus[:, None])]
-            col_groups = [(slice(0, m + 1), plus), (slice(m + 1, None), minus)]
+            k = np.concatenate([[0], np.arange(1, m + 1), np.arange(1, m + 1)])  # of each basis function
+            kept = k % 2 == 1 if half_wave else np.ones(width, dtype=bool)
+            parity = np.where(cosine[:, None], reversor > 0, reversor < 0)  # a_k in Fix(R), b_k in Fix(-R)
+            self.keep = (parity & kept[:, None]).ravel()
+            self.rows = (~parity & kept[:, None]).ravel()
+            count = m + 1 if half_wave else 2 * m + 1  # the grid points in [0, pi/2] or [0, pi]
+            fold = np.concatenate([[1.0], np.full(count - 2, 2.0), [1.0]]) * (2.0 if half_wave else 1.0)
+            self.phi = self.phi[:count]
+            self.weights = self.weights[:count] * fold[:, None]
+            if half_wave:
+                self.fixed[:d] = eq.z0
+            cosines, sines = np.flatnonzero(cosine & kept), np.flatnonzero(~cosine & kept)
+            row_groups = [(cosines, minus[:, None]), (sines, plus[:, None])]
+            col_groups = [(cosines, plus), (sines, minus)]
             cons = np.zeros((1, width * d))
         cons[0, a1], cons[0, b1] = np.pi * ap, np.pi * bp
         self.points = len(self.phi)
@@ -321,9 +356,9 @@ class _HarmonicBalance:
         self.blocks = []
         r0 = 0
         for rb, rc in row_groups:
-            c0, nr, dr = 0, len(range(width)[rb]), np.arange(d)[rc].size
+            c0, nr, dr = 0, np.arange(width)[rb].size, np.arange(d)[rc].size
             for cb, cc in col_groups:
-                nc, dc = len(range(width)[cb]), np.arange(d)[cc].size
+                nc, dc = np.arange(width)[cb].size, np.arange(d)[cc].size
                 weight_basis = np.einsum("pr,pc->rcp", self.weights[:, rb], self.phi[:, cb])
                 rows, cols = slice(r0, r0 + nr * dr), slice(c0, c0 + nc * dc)
                 basis = np.ascontiguousarray(weight_basis.reshape(-1, self.points))
@@ -335,7 +370,7 @@ class _HarmonicBalance:
         return np.concatenate([np.concatenate([a0, a.ravel(), b.ravel()])[self.keep], [lam], mus])
 
     def _coefficients(self, x) -> np.ndarray:
-        coeffs = np.zeros(self.keep.size)
+        coeffs = self.fixed.copy()
         coeffs[self.keep] = x[: self.n_coeff]
         return coeffs.reshape(-1, self.dim)
 
@@ -421,8 +456,38 @@ def _symmetric_frame(system: HamiltonianSystem, eq: EquilibriumOrbit, predictor)
     return r
 
 
+def _half_wave(system: HamiltonianSystem, eq: EquilibriumOrbit, predictor) -> bool:
+    """Whether ``grad H`` is odd about ``z0``, ``grad H(z0 + v) + grad H(z0 - v) = 0``: the half-wave ansatz's hypothesis.
+
+    Probed at ``z0 +- v`` from one ``gradients_of`` call, ``v`` along 16
+    directions, the 8 angles ``pi i / 8`` of the kernel pair's circle
+    ``a1 cos + b1 sin`` and 8 generic directions of the whole phase space,
+    with components ``sin(i j)`` (so a term that vanishes on the kernel plane
+    shows too), each at the radii ``(1e-2, 1e-1, 1) (1 + |z0|)`` (so an odd
+    term of high degree shows at the larger ones).  At each radius, each
+    component of the sums must vanish to ``1e-12 (1 + max|d_i H|)``, the
+    largest ``|d_i H|`` over that radius: a rounding-level bound.  Taken per component, a large even
+    term (``p^3`` at ``|z0| ~ 1e8``) cannot hide an odd one in another
+    component.  A system without a gradient, or whose gradient fails or is
+    not finite there, keeps the ansatz it had.  ``solve_orbit`` still falls
+    back to that ansatz where the hypothesis fails between the probe points.
+    """
+    if system.gradient is None:
+        return False
+    cos, sin = _trig(np.arange(8) * np.pi / 8, 1)
+    v = np.vstack([cos * predictor[0] + sin * predictor[1], np.sin(np.outer(np.arange(1, 9), np.arange(1, system.dim + 1)))])
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v = (np.array([1e-2, 1e-1, 1.0])[:, None, None] * (1.0 + np.linalg.norm(eq.z0)) * v).reshape(-1, system.dim)
+    try:
+        grads = gradients_of(system, np.vstack([eq.z0 + v, eq.z0 - v])).reshape(2, 3, 16, system.dim)
+    except HambifError:
+        return False
+    bound = 1e-12 * (1.0 + np.max(np.abs(grads), axis=(0, 2), keepdims=True))
+    return bool(np.all(np.isfinite(grads)) and np.all(np.abs(grads[0] + grads[1]) <= bound[0]))
+
+
 class _BranchSetup:
-    """What every step of one branch shares: the kernel pair, the reversor, each ``M``'s problem and check grids."""
+    """What every step of one branch shares: the kernel pair, the ansatz, each ``M``'s problem and check grids."""
 
     def __init__(self, system, eq, candidate):
         if not candidate.confirmed:
@@ -430,12 +495,13 @@ class _BranchSetup:
         self.system, self.eq, self.problems = system, eq, {}
         self.kernel = kernel_direction(system, eq, candidate)
         self.reversor = _symmetric_frame(system, eq, self.kernel)
+        self.half_wave = self.reversor is not None and _half_wave(system, eq, self.kernel)
         self.grid = functools.cache(_grid)
 
     def problem(self, s, m) -> _HarmonicBalance:
         """The one ``M = m`` problem, built at its first use, with its pin set to ``s``; its memo reads ``x`` alone."""
         if m not in self.problems:
-            self.problems[m] = _HarmonicBalance(self.system, self.eq, self.kernel, s, m, self.reversor)
+            self.problems[m] = _HarmonicBalance(self.system, self.eq, self.kernel, s, m, self.reversor, self.half_wave)
         self.problems[m].s = s
         return self.problems[m]
 
@@ -471,9 +537,21 @@ def solve_orbit(
     ansatz are dropped.  A generator with ``R X R = -X`` needs no pin row
     and no momentum multiplier there, since its group drift leaves the
     symmetric curves and its momentum identity holds identically on them.
-    Every other system takes the full ansatz.  The kernel pair, the reversor,
-    each ``M``'s problem and the residual check's grid come from ``_setup``,
-    which ``continue_branch`` builds once per branch; a lone call builds its own.
+    Where H is moreover even about ``z0`` (``_half_wave``: ``grad H(z0 + v)
+    + grad H(z0 - v) = 0`` to rounding at 48 points ``v`` on the kernel
+    pair's circle and on generic directions, from one stacked gradient call),
+    the branch is the twisted-Z2 family ``z(t + pi) = 2 z0 - z(t)`` of the
+    module docstring: Newton keeps the odd modes of that ansatz alone, with
+    ``a0 = z0`` fixed, and takes the gradients and Hessians at the ``M + 1``
+    collocation points in ``[0, pi/2]``, where each kept Galerkin sum of the
+    full grid is exact.  An energy-only system makes no probe.  Every other
+    system takes the full ansatz.  Whatever the ansatz, the ``4M + 1``-point
+    check of the full equations decides.  A half-wave solve that raises is
+    solved again from the same warm start in the symmetric ansatz, which
+    ``_setup`` keeps for the rest of its branch.  The kernel pair, the
+    reversor, each ``M``'s problem and the residual check's grid come from
+    ``_setup``, which ``continue_branch`` builds once per branch; a lone call
+    builds its own.
 
     Parameters
     ----------
@@ -500,6 +578,20 @@ def solve_orbit(
         raise ValueError(f"amplitude must be positive and finite, got {amplitude_s}")
     _check_modes(modes)
     setup = _setup or _BranchSetup(system, eq, candidate)
+    try:
+        return _solve(system, eq, candidate, amplitude_s, modes, initial_guess, setup)
+    except HambifError:
+        if not setup.half_wave:
+            raise
+    # H may be odd somewhere between the probe's points: the symmetric ansatz
+    # solves this step and the rest of the branch (a step that fails in any
+    # ansatz fails twice, with the symmetric ansatz's message)
+    setup.half_wave, setup.problems = False, {}
+    return _solve(system, eq, candidate, amplitude_s, modes, initial_guess, setup)
+
+
+def _solve(system, eq, candidate, amplitude_s, modes, initial_guess, setup) -> FourierOrbit:
+    """``solve_orbit`` in the ansatz ``setup`` holds: Newton, the full check and the ``M`` doubling."""
     scale = 1.0 + float(np.linalg.norm(eq.z0))
     tol = 1e-9 * scale
     # Newton's own stop: 1e-11 where |z0| is moderate, never below the

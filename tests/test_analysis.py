@@ -361,6 +361,26 @@ def test_morse_jump_rejects_a_matrix_other_than_the_reports():
         analysis.morse_jump(2.0 * a, 1.0 / np.sqrt(3.0), rep)
 
 
+def test_analyze_reads_each_jump_from_the_report_without_revalidating_its_hessian(monkeypatch):
+    # morse_jump's check that its matrix is the report's Hessian was ~95% of
+    # its cost, and analyze always passed the report's own; the jumps, the
+    # Degenerate of the spurious level and the verdicts are unchanged
+    sat = replace(model.preset("satellite", omega=1.0, c=0.1), hessian=None)
+    eq = model.refine_equilibrium(sat, np.array([1.0, 0, 0, 0, -1.0, 0.0]))
+    expected = analysis.analyze(sat, eq)
+    rep = analysis.spectral_report(sat, eq)
+    jumps = []
+    for cand in expected:
+        try:
+            jumps.append(analysis.morse_jump(rep.hessian, cand.lambda0, rep))
+        except Degenerate:
+            jumps.append(None)
+    assert jumps == [c.morse_jump for c in expected] == [2, 2, None]
+    monkeypatch.setattr(analysis, "morse_jump", None)
+    monkeypatch.setattr(analysis, "check_symmetric", None)
+    assert analysis.analyze(sat, eq) == expected
+
+
 def test_gradient_only_satellite_spurious_level_is_inconclusive():
     # the finite-difference Hessian splits the group-orbit block into a
     # third level with beta ~ 3e-6, on which the restricted Hessian is singular

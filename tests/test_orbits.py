@@ -339,12 +339,13 @@ def gradient_only_satellite_setup():
     return replace(sat, hessian=None), eq, cand
 
 
-def problem_for(system, eq, cand, s, modes, symmetric):
-    """The problem ``solve_orbit`` builds: the symmetric ansatz (which must apply) or the full system."""
+def problem_for(system, eq, cand, s, modes, symmetric, half_wave=False):
+    """The problem ``solve_orbit`` builds: the symmetric ansatz (which must apply), its half-wave (likewise) or the full system."""
     predictor = orbits.kernel_direction(system, eq, cand)
     reversor = orbits._symmetric_frame(system, eq, predictor) if symmetric else None
     assert symmetric == (reversor is not None)
-    return orbits._HarmonicBalance(system, eq, predictor, s, modes, reversor)
+    assert not half_wave or orbits._half_wave(system, eq, predictor)
+    return orbits._HarmonicBalance(system, eq, predictor, s, modes, reversor, half_wave)
 
 
 JACOBIAN_CASES = {
@@ -354,15 +355,25 @@ JACOBIAN_CASES = {
 }
 
 
+HALF_WAVE_JACOBIAN_CASES = {
+    "pendulum-M16": (pendulum_setup, 16),
+    "chain-n4-gradient-only-M8": (lambda: chain_setup(False), 8),
+}
+
+
 @pytest.mark.parametrize(
-    "setup, modes, symmetric",
-    [(*case, False) for case in JACOBIAN_CASES.values()] + [(*case, True) for case in JACOBIAN_CASES.values()],
-    ids=list(JACOBIAN_CASES) + [f"{name}-symmetric" for name in JACOBIAN_CASES],
+    "setup, modes, symmetric, half_wave",
+    [(*case, False, False) for case in JACOBIAN_CASES.values()]
+    + [(*case, True, False) for case in JACOBIAN_CASES.values()]
+    + [(*case, True, True) for case in HALF_WAVE_JACOBIAN_CASES.values()],
+    ids=list(JACOBIAN_CASES)
+    + [f"{name}-symmetric" for name in JACOBIAN_CASES]
+    + [f"{name}-half-wave" for name in HALF_WAVE_JACOBIAN_CASES],
 )
-def test_assembled_jacobian_matches_finite_differences(setup, modes, symmetric):
+def test_assembled_jacobian_matches_finite_differences(setup, modes, symmetric, half_wave):
     system, eq, cand = setup()
     rng = np.random.default_rng(3)
-    problem = problem_for(system, eq, cand, 0.05, modes, symmetric)
+    problem = problem_for(system, eq, cand, 0.05, modes, symmetric, half_wave)
     n = problem.n_coeff
     blocks = {
         "coefficients": (slice(0, n), slice(0, n)),
@@ -882,49 +893,196 @@ def full_branch(monkeypatch, system, eq, cand, steps, s0):
 
 
 SYMMETRIC_BRANCHES = {
-    # (setup, steps, s0, bounds from the residuals); the N = 4 chains double their modes to M = 16
-    "chain-n4": (lambda: chain_setup(True), 6, 0.1, False),
-    "chain-n4-gradient-only": (lambda: chain_setup(False), 6, 0.1, False),
-    "pendulum": (pendulum_setup, 5, 0.1, False),
-    "satellite-j1": (lambda: satellite_j0_setup(1), 8, 1e-3, False),
-    "satellite-j2": (lambda: satellite_j0_setup(2), 8, 1e-3, False),
-    "springs": (lambda: ini_setup("springs"), 4, 1e-2, False),
-    "far-equilibrium": (lambda: ini_setup("far-equilibrium"), 3, 1e-2, True),
+    # (setup, steps, s0, bounds from the residuals, half-wave); the N = 4
+    # chains double their modes to M = 16.  H is even about z0 on each
+    # half-wave branch, not on the satellite's
+    "chain-n4": (lambda: chain_setup(True), 6, 0.1, False, True),
+    "chain-n4-gradient-only": (lambda: chain_setup(False), 6, 0.1, False, True),
+    "pendulum": (pendulum_setup, 5, 0.1, False, True),
+    "satellite-j1": (lambda: satellite_j0_setup(1), 8, 1e-3, False, False),
+    "satellite-j2": (lambda: satellite_j0_setup(2), 8, 1e-3, False, False),
+    "springs": (lambda: ini_setup("springs"), 4, 1e-2, False, True),
+    "far-equilibrium": (lambda: ini_setup("far-equilibrium"), 3, 1e-2, True, True),
 }
 
 
+def branch_without_half_wave(monkeypatch, system, eq, cand, steps, s0):
+    """The branch of ``system`` in the symmetric ansatz, every mode and ``a0`` unknown: the half-wave's reference."""
+    with monkeypatch.context() as patch:
+        patch.setattr(orbits, "_half_wave", lambda *args: False)
+        return orbits.continue_branch(system, eq, cand, steps=steps, s0=s0)
+
+
 @pytest.mark.parametrize(
-    "setup, steps, s0, from_residuals", SYMMETRIC_BRANCHES.values(), ids=SYMMETRIC_BRANCHES.keys()
+    "setup, steps, s0, from_residuals, half_wave", SYMMETRIC_BRANCHES.values(), ids=SYMMETRIC_BRANCHES.keys()
 )
-def test_symmetric_ansatz_agrees_with_the_full_system(monkeypatch, setup, steps, s0, from_residuals):
+def test_symmetric_ansatz_agrees_with_the_full_system(monkeypatch, setup, steps, s0, from_residuals, half_wave):
     system, eq, cand = setup()
-    r = orbits._symmetric_frame(system, eq, orbits.kernel_direction(system, eq, cand))
-    assert r is not None
-    branch = orbits.continue_branch(system, eq, cand, steps=steps, s0=s0)
+    kernel = orbits.kernel_direction(system, eq, cand)
+    r = orbits._symmetric_frame(system, eq, kernel)
+    assert r is not None and orbits._half_wave(system, eq, kernel) == half_wave
     full = full_branch(monkeypatch, system, eq, cand, steps, s0)
-    assert len(branch.orbits) == len(full.orbits) == steps and not branch.failures
-    for orbit, ref in zip(branch.orbits, full.orbits):
-        # the branch comes back symmetric, z(-t) = R z(t), in its own frame
-        assert not np.any(orbit.a[:, r < 0]) and not np.any(orbit.b[:, r > 0]) and not np.any(orbit.a0[r < 0])
-        assert orbit.m == ref.m
-        scale = np.max(np.abs(np.vstack([ref.a, ref.b])))
-        period_bound, coefficient_bound = 1e-12 * ref.period, 1e-10 * scale
-        if from_residuals:
-            # |z0| = 1e6: Newton stops at 64 eps |z0| ~ 1.4e-8, so the two
-            # solvers end wherever their own paths cross that stop, not at the
-            # same bits.  Two curves whose fields are off by r1 and r2 differ
-            # by the inverse linearised field applied to r1 + r2.  Near z0,
-            # A = I and lambda ~ 1: mode k's block is about k - lambda, of
-            # inverse norm at most about 1 for k != 1 (the pin and lambda fix
-            # mode 1), and lambda's column, J grad H along the orbit, has size
-            # s.  So a coefficient moves by about r1 + r2 and lambda by about
-            # (r1 + r2) / s.
-            slack = orbit.residual + ref.residual
-            period_bound, coefficient_bound = orbits.TWO_PI * slack / ref.amplitude, slack
-        assert abs(orbit.period - ref.period) <= period_bound
-        # the full solver from the same kernel pair finds the same orbit
-        assert np.max(np.abs(np.vstack([orbit.a - ref.a, orbit.b - ref.b]))) <= coefficient_bound
-        assert np.max(np.abs(orbit.a0 - ref.a0)) <= 1e-10 * (scale + np.max(np.abs(ref.a0)))
+    formulations = {"symmetric": branch_without_half_wave(monkeypatch, system, eq, cand, steps, s0)}
+    if half_wave:
+        formulations["half-wave"] = orbits.continue_branch(system, eq, cand, steps=steps, s0=s0)
+    for name, branch in formulations.items():
+        assert len(branch.orbits) == len(full.orbits) == steps and not branch.failures, name
+        for orbit, ref in zip(branch.orbits, full.orbits):
+            # the branch comes back symmetric, z(-t) = R z(t), in its own frame
+            assert not np.any(orbit.a[:, r < 0]) and not np.any(orbit.b[:, r > 0]) and not np.any(orbit.a0[r < 0])
+            if name == "half-wave":
+                # and z(t + pi) = 2 z0 - z(t): the even modes are not unknowns, nor is a0 = z0
+                assert not np.any(orbit.a[1::2]) and not np.any(orbit.b[1::2]) and np.array_equal(orbit.a0, eq.z0)
+            assert orbit.m == ref.m, name
+            scale = np.max(np.abs(np.vstack([ref.a, ref.b])))
+            period_bound, coefficient_bound = 1e-12 * ref.period, 1e-10 * scale
+            if from_residuals:
+                # |z0| = 1e6: Newton stops at 64 eps |z0| ~ 1.4e-8, so the two
+                # solvers end wherever their own paths cross that stop, not at the
+                # same bits.  Two curves whose fields are off by r1 and r2 differ
+                # by the inverse linearised field applied to r1 + r2.  Near z0,
+                # A = I and lambda ~ 1: mode k's block is about k - lambda, of
+                # inverse norm at most about 1 for k != 1 (the pin and lambda fix
+                # mode 1), and lambda's column, J grad H along the orbit, has size
+                # s.  So a coefficient moves by about r1 + r2 and lambda by about
+                # (r1 + r2) / s.
+                slack = orbit.residual + ref.residual
+                period_bound, coefficient_bound = orbits.TWO_PI * slack / ref.amplitude, slack
+            assert abs(orbit.period - ref.period) <= period_bound, name
+            # the full solver from the same kernel pair finds the same orbit
+            assert np.max(np.abs(np.vstack([orbit.a - ref.a, orbit.b - ref.b]))) <= coefficient_bound, name
+            assert np.max(np.abs(orbit.a0 - ref.a0)) <= 1e-10 * (scale + np.max(np.abs(ref.a0))), name
+
+
+def cubic_pendulum_setup():
+    # U = 1 - cos q + q^3 / 6: reversible, R = diag(1, -1), but not even about q = 0
+    cubic = model.newtonian_to_hamiltonian(
+        potential=lambda q: 1.0 - np.cos(q[0]) + q[0] ** 3 / 6.0,
+        n=1,
+        gradient=lambda q: np.array([np.sin(q[0]) + q[0] ** 2 / 2.0]),
+        hessian=lambda q: np.array([[np.cos(q[0]) + q[0]]]),
+        name="cubic-pendulum",
+    )
+    return refined_setup(cubic, np.array([0.1, 0.0]))
+
+
+def septic_pendulum_setup():
+    # U = 1 - cos q + q^7 / 5040: the odd term's gradient sum is about 2.8e-15
+    # at |q| = 1e-2, under the probe's bound there, but not at |q| = 0.1 or 1
+    septic = model.newtonian_to_hamiltonian(
+        potential=lambda q: 1.0 - np.cos(q[0]) + q[0] ** 7 / 5040.0,
+        n=1,
+        gradient=lambda q: np.array([np.sin(q[0]) + q[0] ** 6 / 720.0]),
+        hessian=lambda q: np.array([[np.cos(q[0]) + q[0] ** 5 / 120.0]]),
+        name="septic-pendulum",
+    )
+    return refined_setup(septic, np.array([0.1, 0.0]))
+
+
+def off_plane_cubic_setup():
+    # U = (q1^2 + 1.45^2 q2^2) / 2 + q1^3 q2 + q2^3: the even coupling q1^3 q2
+    # excites q2 on the q1 branch, and the odd q2^3 vanishes on its kernel plane
+    def gradient(q):
+        return np.array([q[0] + 3.0 * q[0] ** 2 * q[1], 1.45**2 * q[1] + q[0] ** 3 + 3.0 * q[1] ** 2])
+
+    def hessian(q):
+        cross = 3.0 * q[0] ** 2
+        return np.array([[1.0 + 6.0 * q[0] * q[1], cross], [cross, 1.45**2 + 6.0 * q[1]]])
+
+    system = model.newtonian_to_hamiltonian(
+        potential=lambda q: 0.5 * (q[0] ** 2 + 1.45**2 * q[1] ** 2) + q[0] ** 3 * q[1] + q[1] ** 3,
+        n=2,
+        gradient=gradient,
+        hessian=hessian,
+        name="off-plane-cubic",
+    )
+    eq = model.refine_equilibrium(system, np.zeros(4))
+    return system, eq, next(c for c in analysis.analyze(system, eq) if c.lambda0 == 1.0)  # the q1 level
+
+
+NOT_EVEN_BRANCHES = {
+    "satellite-j1": (lambda: satellite_j0_setup(1), 8, 1e-3),
+    "cubic-pendulum": (cubic_pendulum_setup, 4, 0.1),
+    "septic-pendulum": (septic_pendulum_setup, 5, 0.1),
+    "off-plane-cubic": (off_plane_cubic_setup, 4, 0.05),
+}
+
+
+@pytest.mark.parametrize("setup, steps, s0", NOT_EVEN_BRANCHES.values(), ids=NOT_EVEN_BRANCHES.keys())
+def test_reversible_branch_of_an_h_not_even_keeps_its_problem_and_bits(monkeypatch, setup, steps, s0):
+    system, eq, cand = setup()
+    kernel = orbits.kernel_direction(system, eq, cand)
+    reversor = orbits._symmetric_frame(system, eq, kernel)
+    counted, calls = counting_evaluators(system)
+    assert reversor is not None and not orbits._half_wave(counted, eq, kernel)
+    assert calls == {"gradient.batch": 1}  # the probe: one stacked call, at 96 points
+    setup_ = orbits._BranchSetup(system, eq, cand)
+    assert not setup_.half_wave
+    problem, symmetric = setup_.problem(s0, 8), orbits._HarmonicBalance(system, eq, kernel, s0, 8, reversor)
+    assert (problem.size, problem.points) == (symmetric.size, symmetric.points) == (symmetric.size, 17)
+    branch = orbits.continue_branch(system, eq, cand, steps=steps, s0=s0)
+    assert len(branch.orbits) == steps and not branch.failures
+    assert orbit_bits(branch) == orbit_bits(branch_without_half_wave(monkeypatch, system, eq, cand, steps, s0))
+
+
+def test_energy_only_even_system_keeps_the_symmetric_ansatz():
+    # the pendulum's H is even about z0, but without a gradient there is no probe
+    pend, _, _ = pendulum_setup()
+    calls = Counter()
+
+    def energy(z):
+        calls["energy"] += 1
+        return pend.energy(z)
+
+    system, eq, cand = refined_setup(replace(pend, energy=energy, gradient=None, hessian=None), np.array([0.1, 0.0]))
+    kernel = orbits.kernel_direction(system, eq, cand)
+    assert orbits._symmetric_frame(system, eq, kernel) is not None
+    calls.clear()
+    setup_ = orbits._BranchSetup(system, eq, cand)
+    assert not setup_.half_wave and not calls
+    assert setup_.problem(0.1, 8).points == 17
+    branch = orbits.continue_branch(system, eq, cand, steps=2, s0=0.1)
+    assert len(branch.orbits) == 2 and not branch.failures
+
+
+def test_gradient_failing_at_the_probe_keeps_the_symmetric_ansatz(monkeypatch):
+    # the probe reaches |q| = 1e-2 at its smallest radius; a branch at amplitudes
+    # 1e-3 and 2e-3 stays below |q| = 2e-3, where this gradient is defined
+    def gradient(q):
+        if abs(q[0]) > 5e-3:
+            raise ValueError("outside the chart")
+        return np.array([np.sin(q[0])])
+
+    pend, eq, cand = pendulum_setup()
+    system = model.newtonian_to_hamiltonian(lambda q: 1.0 - np.cos(q[0]), 1, gradient=gradient, name="local-pendulum")
+    assert not orbits._BranchSetup(system, eq, cand).half_wave
+    branch = orbits.continue_branch(system, eq, cand, steps=2, s0=1e-3)
+    assert len(branch.orbits) == 2 and not branch.failures
+    assert orbit_bits(branch) == orbit_bits(branch_without_half_wave(monkeypatch, system, eq, cand, 2, 1e-3))
+
+
+@pytest.mark.parametrize("setup, steps, s0", NOT_EVEN_BRANCHES.values(), ids=NOT_EVEN_BRANCHES.keys())
+def test_half_wave_solve_that_fails_falls_back_to_the_symmetric_ansatz(monkeypatch, setup, steps, s0):
+    # a half-wave hypothesis the probe missed costs time, not orbits: the
+    # failing step is solved again in the symmetric ansatz, which the branch keeps
+    system, eq, cand = setup()
+    ref = branch_without_half_wave(monkeypatch, system, eq, cand, steps, s0)
+    monkeypatch.setattr(orbits, "_half_wave", lambda *args: True)
+    setup_ = orbits._BranchSetup(system, eq, cand)
+    orbit, guess, half_wave = None, None, []
+    for i in range(steps):
+        orbit = orbits.solve_orbit(system, eq, cand, s0 * 2.0**i, initial_guess=guess, _setup=setup_)
+        half_wave.append(setup_.half_wave)
+        assert orbit.m == ref.orbits[i].m
+        slack = orbits.TWO_PI * (orbit.residual + ref.orbits[i].residual) / ref.orbits[i].amplitude
+        assert abs(orbit.period - ref.orbits[i].period) <= slack
+        guess = orbits._predict(orbit, eq.z0, cand.lambda0, 2.0)
+    assert half_wave == sorted(half_wave, reverse=True) and not half_wave[-1]  # once dropped, for good
+    branch = orbits.continue_branch(system, eq, cand, steps=steps, s0=s0)
+    assert len(branch.orbits) == steps and not branch.failures
+    if not half_wave[0]:
+        # dropped at the first step, so the branch is the symmetric one to the bit
+        assert orbit_bits(branch) == orbit_bits(ref)
 
 
 def test_odd_harmonic_branch_doubles_its_modes_on_mode_m_minus_1():
@@ -1128,9 +1286,9 @@ def test_branch_builds_its_setup_once_and_each_problem_once_per_modes(monkeypatc
         monkeypatch.setattr(orbits, name, counted)
     build, grid, grids = orbits._HarmonicBalance.__init__, orbits._grid, Counter()
 
-    def counted_build(self, system, eq, predictor, s, m, reversor=None):
+    def counted_build(self, system, eq, predictor, s, m, reversor=None, half_wave=False):
         built.append(m)
-        build(self, system, eq, predictor, s, m, reversor)
+        build(self, system, eq, predictor, s, m, reversor, half_wave)
 
     def counted_grid(points, m):
         grids[points, m] += 1
