@@ -18,31 +18,42 @@ does a gradient or Hessian of the wrong shape.  It copies each per-point
 result, so an evaluator may return one reused buffer.
 ``gradient_of`` and ``hessian_of`` fill a missing derivative from one
 central-difference kernel or, from the energy alone, second differences.
-The forward-difference kernel beside them serves callers that already
-hold the gradients at a stack of base points, and evaluates all its
-shifted points through one ``gradients_of`` call.  ``_gradient_and_floor``
-gives the gradient with the rounding floor of its central-difference stencil,
-``eps max|H(z +- h_i e_i)| |1/h|``, from the stencil's own energies (0 for a
-supplied gradient); ``refine_equilibrium`` reads the floor, to stop its
-Newton loop at an iterate that already passes, and names it when it raises.
+From the energy, each builds its whole stencil as one array, with the
+float operations of one point at a time (``z_i + h_i``, then ``+- h_j``),
+and evaluates it in one ``energies_of`` call; a gradient-only Hessian calls
+the gradient per point.  The forward-difference kernel beside them serves
+callers that already hold the gradients at a stack of base points, and
+evaluates all its shifted points through one ``gradients_of`` call.
+``_gradient_and_floor`` gives the gradient with the rounding floor of its
+central-difference stencil, ``eps max|H(z +- h_i e_i)| |1/h|``, from the
+stencil's own energies (0 for a supplied gradient); ``refine_equilibrium``
+reads the floor, to stop its Newton loop at an iterate that already passes,
+and names it when it raises.
 
-A supplied ``gradient`` or ``hessian`` may carry a stacked form as its
-``batch`` attribute: called on a ``(P, 2N)`` stack of points, it returns the
-``(P, 2N)`` gradients or the ``(P, 2N, 2N)`` Hessians, row ``i`` being the
-value at point ``i``, in a new array on each call.  ``gradients_of`` and
-``hessians_of`` make one such call for a whole stack and loop
-``gradient_of``/``hessian_of`` over the points otherwise.  The stacked
-form belongs to the callable, so a system whose evaluator is replaced never
-keeps a stale one.  The satellite preset and every system from
-``newtonian_to_hamiltonian`` carry stacked forms.  Their per-point Hessians
-are derived, row 0 of the stacked form on a one-row stack (``_per_point``),
-so the two agree to the bit.  Their per-point gradients are written out: a
-one-row stacked call costs several per-point ones, and a finite-difference
-Hessian makes ``4N`` per-point gradient calls.  A lifted gradient from
-``newtonian_to_hamiltonian`` also carries the marker ``newtonian = True``:
-its momentum half is ``p`` itself, so the forward-difference kernel
-evaluates only the position shifts.  Only that constructor sets it, and a
-gradient replaced through ``dataclasses.replace`` loses it with the callable.
+The energy, and a supplied ``gradient`` or ``hessian``, may carry a stacked
+form as its ``batch`` attribute: called on a ``(P, 2N)`` stack of points, it
+returns the ``(P,)`` energies, the ``(P, 2N)`` gradients or the
+``(P, 2N, 2N)`` Hessians, row ``i`` being the value at point ``i``, in a new
+array on each call.  ``energies_of``, ``gradients_of`` and ``hessians_of``
+make one such call for a whole stack and evaluate the points one at a time
+otherwise.  The stacked form belongs to the callable, so a system whose
+evaluator is replaced never keeps a stale one.  The satellite preset and
+every system from ``newtonian_to_hamiltonian`` carry stacked derivatives,
+and the satellite a stacked energy.  That energy equals the per-point one to
+the bit, so a finite-difference derivative does not depend on which one it
+calls.  Its powers ``d^3``, ``d^5`` and ``q_3^2`` are Python's float power,
+as in the per-point energy, because numpy's SIMD array power differs from
+it in the last bit of some 5% of distances; a stack holding a row where the
+per-point energy would leave Python floats goes row by row.  The per-point
+Hessians are derived, row 0 of the stacked form on a one-row stack
+(``_per_point``), so the two agree to the bit.  The per-point gradients are
+written out: a one-row stacked call costs several per-point ones, and a
+finite-difference Hessian makes ``4N`` per-point gradient calls.  A lifted
+gradient from ``newtonian_to_hamiltonian`` also carries the marker
+``newtonian = True``: its momentum half is ``p`` itself, so the
+forward-difference kernel evaluates only the position shifts.  Only that
+constructor sets it, and a gradient replaced through ``dataclasses.replace``
+loses it with the callable.
 
 A generator ``X`` of a symmetry of ``H`` gives ``A X z = X grad H(z)``, ``A`` the
 Hessian at ``z`` (differentiate ``grad H(exp(t X) z) = exp(t X) grad H(z)`` at
@@ -63,7 +74,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,6 +97,7 @@ __all__ = [
     "EquilibriumOrbit",
     "gradient_of",
     "hessian_of",
+    "energies_of",
     "gradients_of",
     "hessians_of",
     "refine_equilibrium",
@@ -149,10 +161,11 @@ class HamiltonianSystem:
 
     ``gradient``/``hessian`` may be omitted; central finite differences on
     ``energy`` are used as the fallback.  Evaluators must be pure and
-    reentrant.  A supplied ``gradient``/``hessian`` may carry a stacked form
-    as its ``batch`` attribute, which maps a ``(P, 2N)`` array of points to
-    the ``(P, 2N)`` array of their gradients or the ``(P, 2N, 2N)`` array of
-    their Hessians (see the module docstring).
+    reentrant.  The ``energy`` and a supplied ``gradient``/``hessian`` may
+    carry a stacked form as its ``batch`` attribute, which maps a ``(P, 2N)``
+    array of points to the ``(P,)`` array of their energies, the ``(P, 2N)``
+    array of their gradients or the ``(P, 2N, 2N)`` array of their Hessians
+    (see the module docstring).
 
     ``reversor``, when known, is the diagonal ``r`` of a reversing symmetry
     ``R = diag(r)`` of H (see the module docstring); ``orbits.solve_orbit``
@@ -205,13 +218,14 @@ def _evaluate(system: HamiltonianSystem, what: str, z: np.ndarray, stacked: bool
     """``system.<what>(z)`` as a float (energy) or float array; a non-HambifError failure becomes EvaluationFailure.
 
     With ``stacked``, ``z`` is a ``(P, 2N)`` stack and ``system.<what>.batch(z)``
-    is called.  A gradient not of the shape of ``z``, or a Hessian not of that
-    shape plus ``(2N,)``, is an EvaluationFailure too; only a per-point result is copied.
+    is called.  Stacked energies not of shape ``(P,)``, gradients not of the
+    shape of ``z`` and Hessians not of that shape plus ``(2N,)`` are an
+    EvaluationFailure too; only a per-point result is copied.
     """
     try:
         evaluator = getattr(system, what)
         value = evaluator.batch(z) if stacked else evaluator(z)
-        if what == "energy":
+        if what == "energy" and not stacked:
             return float(value)
         value = np.asarray(value, dtype=float) if stacked else np.array(value, dtype=float)
     except HambifError:
@@ -220,28 +234,31 @@ def _evaluate(system: HamiltonianSystem, what: str, z: np.ndarray, stacked: bool
         # max |z_i|, not |z|: the norm of a huge but finite z overflows
         where = np.max(np.abs(z), initial=0.0)
         raise EvaluationFailure(f"{what} evaluator failed at max|z_i|={where:.3g}: {exc}") from exc
-    expected = z.shape + z.shape[-1:] if what == "hessian" else z.shape
+    expected = {"energy": z.shape[:-1], "hessian": z.shape + z.shape[-1:]}.get(what, z.shape)
     if value.shape != expected:
         kind = "stacked " if stacked else ""
         raise EvaluationFailure(f"{kind}{what} evaluator returned shape {value.shape}, not {expected}")
     return value
 
 
-def _gradient_steps(z: np.ndarray) -> np.ndarray:
-    """The central-difference steps ``h_i = 1e-6 (1 + |z_i|)``."""
-    return _FD_GRADIENT_STEP * (1.0 + np.abs(z))
+def _central_stencil(z: np.ndarray) -> tuple:
+    """Rows ``z + h_i e_i`` and ``z - h_i e_i``, interleaved, with the steps ``h_i = 1e-6 (1 + |z_i|)``."""
+    d = z.size
+    steps = _FD_GRADIENT_STEP * (1.0 + np.abs(z))
+    stencil = np.empty((2 * d, d))
+    stencil[:] = z
+    flat = stencil.reshape(-1)
+    diagonal = np.arange(d) * (2 * d + 1)  # entry i of row 2i; of row 2i + 1 it is d further on
+    flat[diagonal] += steps
+    flat[diagonal + d] -= steps
+    return stencil, steps
 
 
 def _central_differences(f, z: np.ndarray) -> np.ndarray:
-    """Columns ``(f(z + h_i e_i) - f(z - h_i e_i)) / (2 h_i)`` with the steps of ``_gradient_steps``."""
-    columns = []
-    for i, h in enumerate(_gradient_steps(z)):
-        zp = z.copy()
-        zm = z.copy()
-        zp[i] += h
-        zm[i] -= h
-        columns.append((f(zp) - f(zm)) / (2.0 * h))
-    return np.array(columns).T
+    """Columns ``(f(z + h_i e_i) - f(z - h_i e_i)) / (2 h_i)``, ``f`` called at each row of ``_central_stencil(z)``."""
+    stencil, steps = _central_stencil(z)
+    values = np.array([f(x) for x in stencil])
+    return (values[0::2] - values[1::2]).T / (2.0 * steps)
 
 
 def _gradient_and_floor(system: HamiltonianSystem, z: np.ndarray) -> tuple:
@@ -251,20 +268,16 @@ def _gradient_and_floor(system: HamiltonianSystem, z: np.ndarray) -> tuple:
     each energy value carries a rounding error of about ``eps |H|``, so column
     ``i`` is uncertain by about ``eps |H| / h_i``, and the gradient norm by the
     floor ``eps max|H(z +- h_i e_i)| |1/h|``, read from the stencil's own
-    energies.  Below it Newton sees no progress.  The floor is a-priori: an
-    energy whose evaluation cancels (``1 - cos q`` near ``q = 0``) carries
-    more noise than ``eps |H|``.
+    energies, which one ``energies_of`` call evaluates.  Below it Newton sees
+    no progress.  The floor is a-priori: an energy whose evaluation cancels
+    (``1 - cos q`` near ``q = 0``) carries more noise than ``eps |H|``.
     """
     if system.gradient is not None:
         return _evaluate(system, "gradient", z), 0.0
-    values = []
-
-    def energy(x):
-        values.append(_evaluate(system, "energy", x))
-        return values[-1]
-
-    gradient = _central_differences(energy, z)
-    return gradient, _EPS * max(map(abs, values)) * float(np.linalg.norm(1.0 / _gradient_steps(z)))
+    stencil, steps = _central_stencil(z)
+    values = energies_of(system, stencil)
+    gradient = (values[0::2] - values[1::2]) / (2.0 * steps)
+    return gradient, _EPS * float(np.max(np.abs(values))) * float(np.linalg.norm(1.0 / steps))
 
 
 def _forward_differences(system: HamiltonianSystem, zs: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -292,23 +305,35 @@ def _forward_differences(system: HamiltonianSystem, zs: np.ndarray, grads: np.nd
     return ((moved - grads[:, None, :]) / steps[:, :, None]).transpose(0, 2, 1)
 
 
+@cache
+def _second_difference_layout(d: int) -> tuple:
+    """The pairs ``i <= j`` of dimension ``d``, and the flat stencil entries of their rows' ``h_i`` and ``h_j`` shifts."""
+    i, j = np.triu_indices(d)
+    rows = np.arange(4 * i.size).reshape(-1, 4) * d
+    layout = i, j, (rows + i[:, None]).ravel(), (rows + j[:, None]).ravel()
+    for indices in layout:  # shared by every caller
+        indices.flags.writeable = False
+    return layout
+
+
 def _second_differences(system: HamiltonianSystem, z: np.ndarray) -> np.ndarray:
-    """Hessian of the energy by four-point second differences with steps ``1e-4 (1 + |z_i|)``."""
+    """Hessian of the energy by four-point second differences with steps ``h_i = 1e-4 (1 + |z_i|)``.
+
+    Entry ``(i, j)``, ``i <= j``, is ``((H_0 - H_1) - H_2) + H_3`` over ``(4 h_i) h_j``,
+    ``H_r`` the energy at ``z +- h_i e_i``, then ``+- h_j e_j`` (signs ``++``,
+    ``+-``, ``-+``, ``--``), all rows in one ``energies_of`` call.
+    """
     d = z.size
-    steps = (_FD_HESSIAN_STEP * (1.0 + np.abs(z))).tolist()
+    steps = _FD_HESSIAN_STEP * (1.0 + np.abs(z))
+    i, j, at_i, at_j = _second_difference_layout(d)
+    stencil = np.empty((4 * i.size, d))
+    stencil[:] = z
+    flat = stencil.reshape(-1)
+    flat[at_i] += (np.array([1.0, 1.0, -1.0, -1.0]) * steps[i, None]).ravel()
+    flat[at_j] += (np.array([1.0, -1.0, 1.0, -1.0]) * steps[j, None]).ravel()
+    values = energies_of(system, stencil).reshape(-1, 4)
     m = np.empty((d, d))
-    for i in range(d):
-        plus, minus = z.copy(), z.copy()
-        plus[i] += steps[i]
-        minus[i] -= steps[i]
-        for j in range(i, d):
-            values = []
-            for base in (plus, minus):
-                for sj in (1, -1):
-                    zs = base.copy()
-                    zs[j] += sj * steps[j]
-                    values.append(_evaluate(system, "energy", zs))
-            m[i, j] = m[j, i] = (values[0] - values[1] - values[2] + values[3]) / (4.0 * steps[i] * steps[j])
+    m[i, j] = m[j, i] = (values[:, 0] - values[:, 1] - values[:, 2] + values[:, 3]) / (4.0 * steps[i] * steps[j])
     return m
 
 
@@ -332,6 +357,17 @@ def hessian_of(system: HamiltonianSystem, z) -> np.ndarray:
     else:
         m = _second_differences(system, z)
     return 0.5 * (m + m.T)
+
+
+def energies_of(system: HamiltonianSystem, zs) -> np.ndarray:
+    """Energies of H at the rows of a ``(P, 2N)`` stack.
+
+    One stacked call when the energy has one, else one call per row.
+    """
+    zs = np.asarray(zs, dtype=float)
+    if hasattr(system.energy, "batch"):
+        return _evaluate(system, "energy", zs, stacked=True)
+    return np.array([_evaluate(system, "energy", z) for z in zs])
 
 
 def gradients_of(system: HamiltonianSystem, zs) -> np.ndarray:
@@ -627,8 +663,7 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
     # kernel without the matmul dispatch, and Python floats round as numpy
     # scalars do (math.sqrt and ** are the C sqrt and pow).  Where Python
     # would raise instead (q = 0, an overflowing power), numpy scalars give
-    # the inf or nan with their warning.  An energy-only refinement makes
-    # hundreds of calls.
+    # the inf or nan with their warning.
     def energy(z):
         q, p = z[:3], z[3:]
         q1, q2, q3, p1, p2, _ = z.tolist()
@@ -648,14 +683,39 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
         return np.concatenate([gq, gp])
 
     # Stacked forms.  The per-point Hessian is derived: row 0 of the stacked
-    # one on a one-row stack.  The stacked gradient makes the per-point
-    # operations in the same order on a (P, 6) stack.  |q|^2 comes from the
-    # same dot kernel as the per-point q @ q; q3^2 is an array square where
-    # the per-point form calls pow, so a value can differ from the per-point
-    # one in its last bit.
+    # one on a one-row stack.  The stacked energy and gradient make the
+    # per-point operations in the same order on a (P, 6) stack.  |q|^2 and
+    # |p|^2 come from the same dot kernel as the per-point q @ q.  The
+    # gradient's q3^2 is an array square where the per-point form calls pow,
+    # so a value can differ from the per-point one in its last bit.
+    def squares(x):
+        return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
     def distances(q):
-        d2 = (q[:, None, :] @ q[:, :, None])[:, 0, 0]
+        d2 = squares(q)
         return d2, np.sqrt(d2)
+
+    # The stacked energy equals the per-point one to the bit (module
+    # docstring).  A stack with a row where the per-point energy leaves
+    # Python floats (d outside (0, inf), a power that raises) or is not
+    # finite goes row by row, so each such row gets the per-point value and
+    # warnings; no other row warns.
+    def energies(zs):
+        q, p = zs[:, :3], zs[:, 3:]
+        values = None
+        with np.errstate(all="ignore"):
+            d = distances(q)[1]
+            if np.all((0.0 < d) & (d < math.inf)):
+                try:
+                    d3, d5 = np.array([x**3 for x in d.tolist()]), np.array([x**5 for x in d.tolist()])
+                    q3sq = np.array([x**2 for x in q[:, 2].tolist()])
+                    u = -1.0 / d - c / d3 + 3.0 * c * q3sq / d5
+                    values = 0.5 * squares(p) + omega * (q[:, 0] * p[:, 1] - q[:, 1] * p[:, 0]) + u
+                except ArithmeticError:
+                    pass
+        if values is None or not np.all(np.isfinite(values)):
+            return np.array([energy(z) for z in zs])
+        return values
 
     def gradients(zs):
         q, p = zs[:, :3], zs[:, 3:]
@@ -690,6 +750,7 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
         m[:, 3:, 3:] = np.eye(3)
         return m
 
+    energy.batch = energies
     gradient.batch = gradients
 
     spin = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])

@@ -107,8 +107,8 @@ from .model import (
     EquilibriumOrbit,
     HamiltonianSystem,
     _EPS,
-    _evaluate,
     _forward_differences,
+    energies_of,
     gradients_of,
     hessians_of,
 )
@@ -213,9 +213,9 @@ def sup_distance(orbit: FourierOrbit, z0, *, _setup=None) -> float:
 
 
 def orbit_energy_range(system: HamiltonianSystem, orbit: FourierOrbit):
-    """(min, max) of H along the orbit on an equispaced grid of 4M + 1 points."""
-    values = [_evaluate(system, "energy", z) for z in orbit._values(_grid(4 * orbit.m + 1, orbit.m))]
-    return min(values), max(values)
+    """(min, max) of H along the orbit on an equispaced grid of 4M + 1 points; NaN if H is NaN at any of them."""
+    values = energies_of(system, orbit._values(_grid(4 * orbit.m + 1, orbit.m)))
+    return float(np.min(values)), float(np.max(values))
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import re
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -724,6 +725,123 @@ def test_fd_derivatives_bit_identical_to_reference_loops():
         assert np.array_equal(model.gradient_of(gradient_only, z), sat.gradient(z))
 
 
+def _old_central_differences(f, z):
+    """``model._central_differences`` as it was, one ``f`` call per stencil point (reference)."""
+    columns = []
+    for i, h in enumerate(1e-6 * (1.0 + np.abs(z))):
+        zp = z.copy()
+        zm = z.copy()
+        zp[i] += h
+        zm[i] -= h
+        columns.append((f(zp) - f(zm)) / (2.0 * h))
+    return np.array(columns).T
+
+
+def _old_gradient_and_floor(energy, z):
+    """The energy branch of ``model._gradient_and_floor`` as it was, one energy call per point (reference)."""
+    values = []
+
+    def recorded(x):
+        values.append(float(energy(x)))
+        return values[-1]
+
+    gradient = _old_central_differences(recorded, z)
+    floor = np.finfo(float).eps * max(map(abs, values)) * float(np.linalg.norm(1.0 / (1e-6 * (1.0 + np.abs(z)))))
+    return gradient, floor
+
+
+def _old_second_differences(energy, z):
+    """``model._second_differences`` as it was, one energy call per point (reference)."""
+    d = z.size
+    steps = (1e-4 * (1.0 + np.abs(z))).tolist()
+    m = np.empty((d, d))
+    for i in range(d):
+        plus, minus = z.copy(), z.copy()
+        plus[i] += steps[i]
+        minus[i] -= steps[i]
+        for j in range(i, d):
+            values = []
+            for base in (plus, minus):
+                for sj in (1, -1):
+                    zs = base.copy()
+                    zs[j] += sj * steps[j]
+                    values.append(float(energy(zs)))
+            m[i, j] = m[j, i] = (values[0] - values[1] - values[2] + values[3]) / (4.0 * steps[i] * steps[j])
+    return m
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("stacked", [True, False], ids=["stacked-energy", "per-point-energy"])
+def test_energy_stencils_are_bit_identical_to_the_per_point_loops(stacked):
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    energy = sat.energy if stacked else (lambda z: sat.energy(z))
+    assert hasattr(energy, "batch") == stacked
+    energy_only = model.HamiltonianSystem(n=3, energy=energy)
+    rng = np.random.default_rng(29)
+    points = [SATELLITE_README_GUESS, SATELLITE_STALL_GUESS]
+    points += list(SATELLITE_README_GUESS + 0.3 * rng.standard_normal((50, 6)))
+    for z in points:
+        gradient, floor = model._gradient_and_floor(energy_only, z)
+        old_gradient, old_floor = _old_gradient_and_floor(sat.energy, z)
+        assert _bits(gradient) == _bits(old_gradient) and _bits(floor) == _bits(old_floor)
+        assert _bits(model._second_differences(energy_only, z)) == _bits(_old_second_differences(sat.energy, z))
+        for f in (sat.energy, sat.gradient):
+            assert _bits(model._central_differences(f, z)) == _bits(_old_central_differences(f, z))
+
+
+def test_satellite_stacked_energy_is_its_per_point_energy_to_the_bit():
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    rng = np.random.default_rng(31)
+    zs = SATELLITE_README_GUESS + rng.standard_normal((2000, 6)) * rng.choice([1e-6, 0.1, 3.0, 30.0], size=(2000, 1))
+    assert _bits(sat.energy.batch(zs)) == _bits([sat.energy(z) for z in zs])
+    # every stencil of the energy-only refinements from the README and stall guesses
+    stacks = []
+
+    def recorded(points):
+        stacks.append(points.copy())
+        return sat.energy.batch(points)
+
+    energy_only = replace(sat, energy=_with_stacked_form(sat.energy, recorded), gradient=None, hessian=None)
+    model.refine_equilibrium(energy_only, SATELLITE_README_GUESS)
+    with pytest.raises(NoConvergence):
+        model.refine_equilibrium(energy_only, SATELLITE_STALL_GUESS)
+    assert [len(points) for points in stacks].count(84) == 5 + 9
+    for points in stacks:
+        assert _bits(sat.energy.batch(points)) == _bits([sat.energy(z) for z in points])
+
+
+def _outcome(f, zs, error):
+    """``f(zs)``'s value bits and its warnings, or the RuntimeWarning it raises when warnings are errors."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error" if error else "always", RuntimeWarning)
+        try:
+            value = _bits(f(zs))
+        except RuntimeWarning as exc:
+            return repr(exc)
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize(
+    "q",
+    [[0.0, 0.0, 0.0], [1e-120, 0.0, 0.0], [1e-70, 0.0, 1e-71], [1e70, 0.0, 0.0], [1e70, 0.0, 1e70]],
+    ids=["q-zero", "d3-underflows", "d5-underflows", "d5-overflows", "d5-overflows-off-axis"],
+)
+@pytest.mark.parametrize("error", [False, True], ids=["warn", "error"])
+def test_satellite_stacked_energy_warns_as_its_per_point_energy(q, error):
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    zs = np.array([SATELLITE_README_GUESS, q + [0.0, -1.0, 0.0], SATELLITE_STALL_GUESS])
+    stacked = _outcome(sat.energy.batch, zs, error)
+    assert stacked == _outcome(lambda points: [sat.energy(z) for z in points], zs, error)
+    if error:
+        assert stacked.startswith("RuntimeWarning")
+    else:
+        assert stacked[1]
+    assert _outcome(sat.energy.batch, zs[[0, 2]], error) == (_bits(sat.energy.batch(zs[[0, 2]])), [])
+
+
 def _failing(z):
     raise ValueError("planted failure")
 
@@ -751,6 +869,77 @@ def test_orbit_energy_range_failure_is_typed():
     orbit = orbits.FourierOrbit(a0=np.zeros(2), a=np.array([[1.0, 0.0]]), b=np.array([[0.0, 1.0]]), lam=1.0)
     with pytest.raises(EvaluationFailure, match="energy evaluator failed"):
         orbits.orbit_energy_range(system, orbit)
+
+
+@pytest.mark.parametrize(
+    "bad_batch, message",
+    [
+        (lambda zs: np.zeros((len(zs), 1)), r"^stacked energy evaluator returned shape \(4, 1\), not \(4,\)$"),
+        (lambda zs: 0.0, r"^stacked energy evaluator returned shape \(\), not \(4,\)$"),
+        (_failing, r"^energy evaluator failed at max\|z_i\|=1: planted failure$"),
+    ],
+    ids=["a-column", "a-scalar", "raises"],
+)
+def test_stacked_energy_failures_are_typed(bad_batch, message):
+    system = model.HamiltonianSystem(n=3, energy=_with_stacked_form(_failing, bad_batch))
+    with pytest.raises(EvaluationFailure, match=message):
+        model.energies_of(system, np.ones((4, 6)))
+    # the central-difference gradient and Hessian evaluate their stencils through it
+    for derivative in (model.gradient_of, model.hessian_of):
+        with pytest.raises(EvaluationFailure, match="energy evaluator"):
+            derivative(system, np.ones(6))
+
+
+def test_energies_of_calls_an_energy_without_a_stacked_form_per_row():
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    counted, calls = counting_evaluators(model.HamiltonianSystem(n=3, energy=sat.energy))
+    zs = SATELLITE_README_GUESS + 0.1 * np.random.default_rng(3).standard_normal((5, 6))
+    assert _bits(model.energies_of(counted, zs)) == _bits([sat.energy(z) for z in zs])
+    assert calls == {"energy": 5}
+    assert model.energies_of(counted, np.empty((0, 6))).shape == (0,)
+
+
+def counting_stacked_energy(system):
+    """``system`` whose energy keeps its stacked form and counts its stacked calls and the rows they hold."""
+    calls = Counter()
+
+    def batch(zs):
+        calls["calls"] += 1
+        calls["rows"] += len(zs)
+        return system.energy.batch(zs)
+
+    return replace(system, energy=_with_stacked_form(system.energy, batch)), calls
+
+
+@pytest.mark.parametrize(
+    "guess, rows, stacked_calls",
+    [(SATELLITE_README_GUESS, 480, 10), (SATELLITE_STALL_GUESS, 876, 19)],
+    ids=["readme", "stall"],
+)
+def test_energy_only_refinement_makes_one_stacked_energy_call_per_stencil(guess, rows, stacked_calls):
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    counted, calls = counting_stacked_energy(replace(sat, gradient=None, hessian=None))
+    try:
+        model.refine_equilibrium(counted, guess)
+    except NoConvergence:
+        assert guess is SATELLITE_STALL_GUESS
+    # the same rows as one energy call per point (480 and 9 * 96 + 12), in one call per gradient or Hessian
+    assert calls == {"calls": stacked_calls, "rows": rows}
+
+
+def test_orbit_energy_range_is_nan_wherever_a_nan_energy_falls_on_its_grid():
+    # H = |z|^2 / 2, NaN for z_0 >= 0.9.  The circle (cos t, -sin t) has z_0 = 1
+    # at point 0 of its 5-point grid; delayed by p grid steps, at point p, where
+    # the min and max of a list skipped the NaN and gave a finite range.
+    system = model.HamiltonianSystem(n=1, energy=lambda z: 0.5 * float(z @ z) if z[0] < 0.9 else np.nan)
+    a, b = np.array([[1.0, 0.0]]), np.array([[0.0, -1.0]])
+    for p in range(5):
+        t = 2.0 * np.pi * p / 5
+        orbit = orbits.FourierOrbit(np.zeros(2), a * np.cos(t) - b * np.sin(t), a * np.sin(t) + b * np.cos(t), 1.0)
+        assert all(np.isnan(orbits.orbit_energy_range(system, orbit))), p
+    # half a period on, no grid point has z_0 >= 0.9: the largest is cos(pi / 5)
+    shifted = orbits.FourierOrbit(np.zeros(2), -a, -b, 1.0)
+    assert orbits.orbit_energy_range(system, shifted) == (0.49999999999999994, 0.5000000000000001)
 
 
 def test_stacked_satellite_forms_agree_with_per_point_forms():
