@@ -390,10 +390,7 @@ def analyze(
         return []
     levels = range(1, len(report.betas) + 1) if opts.j0 is None else [opts.j0]
     report.beta(levels[0])  # NoSuchLevel for an out-of-range j0
-    try:
-        degree_report = degree_mod.section_degree(system, eq)
-    except HambifError as exc:
-        degree_report = degree_mod.DegreeReport(value=None, path="none", detail=str(exc))
+    degree_report = degree_mod.section_degree(system, eq)
     shared_diag = {
         "m_plus": report.m_plus,
         "m_minus": report.m_minus,

@@ -19,7 +19,6 @@ __all__ = [
     "morse_index_negative",
     "general_eigensystem",
     "real_invariant_subspace",
-    "orthogonal_complement",
     "orthonormal_columns",
     "compress",
 ]
@@ -124,23 +123,6 @@ def real_invariant_subspace(m, vectors, scale: float) -> np.ndarray:
     if residual > 1e-8 * scale:
         raise ConvergenceFailure(f"invariance residual {residual:.3e} too large for a cluster of multiplicity {mult}")
     return basis
-
-
-def orthogonal_complement(vectors, ambient_dim: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of ``span(vectors)``.
-
-    An empty input returns the full standard basis; rank-deficient inputs
-    are handled through the SVD rank decision.
-    """
-    vecs = [np.asarray(v, dtype=float).ravel() for v in vectors]
-    if not vecs:
-        return np.eye(ambient_dim)
-    mat = np.column_stack(vecs)
-    if mat.shape[0] != ambient_dim:
-        raise ValueError(f"vectors live in R^{mat.shape[0]}, expected R^{ambient_dim}")
-    u, s, _ = np.linalg.svd(mat, full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * s[0])) if s.size and s[0] > 0.0 else 0
-    return u[:, rank:]
 
 
 def compress(a, basis) -> np.ndarray:

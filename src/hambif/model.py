@@ -8,9 +8,11 @@ it generates), so the group element ``exp(t X) = V diag(exp(-i w t)) V^H`` is
 read off one Hermitian eigendecomposition.  Finite groups are out of scope;
 the empty generator list is the trivial group.
 
-The equilibrium owns its orbit: one SVD of ``[X_1 z0, ..., X_g z0]`` gives the
-section and the orbit generators that the criteria and a branch's pins read
-(``_orbit_bases``); a generator that fixes ``z0`` adds none.
+The equilibrium owns its orbit: one full SVD of ``[X_1 z0, ..., X_g z0]``
+gives both the section and the orbit generators that the criteria and a
+branch's pins read (``_orbit_bases``); a generator that fixes ``z0`` adds
+none.  Each refinement step takes only the section from that SVD, and the
+generators are built once, for the refined point.
 
 Every call of a supplied evaluator goes through ``_evaluate``, which turns
 any failure that is not a ``HambifError`` into ``EvaluationFailure``, as it
@@ -35,16 +37,19 @@ form as its ``batch`` attribute: called on a ``(P, 2N)`` stack of points, it
 returns the ``(P,)`` energies, the ``(P, 2N)`` gradients or the
 ``(P, 2N, 2N)`` Hessians, row ``i`` being the value at point ``i``, in a new
 array on each call.  ``energies_of``, ``gradients_of`` and ``hessians_of``
-make one such call for a whole stack and evaluate the points one at a time
-otherwise.  The stacked form belongs to the callable, so a system whose
-evaluator is replaced never keeps a stale one.  The satellite preset and
-every system from ``newtonian_to_hamiltonian`` carry stacked derivatives,
-and the satellite a stacked energy.  That energy equals the per-point one to
-the bit, so a finite-difference derivative does not depend on which one it
-calls.  Its powers ``d^3``, ``d^5`` and ``q_3^2`` are Python's float power,
-as in the per-point energy, because numpy's SIMD array power differs from
-it in the last bit of some 5% of distances; a stack holding a row where the
-per-point energy would leave Python floats goes row by row.  The per-point
+share one dispatcher, which makes one such call for a whole stack and
+evaluates the points one at a time otherwise.  The stacked form belongs to
+the callable, so a system whose evaluator is replaced never keeps a stale
+one.  The satellite preset and every system from
+``newtonian_to_hamiltonian`` carry stacked derivatives, and the satellite a
+stacked energy.  That energy equals the per-point one to the bit, so a
+finite-difference derivative does not depend on which one it calls.  The
+per-point energy is plain numpy-scalar arithmetic, whose power
+is C's ``pow``.  The stacked energy takes ``d^3``, ``d^5`` and ``q_3^2`` from
+Python's float power, the same ``pow``, because numpy's SIMD array power
+differs from it in the last bit of some 5% of distances.  A stack holding a
+row where ``d`` is outside ``(0, inf)``, a Python power raises or the value
+is not finite goes row by row through the per-point energy.  The per-point
 Hessians are derived, row 0 of the stacked form on a one-row stack
 (``_per_point``), so the two agree to the bit.  The per-point gradients are
 written out: a one-row stacked call costs several per-point ones, and a
@@ -72,7 +77,6 @@ every monomial has even degree in ``p``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Callable, Optional
@@ -88,7 +92,7 @@ from .errors import (
     NotASymmetry,
     UnknownPreset,
 )
-from .linalg import compress, orthogonal_complement, standard_symplectic
+from .linalg import compress, standard_symplectic
 
 __all__ = [
     "EARTH_J2",
@@ -359,38 +363,33 @@ def hessian_of(system: HamiltonianSystem, z) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def _stack_of(system: HamiltonianSystem, what: str, zs, per_point) -> np.ndarray:
+    """``system.<what>`` at the rows of a ``(P, 2N)`` stack: one stacked call when it has one, else ``per_point(z)`` per row.
+
+    Only a stacked Hessian is symmetrized here; ``hessian_of`` symmetrizes each per-point one.
+    """
+    zs = np.asarray(zs, dtype=float)
+    if not hasattr(getattr(system, what), "batch"):
+        return np.array([per_point(z) for z in zs])
+    value = _evaluate(system, what, zs, stacked=True)
+    return 0.5 * (value + value.transpose(0, 2, 1)) if what == "hessian" else value
+
+
 def energies_of(system: HamiltonianSystem, zs) -> np.ndarray:
-    """Energies of H at the rows of a ``(P, 2N)`` stack.
-
-    One stacked call when the energy has one, else one call per row.
-    """
-    zs = np.asarray(zs, dtype=float)
-    if hasattr(system.energy, "batch"):
-        return _evaluate(system, "energy", zs, stacked=True)
-    return np.array([_evaluate(system, "energy", z) for z in zs])
+    """Energies of H at the rows of a ``(P, 2N)`` stack."""
+    return _stack_of(system, "energy", zs, partial(_evaluate, system, "energy"))
 
 
+# The per-row paths look ``gradient_of`` and ``hessian_of`` up at call time,
+# so a wrapper installed under those names sees every row.
 def gradients_of(system: HamiltonianSystem, zs) -> np.ndarray:
-    """Gradients of H at the rows of a ``(P, 2N)`` stack.
-
-    One stacked call when the evaluator has one, else ``gradient_of`` per row.
-    """
-    zs = np.asarray(zs, dtype=float)
-    if hasattr(system.gradient, "batch"):
-        return _evaluate(system, "gradient", zs, stacked=True)
-    return np.array([gradient_of(system, z) for z in zs])
+    """Gradients of H at the rows of a ``(P, 2N)`` stack, ``gradient_of`` per row without a stacked form."""
+    return _stack_of(system, "gradient", zs, lambda z: gradient_of(system, z))
 
 
 def hessians_of(system: HamiltonianSystem, zs) -> np.ndarray:
-    """Hessians of H at the rows of a ``(P, 2N)`` stack, each symmetrized as in ``hessian_of``.
-
-    One stacked call when the evaluator has one, else ``hessian_of`` per row.
-    """
-    zs = np.asarray(zs, dtype=float)
-    if hasattr(system.hessian, "batch"):
-        m = _evaluate(system, "hessian", zs, stacked=True)
-        return 0.5 * (m + m.transpose(0, 2, 1))
-    return np.array([hessian_of(system, z) for z in zs])
+    """Hessians of H at the rows of a ``(P, 2N)`` stack, each symmetrized as in ``hessian_of``."""
+    return _stack_of(system, "hessian", zs, lambda z: hessian_of(system, z))
 
 
 def _per_point(stacked):
@@ -421,25 +420,26 @@ def gradient_equivariance_residual(
         g = gradient_of(system, z)
         for gamma in gammas:
             resid = np.linalg.norm(gradient_of(system, gamma @ z) - gamma @ g)
-            worst = max(worst, resid)
-    return worst
+            worst = np.maximum(worst, resid)  # a NaN residual stays NaN
+    return float(worst)
 
 
-def _orbit_bases(system: HamiltonianSystem, z: np.ndarray):
-    """The orbit generators at ``z`` and the orthonormal section complementing the orbit's tangent.
+def _orbit_bases(system: HamiltonianSystem, z: np.ndarray) -> tuple:
+    """The orthonormal section complementing the orbit's tangent at ``z``, and the orbit generators' coefficients.
 
-    One SVD ``[X_1 z, ..., X_g z] = U diag(s) V^T`` gives the rank ``r`` (``s``
-    above 1e-10 of its largest), the tangent ``U[:, :r]`` and the unnormalised
-    orbit generators ``Y_k = sum_i V_ik X_i``, ``k < r`` (``Y_k z = s_k U[:, k]``).
-    A lone generator that moves ``z`` comes back as exactly ``+X`` or ``-X``.
+    One full SVD ``[X_1 z, ..., X_g z] = U diag(s) V^T`` gives the rank ``r``
+    (``s`` above 1e-10 of its largest), the section ``U[:, r:]`` and the rows
+    ``V[:r]``: the unnormalised orbit generators are ``Y_k = sum_i V_ki X_i``
+    (``Y_k z = s_k U[:, k]``).  A lone generator that moves ``z`` gets the
+    coefficient exactly ``+1`` or ``-1``.
     """
     generators = system.symmetry.generators
     if generators:
-        u, s, vt = np.linalg.svd(np.column_stack([g @ z for g in generators]), full_matrices=False)
+        u, s, vt = np.linalg.svd(np.column_stack([g @ z for g in generators]))
         if s[0] > 0.0:
             rank = int(np.sum(s > 1e-10 * s[0]))
-            return tuple(np.tensordot(vt[:rank], generators, axes=1)), orthogonal_complement(u[:, :rank].T, system.dim)
-    return (), np.eye(system.dim)
+            return u[:, rank:], vt[:rank]
+    return np.eye(system.dim), np.zeros((0, len(generators)))
 
 
 def _acceptance_tolerance(z: np.ndarray) -> float:
@@ -501,7 +501,7 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
         if stall >= 3:
             stop = "a stall (3 iterations without a 10% fall)"
             break
-        _, section = _orbit_bases(system, z)
+        section = _orbit_bases(system, z)[0]
         hs = compress(hessian_of(system, z), section)
         w = np.linalg.eigvalsh(hs)
         if float(np.min(np.abs(w))) <= 1e-12 * (1.0 + float(np.max(np.abs(w)))):
@@ -530,13 +530,13 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
         bound = np.linalg.norm(x, 2) * gn + 1e-6 * (1.0 + hessian_norm) * np.linalg.norm(moved)
         if residual > bound:
             raise NotASymmetry(f"generator {i} is not a symmetry of H: |A X z0| = {residual:.3e} exceeds {bound:.3e}")
-    orbit_generators, section = _orbit_bases(system, z0)
+    section, coefficients = _orbit_bases(system, z0)
     return EquilibriumOrbit(
         z0=z0,
         hessian=hessian,
         gradient_norm=gn,
         section_basis=section,
-        orbit_generators=orbit_generators,
+        orbit_generators=tuple(np.tensordot(coefficients, generators, axes=1)),
     )
 
 
@@ -655,26 +655,11 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
 
     coupling = np.array([[0.0, omega, 0.0], [-omega, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
-    def potential(d, q3):
-        return -1.0 / d - c / d**3 + 3.0 * c * q3**2 / d**5
-
-    # The energy makes the operations of ``q @ q`` and of numpy scalar
-    # arithmetic to the bit at a third of their cost: ``q.dot(q)`` is the same dot
-    # kernel without the matmul dispatch, and Python floats round as numpy
-    # scalars do (math.sqrt and ** are the C sqrt and pow).  Where Python
-    # would raise instead (q = 0, an overflowing power), numpy scalars give
-    # the inf or nan with their warning.
     def energy(z):
         q, p = z[:3], z[3:]
-        q1, q2, q3, p1, p2, _ = z.tolist()
-        d = math.sqrt(float(q.dot(q)))
-        try:
-            u = potential(d, q3) if 0.0 < d < math.inf else None
-        except ArithmeticError:
-            u = None
-        if u is None:
-            u = potential(np.float64(d), np.float64(q3))
-        return 0.5 * float(p.dot(p)) + omega * (q1 * p2 - q2 * p1) + u
+        d = np.sqrt(float(q.dot(q)))
+        potential = -1.0 / d - c / d**3 + 3.0 * c * q[2] ** 2 / d**5
+        return 0.5 * float(p.dot(p)) + omega * (q[0] * p[1] - q[1] * p[0]) + potential
 
     def gradient(z):
         q, p = z[:3], z[3:]
@@ -696,16 +681,15 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
         return d2, np.sqrt(d2)
 
     # The stacked energy equals the per-point one to the bit (module
-    # docstring).  A stack with a row where the per-point energy leaves
-    # Python floats (d outside (0, inf), a power that raises) or is not
-    # finite goes row by row, so each such row gets the per-point value and
-    # warnings; no other row warns.
+    # docstring).  A stack with a row where d is outside (0, inf), a Python
+    # power raises or the value is not finite goes row by row, so each such
+    # row gets the per-point value and warnings; no other row warns.
     def energies(zs):
         q, p = zs[:, :3], zs[:, 3:]
         values = None
         with np.errstate(all="ignore"):
             d = distances(q)[1]
-            if np.all((0.0 < d) & (d < math.inf)):
+            if np.all((0.0 < d) & (d < np.inf)):
                 try:
                     d3, d5 = np.array([x**3 for x in d.tolist()]), np.array([x**5 for x in d.tolist()])
                     q3sq = np.array([x**2 for x in q[:, 2].tolist()])

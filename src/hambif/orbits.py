@@ -614,7 +614,7 @@ def _solve(system, eq, candidate, amplitude_s, modes, initial_guess, setup) -> F
         orbit.residual = float(np.max(np.linalg.norm(check, axis=1)))
         energies = orbit.mode_energies(eq.z0)
         orbit.amplitude = float(np.sqrt(np.sum(energies)))
-        cons = np.max(np.abs(fvec[problem.n_coeff :])) if fvec.size > problem.n_coeff else 0.0
+        cons = np.max(np.abs(fvec[problem.n_coeff :]))
         if not (converged and cons < 1e-8 * (1.0 + amplitude_s)):
             raise NoConvergence(
                 f"Newton stalled (residual {orbit.residual:.3e}, tol {tol:.1e}) "

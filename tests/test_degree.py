@@ -78,6 +78,28 @@ def test_regular_value_boundary_zero():
         degree.degree_regular_value(make_map(2, vanishing_on_circle, radius=2.0 * r), seed=0)
 
 
+def test_winding_number_bisects_arcs_it_cannot_resolve():
+    # the angle of u^5 turns by 5 pi / 8 between the 16 first samples, past
+    # the pi / 2 limit, so every arc needs a midpoint
+    calls = []
+
+    def fifth_power(u):
+        calls.append(u)
+        w = complex(u[0], u[1]) ** 5
+        return np.array([w.real, w.imag])
+
+    assert degree._winding_number(fifth_power, 0.5) == 5
+    assert len(calls) > 16
+
+
+def test_winding_number_gives_up_on_a_field_vanishing_on_the_circle():
+    # on |u| = r, u @ u - r^2 is rounding noise of either sign or 0, so the
+    # sampled angles jump by pi however finely the arcs are split
+    r = 0.15
+    with pytest.raises(BoundaryZero, match="1024 samples"):
+        degree._winding_number(lambda u: (float(u @ u) - r * r) * u, r)
+
+
 def test_reduced_rejects_kernel_beyond_two():
     smap = make_map(3, lambda u: float(u @ u) * u)
     with pytest.raises(Degenerate):

@@ -162,19 +162,3 @@ def test_inertia_counts_at_the_zero_threshold():
     assert linalg.inertia(w) == (1, 1, 3)
     assert linalg.inertia(np.array([])) == (0, 0, 0)
 
-
-def test_orthogonal_complement_basic():
-    basis = linalg.orthogonal_complement([np.array([1.0, 0.0, 0.0])], 3)
-    assert basis.shape == (3, 2)
-    assert np.max(np.abs(basis[0, :])) < 1e-12
-
-
-def test_orthogonal_complement_empty():
-    assert np.array_equal(linalg.orthogonal_complement([], 2), np.eye(2))
-
-
-def test_orthogonal_complement_rank_deficient():
-    v = np.array([1.0, 2.0, -1.0])
-    basis = linalg.orthogonal_complement([v, 2.0 * v], 3)
-    assert basis.shape == (3, 2)
-    assert np.max(np.abs(basis.T @ v)) < 1e-12

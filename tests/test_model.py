@@ -344,6 +344,18 @@ def test_gradient_equivariance_satellite():
     assert resid < 1e-7
 
 
+def test_gradient_equivariance_residual_is_nan_where_a_probe_gradient_is_nan():
+    # Python's max(worst, nan) keeps worst: the residual of the finite probes
+    # alone, 1.0019109251294436e-14, as for the true gradient
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+
+    def gradient(z):
+        return np.full(6, np.nan) if z[0] > 1.3 else sat.gradient(z)
+
+    base = np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0])
+    assert np.isnan(model.gradient_equivariance_residual(replace(sat, gradient=gradient), probes=20, seed=0, base=base))
+
+
 def test_newtonian_lift_spectrum():
     sys = model.newtonian_to_hamiltonian(
         potential=lambda q: 0.5 * (q[0] ** 2 + 4.0 * q[1] ** 2),

@@ -629,6 +629,24 @@ def test_newton_ends_when_a_fresh_jacobians_line_search_fails():
     assert np.array_equal(x, STUB_X0) and np.allclose(f, [1.0, 0.0])
 
 
+def test_newton_ends_when_a_fresh_jacobian_is_singular():
+    stub = LinearStub(STUB_A, [np.zeros((2, 2))])
+    x, f, converged = orbits._newton(stub, STUB_X0.copy(), tol_inner=1e-12)
+    assert not converged
+    assert len(stub.asked_at) == 1
+    assert np.array_equal(x, STUB_X0) and np.array_equal(f, STUB_A @ STUB_X0)
+
+
+def test_newton_stops_after_its_step_cap():
+    # residual x with the Jacobian 2: every step halves the residual, a
+    # contraction too weak to keep the Jacobian, and 2^-40 stays above 1e-300
+    stub = LinearStub(np.eye(1), [2.0 * np.eye(1)])
+    x, f, converged = orbits._newton(stub, np.ones(1), tol_inner=1e-300)
+    assert not converged
+    assert len(stub.asked_at) == orbits.NEWTON_MAX_STEPS
+    assert np.array_equal(x, [0.5**orbits.NEWTON_MAX_STEPS]) and np.array_equal(f, x)
+
+
 def spring_chain(freqs, with_hessian=True, calls=None):
     """``U(q) = sum f_i^2 q_i^2 / 2 + sum (q_i - q_{i+1})^4 / 4`` with its derivatives.
 
