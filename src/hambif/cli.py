@@ -121,6 +121,8 @@ class RunConfig:
             raise ConfigParse(f"generators cannot be given with preset {self.preset!r}: presets bring their own symmetry")
         if self.preset is not None and self.n is not None:
             raise ConfigParse(f"n cannot be given with preset {self.preset!r}: presets bring their own dimension")
+        if self.monomials and self.params:
+            raise ConfigParse(f"inline monomials take no preset parameters, got {', '.join(k for k, _ in self.params)}")
         for key, value in (("n", self.n), ("j0", self.j0)):
             if value is not None and value < 1:
                 raise ConfigParse(f"{key} must be at least 1, got {value}")

@@ -10,6 +10,15 @@ kills the time-shift freedom with a phase condition against the linear
 predictor, and kills group drift with one pinning row per orbit generator
 (``EquilibriumOrbit.orbit_generators``, one per dimension of the orbit).
 
+The family near a group orbit is fixed only up to a time shift and the group
+action, so which kernel vector starts a branch is a free choice.
+``kernel_direction`` makes it once, as a projection: ``a1`` is the fixed
+generic vector ``g_i = sin(i + 1)`` projected onto the level's invariant
+subspace ``E`` intersected with ``Fix(R)`` (onto ``E`` where there is no
+reversor ``R``), and ``b1 = lambda0 J A a1``.  The projector ``E E^T`` is the
+same for every orthonormal basis of ``E``, so no basis routine or eigensolver
+decides a branch's sign or time origin.
+
 The Galerkin equations of an autonomous invariant flow satisfy one
 integral identity per conserved quantity (the energy, plus one momentum
 per orbit generator), which makes the naive bordered Jacobian singular
@@ -231,20 +240,28 @@ class Branch:
 def kernel_direction(system: HamiltonianSystem, eq: EquilibriumOrbit, candidate: BifurcationCandidate) -> tuple:
     """Kernel pair ``(a1, b1)`` of the mode-1 matrix ``T_1`` of ``eq.hessian`` at the level ``candidate.lambda0``.
 
-    ``a1 = E w``, with ``E`` the level's invariant subspace of ``J A`` and
-    ``w`` the top eigenvector of ``E^T R E`` (``R`` the reversor, or the
-    identity), and ``b1 = lambda0 J A a1``, scaled to unit Sobolev norm.
-    Where ``R`` is a reversible symmetry of ``A`` it maps ``E`` to itself, so
-    ``a1`` lies in ``Fix(R)`` and ``b1`` in ``Fix(-R)``.  ``EmptyKernel``
-    unless ``(1, j0)`` is a contributor of ``lambda0``
-    (``SpectralReport.contributors``).
+    ``a1 = E E^T ((1 + r)/2 g)``, the projection of the fixed generic vector
+    ``g_i = sin(i + 1)`` onto ``E`` intersected with ``Fix(R)``, ``E`` the
+    level's invariant subspace of ``J A`` and ``r`` the diagonal of the
+    reversor ``R`` (onto ``E`` alone where there is none), and
+    ``b1 = lambda0 J A a1``, scaled to unit Sobolev norm.  Where ``R`` is a
+    reversible symmetry of ``A`` it maps ``E`` to itself, so the two
+    projections commute, ``a1`` lies in ``Fix(R)`` and ``b1`` in ``Fix(-R)``.
+    ``E E^T`` is the same for every orthonormal basis of ``E``, so the pair,
+    and with it the branch's sign and time origin, is a property of the
+    system alone.  ``EmptyKernel`` unless ``(1, j0)`` is a contributor of
+    ``lambda0`` (``SpectralReport.contributors``), or where the projection is
+    below ``1e-8 |g|``.
     """
     report, lam, j0 = spectral_report(system, eq), candidate.lambda0, candidate.j0
     if (1, j0) not in report.contributors(lam):
         raise EmptyKernel(f"level {lam:.6g} is not 1/beta_{j0}; no mode-1 kernel (candidate inconsistent)")
     e = report.subspaces[j0 - 1]
     r = np.ones(system.dim) if system.reversor is None else system.reversor
-    a1 = e @ np.linalg.eigh(e.T @ (r[:, None] * e))[1][:, -1]
+    g = np.sin(np.arange(1, system.dim + 1))  # the first generic direction of _half_wave
+    a1 = e @ (e.T @ ((1.0 + r) / 2.0 * g))
+    if np.linalg.norm(a1) < 1e-8 * np.linalg.norm(g):
+        raise EmptyKernel(f"projection {np.linalg.norm(a1):.3e} of the generic vector onto level {lam:.6g} is below 1e-8 |g|")
     b1 = lam * _apply_j(eq.hessian @ a1)
     scale = np.sqrt(np.pi * (float(a1 @ a1) + float(b1 @ b1)))
     return a1 / scale, b1 / scale

@@ -676,6 +676,23 @@ def test_n_with_preset_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: n cannot be given with preset")
 
 
+@pytest.mark.parametrize(
+    "text, flags, named",
+    [
+        ("[system]\nn = 1\nmonomials = 0.5 2 0 ; 0.5 0 2\ngues = 0.3 0\n", [], "gues"),
+        ((DATA / "cubic.ini").read_text(encoding="utf-8"), ["--omega", "7"], "omega"),
+    ],
+    ids=["misspelled-key", "preset-flag"],
+)
+def test_preset_parameters_with_inline_monomials_are_an_error(tmp_path, capsys, text, flags, named):
+    # the inline polynomial reads no parameter; a typo or a preset flag beside it used to be dropped silently
+    path = tmp_path / "run.ini"
+    path.write_text(text, encoding="utf-8")
+    code, out = run_cli(["analyze", "--config", str(path), *flags])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith(f"error: inline monomials take no preset parameters, got {named}")
+
+
 # H = (q1^2 + p1^2 + p2^2) / 2 + q2^4 / 4: the reduced section field is q2^3, degree +1
 QUARTIC_SECTION = "[system]\nn = 2\nmonomials = 0.5 0 0 2 0 ; 0.5 0 0 0 2 ; 0.5 2 0 0 0 ; 0.25 0 4 0 0\n"
 

@@ -74,6 +74,21 @@ def test_kernel_direction_empty_kernel():
         orbits.kernel_direction(sat, eq, replace(cand, j0=2))
 
 
+def test_kernel_direction_orthogonal_to_the_generic_vector_is_an_empty_kernel():
+    # U = q^T K q / 2 with normal modes u (frequency 1) and g's own q-part v
+    # (frequency 2): the beta = 1 level meets Fix(R) in (u, 0), orthogonal to g
+    v = np.sin([1.0, 2.0])
+    u = np.array([v[1], -v[0]])
+    k = (np.outer(u, u) + 4.0 * np.outer(v, v)) / (v @ v)
+    system = model.newtonian_to_hamiltonian(
+        potential=lambda q: 0.5 * q @ k @ q, n=2, gradient=lambda q: k @ q, hessian=lambda q: k
+    )
+    eq = model.refine_equilibrium(system, np.zeros(4))
+    cand = next(c for c in analysis.analyze(system, eq) if abs(c.beta - 1.0) < 1e-12)
+    with pytest.raises(EmptyKernel, match="below 1e-8 \\|g\\|"):
+        orbits.kernel_direction(system, eq, cand)
+
+
 def test_residual_field_constant_orbit():
     sat, eq, _ = satellite_setup()
     orbit = orbits.FourierOrbit(
