@@ -20,12 +20,12 @@ does a gradient or Hessian of the wrong shape.  It copies each per-point
 result, so an evaluator may return one reused buffer.
 ``gradient_of`` and ``hessian_of`` fill a missing derivative from one
 central-difference kernel or, from the energy alone, second differences.
-From the energy, each builds its whole stencil as one array, with the
-float operations of one point at a time (``z_i + h_i``, then ``+- h_j``),
-and evaluates it in one ``energies_of`` call; a gradient-only Hessian calls
-the gradient per point.  The forward-difference kernel beside them serves
-callers that already hold the gradients at a stack of base points, and
-evaluates all its shifted points through one ``gradients_of`` call.
+Each builds its whole stencil as one array, with the float operations of
+one point at a time (``z_i + h_i``, then ``+- h_j``), and evaluates it in
+one ``energies_of`` or ``gradients_of`` call.  The forward-difference
+kernel beside them serves callers that already hold the gradients at a
+stack of base points, and evaluates all its shifted points through one
+``gradients_of`` call.
 ``_gradient_and_floor`` gives the gradient with the rounding floor of its
 central-difference stencil, ``eps max|H(z +- h_i e_i)| |1/h|``, from the
 stencil's own energies (0 for a supplied gradient); ``refine_equilibrium``
@@ -42,20 +42,21 @@ evaluates the points one at a time otherwise.  The stacked form belongs to
 the callable, so a system whose evaluator is replaced never keeps a stale
 one.  The satellite preset and every system from
 ``newtonian_to_hamiltonian`` carry stacked derivatives, and the satellite a
-stacked energy.  That energy equals the per-point one to the bit, so a
-finite-difference derivative does not depend on which one it calls.  The
-per-point energy is plain numpy-scalar arithmetic, whose power
-is C's ``pow``.  The stacked energy takes ``d^3``, ``d^5`` and ``q_3^2`` from
-Python's float power, the same ``pow``, because numpy's SIMD array power
-differs from it in the last bit of some 5% of distances.  A stack holding a
-row where ``d`` is outside ``(0, inf)``, a Python power raises or the value
-is not finite goes row by row through the per-point energy.  The per-point
-Hessians are derived, row 0 of the stacked form on a one-row stack
-(``_per_point``), so the two agree to the bit.  The per-point gradients are
-written out: a one-row stacked call costs several per-point ones, and a
-finite-difference Hessian makes ``4N`` per-point gradient calls.  A lifted
-gradient from ``newtonian_to_hamiltonian`` also carries the marker
-``newtonian = True``: its momentum half is ``p`` itself, so the
+stacked energy.  Every stacked form equals its per-point form to the bit,
+so no derivative, finite-difference or not, depends on which one a caller
+reaches.  The per-point Hessians and the lift's per-point gradient are
+derived, row 0 of the stacked form on a one-row stack (``_per_point``).
+The satellite's per-point energy and gradient are written out, because a
+one-row stacked call costs several per-point ones, and their stacked forms
+make the same float operations in the same order.  The per-point energy is
+plain numpy-scalar arithmetic, whose power is C's ``pow``, so the stacked
+energy takes ``d^3``, ``d^5`` and ``q_3^2`` from Python's float power, the
+same ``pow``: numpy's SIMD array power differs from it in the last bit of
+some 5% of distances.  A stack holding a row where ``d`` is outside
+``(0, inf)``, a Python power raises or the value is not finite goes row by
+row through the per-point energy.  Both gradients square ``q_3`` by a
+product.  A lifted gradient from ``newtonian_to_hamiltonian`` also carries
+the marker ``newtonian = True``: its momentum half is ``p`` itself, so the
 forward-difference kernel evaluates only the position shifts.  Only that
 constructor sets it, and a gradient replaced through ``dataclasses.replace``
 loses it with the callable.
@@ -350,14 +351,16 @@ def hessian_of(system: HamiltonianSystem, z) -> np.ndarray:
     """Hessian of H at z, symmetrized as (M + M^T)/2.
 
     Uses the supplied evaluator when present, central differences of the
-    gradient when only that is available, and second differences of the
-    energy otherwise.
+    gradient, in one ``gradients_of`` call, when only that is available, and
+    second differences of the energy otherwise.
     """
     z = np.asarray(z, dtype=float)
     if system.hessian is not None:
         m = _evaluate(system, "hessian", z)
     elif system.gradient is not None:
-        m = _central_differences(partial(_evaluate, system, "gradient"), z)
+        stencil, steps = _central_stencil(z)
+        grads = gradients_of(system, stencil)
+        m = (grads[0::2] - grads[1::2]).T / (2.0 * steps)
     else:
         m = _second_differences(system, z)
     return 0.5 * (m + m.T)
@@ -557,9 +560,8 @@ def newtonian_to_hamiltonian(
     The lifted ``gradient`` and ``hessian`` carry stacked forms (see the
     module docstring), so a harmonic-balance evaluation makes one stacked
     call.  They call the supplied q-level ``gradient``/``hessian`` once per
-    row.  The per-point ``hessian`` is the stacked one on one row, and the
-    per-point ``gradient`` repeats the stacked form's arithmetic, so each
-    gives the same bits either way.  The lifted ``gradient`` is
+    row.  The per-point ``gradient`` and ``hessian`` are the stacked ones on
+    one row, so each gives the same bits either way.  The lifted ``gradient`` is
     ``(grad U(q), p)`` and says so by its ``newtonian`` marker: without a
     ``hessian``, a harmonic-balance Jacobian differences it in the ``n``
     positions alone, and its momentum columns are the same bits a shifted
@@ -572,15 +574,12 @@ def newtonian_to_hamiltonian(
 
     grad = None
     if gradient is not None:
-        def grad(z):
-            return np.concatenate([np.asarray(gradient(z[:n]), dtype=float), z[n:]])
-
         def grads(zs):
             # copy each row as it comes back: a gradient may reuse its buffer
             gq = [np.array(gradient(q), dtype=float) for q in zs[:, :n]]
             return np.concatenate([np.asarray(gq), zs[:, n:]], axis=1)
 
-        grad.batch = grads
+        grad = _per_point(grads)
         grad.newtonian = True
 
     hess = None
@@ -649,7 +648,7 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
         d2 = float(q @ q)
         d = np.sqrt(d2)
         d3, d5, d7 = d * d2, d * d2 * d2, d * d2 * d2 * d2
-        g = (1.0 / d3 + 3.0 * c / d5 - 15.0 * c * q[2] ** 2 / d7) * q
+        g = (1.0 / d3 + 3.0 * c / d5 - 15.0 * c * (q[2] * q[2]) / d7) * q
         g[2] += 6.0 * c * q[2] / d5
         return g
 
@@ -669,10 +668,9 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
 
     # Stacked forms.  The per-point Hessian is derived: row 0 of the stacked
     # one on a one-row stack.  The stacked energy and gradient make the
-    # per-point operations in the same order on a (P, 6) stack.  |q|^2 and
-    # |p|^2 come from the same dot kernel as the per-point q @ q.  The
-    # gradient's q3^2 is an array square where the per-point form calls pow,
-    # so a value can differ from the per-point one in its last bit.
+    # per-point operations in the same order on a (P, 6) stack, so each
+    # equals its per-point form to the bit.  |q|^2 and |p|^2 come from the
+    # same dot kernel as the per-point q @ q.
     def squares(x):
         return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 

@@ -216,9 +216,30 @@ def _grid(points: int, m: int) -> tuple:
 
 
 def sup_distance(orbit: FourierOrbit, z0, *, _setup=None) -> float:
-    """max_t |z(t) - z0| on an equispaced grid of 8M points."""
-    table = (_setup.grid if _setup else _grid)(8 * orbit.m, orbit.m)
-    return float(np.max(np.linalg.norm(orbit._values(table) - np.asarray(z0, float), axis=1)))
+    """max_t |z(t) - z0|, a property of the orbit that a time shift does not move.
+
+    ``f(t) = |z(t) - z0|^2`` is a trigonometric polynomial of degree ``2M``,
+    so its ``8M`` samples on an equispaced grid give its Fourier coefficients
+    exactly (one real FFT; no aliasing above ``4M`` samples).  Each local
+    maximum of the samples is refined by three Newton steps on ``f'``, taken
+    only where ``f'' < 0``, with ``f'`` and ``f''`` from those coefficients,
+    and ``f`` is evaluated there from the orbit's own coefficients.  Every
+    value taken is ``f`` at some time, so the largest of the samples and the
+    refined values lies between the grid's maximum and the sup.
+    """
+    m, z0 = orbit.m, np.asarray(z0, float)
+    table = (_setup.grid if _setup else _grid)(8 * m, m)
+    dz = orbit._values(table) - z0
+    samples = (dz * dz).sum(axis=1)
+    ring = np.concatenate([samples[-1:], samples, samples[:1]])
+    t = np.flatnonzero((samples >= ring[:-2]) & (samples >= ring[2:])) * (TWO_PI / (8 * m))
+    ij = 1j * np.arange(1, 2 * m + 1)
+    slopes = np.fft.rfft(samples)[1 : 2 * m + 1, None] * np.column_stack([ij, ij * ij])  # f', f'' up to a factor 1/4M
+    for _ in range(3):
+        df, d2f = (np.exp(t[:, None] * ij) @ slopes).real.T
+        t -= np.divide(df, d2f, out=np.zeros_like(t), where=d2f < 0.0)
+    dz = orbit._values(_trig(t, m)) - z0
+    return float(np.sqrt(np.concatenate([samples, (dz * dz).sum(axis=1)]).max()))
 
 
 def orbit_energy_range(system: HamiltonianSystem, orbit: FourierOrbit):
@@ -322,7 +343,7 @@ class _HarmonicBalance:
         self.phi = np.hstack([np.ones((points, 1)), cos, sin])
         self.weights = self.phi * np.concatenate([[1.0], np.full(2 * m, 2.0)]) / points
         self.fixed = np.zeros(width * d)  # the coefficients that are not unknowns: a0 = z0 in the half-wave
-        self._last = None  # (x, coeffs, z, grads) of the last _curve call
+        self._last = None  # (x, z, grads, fields) of the last _curve call
         a1, b1 = slice(d, 2 * d), slice(d + d * m, 2 * d + d * m)
         if reversor is None:
             generators = eq.orbit_generators
@@ -396,13 +417,12 @@ class _HarmonicBalance:
         return coeffs[0], coeffs[1 : self.m + 1], coeffs[self.m + 1 :], x[self.n_coeff], x[self.n_coeff + 1 :]
 
     def _curve(self, x):
-        # kept for the last x: Newton's Jacobian follows a residual at the same x
+        """The collocation values, their gradients and ``_fields``, kept for the last ``x``: Newton's Jacobian follows a residual at the same ``x``."""
         if self._last is None or not np.array_equal(self._last[0], x):
             x = np.array(x, dtype=float)
-            coeffs = self._coefficients(x)
-            z = self.phi @ coeffs
+            z = self.phi @ self._coefficients(x)
             grads = gradients_of(self.system, z)
-            self._last = (x, coeffs, z, grads)
+            self._last = (x, z, grads, self._fields(z, grads))
         return self._last[1:]
 
     def _fields(self, z, grads) -> np.ndarray:
@@ -416,7 +436,7 @@ class _HarmonicBalance:
         n = self.n_coeff
         f = self.linear @ x - self.offsets
         f[n] -= self.s
-        f[:n] += x[n:] @ self._fields(*self._curve(x)[1:])
+        f[:n] += x[n:] @ self._curve(x)[2]
         return f
 
     def jacobian(self, x) -> np.ndarray:
@@ -430,7 +450,7 @@ class _HarmonicBalance:
         """
         n = self.n_coeff
         lam, mus = x[n], x[n + 1 :]
-        _, z, grads = self._curve(x)
+        z, grads, fields = self._curve(x)
         if self.system.hessian is None:
             # forward differences from the gradients the residual already holds
             fd = _forward_differences(self.system, z, grads)
@@ -445,7 +465,7 @@ class _HarmonicBalance:
         for rows, cols, weight_basis, index, shape in self.blocks:
             block = (weight_basis @ dfield[index].reshape(self.points, -1)).reshape(shape)
             jac[rows, cols] += block.transpose(0, 2, 1, 3).reshape(rows.stop - rows.start, cols.stop - cols.start)
-        jac[:n, n:] = self._fields(z, grads).T
+        jac[:n, n:] = fields.T
         return jac
 
 
@@ -624,19 +644,9 @@ def _solve(system, eq, candidate, amplitude_s, modes, initial_guess, setup) -> F
         x, fvec, converged = _newton(problem, x, tol_inner)
         a0, a, b, lam, _ = problem.unpack(x)
         orbit = FourierOrbit(a0=a0, a=a, b=b, lam=float(lam))
-        # validate the full equations on 4M + 1 points: finer than and
-        # incommensurate with the solve grid, so aliased spurious solutions
-        # and a wrong symmetry assumption cannot hide
-        check = residual_field(system, orbit, 4 * m + 1, _setup=setup)
-        orbit.residual = float(np.max(np.linalg.norm(check, axis=1)))
         energies = orbit.mode_energies(eq.z0)
         orbit.amplitude = float(np.sqrt(np.sum(energies)))
-        cons = np.max(np.abs(fvec[problem.n_coeff :]))
-        if not (converged and cons < 1e-8 * (1.0 + amplitude_s)):
-            raise NoConvergence(
-                f"Newton stalled (residual {orbit.residual:.3e}, tol {tol:.1e}) "
-                f"at amplitude {amplitude_s:.3e}, M={m}"
-            )
+        converged = converged and np.max(np.abs(fvec[problem.n_coeff :])) < 1e-8 * (1.0 + amplitude_s)
         # truncation control: grow M while the last two modes carry more than
         # 1e-10 of the oscillatory energy or the collocation residual is above
         # tolerance.  Mode M alone is not enough: where H is even about z0 (the
@@ -644,6 +654,17 @@ def _solve(system, eq, candidate, amplitude_s, modes, initial_guess, setup) -> F
         # mode is empty.  At M = 2 mode 1 dominates, so mode 2 is tested alone.
         total = float(np.sum(energies[1:]))
         tail = np.max(energies[max(2, m - 1) :]) / total if m > 1 and total > 0.0 else 0.0
+        if not (converged and tail > 1e-10 and m < MAX_MODES):
+            # validate the full equations on 4M + 1 points, finer than and incommensurate with
+            # the solve grid, so aliased spurious solutions and a wrong symmetry assumption
+            # cannot hide; a converged truncation whose tail forces doubling needs no check
+            check = residual_field(system, orbit, 4 * m + 1, _setup=setup)
+            orbit.residual = float(np.max(np.linalg.norm(check, axis=1)))
+        if not converged:
+            raise NoConvergence(
+                f"Newton stalled (residual {orbit.residual:.3e}, tol {tol:.1e}) "
+                f"at amplitude {amplitude_s:.3e}, M={m}"
+            )
         if (tail > 1e-10 or orbit.residual >= tol) and m < MAX_MODES:
             guess = orbit
             m = min(2 * m, MAX_MODES)

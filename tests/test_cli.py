@@ -445,6 +445,15 @@ def test_csv_coefficients_only_beside_output(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("fmt, rows", [("text", 0), ("json-lines", 0), ("csv", 3 * 9 * 2)])
+def test_branch_builds_the_coefficient_table_only_for_csv(tmp_path, monkeypatch, fmt, rows):
+    # one row per orbit, Fourier index 0..M and component: 3 orbits, M = 8, 2 components
+    built, record = [], cli._record
+    monkeypatch.setattr(cli, "_record", lambda table, *sources: built.append(table) or record(table, *sources))
+    code, _ = run_cli(["branch", "--preset", "harmonic", "--steps", "3", "--format", fmt, "--output", str(tmp_path / "out")])
+    assert code == 0 and built.count(cli._COEFF_ROW) == rows
+
+
 @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json-lines", "jsonl"), ("csv", "csv")])
 def test_presets_golden_output(tmp_path, fmt, ext):
     out_path = tmp_path / f"presets.{ext}"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hambif import analysis, cli, degree, model
-from hambif.errors import BoundaryZero, Degenerate, NotAMinimum
+from hambif.errors import BoundaryZero, Degenerate, NoConvergence, NotAMinimum
 
 
 def make_map(dim, evaluator, radius=0.5):
@@ -15,6 +15,14 @@ def make_map(dim, evaluator, radius=0.5):
 def test_section_map_requires_zero_at_origin():
     with pytest.raises(ValueError):
         make_map(2, lambda u: u + 1.0)
+
+
+def test_reduced_degree_raises_where_the_range_equation_leaves_the_ball():
+    # F(c, y) = (c^3 + c y, y - 1e4 c^2): the range equation's solution y = 1e4 c^2
+    # is 0.25 at |c| = r / 2 = 5e-3, far outside the ball of radius 1e-2
+    smap = make_map(2, lambda u: np.array([u[0] ** 3 + u[0] * u[1], u[1] - 1e4 * u[0] ** 2]), radius=1e-2)
+    with pytest.raises(NoConvergence, match="range equation unsolved"):
+        degree.degree_reduced(smap)
 
 
 def test_nondegenerate_identity():

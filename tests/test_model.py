@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hambif import cli, linalg, model
+from hambif import analysis, cli, linalg, model
 from hambif import orbits
-from hambif.errors import EvaluationFailure, MissingParameter, NoConvergence, NotASymmetry, UnknownPreset
+from hambif.errors import DegenerateSection, EvaluationFailure, MissingParameter, NoConvergence, NotASymmetry, UnknownPreset
 
 expm = pytest.importorskip("scipy.linalg").expm
 brentq = pytest.importorskip("scipy.optimize").brentq
@@ -966,10 +966,25 @@ def test_stacked_satellite_forms_agree_with_per_point_forms():
     hessians = model.hessians_of(sat, zs)
     assert grads.shape == (200, 6) and hessians.shape == (200, 6, 6)
     for z, g, h in zip(zs, grads, hessians):
-        g1, h1 = model.gradient_of(sat, z), model.hessian_of(sat, z)
-        assert np.max(np.abs(g - g1)) <= 1e-15 * np.max(np.abs(g1))
-        assert np.max(np.abs(h - h1)) <= 1e-15 * np.max(np.abs(h1))
+        assert np.array_equal(g, model.gradient_of(sat, z)) and np.array_equal(h, model.hessian_of(sat, z))
         assert np.array_equal(h, h.T)
+
+
+def test_satellite_stacked_gradient_is_its_per_point_gradient_to_the_bit():
+    # 10,000 points at spreads from 1e-3 to 1e3 about the relative equilibrium,
+    # and the points of a wider draw where C's pow(q3, 2) differs from
+    # q3 * q3: on 4 of those 88 the per-point gradient, which took q3**2 from
+    # pow, differed from the stacked one in its last bit
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    d = model.satellite_equilibrium_distance(1.0, 0.1)
+    star = np.array([d, 0.0, 0.0, 0.0, -d, 0.0])
+    rng = np.random.default_rng(41)
+    zs = star + 10.0 ** rng.uniform(-3.0, 3.0, (10_000, 1)) * rng.standard_normal((10_000, 6))
+    wide = star + 10.0 ** rng.uniform(-3.0, 3.0, (100_000, 1)) * rng.standard_normal((100_000, 6))
+    powered = wide[[x**2 != x * x for x in wide[:, 2].tolist()]]
+    assert len(powered) > 50
+    for points in (zs, powered):
+        assert _bits(sat.gradient.batch(points)) == _bits([sat.gradient(z) for z in points])
 
 
 def test_satellite_per_point_hessian_is_row_zero_of_the_stacked_one():
@@ -998,6 +1013,68 @@ def test_lifted_per_point_hessian_is_row_zero_of_the_stacked_one(n):
     stacked = chain.hessian.batch(zs)
     assert all(np.array_equal(chain.hessian(z), h) for z, h in zip(zs, stacked))
     assert all(np.array_equal(model.hessian_of(chain, z), h) for z, h in zip(zs, model.hessians_of(chain, zs)))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_lifted_per_point_gradient_is_row_zero_of_the_stacked_one(n):
+    f2 = np.linspace(1.0, 2.0, n) ** 2
+    lift = model.newtonian_to_hamiltonian(lambda q: 0.0, n, gradient=lambda q: f2 * q + (q[:-1] @ q[1:]) * q**3)
+    assert lift.gradient.newtonian and lift.gradient.batch
+    for z in np.random.default_rng(n).standard_normal((20, 2 * n)):
+        assert _bits(lift.gradient(z)) == _bits(lift.gradient.batch(z[None])[0])
+
+
+def _counted_gradient(f, calls, stacked):
+    """``f`` counting its calls and rows in ``calls``; with ``stacked``, its stacked form counted too."""
+
+    def point(z):
+        calls["point"] += 1
+        calls["rows"] += 1
+        return f(z)
+
+    def batch(zs):
+        calls["stacked"] += 1
+        calls["rows"] += len(zs)
+        return f.batch(zs)
+
+    if stacked:
+        point.batch = batch
+    return point
+
+
+@pytest.mark.parametrize("stacked", [True, False], ids=["stacked-gradient", "per-point-gradient"])
+def test_gradient_only_hessian_is_one_stacked_gradient_call(stacked):
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    calls = Counter()
+    system = replace(sat, gradient=_counted_gradient(sat.gradient, calls, stacked), hessian=None)
+    for z in SATELLITE_README_GUESS + 0.3 * np.random.default_rng(5).standard_normal((10, 6)):
+        calls.clear()
+        hessian = model.hessian_of(system, z)
+        assert calls == ({"stacked": 1, "rows": 12} if stacked else {"point": 12, "rows": 12})
+        assert _bits(hessian) == _bits(_reference_fd_hessian_from_gradient(sat.gradient, z))
+
+
+def test_gradient_only_satellite_analysis_makes_one_gradient_call_per_stencil():
+    # the refinement's 5 Hessians and the refined point's were 12 per-point calls each
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    calls = Counter()
+    system = replace(sat, gradient=_counted_gradient(sat.gradient, calls, True), hessian=None)
+    eq = model.refine_equilibrium(system, SATELLITE_README_GUESS)
+    analysis.analyze(system, eq)
+    assert calls == {"point": 6, "stacked": 5, "rows": 66}
+    assert _bits(eq.hessian) == _bits(_reference_fd_hessian_from_gradient(sat.gradient, eq.z0))
+
+
+def test_refinement_raises_degenerate_section_where_the_hessian_is_singular():
+    # H = q^3 / 3 + p^2 / 2: at the guess (0, 0.1) the Hessian diag(2 q, 1) is singular
+    system = model.HamiltonianSystem(
+        n=1,
+        energy=lambda z: z[0] ** 3 / 3.0 + 0.5 * z[1] ** 2,
+        gradient=lambda z: np.array([z[0] ** 2, z[1]]),
+        hessian=lambda z: np.diag([2.0 * z[0], 1.0]),
+    )
+    with pytest.raises(DegenerateSection, match="section-restricted Hessian is singular"):
+        model.refine_equilibrium(system, [0.0, 0.1])
 
 
 def _with_stacked_form(f, batch):

@@ -1118,6 +1118,28 @@ def test_half_wave_solve_that_fails_falls_back_to_the_symmetric_ansatz(monkeypat
         assert orbit_bits(branch) == orbit_bits(ref)
 
 
+@pytest.mark.parametrize(
+    "setup, s, half_wave, solves", [(satellite_setup, 1e-3, False, 1), (pendulum_setup, 0.5, True, 2)], ids=["symmetric", "half-wave"]
+)
+def test_a_failing_solve_is_solved_again_only_from_the_half_wave_ansatz(monkeypatch, setup, s, half_wave, solves):
+    # with no Newton step the predictor fails the check in every ansatz: a
+    # symmetric failure raises at once, a half-wave one after one more solve
+    system, eq, cand = setup()
+    calls, solve = Counter(), orbits._solve
+
+    def counted(*args):
+        calls["solve"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(orbits, "_solve", counted)
+    monkeypatch.setattr(orbits, "NEWTON_MAX_STEPS", 0)
+    shared = orbits._BranchSetup(system, eq, cand)
+    assert shared.reversor is not None and shared.half_wave == half_wave
+    with pytest.raises(NoConvergence, match="Newton stalled"):
+        orbits.solve_orbit(system, eq, cand, s, _setup=shared)
+    assert calls["solve"] == solves and not shared.half_wave
+
+
 def test_odd_harmonic_branch_doubles_its_modes_on_mode_m_minus_1():
     # H = ((q - 1e6)^2 + p^2) / 2 + p^4 / 4 + const is even about z0 = (1e6, 0),
     # so the family has odd harmonics only and mode M = 8 stays empty.  Mode 7
@@ -1369,8 +1391,11 @@ GRID_ORBITS = {"satellite": (lambda: satellite_j0_setup(1), 1e-3), "chain": (lam
 @pytest.mark.parametrize("setup, s", GRID_ORBITS.values(), ids=GRID_ORBITS.keys())
 def test_shared_grid_tables_give_the_per_call_formulas_to_the_bit(setup, s):
     # the residual check, the sup distance and the energy range sample the
-    # orbit on tables shared by a branch (or built by a lone call); each
-    # must give the numbers of the per-call formulas exactly
+    # orbit on tables shared by a branch (or built by a lone call); the
+    # residual and the energy range must give the numbers of the per-call
+    # formulas exactly, and the sup distance the same bits either way, at
+    # least the 8M-grid maximum and at most what the maximum of a 64 times
+    # finer grid and that grid's error bound allow
     system, eq, cand = setup()
     solved, shared = orbits.solve_orbit(system, eq, cand, s), orbits._BranchSetup(system, eq, cand)
     j, rng = linalg.standard_symplectic(system.dim // 2), np.random.default_rng(7)
@@ -1383,13 +1408,38 @@ def test_shared_grid_tables_give_the_per_call_formulas_to_the_bit(setup, s):
         z, zdot = reference_curve(orbit, np.arange(4 * m + 1) * orbits.TWO_PI / (4 * m + 1))
         residual = zdot - orbit.lam * model.gradients_of(system, z) @ j.T
         energies = [float(system.energy(point)) for point in z]
-        sup_grid = reference_curve(orbit, np.arange(8 * m) * orbits.TWO_PI / (8 * m))[0]
-        sup = np.max(np.linalg.norm(sup_grid - eq.z0, axis=1))
+        grid, fine = (
+            np.max(np.linalg.norm(reference_curve(orbit, np.arange(p) * orbits.TWO_PI / p)[0] - eq.z0, axis=1))
+            for p in (8 * m, 512 * m)
+        )
         for _ in range(2):  # the second call of the shared path reads the kept tables
             assert np.array_equal(orbits.residual_field(system, orbit, 4 * m + 1), residual)
             assert np.array_equal(orbits.residual_field(system, orbit, 4 * m + 1, _setup=shared), residual)
-            assert orbits.sup_distance(orbit, eq.z0) == orbits.sup_distance(orbit, eq.z0, _setup=shared) == sup
+            sup = orbits.sup_distance(orbit, eq.z0)
+            assert orbits.sup_distance(orbit, eq.z0, _setup=shared) == sup
+            # |z - z0|^2 has degree 2M, so by Bernstein's inequality a grid of
+            # spacing h misses its sup by at most (2M h)^2 / 8 of it
+            assert grid <= sup <= fine / np.sqrt(1.0 - (2 * m * orbits.TWO_PI / (512 * m)) ** 2 / 8)
         assert orbits.orbit_energy_range(system, orbit) == (min(energies), max(energies))
+
+
+SHIFTED_BRANCHES = {
+    "satellite-j1": (lambda: satellite_j0_setup(1), 8, 1e-3),
+    "satellite-j2": (lambda: satellite_j0_setup(2), 8, 1e-3),
+    "gyroscopic": (lambda: ini_setup("gyroscopic"), 4, 1e-2),
+}
+
+
+@pytest.mark.parametrize("setup, steps, s0", SHIFTED_BRANCHES.values(), ids=SHIFTED_BRANCHES.keys())
+def test_sup_distance_does_not_move_under_a_time_shift(setup, steps, s0):
+    # the 8M-point grid maximum alone moved by up to 5.5e-4 relative (gyroscopic.ini) under a time shift
+    system, eq, cand = setup()
+    branch = orbits.continue_branch(system, eq, cand, steps=steps, s0=s0)
+    assert len(branch.orbits) == steps
+    for orbit, (_, sup) in zip(branch.orbits, branch.sup_distance_trend):
+        assert sup == orbits.sup_distance(orbit, eq.z0)
+        for theta in (0.1, 1.0, np.pi / 3):
+            assert abs(orbits.sup_distance(orbits.transform_orbit(orbit, time_shift=theta), eq.z0) - sup) <= 1e-12 * sup
 
 
 class RecordingBasis:
@@ -1417,7 +1467,7 @@ def test_swapped_field_derivative_equals_the_einsum_to_the_bit(name):
     problem.jacobian(x)
     lam, mus = x[problem.n_coeff], x[problem.n_coeff + 1 :]
     mix = lam * linalg.standard_symplectic(problem.dim // 2) + mus[0] * np.eye(problem.dim)
-    reference = -np.einsum("ij,pjk->pik", mix, model.hessians_of(system, problem._curve(x)[1]))
+    reference = -np.einsum("ij,pjk->pik", mix, model.hessians_of(system, problem._curve(x)[0]))
     for i, mat in enumerate(problem.moment_mats):
         reference -= mus[1 + i] * mat
     reference = reference.reshape(problem.points, -1)
