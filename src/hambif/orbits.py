@@ -73,9 +73,10 @@ hypothesis costs time, never an orbit.
 Only the amplitude pin
 moves along a branch: ``continue_branch`` builds the kernel pair (from the
 report ``analyze`` kept on ``eq``), the ansatz, each truncation's problem
-and the cos/sin tables of its ``4M + 1``-point residual and ``8M``-point sup
-checks once, for every step and doubling.  Each step starts from the last
-orbit scaled by the Lyapunov-Schmidt orders (``_predict``): mode ``k`` is
+and the cos/sin tables of its ``4M + 1``-point residual check once, for every
+step and doubling, and takes the sup distances of each truncation's orbits in
+one stacked pass after the last step.  Each step starts from the last orbit
+scaled by the Lyapunov-Schmidt orders (``_predict``): mode ``k`` is
 ``O(s^k)``, ``a0 - z0`` and ``lambda - lambda0`` are ``O(s^2)``.
 
 The harmonic-balance equations are one constant affine operator, the ``z'``
@@ -216,30 +217,39 @@ def _grid(points: int, m: int) -> tuple:
 
 
 def sup_distance(orbit: FourierOrbit, z0, *, _setup=None) -> float:
-    """max_t |z(t) - z0|, a property of the orbit that a time shift does not move.
+    """max_t |z(t) - z0|, a property of the orbit that a time shift does not move: ``_sup_distances`` of a stack of one."""
+    return float(_sup_distances([orbit], z0, _setup.grid if _setup else _grid)[0])
 
-    ``f(t) = |z(t) - z0|^2`` is a trigonometric polynomial of degree ``2M``,
-    so its ``8M`` samples on an equispaced grid give its Fourier coefficients
-    exactly (one real FFT; no aliasing above ``4M`` samples).  Each local
-    maximum of the samples is refined by three Newton steps on ``f'``, taken
-    only where ``f'' < 0``, with ``f'`` and ``f''`` from those coefficients,
-    and ``f`` is evaluated there from the orbit's own coefficients.  Every
-    value taken is ``f`` at some time, so the largest of the samples and the
-    refined values lies between the grid's maximum and the sup.
+
+def _sup_distances(stack, z0, grid) -> np.ndarray:
+    """``sup_distance`` of every orbit of ``stack``, all of one ``M``, in one pass on the ``8M``-point tables of ``grid``.
+
+    ``f(t) = |z(t) - z0|^2`` is a trigonometric polynomial of degree ``2M``, so
+    its ``8M`` equispaced samples give its Fourier coefficients exactly (one
+    real FFT per orbit).  Each local maximum of an orbit's samples is refined by
+    three Newton steps on ``f'``, taken only where ``f'' < 0``, and ``f`` is
+    evaluated there, so each result lies between the grid maximum and the sup.
+    ``z - z0`` is summed as ``(a0 - z0) + modes``, which does not cancel far
+    from the origin.  Each step is row-wise (a matmul per orbit or maximum, an
+    FFT per row, last-axis sums), so no orbit's value depends on its stack.
     """
-    m, z0 = orbit.m, np.asarray(z0, float)
-    table = (_setup.grid if _setup else _grid)(8 * m, m)
-    dz = orbit._values(table) - z0
-    samples = (dz * dz).sum(axis=1)
-    ring = np.concatenate([samples[-1:], samples, samples[:1]])
-    t = np.flatnonzero((samples >= ring[:-2]) & (samples >= ring[2:])) * (TWO_PI / (8 * m))
-    ij = 1j * np.arange(1, 2 * m + 1)
-    slopes = np.fft.rfft(samples)[1 : 2 * m + 1, None] * np.column_stack([ij, ij * ij])  # f', f'' up to a factor 1/4M
+    m = stack[0].m
+    shift = np.array([orbit.a0 for orbit in stack])[:, None] - np.asarray(z0, float)  # (n, 1, 2N)
+    a, b = (np.array([getattr(orbit, key) for orbit in stack]) for key in "ab")
+    cos, sin = grid(8 * m, m)
+    dz = shift + cos @ a + sin @ b
+    samples = (dz * dz).sum(axis=-1)
+    ring = np.concatenate([samples[:, -1:], samples, samples[:, :1]], axis=1)
+    rows, cols = np.nonzero((samples >= ring[:, :-2]) & (samples >= ring[:, 2:]))  # the local maxima
+    t, ij = cols * (TWO_PI / (8 * m)), 1j * np.arange(1, 2 * m + 1)
+    slopes = np.fft.rfft(samples)[rows, None, 1 : 2 * m + 1] * np.array([ij, ij * ij])  # f', f'' up to a factor 1/4M
     for _ in range(3):
-        df, d2f = (np.exp(t[:, None] * ij) @ slopes).real.T
+        df, d2f = (slopes * np.exp(t[:, None, None] * ij)).sum(axis=-1).real.T
         t -= np.divide(df, d2f, out=np.zeros_like(t), where=d2f < 0.0)
-    dz = orbit._values(_trig(t, m)) - z0
-    return float(np.sqrt(np.concatenate([samples, (dz * dz).sum(axis=1)]).max()))
+    cos, sin = (c[:, None] for c in _trig(t, m))
+    dz = shift[rows] + cos @ a[rows] + sin @ b[rows]
+    samples[rows, cols] = np.maximum(samples[rows, cols], (dz * dz).sum(axis=-1)[:, 0])
+    return np.sqrt(samples.max(axis=1))
 
 
 def orbit_energy_range(system: HamiltonianSystem, orbit: FourierOrbit):
@@ -726,9 +736,8 @@ def _newton(problem, x, tol_inner):
     best one.
     """
     f = problem(x)
-    jac = None
+    nf, jac = float(np.max(np.abs(f))), None
     for _ in range(NEWTON_MAX_STEPS):
-        nf = float(np.max(np.abs(f)))
         if nf < tol_inner:
             return x, f, True
         fresh = jac is None
@@ -741,17 +750,18 @@ def _newton(problem, x, tol_inner):
         for scale in NEWTON_DAMPING:
             xn = x + scale * dx
             fn = problem(xn)
-            if float(np.max(np.abs(fn))) < nf:
+            nfn = float(np.max(np.abs(fn)))
+            if nfn < nf:
                 break
         else:
             if fresh:
                 return x, f, False
             jac = None
             continue
-        x, f = xn, fn
-        if scale < 1.0 or float(np.max(np.abs(f))) > CHORD_CONTRACTION * nf:
+        if scale < 1.0 or nfn > CHORD_CONTRACTION * nf:
             jac = None
-    return x, f, float(np.max(np.abs(f))) < tol_inner
+        x, f, nf = xn, fn, nfn
+    return x, f, nf < tol_inner
 
 
 def _predict(orbit: FourierOrbit, z0, lambda0: float, growth: float) -> FourierOrbit:
@@ -801,7 +811,8 @@ def continue_branch(
     (``_predict``: mode ``k`` by ``growth**k``, the mean and period shifts by
     ``growth**2``), and ``solve_orbit`` doubles the modes up to 64.
     A failed step is recorded and stops the branch; the partial branch is
-    returned with the failure list populated.
+    returned with the failure list populated.  ``sup_distance_trend`` is filled
+    after the last step, in step order, by one ``_sup_distances`` pass per ``M``.
     """
     _check_ladder(steps, s0, growth)
     _check_modes(modes)
@@ -817,8 +828,12 @@ def continue_branch(
             break
         branch.orbits.append(orbit)
         branch.period_trend.append((orbit.amplitude, orbit.period))
-        branch.sup_distance_trend.append((orbit.amplitude, sup_distance(orbit, eq.z0, _setup=setup)))
         guess = _predict(orbit, eq.z0, candidate.lambda0, growth)
+    ms, sups = [orbit.m for orbit in branch.orbits], np.empty(len(branch.orbits))
+    for m in set(ms):
+        group = [i for i, k in enumerate(ms) if k == m]
+        sups[group] = _sup_distances([branch.orbits[i] for i in group], eq.z0, setup.grid)
+    branch.sup_distance_trend = [(orbit.amplitude, float(sup)) for orbit, sup in zip(branch.orbits, sups)]
     return branch
 
 

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 from collections import Counter
@@ -181,6 +182,8 @@ def test_continue_branch_retains_partial_on_failure():
     assert 0 < len(branch.orbits) < 6
     amps = [amp for amp, _ in branch.period_trend]
     assert all(a2 > a1 for a1, a2 in zip(amps, amps[1:]))
+    # one sup distance per orbit kept, filled after the failed step
+    assert [amp for amp, _ in branch.sup_distance_trend] == amps
 
 
 def circles(modes, m):
@@ -1440,6 +1443,52 @@ def test_sup_distance_does_not_move_under_a_time_shift(setup, steps, s0):
         assert sup == orbits.sup_distance(orbit, eq.z0)
         for theta in (0.1, 1.0, np.pi / 3):
             assert abs(orbits.sup_distance(orbits.transform_orbit(orbit, time_shift=theta), eq.z0) - sup) <= 1e-12 * sup
+
+
+def test_sup_distance_far_from_the_origin_matches_an_exact_sum():
+    # z - z0 taken as z(t) - z0 lost the modes to the rounding of |z0| = 1e6:
+    # the three sups read 6.3e-9, 5.0e-9 and 8.3e-10 relative above the sum
+    system, eq, cand = ini_setup("far-equilibrium")
+    branch = orbits.continue_branch(system, eq, cand, steps=3, s0=1e-2)
+    assert len(branch.orbits) == 3
+    for orbit, (_, sup) in zip(branch.orbits, branch.sup_distance_trend):
+        # each component of z - z0 one exact sum on a 512M grid, which holds
+        # the maximum of a reversible orbit (at t = 0 or pi)
+        phases = np.outer(np.arange(512 * orbit.m) * orbits.TWO_PI / (512 * orbit.m), np.arange(1, orbit.m + 1))
+        terms = np.cos(phases)[:, :, None] * orbit.a + np.sin(phases)[:, :, None] * orbit.b
+        exact = max(
+            math.hypot(*(math.fsum([orbit.a0[i], -eq.z0[i], *row[:, i]]) for i in range(system.dim))) for row in terms
+        )
+        assert abs(sup - exact) <= 1e-12 * exact
+
+
+def test_stacked_sup_distances_give_each_orbit_its_lone_bits():
+    # every step of the stacked pass is row-wise, so neither the other orbits
+    # of a stack nor their order moves an orbit's value
+    stack = []
+    for j0 in (1, 2):
+        system, eq, cand = satellite_j0_setup(j0)
+        stack += orbits.continue_branch(system, eq, cand, steps=8, s0=1e-3).orbits
+    stack.append(orbits.transform_orbit(stack[3], time_shift=1.0))
+    assert {orbit.m for orbit in stack} == {8}
+    lone = [orbits.sup_distance(orbit, eq.z0) for orbit in stack]
+    assert orbits._sup_distances(stack, eq.z0, orbits._grid).tolist() == lone
+    assert orbits._sup_distances(stack[::-1], eq.z0, orbits._grid).tolist() == lone[::-1]
+
+
+def test_continue_branch_makes_one_stacked_sup_pass_per_truncation(monkeypatch):
+    calls, stacked = [], orbits._sup_distances
+
+    def spy(stack, *rest):
+        calls.append((stack[0].m, len(stack)))
+        return stacked(stack, *rest)
+
+    monkeypatch.setattr(orbits, "_sup_distances", spy)
+    system, eq, cand = chain_setup(True)
+    branch = orbits.continue_branch(system, eq, cand, steps=6, s0=0.1)
+    assert [orbit.m for orbit in branch.orbits] == [8, 8, 8, 8, 16, 16]
+    assert sorted(calls) == [(8, 4), (16, 2)]
+    assert branch.sup_distance_trend == [(orbit.amplitude, orbits.sup_distance(orbit, eq.z0)) for orbit in branch.orbits]
 
 
 class RecordingBasis:
