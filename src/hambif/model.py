@@ -470,9 +470,9 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
     NoConvergence
         If the best iterate misses ``|grad H| <= 1e-10 * (1 + |z|)``, with the
         iterations run, the stop that ended them (a stall, a non-finite
-        gradient or the 50-iteration cap) and, without a ``gradient``, the
-        rounding floor at the best iterate; or if the gradient at the guess or
-        the Hessian at the result is not finite.
+        gradient or section Hessian, or the 50-iteration cap) and, without a
+        ``gradient``, the rounding floor at the best iterate; or if the
+        gradient at the guess or the Hessian at the result is not finite.
     DegenerateSection
         If the section-restricted Hessian is singular beyond tolerance.
     NotASymmetry
@@ -506,6 +506,9 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
             break
         section = _orbit_bases(system, z)[0]
         hs = compress(hessian_of(system, z), section)
+        if not np.all(np.isfinite(hs)):
+            stop = "a non-finite Hessian"
+            break
         w = np.linalg.eigvalsh(hs)
         if float(np.min(np.abs(w))) <= 1e-12 * (1.0 + float(np.max(np.abs(w)))):
             raise DegenerateSection(

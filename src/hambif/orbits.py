@@ -70,14 +70,16 @@ stays the guard, and a half-wave solve that fails it, or fails otherwise, is
 solved again in the symmetric ansatz, which the branch then keeps: a wrong
 hypothesis costs time, never an orbit.
 
-Only the amplitude pin
-moves along a branch: ``continue_branch`` builds the kernel pair (from the
-report ``analyze`` kept on ``eq``), the ansatz, each truncation's problem
-and the cos/sin tables of its ``4M + 1``-point residual check once, for every
-step and doubling, and takes the sup distances of each truncation's orbits in
-one stacked pass after the last step.  Each step starts from the last orbit
-scaled by the Lyapunov-Schmidt orders (``_predict``): mode ``k`` is
-``O(s^k)``, ``a0 - z0`` and ``lambda - lambda0`` are ``O(s^2)``.
+Only the amplitude pin moves along a branch: ``continue_branch`` builds the
+kernel pair (from the report ``analyze`` kept on ``eq``), the ansatz and each
+truncation's problem once, for every step and doubling, and takes the sup
+distances of each truncation's orbits in one stacked pass after the last
+step.  The cos/sin tables of the equispaced grids (``4M`` solve points,
+``4M + 1`` residual and energy checks, ``8M`` sup samples) have one owner,
+the read-only cache ``_grid``, which every branch and every lone call
+shares.  Each step starts from the last orbit scaled by the Lyapunov-Schmidt
+orders (``_predict``): mode ``k`` is ``O(s^k)``, ``a0 - z0`` and
+``lambda - lambda0`` are ``O(s^2)``.
 
 The harmonic-balance equations are one constant affine operator, the ``z'``
 rows and the constraints, built once per truncation, plus the Galerkin
@@ -211,18 +213,22 @@ def _apply_j(v, axis=-1) -> np.ndarray:
     return np.concatenate([v[head + (slice(half, None),)], -v[head + (slice(None, half),)]], axis=axis)
 
 
+@functools.lru_cache
 def _grid(points: int, m: int) -> tuple:
-    """``_trig`` on the equispaced grid ``t_p = 2 pi p / points``; ``_BranchSetup.grid`` keeps each one of a branch."""
-    return _trig(np.arange(points) * TWO_PI / points, m)
+    """``_trig`` on the equispaced grid ``t_p = 2 pi p / points``, built once per ``(points, m)``, read-only and shared."""
+    table = _trig(np.arange(points) * TWO_PI / points, m)
+    for part in table:
+        part.flags.writeable = False
+    return table
 
 
-def sup_distance(orbit: FourierOrbit, z0, *, _setup=None) -> float:
+def sup_distance(orbit: FourierOrbit, z0) -> float:
     """max_t |z(t) - z0|, a property of the orbit that a time shift does not move: ``_sup_distances`` of a stack of one."""
-    return float(_sup_distances([orbit], z0, _setup.grid if _setup else _grid)[0])
+    return float(_sup_distances([orbit], z0)[0])
 
 
-def _sup_distances(stack, z0, grid) -> np.ndarray:
-    """``sup_distance`` of every orbit of ``stack``, all of one ``M``, in one pass on the ``8M``-point tables of ``grid``.
+def _sup_distances(stack, z0) -> np.ndarray:
+    """``sup_distance`` of every orbit of ``stack``, all of one ``M``, in one pass on the ``8M``-point ``_grid``.
 
     ``f(t) = |z(t) - z0|^2`` is a trigonometric polynomial of degree ``2M``, so
     its ``8M`` equispaced samples give its Fourier coefficients exactly (one
@@ -236,7 +242,7 @@ def _sup_distances(stack, z0, grid) -> np.ndarray:
     m = stack[0].m
     shift = np.array([orbit.a0 for orbit in stack])[:, None] - np.asarray(z0, float)  # (n, 1, 2N)
     a, b = (np.array([getattr(orbit, key) for orbit in stack]) for key in "ab")
-    cos, sin = grid(8 * m, m)
+    cos, sin = _grid(8 * m, m)
     dz = shift + cos @ a + sin @ b
     samples = (dz * dz).sum(axis=-1)
     ring = np.concatenate([samples[:, -1:], samples, samples[:, :1]], axis=1)
@@ -298,11 +304,11 @@ def kernel_direction(system: HamiltonianSystem, eq: EquilibriumOrbit, candidate:
     return a1 / scale, b1 / scale
 
 
-def residual_field(system: HamiltonianSystem, orbit: FourierOrbit, collocation_points: int, *, _setup=None) -> np.ndarray:
-    """z'(t_i) - lambda J grad H(z(t_i)) at equispaced collocation points."""
+def residual_field(system: HamiltonianSystem, orbit: FourierOrbit, collocation_points: int) -> np.ndarray:
+    """z'(t_i) - lambda J grad H(z(t_i)) at equispaced collocation points, on the shared ``_grid`` table."""
     if collocation_points < 2 * orbit.m + 1:
         raise ValueError("need at least 2M + 1 collocation points")
-    table = (_setup.grid if _setup else _grid)(collocation_points, orbit.m)
+    table = _grid(collocation_points, orbit.m)
     return orbit._rates(table) - orbit.lam * _apply_j(gradients_of(system, orbit._values(table)))
 
 
@@ -534,7 +540,7 @@ def _half_wave(system: HamiltonianSystem, eq: EquilibriumOrbit, predictor) -> bo
 
 
 class _BranchSetup:
-    """What every step of one branch shares: the kernel pair, the ansatz, each ``M``'s problem and check grids."""
+    """What every step of one branch shares: the kernel pair, the ansatz and each ``M``'s problem."""
 
     def __init__(self, system, eq, candidate):
         if not candidate.confirmed:
@@ -543,7 +549,6 @@ class _BranchSetup:
         self.kernel = kernel_direction(system, eq, candidate)
         self.reversor = _symmetric_frame(system, eq, self.kernel)
         self.half_wave = self.reversor is not None and _half_wave(system, eq, self.kernel)
-        self.grid = functools.cache(_grid)
 
     def problem(self, s, m) -> _HarmonicBalance:
         """The one ``M = m`` problem, built at its first use, with its pin set to ``s``; its memo reads ``x`` alone."""
@@ -596,9 +601,9 @@ def solve_orbit(
     check of the full equations decides.  A half-wave solve that raises is
     solved again from the same warm start in the symmetric ansatz, which
     ``_setup`` keeps for the rest of its branch.  The kernel pair, the
-    reversor, each ``M``'s problem and the residual check's grid come from
-    ``_setup``, which ``continue_branch`` builds once per branch; a lone call
-    builds its own.
+    reversor and each ``M``'s problem come from ``_setup``, which
+    ``continue_branch`` builds once per branch; a lone call builds its own.
+    The grid tables come from ``_grid`` either way.
 
     Parameters
     ----------
@@ -617,7 +622,8 @@ def solve_orbit(
         If the candidate is not confirmed, ``amplitude_s`` is not positive and
         finite, or ``modes`` is not an integer in ``1..MAX_MODES``.
     NoConvergence
-        If Newton stalls above the tolerance ``1e-9 * (1 + |z0|)``.
+        If Newton stalls above the tolerance ``1e-9 * (1 + |z0|)``, or the
+        residual check is not finite.
     WrongBranch
         If the converged orbit's period is not positive or it is not mode-1 dominated.
     """
@@ -668,8 +674,12 @@ def _solve(system, eq, candidate, amplitude_s, modes, initial_guess, setup) -> F
             # validate the full equations on 4M + 1 points, finer than and incommensurate with
             # the solve grid, so aliased spurious solutions and a wrong symmetry assumption
             # cannot hide; a converged truncation whose tail forces doubling needs no check
-            check = residual_field(system, orbit, 4 * m + 1, _setup=setup)
+            check = residual_field(system, orbit, 4 * m + 1)
             orbit.residual = float(np.max(np.linalg.norm(check, axis=1)))
+            if not np.isfinite(orbit.residual):  # NaN passes every '>= tol' test
+                raise NoConvergence(
+                    f"the {4 * m + 1}-point residual check is not finite at M={m} (amplitude {amplitude_s:.3e})"
+                )
         if not converged:
             raise NoConvergence(
                 f"Newton stalled (residual {orbit.residual:.3e}, tol {tol:.1e}) "
@@ -832,7 +842,7 @@ def continue_branch(
     ms, sups = [orbit.m for orbit in branch.orbits], np.empty(len(branch.orbits))
     for m in set(ms):
         group = [i for i, k in enumerate(ms) if k == m]
-        sups[group] = _sup_distances([branch.orbits[i] for i in group], eq.z0, setup.grid)
+        sups[group] = _sup_distances([branch.orbits[i] for i in group], eq.z0)
     branch.sup_distance_trend = [(orbit.amplitude, float(sup)) for orbit, sup in zip(branch.orbits, sups)]
     return branch
 

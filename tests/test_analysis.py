@@ -446,6 +446,9 @@ def test_check_definite_z_and_mplus():
     rep2 = analysis.matrix_report(np.diag([1.0, -1.0, 1.0, -1.0]))
     assert not analysis.check_definite_z(rep2)
     assert not analysis.check_mplus(rep2)  # m+ = 2 = N
+    # a saddle has no level, so there is no subspace to be definite on
+    rep3 = analysis.matrix_report(np.diag([1.0, -1.0]))
+    assert rep3.betas == () and not analysis.check_definite_z(rep3)
 
 
 def stacked_definite_z(rep):

@@ -784,6 +784,17 @@ def test_kmax_flag_is_rejected(capsys):
     assert "unrecognized arguments: --kmax 5" in capsys.readouterr().err
 
 
+def test_config_without_a_section_header_is_a_parse_error():
+    with pytest.raises(ConfigParse, match="bad configuration: File contains no section headers"):
+        cli.parse_config("x = 1")
+
+
+def test_analyze_without_config_or_preset_is_an_error(capsys):
+    code, out = run_cli(["analyze"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: either --config or --preset is required\n"
+
+
 def test_readme_config_example_parses():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     example = readme.split("```ini\n", 1)[1].split("```", 1)[0]

@@ -52,6 +52,13 @@ def test_minimum_rejects_saddle():
         degree.degree_minimum(smap)
 
 
+def test_minimum_rejects_a_reduced_degree_of_zero():
+    # F(u) = u^2 has a kernel at 0 and no sign change on it
+    smap = make_map(1, lambda u: u**2)
+    with pytest.raises(NotAMinimum, match=r"reduced degree is \+0, not \+1"):
+        degree.degree_minimum(smap)
+
+
 def test_regular_value_identity_and_reflection():
     assert degree.degree_regular_value(make_map(2, lambda u: u), seed=0) == 1
     assert degree.degree_regular_value(make_map(3, lambda u: -u), seed=0) == -1

@@ -172,6 +172,25 @@ def test_kernel_pair_and_branch_ignore_basis_choices(monkeypatch, change):
         assert_matches_golden(f"branch-satellite-j0-{j0}", run(COMMANDS[f"branch-satellite-j0-{j0}"]))
 
 
+def test_readme_library_example_prints_the_golden_satellite_branch():
+    # README's python block continues candidate 0 of the satellite, the
+    # branch of `branch ... --j0 1`: one line of amplitude, period and
+    # residual per orbit, at the golden file's tolerances
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(example, "README.md", "exec"), {})
+    lines = [[float(word) for word in line.split()] for line in out.getvalue().splitlines()]
+    golden = [json.loads(line) for line in (GOLDEN / "branch-satellite-j0-1.jsonl").read_text(encoding="utf-8").splitlines()]
+    orbit_records = [rec for rec in golden[1:] if "period" in rec]
+    a0 = {rec["index"]: rec["a0"] for rec in golden[1:] if rec.get("record") == "coefficients"}
+    assert len(lines) == len(orbit_records) == 8
+    for (amplitude, period, residual), rec in zip(lines, orbit_records):
+        assert _close(amplitude, rec["amplitude"], TIGHT_TOL) and _close(period, rec["period"], TIGHT_TOL)
+        assert not _mismatch("residual", residual, rec["residual"], rec, a0)
+
+
 def test_golden_files_are_the_command_matrix():
     assert sorted(path.stem for path in GOLDEN.glob("*.jsonl")) == sorted(COMMANDS)
 

@@ -652,6 +652,19 @@ def test_refine_equilibrium_requires_a_finite_hessian():
         model.refine_equilibrium(sys, np.zeros(2))
 
 
+def test_refinement_names_a_non_finite_hessian():
+    # a NaN section Hessian went into eigvalsh and the solve, and the NaN
+    # iterate it made was blamed on the gradient
+    system = model.HamiltonianSystem(
+        n=1,
+        energy=lambda z: 0.5 * float(z @ z),
+        gradient=lambda z: z,
+        hessian=lambda z: np.full((2, 2), np.nan) if abs(z[0]) > 0.05 else np.eye(2),
+    )
+    with pytest.raises(NoConvergence, match=re.escape("after 1 iterations, stopped by a non-finite Hessian")):
+        model.refine_equilibrium(system, np.array([0.1, 0.0]))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize(
     "name, params",

@@ -97,6 +97,8 @@ def test_residual_field_constant_orbit():
     )
     res = orbits.residual_field(sat, orbit, 8)
     assert np.max(np.abs(res)) < 1e-9
+    with pytest.raises(ValueError, match="need at least 2M \\+ 1 collocation points"):
+        orbits.residual_field(sat, orbit, 4)
 
 
 def test_residual_field_refines_under_mode_doubling():
@@ -124,6 +126,21 @@ def test_solve_orbit_linear_exactness_single_mode():
     orbit = orbits.solve_orbit(sys, eq, cand, 0.1, modes=1)
     assert orbit.m == 1
     assert orbit.residual < 1e-12
+
+
+def test_a_non_finite_residual_check_is_a_failure():
+    # NaN >= tol is false: a gradient that is NaN at one point of the 9-point
+    # check alone was accepted with residual nan, and had the comparison alone
+    # been fixed, the 17-point check of M = 4 would have missed the point
+    system, eq, cand = harmonic_setup()
+    bad = orbits.solve_orbit(system, eq, cand, 0.1, modes=2).evaluate([orbits.TWO_PI / 9])[0]
+
+    def gradient(z):
+        return np.full(2, np.nan) if np.max(np.abs(z - bad)) < 1e-9 else system.gradient(z)
+
+    sick = replace(system, gradient=gradient)
+    with pytest.raises(NoConvergence, match=r"the 9-point residual check is not finite at M=2 \(amplitude 1\.000e-01\)"):
+        orbits.solve_orbit(sick, eq, cand, 0.1, modes=2)
 
 
 def test_solve_orbit_requires_confirmed_candidate():
@@ -239,6 +256,12 @@ def test_minimal_period_check_cases():
     ]
     for modes, m, expected in cases:
         assert orbits.minimal_period_check(circles(modes, m)) == expected, modes
+
+    # one mode is a minimal period; an amplitude that is not finite decides nothing
+    single = orbits.solve_orbit(sys, eq, cand, 0.05, modes=1)
+    assert single.m == 1 and orbits.minimal_period_check(single) == "minimal"
+    for amplitude in (np.nan, np.inf):
+        assert orbits.minimal_period_check(replace(circle, amplitude=amplitude)) == "undetermined"
 
 
 def test_transform_orbit_time_shift_is_translation():
@@ -919,6 +942,8 @@ def test_kernel_direction_pair_structure(setup):
     r = system.reversor
     assert np.max(np.abs(np.concatenate([a1[r < 0], b1[r > 0]]))) <= 1e-15
     assert orbits._symmetric_frame(system, eq, (a1, b1)) is r
+    # a pair 1e-6 off the frame takes the full system
+    assert orbits._symmetric_frame(system, eq, (a1 + 1e-6 * (r < 0), b1)) is None
 
 
 def full_branch(monkeypatch, system, eq, cand, steps, s0):
@@ -1342,25 +1367,40 @@ def test_branch_builds_its_setup_once_and_each_problem_once_per_modes(monkeypatc
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(orbits, name, counted)
-    build, grid, grids = orbits._HarmonicBalance.__init__, orbits._grid, Counter()
+    build, trig, tables = orbits._HarmonicBalance.__init__, orbits._trig, Counter()
 
     def counted_build(self, system, eq, predictor, s, m, reversor=None, half_wave=False):
         built.append(m)
         build(self, system, eq, predictor, s, m, reversor, half_wave)
 
-    def counted_grid(points, m):
-        grids[points, m] += 1
-        return grid(points, m)
+    def counted_trig(t, m):
+        if len(t) > 16:  # a grid table, not the half-wave probe or the refined sup times
+            tables[len(t), m] += 1
+        return trig(t, m)
 
     monkeypatch.setattr(orbits._HarmonicBalance, "__init__", counted_build)
-    monkeypatch.setattr(orbits, "_grid", counted_grid)
+    monkeypatch.setattr(orbits, "_trig", counted_trig)
+    orbits._grid.cache_clear()
     branch = orbits.continue_branch(system, eq, cand, steps=6, s0=0.1)
     assert [orbit.m for orbit in branch.orbits] == [8, 8, 8, 8, 16, 16] and not branch.failures
     assert built == [8, 16]
     assert calls == {"kernel_direction": 1, "_symmetric_frame": 1, "solve_orbit": 6}
     # each cos/sin table once: every M's solve grid (4M points), residual
     # check (4M + 1) and sup distance (8M); they were rebuilt at every step
-    assert grids == {(32, 8): 1, (33, 8): 1, (64, 8): 1, (64, 16): 1, (65, 16): 1, (128, 16): 1}
+    assert tables == {(32, 8): 1, (33, 8): 1, (64, 8): 1, (64, 16): 1, (65, 16): 1, (128, 16): 1}
+    assert orbits._grid.cache_info().misses == 6
+    # a second branch builds none: the tables outlive the branch that made them
+    orbits.continue_branch(system, eq, cand, steps=6, s0=0.1)
+    assert sum(tables.values()) == 6 and orbits._grid.cache_info().misses == 6
+
+
+def test_grid_tables_are_shared_and_read_only():
+    cos, sin = orbits._grid(33, 8)
+    again = orbits._grid(33, 8)
+    assert again[0] is cos and again[1] is sin
+    for table in (cos, sin):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
 
 
 def test_solve_orbit_rejects_a_negative_period():
@@ -1394,13 +1434,13 @@ GRID_ORBITS = {"satellite": (lambda: satellite_j0_setup(1), 1e-3), "chain": (lam
 @pytest.mark.parametrize("setup, s", GRID_ORBITS.values(), ids=GRID_ORBITS.keys())
 def test_shared_grid_tables_give_the_per_call_formulas_to_the_bit(setup, s):
     # the residual check, the sup distance and the energy range sample the
-    # orbit on tables shared by a branch (or built by a lone call); the
+    # orbit on the tables of _grid, built at a first call and kept; the
     # residual and the energy range must give the numbers of the per-call
-    # formulas exactly, and the sup distance the same bits either way, at
-    # least the 8M-grid maximum and at most what the maximum of a 64 times
-    # finer grid and that grid's error bound allow
+    # formulas exactly, and the sup distance the same bits from built and
+    # kept tables, at least the 8M-grid maximum and at most what the maximum
+    # of a 64 times finer grid and that grid's error bound allow
     system, eq, cand = setup()
-    solved, shared = orbits.solve_orbit(system, eq, cand, s), orbits._BranchSetup(system, eq, cand)
+    solved = orbits.solve_orbit(system, eq, cand, s)
     j, rng = linalg.standard_symplectic(system.dim // 2), np.random.default_rng(7)
     for m in (1, 8, 16, 64):
         a, b = 1e-4 * s * rng.standard_normal((2, m, system.dim))  # modes past the solved ones
@@ -1415,14 +1455,15 @@ def test_shared_grid_tables_give_the_per_call_formulas_to_the_bit(setup, s):
             np.max(np.linalg.norm(reference_curve(orbit, np.arange(p) * orbits.TWO_PI / p)[0] - eq.z0, axis=1))
             for p in (8 * m, 512 * m)
         )
-        for _ in range(2):  # the second call of the shared path reads the kept tables
+        orbits._grid.cache_clear()
+        sups = []
+        for _ in range(2):  # the first call builds the tables, the second reads the kept ones
             assert np.array_equal(orbits.residual_field(system, orbit, 4 * m + 1), residual)
-            assert np.array_equal(orbits.residual_field(system, orbit, 4 * m + 1, _setup=shared), residual)
-            sup = orbits.sup_distance(orbit, eq.z0)
-            assert orbits.sup_distance(orbit, eq.z0, _setup=shared) == sup
+            sups.append(orbits.sup_distance(orbit, eq.z0))
             # |z - z0|^2 has degree 2M, so by Bernstein's inequality a grid of
             # spacing h misses its sup by at most (2M h)^2 / 8 of it
-            assert grid <= sup <= fine / np.sqrt(1.0 - (2 * m * orbits.TWO_PI / (512 * m)) ** 2 / 8)
+            assert grid <= sups[-1] <= fine / np.sqrt(1.0 - (2 * m * orbits.TWO_PI / (512 * m)) ** 2 / 8)
+        assert sups[0] == sups[1]
         assert orbits.orbit_energy_range(system, orbit) == (min(energies), max(energies))
 
 
@@ -1472,8 +1513,8 @@ def test_stacked_sup_distances_give_each_orbit_its_lone_bits():
     stack.append(orbits.transform_orbit(stack[3], time_shift=1.0))
     assert {orbit.m for orbit in stack} == {8}
     lone = [orbits.sup_distance(orbit, eq.z0) for orbit in stack]
-    assert orbits._sup_distances(stack, eq.z0, orbits._grid).tolist() == lone
-    assert orbits._sup_distances(stack[::-1], eq.z0, orbits._grid).tolist() == lone[::-1]
+    assert orbits._sup_distances(stack, eq.z0).tolist() == lone
+    assert orbits._sup_distances(stack[::-1], eq.z0).tolist() == lone[::-1]
 
 
 def test_continue_branch_makes_one_stacked_sup_pass_per_truncation(monkeypatch):
