@@ -125,7 +125,7 @@ def _in_kernel(w) -> np.ndarray:
 
 
 def _fd_jacobian(smap: SectionMap) -> np.ndarray:
-    return _central_differences(lambda u: np.asarray(smap.evaluator(u), dtype=float), np.zeros(smap.dim))
+    return _central_differences(lambda us: np.array([smap.evaluator(u) for u in us], dtype=float), np.zeros(smap.dim))[0]
 
 
 def _winding_number(g, r: float) -> int:

@@ -20,17 +20,19 @@ does a gradient or Hessian of the wrong shape.  It copies each per-point
 result, so an evaluator may return one reused buffer.
 ``gradient_of`` and ``hessian_of`` fill a missing derivative from one
 central-difference kernel or, from the energy alone, second differences.
-Each builds its whole stencil as one array, with the float operations of
-one point at a time (``z_i + h_i``, then ``+- h_j``), and evaluates it in
-one ``energies_of`` or ``gradients_of`` call.  The forward-difference
-kernel beside them serves callers that already hold the gradients at a
-stack of base points, and evaluates all its shifted points through one
-``gradients_of`` call.
+The kernel, ``_central_differences(stacked, z)``, evaluates the rows
+``z +- h_i e_i`` in one ``stacked`` call (``energies_of`` for the gradient,
+``gradients_of`` for the Hessian, ``degree``'s section map for its
+Jacobian) and returns the quotient with the values and the steps.  Every
+stencil has the float operations of one point at a time (``z_i + h_i``,
+then ``+- h_j``).  The forward-difference kernel beside them serves callers
+that already hold the gradients at a stack of base points, and evaluates
+all its shifted points through one ``gradients_of`` call.
 ``_gradient_and_floor`` gives the gradient with the rounding floor of its
-central-difference stencil, ``eps max|H(z +- h_i e_i)| |1/h|``, from the
-stencil's own energies (0 for a supplied gradient); ``refine_equilibrium``
-reads the floor, to stop its Newton loop at an iterate that already passes,
-and names it when it raises.
+stencil, ``eps max|H(z +- h_i e_i)| |1/h|``, from the energies the kernel
+returns (0 for a supplied gradient); ``refine_equilibrium`` reads the
+floor, to stop its Newton loop at an iterate that already passes, and
+names it when it raises.
 
 The energy, and a supplied ``gradient`` or ``hessian``, may carry a stacked
 form as its ``batch`` attribute: called on a ``(P, 2N)`` stack of points, it
@@ -246,8 +248,12 @@ def _evaluate(system: HamiltonianSystem, what: str, z: np.ndarray, stacked: bool
     return value
 
 
-def _central_stencil(z: np.ndarray) -> tuple:
-    """Rows ``z + h_i e_i`` and ``z - h_i e_i``, interleaved, with the steps ``h_i = 1e-6 (1 + |z_i|)``."""
+def _central_differences(stacked, z: np.ndarray) -> tuple:
+    """Central differences at ``z``: the quotient, the stencil's values and the steps ``h_i = 1e-6 (1 + |z_i|)``.
+
+    The rows ``z + h_i e_i`` and ``z - h_i e_i``, interleaved, go through one ``stacked`` call;
+    column ``i`` of the quotient is ``(v(z + h_i e_i) - v(z - h_i e_i)) / (2 h_i)``.
+    """
     d = z.size
     steps = _FD_GRADIENT_STEP * (1.0 + np.abs(z))
     stencil = np.empty((2 * d, d))
@@ -256,14 +262,8 @@ def _central_stencil(z: np.ndarray) -> tuple:
     diagonal = np.arange(d) * (2 * d + 1)  # entry i of row 2i; of row 2i + 1 it is d further on
     flat[diagonal] += steps
     flat[diagonal + d] -= steps
-    return stencil, steps
-
-
-def _central_differences(f, z: np.ndarray) -> np.ndarray:
-    """Columns ``(f(z + h_i e_i) - f(z - h_i e_i)) / (2 h_i)``, ``f`` called at each row of ``_central_stencil(z)``."""
-    stencil, steps = _central_stencil(z)
-    values = np.array([f(x) for x in stencil])
-    return (values[0::2] - values[1::2]).T / (2.0 * steps)
+    values = stacked(stencil)
+    return (values[0::2] - values[1::2]).T / (2.0 * steps), values, steps
 
 
 def _gradient_and_floor(system: HamiltonianSystem, z: np.ndarray) -> tuple:
@@ -273,15 +273,14 @@ def _gradient_and_floor(system: HamiltonianSystem, z: np.ndarray) -> tuple:
     each energy value carries a rounding error of about ``eps |H|``, so column
     ``i`` is uncertain by about ``eps |H| / h_i``, and the gradient norm by the
     floor ``eps max|H(z +- h_i e_i)| |1/h|``, read from the stencil's own
-    energies, which one ``energies_of`` call evaluates.  Below it Newton sees
-    no progress.  The floor is a-priori: an energy whose evaluation cancels
-    (``1 - cos q`` near ``q = 0``) carries more noise than ``eps |H|``.
+    energies, which ``_central_differences`` evaluates in one ``energies_of``
+    call and returns beside the quotient.  Below it Newton sees no progress.
+    The floor is a-priori: an energy whose evaluation cancels (``1 - cos q``
+    near ``q = 0``) carries more noise than ``eps |H|``.
     """
     if system.gradient is not None:
         return _evaluate(system, "gradient", z), 0.0
-    stencil, steps = _central_stencil(z)
-    values = energies_of(system, stencil)
-    gradient = (values[0::2] - values[1::2]) / (2.0 * steps)
+    gradient, values, steps = _central_differences(partial(energies_of, system), z)
     return gradient, _EPS * float(np.max(np.abs(values))) * float(np.linalg.norm(1.0 / steps))
 
 
@@ -351,16 +350,14 @@ def hessian_of(system: HamiltonianSystem, z) -> np.ndarray:
     """Hessian of H at z, symmetrized as (M + M^T)/2.
 
     Uses the supplied evaluator when present, central differences of the
-    gradient, in one ``gradients_of`` call, when only that is available, and
-    second differences of the energy otherwise.
+    gradient (``_central_differences`` over one ``gradients_of`` call) when
+    only that is available, and second differences of the energy otherwise.
     """
     z = np.asarray(z, dtype=float)
     if system.hessian is not None:
         m = _evaluate(system, "hessian", z)
     elif system.gradient is not None:
-        stencil, steps = _central_stencil(z)
-        grads = gradients_of(system, stencil)
-        m = (grads[0::2] - grads[1::2]).T / (2.0 * steps)
+        m = _central_differences(partial(gradients_of, system), z)[0]
     else:
         m = _second_differences(system, z)
     return 0.5 * (m + m.T)

@@ -96,6 +96,23 @@ def test_resonance_set_requires_imaginary_pairs():
         analysis.resonance_set(rep, k_max=3)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: analysis.matrix_report(np.eye(3)), "even-dimensional"),
+        (lambda: analysis.t_matrix(np.eye(2), 0, 1.0), "mode index k must be >= 1, got 0"),
+        (lambda: analysis.t_matrix(np.eye(2), 1, 0.0), "lambda must be positive, got 0.0"),
+        (lambda: analysis.t_matrix(np.eye(3), 1, 1.0), "even-dimensional"),
+        (lambda: analysis.resonance_set(analysis.matrix_report(np.eye(2)), k_max=0), "k_max must be >= 1, got 0"),
+        (lambda: analysis.morse_jump(np.eye(2), 0.0, analysis.matrix_report(np.eye(2))), "lambda0 must be positive"),
+    ],
+    ids=["odd-matrix-report", "t-matrix-k-0", "t-matrix-lam-0", "t-matrix-odd", "k-max-0", "morse-jump-lambda0-0"],
+)
+def test_bad_arguments_are_value_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_resonance_singularity_cross_check():
     rng = np.random.default_rng(4)
     rep = analysis.matrix_report(random_definite_matrix(rng, 4))

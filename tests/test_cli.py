@@ -462,6 +462,11 @@ def test_presets_golden_output(tmp_path, fmt, ext):
     assert out_path.read_bytes() == (DATA / f"presets.{ext}").read_bytes()
 
 
+def test_presets_unknown_format_is_a_config_error():
+    with pytest.raises(ConfigParse, match="unknown output format 'xml'"):
+        cli.cmd_presets("xml", stdout=io.StringIO())
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -17,6 +17,25 @@ def test_symplectic_square_and_antisymmetry(n):
     assert np.array_equal(j.T, -j)
 
 
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: linalg.standard_symplectic(0), ValueError),
+        (lambda: linalg.check_symmetric(np.ones((2, 3))), NonSymmetric),
+        (lambda: linalg.general_eigensystem(np.ones((2, 3))), ValueError),
+    ],
+    ids=["symplectic-n-0", "check-symmetric-not-square", "eigensystem-not-square"],
+)
+def test_bad_shapes_raise(call, error):
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("mat", [np.zeros((3, 0)), np.zeros((3, 2))], ids=["no-columns", "zero-columns"])
+def test_orthonormal_columns_of_an_empty_span_have_no_columns(mat):
+    assert linalg.orthonormal_columns(mat).shape == (3, 0)
+
+
 def test_morse_indices_diagonal():
     a = np.diag([-1.0, 2.0, -3.0])
     assert linalg.morse_index_negative(a) == 2

@@ -36,6 +36,8 @@ def test_symmetry_group_validation():
     assert grp.group_dim == 1
     with pytest.raises(ValueError):
         model.SymmetryGroup((np.eye(2),))  # not skew
+    with pytest.raises(ValueError, match=r"square of even size, got \(3, 3\)"):
+        model.SymmetryGroup((np.zeros((3, 3)),))
     # a NaN entry compared False against both tolerances and passed
     for value, named in ((np.nan, r"\[0, 1\] = nan, \[1, 0\] = nan"), (np.inf, r"\[0, 1\] = inf, \[1, 0\] = -inf")):
         odd = good.copy()
@@ -818,7 +820,7 @@ def test_energy_stencils_are_bit_identical_to_the_per_point_loops(stacked):
         assert _bits(gradient) == _bits(old_gradient) and _bits(floor) == _bits(old_floor)
         assert _bits(model._second_differences(energy_only, z)) == _bits(_old_second_differences(sat.energy, z))
         for f in (sat.energy, sat.gradient):
-            assert _bits(model._central_differences(f, z)) == _bits(_old_central_differences(f, z))
+            assert _bits(model._central_differences(lambda zs: np.array([f(x) for x in zs]), z)[0]) == _bits(_old_central_differences(f, z))
 
 
 def test_satellite_stacked_energy_is_its_per_point_energy_to_the_bit():
@@ -891,6 +893,15 @@ def test_evaluator_failures_are_typed(evaluators, derivative):
     system = model.HamiltonianSystem(n=3, **{"energy": sat.energy, **evaluators})
     with pytest.raises(EvaluationFailure, match="planted failure"):
         derivative(system, np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0]))
+
+
+def test_a_hambif_error_from_an_evaluator_is_not_wrapped():
+    def no_convergence(z):
+        raise NoConvergence("planted")
+
+    system = model.HamiltonianSystem(n=1, energy=no_convergence)
+    with pytest.raises(NoConvergence, match="planted"):
+        model.gradient_of(system, np.zeros(2))
 
 
 def test_orbit_energy_range_failure_is_typed():
