@@ -223,18 +223,14 @@ def morse_jump(a, lambda0: float, report: SpectralReport) -> int:
     Raises
     ------
     ValueError
-        If ``check_symmetric(a)`` is not exactly ``report.hessian``.
+        If ``check_symmetric(a)`` is not exactly ``report.hessian``; ``a``
+        that is ``report.hessian`` itself is not checked again.
     Degenerate
         If ``C`` has a kernel: the Hessian is singular on the level's
         invariant subspace and the jump is not defined.
     """
-    if not np.array_equal(check_symmetric(a), report.hessian):
+    if a is not report.hessian and not np.array_equal(check_symmetric(a), report.hessian):
         raise ValueError("a is not the Hessian the spectral report was made from")
-    return _jump(report, lambda0)
-
-
-def _jump(report: SpectralReport, lambda0: float) -> int:
-    """``morse_jump`` without its check that ``a`` is the report's Hessian: ``analyze`` passes the report's own."""
     if lambda0 <= 0.0:
         raise ValueError(f"lambda0 must be positive, got {lambda0}")
     levels = [j for k, j in report.contributors(lambda0) if k == 1]
@@ -406,7 +402,7 @@ def analyze(
         jump = None
         jump_reason = ""
         try:
-            jump = _jump(report, lambda0)
+            jump = morse_jump(report.hessian, lambda0, report)
         except HambifError as exc:
             jump_reason = f"morse jump unavailable: {exc}"
         a7 = {

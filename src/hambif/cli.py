@@ -7,7 +7,9 @@ ordered column -> value table of its kind (candidate, orbit, coefficients,
 coefficient row).  The text report, json-lines (one record per line) and
 csv (header row + the table's column order) are all rendered from those
 records, and ``_emit`` alone decides where they are written.  Identical
-configuration produces byte-identical machine output.
+configuration produces byte-identical machine output on one machine and
+numpy/OpenBLAS build; across BLAS kernels the values agree within the
+golden tolerances of ``tests/test_golden.py`` (README).
 
 Exit codes: analyze returns 0 when at least one candidate is confirmed,
 2 when none is, 1 on error.  branch returns 0 when the computed branch has
@@ -544,7 +546,8 @@ machine output formats:
     <path>.coeffs.csv with columns %s
     (k = 0 rows hold the constant coefficient in 'a').
 Floats are printed with up to 17 significant digits; identical configuration
-gives byte-identical machine output.
+gives byte-identical machine output on one machine and numpy/OpenBLAS build;
+another BLAS kernel (another CPU) may change the last bits of values.
 With --output PATH the output goes to PATH and the text report to stdout.
 Without it, json-lines or csv output is alone on stdout and the text report
 goes to stderr; text output goes to stdout.

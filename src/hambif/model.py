@@ -46,22 +46,23 @@ one.  The satellite preset and every system from
 ``newtonian_to_hamiltonian`` carry stacked derivatives, and the satellite a
 stacked energy.  Every stacked form equals its per-point form to the bit,
 so no derivative, finite-difference or not, depends on which one a caller
-reaches.  The per-point Hessians and the lift's per-point gradient are
-derived, row 0 of the stacked form on a one-row stack (``_per_point``).
-The satellite's per-point energy and gradient are written out, because a
-one-row stacked call costs several per-point ones, and their stacked forms
-make the same float operations in the same order.  The per-point energy is
-plain numpy-scalar arithmetic, whose power is C's ``pow``, so the stacked
-energy takes ``d^3``, ``d^5`` and ``q_3^2`` from Python's float power, the
-same ``pow``: numpy's SIMD array power differs from it in the last bit of
-some 5% of distances.  A stack holding a row where ``d`` is outside
-``(0, inf)``, a Python power raises or the value is not finite goes row by
-row through the per-point energy.  Both gradients square ``q_3`` by a
-product.  A lifted gradient from ``newtonian_to_hamiltonian`` also carries
-the marker ``newtonian = True``: its momentum half is ``p`` itself, so the
-forward-difference kernel evaluates only the position shifts.  Only that
-constructor sets it, and a gradient replaced through ``dataclasses.replace``
-loses it with the callable.
+reaches.  The per-point Hessians, the satellite's per-point energy and the
+lift's per-point gradient are derived, row 0 of the stacked form on a
+one-row stack (``_per_point``).  The satellite's per-point gradient is
+written out, because a one-row stacked call costs several per-point ones,
+and its stacked form makes the same float operations in the same order;
+both square ``q_3`` by a product.  The satellite's energy takes ``d^3``,
+``d^5`` and ``q_3^2`` from C's ``pow``, the power of numpy-scalar
+arithmetic: Python's float power, or numpy's scalar power for a column
+where a Python power raises ``OverflowError``.  numpy's SIMD array power
+differs from ``pow`` in the last bit of some 5% of distances.  A row with
+``d = 0`` or an overflow warns through numpy, once per operation of its
+stack; no row's value depends on its stack.  A lifted gradient from
+``newtonian_to_hamiltonian`` also carries the marker ``newtonian = True``:
+its momentum half is ``p`` itself, so the forward-difference kernel
+evaluates only the position shifts.  Only that constructor sets it, and a
+gradient replaced through ``dataclasses.replace`` loses it with the
+callable.
 
 A generator ``X`` of a symmetry of ``H`` gives ``A X z = X grad H(z)``, ``A`` the
 Hessian at ``z`` (differentiate ``grad H(exp(t X) z) = exp(t X) grad H(z)`` at
@@ -654,23 +655,18 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
 
     coupling = np.array([[0.0, omega, 0.0], [-omega, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
-    def energy(z):
-        q, p = z[:3], z[3:]
-        d = np.sqrt(float(q.dot(q)))
-        potential = -1.0 / d - c / d**3 + 3.0 * c * q[2] ** 2 / d**5
-        return 0.5 * float(p.dot(p)) + omega * (q[0] * p[1] - q[1] * p[0]) + potential
-
     def gradient(z):
         q, p = z[:3], z[3:]
         gq = grad_potential(q) + omega * np.array([p[1], -p[0], 0.0])
         gp = p + omega * np.array([-q[1], q[0], 0.0])
         return np.concatenate([gq, gp])
 
-    # Stacked forms.  The per-point Hessian is derived: row 0 of the stacked
-    # one on a one-row stack.  The stacked energy and gradient make the
-    # per-point operations in the same order on a (P, 6) stack, so each
-    # equals its per-point form to the bit.  |q|^2 and |p|^2 come from the
-    # same dot kernel as the per-point q @ q.
+    # Stacked forms.  The per-point energy and Hessian are derived: row 0 of
+    # the stacked form on a one-row stack.  The stacked gradient makes the
+    # per-point operations in the same order on a (P, 6) stack, so it equals
+    # its per-point form to the bit.  |q|^2 and |p|^2 come from one matmul
+    # per row, the dot kernel of the per-point q @ q, so no row's value
+    # depends on its stack.
     def squares(x):
         return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
@@ -678,26 +674,19 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
         d2 = squares(q)
         return d2, np.sqrt(d2)
 
-    # The stacked energy equals the per-point one to the bit (module
-    # docstring).  A stack with a row where d is outside (0, inf), a Python
-    # power raises or the value is not finite goes row by row, so each such
-    # row gets the per-point value and warnings; no other row warns.
+    # x**e by C's pow (module docstring): Python's float power, or, where one
+    # overflows, numpy's scalar power, which gives inf and warns
+    def powers(values, e):
+        try:
+            return np.array([x**e for x in values.tolist()])
+        except OverflowError:
+            return np.array([np.float64(x) ** e for x in values.tolist()])
+
     def energies(zs):
         q, p = zs[:, :3], zs[:, 3:]
-        values = None
-        with np.errstate(all="ignore"):
-            d = distances(q)[1]
-            if np.all((0.0 < d) & (d < np.inf)):
-                try:
-                    d3, d5 = np.array([x**3 for x in d.tolist()]), np.array([x**5 for x in d.tolist()])
-                    q3sq = np.array([x**2 for x in q[:, 2].tolist()])
-                    u = -1.0 / d - c / d3 + 3.0 * c * q3sq / d5
-                    values = 0.5 * squares(p) + omega * (q[:, 0] * p[:, 1] - q[:, 1] * p[:, 0]) + u
-                except ArithmeticError:
-                    pass
-        if values is None or not np.all(np.isfinite(values)):
-            return np.array([energy(z) for z in zs])
-        return values
+        d = distances(q)[1]
+        u = -1.0 / d - c / powers(d, 3) + 3.0 * c * powers(q[:, 2], 2) / powers(d, 5)
+        return 0.5 * squares(p) + omega * (q[:, 0] * p[:, 1] - q[:, 1] * p[:, 0]) + u
 
     def gradients(zs):
         q, p = zs[:, :3], zs[:, 3:]
@@ -732,7 +721,6 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
         m[:, 3:, 3:] = np.eye(3)
         return m
 
-    energy.batch = energies
     gradient.batch = gradients
 
     spin = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -741,7 +729,7 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
     generator[3:, 3:] = spin
     return HamiltonianSystem(
         n=3,
-        energy=energy,
+        energy=_per_point(energies),
         gradient=gradient,
         hessian=_per_point(hessians),
         symmetry=SymmetryGroup((generator,)),

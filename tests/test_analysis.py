@@ -393,7 +393,6 @@ def test_analyze_reads_each_jump_from_the_report_without_revalidating_its_hessia
         except Degenerate:
             jumps.append(None)
     assert jumps == [c.morse_jump for c in expected] == [2, 2, None]
-    monkeypatch.setattr(analysis, "morse_jump", None)
     monkeypatch.setattr(analysis, "check_symmetric", None)
     assert analysis.analyze(sat, eq) == expected
 

@@ -273,6 +273,14 @@ def test_presets_listing_contains_satellite():
     assert "1.0826359e-03" in out  # Earth J2 default
 
 
+def test_console_entry_exits_with_the_code_of_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["hambif", "presets"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.console_entry()
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == (DATA / "presets.txt").read_text(encoding="utf-8")
+
+
 def test_presets_machine_roundtrip():
     code, out = run_cli(["presets", "--format", "json-lines"])
     assert code == 0

@@ -115,6 +115,15 @@ def test_general_eigensystem_rejects_non_finite():
         linalg.general_eigensystem(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_general_eigensystem_turns_an_eigensolver_failure_into_convergence_failure(monkeypatch):
+    def failing(m):
+        raise np.linalg.LinAlgError("planted")
+
+    monkeypatch.setattr(np.linalg, "eig", failing)
+    with pytest.raises(ConvergenceFailure, match="eigensolver did not converge: planted"):
+        linalg.general_eigensystem(np.eye(2))
+
+
 def test_real_invariant_subspace_full_plane():
     basis = cluster_subspace(linalg.standard_symplectic(1), 1.0)
     assert basis.shape == (2, 2)

@@ -1,3 +1,4 @@
+import contextlib
 import re
 import warnings
 from collections import Counter
@@ -823,25 +824,40 @@ def test_energy_stencils_are_bit_identical_to_the_per_point_loops(stacked):
             assert _bits(model._central_differences(lambda zs: np.array([f(x) for x in zs]), z)[0]) == _bits(_old_central_differences(f, z))
 
 
+def _reference_satellite_energy(z, omega=1.0, c=0.1):
+    """The satellite's energy at one point in numpy-scalar arithmetic, whose power is C's ``pow`` (reference)."""
+    q, p = z[:3], z[3:]
+    d = np.sqrt(float(q.dot(q)))
+    potential = -1.0 / d - c / d**3 + 3.0 * c * q[2] ** 2 / d**5
+    return 0.5 * float(p.dot(p)) + omega * (q[0] * p[1] - q[1] * p[0]) + potential
+
+
 def test_satellite_stacked_energy_is_its_per_point_energy_to_the_bit():
     sat = model.preset("satellite", omega=1.0, c=0.1)
+
+    def check(points):
+        reference = _bits([_reference_satellite_energy(z) for z in points])
+        assert _bits(sat.energy.batch(points)) == reference
+        assert _bits([sat.energy(z) for z in points]) == reference
+
     rng = np.random.default_rng(31)
-    zs = SATELLITE_README_GUESS + rng.standard_normal((2000, 6)) * rng.choice([1e-6, 0.1, 3.0, 30.0], size=(2000, 1))
-    assert _bits(sat.energy.batch(zs)) == _bits([sat.energy(z) for z in zs])
-    # every stencil of the energy-only refinements from the README and stall guesses
-    stacks = []
+    check(SATELLITE_README_GUESS + rng.standard_normal((2000, 6)) * rng.choice([1e-6, 0.1, 3.0, 30.0], size=(2000, 1)))
+    # every stencil of the energy-only refinements from the README and stall
+    # guesses; whether the stall guess converges varies with the BLAS kernel
+    # (the stall tests pin it), so its stencils are checked either way
+    for guess in (SATELLITE_README_GUESS, SATELLITE_STALL_GUESS):
+        stacks = []
 
-    def recorded(points):
-        stacks.append(points.copy())
-        return sat.energy.batch(points)
+        def recorded(points):
+            stacks.append(points.copy())
+            return sat.energy.batch(points)
 
-    energy_only = replace(sat, energy=_with_stacked_form(sat.energy, recorded), gradient=None, hessian=None)
-    model.refine_equilibrium(energy_only, SATELLITE_README_GUESS)
-    with pytest.raises(NoConvergence):
-        model.refine_equilibrium(energy_only, SATELLITE_STALL_GUESS)
-    assert [len(points) for points in stacks].count(84) == 5 + 9
-    for points in stacks:
-        assert _bits(sat.energy.batch(points)) == _bits([sat.energy(z) for z in points])
+        energy_only = replace(sat, energy=_with_stacked_form(sat.energy, recorded), gradient=None, hessian=None)
+        with contextlib.suppress(NoConvergence):
+            model.refine_equilibrium(energy_only, guess)
+        assert [len(points) for points in stacks].count(84) >= 5
+        for points in stacks:
+            check(points)
 
 
 def _outcome(f, zs, error):
@@ -979,7 +995,9 @@ def test_orbit_energy_range_is_nan_wherever_a_nan_energy_falls_on_its_grid():
         assert all(np.isnan(orbits.orbit_energy_range(system, orbit))), p
     # half a period on, no grid point has z_0 >= 0.9: the largest is cos(pi / 5)
     shifted = orbits.FourierOrbit(np.zeros(2), -a, -b, 1.0)
-    assert orbits.orbit_energy_range(system, shifted) == (0.49999999999999994, 0.5000000000000001)
+    # the grid's points have _grid's bits; 0.5 |z|^2 rounds differently with the BLAS kernel
+    energies = [system.energy(z) for z in shifted.evaluate(np.arange(5) * orbits.TWO_PI / 5)]
+    assert orbits.orbit_energy_range(system, shifted) == (min(energies), max(energies))
 
 
 def test_stacked_satellite_forms_agree_with_per_point_forms():
