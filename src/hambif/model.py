@@ -32,7 +32,11 @@ all its shifted points through one ``gradients_of`` call.
 stencil, ``eps max|H(z +- h_i e_i)| |1/h|``, from the energies the kernel
 returns (0 for a supplied gradient); ``refine_equilibrium`` reads the
 floor, to stop its Newton loop at an iterate that already passes, and
-names it when it raises.
+names it when it raises.  The refinement's vector norms, the floor's
+``|1/h|`` among them, are ``_norm(v) = sqrt(v . v)``: ``np.linalg.norm``'s
+own formula for a 1-D float vector, with its bits and its overflow warning
+but without its dispatch, which costs more than the arithmetic on a
+6-vector.
 
 The energy, and a supplied ``gradient`` or ``hessian``, may carry a stacked
 form as its ``batch`` attribute: called on a ``(P, 2N)`` stack of points, it
@@ -53,9 +57,11 @@ written out, because a one-row stacked call costs several per-point ones,
 and its stacked form makes the same float operations in the same order;
 both square ``q_3`` by a product.  The satellite's energy takes ``d^3``,
 ``d^5`` and ``q_3^2`` from C's ``pow``, the power of numpy-scalar
-arithmetic: Python's float power, or numpy's scalar power for a column
-where a Python power raises ``OverflowError``.  numpy's SIMD array power
-differs from ``pow`` in the last bit of some 5% of distances.  A row with
+arithmetic: Python's float power, the builtin ``pow`` mapped over the
+column's floats with a float exponent straight into ``np.fromiter``, or
+numpy's scalar power for a column where a Python power raises
+``OverflowError``.  numpy's SIMD array power differs from ``pow`` in the
+last bit of some 5% of distances.  A row with
 ``d = 0`` or an overflow warns through numpy, once per operation of its
 stack; no row's value depends on its stack.  A lifted gradient from
 ``newtonian_to_hamiltonian`` also carries the marker ``newtonian = True``:
@@ -81,8 +87,10 @@ every monomial has even degree in ``p``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache, partial
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -242,7 +250,7 @@ def _evaluate(system: HamiltonianSystem, what: str, z: np.ndarray, stacked: bool
         # max |z_i|, not |z|: the norm of a huge but finite z overflows
         where = np.max(np.abs(z), initial=0.0)
         raise EvaluationFailure(f"{what} evaluator failed at max|z_i|={where:.3g}: {exc}") from exc
-    expected = {"energy": z.shape[:-1], "hessian": z.shape + z.shape[-1:]}.get(what, z.shape)
+    expected = z.shape[:-1] if what == "energy" else z.shape + z.shape[-1:] if what == "hessian" else z.shape
     if value.shape != expected:
         kind = "stacked " if stacked else ""
         raise EvaluationFailure(f"{kind}{what} evaluator returned shape {value.shape}, not {expected}")
@@ -282,7 +290,7 @@ def _gradient_and_floor(system: HamiltonianSystem, z: np.ndarray) -> tuple:
     if system.gradient is not None:
         return _evaluate(system, "gradient", z), 0.0
     gradient, values, steps = _central_differences(partial(energies_of, system), z)
-    return gradient, _EPS * float(np.max(np.abs(values))) * float(np.linalg.norm(1.0 / steps))
+    return gradient, _EPS * float(np.abs(values).max()) * _norm(1.0 / steps)
 
 
 def _forward_differences(system: HamiltonianSystem, zs: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -312,10 +320,12 @@ def _forward_differences(system: HamiltonianSystem, zs: np.ndarray, grads: np.nd
 
 @cache
 def _second_difference_layout(d: int) -> tuple:
-    """The pairs ``i <= j`` of dimension ``d``, and the flat stencil entries of their rows' ``h_i`` and ``h_j`` shifts."""
+    """The pairs ``i <= j`` of dimension ``d``, the flat stencil entries of their rows' ``h_i`` and ``h_j`` shifts, and each shift's index in ``(h, -h)``."""
     i, j = np.triu_indices(d)
     rows = np.arange(4 * i.size).reshape(-1, 4) * d
-    layout = i, j, (rows + i[:, None]).ravel(), (rows + j[:, None]).ravel()
+    shift_i = (i[:, None] + d * np.array([0, 0, 1, 1])).ravel()  # signs ++, +-, -+, --
+    shift_j = (j[:, None] + d * np.array([0, 1, 0, 1])).ravel()
+    layout = i, j, (rows + i[:, None]).ravel(), (rows + j[:, None]).ravel(), shift_i, shift_j
     for indices in layout:  # shared by every caller
         indices.flags.writeable = False
     return layout
@@ -330,12 +340,13 @@ def _second_differences(system: HamiltonianSystem, z: np.ndarray) -> np.ndarray:
     """
     d = z.size
     steps = _FD_HESSIAN_STEP * (1.0 + np.abs(z))
-    i, j, at_i, at_j = _second_difference_layout(d)
+    i, j, at_i, at_j, shift_i, shift_j = _second_difference_layout(d)
+    shifts = np.concatenate((steps, -steps))
     stencil = np.empty((4 * i.size, d))
     stencil[:] = z
     flat = stencil.reshape(-1)
-    flat[at_i] += (np.array([1.0, 1.0, -1.0, -1.0]) * steps[i, None]).ravel()
-    flat[at_j] += (np.array([1.0, -1.0, 1.0, -1.0]) * steps[j, None]).ravel()
+    flat[at_i] += shifts[shift_i]
+    flat[at_j] += shifts[shift_j]
     values = energies_of(system, stencil).reshape(-1, 4)
     m = np.empty((d, d))
     m[i, j] = m[j, i] = (values[:, 0] - values[:, 1] - values[:, 2] + values[:, 3]) / (4.0 * steps[i] * steps[j])
@@ -436,16 +447,21 @@ def _orbit_bases(system: HamiltonianSystem, z: np.ndarray) -> tuple:
     """
     generators = system.symmetry.generators
     if generators:
-        u, s, vt = np.linalg.svd(np.column_stack([g @ z for g in generators]))
+        u, s, vt = np.linalg.svd(np.array([g @ z for g in generators]).T)
         if s[0] > 0.0:
-            rank = int(np.sum(s > 1e-10 * s[0]))
+            rank = int((s > 1e-10 * s[0]).sum())
             return u[:, rank:], vt[:rank]
     return np.eye(system.dim), np.zeros((0, len(generators)))
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a contiguous 1-D float vector, by its own formula ``sqrt(v . v)`` and without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def _acceptance_tolerance(z: np.ndarray) -> float:
     """``refine_equilibrium``'s acceptance bound on ``|grad H|`` at ``z``: ``1e-10 (1 + |z|)``."""
-    return 1e-10 * (1.0 + float(np.linalg.norm(z)))
+    return 1e-10 * (1.0 + _norm(z))
 
 
 def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
@@ -482,7 +498,7 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
     stop = "the 50-iteration cap"
     for iterations in range(1, 51):
         g, floor = _gradient_and_floor(system, z)
-        gn = float(np.linalg.norm(g))
+        gn = _norm(g)
         if gn < best_norm:
             if gn > 0.9 * best_norm:
                 stall += 1
@@ -492,10 +508,10 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
         else:
             stall += 1
         # no Newton step from a non-finite gradient: the best iterate stands
-        if not np.isfinite(gn):
+        if not math.isfinite(gn):
             stop = "a non-finite gradient"
             break
-        if gn <= 1e-13 * (1.0 + float(np.linalg.norm(z))):
+        if gn <= 1e-13 * (1.0 + _norm(z)):
             break
         if gn <= floor and best_norm <= _acceptance_tolerance(best_z):
             break
@@ -504,18 +520,18 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
             break
         section = _orbit_bases(system, z)[0]
         hs = compress(hessian_of(system, z), section)
-        if not np.all(np.isfinite(hs)):
+        if not np.isfinite(hs).all():
             stop = "a non-finite Hessian"
             break
-        w = np.linalg.eigvalsh(hs)
-        if float(np.min(np.abs(w))) <= 1e-12 * (1.0 + float(np.max(np.abs(w)))):
+        w = np.abs(np.linalg.eigvalsh(hs))
+        if float(w.min()) <= 1e-12 * (1.0 + float(w.max())):
             raise DegenerateSection(
                 "section-restricted Hessian is singular; cannot Newton-refine"
             )
         du = np.linalg.solve(hs, -(section.T @ g))
         z = z + section @ du
     z0, gn = best_z, best_norm
-    if not np.isfinite(gn):
+    if not math.isfinite(gn):
         raise NoConvergence("the gradient norm at the guess is not finite")
     tol = _acceptance_tolerance(z0)
     if not gn <= tol:
@@ -524,14 +540,14 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
             f"gradient norm {gn:.3e} above tolerance {tol:.3e} after {iterations} iterations, stopped by {stop}{note}"
         )
     hessian = hessian_of(system, z0)
-    if not np.all(np.isfinite(hessian)):
+    if not np.isfinite(hessian).all():
         raise NoConvergence("the Hessian at the refined point is not finite")
     generators = system.symmetry.generators
     hessian_norm = np.linalg.norm(hessian, 2) if generators else 0.0  # one SVD for all generators
     for i, x in enumerate(generators, start=1):
         moved = x @ z0
-        residual = np.linalg.norm(hessian @ moved)
-        bound = np.linalg.norm(x, 2) * gn + 1e-6 * (1.0 + hessian_norm) * np.linalg.norm(moved)
+        residual = _norm(hessian @ moved)
+        bound = np.linalg.norm(x, 2) * gn + 1e-6 * (1.0 + hessian_norm) * _norm(moved)
         if residual > bound:
             raise NotASymmetry(f"generator {i} is not a symmetry of H: |A X z0| = {residual:.3e} exceeds {bound:.3e}")
     section, coefficients = _orbit_bases(system, z0)
@@ -675,10 +691,11 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
         return d2, np.sqrt(d2)
 
     # x**e by C's pow (module docstring): Python's float power, or, where one
-    # overflows, numpy's scalar power, which gives inf and warns
+    # overflows, numpy's scalar power, which gives inf and warns; a float
+    # exponent skips pow's int conversion on every element
     def powers(values, e):
         try:
-            return np.array([x**e for x in values.tolist()])
+            return np.fromiter(map(pow, values.tolist(), repeat(float(e))), float, len(values))
         except OverflowError:
             return np.array([np.float64(x) ** e for x in values.tolist()])
 

@@ -702,17 +702,17 @@ def _solve(system, eq, candidate, amplitude_s, modes, initial_guess, setup) -> F
 
 
 def _check_modes(modes) -> None:
-    """``ValueError`` naming ``modes`` unless it is an integer in ``1..MAX_MODES``; ``cli.RunConfig`` applies it at parse time."""
-    if not (isinstance(modes, (int, np.integer)) and 1 <= modes <= MAX_MODES):
+    """``ValueError`` naming ``modes`` unless it is an integer, not a bool, in ``1..MAX_MODES``; ``cli.RunConfig`` applies it at parse time."""
+    if not (isinstance(modes, (int, np.integer)) and not isinstance(modes, bool) and 1 <= modes <= MAX_MODES):
         raise ValueError(f"modes must be an integer in 1..{MAX_MODES}, got {modes!r}")
 
 
 def _check_ladder(steps, s0, growth) -> None:
-    """``ValueError`` unless ``steps`` is an integer of at least 1 and ``s0``, ``growth`` and the last amplitude are positive and finite.
+    """``ValueError`` unless ``steps`` is an integer, not a bool, of at least 1 and ``s0``, ``growth`` and the last amplitude are positive and finite.
 
     The last amplitude is ``s0 * growth**(steps - 1)``.  ``cli.RunConfig`` applies this rule at parse time.
     """
-    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+    if not (isinstance(steps, (int, np.integer)) and not isinstance(steps, bool) and steps >= 1):
         raise ValueError(f"steps must be an integer of at least 1, got {steps!r}")
     with np.errstate(over="ignore"):  # an amplitude past the float range is inf, rejected below
         last = s0 * np.float64(growth) ** (steps - 1)

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import warnings
@@ -277,6 +278,17 @@ def test_console_entry_exits_with_the_code_of_main(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["hambif", "presets"])
     with pytest.raises(SystemExit) as exit_info:
         cli.console_entry()
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == (DATA / "presets.txt").read_text(encoding="utf-8")
+
+
+def test_module_main_line_exits_with_the_code_of_main(monkeypatch, capsys):
+    # in this process, so a line trace sees the module's __main__ line; with
+    # hambif.cli still imported, runpy would warn that it runs it a second time
+    monkeypatch.delitem(sys.modules, "hambif.cli")
+    monkeypatch.setattr(sys, "argv", ["hambif", "presets"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("hambif.cli", run_name="__main__")
     assert exit_info.value.code == 0
     assert capsys.readouterr().out == (DATA / "presets.txt").read_text(encoding="utf-8")
 

@@ -871,6 +871,25 @@ def _outcome(f, zs, error):
     return value, [(w.category, str(w.message)) for w in caught]
 
 
+def test_norm_is_numpys_vector_norm_to_the_bit():
+    # the refinement's vector norms skip np.linalg.norm's dispatch, not its
+    # formula: the same bits and the same overflow warning
+    rng = np.random.default_rng(37)
+    tiny, huge = np.finfo(float).smallest_subnormal, np.finfo(float).max
+    scales = (1e-300, 1e-160, 1e-3, 1.0, 1e150, 1e160)  # squares underflow or overflow at both ends
+    vectors = [rng.standard_normal(d) * scale for d in (1, 2, 6, 17, 274) for scale in scales]
+    vectors += [np.zeros(0), np.zeros(6), -np.zeros(6), np.full(6, tiny), rng.integers(1, 1000, 6) * tiny]
+    vectors.append(np.full(6, huge))
+    for special in (np.nan, np.inf, -np.inf):
+        v = rng.standard_normal(6)
+        v[3] = special
+        vectors.append(v)
+    vectors.append(np.array([np.inf, np.nan]))
+    outcomes = [_outcome(model._norm, v, False) for v in vectors]
+    assert outcomes == [_outcome(np.linalg.norm, v, False) for v in vectors]
+    assert outcomes[-5] == (_bits(np.inf), [(RuntimeWarning, "overflow encountered in dot")])
+
+
 @pytest.mark.parametrize(
     "q",
     [[0.0, 0.0, 0.0], [1e-120, 0.0, 0.0], [1e-70, 0.0, 1e-71], [1e70, 0.0, 0.0], [1e70, 0.0, 1e70]],

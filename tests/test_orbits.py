@@ -1243,11 +1243,18 @@ def test_amplitudes_and_growth_must_be_positive_and_finite_before_any_work(call)
 
 @pytest.mark.parametrize(
     "entry, modes",
-    [("solve_orbit", 0), ("solve_orbit", -2), ("solve_orbit", 100), ("solve_orbit", 2.5), ("continue_branch", 0)],
+    [
+        ("solve_orbit", 0),
+        ("solve_orbit", -2),
+        ("solve_orbit", 100),
+        ("solve_orbit", 2.5),
+        ("solve_orbit", True),
+        ("continue_branch", 0),
+    ],
 )
 def test_modes_outside_one_to_max_modes_are_rejected_before_any_work(entry, modes):
-    # 0 and -2 ended in numpy's "negative dimensions are not allowed", and
-    # 100 solved at M = 100, past MAX_MODES
+    # 0 and -2 ended in numpy's "negative dimensions are not allowed",
+    # 100 solved at M = 100, past MAX_MODES, and True, an int, at M = 1
     sat, eq, cand = satellite_setup()
     counted, calls = counting_evaluators(sat)
     amplitude = (1e-3,) if entry == "solve_orbit" else ()
@@ -1256,9 +1263,10 @@ def test_modes_outside_one_to_max_modes_are_rejected_before_any_work(entry, mode
     assert not calls
 
 
-@pytest.mark.parametrize("steps", [3.0, 0, -1])
+@pytest.mark.parametrize("steps", [3.0, 0, -1, True])
 def test_steps_must_be_a_positive_integer_before_any_work(steps):
-    # 3.0 passed a bare 'steps < 1' and ended in range()'s TypeError
+    # 3.0 passed a bare 'steps < 1' and ended in range()'s TypeError, and
+    # True, an int, ran one step
     sat, eq, cand = satellite_setup()
     counted, calls = counting_evaluators(sat)
     with pytest.raises(ValueError, match=re.escape(f"steps must be an integer of at least 1, got {steps!r}")):
@@ -1417,6 +1425,32 @@ def test_solve_orbit_rejects_a_negative_period():
     assert guess.lam < 0.0
     with pytest.raises(WrongBranch, match=r"period -1\.1116309 is not positive"):
         orbits.solve_orbit(system, eq, cand, 0.1 * 3.0**4, modes=last.m, initial_guess=guess)
+
+
+def test_solve_orbit_rejects_an_orbit_dominated_by_mode_two():
+    # H = (p1^2 + q1^2)/2 + (p2^2 + 4 q2^2)/2: at lam = 1 the warm start, the
+    # kernel pair at amplitude s in mode 1 beside q2 = cos(2t)/2,
+    # p2 = -sin(2t) in mode 2, solves the equations exactly, pin included, and
+    # its mode 2 holds more energy than its mode 1 (a jump to the 1:2 family)
+    system = model.HamiltonianSystem(
+        n=2,
+        energy=lambda z: 0.5 * (z[2] ** 2 + z[0] ** 2) + 0.5 * (z[3] ** 2 + 4.0 * z[1] ** 2),
+        gradient=lambda z: np.array([z[0], 4.0 * z[1], z[2], z[3]]),
+        hessian=lambda z: np.diag([1.0, 4.0, 1.0, 1.0]),
+    )
+    eq = model.refine_equilibrium(system, np.zeros(4))
+    cand = analysis.analyze(system, eq, analysis.AnalyzeOptions(j0=2))[0]  # betas 2, 1
+    assert cand.beta == pytest.approx(1.0) and cand.verdict == "confirmed (period not certified minimal)"
+    s = 1e-3
+    a1, b1 = orbits.kernel_direction(system, eq, cand)
+    guess = orbits.FourierOrbit(
+        a0=np.zeros(4),
+        a=np.array([s * a1, [0.0, 0.5, 0.0, 0.0]]),
+        b=np.array([s * b1, [0.0, 0.0, 0.0, -1.0]]),
+        lam=1.0,
+    )
+    with pytest.raises(WrongBranch, match=r"dominant Fourier mode is k=2, not k=1"):
+        orbits.solve_orbit(system, eq, cand, s, modes=2, initial_guess=guess)
 
 
 def reference_curve(orbit, t):
