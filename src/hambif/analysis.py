@@ -4,8 +4,11 @@ Candidate levels are lambda = 1/beta_j, where +/- i beta_j runs through the
 purely imaginary eigenvalue pairs of J * hessian(H).  One eigendecomposition
 of J * hessian(H) decides them: its purely imaginary eigenvalues are
 clustered as sets of indices, and each level's beta_j, multiplicity and
-invariant subspace E_j come from its one index set.  Each candidate is put
-through the checks below and aggregated into a verdict:
+invariant subspace E_j come from its one index set.  The levels' subspaces
+and the Hessian's inertia on each come from ``linalg.invariant_subspaces``:
+one stacked SVD, invariance residual and ``eigvalsh`` per cluster size, not
+one set of calls per level.  Each candidate is put through the checks below
+and aggregated into a verdict:
 
 * resonance: one rule, ``SpectralReport.contributors``, gives the levels
   k/beta_j (where the mode-k linearization is singular) that coincide with a
@@ -27,6 +30,7 @@ Ann. Math. 73, 1961), which needs no fact about the isotropy group of ``z0``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,14 +38,7 @@ import numpy as np
 
 from . import degree as degree_mod
 from .errors import Degenerate, HambifError, NoImaginaryPairs, NoSuchLevel
-from .linalg import (
-    check_symmetric,
-    compress,
-    general_eigensystem,
-    inertia,
-    real_invariant_subspace,
-    standard_symplectic,
-)
+from .linalg import check_symmetric, general_eigensystem, inertia, invariant_subspaces, standard_symplectic
 from .model import EquilibriumOrbit, HamiltonianSystem
 
 __all__ = [
@@ -71,8 +68,10 @@ class SpectralReport:
     ``betas`` are the distinct imaginary parts beta_1 > ... > beta_m > 0 of
     the eigenvalue pairs of J A, ``multiplicities`` their cluster sizes,
     ``subspaces`` the matching orthonormal real invariant subspace bases E_j
-    and ``inertias`` the inertia ``(m+, m-, kernel)`` of ``compress(A, E_j)``
-    from one ``eigvalsh`` each, read by the Morse jump and the A7.1/A7.3 checks.
+    and ``inertias`` the inertia ``(m+, m-, kernel)`` of ``compress(A, E_j)``,
+    read by the Morse jump and the A7.1/A7.3 checks.  Both come from
+    ``linalg.invariant_subspaces``: one stacked ``eigvalsh`` for all the
+    levels of one multiplicity, with the bits of one ``eigvalsh`` each.
     """
 
     n: int
@@ -137,7 +136,7 @@ def matrix_report(a) -> SpectralReport:
     m_plus, m_minus, kernel_dim = inertia(wa)
     ja = standard_symplectic(n) @ a
     wja, vja = general_eigensystem(ja)
-    scale = 1.0 + float(np.max(np.abs(wja)))
+    scale = 1.0 + float(np.abs(wja).max())
     # the degenerate-orbit modes sit numerically near 0 and are not
     # oscillation frequencies; require beta well above the splitting noise
     beta_floor = 1e-6 * scale
@@ -151,15 +150,15 @@ def matrix_report(a) -> SpectralReport:
             clusters[-1].append(i)
         else:
             clusters.append([i])
-    subspaces = tuple(real_invariant_subspace(ja, vja[:, sorted(c)], scale) for c in clusters)
+    subspaces, inertias = invariant_subspaces(ja, a, vja, [sorted(c) for c in clusters], scale)
     return SpectralReport(
         n=n,
         hessian=a,
         hessian_eigenvalues=wa,
-        betas=tuple(float(np.mean(wja[c].imag)) for c in clusters),
+        betas=tuple(float(wja[c].imag.mean()) for c in clusters),
         multiplicities=tuple(len(c) for c in clusters),
         subspaces=subspaces,
-        inertias=tuple(inertia(np.linalg.eigvalsh(compress(a, e))) for e in subspaces),
+        inertias=inertias,
         m_plus=m_plus,
         m_minus=m_minus,
         kernel_dim=kernel_dim,
@@ -173,6 +172,8 @@ def t_matrix(a, k: int, lam: float) -> np.ndarray:
         raise ValueError(f"mode index k must be >= 1, got {k}")
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     two_n = a.shape[0]
     if two_n % 2:
         raise ValueError("A must act on an even-dimensional space")
@@ -233,6 +234,8 @@ def morse_jump(a, lambda0: float, report: SpectralReport) -> int:
         raise ValueError("a is not the Hessian the spectral report was made from")
     if lambda0 <= 0.0:
         raise ValueError(f"lambda0 must be positive, got {lambda0}")
+    if not math.isfinite(lambda0):
+        raise ValueError(f"lambda0 must be finite, got {lambda0}")
     levels = [j for k, j in report.contributors(lambda0) if k == 1]
     if not levels:
         return 0

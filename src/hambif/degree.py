@@ -110,7 +110,7 @@ def section_map(system: HamiltonianSystem, eq: EquilibriumOrbit) -> SectionMap:
 def degree_nondegenerate(smap: SectionMap, jac) -> int:
     """Sign of det(jac) for a nonsingular section-compressed Hessian."""
     w, v = _eigh(jac)
-    if np.any(_in_kernel(w)):
+    if _in_kernel(w).any():
         raise Degenerate(_SINGULAR)
     return _degree(smap, w, v)
 
@@ -121,7 +121,7 @@ def _eigh(jac):
 
 
 def _in_kernel(w) -> np.ndarray:
-    return np.abs(w) <= _KERNEL_TOL * (1.0 + float(np.max(np.abs(w))))
+    return np.abs(w) <= _KERNEL_TOL * (1.0 + float(np.abs(w).max()))
 
 
 def _fd_jacobian(smap: SectionMap) -> np.ndarray:
@@ -169,12 +169,12 @@ def _degree(smap: SectionMap, w, v) -> int:
     """:func:`degree_reduced` from the eigendecomposition ``(w, v)`` of the symmetrised Jacobian."""
     in_kernel = _in_kernel(w)
     kernel, image, w_range = v[:, in_kernel], v[:, ~in_kernel], w[~in_kernel]
-    sign, dim = (-1) ** int(np.sum(w_range < 0.0)), kernel.shape[1]
+    sign, dim = (-1) ** int((w_range < 0.0).sum()), kernel.shape[1]
     if dim == 0:
         return sign
     if dim > 2:
         raise Degenerate(f"section kernel of dimension {dim}; the reduced degree is certified up to dimension 2")
-    noise = smap.origin + 1e-14 * (1.0 + float(np.max(np.abs(w))))
+    noise = smap.origin + 1e-14 * (1.0 + float(np.abs(w).max()))
 
     def g(c):  # the range equation by chord Newton with the fixed block A_R
         y = np.zeros(image.shape[1])
@@ -205,7 +205,7 @@ def degree_minimum(smap: SectionMap) -> int:
     negative eigenvalue or the degree of :func:`degree_reduced` is not +1.
     """
     w, v = _eigh(_fd_jacobian(smap))
-    if np.any((w < 0.0) & ~_in_kernel(w)):
+    if ((w < 0.0) & ~_in_kernel(w)).any():
         raise NotAMinimum(f"section Hessian has a negative eigenvalue {w.min():.3e}")
     value = _degree(smap, w, v)
     if value != 1:
@@ -230,7 +230,7 @@ def section_degree(system: HamiltonianSystem, eq: EquilibriumOrbit) -> DegreeRep
     a value the report has ``value=None`` and the reason in ``detail``.
     """
     w, v = _eigh(compress(eq.hessian, eq.section_basis))
-    path, detail = ("reduced", _SINGULAR) if np.any(_in_kernel(w)) else ("nondegenerate", "")
+    path, detail = ("reduced", _SINGULAR) if _in_kernel(w).any() else ("nondegenerate", "")
     try:
         value = _degree(section_map(system, eq), w, v)
     except HambifError as exc:

@@ -1,4 +1,5 @@
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from hambif import analysis, cli, degree, linalg, model, orbits
-from hambif.errors import Degenerate, EmptyKernel, NoImaginaryPairs, NoSuchLevel, NotASymmetry
+from hambif.errors import Degenerate, EmptyKernel, NoImaginaryPairs, NonSymmetric, NoSuchLevel, NotASymmetry
 
 DATA = Path(__file__).parent / "data"
 
@@ -105,12 +106,40 @@ def test_resonance_set_requires_imaginary_pairs():
         (lambda: analysis.t_matrix(np.eye(3), 1, 1.0), "even-dimensional"),
         (lambda: analysis.resonance_set(analysis.matrix_report(np.eye(2)), k_max=0), "k_max must be >= 1, got 0"),
         (lambda: analysis.morse_jump(np.eye(2), 0.0, analysis.matrix_report(np.eye(2))), "lambda0 must be positive"),
+        (lambda: analysis.t_matrix(np.eye(2), 1, np.nan), "lambda must be finite, got nan"),
+        (lambda: analysis.t_matrix(np.eye(2), 1, np.inf), "lambda must be finite, got inf"),
+        (lambda: analysis.morse_jump(np.eye(2), np.nan, analysis.matrix_report(np.eye(2))), "lambda0 must be finite, got nan"),
+        (lambda: analysis.morse_jump(np.eye(2), np.inf, analysis.matrix_report(np.eye(2))), "lambda0 must be finite, got inf"),
     ],
-    ids=["odd-matrix-report", "t-matrix-k-0", "t-matrix-lam-0", "t-matrix-odd", "k-max-0", "morse-jump-lambda0-0"],
+    ids=[
+        "odd-matrix-report",
+        "t-matrix-k-0",
+        "t-matrix-lam-0",
+        "t-matrix-odd",
+        "k-max-0",
+        "morse-jump-lambda0-0",
+        "t-matrix-lam-nan",
+        "t-matrix-lam-inf",
+        "morse-jump-lambda0-nan",
+        "morse-jump-lambda0-inf",
+    ],
 )
 def test_bad_arguments_are_value_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [analysis.matrix_report, lambda a: analysis.t_matrix(a, 1, 1.0)], ids=["matrix-report", "t-matrix"])
+def test_a_non_finite_matrix_is_rejected_before_any_arithmetic(call, value):
+    # a non-finite entry made matrix_report warn "invalid value encountered"
+    # and t_matrix return NaN blocks; it is now named in a typed error
+    a = np.eye(4)
+    a[2, 1] = a[1, 2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonSymmetric, match=rf"non-finite entry {value} at \(1, 2\)"):
+            call(a)
 
 
 def test_resonance_singularity_cross_check():
@@ -342,6 +371,100 @@ def test_invariant_subspaces_have_two_columns_per_multiplicity():
             assert basis.shape == (a.shape[0], 2 * mult)
         for j, basis in enumerate(rep.subspaces):
             assert rep.inertias[j] == linalg.inertia(np.linalg.eigvalsh(linalg.compress(rep.hessian, basis)))
+
+
+def _reference_levels(a):
+    """``matrix_report``'s subspaces and inertias as they were made, one SVD, residual and ``eigvalsh`` per level (reference)."""
+    a = linalg.check_symmetric(a)
+    ja = linalg.standard_symplectic(a.shape[0] // 2) @ a
+    wja, vja = linalg.general_eigensystem(ja)
+    scale = 1.0 + float(np.max(np.abs(wja)))
+    imaginary = [i for i, v in enumerate(wja) if abs(v.real) < 1e-8 * scale and v.imag > 1e-6 * scale]
+    clusters = []
+    for i in sorted(imaginary, key=lambda i: wja[i].imag, reverse=True):
+        head = wja[clusters[-1][0]].imag if clusters else None
+        if head is not None and abs(wja[i].imag - head) < 1e-8 * (1.0 + head):
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    subspaces = []
+    for cluster in clusters:
+        vectors = vja[:, sorted(cluster)]
+        basis = linalg.orthonormal_columns(np.column_stack([part for col in vectors.T for part in (col.real, col.imag)]))
+        assert basis.shape[1] == 2 * len(cluster)
+        assert float(np.linalg.norm(ja @ basis - basis @ (basis.T @ ja @ basis))) <= 1e-8 * scale
+        subspaces.append(basis)
+    return subspaces, [linalg.inertia(np.linalg.eigvalsh(linalg.compress(a, e))) for e in subspaces]
+
+
+def test_stacked_report_equals_the_per_level_computation_to_the_bit():
+    rng = np.random.default_rng(43)
+
+    def repeated(two_n):
+        # elliptic degrees of freedom s beta (q^2 + p^2) / 2 whose betas repeat, in random symplectic coordinates
+        n = two_n // 2
+        betas = rng.choice([0.6, 1.3, 2.1], size=n)
+        a = np.diag(np.concatenate([betas, betas]) * np.tile(rng.choice([1.0, -1.0], size=n), 2))
+        s = random_symplectic(rng, n)
+        return s.T @ a @ s
+
+    def indefinite(two_n):
+        a = rng.standard_normal((two_n, two_n))
+        return a + a.T
+
+    kinds = {
+        "definite": lambda two_n: random_definite_matrix(rng, two_n),
+        "indefinite": indefinite,
+        "repeated": repeated,
+        "clustered": lambda two_n: clustered_hessian(rng)[0],
+        "quartets": lambda two_n: hessian_with_quartets(rng)[0],
+    }
+    sizes, mixed = set(), 0
+    for kind, make in kinds.items():
+        for two_n in range(2, 18, 2):
+            for _ in range(4):
+                a = make(two_n)
+                rep = analysis.matrix_report(a)
+                subspaces, inertias = _reference_levels(a)
+                assert rep.inertias == tuple(inertias), kind
+                for e, ref in zip(rep.subspaces, subspaces, strict=True):
+                    assert e.shape == ref.shape and e.tobytes() == ref.tobytes(), kind
+                sizes.add(a.shape[0])
+                mixed += len(set(rep.multiplicities)) > 1
+    assert sizes == set(range(2, 18, 2)) and mixed >= 20
+
+
+def test_report_makes_one_svd_and_one_level_eigvalsh_per_multiplicity(monkeypatch):
+    # the N = 8 spring chain at its equilibrium, U = sum f_i^2 q_i^2 / 2 + quartic
+    # couplings, in random symplectic coordinates: 8 simple levels, which made 8
+    # SVDs and 8 level eigvalsh calls, one set per level
+    rng = np.random.default_rng(8)
+    f = np.array([1.0, 1.23, 1.41, 1.67, 1.93, 2.18, 2.47, 2.71])
+    s = random_symplectic(rng, 8)
+    chain = s.T @ np.diag(np.concatenate([f**2, np.ones(8)])) @ s
+    # and three levels of multiplicities 3, 1 and 2, one stack each
+    betas = np.array([0.7, 0.7, 1.1, 1.6, 1.6, 1.6])
+    s = random_symplectic(rng, 6)
+    mixed = s.T @ np.diag(np.concatenate([betas, betas])) @ s
+    calls = {"svd": 0, "eigvalsh": 0}
+
+    def counted(name):
+        solver = getattr(np.linalg, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return solver(*args, **kwargs)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    for a, multiplicities in ((chain, (1,) * 8), (mixed, (3, 1, 2))):
+        calls.update(svd=0, eigvalsh=0)
+        rep = analysis.matrix_report(a)
+        assert rep.multiplicities == multiplicities
+        # one eigvalsh is the Hessian's own spectrum
+        assert calls == {"svd": len(set(multiplicities)), "eigvalsh": 1 + len(set(multiplicities))}
 
 
 def test_quartet_next_to_a_level_stays_out_of_its_subspace():

@@ -121,17 +121,21 @@ def test_cli_output_matches_its_golden_file(name):
     assert_matches_golden(name, run(COMMANDS[name]))
 
 
-def _negated(basis):
-    return lambda *args: -basis(*args)
+def _negated(subspaces):
+    def negated(*args):
+        bases, inertias = subspaces(*args)
+        return tuple(-e for e in bases), inertias
+
+    return negated
 
 
-def _rotated(basis):
-    """``basis`` with a simple level's plane rotated by pi/5 in itself; a wider basis as it was."""
+def _rotated(subspaces):
+    """``subspaces`` with every simple level's plane rotated by pi/5 in itself; a wider basis as it was."""
+    c, s = np.cos(np.pi / 5), np.sin(np.pi / 5)
 
     def rotated(*args):
-        e = basis(*args)
-        c, s = np.cos(np.pi / 5), np.sin(np.pi / 5)
-        return e @ np.array([[c, -s], [s, c]]) if e.shape[1] == 2 else e
+        bases, inertias = subspaces(*args)
+        return tuple(e @ np.array([[c, -s], [s, c]]) if e.shape[1] == 2 else e for e in bases), inertias
 
     return rotated
 
@@ -145,8 +149,8 @@ def _section_negated(bases):
 
 
 BASIS_CHANGES = {
-    "invariant-subspace-negated": (analysis, "real_invariant_subspace", _negated),
-    "invariant-subspace-rotated": (analysis, "real_invariant_subspace", _rotated),
+    "invariant-subspace-negated": (analysis, "invariant_subspaces", _negated),
+    "invariant-subspace-rotated": (analysis, "invariant_subspaces", _rotated),
     "section-negated": (model, "_orbit_bases", _section_negated),
 }
 
@@ -159,12 +163,15 @@ def test_kernel_pair_and_branch_ignore_basis_choices(monkeypatch, change):
 
     def pairs():
         eq = model.refine_equilibrium(system, np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0]))
-        return [orbits.kernel_direction(system, eq, cand) for cand in analysis.analyze(system, eq)]
+        bases = (*analysis.spectral_report(system, eq).subspaces, eq.section_basis)
+        return [orbits.kernel_direction(system, eq, cand) for cand in analysis.analyze(system, eq)], bases
 
-    before = pairs()
+    before, bases = pairs()
     module, name, change_basis = BASIS_CHANGES[change]
     monkeypatch.setattr(module, name, change_basis(getattr(module, name)))
-    after = pairs()
+    after, changed_bases = pairs()
+    # the change reaches the chain: a basis it reads is not the one it read before
+    assert max(np.max(np.abs(e - changed)) for e, changed in zip(bases, changed_bases)) > 0.1
     assert len(before) == len(after) == 2
     for pair, changed in zip(before, after):
         assert np.max(np.abs(np.subtract(pair, changed))) <= 1e-15

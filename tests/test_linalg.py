@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -183,6 +186,96 @@ def test_real_invariant_subspace_rejects_defective():
     assert upper.size == 2
     with pytest.raises(ConvergenceFailure, match="defective"):
         linalg.real_invariant_subspace(m, v[:, upper], 1.0 + float(np.max(np.abs(w))))
+
+
+@pytest.mark.parametrize(
+    "a, entry",
+    [
+        ([[1.0, np.nan], [0.0, 1.0]], "nan at (0, 1)"),
+        ([[np.nan, 0.0], [0.0, 1.0]], "nan at (0, 0)"),
+        ([[-1.0, np.nan], [0.0, -1.0]], "nan at (0, 1)"),
+        ([[1.0, 0.0], [np.inf, 1.0]], "inf at (1, 0)"),
+        ([[-np.inf, 0.0], [0.0, 1.0]], "-inf at (0, 0)"),
+    ],
+)
+@pytest.mark.parametrize("call", [linalg.check_symmetric, linalg.morse_index_negative], ids=["check-symmetric", "morse-index"])
+def test_a_non_finite_entry_is_not_symmetric(call, a, entry):
+    # a NaN scale let every gap pass: check_symmetric returned NaN entries and
+    # morse_index_negative counted a NaN eigenvalue as kernel, so gave 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonSymmetric, match=rf"non-finite entry {re.escape(entry)}"):
+            call(np.array(a))
+
+
+def three_clusters():
+    """``m = diag(3 J, D)`` with D a defective Jordan pair at +-i, a form, and three clusters of its eigenvectors.
+
+    Column 0 spans the +3i plane (good), columns 1-2 are D's two eigenvectors
+    for +i (defective), and column 3 mixes both blocks (not invariant).
+    """
+    m = np.zeros((6, 6))
+    m[:2, :2] = 3.0 * linalg.standard_symplectic(1)
+    m[2:, 2:] = [[0.0, 1.0, 1.0, 0.0], [-1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]]
+    w, v = linalg.general_eigensystem(m)
+    good = v[:, np.argmin(np.abs(w - 3j))]
+    defective = v[:, np.nonzero(np.abs(w - 1j) < 1e-6)[0]]
+    assert defective.shape == (6, 2)
+    mixed = np.array([1.0, 1j, 1.0, 0.0, 0.0, 0.0]) / np.sqrt(3.0)
+    vectors = np.column_stack([good, defective, mixed])
+    return m, np.eye(6), vectors, {"good": [0], "defective": [1, 2], "non-invariant": [3]}, 4.0
+
+
+@pytest.mark.parametrize(
+    "order, failure",
+    [
+        (("good", "defective"), "defective"),
+        (("defective", "good"), "defective"),
+        (("good", "non-invariant"), "non-invariant"),
+        (("non-invariant", "good"), "non-invariant"),
+        (("defective", "non-invariant"), "defective"),
+        (("non-invariant", "defective"), "non-invariant"),
+        (("good", "non-invariant", "good", "defective"), "non-invariant"),
+    ],
+)
+def test_invariant_subspaces_raise_the_first_failing_clusters_text(order, failure):
+    # sizes 1 and 2 go into separate stacks, the size-1 stack first; the error
+    # is still the one of the first failing cluster in the caller's order
+    m, a, vectors, clusters, scale = three_clusters()
+    with pytest.raises(ConvergenceFailure) as alone:
+        linalg.real_invariant_subspace(m, vectors[:, clusters[failure]], scale)
+    assert re.fullmatch(r"eigenvalue cluster of multiplicity 2 is defective \(real span [0-3] < 4\)|invariance residual .* too large for a cluster of multiplicity 1", str(alone.value))
+    with pytest.raises(ConvergenceFailure) as stacked:
+        linalg.invariant_subspaces(m, a, vectors, [clusters[name] for name in order], scale)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_invariant_subspaces_of_good_clusters_are_the_one_cluster_bases():
+    m, a, vectors, clusters, scale = three_clusters()
+    bases, inertias = linalg.invariant_subspaces(m, a, vectors, [clusters["good"]] * 3, scale)
+    alone = linalg.real_invariant_subspace(m, vectors[:, clusters["good"]], scale)
+    assert all(e.tobytes() == alone.tobytes() for e in bases) and inertias == ((2, 0, 0),) * 3
+
+
+@pytest.mark.parametrize("mult", [1, 2, 3])
+def test_stacked_invariance_residual_is_numpys_norm_to_the_bit(mult):
+    # the residual in a failure's text is np.linalg.norm of the one-cluster
+    # residual, whichever place the cluster takes in its stack
+    rng = np.random.default_rng(mult)
+    a = rng.standard_normal((8, 8))
+    m = linalg.standard_symplectic(4) @ (a @ a.T + np.eye(8))
+    w, v = linalg.general_eigensystem(m)
+    top = np.argsort(-w.imag)[:mult]
+    assert min(w[top].imag) > 0.0
+    for place in range(4):
+        vectors = np.column_stack([v[:, top], rng.standard_normal((8, mult)) + 1j * rng.standard_normal((8, mult))])
+        clusters = [list(range(mult))] * 4
+        clusters[place] = list(range(mult, 2 * mult))
+        basis = linalg.orthonormal_columns(np.column_stack([p for col in vectors[:, clusters[place]].T for p in (col.real, col.imag)]))
+        residual = float(np.linalg.norm(m @ basis - basis @ (basis.T @ m @ basis)))
+        with pytest.raises(ConvergenceFailure) as failure:
+            linalg.invariant_subspaces(m, np.eye(8), vectors, clusters, 1.0)
+        assert str(failure.value) == f"invariance residual {residual:.3e} too large for a cluster of multiplicity {mult}"
 
 
 def test_inertia_counts_at_the_zero_threshold():
