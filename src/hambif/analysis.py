@@ -165,15 +165,25 @@ def matrix_report(a) -> SpectralReport:
     )
 
 
+def _check_positive(name: str, value: float) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is positive and finite; NaN is not finite."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be {'positive' if value <= 0.0 else 'finite'}, got {value}")
+
+
+def _check_count(name: str, value) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is an integer (a numpy one too), not a bool, of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def t_matrix(a, k: int, lam: float) -> np.ndarray:
     """Mode-k block matrix [[-(lam/k) A, -J], [J, -(lam/k) A]] (size 4N)."""
     a = check_symmetric(a)
-    if k < 1:
-        raise ValueError(f"mode index k must be >= 1, got {k}")
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if not math.isfinite(lam):
-        raise ValueError(f"lambda must be finite, got {lam}")
+    _check_count("mode index k", k)
+    _check_positive("lambda", lam)
     two_n = a.shape[0]
     if two_n % 2:
         raise ValueError("A must act on an even-dimensional space")
@@ -190,8 +200,7 @@ def resonance_set(report: SpectralReport, k_max: int = 20) -> ResonanceSet:
     """The distinct levels k/beta_j, 1 <= k <= k_max, sorted, each with its ``report.contributors`` up to ``k_max``."""
     if not report.betas:
         raise NoImaginaryPairs("the linearization has no purely imaginary pairs")
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    _check_count("k_max", k_max)
     ladder = sorted((k / beta, k, j) for j, beta in enumerate(report.betas, start=1) for k in range(1, k_max + 1))
     entries, seen = [], set()
     for lam, k, j in ladder:
@@ -232,10 +241,7 @@ def morse_jump(a, lambda0: float, report: SpectralReport) -> int:
     """
     if a is not report.hessian and not np.array_equal(check_symmetric(a), report.hessian):
         raise ValueError("a is not the Hessian the spectral report was made from")
-    if lambda0 <= 0.0:
-        raise ValueError(f"lambda0 must be positive, got {lambda0}")
-    if not math.isfinite(lambda0):
-        raise ValueError(f"lambda0 must be finite, got {lambda0}")
+    _check_positive("lambda0", lambda0)
     levels = [j for k, j in report.contributors(lambda0) if k == 1]
     if not levels:
         return 0

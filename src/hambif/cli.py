@@ -299,14 +299,13 @@ def _polynomial_system(config: RunConfig) -> HamiltonianSystem:
     def hessian(z):
         return np.sum(hess_factor * np.prod(z**hess_exps, axis=-1), axis=0)
 
-    generators = tuple(np.array(g, dtype=float) for g in config.generators)
     even_in_p = all(sum(e[config.n :]) % 2 == 0 for _, e in config.monomials)
     return HamiltonianSystem(
         n=config.n,
         energy=energy,
         gradient=gradient,
         hessian=hessian,
-        symmetry=SymmetryGroup(generators),
+        symmetry=SymmetryGroup(config.generators),
         name="inline-polynomial",
         reversor=np.repeat([1.0, -1.0], config.n) if even_in_p else None,
     )

@@ -42,7 +42,13 @@ def standard_symplectic(n: int) -> np.ndarray:
 
 
 def check_symmetric(a) -> np.ndarray:
-    """Validate symmetry of ``a`` up to 1e-10 (relative) and return (a + a^T)/2; a non-finite entry is rejected."""
+    """Validate symmetry of ``a`` up to 1e-10 (relative) and return (a + a^T)/2; a non-finite entry is rejected.
+
+    ``a`` is halved before the sum and the gap ``max|a - a^T|`` are taken, so
+    finite entries near the float maximum neither overflow nor warn.  Outside
+    the subnormal range halving is exact, so both have the bits of the
+    unhalved formulas wherever those do not overflow.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSymmetric(f"expected a square matrix, got shape {a.shape}")
@@ -50,16 +56,22 @@ def check_symmetric(a) -> np.ndarray:
     if not math.isfinite(scale):
         i, j = np.argwhere(~np.isfinite(a))[0]
         raise NonSymmetric(f"matrix has a non-finite entry {a[i, j]} at ({i}, {j})")
-    gap = float(np.abs(a - a.T).max()) if a.size else 0.0
+    half = 0.5 * a
+    gap = 2.0 * float(np.abs(half - half.T).max()) if a.size else 0.0
     if gap > 1e-10 * scale:
         raise NonSymmetric(f"symmetry violation {gap:.3e} exceeds 1.0e-10 * scale")
-    return 0.5 * (a + a.T)
+    return half + half.T
 
 
 def inertia(w) -> tuple[int, int, int]:
-    """``(m+, m-, kernel)`` of symmetric-matrix eigenvalues ``w``, the kernel within ``1e-8 (1 + max|w|)`` of 0."""
+    """``(m+, m-, kernel)`` of symmetric-matrix eigenvalues ``w``, the kernel within ``1e-8 (1 + max|w|)`` of 0.
+
+    Raises ``ValueError`` naming a non-finite eigenvalue: ``eps`` is finite exactly when every ``|w|`` is.
+    """
     w = np.asarray(w)
     eps = 1e-8 * (1.0 + (float(np.abs(w).max()) if w.size else 0.0))
+    if not math.isfinite(eps):
+        raise ValueError(f"eigenvalues must be finite, got {w[~np.isfinite(w)][0]}")
     pos, neg = int((w > eps).sum()), int((w < -eps).sum())
     return pos, neg, w.size - pos - neg
 

@@ -47,8 +47,9 @@ share one dispatcher, which makes one such call for a whole stack and
 evaluates the points one at a time otherwise.  The stacked form belongs to
 the callable, so a system whose evaluator is replaced never keeps a stale
 one.  The satellite preset and every system from
-``newtonian_to_hamiltonian`` carry stacked derivatives, and the satellite a
-stacked energy.  Every stacked form equals its per-point form to the bit,
+``newtonian_to_hamiltonian`` (the ``harmonic`` and ``coupled-springs``
+presets among them) carry stacked derivatives, and the satellite a stacked
+energy.  Every stacked form equals its per-point form to the bit,
 so no derivative, finite-difference or not, depends on which one a caller
 reaches.  The per-point Hessians, the satellite's per-point energy and the
 lift's per-point gradient are derived, row 0 of the stacked form on a
@@ -80,9 +81,12 @@ raises ``NotASymmetry`` otherwise: the section and a branch's pins treat
 A reversor is a diagonal ``R = diag(r)``, ``r_i = +-1``, with ``R J R = -J``
 (``r[N:] = -r[:N]``) and ``H(R z) = H(z)``, so that ``R z(-t)`` solves the flow
 whenever ``z(t)`` does.  Only constructors that know ``H`` set it:
-``newtonian_to_hamiltonian`` (``R = diag(I, -I)``), the satellite preset
-(``R = diag(1, -1, 1, -1, 1, -1)``) and the CLI's inline polynomials whose
-every monomial has even degree in ``p``.
+``newtonian_to_hamiltonian`` (``R = diag(I, -I)``), and through it the
+``coupled-springs`` preset and the ``harmonic`` preset, which is its
+one-frequency case (``R = diag(1, -1)``); the satellite preset
+(``R = diag(1, -1, 1, -1, 1, -1)``); and the CLI's inline polynomials whose
+every monomial has even degree in ``p``.  The lift's generators and the
+satellite's are ``diag(X, X)``, built by one helper (``_doubled``).
 """
 
 from __future__ import annotations
@@ -560,6 +564,13 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
     )
 
 
+def _doubled(x, n: int) -> np.ndarray:
+    """``diag(X, X)``: the ``n x n`` generator ``X`` acting on positions and on momenta alike."""
+    big = np.zeros((2 * n, 2 * n))
+    big[:n, :n] = big[n:, n:] = x
+    return big
+
+
 def newtonian_to_hamiltonian(
     potential: Callable[[np.ndarray], float],
     n: int,
@@ -610,19 +621,12 @@ def newtonian_to_hamiltonian(
 
         hess = _per_point(hesses)
 
-    lifted = []
-    for x in generators:
-        x = np.asarray(x, dtype=float)
-        big = np.zeros((2 * n, 2 * n))
-        big[:n, :n] = x
-        big[n:, n:] = x
-        lifted.append(big)
     return HamiltonianSystem(
         n=n,
         energy=energy,
         gradient=grad,
         hessian=hess,
-        symmetry=SymmetryGroup(tuple(lifted)),
+        symmetry=SymmetryGroup(tuple(_doubled(x, n) for x in generators)),
         name=name or "newtonian",
         reversor=np.repeat([1.0, -1.0], n),
     )
@@ -741,15 +745,12 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
     gradient.batch = gradients
 
     spin = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    generator = np.zeros((6, 6))
-    generator[:3, :3] = spin
-    generator[3:, 3:] = spin
     return HamiltonianSystem(
         n=3,
         energy=_per_point(energies),
         gradient=gradient,
         hessian=_per_point(hessians),
-        symmetry=SymmetryGroup((generator,)),
+        symmetry=SymmetryGroup((_doubled(spin, 3),)),
         name="satellite",
         reversor=np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0]),
     )
@@ -811,18 +812,12 @@ def preset(name: str, params: Optional[dict] = None, **kwargs) -> HamiltonianSys
         if not (0.0 < omega < np.inf and 0.0 < c < np.inf):
             raise ValueError("satellite preset needs finite omega > 0 and c > 0")
         return _satellite_system(omega, c)
-    if name == "harmonic":
+    if name == "harmonic":  # the one-frequency spring chain
         beta = float(values["beta"])
         if not 0.0 < beta < np.inf:
             raise ValueError("harmonic preset needs finite beta > 0")
-        return HamiltonianSystem(
-            n=1,
-            energy=lambda z: 0.5 * (z[1] ** 2 + beta**2 * z[0] ** 2),
-            gradient=lambda z: np.array([beta**2 * z[0], z[1]]),
-            hessian=lambda z: np.diag([beta**2, 1.0]),
-            name="harmonic",
-        )
-    freqs = np.asarray(values["frequencies"], dtype=float).ravel()  # coupled-springs
+        values["frequencies"] = [beta]
+    freqs = np.asarray(values["frequencies"], dtype=float).ravel()
     if freqs.size == 0 or not np.all((0.0 < freqs) & (freqs < np.inf)):
         raise ValueError("frequencies must be a non-empty list of positive finite reals")
     stiff = freqs**2
@@ -831,5 +826,5 @@ def preset(name: str, params: Optional[dict] = None, **kwargs) -> HamiltonianSys
         n=freqs.size,
         gradient=lambda q: stiff * q,
         hessian=lambda q: np.diag(stiff),
-        name="coupled-springs",
+        name=name,
     )

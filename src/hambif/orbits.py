@@ -113,7 +113,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import BifurcationCandidate, spectral_report
+from .analysis import BifurcationCandidate, _check_count, spectral_report
 from .errors import EmptyKernel, HambifError, NoConvergence, WrongBranch
 from .model import (
     EquilibriumOrbit,
@@ -306,6 +306,7 @@ def kernel_direction(system: HamiltonianSystem, eq: EquilibriumOrbit, candidate:
 
 def residual_field(system: HamiltonianSystem, orbit: FourierOrbit, collocation_points: int) -> np.ndarray:
     """z'(t_i) - lambda J grad H(z(t_i)) at equispaced collocation points, on the shared ``_grid`` table."""
+    _check_count("collocation_points", collocation_points)
     if collocation_points < 2 * orbit.m + 1:
         raise ValueError("need at least 2M + 1 collocation points")
     table = _grid(collocation_points, orbit.m)
@@ -863,11 +864,8 @@ def minimal_period_check(orbit: FourierOrbit) -> str:
     k = np.arange(1, orbit.m + 1)
     if any(float(np.sum(energies[k % r != 0])) <= (1e-6 * orbit.amplitude) ** 2 for r in range(2, 6)):
         return "subharmonic"
-    if energies.size == 1:
-        return "minimal"
-    others = energies[1:]
-    floor = 1e-30 * max(float(energies[0]), 1.0)
-    if energies[0] >= 100.0 * float(np.max(others)) or float(np.max(others)) < floor:
+    top = float(np.max(energies[1:], initial=0.0))  # the largest higher mode; none at M = 1
+    if energies[0] >= 100.0 * top or top < 1e-30 * max(float(energies[0]), 1.0):
         return "minimal"
     return "undetermined"
 

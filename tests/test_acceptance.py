@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; every tolerance is fixed here and nothing is calibrated at runtime.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -172,11 +173,16 @@ def test_acceptance_6_branch_verification():
     harm = model.preset("harmonic", beta=1.0)
     eq_h = model.refine_equilibrium(harm, np.zeros(2))
     cand_h = analysis.analyze(harm, eq_h)[0]
-    branch_h = orbits.continue_branch(harm, eq_h, cand_h, steps=6, s0=1e-3, growth=2.0, modes=4)
-    assert len(branch_h.orbits) == 6 and not branch_h.failures
-    for orbit in branch_h.orbits:
-        assert orbit.residual < 1e-12
-        assert abs(orbit.period - 2.0 * np.pi) < 1e-12
+    # the preset is reversible and even about 0, so it takes the half-wave ansatz;
+    # without its reversor the same branch takes the full harmonic-balance system
+    full = dataclasses.replace(harm, reversor=None)
+    assert orbits._BranchSetup(harm, eq_h, cand_h).half_wave and orbits._BranchSetup(full, eq_h, cand_h).reversor is None
+    for system in (harm, full):
+        branch_h = orbits.continue_branch(system, eq_h, cand_h, steps=6, s0=1e-3, growth=2.0, modes=4)
+        assert len(branch_h.orbits) == 6 and not branch_h.failures
+        for orbit in branch_h.orbits:
+            assert orbit.residual < 1e-12
+            assert abs(orbit.period - 2.0 * np.pi) < 1e-12
 
     # (b) pendulum versus the quadrature oracle at matched energy
     pend = model.newtonian_to_hamiltonian(

@@ -1,3 +1,4 @@
+import re
 import time
 import warnings
 from dataclasses import replace
@@ -127,6 +128,22 @@ def test_resonance_set_requires_imaginary_pairs():
 def test_bad_arguments_are_value_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "2"])
+def test_mode_counts_must_be_integers(bad):
+    # t_matrix gave a "mode-1.5" matrix, and resonance_set took True as 1 and raised range()'s TypeError on 2.5
+    report = analysis.matrix_report(np.diag([1.0, 2.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match=f"mode index k must be an integer, got {re.escape(repr(bad))}"):
+        analysis.t_matrix(np.eye(2), bad, 1.0)
+    with pytest.raises(ValueError, match=f"k_max must be an integer, got {re.escape(repr(bad))}"):
+        analysis.resonance_set(report, k_max=bad)
+
+
+def test_numpy_integer_mode_counts_are_accepted():
+    report = analysis.matrix_report(np.diag([1.0, 2.0, 1.0, 1.0]))
+    assert analysis.resonance_set(report, k_max=np.int32(3)) == analysis.resonance_set(report, k_max=3)
+    assert np.array_equal(analysis.t_matrix(np.eye(2), np.int64(2), 1.0), analysis.t_matrix(np.eye(2), 2, 1.0))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -283,3 +283,28 @@ def test_inertia_counts_at_the_zero_threshold():
     assert linalg.inertia(w) == (1, 1, 3)
     assert linalg.inertia(np.array([])) == (0, 0, 0)
 
+
+def test_inertia_rejects_non_finite_eigenvalues():
+    # a NaN or infinite eps made every comparison false, so each eigenvalue counted as kernel
+    for w, bad in (([np.nan, 1.0], "nan"), ([np.inf, 1.0], "inf"), ([1.0, -np.inf, 0.0], "-inf")):
+        with pytest.raises(ValueError, match=f"eigenvalues must be finite, got {bad}$"):
+            linalg.inertia(np.array(w))
+
+
+def test_check_symmetric_near_the_float_maximum_neither_overflows_nor_warns():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        big = np.full((2, 2), 1e308)
+        assert np.array_equal(linalg.check_symmetric(big), big)
+        with pytest.raises(NonSymmetric, match="symmetry violation"):
+            linalg.check_symmetric(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+
+def test_check_symmetric_has_the_bits_of_the_unhalved_formula():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        magnitudes, signs = 10.0 ** rng.uniform(-300, 300, (n, n)), rng.standard_normal((n, n))
+        s = (magnitudes + magnitudes.T) * np.sign(signs + signs.T)  # symmetric: no sum cancels
+        a = s * (1.0 + 1e-13 * rng.standard_normal((n, n)))  # a gap far inside the tolerance
+        assert linalg.check_symmetric(a).tobytes() == (0.5 * (a + a.T)).tobytes()

@@ -413,6 +413,7 @@ REVERSIBLE = {
         [0.1, 0.2, 0.0, 0.0],
     ),
     "coupled-springs": (lambda: model.preset("coupled-springs", frequencies=[1.0, 1.45]), [0.0] * 4),
+    "harmonic": (lambda: model.preset("harmonic", beta=1.3), [0.0] * 2),
     "inline-even-in-p": (inline_even_in_p, [0.0] * 4),
 }
 
@@ -435,7 +436,8 @@ def test_declared_reversors_reverse_the_flow(build, base):
 def test_reversor_must_be_an_anti_symplectic_diagonal():
     energy = lambda z: 0.5 * float(z @ z)
     assert np.array_equal(model.HamiltonianSystem(n=1, energy=energy, reversor=(-1, 1)).reversor, [-1.0, 1.0])
-    assert model.preset("harmonic").reversor is None
+    assert model.HamiltonianSystem(n=1, energy=energy).reversor is None
+    assert np.array_equal(model.preset("harmonic").reversor, [1.0, -1.0])
     for bad in ([1.0, 1.0], [1.0, -1.0, 1.0], [0.5, -0.5], [[1.0, -1.0]]):
         with pytest.raises(ValueError, match="reversor"):
             model.HamiltonianSystem(n=1, energy=energy, reversor=bad)
@@ -448,6 +450,59 @@ def test_preset_errors():
         model.preset("coupled-springs")
     with pytest.raises(ValueError):
         model.preset("harmonic", beta=1.0, gamma=2.0)
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.3, 0.37, 7.0])
+def test_harmonic_preset_is_the_one_frequency_spring_lift(beta):
+    harm = model.preset("harmonic", beta=beta)
+    springs = model.preset("coupled-springs", frequencies=[beta])
+    assert harm.name == "harmonic" and harm.n == 1 and harm.symmetry.group_dim == 0
+    assert np.array_equal(harm.reversor, [1.0, -1.0]) and harm.gradient.newtonian
+    zs = np.random.default_rng(5).standard_normal((20, 2)) * [[3.0, 0.5]]
+    for z in zs:
+        for f in (model.gradient_of, model.hessian_of):
+            assert f(harm, z).tobytes() == f(springs, z).tobytes()
+        # the bits of the preset's former hand-written derivatives
+        assert harm.gradient(z).tobytes() == np.array([beta**2 * z[0], z[1]]).tobytes()
+        assert harm.hessian(z).tobytes() == np.diag([beta**2, 1.0]).tobytes()
+        closed = 0.5 * (z[1] ** 2 + beta**2 * z[0] ** 2)
+        assert abs(harm.energy(z) - closed) <= 4.0 * np.finfo(float).eps * closed
+    for f in (model.gradients_of, model.hessians_of):
+        assert f(harm, zs).tobytes() == f(springs, zs).tobytes()
+    assert np.array_equal(model.gradients_of(harm, zs), [harm.gradient(z) for z in zs])
+
+
+def test_harmonic_beta_is_one_positive_finite_number():
+    with pytest.raises(TypeError):
+        model.preset("harmonic", beta=[1.0, 2.0])
+    with pytest.raises(cli.ConfigParse, match="bad system"):
+        cli.build_system(cli.parse_config("[system]\npreset = harmonic\nbeta = 1 2\n"))
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="beta.*finite|finite.*beta"):
+            model.preset("harmonic", beta=bad)
+    with pytest.raises(ValueError, match="frequencies must be a non-empty list of positive finite reals"):
+        model.preset("coupled-springs", frequencies=[])
+
+
+def _diag_x_x(x):
+    """``diag(X, X)`` built block by block into zeros."""
+    n = len(x)
+    big = np.zeros((2 * n, 2 * n))
+    big[:n, :n] = x
+    big[n:, n:] = x
+    return big
+
+
+def test_lifted_and_satellite_generators_are_diag_x_x_to_the_bit():
+    spin = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    assert [g.tobytes() for g in sat.symmetry.generators] == [_diag_x_x(spin).tobytes()]
+    rotation = [[0, -2], [2, 0]]  # an integer nested list, as a caller may pass it
+    pair = np.array([[0.0, -0.5], [0.5, 0.0]])
+    lift = model.newtonian_to_hamiltonian(lambda q: 0.5 * float(q @ q), 2, generators=(rotation, pair))
+    assert [g.tobytes() for g in lift.symmetry.generators] == [_diag_x_x(np.array(x, dtype=float)).tobytes() for x in (rotation, pair)]
+    with pytest.raises(ValueError):  # a generator of the wrong size for n
+        model.newtonian_to_hamiltonian(lambda q: 0.5 * float(q @ q), 2, generators=(spin,))
 
 
 def test_preset_harmonic_spectrum():

@@ -101,6 +101,16 @@ def test_residual_field_constant_orbit():
         orbits.residual_field(sat, orbit, 4)
 
 
+def test_residual_field_takes_an_integer_point_count():
+    # 17.5 gave 18 rows spaced 2 pi / 17.5 apart, not a grid over one period
+    sat, eq, _ = satellite_setup()
+    orbit = orbits.FourierOrbit(a0=eq.z0 + 0.01, a=np.full((2, 6), 0.01), b=np.zeros((2, 6)), lam=1.3)
+    for bad in (17.5, 17.0, True):
+        with pytest.raises(ValueError, match=f"collocation_points must be an integer, got {re.escape(repr(bad))}"):
+            orbits.residual_field(sat, orbit, bad)
+    assert np.array_equal(orbits.residual_field(sat, orbit, np.int64(17)), orbits.residual_field(sat, orbit, 17))
+
+
 def test_residual_field_refines_under_mode_doubling():
     sys, eq, cand = harmonic_setup()
     orbit = orbits.solve_orbit(sys, eq, cand, 0.02, modes=2)
