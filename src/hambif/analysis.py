@@ -171,9 +171,14 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be {'positive' if value <= 0.0 else 'finite'}, got {value}")
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, a numpy one too, and not a bool: what every count of the package must be."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_count(name: str, value) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is an integer (a numpy one too), not a bool, of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """``ValueError`` naming ``name`` unless ``value`` is an integer (``_is_integer``) of at least 1."""
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")

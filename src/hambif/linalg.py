@@ -47,7 +47,8 @@ def check_symmetric(a) -> np.ndarray:
     ``a`` is halved before the sum and the gap ``max|a - a^T|`` are taken, so
     finite entries near the float maximum neither overflow nor warn.  Outside
     the subnormal range halving is exact, so both have the bits of the
-    unhalved formulas wherever those do not overflow.
+    unhalved formulas wherever those do not overflow.  A gap above the float
+    maximum is reported as twice the halved gap, a finite number.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -57,9 +58,11 @@ def check_symmetric(a) -> np.ndarray:
         i, j = np.argwhere(~np.isfinite(a))[0]
         raise NonSymmetric(f"matrix has a non-finite entry {a[i, j]} at ({i}, {j})")
     half = 0.5 * a
-    gap = 2.0 * float(np.abs(half - half.T).max()) if a.size else 0.0
+    half_gap = float(np.abs(half - half.T).max()) if a.size else 0.0
+    gap = 2.0 * half_gap  # inf where the gap is above the float maximum: then shown as 2 * the halved gap
     if gap > 1e-10 * scale:
-        raise NonSymmetric(f"symmetry violation {gap:.3e} exceeds 1.0e-10 * scale")
+        shown = f"{gap:.3e}" if math.isfinite(gap) else f"2 * {half_gap:.3e}"
+        raise NonSymmetric(f"symmetry violation {shown} exceeds 1.0e-10 * scale")
     return half + half.T
 
 

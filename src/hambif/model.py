@@ -674,6 +674,7 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
         return g
 
     coupling = np.array([[0.0, omega, 0.0], [-omega, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    eye, e3e3 = np.eye(3), np.outer(e3, e3)
 
     def gradient(z):
         q, p = z[:3], z[3:]
@@ -715,10 +716,13 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
         d3, d5, d7 = d * d2, d * d2 * d2, d * d2 * d2 * d2
         g = (1.0 / d3 + 3.0 * c / d5 - 15.0 * c * q[:, 2] ** 2 / d7)[:, None] * q
         g[:, 2] += 6.0 * c * q[:, 2] / d5
-        zero = np.zeros(len(zs))
-        gq = g + omega * np.column_stack([p[:, 1], -p[:, 0], zero])
-        gp = p + omega * np.column_stack([-q[:, 1], q[:, 0], zero])
-        return np.hstack([gq, gp])
+        out = np.empty(zs.shape)  # omega (p[1], -p[0], 0, -q[1], q[0], 0) plus (g, p): the per-point form's operations
+        out[:, 0], out[:, 1], out[:, 3], out[:, 4] = p[:, 1], -p[:, 0], -q[:, 1], q[:, 0]
+        out[:, 2::3] = 0.0
+        out *= omega
+        out[:, :3] += g
+        out[:, 3:] += p
+        return out
 
     def hessians(zs):
         q = zs[:, :3]
@@ -731,15 +735,15 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
         s1 = 1.0 / d3 + 3.0 * c / d5
         s2 = -3.0 / d5 - 15.0 * c / d7
         e3q = e3[:, None] * q[:, None, :] + q[:, :, None] * e3  # outer(e3, q) + outer(q, e3) per point
-        hp = (s1 - 15.0 * c * q3**2 / d7)[:, None, None] * np.eye(3)
+        hp = (s1 - 15.0 * c * q3**2 / d7)[:, None, None] * eye
         hp += (s2 + 105.0 * c * q3**2 / d9)[:, None, None] * (q[:, :, None] * q[:, None, :])
-        hp += (6.0 * c / d5)[:, None, None] * np.outer(e3, e3)
+        hp += (6.0 * c / d5)[:, None, None] * e3e3
         hp -= (30.0 * c * q3 / d7)[:, None, None] * e3q
         m = np.zeros((len(zs), 6, 6))
         m[:, :3, :3] = hp
         m[:, :3, 3:] = coupling
         m[:, 3:, :3] = coupling.T
-        m[:, 3:, 3:] = np.eye(3)
+        m[:, 3:, 3:] = eye
         return m
 
     gradient.batch = gradients

@@ -90,8 +90,13 @@ Balance for Nonlinear Vibration Problems, 2019): the Hessians of H at the
 collocation points, from one stacked call per evaluation where the
 evaluator has a stacked form (``model.hessians_of``), projected onto the
 Fourier basis.  ``J`` is applied as a swap of the halves with one sign
-flip.  The residual likewise takes the gradients at all collocation points
-from one ``model.gradients_of`` call.  Without an analytic Hessian, each
+flip.  The projection is one BLAS product per block of kept rows and
+columns of one parity (one block for the full system, four for a symmetric
+ansatz), of a weight-basis table built with the problem and the block's
+columns of the field derivative ``D``; one scatter through flat places, also
+built with the problem, adds every block to the affine operator.  The
+residual likewise takes the gradients at all collocation points from one
+``model.gradients_of`` call.  Without an analytic Hessian, each
 point's Hessian is a forward difference of the gradient the residual already
 holds there, the gradients at the shifted copies of every point coming from
 one more ``gradients_of`` call: 2N copies, or N for a Newtonian lift, whose
@@ -113,7 +118,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import BifurcationCandidate, _check_count, spectral_report
+from .analysis import BifurcationCandidate, _check_count, _is_integer, spectral_report
 from .errors import EmptyKernel, HambifError, NoConvergence, WrongBranch
 from .model import (
     EquilibriumOrbit,
@@ -194,11 +199,9 @@ class FourierOrbit:
 
     def mode_energies(self, z0) -> np.ndarray:
         """Sobolev-weighted energy per mode of z - z0 (index 0 is the mean)."""
-        z0 = np.asarray(z0, dtype=float)
-        k = np.arange(1, self.m + 1)
-        e0 = TWO_PI * float((self.a0 - z0) @ (self.a0 - z0))
-        ek = np.pi * k * (np.sum(self.a**2, axis=1) + np.sum(self.b**2, axis=1))
-        return np.concatenate([[e0], ek])
+        shift = self.a0 - np.asarray(z0, dtype=float)
+        ek = np.pi * np.arange(1, self.m + 1) * ((self.a**2).sum(axis=1) + (self.b**2).sum(axis=1))
+        return np.concatenate([[TWO_PI * float(shift @ shift)], ek])
 
 
 def _trig(t, m: int) -> tuple:
@@ -367,7 +370,7 @@ class _HarmonicBalance:
             self.n_mult = 1 + len(generators)  # energy, then one momentum per generator
             self.keep = np.ones(width * d, dtype=bool)
             self.rows = self.keep
-            row_groups = col_groups = [(slice(None), slice(None))]
+            row_groups = col_groups = [(np.arange(width), np.arange(d))]
             cons = np.zeros((2 + len(generators), width * d))
             cons[1, a1], cons[1, b1] = np.pi * bp, -np.pi * ap
             for i, g in enumerate(generators):
@@ -389,7 +392,7 @@ class _HarmonicBalance:
             if half_wave:
                 self.fixed[:d] = eq.z0
             cosines, sines = np.flatnonzero(cosine & kept), np.flatnonzero(~cosine & kept)
-            row_groups = [(cosines, minus[:, None]), (sines, plus[:, None])]
+            row_groups = [(cosines, minus), (sines, plus)]
             col_groups = [(cosines, plus), (sines, minus)]
             cons = np.zeros((1, width * d))
         cons[0, a1], cons[0, b1] = np.pi * ap, np.pi * bp
@@ -405,21 +408,25 @@ class _HarmonicBalance:
         # gradient fields of the conserved momenta: grad( -z.(J X z)/2 ) = -J X z
         self.moment_mats = [-_apply_j(g, axis=0) for g in generators]
         # one block of D's coefficient Jacobian per (row group, column group), a
-        # group being basis functions times components of one parity: (rows,
-        # columns, test weight times basis ((rows x columns), P) contiguous for
-        # one BLAS product, the index of D's components, the block shape)
-        self.blocks = []
-        r0 = 0
+        # group being basis functions times components of one parity: (test
+        # weight times basis ((rows x columns), P) contiguous for one BLAS
+        # product, the flat columns of D's components at each point).  The
+        # layout of D that BLAS gets picks its kernel, and with it the last
+        # bits: the full ansatz's one block takes all of D, a C-ordered view,
+        # and a symmetric block its columns, a column-major copy, as numpy
+        # gathers them.  ``target`` holds the flat places of every block's
+        # entries in the Jacobian, block by block.
+        self.blocks, targets, r0 = [], [], 0
         for rb, rc in row_groups:
-            c0, nr, dr = 0, np.arange(width)[rb].size, np.arange(d)[rc].size
+            rows, c0 = np.arange(r0, r0 + rb.size * rc.size).reshape(rb.size, 1, rc.size, 1) * self.size, 0
             for cb, cc in col_groups:
-                nc, dc = np.arange(width)[cb].size, np.arange(d)[cc].size
                 weight_basis = np.einsum("pr,pc->rcp", self.weights[:, rb], self.phi[:, cb])
-                rows, cols = slice(r0, r0 + nr * dr), slice(c0, c0 + nc * dc)
-                basis = np.ascontiguousarray(weight_basis.reshape(-1, self.points))
-                self.blocks.append((rows, cols, basis, (slice(None), rc, cc), (nr, nc, dr, dc)))
-                c0 = cols.stop
-            r0 = rows.stop
+                gather = slice(None) if reversor is None else (rc[:, None] * d + cc).ravel()
+                self.blocks.append((np.ascontiguousarray(weight_basis.reshape(-1, self.points)), gather))
+                targets.append((rows + np.arange(c0, c0 + cb.size * cc.size).reshape(1, cb.size, 1, cc.size)).ravel())
+                c0 += cb.size * cc.size
+            r0 += rb.size * rc.size
+        self.target = np.concatenate(targets)
 
     def pack(self, a0, a, b, lam, mus) -> np.ndarray:
         return np.concatenate([np.concatenate([a0, a.ravel(), b.ravel()])[self.keep], [lam], mus])
@@ -435,7 +442,7 @@ class _HarmonicBalance:
 
     def _curve(self, x):
         """The collocation values, their gradients and ``_fields``, kept for the last ``x``: Newton's Jacobian follows a residual at the same ``x``."""
-        if self._last is None or not np.array_equal(self._last[0], x):
+        if self._last is None or not (self._last[0] == x).all():
             x = np.array(x, dtype=float)
             z = self.phi @ self._coefficients(x)
             grads = gradients_of(self.system, z)
@@ -444,10 +451,10 @@ class _HarmonicBalance:
 
     def _fields(self, z, grads) -> np.ndarray:
         """Kept Galerkin rows of the fields ``lam`` and ``mu`` weigh: ``-J grad H``, ``-grad H``, each ``-M_i z``."""
-        fields = [-_apply_j(grads)]
+        fields = -_apply_j(grads)
         if self.n_mult:
-            fields += [-grads] + [-z @ mat.T for mat in self.moment_mats]
-        return (self.weights.T @ np.array(fields)).reshape(len(fields), -1)[:, self.rows]
+            fields = np.array([fields, -grads] + [-z @ mat.T for mat in self.moment_mats])
+        return (self.weights.T @ fields).reshape(1 + self.n_mult, -1)[:, self.rows]
 
     def __call__(self, x) -> np.ndarray:
         n = self.n_coeff
@@ -463,7 +470,9 @@ class _HarmonicBalance:
         collocation point, ``D = -(lam J + mu0 I) H(z) - sum_i mu_i M_i``
         (``J H`` is ``H`` with its row halves swapped and one negated), adds
         ``sum_p w_r(t_p) phi_c(t_p) D(t_p)`` on the kept rows and columns, and
-        the ``lam`` and ``mu`` columns are ``_fields``.
+        the ``lam`` and ``mu`` columns are ``_fields``.  Each block of
+        ``blocks`` is one product ``basis @ D[:, gather]``, all of them added
+        into a copy of ``linear`` at the flat places ``target``.
         """
         n = self.n_coeff
         lam, mus = x[n], x[n + 1 :]
@@ -478,10 +487,9 @@ class _HarmonicBalance:
         dfield = -(lam * jh + mus[0] * hess) if self.n_mult else -(lam * jh)
         for i, mat in enumerate(self.moment_mats):
             dfield -= mus[1 + i] * mat
+        dfield = dfield.reshape(self.points, -1)
         jac = self.linear.copy()
-        for rows, cols, weight_basis, index, shape in self.blocks:
-            block = (weight_basis @ dfield[index].reshape(self.points, -1)).reshape(shape)
-            jac[rows, cols] += block.transpose(0, 2, 1, 3).reshape(rows.stop - rows.start, cols.stop - cols.start)
+        jac.ravel()[self.target] += np.concatenate([basis @ dfield[:, gather] for basis, gather in self.blocks], axis=None)
         jac[:n, n:] = fields.T
         return jac
 
@@ -662,21 +670,21 @@ def _solve(system, eq, candidate, amplitude_s, modes, initial_guess, setup) -> F
         a0, a, b, lam, _ = problem.unpack(x)
         orbit = FourierOrbit(a0=a0, a=a, b=b, lam=float(lam))
         energies = orbit.mode_energies(eq.z0)
-        orbit.amplitude = float(np.sqrt(np.sum(energies)))
-        converged = converged and np.max(np.abs(fvec[problem.n_coeff :])) < 1e-8 * (1.0 + amplitude_s)
+        orbit.amplitude = float(np.sqrt(energies.sum()))
+        converged = converged and np.abs(fvec[problem.n_coeff :]).max() < 1e-8 * (1.0 + amplitude_s)
         # truncation control: grow M while the last two modes carry more than
         # 1e-10 of the oscillatory energy or the collocation residual is above
         # tolerance.  Mode M alone is not enough: where H is even about z0 (the
         # chains, the pendulum) the family has odd harmonics only, so every even
         # mode is empty.  At M = 2 mode 1 dominates, so mode 2 is tested alone.
-        total = float(np.sum(energies[1:]))
-        tail = np.max(energies[max(2, m - 1) :]) / total if m > 1 and total > 0.0 else 0.0
+        total = float(energies[1:].sum())
+        tail = energies[max(2, m - 1) :].max() / total if m > 1 and total > 0.0 else 0.0
         if not (converged and tail > 1e-10 and m < MAX_MODES):
             # validate the full equations on 4M + 1 points, finer than and incommensurate with
             # the solve grid, so aliased spurious solutions and a wrong symmetry assumption
             # cannot hide; a converged truncation whose tail forces doubling needs no check
             check = residual_field(system, orbit, 4 * m + 1)
-            orbit.residual = float(np.max(np.linalg.norm(check, axis=1)))
+            orbit.residual = float(np.sqrt((check * check).sum(axis=1)).max())  # the largest row norm
             if not np.isfinite(orbit.residual):  # NaN passes every '>= tol' test
                 raise NoConvergence(
                     f"the {4 * m + 1}-point residual check is not finite at M={m} (amplitude {amplitude_s:.3e})"
@@ -697,23 +705,23 @@ def _solve(system, eq, candidate, amplitude_s, modes, initial_guess, setup) -> F
             )
         if orbit.lam <= 0.0:
             raise WrongBranch(f"period {orbit.period:.8g} is not positive: the orbit is not on the family")
-        if int(np.argmax(energies[1:])) != 0:
-            raise WrongBranch(f"dominant Fourier mode is k={int(np.argmax(energies[1:])) + 1}, not k=1")
+        if energies[1:].argmax() != 0:
+            raise WrongBranch(f"dominant Fourier mode is k={int(energies[1:].argmax()) + 1}, not k=1")
         return orbit
 
 
 def _check_modes(modes) -> None:
-    """``ValueError`` naming ``modes`` unless it is an integer, not a bool, in ``1..MAX_MODES``; ``cli.RunConfig`` applies it at parse time."""
-    if not (isinstance(modes, (int, np.integer)) and not isinstance(modes, bool) and 1 <= modes <= MAX_MODES):
+    """``ValueError`` naming ``modes`` unless it is an integer (``_is_integer``) in ``1..MAX_MODES``; ``cli.RunConfig`` applies it at parse time."""
+    if not (_is_integer(modes) and 1 <= modes <= MAX_MODES):
         raise ValueError(f"modes must be an integer in 1..{MAX_MODES}, got {modes!r}")
 
 
 def _check_ladder(steps, s0, growth) -> None:
-    """``ValueError`` unless ``steps`` is an integer, not a bool, of at least 1 and ``s0``, ``growth`` and the last amplitude are positive and finite.
+    """``ValueError`` unless ``steps`` is an integer (``_is_integer``) of at least 1 and ``s0``, ``growth`` and the last amplitude are positive and finite.
 
     The last amplitude is ``s0 * growth**(steps - 1)``.  ``cli.RunConfig`` applies this rule at parse time.
     """
-    if not (isinstance(steps, (int, np.integer)) and not isinstance(steps, bool) and steps >= 1):
+    if not (_is_integer(steps) and steps >= 1):
         raise ValueError(f"steps must be an integer of at least 1, got {steps!r}")
     with np.errstate(over="ignore"):  # an amplitude past the float range is inf, rejected below
         last = s0 * np.float64(growth) ** (steps - 1)
@@ -747,7 +755,7 @@ def _newton(problem, x, tol_inner):
     best one.
     """
     f = problem(x)
-    nf, jac = float(np.max(np.abs(f))), None
+    nf, jac = float(np.abs(f).max()), None
     for _ in range(NEWTON_MAX_STEPS):
         if nf < tol_inner:
             return x, f, True
@@ -761,7 +769,7 @@ def _newton(problem, x, tol_inner):
         for scale in NEWTON_DAMPING:
             xn = x + scale * dx
             fn = problem(xn)
-            nfn = float(np.max(np.abs(fn)))
+            nfn = float(np.abs(fn).max())
             if nfn < nf:
                 break
         else:
@@ -797,7 +805,7 @@ def _predict(orbit: FourierOrbit, z0, lambda0: float, growth: float) -> FourierO
             lam=lambda0 + square * (orbit.lam - lambda0),
         )
         energies = guess.mode_energies(z0)
-    if np.all(np.isfinite(energies)) and 0.0 < guess.lam < np.inf and int(np.argmax(energies[1:])) == 0:
+    if np.isfinite(energies).all() and 0.0 < guess.lam < np.inf and energies[1:].argmax() == 0:
         return guess
     return FourierOrbit(z0 + growth * (orbit.a0 - z0), growth * orbit.a, growth * orbit.b, orbit.lam)
 

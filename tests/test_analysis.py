@@ -140,6 +140,20 @@ def test_mode_counts_must_be_integers(bad):
         analysis.resonance_set(report, k_max=bad)
 
 
+def test_one_predicate_decides_what_a_count_is():
+    # analysis._check_count, orbits._check_modes and orbits._check_ladder each had their own test
+    checks = (lambda v: analysis._check_count("k", v), orbits._check_modes, lambda v: orbits._check_ladder(v, 1e-3, 2.0))
+    for good in (3, np.int64(3), np.int32(3), np.uint8(3)):
+        assert analysis._is_integer(good)
+        for check in checks:
+            check(good)
+    for bad in (True, np.bool_(True), 3.0, np.float64(3.0), "3", None):
+        assert not analysis._is_integer(bad)
+        for check in checks:
+            with pytest.raises(ValueError, match="must be an integer"):
+                check(bad)
+
+
 def test_numpy_integer_mode_counts_are_accepted():
     report = analysis.matrix_report(np.diag([1.0, 2.0, 1.0, 1.0]))
     assert analysis.resonance_set(report, k_max=np.int32(3)) == analysis.resonance_set(report, k_max=3)

@@ -300,6 +300,19 @@ def test_check_symmetric_near_the_float_maximum_neither_overflows_nor_warns():
             linalg.check_symmetric(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
 
+def test_check_symmetric_reports_a_gap_above_the_float_maximum_as_a_finite_number():
+    # twice the halved gap overflowed, and the message read "symmetry violation inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for a, shown in (
+            ([[0.0, 1e308], [-1e308, 0.0]], "2 * 1.000e+308"),
+            ([[0.0, 1e308], [-5e307, 0.0]], "1.500e+308"),
+            ([[0.0, 1.0], [0.0, 0.0]], "1.000e+00"),
+        ):
+            with pytest.raises(NonSymmetric, match=re.escape(f"symmetry violation {shown} exceeds 1.0e-10 * scale")):
+                linalg.check_symmetric(np.array(a))
+
+
 def test_check_symmetric_has_the_bits_of_the_unhalved_formula():
     rng = np.random.default_rng(3)
     for _ in range(200):

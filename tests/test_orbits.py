@@ -1597,7 +1597,7 @@ def test_swapped_field_derivative_equals_the_einsum_to_the_bit(name):
     assert problem.n_mult >= 1 and system.hessian is not None
     x = perturbed_unknowns(problem, eq, cand, 0.05, np.random.default_rng(5))
     seen = []
-    problem.blocks = [(rows, cols, RecordingBasis(basis, seen), *rest) for rows, cols, basis, *rest in problem.blocks]
+    problem.blocks = [(RecordingBasis(basis, seen), gather) for basis, gather in problem.blocks]
     problem.jacobian(x)
     lam, mus = x[problem.n_coeff], x[problem.n_coeff + 1 :]
     mix = lam * linalg.standard_symplectic(problem.dim // 2) + mus[0] * np.eye(problem.dim)
@@ -1607,6 +1607,132 @@ def test_swapped_field_derivative_equals_the_einsum_to_the_bit(name):
     reference = reference.reshape(problem.points, -1)
     assert len(seen) == 1 and np.array_equal(seen[0], reference)
     assert np.array_equal(np.signbit(seen[0]), np.signbit(reference))
+
+
+def reference_blocks(problem, reversor, half_wave):
+    """The per-block layout the Jacobian was assembled from: (rows, columns, weight basis, index of D, block shape) (reference)."""
+    width, d, m = 2 * problem.m + 1, problem.dim, problem.m
+    if reversor is None:
+        row_groups = col_groups = [(slice(None), slice(None))]
+    else:
+        plus, minus = np.flatnonzero(reversor > 0), np.flatnonzero(reversor < 0)
+        cosine = np.arange(width) <= m
+        k = np.concatenate([[0], np.arange(1, m + 1), np.arange(1, m + 1)])
+        kept = k % 2 == 1 if half_wave else np.ones(width, dtype=bool)
+        cosines, sines = np.flatnonzero(cosine & kept), np.flatnonzero(~cosine & kept)
+        row_groups = [(cosines, minus[:, None]), (sines, plus[:, None])]
+        col_groups = [(cosines, plus), (sines, minus)]
+    blocks, r0 = [], 0
+    for rb, rc in row_groups:
+        c0, nr, dr = 0, np.arange(width)[rb].size, np.arange(d)[rc].size
+        for cb, cc in col_groups:
+            nc, dc = np.arange(width)[cb].size, np.arange(d)[cc].size
+            weight_basis = np.einsum("pr,pc->rcp", problem.weights[:, rb], problem.phi[:, cb])
+            rows, cols = slice(r0, r0 + nr * dr), slice(c0, c0 + nc * dc)
+            basis = np.ascontiguousarray(weight_basis.reshape(-1, problem.points))
+            blocks.append((rows, cols, basis, (slice(None), rc, cc), (nr, nc, dr, dc)))
+            c0 = cols.stop
+        r0 = rows.stop
+    return blocks
+
+
+def reference_collocation(problem, x):
+    """Collocation values, gradients and the fields stacked by ``np.array`` of a list, without a memo (reference)."""
+    z = problem.phi @ problem._coefficients(x)
+    grads = model.gradients_of(problem.system, z)
+    fields = [-orbits._apply_j(grads)]
+    if problem.n_mult:
+        fields += [-grads] + [-z @ mat.T for mat in problem.moment_mats]
+    return z, grads, (problem.weights.T @ np.array(fields)).reshape(len(fields), -1)[:, problem.rows]
+
+
+def reference_residual(problem, x):
+    n = problem.n_coeff
+    f = problem.linear @ x - problem.offsets
+    f[n] -= problem.s
+    f[:n] += x[n:] @ reference_collocation(problem, x)[2]
+    return f
+
+
+def reference_jacobian(problem, x, blocks):
+    """Each block's product reshaped, transposed and added into its slice of ``linear`` (reference)."""
+    n = problem.n_coeff
+    lam, mus = x[n], x[n + 1 :]
+    z, grads, fields = reference_collocation(problem, x)
+    if problem.system.hessian is None:
+        fd = model._forward_differences(problem.system, z, grads)
+        hess = 0.5 * (fd + fd.transpose(0, 2, 1))
+    else:
+        hess = model.hessians_of(problem.system, z)
+    jh = orbits._apply_j(hess, axis=1)
+    dfield = -(lam * jh + mus[0] * hess) if problem.n_mult else -(lam * jh)
+    for i, mat in enumerate(problem.moment_mats):
+        dfield -= mus[1 + i] * mat
+    jac = problem.linear.copy()
+    for rows, cols, weight_basis, index, shape in blocks:
+        block = (weight_basis @ dfield[index].reshape(problem.points, -1)).reshape(shape)
+        jac[rows, cols] += block.transpose(0, 2, 1, 3).reshape(rows.stop - rows.start, cols.stop - cols.start)
+    jac[:n, n:] = fields.T
+    return jac
+
+
+ASSEMBLY_CASES = {
+    "gyroscopic-full": (lambda: ini_setup("gyroscopic"), False, False),
+    "so3-hat-full": (lambda: ini_setup("so3-hat"), False, False),
+    "satellite-symmetric": (lambda: satellite_j0_setup(1), True, False),
+    "chain-half-wave": (lambda: chain_setup(True), True, True),
+    "chain-gradient-only-half-wave": (lambda: chain_setup(False), True, True),
+}
+
+
+@pytest.mark.parametrize("setup, symmetric, half_wave", ASSEMBLY_CASES.values(), ids=ASSEMBLY_CASES)
+def test_residual_and_jacobian_have_the_bits_of_the_per_block_assembly(setup, symmetric, half_wave):
+    # the blocks are gathered from D by flat columns and scattered into the
+    # Jacobian by flat places, and a symmetric problem's one field is not
+    # stacked: the same products and sums as the per-block assembly
+    system, eq, cand = setup()
+    problem = problem_for(system, eq, cand, 0.05, 8, symmetric, half_wave)
+    blocks = reference_blocks(problem, system.reversor if symmetric else None, half_wave)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x = perturbed_unknowns(problem, eq, cand, 0.05, rng)
+        assert problem.jacobian(x).tobytes() == reference_jacobian(problem, x, blocks).tobytes()  # the memo misses
+        xn = x + 1e-3 * rng.standard_normal(x.size) * np.abs(x)
+        assert problem(xn).tobytes() == reference_residual(problem, xn).tobytes()
+        assert problem.jacobian(xn).tobytes() == reference_jacobian(problem, xn, blocks).tobytes()  # the memo hits
+
+
+def test_satellite_branch_step_costs_two_residuals_one_jacobian_one_solve_and_one_check(monkeypatch):
+    # a perf guard that no timing noise hides: every step of the README
+    # satellite's j0 = 1 branch is one undamped chord-Newton step from the
+    # predictor, then the 4M + 1-point check of the full equations
+    sat, eq, cand = satellite_j0_setup(1)
+    counts, per_newton, checks = Counter(), [], []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    newton, check = orbits._newton, orbits.residual_field
+
+    def counted_newton(problem, x, tol_inner):
+        before = counts.copy()
+        result = newton(problem, x, tol_inner)
+        per_newton.append((problem.m, *(counts[k] - before[k] for k in ("residual", "jacobian", "solve"))))
+        return result
+
+    monkeypatch.setattr(orbits._HarmonicBalance, "__call__", counted("residual", orbits._HarmonicBalance.__call__))
+    monkeypatch.setattr(orbits._HarmonicBalance, "jacobian", counted("jacobian", orbits._HarmonicBalance.jacobian))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    monkeypatch.setattr(orbits, "_newton", counted_newton)
+    monkeypatch.setattr(orbits, "residual_field", lambda *args: checks.append(args[2]) or check(*args))
+    branch = orbits.continue_branch(sat, eq, cand, steps=8, s0=1e-3)
+    assert len(branch.orbits) == 8 and not branch.failures
+    assert per_newton == [(8, 2, 1, 1)] * 8
+    assert checks == [33] * 8
 
 
 def test_analyze_and_branch_make_one_spectral_report(monkeypatch):
