@@ -7,8 +7,10 @@ clustered as sets of indices, and each level's beta_j, multiplicity and
 invariant subspace E_j come from its one index set.  The levels' subspaces
 and the Hessian's inertia on each come from ``linalg.invariant_subspaces``:
 one stacked SVD, invariance residual and ``eigvalsh`` per cluster size, not
-one set of calls per level.  Each candidate is put through the checks below
-and aggregated into a verdict:
+one set of calls per level.  The report also holds the equilibrium's own
+facts, the Hessian's inertia ``(m_plus, m_minus, kernel_dim)``; it is kept on
+the equilibrium, and a candidate does not copy them.  Each candidate is put
+through the checks below and aggregated into a verdict:
 
 * resonance: one rule, ``SpectralReport.contributors``, gives the levels
   k/beta_j (where the mode-k linearization is singular) that coincide with a
@@ -31,7 +33,7 @@ Ann. Math. 73, 1961), which needs no fact about the isotropy group of ``z0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -72,6 +74,9 @@ class SpectralReport:
     read by the Morse jump and the A7.1/A7.3 checks.  Both come from
     ``linalg.invariant_subspaces``: one stacked ``eigvalsh`` for all the
     levels of one multiplicity, with the bits of one ``eigvalsh`` each.
+    ``m_plus``, ``m_minus`` and ``kernel_dim`` are the inertia of the whole
+    Hessian, which ``analyze``'s isolatedness reason and the CLI's
+    ``hessian:`` line read.
     """
 
     n: int
@@ -327,7 +332,6 @@ class BifurcationCandidate:
     verdict: str
     theorem_path: Optional[str]
     reasons: tuple
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def confirmed(self) -> bool:
@@ -401,12 +405,6 @@ def analyze(
     levels = range(1, len(report.betas) + 1) if opts.j0 is None else [opts.j0]
     report.beta(levels[0])  # NoSuchLevel for an out-of-range j0
     degree_report = degree_mod.section_degree(system, eq)
-    shared_diag = {
-        "m_plus": report.m_plus,
-        "m_minus": report.m_minus,
-        "kernel_dim": report.kernel_dim,
-        "orbit_nondegenerate": report.kernel_dim == eq.orbit_dim,
-    }
     report_a7 = {"definite-z": check_definite_z(report), "mplus": check_mplus(report)}
     candidates = []
     for j0 in levels:
@@ -427,7 +425,7 @@ def analyze(
         verdict, path, reasons = _candidate_verdict(nonres, jump, jump_reason, a7, degree_report)
         if report.multiplicities[j0 - 1] > 1:
             reasons.append(f"multiplicity > 1 (cluster size {report.multiplicities[j0 - 1]})")
-        if not shared_diag["orbit_nondegenerate"]:
+        if report.kernel_dim != eq.orbit_dim:
             reasons.append(
                 f"orbit isolatedness unverified (kernel dimension {report.kernel_dim} "
                 f"differs from orbit dimension {eq.orbit_dim})"
@@ -447,7 +445,6 @@ def analyze(
                 verdict=verdict,
                 theorem_path=path,
                 reasons=tuple(reasons),
-                diagnostics=dict(shared_diag),
             )
         )
     return candidates

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import re
 import sys
 from dataclasses import dataclass, replace
 
@@ -237,7 +238,12 @@ def _parse_value(section: str, key: str, parse, text: str):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse the flat key = value configuration format; an unknown section or key is an error."""
+    """Parse the flat key = value configuration format; an unknown section or key is an error.
+
+    The generators are taken in the order of their keys' numbers, ``generator1``
+    to ``generator<k>``; a ``generator`` key without a positive integer after
+    it (``generator0``, ``generator01``, ``generatorx``) is an error.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
@@ -259,6 +265,10 @@ def parse_config(text: str) -> RunConfig:
     if parser.has_section("system"):
         free = sorted((k, v) for k, v in parser.items("system") if k not in _SECTION_KEYS["system"])
         gens = [(k, v) for k, v in free if k.startswith("generator")]
+        for k, _ in gens:
+            if not re.fullmatch(r"generator[1-9][0-9]*", k):
+                raise ConfigParse(f"[system] {k}: a generator key is 'generator' followed by a positive integer")
+        gens.sort(key=lambda item: int(item[0][len("generator") :]))  # generator2 before generator10
         kw["generators"] = tuple(_parse_value("system", k, _matrix, v) for k, v in gens)
         kw["params"] = tuple((k, _parse_value("system", k, _param, v)) for k, v in free if (k, v) not in gens)
     return RunConfig(**kw)
@@ -415,10 +425,10 @@ def cmd_analyze(config: RunConfig, stdout=None) -> int:
     if not candidates:
         lines.append("no purely imaginary eigenvalue pairs: no candidate levels")
     else:
-        diag = candidates[0].diagnostics
+        report = analysis_mod.spectral_report(system, eq)  # the one analyze kept on eq
         lines.append(
-            f"hessian: m+ = {diag['m_plus']}, m- = {diag['m_minus']}, kernel dim = {diag['kernel_dim']}, "
-            f"orbit nondegenerate = {'yes' if diag['orbit_nondegenerate'] else 'no'}"
+            f"hessian: m+ = {report.m_plus}, m- = {report.m_minus}, kernel dim = {report.kernel_dim}, "
+            f"orbit nondegenerate = {'yes' if report.kernel_dim == eq.orbit_dim else 'no'}"
         )
         lines.append(
             f"{'idx':>3} {'j0':>3} {'beta':>12} {'lambda0':>12} {'period':>12} "
@@ -440,9 +450,9 @@ def cmd_analyze(config: RunConfig, stdout=None) -> int:
 
 def cmd_branch(config: RunConfig, stdout=None) -> int:
     system, eq, candidates = _run_analysis(config)
-    # the candidate with the configured j0, else the first confirmed one; it must be confirmed
-    picks = [c for c in candidates if (c.confirmed if config.j0 is None else c.j0 == config.j0)]
-    if not picks or not picks[0].confirmed:
+    # the first confirmed candidate; analyze kept only the configured j0's, if one is set
+    picks = [c for c in candidates if c.confirmed]
+    if not picks:
         _emit(stdout, config.fmt, config.output, ["no confirmed candidate to verify"], [], (BRANCH_COLUMNS, []))
         return 2
     chosen = picks[0]

@@ -7,7 +7,7 @@ scale-aware: anything inside ``(-eps, +eps)`` with
 ``invariant_subspaces`` treats every eigenvalue cluster of one size in one
 stacked SVD, invariance residual and ``eigvalsh``; numpy applies the same
 LAPACK/BLAS call to each matrix of a stack, so each cluster gets the bits it
-would get alone, and ``real_invariant_subspace`` is its one-cluster case.
+would get in a list of its own.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "inertia",
     "morse_index_negative",
     "general_eigensystem",
-    "real_invariant_subspace",
     "invariant_subspaces",
     "orthonormal_columns",
     "compress",
@@ -110,56 +109,26 @@ def orthonormal_columns(mat) -> np.ndarray:
     return u[:, :rank]
 
 
-def real_invariant_subspace(m, vectors, scale: float) -> np.ndarray:
-    """Orthonormal basis of the real invariant subspace spanned by one eigenvalue cluster.
-
-    The one-cluster case of :func:`invariant_subspaces`, without the form.
-
-    Parameters
-    ----------
-    m : array_like, shape (n, n)
-        Real matrix.
-    vectors : array_like, shape (n, mult)
-        Complex eigenvectors of ``m``, one for each eigenvalue of a cluster
-        that holds no conjugate pair (for instance all near ``+i*beta``).
-    scale : float
-        ``1 + max|eigenvalue of m|``; the invariance residual must stay
-        below ``1e-8 * scale``.
-
-    Returns
-    -------
-    basis : ndarray, shape (n, 2*mult)
-        Orthonormal columns spanning the real and imaginary parts of
-        ``vectors``.
-
-    Raises
-    ------
-    ConvergenceFailure
-        If the cluster is defective (the real span has fewer than
-        ``2*mult`` dimensions) or the span is not invariant under ``m``.
-    """
-    bases, (failure,) = _real_spans(np.asarray(m, dtype=float), np.asarray(vectors)[None], scale)
-    if failure:
-        raise ConvergenceFailure(failure)
-    return bases[0]
-
-
 def invariant_subspaces(m, a, vectors, clusters, scale: float) -> tuple[tuple, tuple]:
     """Bases ``E_j`` of the real invariant subspaces of ``m`` that eigenvalue clusters span, and each inertia of ``compress(a, E_j)``.
 
     ``clusters`` are lists of column indices into the eigenvectors
-    ``vectors`` of ``m``, each a cluster as :func:`real_invariant_subspace`
-    takes it; ``a`` is symmetric.  The clusters of one size share one
+    ``vectors`` of ``m``, each a cluster of eigenvalues that holds no
+    conjugate pair (for instance all near ``+i beta``); ``a`` is symmetric,
+    and ``scale`` is ``1 + max|eigenvalue of m|``.  Each basis ``E_j`` has
+    orthonormal columns spanning the real and imaginary parts of its
+    cluster's vectors, two per vector.  The clusters of one size share one
     stacked SVD, one invariance residual and one ``eigvalsh``, and each
-    gets the bits that :func:`real_invariant_subspace`, ``compress`` and
-    ``eigvalsh`` give it alone.  Returns the bases and the inertias in
-    cluster order.
+    gets the bits that a list of that cluster alone, ``compress`` and
+    ``eigvalsh`` give it.  Returns the bases and the inertias in cluster
+    order.
 
     Raises
     ------
     ConvergenceFailure
-        With the text :func:`real_invariant_subspace` gives the first
-        cluster, in cluster order, that is defective or not invariant.
+        For the first cluster, in cluster order, that is defective (its real
+        span has fewer than two dimensions per vector) or whose span's
+        invariance residual is above ``1e-8 * scale``.
     """
     m, a, vectors = np.asarray(m, dtype=float), np.asarray(a, dtype=float), np.asarray(vectors)
     bases, inertias, failures = [None] * len(clusters), [None] * len(clusters), []

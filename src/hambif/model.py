@@ -503,14 +503,9 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
     for iterations in range(1, 51):
         g, floor = _gradient_and_floor(system, z)
         gn = _norm(g)
+        stall = 0 if gn <= 0.9 * best_norm else stall + 1
         if gn < best_norm:
-            if gn > 0.9 * best_norm:
-                stall += 1
-            else:
-                stall = 0
             best_z, best_norm, best_floor = z.copy(), gn, floor
-        else:
-            stall += 1
         # no Newton step from a non-finite gradient: the best iterate stands
         if not math.isfinite(gn):
             stop = "a non-finite gradient"

@@ -334,20 +334,24 @@ class _HarmonicBalance:
     the group pins' ``X_i z0 . z0``.  ``_fields`` gives the residual and the
     Jacobian the ``F_q``: ``-J grad H``, ``-grad H``, each ``-M_i z``.
 
-    Without ``reversor`` every entry and every row is kept, on ``4M`` points,
-    with the energy multiplier, the phase row and one pin row and momentum
-    multiplier per orbit generator.  With ``reversor`` (the diagonal of
-    ``R``) this is the symmetric ansatz of the module docstring: ``keep``
-    holds ``a0, a_k`` in ``Fix(R)`` and ``b_k`` in ``Fix(-R)``, ``rows`` the
-    ``Fix(-R)`` part of the constant and cosine rows and the ``Fix(R)`` part
-    of the sine rows, and the amplitude pin is the only constraint.  Its
-    ``2M + 1`` points are those of the full grid in ``[0, pi]``: the field
-    at ``t_(4M - p) = -t_p`` is ``-R`` times the field at ``t_p``, so every
-    kept Galerkin sum over the full grid is the sum over ``[0, pi]`` with
-    the weights of the interior points doubled.  With ``half_wave`` too,
-    ``keep`` and ``rows`` hold the odd ``k`` alone, ``a0`` is ``fixed`` at
-    ``z0``, and the ``M + 1`` points in ``[0, pi/2]`` carry twice those
-    weights, the field being odd under ``t -> t + pi`` as well.
+    An ansatz is stated once, as parity groups: a group is a set of basis
+    functions times a set of components, and ``keep`` and ``rows`` mark the
+    flat places ``basis * 2N + component`` of the column and the row groups.
+    Without ``reversor`` there is one group, every entry and every row, on
+    ``4M`` points, with the energy multiplier, the phase row and one pin row
+    and momentum multiplier per orbit generator.  With ``reversor`` (the
+    diagonal of ``R``) this is the symmetric ansatz of the module docstring:
+    the columns ``a0, a_k`` in ``Fix(R)`` and ``b_k`` in ``Fix(-R)``, the
+    rows the ``Fix(-R)`` part of the constant and cosine rows and the
+    ``Fix(R)`` part of the sine rows, and the amplitude pin is the only
+    constraint.  Its ``2M + 1`` points are those of the full grid in
+    ``[0, pi]``: the field at ``t_(4M - p) = -t_p`` is ``-R`` times the field
+    at ``t_p``, so every kept Galerkin sum over the full grid is the sum over
+    ``[0, pi]`` with the weights of the interior points doubled.  With
+    ``half_wave`` too, the groups step over the basis by 2, so they hold the
+    odd ``k`` alone, ``a0`` is ``fixed`` at ``z0``, and the ``M + 1`` points
+    in ``[0, pi/2]`` carry twice those weights, the field being odd under
+    ``t -> t + pi`` as well.
     """
 
     def __init__(self, system, eq, predictor, s, m, reversor=None, half_wave=False):
@@ -365,36 +369,31 @@ class _HarmonicBalance:
         self.fixed = np.zeros(width * d)  # the coefficients that are not unknowns: a0 = z0 in the half-wave
         self._last = None  # (x, z, grads, fields) of the last _curve call
         a1, b1 = slice(d, 2 * d), slice(d + d * m, 2 * d + d * m)
+        generators = eq.orbit_generators if reversor is None else ()
+        self.n_mult = len(generators) + (reversor is None)  # energy, then one momentum per generator
+        cons = np.zeros((1 + self.n_mult, width * d))
         if reversor is None:
-            generators = eq.orbit_generators
-            self.n_mult = 1 + len(generators)  # energy, then one momentum per generator
-            self.keep = np.ones(width * d, dtype=bool)
-            self.rows = self.keep
             row_groups = col_groups = [(np.arange(width), np.arange(d))]
-            cons = np.zeros((2 + len(generators), width * d))
             cons[1, a1], cons[1, b1] = np.pi * bp, -np.pi * ap
             for i, g in enumerate(generators):
                 cons[2 + i, :d] = g @ eq.z0
         else:
-            generators = ()
-            self.n_mult = 0
+            step = 2 if half_wave else 1  # the half-wave keeps the odd modes alone
             plus, minus = np.flatnonzero(reversor > 0), np.flatnonzero(reversor < 0)
-            cosine = np.arange(width) <= m
-            k = np.concatenate([[0], np.arange(1, m + 1), np.arange(1, m + 1)])  # of each basis function
-            kept = k % 2 == 1 if half_wave else np.ones(width, dtype=bool)
-            parity = np.where(cosine[:, None], reversor > 0, reversor < 0)  # a_k in Fix(R), b_k in Fix(-R)
-            self.keep = (parity & kept[:, None]).ravel()
-            self.rows = (~parity & kept[:, None]).ravel()
-            count = m + 1 if half_wave else 2 * m + 1  # the grid points in [0, pi/2] or [0, pi]
-            fold = np.concatenate([[1.0], np.full(count - 2, 2.0), [1.0]]) * (2.0 if half_wave else 1.0)
+            cosines, sines = np.arange(step - 1, m + 1, step), np.arange(m + 1, width, step)
+            row_groups = [(cosines, minus), (sines, plus)]
+            col_groups = [(cosines, plus), (sines, minus)]  # a_k in Fix(R), b_k in Fix(-R)
+            count = 2 * m // step + 1  # the grid points in [0, pi] or [0, pi/2]
+            fold = np.concatenate([[1.0], np.full(count - 2, 2.0), [1.0]]) * step
             self.phi = self.phi[:count]
             self.weights = self.weights[:count] * fold[:, None]
             if half_wave:
                 self.fixed[:d] = eq.z0
-            cosines, sines = np.flatnonzero(cosine & kept), np.flatnonzero(~cosine & kept)
-            row_groups = [(cosines, minus), (sines, plus)]
-            col_groups = [(cosines, plus), (sines, minus)]
-            cons = np.zeros((1, width * d))
+        # the unknowns and the Galerkin rows: the places basis * d + component of their groups
+        self.keep, self.rows = np.zeros((2, width * d), dtype=bool)
+        for mask, groups in ((self.keep, col_groups), (self.rows, row_groups)):
+            for basis, comps in groups:
+                mask[(basis[:, None] * d + comps).ravel()] = True
         cons[0, a1], cons[0, b1] = np.pi * ap, np.pi * bp
         self.points = len(self.phi)
         self.n_coeff = n = int(np.count_nonzero(self.keep))
@@ -549,12 +548,12 @@ def _half_wave(system: HamiltonianSystem, eq: EquilibriumOrbit, predictor) -> bo
 
 
 class _BranchSetup:
-    """What every step of one branch shares: the kernel pair, the ansatz and each ``M``'s problem."""
+    """What every step of one branch shares: the system, the equilibrium, ``lambda0``, the kernel pair, the ansatz and each ``M``'s problem."""
 
     def __init__(self, system, eq, candidate):
         if not candidate.confirmed:
             raise ValueError(f"candidate verdict is {candidate.verdict!r}; branch solving needs a confirmed one")
-        self.system, self.eq, self.problems = system, eq, {}
+        self.system, self.eq, self.lambda0, self.problems = system, eq, candidate.lambda0, {}
         self.kernel = kernel_direction(system, eq, candidate)
         self.reversor = _symmetric_frame(system, eq, self.kernel)
         self.half_wave = self.reversor is not None and _half_wave(system, eq, self.kernel)
@@ -609,9 +608,10 @@ def solve_orbit(
     system takes the full ansatz.  Whatever the ansatz, the ``4M + 1``-point
     check of the full equations decides.  A half-wave solve that raises is
     solved again from the same warm start in the symmetric ansatz, which
-    ``_setup`` keeps for the rest of its branch.  The kernel pair, the
-    reversor and each ``M``'s problem come from ``_setup``, which
-    ``continue_branch`` builds once per branch; a lone call builds its own.
+    ``_setup`` keeps for the rest of its branch.  The system, ``eq``,
+    ``lambda0``, the kernel pair, the reversor and each ``M``'s problem come
+    from ``_setup``, which ``continue_branch`` builds once per branch from
+    the same arguments; a lone call builds its own.
     The grid tables come from ``_grid`` either way.
 
     Parameters
@@ -641,7 +641,7 @@ def solve_orbit(
     _check_modes(modes)
     setup = _setup or _BranchSetup(system, eq, candidate)
     try:
-        return _solve(system, eq, candidate, amplitude_s, modes, initial_guess, setup)
+        return _solve(setup, amplitude_s, modes, initial_guess)
     except HambifError:
         if not setup.half_wave:
             raise
@@ -649,18 +649,19 @@ def solve_orbit(
     # solves this step and the rest of the branch (a step that fails in any
     # ansatz fails twice, with the symmetric ansatz's message)
     setup.half_wave, setup.problems = False, {}
-    return _solve(system, eq, candidate, amplitude_s, modes, initial_guess, setup)
+    return _solve(setup, amplitude_s, modes, initial_guess)
 
 
-def _solve(system, eq, candidate, amplitude_s, modes, initial_guess, setup) -> FourierOrbit:
-    """``solve_orbit`` in the ansatz ``setup`` holds: Newton, the full check and the ``M`` doubling."""
+def _solve(setup, amplitude_s, modes, initial_guess) -> FourierOrbit:
+    """``solve_orbit`` of ``setup``'s branch in the ansatz it holds: Newton, the full check and the ``M`` doubling."""
+    system, eq = setup.system, setup.eq
     scale = 1.0 + float(np.linalg.norm(eq.z0))
     tol = 1e-9 * scale
     # Newton's own stop: 1e-11 where |z0| is moderate, never below the
     # rounding of the collocation values (about eps |z0|) far from the origin
     tol_inner = min(0.02 * tol, max(1e-11, 64.0 * _EPS * scale))
     m = modes
-    guess = initial_guess or FourierOrbit(eq.z0, *(amplitude_s * p[None, :] for p in setup.kernel), candidate.lambda0)
+    guess = initial_guess or FourierOrbit(eq.z0, *(amplitude_s * p[None, :] for p in setup.kernel), setup.lambda0)
     while True:
         problem = setup.problem(amplitude_s, m)
         a, b = np.zeros((2, m, system.dim))  # the warm start's first M modes, zeros above its own

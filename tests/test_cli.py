@@ -825,3 +825,38 @@ def test_readme_config_example_parses():
     example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     config = cli.parse_config(example)
     assert config.n == 1 and config.steps == 6 and config.s0 == 0.01
+
+
+def test_generators_parse_in_the_order_of_their_number_and_survive_the_round_trip():
+    # the keys were ordered as strings (generator1, generator10, generator11,
+    # generator2, ...), and to_ini's output was reordered again on parsing
+    matrices = tuple(((0.0, float(k)), (-float(k), 0.0)) for k in range(1, 12))
+    keys = "".join(f"generator{k} = 0 {k} ; {-k} 0\n" for k in range(11, 0, -1))
+    config = cli.parse_config(f"[system]\nn = 1\nmonomials = 0.5 2 0 ; 0.5 0 2\n{keys}")
+    assert config.generators == matrices
+    assert cli.parse_config(config.to_ini()) == config
+
+
+@pytest.mark.parametrize("key", ["generator", "generator0", "generator01", "generatorx", "generator-1"])
+def test_a_generator_key_without_a_positive_integer_is_an_error(key):
+    text = f"[system]\nn = 1\nmonomials = 0.5 2 0 ; 0.5 0 2\n{key} = 0 1 ; -1 0\n"
+    with pytest.raises(ConfigParse, match=rf"^\[system\] {key}: a generator key is 'generator' followed by a positive integer$"):
+        cli.parse_config(text)
+
+
+def test_branch_at_an_inconclusive_j0_has_no_candidate_to_verify():
+    # analyze keeps the configured level alone, and kernel3.ini's one level is inconclusive
+    code, out = run_cli(["branch", "--config", str(DATA / "kernel3.ini"), "--j0", "1"])
+    assert (code, out) == (2, "no confirmed candidate to verify\n")
+
+
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (["--config", str(DATA / "kernel3.ini")], "hessian: m+ = 3, m- = 0, kernel dim = 3, orbit nondegenerate = no"),
+        (["--preset", "satellite", "--omega", "1", "--c", "0.1"], "hessian: m+ = 4, m- = 1, kernel dim = 1, orbit nondegenerate = yes"),
+    ],
+    ids=["kernel3", "readme-satellite"],
+)
+def test_analyze_text_reads_its_hessian_line_from_the_spectral_report(args, line):
+    assert run_cli(["analyze", *args])[1].splitlines()[2] == line

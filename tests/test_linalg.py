@@ -98,10 +98,15 @@ def test_general_eigenvalues_conjugation_closed():
 
 
 def cluster_subspace(m, beta):
-    """The invariant subspace of the eigenvalues of ``m`` within 1e-9 of ``i*beta``."""
+    """The invariant subspace of the eigenvalues of ``m`` within 1e-9 of ``i*beta``: ``invariant_subspaces`` of that one cluster."""
     w, v = linalg.general_eigensystem(m)
     cluster = np.nonzero(np.abs(w - 1j * beta) < 1e-9)[0]
-    return linalg.real_invariant_subspace(m, v[:, cluster], 1.0 + float(np.max(np.abs(w))))
+    return one_cluster(m, v, cluster, 1.0 + float(np.max(np.abs(w))))
+
+
+def one_cluster(m, vectors, cluster, scale):
+    """The basis ``invariant_subspaces`` gives a list of one cluster, with the identity as the form."""
+    return linalg.invariant_subspaces(m, np.eye(len(m)), vectors, [cluster], scale)[0][0]
 
 
 def test_general_eigensystem_pairs():
@@ -168,7 +173,7 @@ def test_real_invariant_subspace_rejects_non_invariant_span():
     m[2:, 2:] = 2.0 * linalg.standard_symplectic(1)
     vector = np.array([1.0, 1j, 1.0, 0.0]) / np.sqrt(3.0)
     with pytest.raises(ConvergenceFailure, match="invariance residual"):
-        linalg.real_invariant_subspace(m, vector[:, None], 3.0)
+        one_cluster(m, vector[:, None], [0], 3.0)
 
 
 def test_real_invariant_subspace_rejects_defective():
@@ -185,7 +190,7 @@ def test_real_invariant_subspace_rejects_defective():
     upper = np.nonzero(w.imag > 0.0)[0]
     assert upper.size == 2
     with pytest.raises(ConvergenceFailure, match="defective"):
-        linalg.real_invariant_subspace(m, v[:, upper], 1.0 + float(np.max(np.abs(w))))
+        one_cluster(m, v, upper, 1.0 + float(np.max(np.abs(w))))
 
 
 @pytest.mark.parametrize(
@@ -243,7 +248,7 @@ def test_invariant_subspaces_raise_the_first_failing_clusters_text(order, failur
     # is still the one of the first failing cluster in the caller's order
     m, a, vectors, clusters, scale = three_clusters()
     with pytest.raises(ConvergenceFailure) as alone:
-        linalg.real_invariant_subspace(m, vectors[:, clusters[failure]], scale)
+        linalg.invariant_subspaces(m, a, vectors, [clusters[failure]], scale)
     assert re.fullmatch(r"eigenvalue cluster of multiplicity 2 is defective \(real span [0-3] < 4\)|invariance residual .* too large for a cluster of multiplicity 1", str(alone.value))
     with pytest.raises(ConvergenceFailure) as stacked:
         linalg.invariant_subspaces(m, a, vectors, [clusters[name] for name in order], scale)
@@ -253,7 +258,7 @@ def test_invariant_subspaces_raise_the_first_failing_clusters_text(order, failur
 def test_invariant_subspaces_of_good_clusters_are_the_one_cluster_bases():
     m, a, vectors, clusters, scale = three_clusters()
     bases, inertias = linalg.invariant_subspaces(m, a, vectors, [clusters["good"]] * 3, scale)
-    alone = linalg.real_invariant_subspace(m, vectors[:, clusters["good"]], scale)
+    alone = linalg.invariant_subspaces(m, a, vectors, [clusters["good"]], scale)[0][0]
     assert all(e.tobytes() == alone.tobytes() for e in bases) and inertias == ((2, 0, 0),) * 3
 
 

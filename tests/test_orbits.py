@@ -1702,6 +1702,91 @@ def test_residual_and_jacobian_have_the_bits_of_the_per_block_assembly(setup, sy
         assert problem.jacobian(xn).tobytes() == reference_jacobian(problem, xn, blocks).tobytes()  # the memo hits
 
 
+def reference_layout(system, eq, predictor, m, reversor, half_wave):
+    """An ansatz's masks, tables, affine operator and blocks, from its cosine, mode and parity masks (reference)."""
+    d, width, points = system.dim, 2 * m + 1, 4 * m
+    ap, bp = predictor
+    cos, sin = orbits._grid(points, m)
+    phi = np.hstack([np.ones((points, 1)), cos, sin])
+    weights = phi * np.concatenate([[1.0], np.full(2 * m, 2.0)]) / points
+    fixed = np.zeros(width * d)
+    a1, b1 = slice(d, 2 * d), slice(d + d * m, 2 * d + d * m)
+    if reversor is None:
+        generators = eq.orbit_generators
+        keep = rows = np.ones(width * d, dtype=bool)
+        row_groups = col_groups = [(np.arange(width), np.arange(d))]
+        cons = np.zeros((2 + len(generators), width * d))
+        cons[1, a1], cons[1, b1] = np.pi * bp, -np.pi * ap
+        for i, g in enumerate(generators):
+            cons[2 + i, :d] = g @ eq.z0
+    else:
+        plus, minus = np.flatnonzero(reversor > 0), np.flatnonzero(reversor < 0)
+        cosine = np.arange(width) <= m
+        k = np.concatenate([[0], np.arange(1, m + 1), np.arange(1, m + 1)])
+        kept = k % 2 == 1 if half_wave else np.ones(width, dtype=bool)
+        parity = np.where(cosine[:, None], reversor > 0, reversor < 0)
+        keep, rows = (parity & kept[:, None]).ravel(), (~parity & kept[:, None]).ravel()
+        count = m + 1 if half_wave else 2 * m + 1
+        fold = np.concatenate([[1.0], np.full(count - 2, 2.0), [1.0]]) * (2.0 if half_wave else 1.0)
+        phi, weights = phi[:count], weights[:count] * fold[:, None]
+        if half_wave:
+            fixed[:d] = eq.z0
+        cosines, sines = np.flatnonzero(cosine & kept), np.flatnonzero(~cosine & kept)
+        row_groups, col_groups = [(cosines, minus), (sines, plus)], [(cosines, plus), (sines, minus)]
+        cons = np.zeros((1, width * d))
+    cons[0, a1], cons[0, b1] = np.pi * ap, np.pi * bp
+    n = int(np.count_nonzero(keep))
+    size = n + cons.shape[0]
+    derivative = np.diag(np.arange(m + 1.0), m) - np.diag(np.arange(m + 1.0), -m)
+    at_rows, at_cols = (np.divmod(np.flatnonzero(mask), d) for mask in (rows, keep))
+    linear = np.zeros((size, size))
+    linear[:n, :n] = derivative[at_rows[0][:, None], at_cols[0]] * (at_rows[1][:, None] == at_cols[1])
+    linear[n:, :n] = cons[:, keep]
+    offsets = np.concatenate([np.zeros(n), cons[:, :d] @ eq.z0])
+    blocks, targets, r0 = [], [], 0
+    for rb, rc in row_groups:
+        block_rows, c0 = np.arange(r0, r0 + rb.size * rc.size).reshape(rb.size, 1, rc.size, 1) * size, 0
+        for cb, cc in col_groups:
+            weight_basis = np.einsum("pr,pc->rcp", weights[:, rb], phi[:, cb])
+            gather = slice(None) if reversor is None else (rc[:, None] * d + cc).ravel()
+            blocks.append((np.ascontiguousarray(weight_basis.reshape(-1, len(phi))), gather))
+            targets.append((block_rows + np.arange(c0, c0 + cb.size * cc.size).reshape(1, cb.size, 1, cc.size)).ravel())
+            c0 += cb.size * cc.size
+        r0 += rb.size * rc.size
+    layout = dict(keep=keep, rows=rows, fixed=fixed, phi=phi, weights=weights, linear=linear, offsets=offsets)
+    return layout, blocks, np.concatenate(targets)
+
+
+def array_bits(a):
+    return a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()
+
+
+LAYOUT_CASES = {
+    "gyroscopic-full": (lambda: ini_setup("gyroscopic"), False, False),
+    "so3-hat-full": (lambda: ini_setup("so3-hat"), False, False),
+    "satellite-symmetric": (lambda: satellite_j0_setup(1), True, False),
+    "chain-half-wave": (lambda: chain_setup(True), True, True),
+}
+
+
+@pytest.mark.parametrize("setup, symmetric, half_wave", LAYOUT_CASES.values(), ids=LAYOUT_CASES)
+def test_parity_groups_give_the_layout_of_the_mask_construction(setup, symmetric, half_wave):
+    # the groups are the one statement of an ansatz: the masks, tables,
+    # affine operator and blocks built from them are the mask construction's
+    system, eq, cand = setup()
+    predictor = orbits.kernel_direction(system, eq, cand)
+    for modes in (1, 2, 3, 8, 16):
+        problem = problem_for(system, eq, cand, 0.05, modes, symmetric, half_wave)
+        layout, blocks, target = reference_layout(system, eq, predictor, modes, system.reversor if symmetric else None, half_wave)
+        for key, value in layout.items():
+            assert array_bits(getattr(problem, key)) == array_bits(value), (modes, key)
+        assert array_bits(problem.target) == array_bits(target)
+        assert len(problem.blocks) == len(blocks) == (4 if symmetric else 1)
+        for (basis, gather), (ref_basis, ref_gather) in zip(problem.blocks, blocks):
+            assert array_bits(basis) == array_bits(ref_basis)
+            assert gather == ref_gather if isinstance(ref_gather, slice) else array_bits(gather) == array_bits(ref_gather)
+
+
 def test_satellite_branch_step_costs_two_residuals_one_jacobian_one_solve_and_one_check(monkeypatch):
     # a perf guard that no timing noise hides: every step of the README
     # satellite's j0 = 1 branch is one undamped chord-Newton step from the
