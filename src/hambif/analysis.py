@@ -32,7 +32,6 @@ Ann. Math. 73, 1961), which needs no fact about the isotropy group of ``z0``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,7 +40,7 @@ import numpy as np
 from . import degree as degree_mod
 from .errors import Degenerate, HambifError, NoImaginaryPairs, NoSuchLevel
 from .linalg import check_symmetric, general_eigensystem, inertia, invariant_subspaces, standard_symplectic
-from .model import EquilibriumOrbit, HamiltonianSystem
+from .model import EquilibriumOrbit, HamiltonianSystem, _check_count, _check_positive, _is_integer  # noqa: F401
 
 __all__ = [
     "SpectralReport",
@@ -168,25 +167,6 @@ def matrix_report(a) -> SpectralReport:
         m_minus=m_minus,
         kernel_dim=kernel_dim,
     )
-
-
-def _check_positive(name: str, value: float) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is positive and finite; NaN is not finite."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be {'positive' if value <= 0.0 else 'finite'}, got {value}")
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer, a numpy one too, and not a bool: what every count of the package must be."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_count(name: str, value) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is an integer (``_is_integer``) of at least 1."""
-    if not _is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def t_matrix(a, k: int, lam: float) -> np.ndarray:

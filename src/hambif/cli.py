@@ -1,12 +1,17 @@
 """Command-line front end: analyze, branch, presets.
 
 Configuration is a flat key = value file with sections ([system],
-[analysis], [branch], [output], [run]); every value can be overridden on
-the command line.  Each command builds its records once, each from the one
-ordered column -> value table of its kind (candidate, orbit, coefficients,
-coefficient row).  The text report, json-lines (one record per line) and
-csv (header row + the table's column order) are all rendered from those
-records, and ``_emit`` alone decides where they are written.  Identical
+[analysis], [branch], [output], [run]).  Each run setting is declared once,
+on its ``RunConfig`` field: its ``[section] key``, how its text is parsed
+and shown, and its command-line flag (which overrides the file) with the
+flag's help.  ``parse_config``, ``RunConfig.to_ini`` and the argument
+parser are all read from those fields.
+
+Each command builds its records once, each from the one ordered column ->
+value table of its kind (candidate, orbit, coefficients, coefficient row).
+The text report, json-lines (one record per line) and csv (header row +
+the table's column order) are all rendered from those records, and
+``_emit`` alone decides where they are written.  Identical
 configuration produces byte-identical machine output on one machine and
 numpy/OpenBLAS build; across BLAS kernels the values agree within the
 golden tolerances of ``tests/test_golden.py`` (README).
@@ -24,7 +29,7 @@ import configparser
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -96,77 +101,6 @@ COEFF_COLUMNS = tuple(_COEFF_ROW)
 FORMATS = ("text", "json-lines", "csv")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed run configuration; exactly one of preset / monomials is set."""
-
-    preset: str | None = None
-    params: tuple = ()  # sorted (name, value) pairs; value float or tuple of floats
-    n: int | None = None
-    monomials: tuple = ()  # ((coeff, (e_1, ..., e_2N)), ...)
-    generators: tuple = ()  # tuples of row tuples
-    guess: tuple | None = None
-    j0: int | None = None
-    steps: int = 8
-    s0: float = 1e-3
-    growth: float = 2.0
-    modes: int = 8
-    fmt: str = "text"
-    output: str | None = None
-    seed: int = 0  # accepted for compatibility; nothing is randomized
-
-    def __post_init__(self):
-        if (self.preset is None) == (not self.monomials):
-            raise ConfigParse("exactly one of 'preset' or 'monomials' must be given")
-        if self.monomials and self.n is None:
-            raise ConfigParse("inline monomials require 'n' (half the phase dimension)")
-        if self.preset is not None and self.generators:
-            raise ConfigParse(f"generators cannot be given with preset {self.preset!r}: presets bring their own symmetry")
-        if self.preset is not None and self.n is not None:
-            raise ConfigParse(f"n cannot be given with preset {self.preset!r}: presets bring their own dimension")
-        if self.monomials and self.params:
-            raise ConfigParse(f"inline monomials take no preset parameters, got {', '.join(k for k, _ in self.params)}")
-        for key, value in (("n", self.n), ("j0", self.j0)):
-            if value is not None and value < 1:
-                raise ConfigParse(f"{key} must be at least 1, got {value}")
-        try:
-            # the rules continue_branch applies
-            orbits_mod._check_ladder(self.steps, self.s0, self.growth)
-            orbits_mod._check_modes(self.modes)
-        except ValueError as exc:
-            raise ConfigParse(str(exc)) from exc
-        for _, exps in self.monomials:
-            if len(exps) != 2 * self.n or any(e < 0 for e in exps):
-                raise ConfigParse(f"a monomial needs {2 * self.n} non-negative exponents, got {list(exps)}")
-        for rows in self.generators:
-            if len(rows) != 2 * self.n or any(len(row) != 2 * self.n for row in rows):
-                lengths = [len(row) for row in rows]
-                raise ConfigParse(f"a generator must be {2 * self.n} x {2 * self.n}, got rows of lengths {lengths}")
-        numbers = [*self.params, ("guess", self.guess or ()), *(("monomials", c) for c, _ in self.monomials)]
-        numbers += [(f"generator{i}", rows) for i, rows in enumerate(self.generators, start=1)]
-        for key, value in numbers:
-            bad = [v for v in np.ravel(value) if not np.isfinite(v)]
-            if bad:
-                raise ConfigParse(f"non-finite value {bad[0]} for {key}")
-        if self.fmt not in FORMATS:
-            raise ConfigParse(f"unknown output format {self.fmt!r}")
-
-    def to_ini(self) -> str:
-        """Deterministic flat-text serialization; parse_config inverts it."""
-        sections: dict = {}
-        for section, key, name, _, _, show in _KEYS:
-            value = getattr(self, name)
-            lines = sections.setdefault(section, [])
-            if value is None or value == () == getattr(RunConfig, name):
-                continue  # unset: None, or empty by default (the monomials of a preset run)
-            lines.append(f"{key} = {show(value)}")
-        system = sections["system"]
-        system += [f"{key} = {_show_param(value)}" for key, value in self.params]
-        system += [f"generator{i} = {_show_matrix(g)}" for i, g in enumerate(self.generators, start=1)]
-        blocks = (f"[{name}]\n" + "".join(f"{line}\n" for line in lines) for name, lines in sections.items())
-        return "\n".join(blocks)
-
-
 def _fmt(x) -> str:
     """Shortest exact decimal form (round-trips bit-faithfully)."""
     return repr(float(x))
@@ -208,26 +142,102 @@ def _show_monomials(terms) -> str:
     return " ; ".join(" ".join([_fmt(c)] + [str(e) for e in exps]) for c, exps in terms)
 
 
-# Every fixed configuration key: (section, key, RunConfig field, command-line
-# flag or None, parse, show).  parse raises ValueError on a malformed value.
-# The other [system] keys are generator1, generator2, ... and preset parameters;
-# parse_config rejects any other key or section.
-_KEYS = (
-    ("system", "preset", "preset", "preset", str, str),
-    ("system", "n", "n", None, int, str),
-    ("system", "monomials", "monomials", None, _monomials, _show_monomials),
-    ("system", "guess", "guess", None, _floats, _show_floats),
-    ("analysis", "j0", "j0", "j0", int, str),
-    ("branch", "steps", "steps", "steps", int, str),
-    ("branch", "s0", "s0", "s0", float, _fmt),
-    ("branch", "growth", "growth", "growth", float, _fmt),
-    ("branch", "modes", "modes", "modes", int, str),
-    ("output", "format", "fmt", "format", str, str),
-    ("output", "path", "output", "output", str, str),
-    ("run", "seed", "seed", "seed", int, str),
-)
+def _setting(section: str, key: str, parse=str, show=str, flag=None, help=None, default=None):
+    """A ``RunConfig`` field declared once: its configuration key ``[section] key`` and its command-line flag.
 
-_SECTION_KEYS = {section: {key for s, key, *_ in _KEYS if s == section} for section, *_ in _KEYS}
+    ``parse`` reads the key's text, raising ``ValueError`` on a malformed
+    value, and is the flag's type; ``show`` writes the value back.  ``flag``
+    is the flag's name, or ``None`` for a key without one, and ``help`` its
+    help text, where ``{default}`` stands for the field's default.
+    """
+    help = help and help.format(default=default)
+    return field(default=default, metadata={"setting": (section, key, parse, show, flag, help)})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Parsed run configuration; exactly one of preset / monomials is set."""
+
+    preset: str | None = _setting("system", "preset", flag="preset", help="preset name (see the presets command)")
+    params: tuple = ()  # sorted (name, value) pairs; value float or tuple of floats
+    n: int | None = _setting("system", "n", int)
+    # ((coeff, (e_1, ..., e_2N)), ...)
+    monomials: tuple = _setting("system", "monomials", _monomials, _show_monomials, default=())
+    generators: tuple = ()  # tuples of row tuples
+    guess: tuple | None = _setting("system", "guess", _floats, _show_floats)
+    j0: int | None = _setting("analysis", "j0", int, flag="j0", help="restrict to one candidate index")
+    steps: int = _setting("branch", "steps", int, str, "steps", "number of amplitude steps (default {default})", 8)
+    s0: float = _setting("branch", "s0", float, _fmt, "s0", "smallest amplitude (default {default})", 1e-3)
+    growth: float = _setting("branch", "growth", float, _fmt, "growth", "amplitude growth factor (default {default})", 2.0)
+    modes: int = _setting(
+        "branch", "modes", int, str, "modes", f"initial Fourier truncation, 1 to {orbits_mod.MAX_MODES} (default {{default}})", 8
+    )
+    fmt: str = _setting("output", "format", flag="format", help="output format", default="text")
+    output: str | None = _setting("output", "path", flag="output", help="write machine output to this path")
+    seed: int = _setting("run", "seed", int, flag="seed", help="accepted for compatibility; nothing is randomized", default=0)
+
+    def __post_init__(self):
+        if (self.preset is None) == (not self.monomials):
+            raise ConfigParse("exactly one of 'preset' or 'monomials' must be given")
+        if self.monomials and self.n is None:
+            raise ConfigParse("inline monomials require 'n' (half the phase dimension)")
+        if self.preset is not None and self.generators:
+            raise ConfigParse(f"generators cannot be given with preset {self.preset!r}: presets bring their own symmetry")
+        if self.preset is not None and self.n is not None:
+            raise ConfigParse(f"n cannot be given with preset {self.preset!r}: presets bring their own dimension")
+        if self.monomials and self.params:
+            raise ConfigParse(f"inline monomials take no preset parameters, got {', '.join(k for k, _ in self.params)}")
+        for key, value in (("n", self.n), ("j0", self.j0)):
+            if value is not None and value < 1:
+                raise ConfigParse(f"{key} must be at least 1, got {value}")
+        try:
+            # the rules continue_branch applies
+            orbits_mod._check_ladder(self.steps, self.s0, self.growth)
+            orbits_mod._check_modes(self.modes)
+        except ValueError as exc:
+            raise ConfigParse(str(exc)) from exc
+        for _, exps in self.monomials:
+            if len(exps) != 2 * self.n or any(e < 0 for e in exps):
+                raise ConfigParse(f"a monomial needs {2 * self.n} non-negative exponents, got {list(exps)}")
+        for rows in self.generators:
+            if len(rows) != 2 * self.n or any(len(row) != 2 * self.n for row in rows):
+                lengths = [len(row) for row in rows]
+                raise ConfigParse(f"a generator must be {2 * self.n} x {2 * self.n}, got rows of lengths {lengths}")
+        numbers = [*self.params, ("guess", self.guess or ()), *(("monomials", c) for c, _ in self.monomials)]
+        numbers += [(f"generator{i}", rows) for i, rows in enumerate(self.generators, start=1)]
+        for key, value in numbers:
+            bad = [v for v in np.ravel(value) if not np.isfinite(v)]
+            if bad:
+                raise ConfigParse(f"non-finite value {bad[0]} for {key}")
+        if self.fmt not in FORMATS:
+            raise ConfigParse(f"unknown output format {self.fmt!r}")
+
+    def to_ini(self) -> str:
+        """Deterministic flat-text serialization; parse_config inverts it."""
+        sections: dict = {}
+        for name, section, key, _, show, *_ in _KEYS:
+            value = getattr(self, name)
+            lines = sections.setdefault(section, [])
+            if value is None or value == () == getattr(RunConfig, name):
+                continue  # unset: None, or empty by default (the monomials of a preset run)
+            lines.append(f"{key} = {show(value)}")
+        system = sections["system"]
+        system += [f"{key} = {_show_param(value)}" for key, value in self.params]
+        system += [f"generator{i} = {_show_matrix(g)}" for i, g in enumerate(self.generators, start=1)]
+        blocks = (f"[{name}]\n" + "".join(f"{line}\n" for line in lines) for name, lines in sections.items())
+        return "\n".join(blocks)
+
+
+# Every fixed configuration key, in RunConfig's order: (field, section, key,
+# parse, show, flag, help).  The other [system] keys are generator1,
+# generator2, ... and preset parameters; parse_config rejects any other key or
+# section.
+_KEYS = tuple((f.name, *f.metadata["setting"]) for f in fields(RunConfig) if f.metadata)
+
+_SECTION_KEYS = {section: {key for _, s, key, *_ in _KEYS if s == section} for _, section, *_ in _KEYS}
+
+# the preset-parameter flags and their help
+_PARAM_FLAGS = {"omega": "satellite spin rate", "c": "satellite oblateness strength", "beta": "harmonic oscillator frequency"}
 
 
 def _parse_value(section: str, key: str, parse, text: str):
@@ -259,7 +269,7 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigParse(f"unknown key {key!r} in [{section}]")
     kw = {
         name: _parse_value(section, key, parse, parser.get(section, key))
-        for section, key, name, _, parse, _ in _KEYS
+        for name, section, key, parse, *_ in _KEYS
         if parser.has_option(section, key)
     }
     if parser.has_section("system"):
@@ -578,29 +588,18 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output(p):
-        p.add_argument("--output", help="write machine output to this path")
-        p.add_argument("--format", choices=FORMATS, help="output format")
-
-    def add_common(p):
+    analyze = sub.add_parser("analyze", help="run the candidate-level analysis")
+    branch = sub.add_parser("branch", help="verify a confirmed candidate by branch continuation")
+    presets = sub.add_parser("presets", help="list preset systems and their parameters")
+    for p in (analyze, branch):
         p.add_argument("--config", help="configuration file (flat key = value with sections)")
-        p.add_argument("--preset", help="preset name (see the presets command)")
-        p.add_argument("--omega", type=float, help="satellite spin rate")
-        p.add_argument("--c", type=float, help="satellite oblateness strength")
-        p.add_argument("--beta", type=float, help="harmonic oscillator frequency")
-        p.add_argument("--j0", type=int, help="restrict to one candidate index")
-        p.add_argument("--seed", type=int, help="accepted for compatibility; nothing is randomized")
-        add_output(p)
-
-    add_common(sub.add_parser("analyze", help="run the candidate-level analysis"))
-    p_branch = sub.add_parser("branch", help="verify a confirmed candidate by branch continuation")
-    add_common(p_branch)
-    p_branch.add_argument("--steps", type=int, help="number of amplitude steps (default 8)")
-    p_branch.add_argument("--s0", type=float, help="smallest amplitude (default 1e-3)")
-    p_branch.add_argument("--growth", type=float, help="amplitude growth factor (default 2.0)")
-    p_branch.add_argument("--modes", type=int, help=f"initial Fourier truncation, 1 to {orbits_mod.MAX_MODES} (default 8)")
-    add_output(sub.add_parser("presets", help="list preset systems and their parameters"))
+        for flag, text in _PARAM_FLAGS.items():
+            p.add_argument(f"--{flag}", type=float, help=text)
+    # an [output] flag serves every command, a [branch] flag branch alone, any other analyze and branch
+    commands = {"output": (analyze, branch, presets), "branch": (branch,)}
+    for _, section, _, parse, _, flag, text in _KEYS:
+        for p in commands.get(section, (analyze, branch)) if flag else ():
+            p.add_argument(f"--{flag}", type=parse, choices=FORMATS if flag == "format" else None, help=text)
     return parser
 
 
@@ -615,15 +614,9 @@ def _effective_config(args) -> RunConfig:
         raise ConfigParse("either --config or --preset is required")
     else:
         config = RunConfig(preset=args.preset)
-    updates = {
-        name: getattr(args, flag)
-        for _, _, name, flag, _, _ in _KEYS
-        if flag is not None and getattr(args, flag, None) is not None
-    }
+    updates = {name: getattr(args, flag) for name, *_, flag, _ in _KEYS if flag and getattr(args, flag, None) is not None}
     params = dict(config.params)
-    for flag in ("omega", "c", "beta"):
-        if getattr(args, flag) is not None:
-            params[flag] = getattr(args, flag)
+    params.update((flag, getattr(args, flag)) for flag in _PARAM_FLAGS if getattr(args, flag) is not None)
     if params != dict(config.params):
         updates["params"] = tuple(sorted(params.items()))
     return replace(config, **updates) if updates else config

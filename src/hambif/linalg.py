@@ -97,16 +97,20 @@ def general_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _numerical_rank(s):
+    """Numerical rank of descending singular values along the last axis: the count above 1e-10 of the largest."""
+    return (s.T > 1e-10 * s.T[0]).sum(axis=0)
+
+
 def orthonormal_columns(mat) -> np.ndarray:
-    """Orthonormal basis of the column span (SVD, rank: singular values above 1e-10 of the largest)."""
+    """Orthonormal basis of the column span (SVD, rank ``_numerical_rank``)."""
     mat = np.asarray(mat, dtype=float)
     if mat.size == 0:
         return np.zeros((mat.shape[0], 0))
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros((mat.shape[0], 0))
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    return u[:, :rank]
+    return u[:, : _numerical_rank(s)]
 
 
 def invariant_subspaces(m, a, vectors, clusters, scale: float) -> tuple[tuple, tuple]:
@@ -152,7 +156,7 @@ def _real_spans(m, vectors, scale: float) -> tuple[np.ndarray, list]:
     """
     count, n, mult = vectors.shape
     u, s, _ = np.linalg.svd(np.stack((vectors.real, vectors.imag), axis=-1).reshape(count, n, 2 * mult), full_matrices=False)
-    ranks = (s > 1e-10 * s[:, :1]).sum(axis=1)
+    ranks = _numerical_rank(s)
     residual = (m @ u - u @ (u.transpose(0, 2, 1) @ m @ u)).reshape(count, 1, -1)
     norms = np.sqrt(residual @ residual.transpose(0, 2, 1)).ravel()
     return u, [

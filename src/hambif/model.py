@@ -108,7 +108,7 @@ from .errors import (
     NotASymmetry,
     UnknownPreset,
 )
-from .linalg import compress, standard_symplectic
+from .linalg import _numerical_rank, compress, standard_symplectic
 
 __all__ = [
     "EARTH_J2",
@@ -136,6 +136,8 @@ _FD_GRADIENT_STEP = 1e-6
 _FD_HESSIAN_STEP = 1e-4
 # about sqrt(eps): the forward-difference step that balances truncation and rounding
 _FD_FORWARD_STEP = 1.5e-8
+# the relative tolerance of a symmetry identity at the refined equilibrium, as NotASymmetry applies it
+_SYMMETRY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -408,6 +410,25 @@ def hessians_of(system: HamiltonianSystem, zs) -> np.ndarray:
     return _stack_of(system, "hessian", zs, lambda z: hessian_of(system, z))
 
 
+def _check_positive(name: str, value: float) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is positive and finite; NaN is not finite."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be {'positive' if value <= 0.0 else 'finite'}, got {value}")
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, a numpy one too, and not a bool: what every count of the package must be."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is an integer (``_is_integer``) of at least 1."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def _per_point(stacked):
     """The per-point form of a stacked evaluator: row 0 of its value on the one-row stack, with ``batch = stacked``."""
 
@@ -425,7 +446,11 @@ def gradient_equivariance_residual(
     base=None,
     spread: float = 0.5,
 ) -> float:
-    """Max of |grad H(exp(tX) z) - exp(tX) grad H(z)| over ``z = base + spread * normal``, t uniform in (0, 2 pi)."""
+    """Max of |grad H(exp(tX) z) - exp(tX) grad H(z)| over ``z = base + spread * normal``, t uniform in (0, 2 pi).
+
+    ``probes``, the number of points ``z``, is a ``ValueError`` unless it is an integer of at least 1.
+    """
+    _check_count("probes", probes)
     rng = np.random.default_rng(seed)
     base = np.zeros(system.dim) if base is None else np.asarray(base, dtype=float)
     group = system.symmetry
@@ -444,7 +469,7 @@ def _orbit_bases(system: HamiltonianSystem, z: np.ndarray) -> tuple:
     """The orthonormal section complementing the orbit's tangent at ``z``, and the orbit generators' coefficients.
 
     One full SVD ``[X_1 z, ..., X_g z] = U diag(s) V^T`` gives the rank ``r``
-    (``s`` above 1e-10 of its largest), the section ``U[:, r:]`` and the rows
+    (``linalg._numerical_rank``), the section ``U[:, r:]`` and the rows
     ``V[:r]``: the unnormalised orbit generators are ``Y_k = sum_i V_ki X_i``
     (``Y_k z = s_k U[:, k]``).  A lone generator that moves ``z`` gets the
     coefficient exactly ``+1`` or ``-1``.
@@ -453,7 +478,7 @@ def _orbit_bases(system: HamiltonianSystem, z: np.ndarray) -> tuple:
     if generators:
         u, s, vt = np.linalg.svd(np.array([g @ z for g in generators]).T)
         if s[0] > 0.0:
-            rank = int((s > 1e-10 * s[0]).sum())
+            rank = _numerical_rank(s)
             return u[:, rank:], vt[:rank]
     return np.eye(system.dim), np.zeros((0, len(generators)))
 
@@ -546,7 +571,7 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
     for i, x in enumerate(generators, start=1):
         moved = x @ z0
         residual = _norm(hessian @ moved)
-        bound = np.linalg.norm(x, 2) * gn + 1e-6 * (1.0 + hessian_norm) * _norm(moved)
+        bound = np.linalg.norm(x, 2) * gn + _SYMMETRY_TOL * (1.0 + hessian_norm) * _norm(moved)
         if residual > bound:
             raise NotASymmetry(f"generator {i} is not a symmetry of H: |A X z0| = {residual:.3e} exceeds {bound:.3e}")
     section, coefficients = _orbit_bases(system, z0)

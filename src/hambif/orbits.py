@@ -118,13 +118,16 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import BifurcationCandidate, _check_count, _is_integer, spectral_report
+from .analysis import BifurcationCandidate, spectral_report
 from .errors import EmptyKernel, HambifError, NoConvergence, WrongBranch
 from .model import (
     EquilibriumOrbit,
     HamiltonianSystem,
     _EPS,
+    _SYMMETRY_TOL,
+    _check_count,
     _forward_differences,
+    _is_integer,
     energies_of,
     gradients_of,
     hessians_of,
@@ -498,7 +501,7 @@ def _symmetric_frame(system: HamiltonianSystem, eq: EquilibriumOrbit, predictor)
 
     The ansatz holds when the system has a reversor ``R`` with ``R z0 = z0``
     (to 1e-12 of ``1 + |z0|``) and ``A = R A R`` for the Hessian ``A`` at
-    ``z0`` (to ``1e-6 (1 + |A|)``, the tolerance of ``NotASymmetry``, in
+    ``z0`` (to ``1e-6 (1 + |A|)``, ``model._SYMMETRY_TOL`` of ``NotASymmetry``, in
     Frobenius norms), every declared generator anticommutes with ``R``
     (``R X R = -X``), and the kernel pair ``(a1, b1)`` lies in
     ``(Fix R, Fix -R)`` (to 1e-8).
@@ -506,7 +509,7 @@ def _symmetric_frame(system: HamiltonianSystem, eq: EquilibriumOrbit, predictor)
     r, z0, hess = system.reversor, eq.z0, eq.hessian
     if r is None or np.linalg.norm(r * z0 - z0) > 1e-12 * (1.0 + np.linalg.norm(z0)):
         return None
-    if np.linalg.norm(hess - r[:, None] * hess * r) > 1e-6 * (1.0 + np.linalg.norm(hess)):
+    if np.linalg.norm(hess - r[:, None] * hess * r) > _SYMMETRY_TOL * (1.0 + np.linalg.norm(hess)):
         return None
     for x in system.symmetry.generators:
         if np.max(np.abs(r[:, None] * x * r + x)) > 1e-12 * (1.0 + np.max(np.abs(x))):
@@ -883,8 +886,15 @@ def transform_orbit(orbit: FourierOrbit, rotation=None, time_shift: float = 0.0)
     """Apply a group element and/or a time shift to the coefficient data.
 
     The time shift rotates each mode pair by k * theta; the group element
-    acts componentwise on every coefficient vector.
+    acts componentwise on every coefficient vector.  A non-finite
+    ``time_shift`` or rotation entry is a ``ValueError`` naming it.
     """
+    if not np.isfinite(time_shift):
+        raise ValueError(f"time_shift must be finite, got {time_shift}")
+    if rotation is not None:
+        rotation = np.asarray(rotation, dtype=float)
+        if not np.isfinite(rotation).all():
+            raise ValueError("rotation must be finite, got a non-finite entry")
     a0 = orbit.a0.copy()
     a = orbit.a.copy()
     b = orbit.b.copy()
@@ -892,7 +902,6 @@ def transform_orbit(orbit: FourierOrbit, rotation=None, time_shift: float = 0.0)
         ck, sk = (c.T for c in _trig([time_shift], orbit.m))
         a, b = ck * a + sk * b, -sk * a + ck * b
     if rotation is not None:
-        rotation = np.asarray(rotation, dtype=float)
         a0 = rotation @ a0
         a = a @ rotation.T
         b = b @ rotation.T

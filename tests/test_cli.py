@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -7,6 +8,7 @@ import runpy
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -807,6 +809,72 @@ def test_kmax_flag_is_rejected(capsys):
         cli.main(["analyze", "--preset", "harmonic", "--kmax", "5"], stdout=io.StringIO())
     assert exc.value.code == 2
     assert "unrecognized arguments: --kmax 5" in capsys.readouterr().err
+
+
+def test_the_parser_built_from_the_settings_has_each_commands_flags():
+    # each flag with its type and choices, as the hand-written parser declared them
+    common = {
+        "--config": (None, None),
+        "--preset": (str, None),
+        "--omega": (float, None),
+        "--c": (float, None),
+        "--beta": (float, None),
+        "--j0": (int, None),
+        "--seed": (int, None),
+        "--output": (str, None),
+        "--format": (str, cli.FORMATS),
+    }
+    branch = {"--steps": (int, None), "--s0": (float, None), "--growth": (float, None), "--modes": (int, None)}
+    expected = {"analyze": common, "branch": {**common, **branch}, "presets": {k: common[k] for k in ("--output", "--format")}}
+    (commands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == ["analyze", "branch", "presets"]
+    for name, parser in commands.choices.items():
+        flags = {a.option_strings[0]: (a.type, a.choices) for a in parser._actions if a.dest != "help"}
+        assert flags == expected[name], name
+
+
+def test_each_keyed_flag_overrides_its_config_key(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[system]\npreset = harmonic\n[analysis]\nj0 = 1\n[branch]\nsteps = 3\ns0 = 0.01\ngrowth = 1.5\nmodes = 4\n"
+        "[output]\nformat = csv\npath = a.csv\n[run]\nseed = 5\n",
+        encoding="utf-8",
+    )
+    flags = {
+        "preset": "satellite",
+        "j0": 2,
+        "steps": 5,
+        "s0": 0.02,
+        "growth": 3.0,
+        "modes": 6,
+        "format": "json-lines",
+        "output": "b.jsonl",
+        "seed": 7,
+    }
+    fields = {"format": "fmt"}
+    parser = cli._build_parser()
+    kept = cli._effective_config(parser.parse_args(["branch", "--config", str(config)]))
+    assert kept == cli.parse_config(config.read_text(encoding="utf-8"))
+    for flag, value in flags.items():
+        args = parser.parse_args(["branch", "--config", str(config), f"--{flag}", str(value)])
+        changed = cli._effective_config(args)
+        assert getattr(changed, fields.get(flag, flag)) == value != getattr(kept, fields.get(flag, flag)), flag
+        assert changed == replace(kept, **{fields.get(flag, flag): value}), flag
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--preset", "satellite", "--omgea", "1"],
+        ["branch", "--preset", "harmonic", "--stpes", "3"],
+        ["presets", "--fromat", "csv"],
+    ],
+)
+def test_a_misspelled_flag_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv, stdout=io.StringIO())
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_config_without_a_section_header_is_a_parse_error():

@@ -351,6 +351,14 @@ def test_gradient_equivariance_satellite():
     assert resid < 1e-7
 
 
+@pytest.mark.parametrize("probes", [0, -3, 2.5, True])
+def test_gradient_equivariance_residual_needs_at_least_one_probe(probes):
+    # 0 and -3 probes returned 0.0, a perfect equivariance read from no probe at all
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    with pytest.raises(ValueError, match="probes must be"):
+        model.gradient_equivariance_residual(sat, probes)
+
+
 def test_gradient_equivariance_residual_is_nan_where_a_probe_gradient_is_nan():
     # Python's max(worst, nan) keeps worst: the residual of the finite probes
     # alone, 1.0019109251294436e-14, as for the true gradient

@@ -301,6 +301,16 @@ def test_transform_orbit_time_shift_matches_the_per_mode_loop():
         assert np.array_equal(shifted.a0, orbit.a0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_transform_orbit_rejects_a_non_finite_time_shift_or_rotation(value):
+    # a NaN time shift gave an orbit whose every coefficient was NaN, with no error
+    orbit = orbits.FourierOrbit(a0=np.ones(2), a=np.ones((3, 2)), b=np.zeros((3, 2)), lam=1.0)
+    with pytest.raises(ValueError, match=f"time_shift must be finite, got {value}"):
+        orbits.transform_orbit(orbit, time_shift=value)
+    with pytest.raises(ValueError, match="rotation must be finite"):
+        orbits.transform_orbit(orbit, rotation=[[1.0, 0.0], [0.0, value]])
+
+
 def test_orbit_symmetry_residual_invariance():
     sat, eq, cand = satellite_setup()
     orbit = orbits.solve_orbit(sat, eq, cand, 5e-3)
