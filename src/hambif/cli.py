@@ -1,5 +1,9 @@
 """Command-line front end: analyze, branch, presets.
 
+This module parses, dispatches and renders; ``model`` builds every system,
+the inline polynomial of a configuration included.  A flag is read only
+when written out in full: argparse's prefix matching is off.
+
 Configuration is a flat key = value file with sections ([system],
 [analysis], [branch], [output], [run]).  Each run setting is declared once,
 on its ``RunConfig`` field: its ``[section] key``, how its text is parsed
@@ -37,7 +41,6 @@ from . import analysis as analysis_mod
 from . import model as model_mod
 from . import orbits as orbits_mod
 from .errors import ConfigParse, HambifError
-from .model import HamiltonianSystem, SymmetryGroup
 
 __all__ = ["RunConfig", "parse_config", "main", "console_entry", "cmd_analyze", "cmd_branch", "cmd_presets"]
 
@@ -284,53 +287,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**kw)
 
 
-def _polynomial_system(config: RunConfig) -> HamiltonianSystem:
-    """``H(z) = sum_m c_m prod_i z_i^e_mi`` with tabulated first and second derivatives.
-
-    An exponent is lowered below 0 only in a term whose factor is 0, so the
-    lowered exponents are clipped at 0 and each derivative is one product
-    over the whole table.  When every monomial has even degree in ``p``,
-    ``H(q, -p) = H(q, p)`` exactly and the system carries the reversor
-    ``diag(I, -I)``.
-    """
-    dim = 2 * config.n
-    eye = np.eye(dim)
-    coeffs = np.array([c for c, _ in config.monomials])
-    exps = np.array([e for _, e in config.monomials], dtype=float)  # (terms, dim)
-    # d/dz_i: factor c e_i, exponents e - e_i; shapes (terms, i) and (terms, i, dim)
-    grad_factor = coeffs[:, None] * exps
-    grad_exps = np.clip(exps[:, None, :] - eye, 0.0, None)
-    # d2/dz_i dz_j: factor c e_i (e_j - delta_ij), exponents e - e_i - e_j
-    hess_factor = coeffs[:, None, None] * (exps[:, :, None] * (exps[:, None, :] - eye))
-    hess_exps = np.clip(exps[:, None, None, :] - eye[:, None, :] - eye[None, :, :], 0.0, None)
-
-    # silent overflow: the refinement reports a non-finite gradient as a typed error
-    quiet = np.errstate(over="ignore", invalid="ignore")
-
-    @quiet
-    def energy(z):
-        return float(np.sum(coeffs * np.prod(z**exps, axis=1)))
-
-    @quiet
-    def gradient(z):
-        return np.sum(grad_factor * np.prod(z**grad_exps, axis=-1), axis=0)
-
-    @quiet
-    def hessian(z):
-        return np.sum(hess_factor * np.prod(z**hess_exps, axis=-1), axis=0)
-
-    even_in_p = all(sum(e[config.n :]) % 2 == 0 for _, e in config.monomials)
-    return HamiltonianSystem(
-        n=config.n,
-        energy=energy,
-        gradient=gradient,
-        hessian=hessian,
-        symmetry=SymmetryGroup(config.generators),
-        name="inline-polynomial",
-        reversor=np.repeat([1.0, -1.0], config.n) if even_in_p else None,
-    )
-
-
 def build_system(config: RunConfig) -> tuple:
     """System plus the default equilibrium guess for it.
 
@@ -341,7 +297,7 @@ def build_system(config: RunConfig) -> tuple:
     params = {k: (list(v) if isinstance(v, tuple) else v) for k, v in config.params}
     try:
         if config.preset is None:
-            system = _polynomial_system(config)
+            system = model_mod._polynomial_system(config.n, config.monomials, config.generators)
         else:
             system = model_mod.preset(config.preset, params)
     except (TypeError, ValueError) as exc:
@@ -526,7 +482,7 @@ def _branch_healthy(records, candidate) -> bool:
     return gaps[0] <= gaps[-1] + 1e-12 and records[0]["sup_distance"] <= records[-1]["sup_distance"]
 
 
-def cmd_presets(fmt: str = "text", output: str | None = None, stdout=None) -> int:
+def cmd_presets(fmt: str = RunConfig.fmt, output: str | None = None, stdout=None) -> int:
     info = model_mod.preset_info()
     # each sample configuration sets these parameters, at their defaults or at an example value
     sample_keys = {"satellite": ("c", "omega"), "harmonic": ("beta",), "coupled-springs": ("frequencies",)}
@@ -586,11 +542,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "emanating branch.",
         epilog=_HELP_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    analyze = sub.add_parser("analyze", help="run the candidate-level analysis")
-    branch = sub.add_parser("branch", help="verify a confirmed candidate by branch continuation")
-    presets = sub.add_parser("presets", help="list preset systems and their parameters")
+    analyze = sub.add_parser("analyze", help="run the candidate-level analysis", allow_abbrev=False)
+    branch = sub.add_parser("branch", help="verify a confirmed candidate by branch continuation", allow_abbrev=False)
+    presets = sub.add_parser("presets", help="list preset systems and their parameters", allow_abbrev=False)
     for p in (analyze, branch):
         p.add_argument("--config", help="configuration file (flat key = value with sections)")
         for flag, text in _PARAM_FLAGS.items():
@@ -626,7 +583,7 @@ def main(argv=None, stdout=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "presets":
-            return cmd_presets(args.format or "text", args.output, stdout=stdout)
+            return cmd_presets(args.format or RunConfig.fmt, args.output, stdout=stdout)
         config = _effective_config(args)
         if args.command == "analyze":
             return cmd_analyze(config, stdout=stdout)

@@ -84,9 +84,10 @@ whenever ``z(t)`` does.  Only constructors that know ``H`` set it:
 ``newtonian_to_hamiltonian`` (``R = diag(I, -I)``), and through it the
 ``coupled-springs`` preset and the ``harmonic`` preset, which is its
 one-frequency case (``R = diag(1, -1)``); the satellite preset
-(``R = diag(1, -1, 1, -1, 1, -1)``); and the CLI's inline polynomials whose
-every monomial has even degree in ``p``.  The lift's generators and the
-satellite's are ``diag(X, X)``, built by one helper (``_doubled``).
+(``R = diag(1, -1, 1, -1, 1, -1)``); and ``_polynomial_system``, the inline
+polynomial of a configuration, when every monomial has even degree in
+``p``.  The lift's generators and the satellite's are ``diag(X, X)``, built
+by one helper (``_doubled``).
 """
 
 from __future__ import annotations
@@ -172,7 +173,15 @@ class SymmetryGroup:
         return len(self.generators)
 
     def element(self, index: int, t: float) -> np.ndarray:
-        """Group element exp(t * X_index), from the weights of ``i X_index``."""
+        """Group element exp(t * X_index), from the weights of ``i X_index``.
+
+        ``ValueError`` names ``index`` unless it is an integer (``_is_integer``) in
+        ``0..group_dim - 1``, and ``t`` unless it is finite.
+        """
+        if not (_is_integer(index) and 0 <= index < self.group_dim):
+            raise ValueError(f"index must be an integer in 0..{self.group_dim - 1}, got {index!r}")
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t}")
         weights, vectors = np.linalg.eigh(1j * self.generators[index])
         return ((vectors * np.exp(-1j * t * weights)) @ vectors.conj().T).real
 
@@ -649,6 +658,53 @@ def newtonian_to_hamiltonian(
         symmetry=SymmetryGroup(tuple(_doubled(x, n) for x in generators)),
         name=name or "newtonian",
         reversor=np.repeat([1.0, -1.0], n),
+    )
+
+
+def _polynomial_system(n: int, monomials, generators=()) -> HamiltonianSystem:
+    """``H(z) = sum_m c_m prod_i z_i^e_mi`` on R^(2n), ``monomials`` the ``(c_m, e_m)`` pairs, with tabulated derivatives.
+
+    An exponent is lowered below 0 only in a term whose factor is 0, so the
+    lowered exponents are clipped at 0 and each derivative is one product
+    over the whole table.  When every monomial has even degree in ``p``,
+    ``H(q, -p) = H(q, p)`` exactly and the system carries the reversor
+    ``diag(I, -I)``.
+    """
+    dim = 2 * n
+    eye = np.eye(dim)
+    coeffs = np.array([c for c, _ in monomials])
+    exps = np.array([e for _, e in monomials], dtype=float)  # (terms, dim)
+    # d/dz_i: factor c e_i, exponents e - e_i; shapes (terms, i) and (terms, i, dim)
+    grad_factor = coeffs[:, None] * exps
+    grad_exps = np.clip(exps[:, None, :] - eye, 0.0, None)
+    # d2/dz_i dz_j: factor c e_i (e_j - delta_ij), exponents e - e_i - e_j
+    hess_factor = coeffs[:, None, None] * (exps[:, :, None] * (exps[:, None, :] - eye))
+    hess_exps = np.clip(exps[:, None, None, :] - eye[:, None, :] - eye[None, :, :], 0.0, None)
+
+    # silent overflow: the refinement reports a non-finite gradient as a typed error
+    quiet = np.errstate(over="ignore", invalid="ignore")
+
+    @quiet
+    def energy(z):
+        return float(np.sum(coeffs * np.prod(z**exps, axis=1)))
+
+    @quiet
+    def gradient(z):
+        return np.sum(grad_factor * np.prod(z**grad_exps, axis=-1), axis=0)
+
+    @quiet
+    def hessian(z):
+        return np.sum(hess_factor * np.prod(z**hess_exps, axis=-1), axis=0)
+
+    even_in_p = all(sum(e[n:]) % 2 == 0 for _, e in monomials)
+    return HamiltonianSystem(
+        n=n,
+        energy=energy,
+        gradient=gradient,
+        hessian=hessian,
+        symmetry=SymmetryGroup(generators),
+        name="inline-polynomial",
+        reversor=np.repeat([1.0, -1.0], n) if even_in_p else None,
     )
 
 

@@ -868,6 +868,11 @@ def test_each_keyed_flag_overrides_its_config_key(tmp_path):
         ["analyze", "--preset", "satellite", "--omgea", "1"],
         ["branch", "--preset", "harmonic", "--stpes", "3"],
         ["presets", "--fromat", "csv"],
+        # a prefix of a flag is no flag either: argparse reads none as its whole flag
+        ["branch", "--preset", "harmonic", "--step", "3"],
+        ["branch", "--preset", "harmonic", "--gr", "3"],
+        ["branch", "--preset", "harmonic", "--mo", "4"],
+        ["presets", "--form", "csv"],
     ],
 )
 def test_a_misspelled_flag_exits_2(argv, capsys):

@@ -278,6 +278,28 @@ def test_group_element_matches_expm(system):
         assert np.max(np.abs(gamma @ j - j @ gamma)) <= 1e-12
 
 
+def test_group_element_rejects_an_index_outside_the_generators_or_a_non_finite_time():
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    spin = sat.symmetry.generators[0]
+    two = model.SymmetryGroup((spin, 2.0 * spin))
+    cases = [
+        (sat.symmetry, -1, 0.3, r"index must be an integer in 0\.\.0, got -1"),  # wrapped to the last generator
+        (sat.symmetry, 1, 0.3, r"index must be an integer in 0\.\.0, got 1"),
+        (two, True, 0.3, r"index must be an integer in 0\.\.1, got True"),  # read as index 1
+        (two, 1.0, 0.3, r"index must be an integer in 0\.\.1, got 1\.0"),
+        (sat.symmetry, 0, float("nan"), "t must be finite, got nan"),  # an all-NaN element
+        (sat.symmetry, 0, -np.inf, "t must be finite, got -inf"),
+    ]
+    for group, index, t, message in cases:
+        with pytest.raises(ValueError, match=message):
+            group.element(index, t)
+    # a valid call keeps its bits: the element read off the weights of i X
+    for group, index, t in [(sat.symmetry, 0, 0.3), (two, 1, 2.5), (two, np.int64(0), np.float64(-1.0))]:
+        weights, vectors = np.linalg.eigh(1j * group.generators[index])
+        expected = ((vectors * np.exp(-1j * t * weights)) @ vectors.conj().T).real
+        assert np.array_equal(group.element(index, t), expected)
+
+
 def test_orbit_generators_of_presets_and_chain():
     chain = model.newtonian_to_hamiltonian(
         potential=lambda q: 0.5 * float(q @ q) + 0.25 * float((q[0] - q[1]) ** 4),
