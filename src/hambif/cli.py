@@ -1,7 +1,9 @@
 """Command-line front end: analyze, branch, presets.
 
 This module parses, dispatches and renders; ``model`` builds every system,
-the inline polynomial of a configuration included.  A flag is read only
+the inline polynomial of a configuration included, and states every
+preset: this module reads a preset's parameter flags, sample configuration
+and default starting point from ``model``'s registry.  A flag is read only
 when written out in full: argparse's prefix matching is off.
 
 Configuration is a flat key = value file with sections ([system],
@@ -239,8 +241,8 @@ _KEYS = tuple((f.name, *f.metadata["setting"]) for f in fields(RunConfig) if f.m
 
 _SECTION_KEYS = {section: {key for _, s, key, *_ in _KEYS if s == section} for _, section, *_ in _KEYS}
 
-# the preset-parameter flags and their help
-_PARAM_FLAGS = {"omega": "satellite spin rate", "c": "satellite oblateness strength", "beta": "harmonic oscillator frequency"}
+# the preset-parameter flags and their help, in the registry's order
+_PARAM_FLAGS = {flag: text for entry in model_mod.preset_info().values() for flag, text in entry["flags"].items()}
 
 
 def _parse_value(section: str, key: str, parse, text: str):
@@ -288,7 +290,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def build_system(config: RunConfig) -> tuple:
-    """System plus the default equilibrium guess for it.
+    """System plus the equilibrium guess for it: the configured one, else the origin or the preset's ``preset_guess``.
 
     The model rejects bad parameters and generators with ``ValueError``, or
     ``TypeError`` for a list where a number belongs; both are configuration
@@ -306,10 +308,7 @@ def build_system(config: RunConfig) -> tuple:
         if len(config.guess) != system.dim:
             raise ConfigParse(f"guess needs {system.dim} numbers, got {len(config.guess)}")
         return system, np.array(config.guess, dtype=float)
-    if config.preset == "satellite":
-        omega = float({**model_mod.preset_info()["satellite"]["parameters"], **params}["omega"])
-        return system, np.array([1.0, 0.0, 0.0, 0.0, -omega, 0.0])
-    return system, np.zeros(system.dim)
+    return system, (np.zeros(system.dim) if config.preset is None else model_mod.preset_guess(config.preset, params))
 
 
 def _record(table: dict, *sources) -> dict:
@@ -483,14 +482,12 @@ def _branch_healthy(records, candidate) -> bool:
 
 
 def cmd_presets(fmt: str = RunConfig.fmt, output: str | None = None, stdout=None) -> int:
-    info = model_mod.preset_info()
-    # each sample configuration sets these parameters, at their defaults or at an example value
-    sample_keys = {"satellite": ("c", "omega"), "harmonic": ("beta",), "coupled-springs": ("frequencies",)}
-    examples = {"frequencies": (1.0, 2.0)}  # a required parameter has no default
     records = []
-    for name, entry in sorted(info.items()):
-        values = {**entry["parameters"], **examples}
-        sample = RunConfig(preset=name, params=tuple((key, values[key]) for key in sample_keys[name]))
+    for name, entry in sorted(model_mod.preset_info().items()):
+        # the sample sets each flagged parameter at its default and each required one at its example
+        values = {**entry["parameters"], **entry["examples"]}
+        keys = sorted({*entry["flags"], *entry["examples"]})
+        sample = RunConfig(preset=name, params=tuple((key, values[key]) for key in keys))
         records.append(
             {
                 "record": "preset",

@@ -16,8 +16,9 @@ generators are built once, for the refined point.
 
 Every call of a supplied evaluator goes through ``_evaluate``, which turns
 any failure that is not a ``HambifError`` into ``EvaluationFailure``, as it
-does a gradient or Hessian of the wrong shape.  It copies each per-point
-result, so an evaluator may return one reused buffer.
+does a gradient or Hessian of the wrong shape.  A point whose length is not
+``2N`` it rejects with ``ValueError`` before the call.  It copies each
+per-point result, so an evaluator may return one reused buffer.
 ``gradient_of`` and ``hessian_of`` fill a missing derivative from one
 central-difference kernel or, from the energy alone, second differences.
 The kernel, ``_central_differences(stacked, z)``, evaluates the rows
@@ -88,6 +89,12 @@ one-frequency case (``R = diag(1, -1)``); the satellite preset
 polynomial of a configuration, when every monomial has even degree in
 ``p``.  The lift's generators and the satellite's are ``diag(X, X)``, built
 by one helper (``_doubled``).
+
+Each preset is stated once, in the registry ``preset_info``: its parameters
+and their defaults, its notes, its command-line flags with their help and
+the example values of its sample configuration.  ``_preset`` resolves its
+parameters once, for both its system (``preset``) and its default starting
+point (``preset_guess``).
 """
 
 from __future__ import annotations
@@ -125,6 +132,7 @@ __all__ = [
     "newtonian_to_hamiltonian",
     "preset",
     "preset_info",
+    "preset_guess",
     "satellite_equilibrium_distance",
     "gradient_equivariance_residual",
 ]
@@ -251,8 +259,10 @@ def _evaluate(system: HamiltonianSystem, what: str, z: np.ndarray, stacked: bool
     With ``stacked``, ``z`` is a ``(P, 2N)`` stack and ``system.<what>.batch(z)``
     is called.  Stacked energies not of shape ``(P,)``, gradients not of the
     shape of ``z`` and Hessians not of that shape plus ``(2N,)`` are an
-    EvaluationFailure too; only a per-point result is copied.
+    EvaluationFailure too; only a per-point result is copied.  A point whose
+    length is not ``2N`` is a ``ValueError`` (``_check_length``), before any call.
     """
+    _check_length(what, z, system.dim)
     try:
         evaluator = getattr(system, what)
         value = evaluator.batch(z) if stacked else evaluator(z)
@@ -436,6 +446,12 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _check_length(name: str, z: np.ndarray, length: int) -> None:
+    """``ValueError`` naming both lengths unless ``z``, a point or a stack of points along its last axis, has ``length``."""
+    if z.shape[-1:] != (length,):
+        raise ValueError(f"{name}: expected points of length {length}, got {z.shape[-1] if z.ndim else 'a number'}")
 
 
 def _per_point(stacked):
@@ -837,7 +853,15 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
 
 
 def preset_info() -> dict:
-    """Preset registry: parameters with defaults plus provenance notes."""
+    """Preset registry, the one place where a preset is stated.
+
+    Each entry holds the preset's ``parameters`` with their defaults (``None``
+    for a required one), its provenance ``notes``, its ``flags`` (each
+    parameter that has a command-line flag, with the flag's help, in the
+    order the flags are listed) and its ``examples``: the value that a
+    required parameter takes in the preset's sample configuration.
+    ``preset_guess`` gives the preset's default starting point.
+    """
     return {
         "satellite": {
             "parameters": {
@@ -852,10 +876,14 @@ def preset_info() -> dict:
                 "(explicit c overrides j2/r_eq); default j2 is the Earth value "
                 "1.0826359e-03; SO(2) symmetry about the rotation axis."
             ),
+            "flags": {"omega": "satellite spin rate", "c": "satellite oblateness strength"},
+            "examples": {},
         },
         "harmonic": {
             "parameters": {"beta": 1.0},
             "notes": "Single oscillator H = (p^2 + beta^2 q^2) / 2; trivial symmetry.",
+            "flags": {"beta": "harmonic oscillator frequency"},
+            "examples": {},
         },
         "coupled-springs": {
             "parameters": {"frequencies": None},
@@ -863,22 +891,18 @@ def preset_info() -> dict:
                 "Second-order system with U(q) = sum (f_i q_i)^2 / 2 lifted to "
                 "first order; 'frequencies' is required (list of f_i)."
             ),
+            "flags": {},
+            "examples": {"frequencies": (1.0, 2.0)},
         },
     }
 
 
-def preset(name: str, params: Optional[dict] = None, **kwargs) -> HamiltonianSystem:
-    """Build a named system; a parameter not given takes its ``preset_info`` default.
-
-    Raises ``UnknownPreset`` for an undeclared name, ``MissingParameter``
-    for a required parameter left out and ``ValueError`` for an undeclared
-    or out-of-range one.
-    """
+def _preset(name: str, given: dict) -> tuple:
+    """``(preset, preset_guess)`` of ``name``, from its ``preset_info`` defaults overridden by ``given``, resolved once."""
     info = preset_info()
     if name not in info:
         raise UnknownPreset(f"unknown preset {name!r}")
     declared = info[name]["parameters"]
-    given = {**(params or {}), **kwargs}
     for key, default in declared.items():
         if default is None and key not in given:
             raise MissingParameter(f"{name} preset needs {key!r}")
@@ -891,7 +915,7 @@ def preset(name: str, params: Optional[dict] = None, **kwargs) -> HamiltonianSys
         c = float(values["c"]) if "c" in given else 0.5 * float(values["r_eq"]) ** 2 * float(values["j2"])
         if not (0.0 < omega < np.inf and 0.0 < c < np.inf):
             raise ValueError("satellite preset needs finite omega > 0 and c > 0")
-        return _satellite_system(omega, c)
+        return _satellite_system(omega, c), np.array([1.0, 0.0, 0.0, 0.0, -omega, 0.0])
     if name == "harmonic":  # the one-frequency spring chain
         beta = float(values["beta"])
         if not 0.0 < beta < np.inf:
@@ -901,10 +925,32 @@ def preset(name: str, params: Optional[dict] = None, **kwargs) -> HamiltonianSys
     if freqs.size == 0 or not np.all((0.0 < freqs) & (freqs < np.inf)):
         raise ValueError("frequencies must be a non-empty list of positive finite reals")
     stiff = freqs**2
-    return newtonian_to_hamiltonian(
+    system = newtonian_to_hamiltonian(
         potential=lambda q: 0.5 * float(stiff @ (q * q)),
         n=freqs.size,
         gradient=lambda q: stiff * q,
         hessian=lambda q: np.diag(stiff),
         name=name,
     )
+    return system, np.zeros(system.dim)
+
+
+def preset(name: str, params: Optional[dict] = None, **kwargs) -> HamiltonianSystem:
+    """Build a named system; a parameter not given takes its ``preset_info`` default.
+
+    Raises ``UnknownPreset`` for an undeclared name, ``MissingParameter``
+    for a required parameter left out and ``ValueError`` for an undeclared
+    or out-of-range one.
+    """
+    return _preset(name, {**(params or {}), **kwargs})[0]
+
+
+def preset_guess(name: str, params: Optional[dict] = None, **kwargs) -> np.ndarray:
+    """The default starting point of ``refine_equilibrium`` on ``preset(name, params, **kwargs)``, with its errors.
+
+    The satellite's is ``(1, 0, 0, 0, -omega, 0)``: its equilibria are
+    ``q = (d, 0, 0)``, ``p = (0, -omega d, 0)`` and their rotations about the
+    axis, ``d = satellite_equilibrium_distance(omega, c)``, and the guess
+    takes ``d = 1``.  Every other preset's is the origin.
+    """
+    return _preset(name, {**(params or {}), **kwargs})[1]

@@ -126,6 +126,7 @@ from .model import (
     _EPS,
     _SYMMETRY_TOL,
     _check_count,
+    _check_length,
     _forward_differences,
     _is_integer,
     energies_of,
@@ -201,8 +202,13 @@ class FourierOrbit:
         return table[0] @ (k * self.b) - table[1] @ (k * self.a)
 
     def mode_energies(self, z0) -> np.ndarray:
-        """Sobolev-weighted energy per mode of z - z0 (index 0 is the mean)."""
-        shift = self.a0 - np.asarray(z0, dtype=float)
+        """Sobolev-weighted energy per mode of z - z0 (index 0 is the mean).
+
+        ``ValueError`` unless ``z0`` has the orbit's length.
+        """
+        z0 = np.asarray(z0, dtype=float)
+        _check_length("z0", z0, self.a0.size)
+        shift = self.a0 - z0
         ek = np.pi * np.arange(1, self.m + 1) * ((self.a**2).sum(axis=1) + (self.b**2).sum(axis=1))
         return np.concatenate([[TWO_PI * float(shift @ shift)], ek])
 
@@ -229,7 +235,10 @@ def _grid(points: int, m: int) -> tuple:
 
 
 def sup_distance(orbit: FourierOrbit, z0) -> float:
-    """max_t |z(t) - z0|, a property of the orbit that a time shift does not move: ``_sup_distances`` of a stack of one."""
+    """max_t |z(t) - z0|, a property of the orbit that a time shift does not move: ``_sup_distances`` of a stack of one.
+
+    ``ValueError`` unless ``z0`` has the orbit's length.
+    """
     return float(_sup_distances([orbit], z0)[0])
 
 
@@ -245,8 +254,9 @@ def _sup_distances(stack, z0) -> np.ndarray:
     from the origin.  Each step is row-wise (a matmul per orbit or maximum, an
     FFT per row, last-axis sums), so no orbit's value depends on its stack.
     """
-    m = stack[0].m
-    shift = np.array([orbit.a0 for orbit in stack])[:, None] - np.asarray(z0, float)  # (n, 1, 2N)
+    m, z0 = stack[0].m, np.asarray(z0, float)
+    _check_length("z0", z0, stack[0].a0.size)
+    shift = np.array([orbit.a0 for orbit in stack])[:, None] - z0  # (n, 1, 2N)
     a, b = (np.array([getattr(orbit, key) for orbit in stack]) for key in "ab")
     cos, sin = _grid(8 * m, m)
     dz = shift + cos @ a + sin @ b

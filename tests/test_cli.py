@@ -833,6 +833,21 @@ def test_the_parser_built_from_the_settings_has_each_commands_flags():
         assert flags == expected[name], name
 
 
+@pytest.mark.parametrize("command", ["analyze", "branch"])
+def test_the_preset_parameter_flags_keep_their_help_and_place(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help at the terminal width
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    options = [line.split(None, 2) for line in capsys.readouterr().out.splitlines() if line.startswith("  -")]
+    assert [option[0] for option in options[:6]] == ["-h,", "--config", "--omega", "--c", "--beta", "--preset"]
+    assert options[2:5] == [
+        ["--omega", "OMEGA", "satellite spin rate"],
+        ["--c", "C", "satellite oblateness strength"],
+        ["--beta", "BETA", "harmonic oscillator frequency"],
+    ]
+
+
 def test_each_keyed_flag_overrides_its_config_key(tmp_path):
     config = tmp_path / "run.ini"
     config.write_text(

@@ -474,12 +474,64 @@ def test_reversor_must_be_an_anti_symplectic_diagonal():
 
 
 def test_preset_errors():
-    with pytest.raises(UnknownPreset):
-        model.preset("nope")
-    with pytest.raises(MissingParameter):
-        model.preset("coupled-springs")
-    with pytest.raises(ValueError):
-        model.preset("harmonic", beta=1.0, gamma=2.0)
+    for build in (model.preset, model.preset_guess):
+        with pytest.raises(UnknownPreset):
+            build("nope")
+        with pytest.raises(MissingParameter):
+            build("coupled-springs")
+        with pytest.raises(ValueError):
+            build("harmonic", beta=1.0, gamma=2.0)
+        with pytest.raises(ValueError, match="omega > 0"):
+            build("satellite", omega=-1.0)
+
+
+@pytest.mark.parametrize(
+    "name, params, start",
+    [
+        ("satellite", {}, [1.0, 0.0, 0.0, 0.0, -1.0, 0.0]),
+        ("satellite", {"omega": 2.0}, [1.0, 0.0, 0.0, 0.0, -2.0, 0.0]),
+        ("harmonic", {}, [0.0, 0.0]),
+        ("coupled-springs", {"frequencies": (1.0, 2.0, 3.0)}, [0.0] * 6),
+    ],
+    ids=["satellite", "satellite-omega-2", "harmonic", "coupled-springs"],
+)
+def test_the_models_default_start_is_the_clis(name, params, start):
+    guess = model.preset_guess(name, params)
+    system, cli_start = cli.build_system(cli.RunConfig(preset=name, params=tuple(sorted(params.items()))))
+    assert guess.tobytes() == cli_start.tobytes() == np.array(start).tobytes()
+    assert system.dim == guess.size
+    assert model.preset_guess(name, **params).tobytes() == guess.tobytes()
+
+
+def test_each_preset_names_its_flags_and_the_examples_of_its_required_parameters():
+    for name, entry in model.preset_info().items():
+        required = {key for key, default in entry["parameters"].items() if default is None}
+        assert set(entry["examples"]) == required, name
+        assert set(entry["flags"]) <= set(entry["parameters"]) - required, name
+        model.preset(name, entry["examples"])  # the sample's values build the system
+
+
+def _wrong_length_calls():
+    harmonic = model.preset("harmonic")  # dimension 2
+    four = orbits.FourierOrbit(a0=np.zeros(4), a=np.full((2, 4), 0.1), b=np.full((2, 4), 0.05), lam=1.0)
+    six = orbits.FourierOrbit(a0=np.array([1.0, 0, 0, 0, -1.0, 0]), a=np.full((2, 6), 0.01), b=np.zeros((2, 6)), lam=1.0)
+    return {
+        "residual-field": (lambda: orbits.residual_field(harmonic, four, 9), "gradient", 2, "4"),
+        "energy-range": (lambda: orbits.orbit_energy_range(harmonic, four), "energy", 2, "4"),
+        "sup-distance": (lambda: orbits.sup_distance(six, [0.0]), "z0", 6, "1"),
+        "mode-energies": (lambda: six.mode_energies([0.0]), "z0", 6, "1"),
+        "gradient-of": (lambda: model.gradient_of(harmonic, np.zeros(3)), "gradient", 2, "3"),
+        "hessian-of": (lambda: model.hessian_of(harmonic, np.zeros(1)), "hessian", 2, "1"),
+        "energies-of": (lambda: model.energies_of(harmonic, np.zeros((5, 3))), "energy", 2, "3"),
+        "a-number": (lambda: model.gradient_of(harmonic, 1.0), "gradient", 2, "a number"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_wrong_length_calls()))
+def test_a_point_of_the_wrong_length_is_an_error_naming_both_lengths(case):
+    call, name, length, got = _wrong_length_calls()[case]
+    with pytest.raises(ValueError, match=re.escape(f"{name}: expected points of length {length}, got {got}")):
+        call()
 
 
 @pytest.mark.parametrize("beta", [1.0, 1.3, 0.37, 7.0])
