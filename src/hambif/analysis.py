@@ -39,8 +39,8 @@ import numpy as np
 
 from . import degree as degree_mod
 from .errors import Degenerate, HambifError, NoImaginaryPairs, NoSuchLevel
-from .linalg import check_symmetric, general_eigensystem, inertia, invariant_subspaces, standard_symplectic
-from .model import EquilibriumOrbit, HamiltonianSystem, _check_count, _check_positive, _is_integer  # noqa: F401
+from .linalg import _array, _integer, _real, check_symmetric, general_eigensystem, inertia, invariant_subspaces, standard_symplectic
+from .model import EquilibriumOrbit, HamiltonianSystem
 
 __all__ = [
     "SpectralReport",
@@ -90,7 +90,8 @@ class SpectralReport:
     kernel_dim: int
 
     def beta(self, j0: int) -> float:
-        if not 1 <= j0 <= len(self.betas):
+        """``beta_{j0}``: ``ValueError`` unless ``j0`` is an integer, ``NoSuchLevel`` unless it is in ``1..len(betas)``."""
+        if not 1 <= _integer("j0", j0, None) <= len(self.betas):
             raise NoSuchLevel(f"j0 must be in 1..{len(self.betas)}, got {j0}")
         return self.betas[j0 - 1]
 
@@ -124,21 +125,30 @@ class ResonanceSet:
 
 
 def spectral_report(system: HamiltonianSystem, eq: EquilibriumOrbit) -> SpectralReport:
-    """Spectral data of J * hessian(H) from ``eq.hessian`` (``system`` is not evaluated), made once and kept on ``eq``."""
+    """Spectral data of J * hessian(H) from ``eq.hessian`` (``system`` is not evaluated), made once and kept on ``eq``.
+
+    ``ValueError`` unless ``eq`` is an equilibrium of ``system``'s dimension.
+    """
+    _array("eq.z0", eq.z0, (system.dim,))
     if eq._report is None:
         object.__setattr__(eq, "_report", matrix_report(eq.hessian))
     return eq._report
 
 
-def matrix_report(a) -> SpectralReport:
-    """Spectral report for a bare symmetric matrix acting as the Hessian."""
+def _hamiltonian(a) -> tuple:
+    """``check_symmetric(a)`` and the standard symplectic ``J`` of its space; ``ValueError`` unless that space is even-dimensional."""
     a = check_symmetric(a)
     if a.shape[0] % 2:
-        raise ValueError("the matrix must act on an even-dimensional space")
-    n = a.shape[0] // 2
+        raise ValueError(f"a must act on an even-dimensional space, got shape {a.shape}")
+    return a, standard_symplectic(a.shape[0] // 2)
+
+
+def matrix_report(a) -> SpectralReport:
+    """Spectral report for a bare symmetric matrix acting as the Hessian."""
+    a, j = _hamiltonian(a)
     wa = np.linalg.eigvalsh(a)
     m_plus, m_minus, kernel_dim = inertia(wa)
-    ja = standard_symplectic(n) @ a
+    ja = j @ a
     wja, vja = general_eigensystem(ja)
     scale = 1.0 + float(np.abs(wja).max())
     # the degenerate-orbit modes sit numerically near 0 and are not
@@ -156,7 +166,7 @@ def matrix_report(a) -> SpectralReport:
             clusters.append([i])
     subspaces, inertias = invariant_subspaces(ja, a, vja, [sorted(c) for c in clusters], scale)
     return SpectralReport(
-        n=n,
+        n=a.shape[0] // 2,
         hessian=a,
         hessian_eigenvalues=wa,
         betas=tuple(float(wja[c].imag.mean()) for c in clusters),
@@ -171,13 +181,10 @@ def matrix_report(a) -> SpectralReport:
 
 def t_matrix(a, k: int, lam: float) -> np.ndarray:
     """Mode-k block matrix [[-(lam/k) A, -J], [J, -(lam/k) A]] (size 4N)."""
-    a = check_symmetric(a)
-    _check_count("mode index k", k)
-    _check_positive("lambda", lam)
+    a, j = _hamiltonian(a)
+    k = _integer("k", k)
+    _real("lam", lam)
     two_n = a.shape[0]
-    if two_n % 2:
-        raise ValueError("A must act on an even-dimensional space")
-    j = standard_symplectic(two_n // 2)
     out = np.zeros((2 * two_n, 2 * two_n))
     out[:two_n, :two_n] = -(lam / k) * a
     out[two_n:, two_n:] = -(lam / k) * a
@@ -190,7 +197,7 @@ def resonance_set(report: SpectralReport, k_max: int = 20) -> ResonanceSet:
     """The distinct levels k/beta_j, 1 <= k <= k_max, sorted, each with its ``report.contributors`` up to ``k_max``."""
     if not report.betas:
         raise NoImaginaryPairs("the linearization has no purely imaginary pairs")
-    _check_count("k_max", k_max)
+    _integer("k_max", k_max)
     ladder = sorted((k / beta, k, j) for j, beta in enumerate(report.betas, start=1) for k in range(1, k_max + 1))
     entries, seen = [], set()
     for lam, k, j in ladder:
@@ -231,7 +238,7 @@ def morse_jump(a, lambda0: float, report: SpectralReport) -> int:
     """
     if a is not report.hessian and not np.array_equal(check_symmetric(a), report.hessian):
         raise ValueError("a is not the Hessian the spectral report was made from")
-    _check_positive("lambda0", lambda0)
+    _real("lambda0", lambda0)
     levels = [j for k, j in report.contributors(lambda0) if k == 1]
     if not levels:
         return 0
@@ -284,7 +291,7 @@ def newtonian_blocks(etas, lam: float):
     block per eta with characteristic polynomial
     ``((lam*eta + t) (lam + t) - 1)^2``.
     """
-    etas = np.asarray(etas, dtype=float).ravel()
+    etas = _array("etas", etas, (None,))
     n = etas.size
     a = np.diag(np.concatenate([etas, np.ones(n)]))
     t = t_matrix(a, 1, lam)
@@ -324,8 +331,14 @@ class BifurcationCandidate:
 
 @dataclass(frozen=True)
 class AnalyzeOptions:
+    """``j0``, when set, must be an integer (``ValueError``); ``analyze`` raises ``NoSuchLevel`` for one out of range."""
+
     j0: Optional[int] = None
     seed: int = 0  # accepted for compatibility; nothing in the analysis is randomized
+
+    def __post_init__(self):
+        if self.j0 is not None:
+            _integer("j0", self.j0, None)
 
 
 def _candidate_verdict(nonres, jump, jump_reason, a7, degree):

@@ -43,6 +43,7 @@ from . import analysis as analysis_mod
 from . import model as model_mod
 from . import orbits as orbits_mod
 from .errors import ConfigParse, HambifError
+from .linalg import _integer
 
 __all__ = ["RunConfig", "parse_config", "main", "console_entry", "cmd_analyze", "cmd_branch", "cmd_presets"]
 
@@ -192,13 +193,11 @@ class RunConfig:
             raise ConfigParse(f"n cannot be given with preset {self.preset!r}: presets bring their own dimension")
         if self.monomials and self.params:
             raise ConfigParse(f"inline monomials take no preset parameters, got {', '.join(k for k, _ in self.params)}")
-        for key, value in (("n", self.n), ("j0", self.j0)):
-            if value is not None and value < 1:
-                raise ConfigParse(f"{key} must be at least 1, got {value}")
-        try:
-            # the rules continue_branch applies
-            orbits_mod._check_ladder(self.steps, self.s0, self.growth)
-            orbits_mod._check_modes(self.modes)
+        try:  # the package's argument kinds, and continue_branch's contract
+            for key in ("n", "j0"):
+                if getattr(self, key) is not None:
+                    _integer(key, getattr(self, key))
+            orbits_mod._check_ladder(self.steps, self.s0, self.growth, self.modes)
         except ValueError as exc:
             raise ConfigParse(str(exc)) from exc
         for _, exps in self.monomials:
@@ -292,9 +291,8 @@ def parse_config(text: str) -> RunConfig:
 def build_system(config: RunConfig) -> tuple:
     """System plus the equilibrium guess for it: the configured one, else the origin or the preset's ``preset_guess``.
 
-    The model rejects bad parameters and generators with ``ValueError``, or
-    ``TypeError`` for a list where a number belongs; both are configuration
-    errors here.
+    The model rejects bad parameters and generators, a list where a number
+    belongs among them, with ``ValueError``: a configuration error here.
     """
     params = {k: (list(v) if isinstance(v, tuple) else v) for k, v in config.params}
     try:
@@ -302,7 +300,7 @@ def build_system(config: RunConfig) -> tuple:
             system = model_mod._polynomial_system(config.n, config.monomials, config.generators)
         else:
             system = model_mod.preset(config.preset, params)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigParse(f"bad system: {exc}") from exc
     if config.guess is not None:
         if len(config.guess) != system.dim:

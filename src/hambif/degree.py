@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BoundaryZero, Degenerate, HambifError, NoConvergence, NotAMinimum, SectionNotZero
-from .linalg import compress
+from .linalg import _array, _integer, _real, compress
 from .model import EquilibriumOrbit, HamiltonianSystem, _central_differences, gradient_of
 
 __all__ = [
@@ -76,6 +76,8 @@ class SectionMap:
     origin: float = field(init=False)
 
     def __post_init__(self):
+        self.dim = _integer("dim", self.dim)
+        _real("radius", self.radius)
         # relative to the radius, which scales with 1 + |z0| like the
         # refinement's gradient bound, so that every refined equilibrium passes
         self.origin = float(np.linalg.norm(self.evaluator(np.zeros(self.dim))))
@@ -96,9 +98,9 @@ class DegreeReport:
 
 
 def section_map(system: HamiltonianSystem, eq: EquilibriumOrbit) -> SectionMap:
-    """The section field of ``eq`` on the ball of radius ``1e-2 (1 + |z0|)``."""
+    """The section field of ``eq`` on the ball of radius ``1e-2 (1 + |z0|)``; ``ValueError`` unless ``eq`` has ``system``'s dimension."""
+    z0 = _array("eq.z0", eq.z0, (system.dim,))
     basis = eq.section_basis
-    z0 = eq.z0
     radius = 1e-2 * (1.0 + float(np.linalg.norm(z0)))
 
     def evaluator(u):
@@ -108,15 +110,14 @@ def section_map(system: HamiltonianSystem, eq: EquilibriumOrbit) -> SectionMap:
 
 
 def degree_nondegenerate(smap: SectionMap, jac) -> int:
-    """Sign of det(jac) for a nonsingular section-compressed Hessian."""
-    w, v = _eigh(jac)
+    """Sign of det(jac) for a nonsingular section-compressed Hessian, a finite ``smap.dim`` square matrix."""
+    w, v = _eigh(_array("jac", jac, (smap.dim, smap.dim)))
     if _in_kernel(w).any():
         raise Degenerate(_SINGULAR)
     return _degree(smap, w, v)
 
 
 def _eigh(jac):
-    jac = np.asarray(jac, dtype=float)
     return np.linalg.eigh(0.5 * (jac + jac.T))
 
 

@@ -5,8 +5,8 @@ class HambifError(Exception):
     """Base class for all toolkit errors."""
 
 
-class NonSymmetric(HambifError):
-    """A matrix required to be symmetric violates the symmetry tolerance."""
+class NonSymmetric(HambifError, ValueError):
+    """A matrix required to be symmetric is not square, has a non-finite entry or violates the symmetry tolerance."""
 
 
 class ConvergenceFailure(HambifError):

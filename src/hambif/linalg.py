@@ -8,6 +8,16 @@ scale-aware: anything inside ``(-eps, +eps)`` with
 stacked SVD, invariance residual and ``eigvalsh``; numpy applies the same
 LAPACK/BLAS call to each matrix of a stack, so each cluster gets the bits it
 would get in a list of its own.
+
+The package's argument kinds live here, beside ``check_symmetric``, because
+this is the lowest numeric module and every other one imports it: an integer
+in a range (``_integer``), a finite real, positive unless stated otherwise
+(``_real``), and a float array of a given shape, finite unless stated
+otherwise (``_array``: a point of length ``2N``, a ``(P, 2N)`` stack of
+points, a matrix).  Each public function of the package checks its arguments
+once, at its entry, with these kinds, and a bad argument is a ``ValueError``
+that names it (``NonSymmetric``, also a ``ValueError``, for a matrix that is
+not finite and symmetric).
 """
 
 from __future__ import annotations
@@ -30,10 +40,45 @@ __all__ = [
 ]
 
 
+def _integer(name: str, value, low=1, high=None):
+    """``value`` as an ``int``, unless it is not an integer (a numpy one is, a bool is not) in ``low..high``: then ``ValueError`` naming ``name``.
+
+    ``high=None`` leaves the range open above, and ``low=None`` too below.
+    The ``int`` keeps a numpy integer's own width out of the caller's arithmetic.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if (low is None or value >= low) and (high is None or value <= high):
+            return int(value)
+    span = "" if low is None else f" of at least {low}" if high is None else f" in {low}..{high}"
+    raise ValueError(f"{name} must be an integer{span}, got {value!r}")
+
+
+def _real(name: str, value, positive: bool = True):
+    """``value``, unless it is not a finite Python or numpy real number (a bool is not), or, with ``positive``, not above 0: then ``ValueError`` naming ``name``."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if real and not isinstance(value, bool) and math.isfinite(value):
+        if value > 0.0 or not positive:
+            return value
+    raise ValueError(f"{name} must be {'positive and ' if positive else ''}finite, got {value if real else repr(value)}")
+
+
+def _array(name: str, value, shape: tuple, finite: bool = True) -> np.ndarray:
+    """``value`` as a float array, unless its shape is not ``shape`` or, with ``finite``, an entry is not finite: then ``ValueError`` naming ``name``.
+
+    ``shape`` may start with ``None`` axes, each of any length.
+    """
+    array = np.asarray(value, dtype=float)
+    free = shape.count(None)
+    if array.ndim != len(shape) or array.shape[free:] != shape[free:]:
+        raise ValueError(f"{name} must have shape {str(shape).replace('None', 'P')}, got {array.shape}")
+    if finite and np.count_nonzero(np.isfinite(array)) != array.size:
+        raise ValueError(f"{name} must be finite, got {array[~np.isfinite(array)][0]}")
+    return array
+
+
 def standard_symplectic(n: int) -> np.ndarray:
     """Return the 2n x 2n block matrix [[0, I], [-I, 0]]."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _integer("n", n)
     j = np.zeros((2 * n, 2 * n))
     j[:n, n:] = np.eye(n)
     j[n:, :n] = -np.eye(n)
@@ -51,29 +96,30 @@ def check_symmetric(a) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSymmetric(f"expected a square matrix, got shape {a.shape}")
+        raise NonSymmetric(f"a must be a square matrix, got shape {a.shape}")
     scale = 1.0 + (float(np.abs(a).max()) if a.size else 0.0)
     if not math.isfinite(scale):
         i, j = np.argwhere(~np.isfinite(a))[0]
-        raise NonSymmetric(f"matrix has a non-finite entry {a[i, j]} at ({i}, {j})")
+        raise NonSymmetric(f"a has a non-finite entry {a[i, j]} at ({i}, {j})")
     half = 0.5 * a
     half_gap = float(np.abs(half - half.T).max()) if a.size else 0.0
     gap = 2.0 * half_gap  # inf where the gap is above the float maximum: then shown as 2 * the halved gap
     if gap > 1e-10 * scale:
         shown = f"{gap:.3e}" if math.isfinite(gap) else f"2 * {half_gap:.3e}"
-        raise NonSymmetric(f"symmetry violation {shown} exceeds 1.0e-10 * scale")
+        raise NonSymmetric(f"a: symmetry violation {shown} exceeds 1.0e-10 * scale")
     return half + half.T
 
 
 def inertia(w) -> tuple[int, int, int]:
     """``(m+, m-, kernel)`` of symmetric-matrix eigenvalues ``w``, the kernel within ``1e-8 (1 + max|w|)`` of 0.
 
-    Raises ``ValueError`` naming a non-finite eigenvalue: ``eps`` is finite exactly when every ``|w|`` is.
+    A non-finite eigenvalue is a ``ValueError`` naming ``w``: ``eps`` is
+    finite exactly when every ``|w|`` is, so the kind checks the shape alone.
     """
-    w = np.asarray(w)
+    w = _array("w", w, (None,), finite=False)
     eps = 1e-8 * (1.0 + (float(np.abs(w).max()) if w.size else 0.0))
     if not math.isfinite(eps):
-        raise ValueError(f"eigenvalues must be finite, got {w[~np.isfinite(w)][0]}")
+        raise ValueError(f"w must be finite, got {w[~np.isfinite(w)][0]}")
     pos, neg = int((w > eps).sum()), int((w < -eps).sum())
     return pos, neg, w.size - pos - neg
 
@@ -85,11 +131,7 @@ def morse_index_negative(a) -> int:
 
 def general_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     """All eigenvalues ``w`` (with multiplicity) of a real square matrix and unit eigenvectors ``v[:, i]`` for ``w[i]``."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
+    m = _array("m", m, np.shape(m)[:1] * 2 or (None, None))  # square
     try:
         w, v = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
@@ -104,7 +146,7 @@ def _numerical_rank(s):
 
 def orthonormal_columns(mat) -> np.ndarray:
     """Orthonormal basis of the column span (SVD, rank ``_numerical_rank``)."""
-    mat = np.asarray(mat, dtype=float)
+    mat = _array("mat", mat, (None, None))
     if mat.size == 0:
         return np.zeros((mat.shape[0], 0))
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
@@ -118,14 +160,16 @@ def invariant_subspaces(m, a, vectors, clusters, scale: float) -> tuple[tuple, t
 
     ``clusters`` are lists of column indices into the eigenvectors
     ``vectors`` of ``m``, each a cluster of eigenvalues that holds no
-    conjugate pair (for instance all near ``+i beta``); ``a`` is symmetric,
+    conjugate pair (for instance all near ``+i beta``); ``a`` is symmetric
+    (``matrix_report`` checked it; here only its shape and finiteness are),
     and ``scale`` is ``1 + max|eigenvalue of m|``.  Each basis ``E_j`` has
     orthonormal columns spanning the real and imaginary parts of its
     cluster's vectors, two per vector.  The clusters of one size share one
     stacked SVD, one invariance residual and one ``eigvalsh``, and each
     gets the bits that a list of that cluster alone, ``compress`` and
     ``eigvalsh`` give it.  Returns the bases and the inertias in cluster
-    order.
+    order.  ``vectors`` and ``clusters`` are taken as the eigensolver gave
+    them.
 
     Raises
     ------
@@ -134,7 +178,8 @@ def invariant_subspaces(m, a, vectors, clusters, scale: float) -> tuple[tuple, t
         span has fewer than two dimensions per vector) or whose span's
         invariance residual is above ``1e-8 * scale``.
     """
-    m, a, vectors = np.asarray(m, dtype=float), np.asarray(a, dtype=float), np.asarray(vectors)
+    m = _array("m", m, (len(vectors),) * 2)
+    a, vectors, scale = _array("a", a, m.shape), np.asarray(vectors), _real("scale", scale)
     bases, inertias, failures = [None] * len(clusters), [None] * len(clusters), []
     for mult in sorted({len(c) for c in clusters}):
         at = [i for i, c in enumerate(clusters) if len(c) == mult]
@@ -167,6 +212,10 @@ def _real_spans(m, vectors, scale: float) -> tuple[np.ndarray, list]:
 
 
 def compress(a, basis) -> np.ndarray:
-    """Restriction ``basis^T a basis`` of a quadratic form to a subspace."""
-    basis = np.asarray(basis, dtype=float)
-    return basis.T @ np.asarray(a, dtype=float) @ basis
+    """Restriction ``basis^T a basis`` of a quadratic form to the span of a matrix's columns.
+
+    Only the shapes are checked: a non-finite entry gives a non-finite
+    restriction, on which ``model.refine_equilibrium`` stops.
+    """
+    basis = _array("basis", basis, (None, None), finite=False)
+    return basis.T @ _array("a", a, (len(basis),) * 2, finite=False) @ basis

@@ -17,8 +17,10 @@ generators are built once, for the refined point.
 Every call of a supplied evaluator goes through ``_evaluate``, which turns
 any failure that is not a ``HambifError`` into ``EvaluationFailure``, as it
 does a gradient or Hessian of the wrong shape.  A point whose length is not
-``2N`` it rejects with ``ValueError`` before the call.  It copies each
-per-point result, so an evaluator may return one reused buffer.
+``2N`` it rejects with ``ValueError`` before the call (``linalg._array``,
+which checks the shape alone here, so that a non-finite iterate reaches the
+evaluator and the typed errors of its caller).  It copies each per-point
+result, so an evaluator may return one reused buffer.
 ``gradient_of`` and ``hessian_of`` fill a missing derivative from one
 central-difference kernel or, from the energy alone, second differences.
 The kernel, ``_central_differences(stacked, z)``, evaluates the rows
@@ -116,7 +118,7 @@ from .errors import (
     NotASymmetry,
     UnknownPreset,
 )
-from .linalg import _numerical_rank, compress, standard_symplectic
+from .linalg import _array, _integer, _numerical_rank, _real, compress, standard_symplectic
 
 __all__ = [
     "EARTH_J2",
@@ -162,18 +164,18 @@ class SymmetryGroup:
 
     def __post_init__(self):
         gens = tuple(np.asarray(g, dtype=float) for g in self.generators)
-        for g in gens:
+        for k, g in enumerate(gens):
             if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2:
-                raise ValueError(f"generator must be square of even size, got {g.shape}")
+                raise ValueError(f"generators[{k}] must be square of even size, got shape {g.shape}")
             if not np.all(np.isfinite(g)):  # NaN would pass the comparisons below
                 bad = ", ".join(f"[{i}, {j}] = {g[i, j]}" for i, j in np.argwhere(~np.isfinite(g)))
-                raise ValueError(f"generator has non-finite entries {bad}")
+                raise ValueError(f"generators[{k}] has non-finite entries {bad}")
             scale = 1.0 + float(np.max(np.abs(g)))
             if float(np.max(np.abs(g + g.T))) > 1e-12 * scale:
-                raise ValueError("generator is not skew-symmetric")
+                raise ValueError(f"generators[{k}] is not skew-symmetric")
             j = standard_symplectic(g.shape[0] // 2)
             if float(np.max(np.abs(g @ j - j @ g))) > 1e-12 * scale:
-                raise ValueError("generator does not commute with the symplectic matrix")
+                raise ValueError(f"generators[{k}] does not commute with the symplectic matrix")
         object.__setattr__(self, "generators", gens)
 
     @property
@@ -183,13 +185,11 @@ class SymmetryGroup:
     def element(self, index: int, t: float) -> np.ndarray:
         """Group element exp(t * X_index), from the weights of ``i X_index``.
 
-        ``ValueError`` names ``index`` unless it is an integer (``_is_integer``) in
-        ``0..group_dim - 1``, and ``t`` unless it is finite.
+        ``ValueError`` names ``index`` unless it is an integer in
+        ``0..group_dim - 1``, and ``t`` unless it is a finite real.
         """
-        if not (_is_integer(index) and 0 <= index < self.group_dim):
-            raise ValueError(f"index must be an integer in 0..{self.group_dim - 1}, got {index!r}")
-        if not math.isfinite(t):
-            raise ValueError(f"t must be finite, got {t}")
+        _integer("index", index, 0, self.group_dim - 1)
+        _real("t", t, positive=False)
         weights, vectors = np.linalg.eigh(1j * self.generators[index])
         return ((vectors * np.exp(-1j * t * weights)) @ vectors.conj().T).real
 
@@ -211,6 +211,9 @@ class HamiltonianSystem:
     then solves for the ``R``-symmetric orbits with half the unknowns.
     ``None`` means no reversor is known, and every branch takes the full
     harmonic-balance system.
+
+    ``n`` must be an integer of at least 1, and every generator of
+    ``symmetry`` must act on R^(2N) (``ValueError`` naming them otherwise).
     """
 
     n: int
@@ -222,6 +225,10 @@ class HamiltonianSystem:
     reversor: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        self.n = _integer("n", self.n)
+        for g in self.symmetry.generators:
+            if len(g) != self.dim:
+                raise ValueError(f"symmetry acts on R^{len(g)}, but the system is on R^{self.dim}")
         if self.reversor is not None:
             r = np.asarray(self.reversor, dtype=float)
             anti_symplectic = r.shape == (2 * self.n,) and np.array_equal(r[self.n :], -r[: self.n])
@@ -260,9 +267,9 @@ def _evaluate(system: HamiltonianSystem, what: str, z: np.ndarray, stacked: bool
     is called.  Stacked energies not of shape ``(P,)``, gradients not of the
     shape of ``z`` and Hessians not of that shape plus ``(2N,)`` are an
     EvaluationFailure too; only a per-point result is copied.  A point whose
-    length is not ``2N`` is a ``ValueError`` (``_check_length``), before any call.
+    length is not ``2N`` is a ``ValueError`` (``_array``, the shape alone), before any call.
     """
-    _check_length(what, z, system.dim)
+    _array(what, z, (None, system.dim) if stacked else (system.dim,), finite=False)
     try:
         evaluator = getattr(system, what)
         value = evaluator.batch(z) if stacked else evaluator(z)
@@ -379,8 +386,11 @@ def _second_differences(system: HamiltonianSystem, z: np.ndarray) -> np.ndarray:
 
 
 def gradient_of(system: HamiltonianSystem, z) -> np.ndarray:
-    """Gradient of H at z: supplied evaluator, else central differences of the energy."""
-    return _gradient_and_floor(system, np.asarray(z, dtype=float))[0]
+    """Gradient of H at z: supplied evaluator, else central differences of the energy.
+
+    ``z`` is a point of length ``2N``; it may be non-finite, and so may the value then.
+    """
+    return _gradient_and_floor(system, _array("z", z, (system.dim,), finite=False))[0]
 
 
 def hessian_of(system: HamiltonianSystem, z) -> np.ndarray:
@@ -389,8 +399,9 @@ def hessian_of(system: HamiltonianSystem, z) -> np.ndarray:
     Uses the supplied evaluator when present, central differences of the
     gradient (``_central_differences`` over one ``gradients_of`` call) when
     only that is available, and second differences of the energy otherwise.
+    ``z`` is a point of length ``2N``, as for ``gradient_of``.
     """
-    z = np.asarray(z, dtype=float)
+    z = _array("z", z, (system.dim,), finite=False)
     if system.hessian is not None:
         m = _evaluate(system, "hessian", z)
     elif system.gradient is not None:
@@ -404,8 +415,9 @@ def _stack_of(system: HamiltonianSystem, what: str, zs, per_point) -> np.ndarray
     """``system.<what>`` at the rows of a ``(P, 2N)`` stack: one stacked call when it has one, else ``per_point(z)`` per row.
 
     Only a stacked Hessian is symmetrized here; ``hessian_of`` symmetrizes each per-point one.
+    ``zs`` must have the shape ``(P, 2N)``; its points may be non-finite.
     """
-    zs = np.asarray(zs, dtype=float)
+    zs = _array("zs", zs, (None, system.dim), finite=False)
     if not hasattr(getattr(system, what), "batch"):
         return np.array([per_point(z) for z in zs])
     value = _evaluate(system, what, zs, stacked=True)
@@ -429,31 +441,6 @@ def hessians_of(system: HamiltonianSystem, zs) -> np.ndarray:
     return _stack_of(system, "hessian", zs, lambda z: hessian_of(system, z))
 
 
-def _check_positive(name: str, value: float) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is positive and finite; NaN is not finite."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be {'positive' if value <= 0.0 else 'finite'}, got {value}")
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer, a numpy one too, and not a bool: what every count of the package must be."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_count(name: str, value) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is an integer (``_is_integer``) of at least 1."""
-    if not _is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-
-
-def _check_length(name: str, z: np.ndarray, length: int) -> None:
-    """``ValueError`` naming both lengths unless ``z``, a point or a stack of points along its last axis, has ``length``."""
-    if z.shape[-1:] != (length,):
-        raise ValueError(f"{name}: expected points of length {length}, got {z.shape[-1] if z.ndim else 'a number'}")
-
-
 def _per_point(stacked):
     """The per-point form of a stacked evaluator: row 0 of its value on the one-row stack, with ``batch = stacked``."""
 
@@ -473,11 +460,14 @@ def gradient_equivariance_residual(
 ) -> float:
     """Max of |grad H(exp(tX) z) - exp(tX) grad H(z)| over ``z = base + spread * normal``, t uniform in (0, 2 pi).
 
-    ``probes``, the number of points ``z``, is a ``ValueError`` unless it is an integer of at least 1.
+    ``ValueError`` unless ``probes``, the number of points ``z``, is an integer
+    of at least 1, ``seed`` a non-negative integer, ``base`` a finite point of
+    length ``2N`` and ``spread`` positive and finite.
     """
-    _check_count("probes", probes)
-    rng = np.random.default_rng(seed)
-    base = np.zeros(system.dim) if base is None else np.asarray(base, dtype=float)
+    _integer("probes", probes)
+    _real("spread", spread)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
+    base = np.zeros(system.dim) if base is None else _array("base", base, (system.dim,))
     group = system.symmetry
     worst = 0.0
     for _ in range(probes):
@@ -535,6 +525,8 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
 
     Raises
     ------
+    ValueError
+        If ``guess`` is not a finite point of length ``2N``.
     NoConvergence
         If the best iterate misses ``|grad H| <= 1e-10 * (1 + |z|)``, with the
         iterations run, the stop that ended them (a stall, a non-finite
@@ -546,7 +538,7 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
     NotASymmetry
         If a generator fails the symmetry identity of the module docstring at the result.
     """
-    z = np.asarray(guess, dtype=float).copy()
+    z = _array("guess", guess, (system.dim,)).copy()
     best_z, best_norm, best_floor = z.copy(), np.inf, 0.0
     stall = 0
     stop = "the 50-iteration cap"
@@ -639,7 +631,11 @@ def newtonian_to_hamiltonian(
     ``hessian``, a harmonic-balance Jacobian differences it in the ``n``
     positions alone, and its momentum columns are the same bits a shifted
     call would give, because the q-gradient gets the same ``q`` there.
+    ``n`` must be an integer of at least 1, and each generator a finite
+    ``n x n`` matrix.
     """
+    n = _integer("n", n)
+    generators = [_array("generators", x, (n, n)) for x in generators]
 
     def energy(z):
         q, r = z[:n], z[n:]
@@ -731,10 +727,10 @@ def satellite_equilibrium_distance(omega: float, c: float) -> float:
     1e-12.  Existence and uniqueness of the positive root follow from the
     single sign change of the coefficient sequence; ``f(0) = -3c < 0`` and
     ``f < 0`` up to the root, so the sign of ``f`` at a midpoint says which
-    half holds it.
+    half holds it.  ``omega`` and ``c`` must be positive and finite.
     """
-    if not (0.0 < omega < np.inf and 0.0 < c < np.inf):
-        raise ValueError("omega and c must be positive and finite")
+    _real("omega", omega)
+    _real("c", c)
 
     def f(d):
         return omega**2 * d**5 - d**2 - 3.0 * c
@@ -909,18 +905,13 @@ def _preset(name: str, given: dict) -> tuple:
     extras = sorted(set(given) - set(declared))
     if extras:
         raise ValueError(f"unknown parameters for preset {name!r}: {extras}")
-    values = {**declared, **given}
+    values = {key: value if key == "frequencies" else float(_real(key, value)) for key, value in {**declared, **given}.items()}
     if name == "satellite":
-        omega = float(values["omega"])
-        c = float(values["c"]) if "c" in given else 0.5 * float(values["r_eq"]) ** 2 * float(values["j2"])
-        if not (0.0 < omega < np.inf and 0.0 < c < np.inf):
-            raise ValueError("satellite preset needs finite omega > 0 and c > 0")
+        omega = values["omega"]
+        c = values["c"] if "c" in given else _real("c", 0.5 * values["r_eq"] ** 2 * values["j2"])
         return _satellite_system(omega, c), np.array([1.0, 0.0, 0.0, 0.0, -omega, 0.0])
     if name == "harmonic":  # the one-frequency spring chain
-        beta = float(values["beta"])
-        if not 0.0 < beta < np.inf:
-            raise ValueError("harmonic preset needs finite beta > 0")
-        values["frequencies"] = [beta]
+        values["frequencies"] = [values["beta"]]
     freqs = np.asarray(values["frequencies"], dtype=float).ravel()
     if freqs.size == 0 or not np.all((0.0 < freqs) & (freqs < np.inf)):
         raise ValueError("frequencies must be a non-empty list of positive finite reals")

@@ -120,15 +120,13 @@ import numpy as np
 
 from .analysis import BifurcationCandidate, spectral_report
 from .errors import EmptyKernel, HambifError, NoConvergence, WrongBranch
+from .linalg import _array, _integer, _real
 from .model import (
     EquilibriumOrbit,
     HamiltonianSystem,
     _EPS,
     _SYMMETRY_TOL,
-    _check_count,
-    _check_length,
     _forward_differences,
-    _is_integer,
     energies_of,
     gradients_of,
     hessians_of,
@@ -204,11 +202,9 @@ class FourierOrbit:
     def mode_energies(self, z0) -> np.ndarray:
         """Sobolev-weighted energy per mode of z - z0 (index 0 is the mean).
 
-        ``ValueError`` unless ``z0`` has the orbit's length.
+        ``ValueError`` unless ``z0`` is a finite point of the orbit's length.
         """
-        z0 = np.asarray(z0, dtype=float)
-        _check_length("z0", z0, self.a0.size)
-        shift = self.a0 - z0
+        shift = self.a0 - _array("z0", z0, self.a0.shape)
         ek = np.pi * np.arange(1, self.m + 1) * ((self.a**2).sum(axis=1) + (self.b**2).sum(axis=1))
         return np.concatenate([[TWO_PI * float(shift @ shift)], ek])
 
@@ -237,9 +233,9 @@ def _grid(points: int, m: int) -> tuple:
 def sup_distance(orbit: FourierOrbit, z0) -> float:
     """max_t |z(t) - z0|, a property of the orbit that a time shift does not move: ``_sup_distances`` of a stack of one.
 
-    ``ValueError`` unless ``z0`` has the orbit's length.
+    ``ValueError`` unless ``z0`` is a finite point of the orbit's length.
     """
-    return float(_sup_distances([orbit], z0)[0])
+    return float(_sup_distances([orbit], _array("z0", z0, orbit.a0.shape))[0])
 
 
 def _sup_distances(stack, z0) -> np.ndarray:
@@ -254,8 +250,7 @@ def _sup_distances(stack, z0) -> np.ndarray:
     from the origin.  Each step is row-wise (a matmul per orbit or maximum, an
     FFT per row, last-axis sums), so no orbit's value depends on its stack.
     """
-    m, z0 = stack[0].m, np.asarray(z0, float)
-    _check_length("z0", z0, stack[0].a0.size)
+    m = stack[0].m
     shift = np.array([orbit.a0 for orbit in stack])[:, None] - z0  # (n, 1, 2N)
     a, b = (np.array([getattr(orbit, key) for orbit in stack]) for key in "ab")
     cos, sin = _grid(8 * m, m)
@@ -275,7 +270,11 @@ def _sup_distances(stack, z0) -> np.ndarray:
 
 
 def orbit_energy_range(system: HamiltonianSystem, orbit: FourierOrbit):
-    """(min, max) of H along the orbit on an equispaced grid of 4M + 1 points; NaN if H is NaN at any of them."""
+    """(min, max) of H along the orbit on an equispaced grid of 4M + 1 points; NaN if H is NaN at any of them.
+
+    ``ValueError`` unless the orbit has ``system``'s dimension.
+    """
+    _array("orbit.a0", orbit.a0, (system.dim,), finite=False)
     values = energies_of(system, orbit._values(_grid(4 * orbit.m + 1, orbit.m)))
     return float(np.min(values)), float(np.max(values))
 
@@ -321,10 +320,12 @@ def kernel_direction(system: HamiltonianSystem, eq: EquilibriumOrbit, candidate:
 
 
 def residual_field(system: HamiltonianSystem, orbit: FourierOrbit, collocation_points: int) -> np.ndarray:
-    """z'(t_i) - lambda J grad H(z(t_i)) at equispaced collocation points, on the shared ``_grid`` table."""
-    _check_count("collocation_points", collocation_points)
-    if collocation_points < 2 * orbit.m + 1:
-        raise ValueError("need at least 2M + 1 collocation points")
+    """z'(t_i) - lambda J grad H(z(t_i)) at equispaced collocation points, on the shared ``_grid`` table.
+
+    ``ValueError`` unless the orbit has ``system``'s dimension and ``collocation_points`` is an integer of at least ``2M + 1``.
+    """
+    _array("orbit.a0", orbit.a0, (system.dim,), finite=False)
+    collocation_points = _integer("collocation_points", collocation_points, 2 * orbit.m + 1)
     table = _grid(collocation_points, orbit.m)
     return orbit._rates(table) - orbit.lam * _apply_j(gradients_of(system, orbit._values(table)))
 
@@ -649,9 +650,8 @@ def solve_orbit(
     WrongBranch
         If the converged orbit's period is not positive or it is not mode-1 dominated.
     """
-    if not 0.0 < amplitude_s < np.inf:
-        raise ValueError(f"amplitude must be positive and finite, got {amplitude_s}")
-    _check_modes(modes)
+    _real("amplitude_s", amplitude_s)
+    modes = _integer("modes", modes, 1, MAX_MODES)
     setup = _setup or _BranchSetup(system, eq, candidate)
     try:
         return _solve(setup, amplitude_s, modes, initial_guess)
@@ -724,24 +724,17 @@ def _solve(setup, amplitude_s, modes, initial_guess) -> FourierOrbit:
         return orbit
 
 
-def _check_modes(modes) -> None:
-    """``ValueError`` naming ``modes`` unless it is an integer (``_is_integer``) in ``1..MAX_MODES``; ``cli.RunConfig`` applies it at parse time."""
-    if not (_is_integer(modes) and 1 <= modes <= MAX_MODES):
-        raise ValueError(f"modes must be an integer in 1..{MAX_MODES}, got {modes!r}")
+def _check_ladder(steps, s0, growth, modes) -> None:
+    """``continue_branch``'s argument contract, which ``cli.RunConfig`` applies at parse time.
 
-
-def _check_ladder(steps, s0, growth) -> None:
-    """``ValueError`` unless ``steps`` is an integer (``_is_integer``) of at least 1 and ``s0``, ``growth`` and the last amplitude are positive and finite.
-
-    The last amplitude is ``s0 * growth**(steps - 1)``.  ``cli.RunConfig`` applies this rule at parse time.
+    ``ValueError`` unless ``steps`` is an integer of at least 1, ``s0``,
+    ``growth`` and the last amplitude ``s0 * growth**(steps - 1)`` are positive
+    and finite, and ``modes`` is an integer in ``1..MAX_MODES``.
     """
-    if not (_is_integer(steps) and steps >= 1):
-        raise ValueError(f"steps must be an integer of at least 1, got {steps!r}")
-    with np.errstate(over="ignore"):  # an amplitude past the float range is inf, rejected below
-        last = s0 * np.float64(growth) ** (steps - 1)
-    for key, value in (("s0", s0), ("growth", growth), ("s0 * growth**(steps - 1)", last)):
-        if not 0.0 < value < np.inf:
-            raise ValueError(f"{key} must be positive and finite, got {value}")
+    _integer("steps", steps)
+    with np.errstate(over="ignore"):  # an amplitude past the float range is inf, rejected as such
+        _real("s0 * growth**(steps - 1)", _real("s0", s0) * np.float64(_real("growth", growth)) ** (steps - 1))
+    _integer("modes", modes, 1, MAX_MODES)
 
 
 def _lu_ready(jac: np.ndarray) -> np.ndarray:
@@ -836,9 +829,9 @@ def continue_branch(
     """Grow the branch outward over amplitudes ``s0 * growth**i``.
 
     ``steps`` must be a positive integer, ``s0``, ``growth`` and the last
-    amplitude positive and finite (``_check_ladder``), and ``modes`` an
-    integer in ``1..MAX_MODES`` (``ValueError`` before any work).  What the
-    steps share is built once (``_BranchSetup``).
+    amplitude positive and finite, and ``modes`` an integer in
+    ``1..MAX_MODES`` (``_check_ladder``: ``ValueError`` before any work).
+    What the steps share is built once (``_BranchSetup``).
     The first step starts from the linear kernel predictor, each later one
     from the previous orbit scaled by the Lyapunov-Schmidt orders
     (``_predict``: mode ``k`` by ``growth**k``, the mean and period shifts by
@@ -847,8 +840,7 @@ def continue_branch(
     returned with the failure list populated.  ``sup_distance_trend`` is filled
     after the last step, in step order, by one ``_sup_distances`` pass per ``M``.
     """
-    _check_ladder(steps, s0, growth)
-    _check_modes(modes)
+    _check_ladder(steps, s0, growth, modes)
     branch = Branch(orbits=[], period_trend=[], sup_distance_trend=[])
     guess = setup = None
     for i in range(steps):
@@ -896,15 +888,13 @@ def transform_orbit(orbit: FourierOrbit, rotation=None, time_shift: float = 0.0)
     """Apply a group element and/or a time shift to the coefficient data.
 
     The time shift rotates each mode pair by k * theta; the group element
-    acts componentwise on every coefficient vector.  A non-finite
-    ``time_shift`` or rotation entry is a ``ValueError`` naming it.
+    acts componentwise on every coefficient vector.  A ``time_shift`` that
+    is not a finite real, or a rotation that is not a finite ``2N x 2N``
+    matrix, is a ``ValueError`` naming it.
     """
-    if not np.isfinite(time_shift):
-        raise ValueError(f"time_shift must be finite, got {time_shift}")
+    _real("time_shift", time_shift, positive=False)
     if rotation is not None:
-        rotation = np.asarray(rotation, dtype=float)
-        if not np.isfinite(rotation).all():
-            raise ValueError("rotation must be finite, got a non-finite entry")
+        rotation = _array("rotation", rotation, orbit.a0.shape * 2)
     a0 = orbit.a0.copy()
     a = orbit.a.copy()
     b = orbit.b.copy()

@@ -37,13 +37,13 @@ def test_symmetry_group_validation():
     assert grp.group_dim == 1
     with pytest.raises(ValueError):
         model.SymmetryGroup((np.eye(2),))  # not skew
-    with pytest.raises(ValueError, match=r"square of even size, got \(3, 3\)"):
+    with pytest.raises(ValueError, match=r"generators\[0\] must be square of even size, got shape \(3, 3\)"):
         model.SymmetryGroup((np.zeros((3, 3)),))
     # a NaN entry compared False against both tolerances and passed
     for value, named in ((np.nan, r"\[0, 1\] = nan, \[1, 0\] = nan"), (np.inf, r"\[0, 1\] = inf, \[1, 0\] = -inf")):
         odd = good.copy()
         odd[0, 1], odd[1, 0] = value, -value
-        with pytest.raises(ValueError, match="generator has non-finite entries " + named):
+        with pytest.raises(ValueError, match=r"generators\[0\] has non-finite entries " + named):
             model.SymmetryGroup((odd,))
     bad = np.zeros((4, 4))
     bad[0, 1], bad[1, 0] = -1.0, 1.0  # skew but does not commute with J
@@ -481,7 +481,7 @@ def test_preset_errors():
             build("coupled-springs")
         with pytest.raises(ValueError):
             build("harmonic", beta=1.0, gamma=2.0)
-        with pytest.raises(ValueError, match="omega > 0"):
+        with pytest.raises(ValueError, match="omega must be positive and finite, got -1.0"):
             build("satellite", omega=-1.0)
 
 
@@ -516,21 +516,21 @@ def _wrong_length_calls():
     four = orbits.FourierOrbit(a0=np.zeros(4), a=np.full((2, 4), 0.1), b=np.full((2, 4), 0.05), lam=1.0)
     six = orbits.FourierOrbit(a0=np.array([1.0, 0, 0, 0, -1.0, 0]), a=np.full((2, 6), 0.01), b=np.zeros((2, 6)), lam=1.0)
     return {
-        "residual-field": (lambda: orbits.residual_field(harmonic, four, 9), "gradient", 2, "4"),
-        "energy-range": (lambda: orbits.orbit_energy_range(harmonic, four), "energy", 2, "4"),
-        "sup-distance": (lambda: orbits.sup_distance(six, [0.0]), "z0", 6, "1"),
-        "mode-energies": (lambda: six.mode_energies([0.0]), "z0", 6, "1"),
-        "gradient-of": (lambda: model.gradient_of(harmonic, np.zeros(3)), "gradient", 2, "3"),
-        "hessian-of": (lambda: model.hessian_of(harmonic, np.zeros(1)), "hessian", 2, "1"),
-        "energies-of": (lambda: model.energies_of(harmonic, np.zeros((5, 3))), "energy", 2, "3"),
-        "a-number": (lambda: model.gradient_of(harmonic, 1.0), "gradient", 2, "a number"),
+        "residual-field": (lambda: orbits.residual_field(harmonic, four, 9), "orbit.a0", (2,), (4,)),
+        "energy-range": (lambda: orbits.orbit_energy_range(harmonic, four), "orbit.a0", (2,), (4,)),
+        "sup-distance": (lambda: orbits.sup_distance(six, [0.0]), "z0", (6,), (1,)),
+        "mode-energies": (lambda: six.mode_energies([0.0]), "z0", (6,), (1,)),
+        "gradient-of": (lambda: model.gradient_of(harmonic, np.zeros(3)), "z", (2,), (3,)),
+        "hessian-of": (lambda: model.hessian_of(harmonic, np.zeros(1)), "z", (2,), (1,)),
+        "energies-of": (lambda: model.energies_of(harmonic, np.zeros((5, 3))), "zs", "(P, 2)", (5, 3)),
+        "a-number": (lambda: model.gradient_of(harmonic, 1.0), "z", (2,), ()),
     }
 
 
 @pytest.mark.parametrize("case", list(_wrong_length_calls()))
 def test_a_point_of_the_wrong_length_is_an_error_naming_both_lengths(case):
     call, name, length, got = _wrong_length_calls()[case]
-    with pytest.raises(ValueError, match=re.escape(f"{name}: expected points of length {length}, got {got}")):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must have shape {length}, got {got}")):
         call()
 
 
@@ -555,7 +555,7 @@ def test_harmonic_preset_is_the_one_frequency_spring_lift(beta):
 
 
 def test_harmonic_beta_is_one_positive_finite_number():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=re.escape("beta must be positive and finite, got [1.0, 2.0]")):
         model.preset("harmonic", beta=[1.0, 2.0])
     with pytest.raises(cli.ConfigParse, match="bad system"):
         cli.build_system(cli.parse_config("[system]\npreset = harmonic\nbeta = 1 2\n"))
