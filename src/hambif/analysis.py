@@ -14,12 +14,18 @@ through the checks below and aggregated into a verdict:
 
 * resonance: one rule, ``SpectralReport.contributors``, gives the levels
   k/beta_j (where the mode-k linearization is singular) that coincide with a
-  level lambda; the nonresonance check (minimal periods for the emanating
-  orbits), the Morse jump's level, the resonance set and the branch's kernel
+  level lambda; the index table, the resonance set and the branch's kernel
   all read it;
-* Morse jump: change of the negative index of the mode-1 block matrix
-  across the level, which is the signature of the Hessian restricted to the
-  level's invariant subspace; undefined when that restriction is singular;
+* index table: a level's index facts come from one table,
+  ``_index_components``, the one reader of ``contributors`` plus
+  ``inertias`` for them.  It holds one jump per contributor ``(k, j)``: the
+  signature of the Hessian restricted to E_j, since ``T_k(lam) =
+  T_1(lam / k)``, undefined (``None``) when that restriction is singular.
+  The level is nonresonant (minimal periods for the emanating orbits) when
+  the table is the single entry ``(1, j0)``, and that entry's jump is the
+  Morse jump: the change of the negative index of the mode-1 block matrix
+  across the level.  ``analyze`` builds it once per level, and its verdict,
+  ``check_nonresonance`` and ``morse_jump`` read it;
 * index criteria on the invariant subspaces (the signature imbalance on the
   level's own subspace is a nonzero jump wherever the jump is defined);
 * Brouwer degree of the section-restricted gradient (delegated to
@@ -38,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from . import degree as degree_mod
-from .errors import Degenerate, HambifError, NoImaginaryPairs, NoSuchLevel
+from .errors import Degenerate, NoImaginaryPairs, NoSuchLevel
 from .linalg import _array, _integer, _real, check_symmetric, general_eigensystem, inertia, invariant_subspaces, standard_symplectic
 from .model import EquilibriumOrbit, HamiltonianSystem
 
@@ -208,9 +214,29 @@ def resonance_set(report: SpectralReport, k_max: int = 20) -> ResonanceSet:
     return ResonanceSet(entries=tuple(entries))
 
 
+def _index_components(report: SpectralReport, lam: float) -> dict:
+    """The level's index table: each ``(k, j)`` of ``report.contributors(lam)``, in order, to its jump.
+
+    One integer component per contributor, as in the S^1-equivariant degree
+    of the level (Dancer & Rybicki, Differential Integral Equations 12,
+    1999).  Since ``T_k(lam) = T_1(lam / k)``, the jump of ``(k, j)`` is the
+    signature ``m+ - m-`` of ``report.inertias[j - 1]`` (see
+    :func:`morse_jump`), and ``None`` where that restriction is singular.
+    """
+    components = {}
+    for k, j in report.contributors(lam):
+        pos, neg, kernel = report.inertias[j - 1]
+        components[k, j] = None if kernel else pos - neg
+    return components
+
+
+def _singular(report: SpectralReport, j: int) -> str:
+    return f"the Hessian is singular on the level's invariant subspace (kernel dimension {report.inertias[j - 1][2]})"
+
+
 def check_nonresonance(report: SpectralReport, j0: int) -> bool:
-    """True when the level ``1/beta_{j0}`` has no contributor but ``(1, j0)``."""
-    return report.contributors(1.0 / report.beta(j0)) == ((1, j0),)
+    """True when the level ``1/beta_{j0}`` has no contributor but its own ``(1, j0)``: a one-entry index table."""
+    return len(_index_components(report, 1.0 / report.beta(j0))) == 1
 
 
 def _definite(pos: int, neg: int, kernel: int) -> bool:
@@ -224,8 +250,8 @@ def morse_jump(a, lambda0: float, report: SpectralReport) -> int:
     the Hessian restricted to the level's invariant subspace ``E_j``, so the
     jump is the signature ``m+(C) - m-(C)`` of ``C = compress(a, E_j)``
     (Robbin & Salamon, Bull. LMS 27, 1995).  A ``lambda0`` with no ``k = 1``
-    contributor (``SpectralReport.contributors``) gives 0.  The inertia of
-    ``C`` is read from ``report.inertias``.
+    contributor gives 0.  The jump is the mode-1 entry of the level's index
+    table (``_index_components``), read from ``report.inertias``.
 
     Raises
     ------
@@ -239,15 +265,12 @@ def morse_jump(a, lambda0: float, report: SpectralReport) -> int:
     if a is not report.hessian and not np.array_equal(check_symmetric(a), report.hessian):
         raise ValueError("a is not the Hessian the spectral report was made from")
     _real("lambda0", lambda0)
-    levels = [j for k, j in report.contributors(lambda0) if k == 1]
-    if not levels:
-        return 0
-    pos, neg, kernel = report.inertias[levels[0] - 1]
-    if kernel:
-        raise Degenerate(
-            f"the Hessian is singular on the level's invariant subspace (kernel dimension {kernel})"
-        )
-    return pos - neg
+    for (k, j), jump in _index_components(report, lambda0).items():
+        if k == 1:
+            if jump is None:
+                raise Degenerate(_singular(report, j))
+            return jump
+    return 0
 
 
 def check_szulkin_zj(report: SpectralReport, j0: int) -> bool:
@@ -341,36 +364,25 @@ class AnalyzeOptions:
             _integer("j0", self.j0, None)
 
 
-def _candidate_verdict(nonres, jump, jump_reason, a7, degree):
-    reasons = []
-    if jump_reason:
-        reasons.append(jump_reason)
-    certificate = jump is not None and jump != 0
+def _candidate_verdict(components: dict, j0: int, a7: dict, degree) -> tuple:
+    """``(verdict, theorem path, reason)`` of level ``j0`` from its index table, A7 results and section degree."""
+    jump = components[1, j0]
     if degree.value is None:
-        reasons.append(f"section degree unavailable ({degree.detail}); existence chain cannot close")
-        return "inconclusive", None, reasons
+        return "inconclusive", None, f"section degree unavailable ({degree.detail}); existence chain cannot close"
     if degree.value == 0:
-        reasons.append("section degree vanishes; the criteria are silent here")
-        return "inconclusive", None, reasons
-    if certificate and nonres:
-        reasons.append("index jump at an isolated, nonresonant level; minimal periods certified")
-        return "confirmed", "nonresonant-jump", reasons
-    if certificate and a7.get("definite-z", False):
-        reasons.append("definite Hessian on the full oscillatory subspace; periods may be non-minimal")
-        return "confirmed (period not certified minimal)", "definite-total", reasons
-    if certificate and a7.get("mplus", False):
-        reasons.append("positive index count differs from N; periods may be non-minimal")
-        return "confirmed (period not certified minimal)", "index-count", reasons
-    if certificate:
-        reasons.append(
-            "resonant level; multi-mode jump analysis not implemented and no global criterion applies"
-        )
-        return "inconclusive", None, reasons
+        return "inconclusive", None, "section degree vanishes; the criteria are silent here"
     if jump == 0:
-        reasons.append("mode-1 negative index does not change at this level")
-        return "rejected", None, reasons
-    reasons.append("no index certificate available for this level")
-    return "inconclusive", None, reasons
+        return "rejected", None, "mode-1 negative index does not change at this level"
+    if jump is None:
+        return "inconclusive", None, "no index certificate available for this level"
+    if len(components) == 1:  # the level's own (1, j0) alone: nonresonant
+        return "confirmed", "nonresonant-jump", "index jump at an isolated, nonresonant level; minimal periods certified"
+    unproven = "confirmed (period not certified minimal)"
+    if a7.get("definite-z", False):
+        return unproven, "definite-total", "definite Hessian on the full oscillatory subspace; periods may be non-minimal"
+    if a7.get("mplus", False):
+        return unproven, "index-count", "positive index count differs from N; periods may be non-minimal"
+    return "inconclusive", None, "resonant level; multi-mode jump analysis not implemented and no global criterion applies"
 
 
 def analyze(
@@ -401,21 +413,17 @@ def analyze(
     report_a7 = {"definite-z": check_definite_z(report), "mplus": check_mplus(report)}
     candidates = []
     for j0 in levels:
-        beta = report.beta(j0)
-        nonres = check_nonresonance(report, j0)
+        beta = report.betas[j0 - 1]
         lambda0 = 1.0 / beta
-        jump = None
-        jump_reason = ""
-        try:
-            jump = morse_jump(report.hessian, lambda0, report)
-        except HambifError as exc:
-            jump_reason = f"morse jump unavailable: {exc}"
+        components = _index_components(report, lambda0)
+        jump = components[1, j0]
         a7 = {
             "szulkin": check_szulkin_zj(report, j0),
             "definite-zj": check_definite_zj(report, j0),
             **report_a7,
         }
-        verdict, path, reasons = _candidate_verdict(nonres, jump, jump_reason, a7, degree_report)
+        verdict, path, reason = _candidate_verdict(components, j0, a7, degree_report)
+        reasons = [reason] if jump is not None else [f"morse jump unavailable: {_singular(report, j0)}", reason]
         if report.multiplicities[j0 - 1] > 1:
             reasons.append(f"multiplicity > 1 (cluster size {report.multiplicities[j0 - 1]})")
         if report.kernel_dim != eq.orbit_dim:
@@ -430,7 +438,7 @@ def analyze(
                 multiplicity=report.multiplicities[j0 - 1],
                 lambda0=lambda0,
                 predicted_period=2.0 * np.pi / beta,
-                nonresonant=nonres,
+                nonresonant=len(components) == 1,
                 morse_jump=jump,
                 degree_on_section=degree_report.value,
                 degree_path=degree_report.path,

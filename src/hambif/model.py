@@ -907,15 +907,18 @@ def _preset(name: str, given: dict) -> tuple:
         raise ValueError(f"unknown parameters for preset {name!r}: {extras}")
     values = {key: value if key == "frequencies" else float(_real(key, value)) for key, value in {**declared, **given}.items()}
     if name == "satellite":
-        omega = values["omega"]
-        c = values["c"] if "c" in given else _real("c", 0.5 * values["r_eq"] ** 2 * values["j2"])
+        omega, c = values["omega"], values["c"]
+        if "c" not in given:
+            with np.errstate(over="ignore"):  # numpy's power overflows to inf, which _real rejects; Python's raises
+                c = _real("c = r_eq^2 * j2 / 2", float(0.5 * np.float64(values["r_eq"]) ** 2 * values["j2"]))
         return _satellite_system(omega, c), np.array([1.0, 0.0, 0.0, 0.0, -omega, 0.0])
     if name == "harmonic":  # the one-frequency spring chain
         values["frequencies"] = [values["beta"]]
     freqs = np.asarray(values["frequencies"], dtype=float).ravel()
     if freqs.size == 0 or not np.all((0.0 < freqs) & (freqs < np.inf)):
         raise ValueError("frequencies must be a non-empty list of positive finite reals")
-    stiff = freqs**2
+    with np.errstate(over="ignore"):
+        stiff = _array("beta^2" if name == "harmonic" else "frequencies^2", freqs**2, (None,))
     system = newtonian_to_hamiltonian(
         potential=lambda q: 0.5 * float(stiff @ (q * q)),
         n=freqs.size,

@@ -240,6 +240,66 @@ def test_every_resonance_reader_takes_the_contributors_rule():
             assert level.contributors == tuple(p for p in rep.contributors(level.lam) if p[0] <= 5)
 
 
+RESONANT_INLINE = "0.5 2 0 0 0 ; -2 0 2 0 0 ; 0.5 0 0 2 0 ; -0.5 0 0 0 2 ; 0.25 4 0 0 0 ; 0.25 0 4 0 0"
+
+
+def _index_table_sources():
+    """``(name, system, eq)`` of every analyzing source: the satellite's three evaluator variants, the analyzing
+    ``tests/data/*.ini`` and the resonant inline example (``H = (p1^2 + q1^2)/2 - (p2^2 + 4 q2^2)/2 + quartics``)."""
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    for name, system in [
+        ("satellite", sat),
+        ("satellite-gradient-only", replace(sat, hessian=None)),
+        ("satellite-energy-only", replace(sat, gradient=None, hessian=None)),
+    ]:
+        yield name, system, model.refine_equilibrium(system, model.preset_guess("satellite", omega=1.0, c=0.1))
+    for path in sorted(DATA.glob("*.ini")):
+        system, guess = cli.build_system(cli.parse_config(path.read_text(encoding="utf-8")))
+        if path.stem not in ("broken-symmetry", "overflow-guess"):  # no equilibrium to analyze
+            yield path.stem, system, model.refine_equilibrium(system, guess)
+    system, guess = cli.build_system(cli.parse_config(f"[system]\nn = 2\nmonomials = {RESONANT_INLINE}\n"))
+    yield "resonant-inline", system, model.refine_equilibrium(system, guess)
+
+
+def _check_index_tables(rep) -> dict:
+    """Each level's index table against ``contributors``, ``morse_jump`` and ``check_nonresonance``; the tables by j0."""
+    tables = {}
+    for j0, beta in enumerate(rep.betas, start=1):
+        table = tables[j0] = analysis._index_components(rep, 1.0 / beta)
+        assert list(table) == list(rep.contributors(1.0 / beta))
+        assert [pair for pair in table if pair[0] == 1] == [(1, j0)]
+        if table[1, j0] is None:
+            with pytest.raises(Degenerate):
+                analysis.morse_jump(rep.hessian, 1.0 / beta, rep)
+        else:
+            assert analysis.morse_jump(rep.hessian, 1.0 / beta, rep) == table[1, j0]
+        assert (list(table) == [(1, j0)]) == analysis.check_nonresonance(rep, j0)
+    return tables
+
+
+def test_one_index_table_gives_each_levels_contributors_jump_and_nonresonance():
+    seen = set()
+    for name, system, eq in _index_table_sources():
+        tables = _check_index_tables(analysis.spectral_report(system, eq))
+        for cand in analysis.analyze(system, eq):
+            table = tables[cand.j0]
+            assert (cand.morse_jump, cand.nonresonant) == (table[1, cand.j0], list(table) == [(1, cand.j0)]), name
+        seen.add(name)
+    assert len(seen) == 14  # 3 satellites, 10 configs and the inline example, the last source
+    # its beta = 1 level (j0 = 2) meets the mode-2 level of beta = 2: two entries, its own jump +2
+    top = analysis.analyze(system, eq)[1]
+    assert abs(top.beta - 1.0) < 1e-12
+    assert (tables[2], top.morse_jump, top.degree_on_section) == ({(2, 1): -2, (1, 2): 2}, 2, 1)
+    assert (top.nonresonant, top.verdict, top.theorem_path) == (False, "inconclusive", None)
+    assert top.reasons == ("resonant level; multi-mode jump analysis not implemented and no global criterion applies",)
+    pytest.importorskip("scipy")  # the acceptance suite's lattice matrices take scipy's expm
+    import test_acceptance
+
+    rng = np.random.default_rng(2024)
+    for i in range(20):
+        _check_index_tables(test_acceptance._random_symmetric_with_pairs(rng, [2, 4, 6][i % 3])[1])
+
+
 def test_nonresonance_cost_does_not_grow_with_the_level_ratio():
     # a k ladder reaching the level 1 from 1/300000 takes seconds
     rep = analysis.matrix_report(np.diag([3e5, 1.0, 3e5, 1.0]))  # betas 3e5, 1
@@ -789,31 +849,31 @@ def test_unavailable_degree_reason_names_the_kernel():
     )
 
 
-# Every outcome of the verdict chain, in its order: (A6 nonresonant, Morse
-# jump, A7 results, section degree) -> (verdict, theorem path, last reason).
+# Every outcome of the verdict chain, in its order: (the level j0 = 1's index
+# table {(k, j): jump}, A7 results, section degree) -> (verdict, theorem path,
+# reason).  A table with more than the entry (1, 1) is a resonant level.
 @pytest.mark.parametrize(
-    "nonres, jump, a7, value, verdict, path, reason",
+    "components, a7, value, verdict, path, reason",
     [
-        (True, 2, {}, None, "inconclusive", None,
+        ({(1, 1): 2}, {}, None, "inconclusive", None,
          "section degree unavailable (section kernel of dimension 3); existence chain cannot close"),
-        (True, 2, {}, 0, "inconclusive", None, "section degree vanishes; the criteria are silent here"),
-        (True, 2, {}, 1, "confirmed", "nonresonant-jump",
+        ({(1, 1): 2}, {}, 0, "inconclusive", None, "section degree vanishes; the criteria are silent here"),
+        ({(1, 1): 2}, {}, 1, "confirmed", "nonresonant-jump",
          "index jump at an isolated, nonresonant level; minimal periods certified"),
-        (False, -2, {"definite-z": True, "mplus": True}, 1, "confirmed (period not certified minimal)",
+        ({(1, 1): -2, (2, 2): 2}, {"definite-z": True, "mplus": True}, 1, "confirmed (period not certified minimal)",
          "definite-total", "definite Hessian on the full oscillatory subspace; periods may be non-minimal"),
-        (False, 2, {"definite-z": False, "mplus": True}, -1, "confirmed (period not certified minimal)",
+        ({(2, 2): None, (1, 1): 2}, {"definite-z": False, "mplus": True}, -1, "confirmed (period not certified minimal)",
          "index-count", "positive index count differs from N; periods may be non-minimal"),
-        (False, 2, {"definite-z": False, "mplus": False}, 1, "inconclusive", None,
+        ({(1, 1): 2, (3, 2): 0}, {"definite-z": False, "mplus": False}, 1, "inconclusive", None,
          "resonant level; multi-mode jump analysis not implemented and no global criterion applies"),
-        (True, 0, {"definite-z": True, "mplus": True}, 1, "rejected", None,
+        ({(1, 1): 0}, {"definite-z": True, "mplus": True}, 1, "rejected", None,
          "mode-1 negative index does not change at this level"),
-        (True, None, {"definite-z": True, "mplus": True}, 1, "inconclusive", None,
+        ({(1, 1): None}, {"definite-z": True, "mplus": True}, 1, "inconclusive", None,
          "no index certificate available for this level"),
     ],
     ids=["no-degree", "degree-0", "nonresonant-jump", "definite-total", "index-count", "resonant", "jump-0", "no-jump"],
 )
-def test_candidate_verdict_outcomes(nonres, jump, a7, value, verdict, path, reason):
+def test_candidate_verdict_outcomes(components, a7, value, verdict, path, reason):
     detail = "section kernel of dimension 3" if value is None else ""
     report = degree.DegreeReport(value=value, path="reduced", detail=detail)
-    got_verdict, got_path, reasons = analysis._candidate_verdict(nonres, jump, "", a7, report)
-    assert (got_verdict, got_path, reasons[-1]) == (verdict, path, reason)
+    assert analysis._candidate_verdict(components, 1, a7, report) == (verdict, path, reason)

@@ -483,6 +483,16 @@ def test_preset_errors():
             build("harmonic", beta=1.0, gamma=2.0)
         with pytest.raises(ValueError, match="omega must be positive and finite, got -1.0"):
             build("satellite", omega=-1.0)
+        # a derived value that overflows is an error naming it, not Python's OverflowError or numpy's warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape("c = r_eq^2 * j2 / 2 must be positive and finite, got inf")):
+                build("satellite", r_eq=1e200)
+            with pytest.raises(ValueError, match=re.escape("beta^2 must be finite, got inf")):
+                build("harmonic", beta=1e200)
+            with pytest.raises(ValueError, match=re.escape("frequencies^2 must be finite, got inf")):
+                build("coupled-springs", frequencies=[1.0, 1e200])
+            build("satellite", r_eq=1e200, c=0.1)  # an explicit c overrides r_eq
 
 
 @pytest.mark.parametrize(
