@@ -65,9 +65,14 @@ def _real(name: str, value, positive: bool = True):
 def _array(name: str, value, shape: tuple, finite: bool = True) -> np.ndarray:
     """``value`` as a float array, unless its shape is not ``shape`` or, with ``finite``, an entry is not finite: then ``ValueError`` naming ``name``.
 
-    ``shape`` may start with ``None`` axes, each of any length.
+    ``shape`` may start with ``None`` axes, each of any length.  A value
+    numpy makes no float array of (a string of numbers, a ragged nested list,
+    a dict) is a ``ValueError`` naming ``name`` too.
     """
-    array = np.asarray(value, dtype=float)
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a float array, got {value!r}") from None
     free = shape.count(None)
     if array.ndim != len(shape) or array.shape[free:] != shape[free:]:
         raise ValueError(f"{name} must have shape {str(shape).replace('None', 'P')}, got {array.shape}")
@@ -94,8 +99,8 @@ def check_symmetric(a) -> np.ndarray:
     unhalved formulas wherever those do not overflow.  A gap above the float
     maximum is reported as twice the halved gap, a finite number.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _array("a", a, (None, None), finite=False)
+    if a.shape[0] != a.shape[1]:
         raise NonSymmetric(f"a must be a square matrix, got shape {a.shape}")
     scale = 1.0 + (float(np.abs(a).max()) if a.size else 0.0)
     if not math.isfinite(scale):
@@ -131,7 +136,8 @@ def morse_index_negative(a) -> int:
 
 def general_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     """All eigenvalues ``w`` (with multiplicity) of a real square matrix and unit eigenvectors ``v[:, i]`` for ``w[i]``."""
-    m = _array("m", m, np.shape(m)[:1] * 2 or (None, None))  # square
+    m = _array("m", m, (None, None))
+    m = _array("m", m, m.shape[:1] * 2)  # square
     try:
         w, v = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:

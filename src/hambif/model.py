@@ -914,7 +914,8 @@ def _preset(name: str, given: dict) -> tuple:
         return _satellite_system(omega, c), np.array([1.0, 0.0, 0.0, 0.0, -omega, 0.0])
     if name == "harmonic":  # the one-frequency spring chain
         values["frequencies"] = [values["beta"]]
-    freqs = np.asarray(values["frequencies"], dtype=float).ravel()
+    freqs = values["frequencies"]  # one number, as a config's ``frequencies = 1.0`` gives, or a list
+    freqs = _array("frequencies", [freqs] if np.isscalar(freqs) else freqs, (None,), finite=False)
     if freqs.size == 0 or not np.all((0.0 < freqs) & (freqs < np.inf)):
         raise ValueError("frequencies must be a non-empty list of positive finite reals")
     with np.errstate(over="ignore"):

@@ -75,32 +75,34 @@ kernel pair (from the report ``analyze`` kept on ``eq``), the ansatz and each
 truncation's problem once, for every step and doubling, and takes the sup
 distances of each truncation's orbits in one stacked pass after the last
 step.  The cos/sin tables of the equispaced grids (``4M`` solve points,
-``4M + 1`` residual and energy checks, ``8M`` sup samples) have one owner,
-the read-only cache ``_grid``, which every branch and every lone call
-shares.  Each step starts from the last orbit scaled by the Lyapunov-Schmidt
-orders (``_predict``): mode ``k`` is ``O(s^k)``, ``a0 - z0`` and
-``lambda - lambda0`` are ``O(s^2)``.
+to mode ``2M``; ``4M + 1`` residual and energy checks; ``8M`` sup samples)
+have one owner, the read-only cache ``_grid``, which every branch and every
+lone call shares.  Each step starts from the last orbit scaled by the
+Lyapunov-Schmidt orders (``_predict``): mode ``k`` is ``O(s^k)``,
+``a0 - z0`` and ``lambda - lambda0`` are ``O(s^2)``.
 
-The harmonic-balance equations are one constant affine operator, the ``z'``
-rows and the constraints, built once per truncation, plus the Galerkin
-projection of the nonlinear fields.  Newton's Jacobian is that operator plus
-the fields' derivatives, assembled by the alternating frequency/time method
-(Cameron & Griffin, J. Appl. Mech. 56, 1989; Krack & Gross, Harmonic
-Balance for Nonlinear Vibration Problems, 2019): the Hessians of H at the
-collocation points, from one stacked call per evaluation where the
-evaluator has a stacked form (``model.hessians_of``), projected onto the
-Fourier basis.  ``J`` is applied as a swap of the halves with one sign
-flip.  The projection is one BLAS product per block of kept rows and
-columns of one parity (one block for the full system, four for a symmetric
-ansatz), of a weight-basis table built with the problem and the block's
-columns of the field derivative ``D``; one scatter through flat places, also
-built with the problem, adds every block to the affine operator.  The
-residual likewise takes the gradients at all collocation points from one
-``model.gradients_of`` call.  Without an analytic Hessian, each
-point's Hessian is a forward difference of the gradient the residual already
-holds there, the gradients at the shifted copies of every point coming from
-one more ``gradients_of`` call: 2N copies, or N for a Newtonian lift, whose
-gradient's momentum half is ``p`` itself (``model._forward_differences``).
+The harmonic-balance equations are the ``z'`` rows, one signed entry each,
+and a few dense constraint rows, all constant, plus the Galerkin projection
+of the nonlinear fields.  Newton's Jacobian is those rows plus the fields'
+derivatives, assembled by the alternating frequency/time method (Cameron &
+Griffin, J. Appl. Mech. 56, 1989; Krack & Gross, Harmonic Balance for
+Nonlinear Vibration Problems, 2019): the Hessians of H at the collocation
+points, from one stacked call per evaluation where the evaluator has a
+stacked form (``model.hessians_of``), projected onto the Fourier basis.
+``J`` is applied as a swap of the halves with one sign flip.  On the
+equispaced grid each Galerkin sum of the field derivative ``D`` is a signed
+pair of its weighted Fourier coefficients, ``C_|k-l| +- C_k+l`` or
+``S_k+l +- S_|k-l|``: Hill's block Toeplitz-plus-Hankel form (Deconinck &
+Kutz, J. Comput. Phys. 219, 2006).  So the projection is one product of a
+``(4M + 2) x P`` transform table with ``D`` and two gathers through
+``O(M^2)`` index tables, and no table of the problem grows with the
+Jacobian.  The residual likewise takes the gradients at all collocation
+points from one ``model.gradients_of`` call.  Without an analytic Hessian,
+each point's Hessian is a forward difference of the gradient the residual
+already holds there, the gradients at the shifted copies of every point
+coming from one more ``gradients_of`` call: 2N copies, or N for a Newtonian
+lift, whose gradient's momentum half is ``p`` itself
+(``model._forward_differences``).
 Newton is a chord iteration (Kelley, Solving Nonlinear Equations with
 Newton's Method, SIAM 2003): one Jacobian serves as many steps as keep
 contracting the residual by ``CHORD_CONTRACTION``, so a step with a kept
@@ -339,46 +341,49 @@ class _HarmonicBalance:
     in ``keep`` (row by row), then ``lam`` and ``n_mult`` multipliers; the
     equations are the Galerkin rows in ``rows``, then the constraints.
 
-    Each equation is an affine part plus a projection of fields: the
-    residual is ``linear @ x - offsets``, the pin ``s`` off the first
-    constraint, plus the kept Galerkin rows of ``sum_q x_q F_q(z)`` over the
-    unknowns ``x_q = lam, mu_0, ...``.  ``linear`` holds the rows of ``z'``,
-    ``W^T phi'`` times ``I`` (exactly ``k`` from ``b_k`` to row ``a_k`` and
-    ``-k`` from ``a_k`` to row ``b_k``), and the constraint rows; ``offsets``
-    the group pins' ``X_i z0 . z0``.  ``_fields`` gives the residual and the
-    Jacobian the ``F_q``: ``-J grad H``, ``-grad H``, each ``-M_i z``.
-
     An ansatz is stated once, as parity groups: a group is a set of basis
-    functions times a set of components, and ``keep`` and ``rows`` mark the
-    flat places ``basis * 2N + component`` of the column and the row groups.
-    Without ``reversor`` there is one group, every entry and every row, on
-    ``4M`` points, with the energy multiplier, the phase row and one pin row
-    and momentum multiplier per orbit generator.  With ``reversor`` (the
-    diagonal of ``R``) this is the symmetric ansatz of the module docstring:
-    the columns ``a0, a_k`` in ``Fix(R)`` and ``b_k`` in ``Fix(-R)``, the
-    rows the ``Fix(-R)`` part of the constant and cosine rows and the
-    ``Fix(R)`` part of the sine rows, and the amplitude pin is the only
-    constraint.  Its ``2M + 1`` points are those of the full grid in
-    ``[0, pi]``: the field at ``t_(4M - p) = -t_p`` is ``-R`` times the field
-    at ``t_p``, so every kept Galerkin sum over the full grid is the sum over
-    ``[0, pi]`` with the weights of the interior points doubled.  With
-    ``half_wave`` too, the groups step over the basis by 2, so they hold the
-    odd ``k`` alone, ``a0`` is ``fixed`` at ``z0``, and the ``M + 1`` points
-    in ``[0, pi/2]`` carry twice those weights, the field being odd under
-    ``t -> t + pi`` as well.
+    functions times a set of components (``col_comps`` for the unknowns,
+    ``row_comps`` for the rows), every group has the same number of
+    components, and each kept basis function belongs to one.  So the unknowns
+    and the Galerkin rows are each a ``(basis, component)`` table, in the
+    order of the flat places ``basis * 2N + component`` that ``keep`` and
+    ``rows`` mark, and every operator on them a ``(row basis, column basis)``
+    table of component blocks.  Without ``reversor`` there is one group, every
+    basis function times all 2N components, on ``4M`` points, with the energy
+    multiplier, the phase row and one pin row and momentum multiplier per
+    orbit generator.  With ``reversor`` (the diagonal of ``R``) this is the
+    symmetric ansatz of the module docstring: two groups, the cosines (``a0``
+    and ``a_k``) and the sines, the columns ``Fix(R)`` and ``Fix(-R)`` and the
+    rows ``Fix(-R)`` and ``Fix(R)`` of each, N components each because
+    ``r[N:] = -r[:N]``; the amplitude pin is the only constraint.  Its
+    ``2M + 1`` points are those of the full grid in ``[0, pi]``: the field at
+    ``t_(4M - p) = -t_p`` is ``-R`` times the field at ``t_p``, so every kept
+    Galerkin sum over the full grid is the sum over ``[0, pi]`` with the
+    weights of the interior points doubled.  With ``half_wave`` too, the
+    groups step over the basis by 2, so they hold the odd ``k`` alone, ``a0``
+    is ``fixed`` at ``z0``, and the ``M + 1`` points in ``[0, pi/2]`` carry
+    twice those weights, the field being odd under ``t -> t + pi`` as well.
+
+    The residual is the ``z'`` rows, ``W^T phi'`` times ``I``: one entry per
+    row, ``rate`` times the unknown of the ``partner`` basis function and the
+    same component (``k b_k`` on row ``a_k``, ``-k a_k`` on row ``b_k``);
+    plus the kept Galerkin rows of ``sum_q x_q F_q(z)`` over the unknowns
+    ``x_q = lam, mu_0, ...``, which ``_fields`` gives (``-J grad H``,
+    ``-grad H``, each ``-M_i z``); then the constraint rows ``cons @ x``
+    less ``offsets`` (the group pins' ``X_i z0 . z0``), the pin ``s`` off
+    the first.
     """
 
     def __init__(self, system, eq, predictor, s, m, reversor=None, half_wave=False):
-        self.system = system
+        self.system, self.m, self.s = system, m, s
         self.dim = d = system.dim
-        self.m = m
-        self.s = s
         ap, bp = predictor
-        width = 2 * m + 1
-        points = 4 * m
-        cos, sin = _grid(points, m)  # (P, m)
-        # basis and Galerkin test weights, each (P, 2M + 1)
-        self.phi = np.hstack([np.ones((points, 1)), cos, sin])
+        width, points = 2 * m + 1, 4 * m
+        step = 2 if half_wave else 1  # the half-wave keeps the odd modes alone
+        self.points = points if reversor is None else 2 * m // step + 1  # all 4M, or those in [0, pi] or [0, pi/2]
+        cos, sin = (table[: self.points] for table in _grid(points, 2 * m))  # the basis reads k <= M, the transform k <= 2M
+        # basis and Galerkin test weights at the solve points, each (P, 2M + 1)
+        self.phi = np.hstack([np.ones((self.points, 1)), cos[:, :m], sin[:, :m]])
         self.weights = self.phi * np.concatenate([[1.0], np.full(2 * m, 2.0)]) / points
         self.fixed = np.zeros(width * d)  # the coefficients that are not unknowns: a0 = z0 in the half-wave
         self._last = None  # (x, z, grads, fields) of the last _curve call
@@ -386,60 +391,53 @@ class _HarmonicBalance:
         generators = eq.orbit_generators if reversor is None else ()
         self.n_mult = len(generators) + (reversor is None)  # energy, then one momentum per generator
         cons = np.zeros((1 + self.n_mult, width * d))
+        sine = np.arange(width) > m
+        freq = np.where(sine, np.arange(width) - m, np.arange(width))
+        bases = np.flatnonzero(freq % step == step - 1)
         if reversor is None:
-            row_groups = col_groups = [(np.arange(width), np.arange(d))]
+            group = np.zeros(width, dtype=int)
+            self.row_comps = self.col_comps = np.arange(d)[None]
             cons[1, a1], cons[1, b1] = np.pi * bp, -np.pi * ap
             for i, g in enumerate(generators):
                 cons[2 + i, :d] = g @ eq.z0
         else:
-            step = 2 if half_wave else 1  # the half-wave keeps the odd modes alone
+            group = sine.astype(int)
             plus, minus = np.flatnonzero(reversor > 0), np.flatnonzero(reversor < 0)
-            cosines, sines = np.arange(step - 1, m + 1, step), np.arange(m + 1, width, step)
-            row_groups = [(cosines, minus), (sines, plus)]
-            col_groups = [(cosines, plus), (sines, minus)]  # a_k in Fix(R), b_k in Fix(-R)
-            count = 2 * m // step + 1  # the grid points in [0, pi] or [0, pi/2]
-            fold = np.concatenate([[1.0], np.full(count - 2, 2.0), [1.0]]) * step
-            self.phi = self.phi[:count]
-            self.weights = self.weights[:count] * fold[:, None]
+            self.row_comps, self.col_comps = np.array([minus, plus]), np.array([plus, minus])  # a_k in Fix(R), b_k in Fix(-R)
+            self.weights *= (np.concatenate([[1.0], np.full(self.points - 2, 2.0), [1.0]]) * step)[:, None]
             if half_wave:
                 self.fixed[:d] = eq.z0
-        # the unknowns and the Galerkin rows: the places basis * d + component of their groups
+        # the unknowns and the Galerkin rows: each kept basis function times its group's components
         self.keep, self.rows = np.zeros((2, width * d), dtype=bool)
-        for mask, groups in ((self.keep, col_groups), (self.rows, row_groups)):
-            for basis, comps in groups:
-                mask[(basis[:, None] * d + comps).ravel()] = True
+        for mask, comps in ((self.keep, self.col_comps), (self.rows, self.row_comps)):
+            mask.reshape(width, d)[bases[:, None], comps[group[bases]]] = True
         cons[0, a1], cons[0, b1] = np.pi * ap, np.pi * bp
-        self.points = len(self.phi)
         self.n_coeff = n = int(np.count_nonzero(self.keep))
         self.size = n + 1 + self.n_mult
-        derivative = np.diag(np.arange(m + 1.0), m) - np.diag(np.arange(m + 1.0), -m)  # W^T phi'
-        at_rows, at_cols = (np.divmod(np.flatnonzero(mask), d) for mask in (self.rows, self.keep))  # (basis, component)
-        self.linear = np.zeros((self.size, self.size))
-        self.linear[:n, :n] = derivative[at_rows[0][:, None], at_cols[0]] * (at_rows[1][:, None] == at_cols[1])
-        self.linear[n:, :n] = cons[:, self.keep]
-        self.offsets = np.concatenate([np.zeros(n), cons[:, :d] @ eq.z0])
+        self.cons, self.offsets = cons[:, self.keep], cons[:, :d] @ eq.z0
         # gradient fields of the conserved momenta: grad( -z.(J X z)/2 ) = -J X z
         self.moment_mats = [-_apply_j(g, axis=0) for g in generators]
-        # one block of D's coefficient Jacobian per (row group, column group), a
-        # group being basis functions times components of one parity: (test
-        # weight times basis ((rows x columns), P) contiguous for one BLAS
-        # product, the flat columns of D's components at each point).  The
-        # layout of D that BLAS gets picks its kernel, and with it the last
-        # bits: the full ansatz's one block takes all of D, a C-ordered view,
-        # and a symmetric block its columns, a column-major copy, as numpy
-        # gathers them.  ``target`` holds the flat places of every block's
-        # entries in the Jacobian, block by block.
-        self.blocks, targets, r0 = [], [], 0
-        for rb, rc in row_groups:
-            rows, c0 = np.arange(r0, r0 + rb.size * rc.size).reshape(rb.size, 1, rc.size, 1) * self.size, 0
-            for cb, cc in col_groups:
-                weight_basis = np.einsum("pr,pc->rcp", self.weights[:, rb], self.phi[:, cb])
-                gather = slice(None) if reversor is None else (rc[:, None] * d + cc).ravel()
-                self.blocks.append((np.ascontiguousarray(weight_basis.reshape(-1, self.points)), gather))
-                targets.append((rows + np.arange(c0, c0 + cb.size * cc.size).reshape(1, cb.size, 1, cc.size)).ravel())
-                c0 += cb.size * cc.size
-            r0 += rb.size * rc.size
-        self.target = np.concatenate(targets)
+        # each kept basis function's frequency, whether each row and each column is a sine, the group's components
+        k, rs, cs, nc = freq[bases], sine[bases][:, None], sine[bases], self.row_comps.shape[1]
+        # the z' rows: row (cos kt, i) reads the unknown (sin kt, i) times k and
+        # row (sin kt, i) the unknown (cos kt, i) times -k; a0's rows read 0
+        self.partner = (np.searchsorted(bases, bases + np.where(cs, -m, m))[:, None] * nc + np.arange(nc)).ravel()
+        self.rate = np.repeat(np.where(cs, -k, k).astype(float), nc)
+        # Hill's form of the field part: with C_j and S_j the weighted sums of
+        # cos jt D and sin jt D over the solve points (``transform``, j = 0..2M),
+        # sum_p w_k(t_p) phi_l(t_p) D(t_p) is C_|k-l| + C_k+l for two cosines,
+        # C_|k-l| - C_k+l for two sines and S_k+l +- S_|k-l| for a mixed pair,
+        # the sign of the sine's frequency less the cosine's; a0's row takes
+        # its first term alone (its second is the zero row S_0).  ``places``
+        # holds each term's index (j, row group, column group), in the
+        # coefficients and then their negatives.
+        self.transform = np.vstack([np.ones(self.points), cos.T, np.zeros(self.points), sin.T]) * self.weights[:, 0]
+        top, g = 2 * m + 1, len(self.row_comps)  # the row of S_0, the number of groups
+        mixed, diff, total = rs != cs, np.abs(k[:, None] - k), k[:, None] + k
+        negative = np.where(mixed, np.where(rs, k[:, None] < k, k < k[:, None]), rs)
+        first = np.where(mixed, top + total, diff)
+        second = np.where(k[:, None] == 0, top, np.where(mixed, top + diff, total)) + 2 * top * negative
+        self.places = (np.array([first, second]) * g + group[bases][:, None]) * g + group[bases]
 
     def pack(self, a0, a, b, lam, mus) -> np.ndarray:
         return np.concatenate([np.concatenate([a0, a.ravel(), b.ravel()])[self.keep], [lam], mus])
@@ -471,23 +469,24 @@ class _HarmonicBalance:
 
     def __call__(self, x) -> np.ndarray:
         n = self.n_coeff
-        f = self.linear @ x - self.offsets
+        f = np.concatenate([self.rate * x[self.partner] + x[n:] @ self._curve(x)[2], self.cons @ x[:n] - self.offsets])
         f[n] -= self.s
-        f[:n] += x[n:] @ self._curve(x)[2]
         return f
 
     def jacobian(self, x) -> np.ndarray:
         """Exact Jacobian of ``__call__`` (alternating frequency/time assembly).
 
-        ``linear`` plus the fields' derivatives: the z-derivative at each
-        collocation point, ``D = -(lam J + mu0 I) H(z) - sum_i mu_i M_i``
-        (``J H`` is ``H`` with its row halves swapped and one negated), adds
-        ``sum_p w_r(t_p) phi_c(t_p) D(t_p)`` on the kept rows and columns, and
-        the ``lam`` and ``mu`` columns are ``_fields``.  Each block of
-        ``blocks`` is one product ``basis @ D[:, gather]``, all of them added
-        into a copy of ``linear`` at the flat places ``target``.
+        The z-derivative of the fields at each collocation point,
+        ``D = -(lam J + mu0 I) H(z) - sum_i mu_i M_i`` (``J H`` is ``H`` with
+        its row halves swapped and one negated), adds
+        ``sum_p w_r(t_p) phi_c(t_p) D(t_p)`` on the kept rows and columns: one
+        product of ``transform`` with ``D``'s group blocks, then the two terms
+        of Hill's form gathered through ``places`` straight into the
+        ``(row basis, column basis)`` blocks of ``jac[:n, :n]``.  The ``z'``
+        entries, the ``lam`` and ``mu`` columns (``_fields``) and the
+        constraint rows go in beside them.
         """
-        n = self.n_coeff
+        n, nb, nc = self.n_coeff, self.places.shape[1], self.row_comps.shape[1]
         lam, mus = x[n], x[n + 1 :]
         z, grads, fields = self._curve(x)
         if self.system.hessian is None:
@@ -500,10 +499,18 @@ class _HarmonicBalance:
         dfield = -(lam * jh + mus[0] * hess) if self.n_mult else -(lam * jh)
         for i, mat in enumerate(self.moment_mats):
             dfield -= mus[1 + i] * mat
-        dfield = dfield.reshape(self.points, -1)
-        jac = self.linear.copy()
-        jac.ravel()[self.target] += np.concatenate([basis @ dfield[:, gather] for basis, gather in self.blocks], axis=None)
+        blocks = dfield[:, self.row_comps[:, None, :, None], self.col_comps[None, :, None, :]]  # (P, row group, column group, nc, nc)
+        coeffs = np.empty((2, 4 * self.m + 2, blocks[0].size))  # the coefficients, then their negatives
+        np.matmul(self.transform, blocks.reshape(self.points, -1), out=coeffs[0])
+        np.negative(coeffs[0], out=coeffs[1])
+        coeffs = coeffs.reshape(-1, nc, nc)
+        field = coeffs[self.places[0]]  # (row basis, column basis, nc, nc)
+        field += coeffs[self.places[1]]
+        jac = np.zeros((self.size, self.size))
+        jac[:n, :n].reshape(nb, nc, nb, nc)[...] = field.transpose(0, 2, 1, 3)
+        jac[np.arange(n), self.partner] += self.rate
         jac[:n, n:] = fields.T
+        jac[n:, :n] = self.cons
         return jac
 
 

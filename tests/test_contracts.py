@@ -46,6 +46,12 @@ def _non_finite(value) -> list:
     return [_entry(value, x) for x in (math.nan, math.inf, -math.inf)]
 
 
+def _unconvertible(value) -> list:
+    """Values numpy makes no float array of: a string of the array's numbers, a ragged nested list and a dict."""
+    flat = np.ravel(value).tolist()
+    return [" ".join(map(str, flat)), [flat, flat[:-1]], {"a": 1}]
+
+
 def integer(low=1, high=None, optional=False):
     """An integer in ``low..high`` (``None`` leaves a side open): a bool, a float, a string, NaN, inf, and ``None`` unless ``optional``, are not."""
 
@@ -74,7 +80,7 @@ def point(finite=True):
 
     def kind(valid):
         v = np.asarray(valid, dtype=float)
-        return [True, v[:-1], v[None]] + (_non_finite(v) if finite else []), [v.tolist()]
+        return [True, v[:-1], v[None]] + _unconvertible(v) + (_non_finite(v) if finite else []), [v.tolist()]
 
     return kind
 
@@ -82,13 +88,13 @@ def point(finite=True):
 def vector(valid):
     """A finite 1-D array of any length."""
     v = np.asarray(valid, dtype=float)
-    return [True, v[None]] + _non_finite(v), [v.tolist()]
+    return [True, v[None]] + _unconvertible(v) + _non_finite(v), [v.tolist()]
 
 
 def stack(valid):
     """A ``(P, 2N)`` stack of points, finite or not: a bool, shorter points and one 1-D point are not."""
     v = np.asarray(valid, dtype=float)
-    return [True, v[:, :-1], v[0]], [v.tolist()]
+    return [True, v[:, :-1], v[0]] + _unconvertible(v), [v.tolist()]
 
 
 def matrix(fixed=True, finite=True):
@@ -96,7 +102,7 @@ def matrix(fixed=True, finite=True):
 
     def kind(valid):
         v = np.asarray(valid, dtype=float)
-        return [True, v[0]] + ([v[:-1]] if fixed else []) + (_non_finite(v) if finite else []), [v.tolist()]
+        return [True, v[0]] + ([v[:-1]] if fixed else []) + _unconvertible(v) + (_non_finite(v) if finite else []), [v.tolist()]
 
     return kind
 
@@ -108,7 +114,7 @@ def symmetric(even=False):
         v = np.asarray(valid, dtype=float)
         skew = v.copy()
         skew[0, 1] += 1.0
-        return [True, v[:-1], skew] + _non_finite(v) + ([np.eye(3)] if even else []), [v.tolist()]
+        return [True, v[:-1], skew] + _unconvertible(v) + _non_finite(v) + ([np.eye(3)] if even else []), [v.tolist()]
 
     return kind
 
@@ -374,6 +380,20 @@ def _holes() -> dict:
         "lift-of-a-generator-of-another-space": (
             lambda: model.newtonian_to_hamiltonian(len, 1, generators=[ROTATION]),
             "generators must have shape (1, 1), got (2, 2)",
+        ),
+        # numpy's own errors, which named no argument: "could not convert string to float",
+        # "inhomogeneous shape" and a bare TypeError
+        "gradient-of-a-string": (
+            lambda: model.gradient_of(sat, "1 0 0 0 -1 0"),
+            "z must be a float array, got '1 0 0 0 -1 0'",
+        ),
+        "compress-a-ragged-list": (
+            lambda: linalg.compress([[1, 2], [3]], np.eye(2)),
+            "a must be a float array, got [[1, 2], [3]]",
+        ),
+        "refine-from-a-dict": (
+            lambda: model.refine_equilibrium(sat, {"a": 1}),
+            "guess must be a float array, got {'a': 1}",
         ),
         "symmetry-of-another-space": (
             lambda: model.HamiltonianSystem(n=1, energy=len, symmetry=model.SymmetryGroup((np.kron(np.eye(2), ROTATION),))),

@@ -576,6 +576,17 @@ def test_harmonic_beta_is_one_positive_finite_number():
         model.preset("coupled-springs", frequencies=[])
 
 
+def test_coupled_springs_frequencies_are_one_number_or_a_list():
+    # a matrix of frequencies was raveled into an N = 4 system
+    with pytest.raises(ValueError, match=re.escape("frequencies must have shape (P,), got (2, 2)")):
+        model.preset("coupled-springs", frequencies=[[1.0, 2.0], [3.0, 4.0]])
+    # one number, as a config's `frequencies = 1.0` gives, is the one-spring system
+    config = cli.parse_config("[system]\npreset = coupled-springs\nfrequencies = 1.5\n")
+    system, _ = cli.build_system(config)
+    assert system.n == 1 and model.preset("coupled-springs", frequencies=1.5).n == 1
+    assert system.hessian(np.zeros(2)).tobytes() == np.diag([2.25, 1.0]).tobytes()
+
+
 def _diag_x_x(x):
     """``diag(X, X)`` built block by block into zeros."""
     n = len(x)

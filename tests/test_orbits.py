@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -1413,9 +1414,10 @@ def test_branch_builds_its_setup_once_and_each_problem_once_per_modes(monkeypatc
     assert [orbit.m for orbit in branch.orbits] == [8, 8, 8, 8, 16, 16] and not branch.failures
     assert built == [8, 16]
     assert calls == {"kernel_direction": 1, "_symmetric_frame": 1, "solve_orbit": 6}
-    # each cos/sin table once: every M's solve grid (4M points), residual
-    # check (4M + 1) and sup distance (8M); they were rebuilt at every step
-    assert tables == {(32, 8): 1, (33, 8): 1, (64, 8): 1, (64, 16): 1, (65, 16): 1, (128, 16): 1}
+    # each cos/sin table once: every M's solve grid (4M points, to mode 2M
+    # for the transform), residual check (4M + 1) and sup distance (8M); they
+    # were rebuilt at every step
+    assert tables == {(32, 16): 1, (33, 8): 1, (64, 8): 1, (64, 32): 1, (65, 16): 1, (128, 16): 1}
     assert orbits._grid.cache_info().misses == 6
     # a second branch builds none: the tables outlive the branch that made them
     orbits.continue_branch(system, eq, cand, steps=6, s0=0.1)
@@ -1586,15 +1588,15 @@ def test_continue_branch_makes_one_stacked_sup_pass_per_truncation(monkeypatch):
     assert branch.sup_distance_trend == [(orbit.amplitude, orbits.sup_distance(orbit, eq.z0)) for orbit in branch.orbits]
 
 
-class RecordingBasis:
-    """Stands in for a block's weight-basis matrix and records the stacked field derivative it multiplies."""
+class RecordingTransform:
+    """Stands in for the transform table of ``jacobian`` and records the stacked field derivative it multiplies."""
 
     def __init__(self, matrix, seen):
         self.matrix, self.seen = matrix, seen
 
-    def __matmul__(self, other):
+    def __array_ufunc__(self, ufunc, method, table, other, **kwargs):
         self.seen.append(np.array(other))
-        return self.matrix @ other
+        return getattr(ufunc, method)(self.matrix, other, **kwargs)
 
 
 @pytest.mark.parametrize("name", ["gyroscopic", "so3-hat"])
@@ -1607,7 +1609,7 @@ def test_swapped_field_derivative_equals_the_einsum_to_the_bit(name):
     assert problem.n_mult >= 1 and system.hessian is not None
     x = perturbed_unknowns(problem, eq, cand, 0.05, np.random.default_rng(5))
     seen = []
-    problem.blocks = [(RecordingBasis(basis, seen), gather) for basis, gather in problem.blocks]
+    problem.transform = RecordingTransform(problem.transform, seen)
     problem.jacobian(x)
     lam, mus = x[problem.n_coeff], x[problem.n_coeff + 1 :]
     mix = lam * linalg.standard_symplectic(problem.dim // 2) + mus[0] * np.eye(problem.dim)
@@ -1656,15 +1658,16 @@ def reference_collocation(problem, x):
     return z, grads, (problem.weights.T @ np.array(fields)).reshape(len(fields), -1)[:, problem.rows]
 
 
-def reference_residual(problem, x):
+def reference_residual(problem, x, layout):
+    """The dense affine operator ``linear`` of ``reference_layout`` applied to ``x``, plus the fields (reference)."""
     n = problem.n_coeff
-    f = problem.linear @ x - problem.offsets
+    f = layout["linear"] @ x - layout["offsets"]
     f[n] -= problem.s
     f[:n] += x[n:] @ reference_collocation(problem, x)[2]
     return f
 
 
-def reference_jacobian(problem, x, blocks):
+def reference_jacobian(problem, x, layout, blocks):
     """Each block's product reshaped, transposed and added into its slice of ``linear`` (reference)."""
     n = problem.n_coeff
     lam, mus = x[n], x[n + 1 :]
@@ -1678,12 +1681,27 @@ def reference_jacobian(problem, x, blocks):
     dfield = -(lam * jh + mus[0] * hess) if problem.n_mult else -(lam * jh)
     for i, mat in enumerate(problem.moment_mats):
         dfield -= mus[1 + i] * mat
-    jac = problem.linear.copy()
+    jac = layout["linear"].copy()
     for rows, cols, weight_basis, index, shape in blocks:
         block = (weight_basis @ dfield[index].reshape(problem.points, -1)).reshape(shape)
         jac[rows, cols] += block.transpose(0, 2, 1, 3).reshape(rows.stop - rows.start, cols.stop - cols.start)
     jac[:n, n:] = fields.T
     return jac
+
+
+def assert_matches_the_per_block_assembly(problem, x, layout, blocks):
+    """Hill's Jacobian within 4 eps max|J| of the per-block one, the Galerkin rows to the bit, the constraint rows to rounding.
+
+    Each constraint row is a product over the kept columns alone, not a row
+    of the dense ``size x size`` one, so it may round differently: by at most
+    4 eps of ``|cons_i| |x| + |offset_i|``.
+    """
+    n, eps = problem.n_coeff, np.finfo(float).eps
+    jac, ref = problem.jacobian(x), reference_jacobian(problem, x, layout, blocks)
+    assert np.max(np.abs(jac - ref)) <= 4 * eps * np.max(np.abs(ref))
+    f, ref_f = problem(x), reference_residual(problem, x, layout)
+    assert np.array_equal(f[:n], ref_f[:n])
+    assert np.all(np.abs(f[n:] - ref_f[n:]) <= 4 * eps * (np.abs(problem.cons) @ np.abs(x[:n]) + np.abs(problem.offsets)))
 
 
 ASSEMBLY_CASES = {
@@ -1697,26 +1715,28 @@ ASSEMBLY_CASES = {
 
 @pytest.mark.parametrize("setup, symmetric, half_wave", ASSEMBLY_CASES.values(), ids=ASSEMBLY_CASES)
 def test_residual_and_jacobian_have_the_bits_of_the_per_block_assembly(setup, symmetric, half_wave):
-    # the blocks are gathered from D by flat columns and scattered into the
-    # Jacobian by flat places, and a symmetric problem's one field is not
-    # stacked: the same products and sums as the per-block assembly
+    # Hill's form sums each Jacobian entry in another order than the per-block
+    # weight-basis products, so the Jacobian agrees to rounding; the Galerkin
+    # rows of the residual keep their bits, whether the memo misses or hits
     system, eq, cand = setup()
+    reversor = system.reversor if symmetric else None
     problem = problem_for(system, eq, cand, 0.05, 8, symmetric, half_wave)
-    blocks = reference_blocks(problem, system.reversor if symmetric else None, half_wave)
+    layout = reference_layout(system, eq, orbits.kernel_direction(system, eq, cand), 8, reversor, half_wave)
+    blocks = reference_blocks(problem, reversor, half_wave)
     rng = np.random.default_rng(11)
     for _ in range(3):
         x = perturbed_unknowns(problem, eq, cand, 0.05, rng)
-        assert problem.jacobian(x).tobytes() == reference_jacobian(problem, x, blocks).tobytes()  # the memo misses
+        assert_matches_the_per_block_assembly(problem, x, layout, blocks)  # the Jacobian's memo misses
         xn = x + 1e-3 * rng.standard_normal(x.size) * np.abs(x)
-        assert problem(xn).tobytes() == reference_residual(problem, xn).tobytes()
-        assert problem.jacobian(xn).tobytes() == reference_jacobian(problem, xn, blocks).tobytes()  # the memo hits
+        problem(xn)
+        assert_matches_the_per_block_assembly(problem, xn, layout, blocks)  # the Jacobian's memo hits
 
 
 def reference_layout(system, eq, predictor, m, reversor, half_wave):
-    """An ansatz's masks, tables, affine operator and blocks, from its cosine, mode and parity masks (reference)."""
+    """An ansatz's masks, tables and dense affine operator, from its cosine, mode and parity masks (reference)."""
     d, width, points = system.dim, 2 * m + 1, 4 * m
     ap, bp = predictor
-    cos, sin = orbits._grid(points, m)
+    cos, sin = (table[:, :m] for table in orbits._grid(points, 2 * m))
     phi = np.hstack([np.ones((points, 1)), cos, sin])
     weights = phi * np.concatenate([[1.0], np.full(2 * m, 2.0)]) / points
     fixed = np.zeros(width * d)
@@ -1724,13 +1744,11 @@ def reference_layout(system, eq, predictor, m, reversor, half_wave):
     if reversor is None:
         generators = eq.orbit_generators
         keep = rows = np.ones(width * d, dtype=bool)
-        row_groups = col_groups = [(np.arange(width), np.arange(d))]
         cons = np.zeros((2 + len(generators), width * d))
         cons[1, a1], cons[1, b1] = np.pi * bp, -np.pi * ap
         for i, g in enumerate(generators):
             cons[2 + i, :d] = g @ eq.z0
     else:
-        plus, minus = np.flatnonzero(reversor > 0), np.flatnonzero(reversor < 0)
         cosine = np.arange(width) <= m
         k = np.concatenate([[0], np.arange(1, m + 1), np.arange(1, m + 1)])
         kept = k % 2 == 1 if half_wave else np.ones(width, dtype=bool)
@@ -1741,8 +1759,6 @@ def reference_layout(system, eq, predictor, m, reversor, half_wave):
         phi, weights = phi[:count], weights[:count] * fold[:, None]
         if half_wave:
             fixed[:d] = eq.z0
-        cosines, sines = np.flatnonzero(cosine & kept), np.flatnonzero(~cosine & kept)
-        row_groups, col_groups = [(cosines, minus), (sines, plus)], [(cosines, plus), (sines, minus)]
         cons = np.zeros((1, width * d))
     cons[0, a1], cons[0, b1] = np.pi * ap, np.pi * bp
     n = int(np.count_nonzero(keep))
@@ -1753,18 +1769,7 @@ def reference_layout(system, eq, predictor, m, reversor, half_wave):
     linear[:n, :n] = derivative[at_rows[0][:, None], at_cols[0]] * (at_rows[1][:, None] == at_cols[1])
     linear[n:, :n] = cons[:, keep]
     offsets = np.concatenate([np.zeros(n), cons[:, :d] @ eq.z0])
-    blocks, targets, r0 = [], [], 0
-    for rb, rc in row_groups:
-        block_rows, c0 = np.arange(r0, r0 + rb.size * rc.size).reshape(rb.size, 1, rc.size, 1) * size, 0
-        for cb, cc in col_groups:
-            weight_basis = np.einsum("pr,pc->rcp", weights[:, rb], phi[:, cb])
-            gather = slice(None) if reversor is None else (rc[:, None] * d + cc).ravel()
-            blocks.append((np.ascontiguousarray(weight_basis.reshape(-1, len(phi))), gather))
-            targets.append((block_rows + np.arange(c0, c0 + cb.size * cc.size).reshape(1, cb.size, 1, cc.size)).ravel())
-            c0 += cb.size * cc.size
-        r0 += rb.size * rc.size
-    layout = dict(keep=keep, rows=rows, fixed=fixed, phi=phi, weights=weights, linear=linear, offsets=offsets)
-    return layout, blocks, np.concatenate(targets)
+    return dict(keep=keep, rows=rows, fixed=fixed, phi=phi, weights=weights, linear=linear, offsets=offsets)
 
 
 def array_bits(a):
@@ -1781,20 +1786,48 @@ LAYOUT_CASES = {
 
 @pytest.mark.parametrize("setup, symmetric, half_wave", LAYOUT_CASES.values(), ids=LAYOUT_CASES)
 def test_parity_groups_give_the_layout_of_the_mask_construction(setup, symmetric, half_wave):
-    # the groups are the one statement of an ansatz: the masks, tables,
-    # affine operator and blocks built from them are the mask construction's
+    # the groups are the one statement of an ansatz: the masks, tables and
+    # constraint rows built from them are the mask construction's, and the
+    # Jacobian that Hill's form assembles on them is the per-block one's
     system, eq, cand = setup()
-    predictor = orbits.kernel_direction(system, eq, cand)
+    predictor, reversor = orbits.kernel_direction(system, eq, cand), system.reversor if symmetric else None
+    rng = np.random.default_rng(13)
     for modes in (1, 2, 3, 8, 16):
         problem = problem_for(system, eq, cand, 0.05, modes, symmetric, half_wave)
-        layout, blocks, target = reference_layout(system, eq, predictor, modes, system.reversor if symmetric else None, half_wave)
-        for key, value in layout.items():
-            assert array_bits(getattr(problem, key)) == array_bits(value), (modes, key)
-        assert array_bits(problem.target) == array_bits(target)
-        assert len(problem.blocks) == len(blocks) == (4 if symmetric else 1)
-        for (basis, gather), (ref_basis, ref_gather) in zip(problem.blocks, blocks):
-            assert array_bits(basis) == array_bits(ref_basis)
-            assert gather == ref_gather if isinstance(ref_gather, slice) else array_bits(gather) == array_bits(ref_gather)
+        layout = reference_layout(system, eq, predictor, modes, reversor, half_wave)
+        for key in ("keep", "rows", "fixed", "phi", "weights"):
+            assert array_bits(getattr(problem, key)) == array_bits(layout[key]), (modes, key)
+        n = problem.n_coeff
+        assert np.array_equal(problem.cons, layout["linear"][n:, :n]) and np.array_equal(problem.offsets, layout["offsets"][n:])
+        x = perturbed_unknowns(problem, eq, cand, 0.05, rng)
+        assert_matches_the_per_block_assembly(problem, x, layout, reference_blocks(problem, reversor, half_wave))
+
+
+def spring_preset_problem(n, m, half_wave):
+    """The N-spring ``coupled-springs`` problem at ``M = m``, ``f_i = 1 + 0.9 i / (N - 1)``: half-wave or the full ansatz."""
+    system = model.preset("coupled-springs", frequencies=1.0 + 0.9 * np.arange(n) / (n - 1))
+    eq = model.refine_equilibrium(system, np.zeros(system.dim))
+    cand = analysis.analyze(system, eq, analysis.AnalyzeOptions(j0=1))[0]
+    predictor = orbits.kernel_direction(system, eq, cand)
+    return orbits._HarmonicBalance(system, eq, predictor, 0.1, m, system.reversor if half_wave else None, half_wave)
+
+
+def test_a_problem_holds_no_table_the_size_of_its_jacobian():
+    # the dense z' operator and the flat scatter index of every Jacobian entry
+    # held 281.6 MB for the N = 32, M = 32 full problem and 6.69 MB for the
+    # N = 8, M = 64 half-wave one
+    full = spring_preset_problem(32, 32, half_wave=False)
+    assert full.size == 4162
+    held = [v for value in vars(full).values() for v in (value if isinstance(value, list) else [value])]
+    assert max(array.size for array in held if isinstance(array, np.ndarray)) < full.size**2
+    spring_preset_problem(8, 64, half_wave=True)  # the grid tables, which every problem shares
+    tracemalloc.start()
+    try:
+        half_wave = spring_preset_problem(8, 64, half_wave=True)
+        bytes_held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert half_wave.size == 513 and bytes_held < 1_000_000
 
 
 def test_satellite_branch_step_costs_two_residuals_one_jacobian_one_solve_and_one_check(monkeypatch):
