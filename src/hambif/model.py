@@ -28,9 +28,12 @@ The kernel, ``_central_differences(stacked, z)``, evaluates the rows
 ``gradients_of`` for the Hessian, ``degree``'s section map for its
 Jacobian) and returns the quotient with the values and the steps.  Every
 stencil has the float operations of one point at a time (``z_i + h_i``,
-then ``+- h_j``).  The forward-difference kernel beside them serves callers
-that already hold the gradients at a stack of base points, and evaluates
-all its shifted points through one ``gradients_of`` call.
+then ``+- h_j``).  The forward-difference kernel beside them serves
+``hessians_of`` when its caller passes the gradients it already holds at a
+stack of base points (the harmonic-balance Jacobian does), for a system
+without a Hessian, and evaluates all its shifted points through one
+``gradients_of`` call.  So ``model`` alone decides how a missing derivative
+is made.
 ``_gradient_and_floor`` gives the gradient with the rounding floor of its
 stencil, ``eps max|H(z +- h_i e_i)| |1/h|``, from the energies the kernel
 returns (0 for a supplied gradient); ``refine_equilibrium`` reads the
@@ -436,9 +439,20 @@ def gradients_of(system: HamiltonianSystem, zs) -> np.ndarray:
     return _stack_of(system, "gradient", zs, lambda z: gradient_of(system, z))
 
 
-def hessians_of(system: HamiltonianSystem, zs) -> np.ndarray:
-    """Hessians of H at the rows of a ``(P, 2N)`` stack, each symmetrized as in ``hessian_of``."""
-    return _stack_of(system, "hessian", zs, lambda z: hessian_of(system, z))
+def hessians_of(system: HamiltonianSystem, zs, grads=None) -> np.ndarray:
+    """Hessians of H at the rows of a ``(P, 2N)`` stack, each symmetrized as in ``hessian_of``.
+
+    ``grads``, the gradients at ``zs`` that a caller already holds, are read
+    only without a ``hessian`` evaluator, and checked then (the shape of
+    ``zs``, finite or not): the Hessians are the symmetrized forward
+    differences from them (``_forward_differences``), in place of
+    ``hessian_of``'s central ones.  A supplied Hessian ignores them.
+    """
+    if grads is None or system.hessian is not None:
+        return _stack_of(system, "hessian", zs, lambda z: hessian_of(system, z))
+    zs = _array("zs", zs, (None, system.dim), finite=False)
+    fd = _forward_differences(system, zs, _array("grads", grads, zs.shape, finite=False))
+    return 0.5 * (fd + fd.transpose(0, 2, 1))
 
 
 def _per_point(stacked):

@@ -70,8 +70,9 @@ stays the guard, and a half-wave solve that fails it, or fails otherwise, is
 solved again in the symmetric ansatz, which the branch then keeps: a wrong
 hypothesis costs time, never an orbit.
 
-Only the amplitude pin moves along a branch: ``continue_branch`` builds the
-kernel pair (from the report ``analyze`` kept on ``eq``), the ansatz and each
+Only the amplitude pin moves along a branch, and it is an argument of the
+residual, not a field of the problem: ``continue_branch`` builds the kernel
+pair (from the report ``analyze`` kept on ``eq``), the ansatz and each
 truncation's problem once, for every step and doubling, and takes the sup
 distances of each truncation's orbits in one stacked pass after the last
 step.  The cos/sin tables of the equispaced grids (``4M`` solve points,
@@ -97,12 +98,12 @@ Kutz, J. Comput. Phys. 219, 2006).  So the projection is one product of a
 ``(4M + 2) x P`` transform table with ``D`` and two gathers through
 ``O(M^2)`` index tables, and no table of the problem grows with the
 Jacobian.  The residual likewise takes the gradients at all collocation
-points from one ``model.gradients_of`` call.  Without an analytic Hessian,
-each point's Hessian is a forward difference of the gradient the residual
-already holds there, the gradients at the shifted copies of every point
-coming from one more ``gradients_of`` call: 2N copies, or N for a Newtonian
-lift, whose gradient's momentum half is ``p`` itself
-(``model._forward_differences``).
+points from one ``model.gradients_of`` call, and returns them with the
+collocation values and fields (the curve) beside the residual; the Jacobian
+at the same unknowns takes that curve as an argument, so the problem keeps
+no memo.  Its Hessians come from one ``model.hessians_of`` call, which owns
+the rule for a system without an analytic Hessian: forward differences of
+the gradients the curve holds (``model`` documents the kernel).
 Newton is a chord iteration (Kelley, Solving Nonlinear Equations with
 Newton's Method, SIAM 2003): one Jacobian serves as many steps as keep
 contracting the residual by ``CHORD_CONTRACTION``, so a step with a kept
@@ -128,7 +129,6 @@ from .model import (
     HamiltonianSystem,
     _EPS,
     _SYMMETRY_TOL,
-    _forward_differences,
     energies_of,
     gradients_of,
     hessians_of,
@@ -249,14 +249,22 @@ def _sup_distances(stack, z0) -> np.ndarray:
     three Newton steps on ``f'``, taken only where ``f'' < 0``, and ``f`` is
     evaluated there, so each result lies between the grid maximum and the sup.
     ``z - z0`` is summed as ``(a0 - z0) + modes``, which does not cancel far
-    from the origin.  Each step is row-wise (a matmul per orbit or maximum, an
-    FFT per row, last-axis sums), so no orbit's value depends on its stack.
+    from the origin.  Each orbit's ``z - z0`` is scaled by ``2^-e`` before it
+    is squared, ``e`` the binary exponent of its largest component on the
+    grid, and its sup by ``2^e`` at the end.  A power of two scales exactly,
+    so an orbit's bits are those of the unscaled pass wherever that pass
+    makes no subnormal or infinite value, and coefficients near ``1e-200`` or
+    ``1e200`` keep their squares in the float range.  Each step is row-wise
+    (a matmul per orbit or maximum, an FFT per row, last-axis sums), so no
+    orbit's value depends on its stack.
     """
     m = stack[0].m
     shift = np.array([orbit.a0 for orbit in stack])[:, None] - z0  # (n, 1, 2N)
     a, b = (np.array([getattr(orbit, key) for orbit in stack]) for key in "ab")
     cos, sin = _grid(8 * m, m)
     dz = shift + cos @ a + sin @ b
+    power = np.frexp(np.abs(dz).max(axis=(1, 2)))[1]
+    dz = np.ldexp(dz, -power[:, None, None])
     samples = (dz * dz).sum(axis=-1)
     ring = np.concatenate([samples[:, -1:], samples, samples[:, :1]], axis=1)
     rows, cols = np.nonzero((samples >= ring[:, :-2]) & (samples >= ring[:, 2:]))  # the local maxima
@@ -266,9 +274,9 @@ def _sup_distances(stack, z0) -> np.ndarray:
         df, d2f = (slopes * np.exp(t[:, None, None] * ij)).sum(axis=-1).real.T
         t -= np.divide(df, d2f, out=np.zeros_like(t), where=d2f < 0.0)
     cos, sin = (c[:, None] for c in _trig(t, m))
-    dz = shift[rows] + cos @ a[rows] + sin @ b[rows]
+    dz = np.ldexp(shift[rows] + cos @ a[rows] + sin @ b[rows], -power[rows, None, None])
     samples[rows, cols] = np.maximum(samples[rows, cols], (dz * dz).sum(axis=-1)[:, 0])
-    return np.sqrt(samples.max(axis=1))
+    return np.ldexp(np.sqrt(samples.max(axis=1)), power)
 
 
 def orbit_energy_range(system: HamiltonianSystem, orbit: FourierOrbit):
@@ -368,14 +376,16 @@ class _HarmonicBalance:
     row, ``rate`` times the unknown of the ``partner`` basis function and the
     same component (``k b_k`` on row ``a_k``, ``-k a_k`` on row ``b_k``);
     plus the kept Galerkin rows of ``sum_q x_q F_q(z)`` over the unknowns
-    ``x_q = lam, mu_0, ...``, which ``_fields`` gives (``-J grad H``,
+    ``x_q = lam, mu_0, ...``, which ``curve`` gives (``-J grad H``,
     ``-grad H``, each ``-M_i z``); then the constraint rows ``cons @ x``
     less ``offsets`` (the group pins' ``X_i z0 . z0``), the pin ``s`` off
-    the first.
+    the first.  The pin and the collocation curve are arguments, not state:
+    a problem is a fixed operator of its unknowns, built once per ``M`` of a
+    branch, and no attribute is written after ``__init__``.
     """
 
-    def __init__(self, system, eq, predictor, s, m, reversor=None, half_wave=False):
-        self.system, self.m, self.s = system, m, s
+    def __init__(self, system, eq, predictor, m, reversor=None, half_wave=False):
+        self.system, self.m = system, m
         self.dim = d = system.dim
         ap, bp = predictor
         width, points = 2 * m + 1, 4 * m
@@ -386,7 +396,6 @@ class _HarmonicBalance:
         self.phi = np.hstack([np.ones((self.points, 1)), cos[:, :m], sin[:, :m]])
         self.weights = self.phi * np.concatenate([[1.0], np.full(2 * m, 2.0)]) / points
         self.fixed = np.zeros(width * d)  # the coefficients that are not unknowns: a0 = z0 in the half-wave
-        self._last = None  # (x, z, grads, fields) of the last _curve call
         a1, b1 = slice(d, 2 * d), slice(d + d * m, 2 * d + d * m)
         generators = eq.orbit_generators if reversor is None else ()
         self.n_mult = len(generators) + (reversor is None)  # energy, then one momentum per generator
@@ -451,30 +460,28 @@ class _HarmonicBalance:
         coeffs = self._coefficients(x)
         return coeffs[0], coeffs[1 : self.m + 1], coeffs[self.m + 1 :], x[self.n_coeff], x[self.n_coeff + 1 :]
 
-    def _curve(self, x):
-        """The collocation values, their gradients and ``_fields``, kept for the last ``x``: Newton's Jacobian follows a residual at the same ``x``."""
-        if self._last is None or not (self._last[0] == x).all():
-            x = np.array(x, dtype=float)
-            z = self.phi @ self._coefficients(x)
-            grads = gradients_of(self.system, z)
-            self._last = (x, z, grads, self._fields(z, grads))
-        return self._last[1:]
+    def curve(self, x) -> tuple:
+        """The curve at ``x``: the collocation values, their gradients (one ``gradients_of`` call) and the fields.
 
-    def _fields(self, z, grads) -> np.ndarray:
-        """Kept Galerkin rows of the fields ``lam`` and ``mu`` weigh: ``-J grad H``, ``-grad H``, each ``-M_i z``."""
+        The fields are the kept Galerkin rows of those that ``lam`` and ``mu``
+        weigh: ``-J grad H``, ``-grad H``, each ``-M_i z``.
+        """
+        z = self.phi @ self._coefficients(x)
+        grads = gradients_of(self.system, z)
         fields = -_apply_j(grads)
         if self.n_mult:
             fields = np.array([fields, -grads] + [-z @ mat.T for mat in self.moment_mats])
-        return (self.weights.T @ fields).reshape(1 + self.n_mult, -1)[:, self.rows]
+        return z, grads, (self.weights.T @ fields).reshape(1 + self.n_mult, -1)[:, self.rows]
 
-    def __call__(self, x) -> np.ndarray:
-        n = self.n_coeff
-        f = np.concatenate([self.rate * x[self.partner] + x[n:] @ self._curve(x)[2], self.cons @ x[:n] - self.offsets])
-        f[n] -= self.s
-        return f
+    def __call__(self, x, s) -> tuple:
+        """The residual at ``x`` with the pin ``s``, and the ``curve(x)`` it read, which ``jacobian`` at ``x`` takes."""
+        n, curve = self.n_coeff, self.curve(x)
+        f = np.concatenate([self.rate * x[self.partner] + x[n:] @ curve[2], self.cons @ x[:n] - self.offsets])
+        f[n] -= s
+        return f, curve
 
-    def jacobian(self, x) -> np.ndarray:
-        """Exact Jacobian of ``__call__`` (alternating frequency/time assembly).
+    def jacobian(self, x, curve) -> np.ndarray:
+        """Exact Jacobian of ``__call__`` at ``x``, from its ``curve(x)`` (alternating frequency/time assembly).
 
         The z-derivative of the fields at each collocation point,
         ``D = -(lam J + mu0 I) H(z) - sum_i mu_i M_i`` (``J H`` is ``H`` with
@@ -483,18 +490,15 @@ class _HarmonicBalance:
         product of ``transform`` with ``D``'s group blocks, then the two terms
         of Hill's form gathered through ``places`` straight into the
         ``(row basis, column basis)`` blocks of ``jac[:n, :n]``.  The ``z'``
-        entries, the ``lam`` and ``mu`` columns (``_fields``) and the
-        constraint rows go in beside them.
+        entries, the ``lam`` and ``mu`` columns (the curve's fields) and the
+        constraint rows go in beside them.  The Hessians ``H(z)`` come from
+        ``model.hessians_of``, which reads the curve's gradients where the
+        system has no Hessian.
         """
         n, nb, nc = self.n_coeff, self.places.shape[1], self.row_comps.shape[1]
         lam, mus = x[n], x[n + 1 :]
-        z, grads, fields = self._curve(x)
-        if self.system.hessian is None:
-            # forward differences from the gradients the residual already holds
-            fd = _forward_differences(self.system, z, grads)
-            hess = 0.5 * (fd + fd.transpose(0, 2, 1))
-        else:
-            hess = hessians_of(self.system, z)
+        z, grads, fields = curve
+        hess = hessians_of(self.system, z, grads)
         jh = _apply_j(hess, axis=1)
         dfield = -(lam * jh + mus[0] * hess) if self.n_mult else -(lam * jh)
         for i, mat in enumerate(self.moment_mats):
@@ -579,11 +583,10 @@ class _BranchSetup:
         self.reversor = _symmetric_frame(system, eq, self.kernel)
         self.half_wave = self.reversor is not None and _half_wave(system, eq, self.kernel)
 
-    def problem(self, s, m) -> _HarmonicBalance:
-        """The one ``M = m`` problem, built at its first use, with its pin set to ``s``; its memo reads ``x`` alone."""
+    def problem(self, m) -> _HarmonicBalance:
+        """The one ``M = m`` problem, built at its first use and read, never written, by every step."""
         if m not in self.problems:
-            self.problems[m] = _HarmonicBalance(self.system, self.eq, self.kernel, s, m, self.reversor, self.half_wave)
-        self.problems[m].s = s
+            self.problems[m] = _HarmonicBalance(self.system, self.eq, self.kernel, m, self.reversor, self.half_wave)
         return self.problems[m]
 
 
@@ -600,7 +603,9 @@ def solve_orbit(
     """One amplitude-pinned Newton solve of the mode-1 branch.
 
     Newton solves with the assembled harmonic-balance Jacobian (the Hessians
-    of H at the collocation points; see the module docstring) and halves each
+    of H at the collocation points, from ``model.hessians_of``, which
+    differences the gradients of the residual at the same unknowns where the
+    system has no Hessian; see the module docstring) and halves each
     step until the max-norm residual decreases.  The Jacobian is kept while
     full steps cut the residual by at least ``CHORD_CONTRACTION``, and
     rebuilt at the current iterate after a damped or slower step, or when
@@ -650,14 +655,15 @@ def solve_orbit(
     ------
     ValueError
         If the candidate is not confirmed, ``amplitude_s`` is not positive and
-        finite, or ``modes`` is not an integer in ``1..MAX_MODES``.
+        finite or its square is not a normal float (``_amplitude``), or
+        ``modes`` is not an integer in ``1..MAX_MODES``.
     NoConvergence
         If Newton stalls above the tolerance ``1e-9 * (1 + |z0|)``, or the
         residual check is not finite.
     WrongBranch
         If the converged orbit's period is not positive or it is not mode-1 dominated.
     """
-    _real("amplitude_s", amplitude_s)
+    _amplitude("amplitude_s", amplitude_s)
     modes = _integer("modes", modes, 1, MAX_MODES)
     setup = _setup or _BranchSetup(system, eq, candidate)
     try:
@@ -683,11 +689,11 @@ def _solve(setup, amplitude_s, modes, initial_guess) -> FourierOrbit:
     m = modes
     guess = initial_guess or FourierOrbit(eq.z0, *(amplitude_s * p[None, :] for p in setup.kernel), setup.lambda0)
     while True:
-        problem = setup.problem(amplitude_s, m)
+        problem = setup.problem(m)
         a, b = np.zeros((2, m, system.dim))  # the warm start's first M modes, zeros above its own
         a[: guess.m], b[: guess.m] = guess.a[:m], guess.b[:m]
         x = problem.pack(guess.a0, a, b, guess.lam, np.zeros(problem.n_mult))
-        x, fvec, converged = _newton(problem, x, tol_inner)
+        x, fvec, converged = _newton(problem, amplitude_s, x, tol_inner)
         a0, a, b, lam, _ = problem.unpack(x)
         orbit = FourierOrbit(a0=a0, a=a, b=b, lam=float(lam))
         energies = orbit.mode_energies(eq.z0)
@@ -731,16 +737,30 @@ def _solve(setup, amplitude_s, modes, initial_guess) -> FourierOrbit:
         return orbit
 
 
+def _amplitude(name: str, s):
+    """``s``, unless it is not positive and finite or its square is not a normal float: then ``ValueError`` naming ``name``.
+
+    Every Sobolev energy is a square of the amplitude's scale, so a
+    subnormal or zero square would report a wrong or zero amplitude, and an
+    infinite one an infinite amplitude.  The square is a Python float
+    product, which overflows to inf without a warning.
+    """
+    if not np.finfo(float).tiny <= float(_real(name, s)) * float(s) < np.inf:
+        raise ValueError(f"{name} must have a square that is a normal float, got {s}")
+    return s
+
+
 def _check_ladder(steps, s0, growth, modes) -> None:
     """``continue_branch``'s argument contract, which ``cli.RunConfig`` applies at parse time.
 
-    ``ValueError`` unless ``steps`` is an integer of at least 1, ``s0``,
-    ``growth`` and the last amplitude ``s0 * growth**(steps - 1)`` are positive
-    and finite, and ``modes`` is an integer in ``1..MAX_MODES``.
+    ``ValueError`` unless ``steps`` is an integer of at least 1, ``growth`` is
+    positive and finite, the first and the last amplitude, ``s0`` and
+    ``s0 * growth**(steps - 1)``, pass ``_amplitude`` (so every amplitude
+    between them does), and ``modes`` is an integer in ``1..MAX_MODES``.
     """
     _integer("steps", steps)
-    with np.errstate(over="ignore"):  # an amplitude past the float range is inf, rejected as such
-        _real("s0 * growth**(steps - 1)", _real("s0", s0) * np.float64(_real("growth", growth)) ** (steps - 1))
+    with np.errstate(over="ignore"):  # a last amplitude past the float range is inf or 0, rejected as such
+        _amplitude("s0 * growth**(steps - 1)", _amplitude("s0", s0) * np.float64(_real("growth", growth)) ** (steps - 1))
     _integer("modes", modes, 1, MAX_MODES)
 
 
@@ -758,31 +778,32 @@ def _lu_ready(jac: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _newton(problem, x, tol_inner):
-    """Chord Newton: returns ``(x, residual, converged)``.
+def _newton(problem, s, x, tol_inner):
+    """Chord Newton on ``problem`` pinned at ``s``: returns ``(x, residual, converged)``.
 
     The Jacobian is kept across steps and rebuilt at the current ``x`` after
     a step that needed damping or that cut the residual by less than
     ``CHORD_CONTRACTION``.  A line search that fails with a kept Jacobian is
     retried with a fresh one; one that fails with a fresh Jacobian ends the
     solve.  Accepted steps lower the residual, so the last iterate is the
-    best one.
+    best one.  Each fresh Jacobian reads the curve of the accepted iterate,
+    which its residual evaluated, so no gradient is taken twice at one ``x``.
     """
-    f = problem(x)
+    f, curve = problem(x, s)
     nf, jac = float(np.abs(f).max()), None
     for _ in range(NEWTON_MAX_STEPS):
         if nf < tol_inner:
             return x, f, True
         fresh = jac is None
         if fresh:
-            jac = _lu_ready(problem.jacobian(x))
+            jac = _lu_ready(problem.jacobian(x, curve))
         try:
             dx = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:  # only a fresh matrix can be singular
             return x, f, False
         for scale in NEWTON_DAMPING:
             xn = x + scale * dx
-            fn = problem(xn)
+            fn, trial = problem(xn, s)
             nfn = float(np.abs(fn).max())
             if nfn < nf:
                 break
@@ -793,7 +814,7 @@ def _newton(problem, x, tol_inner):
             continue
         if scale < 1.0 or nfn > CHORD_CONTRACTION * nf:
             jac = None
-        x, f, nf = xn, fn, nfn
+        x, f, nf, curve = xn, fn, nfn, trial
     return x, f, nf < tol_inner
 
 
@@ -870,20 +891,24 @@ def continue_branch(
 
 
 def minimal_period_check(orbit: FourierOrbit) -> str:
-    """Classify the orbit period as minimal, subharmonic, or undetermined.
+    """Classify the orbit period as minimal, subharmonic, or undetermined, from the orbit's own coefficients.
 
-    Subharmonic means the orbit repeats after 2 pi / r for some r in 2..5
-    (so its fundamental period is shorter than 2 pi).  It does exactly when
-    every mode ``k`` with ``r`` not dividing ``k`` is empty, so the test is
-    that the Sobolev energy of those modes is at most ``(1e-6 A)^2``, ``A``
-    the orbit's amplitude.  Minimal requires the mode-1 energy to dominate
-    every higher mode by a factor of 100.
+    The scale is ``S = sqrt(sum_k E_k)``, ``E_k`` the Sobolev energy of mode
+    ``k >= 1`` (``mode_energies``): the oscillatory amplitude, which a time
+    shift or a group element moves only by rounding.  The ``amplitude``
+    field, which only the solver sets, is not read.  Where ``S`` is not
+    positive and finite the period is undetermined.  Subharmonic means the
+    orbit repeats after 2 pi / r for some r in 2..5 (so its fundamental
+    period is shorter than 2 pi).  It does exactly when every mode ``k``
+    with ``r`` not dividing ``k`` is empty, so the test is that the energy
+    of those modes is at most ``1e-12 S^2``.  Minimal requires the mode-1
+    energy to dominate every higher mode by a factor of 100.
     """
-    if not np.isfinite(orbit.amplitude) or orbit.amplitude <= 0.0:
-        return "undetermined"
     energies = orbit.mode_energies(orbit.a0)[1:]
+    if not 0.0 < energies.sum() < np.inf:  # S^2, which NaN fails too
+        return "undetermined"
     k = np.arange(1, orbit.m + 1)
-    if any(float(np.sum(energies[k % r != 0])) <= (1e-6 * orbit.amplitude) ** 2 for r in range(2, 6)):
+    if any(float(np.sum(energies[k % r != 0])) <= 1e-12 * energies.sum() for r in range(2, 6)):
         return "subharmonic"
     top = float(np.max(energies[1:], initial=0.0))  # the largest higher mode; none at M = 1
     if energies[0] >= 100.0 * top or top < 1e-30 * max(float(energies[0]), 1.0):

@@ -763,8 +763,26 @@ def test_negative_seed_on_degenerate_sections(tmp_path, capsys, name, expected_c
         # refinement and the analysis, then ended in its ValueError traceback
         ["--steps", "400", "--growth", "10"],
         ["--steps", "200", "--growth", "1e-3"],
+        # amplitudes whose squares are not normal floats: these ran the branch
+        # and reported amplitudes of 0 and of 9.997e-161 for the pin 1e-160
+        ["--s0", "1e-300", "--steps", "3"],
+        ["--s0", "1e-160"],
+        ["--s0", "1e100", "--growth", "1e30", "--steps", "3"],
     ],
-    ids=["steps", "s0", "growth", "modes", "modes-above-max", "j0", "n", "last-overflows", "last-underflows"],
+    ids=[
+        "steps",
+        "s0",
+        "growth",
+        "modes",
+        "modes-above-max",
+        "j0",
+        "n",
+        "last-overflows",
+        "last-underflows",
+        "s0-square-zero",
+        "s0-square-subnormal",
+        "last-square-inf",
+    ],
 )
 def test_out_of_range_run_options_are_config_errors(tmp_path, capsys, monkeypatch, argv):
     def no_work(*args):

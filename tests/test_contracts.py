@@ -70,6 +70,12 @@ def positive(valid):
     return [True, np.True_, math.nan, math.inf, -math.inf, 0.0, -valid, str(valid), None], [np.float64(valid), int(math.ceil(valid))]
 
 
+def amplitude(valid):
+    """A positive finite real whose square is a normal float: one whose square is subnormal, 0 or inf is not."""
+    bad, good = positive(valid)
+    return bad + [1e-160, 1e-300, 1e160], good
+
+
 def real(valid):
     """A finite real; a bool is not one."""
     return [True, np.True_, math.nan, math.inf, -math.inf, str(valid), None], [np.float64(valid), -valid]
@@ -207,7 +213,10 @@ def rows() -> dict:
         "model.hessian_of": (lambda z: model.hessian_of(har, z), {"z": (np.ones(2), point(finite=False))}),
         "model.energies_of": (lambda zs: model.energies_of(har, zs), {"zs": (np.ones((3, 2)), stack)}),
         "model.gradients_of": (lambda zs: model.gradients_of(har, zs), {"zs": (np.ones((3, 2)), stack)}),
-        "model.hessians_of": (lambda zs: model.hessians_of(har, zs), {"zs": (np.ones((3, 2)), stack)}),
+        "model.hessians_of": (
+            lambda zs, grads: model.hessians_of(replace(har, hessian=None), zs, grads),  # grads are read without a Hessian
+            {"zs": (np.ones((3, 2)), stack), "grads": (np.ones((3, 2)), stack)},
+        ),
         "model.refine_equilibrium": (lambda guess: model.refine_equilibrium(har, guess), {"guess": (np.full(2, 0.1), point())}),
         "model.newtonian_to_hamiltonian": (
             lambda n, generators: model.newtonian_to_hamiltonian(lambda q: 0.5 * float(q @ q), n, generators=generators),
@@ -272,14 +281,14 @@ def rows() -> dict:
         ),
         "orbits.solve_orbit": (
             lambda eq, amplitude_s, modes: orbits.solve_orbit(har, eq, candidate, amplitude_s, modes),
-            {"eq": (eq, equilibrium), "amplitude_s": (0.01, positive), "modes": (2, integer(1, orbits.MAX_MODES))},
+            {"eq": (eq, equilibrium), "amplitude_s": (0.01, amplitude), "modes": (2, integer(1, orbits.MAX_MODES))},
         ),
         "orbits.continue_branch": (
             lambda eq, steps, s0, growth, modes: orbits.continue_branch(har, eq, candidate, steps, s0, growth, modes),
             {
                 "eq": (eq, equilibrium),
                 "steps": (2, integer()),
-                "s0": (0.01, positive),
+                "s0": (0.01, amplitude),
                 "growth": (2.0, positive),
                 "modes": (2, integer(1, orbits.MAX_MODES)),
             },
@@ -300,7 +309,7 @@ def rows() -> dict:
                 "n": (1, integer(optional=True)),  # None: a preset's own dimension, or unset
                 "j0": (1, integer(optional=True)),  # None: every level
                 "steps": (3, integer()),
-                "s0": (0.01, positive),
+                "s0": (0.01, amplitude),
                 "growth": (2.0, positive),
                 "modes": (4, integer(1, orbits.MAX_MODES)),
             },

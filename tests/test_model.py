@@ -124,13 +124,18 @@ def test_forward_differences_from_a_held_gradient():
         return sat.gradient.batch(stack)
 
     counted = replace(sat, gradient=_with_stacked_form(sat.gradient, gradients), hessian=None)
-    h_fd = model._forward_differences(counted, zs, model.gradients_of(sat, zs))
+    grads = model.gradients_of(sat, zs)
+    h_fd = model.hessians_of(counted, zs, grads)
     # one stacked call with one row per column; f(z) is not recomputed
     assert len(calls) == 1 and calls[0].shape == (zs.size, 6)
     assert not any(np.array_equal(row, z) for row in calls[0] for z in zs)
     # a step of about sqrt(eps) leaves an error of about sqrt(eps) |H|
     for z, h in zip(zs, h_fd):
         assert np.max(np.abs(h - sat.hessian(z))) < 1e-6
+    # held gradients must fit the stack; a supplied Hessian is used, and they are not read
+    with pytest.raises(ValueError, match=re.escape("grads must have shape (2, 6), got (1, 6)")):
+        model.hessians_of(counted, zs, grads[:1])
+    assert np.array_equal(model.hessians_of(sat, zs, grads), model.hessians_of(sat, zs))
 
 
 def test_invariance_check_satellite_passes():

@@ -268,11 +268,24 @@ def test_minimal_period_check_cases():
     for modes, m, expected in cases:
         assert orbits.minimal_period_check(circles(modes, m)) == expected, modes
 
-    # one mode is a minimal period; an amplitude that is not finite decides nothing
+    # one mode is a minimal period; the amplitude field is not read, and
+    # coefficients whose energy is not positive and finite decide nothing
     single = orbits.solve_orbit(sys, eq, cand, 0.05, modes=1)
     assert single.m == 1 and orbits.minimal_period_check(single) == "minimal"
     for amplitude in (np.nan, np.inf):
-        assert orbits.minimal_period_check(replace(circle, amplitude=amplitude)) == "undetermined"
+        assert orbits.minimal_period_check(replace(circle, amplitude=amplitude)) == "minimal"
+    for value in (np.nan, np.inf, 0.0):
+        modes = np.full_like(circle.a, value)
+        assert orbits.minimal_period_check(replace(circle, a=modes, b=modes)) == "undetermined"
+
+
+def test_transformed_orbit_keeps_its_minimal_period():
+    # transform_orbit leaves the amplitude field NaN, which read "undetermined"
+    sat, eq, cand = satellite_j0_setup(1)
+    orbit = orbits.solve_orbit(sat, eq, cand, 0.05)
+    assert orbits.minimal_period_check(orbit) == "minimal"
+    for moved in (orbits.transform_orbit(orbit, time_shift=0.3), orbits.transform_orbit(orbit, rotation=sat.symmetry.element(0, 0.7))):
+        assert np.isnan(moved.amplitude) and orbits.minimal_period_check(moved) == "minimal"
 
 
 def test_transform_orbit_time_shift_is_translation():
@@ -373,14 +386,14 @@ def test_branch_pins_only_the_orbit_generators(name, steps, oracle, rtol):
         assert abs(orbit.period - expected) <= rtol * expected
 
 
-def fd_jacobian(problem, x, step=1e-7):
-    """Forward-difference Jacobian of the harmonic-balance residual: the oracle."""
-    f0 = problem(x)
+def fd_jacobian(problem, x, s, step=1e-7):
+    """Forward-difference Jacobian of the harmonic-balance residual pinned at ``s``: the oracle."""
+    f0 = problem(x, s)[0]
     jac = np.empty((f0.size, x.size))
     for i in range(x.size):
         xp = x.copy()
         xp[i] += step
-        jac[:, i] = (problem(xp) - f0) / step
+        jac[:, i] = (problem(xp, s)[0] - f0) / step
     return jac
 
 
@@ -401,13 +414,13 @@ def gradient_only_satellite_setup():
     return replace(sat, hessian=None), eq, cand
 
 
-def problem_for(system, eq, cand, s, modes, symmetric, half_wave=False):
+def problem_for(system, eq, cand, modes, symmetric, half_wave=False):
     """The problem ``solve_orbit`` builds: the symmetric ansatz (which must apply), its half-wave (likewise) or the full system."""
     predictor = orbits.kernel_direction(system, eq, cand)
     reversor = orbits._symmetric_frame(system, eq, predictor) if symmetric else None
     assert symmetric == (reversor is not None)
     assert not half_wave or orbits._half_wave(system, eq, predictor)
-    return orbits._HarmonicBalance(system, eq, predictor, s, modes, reversor, half_wave)
+    return orbits._HarmonicBalance(system, eq, predictor, modes, reversor, half_wave)
 
 
 JACOBIAN_CASES = {
@@ -435,7 +448,7 @@ HALF_WAVE_JACOBIAN_CASES = {
 def test_assembled_jacobian_matches_finite_differences(setup, modes, symmetric, half_wave):
     system, eq, cand = setup()
     rng = np.random.default_rng(3)
-    problem = problem_for(system, eq, cand, 0.05, modes, symmetric, half_wave)
+    problem = problem_for(system, eq, cand, modes, symmetric, half_wave)
     n = problem.n_coeff
     blocks = {
         "coefficients": (slice(0, n), slice(0, n)),
@@ -450,8 +463,8 @@ def test_assembled_jacobian_matches_finite_differences(setup, modes, symmetric, 
     # every block must agree to 1e-5 of its largest entry
     for _ in range(3):
         x = perturbed_unknowns(problem, eq, cand, 0.05, rng)
-        exact = problem.jacobian(x)
-        oracle = fd_jacobian(problem, x)
+        exact = problem.jacobian(x, problem.curve(x))
+        oracle = fd_jacobian(problem, x, 0.05)
         assert exact.shape == oracle.shape == (problem.size, problem.size)
         for name, (rows, cols) in blocks.items():
             scale = float(np.max(np.abs(oracle[rows, cols])))
@@ -499,8 +512,9 @@ def test_analysis_and_branch_read_the_equilibrium_hessian():
 
 def test_jacobian_reuses_residual_gradients(symmetric=False, points=32):
     # Newton evaluates the residual at x and then asks for the Jacobian at
-    # the same x: the gradients at the collocation points (4M, or the 2M + 1
-    # in [0, pi] of the symmetric ansatz) are not recomputed
+    # the same x with the curve the residual returned: the gradients at the
+    # collocation points (4M, or the 2M + 1 in [0, pi] of the symmetric
+    # ansatz) are not recomputed
     sat, eq, cand = satellite_setup()
     calls = [0]
 
@@ -509,18 +523,19 @@ def test_jacobian_reuses_residual_gradients(symmetric=False, points=32):
         return sat.gradient(z)
 
     counted = replace(sat, gradient=counted_gradient)
-    problem = problem_for(counted, eq, cand, 0.05, 8, symmetric)
+    problem = problem_for(counted, eq, cand, 8, symmetric)
     x = perturbed_unknowns(problem, eq, cand, 0.05, np.random.default_rng(5))
-    fresh = problem_for(sat, eq, cand, 0.05, 8, symmetric).jacobian(x)
-    problem(x)
+    other = problem_for(sat, eq, cand, 8, symmetric)
+    fresh = other.jacobian(x, other.curve(x))
+    _, curve = problem(x, 0.05)
     before = calls[0]
     assert before == problem.points == points
-    reused = problem.jacobian(x)
+    reused = problem.jacobian(x, curve)
     assert calls[0] == before
     assert np.array_equal(reused, fresh)
     moved = x.copy()
     moved[0] += 1e-3
-    problem.jacobian(moved)  # a different point is evaluated afresh
+    problem.jacobian(moved, problem.curve(moved))  # a different point is evaluated afresh
     assert calls[0] == before + problem.points
 
 
@@ -559,11 +574,11 @@ def counting_evaluators(system):
 def test_satellite_harmonic_balance_makes_one_stacked_call_per_evaluation(symmetric=False):
     sat, eq, cand = satellite_setup()
     counted, calls = counting_evaluators(sat)
-    problem = problem_for(counted, eq, cand, 0.05, 8, symmetric)
+    problem = problem_for(counted, eq, cand, 8, symmetric)
     x = perturbed_unknowns(problem, eq, cand, 0.05, np.random.default_rng(5))
-    problem(x)
+    _, curve = problem(x, 0.05)
     assert calls == {"gradient.batch": 1}
-    problem.jacobian(x)
+    problem.jacobian(x, curve)
     assert calls == {"gradient.batch": 1, "hessian.batch": 1}
     a0, a, b, lam, _ = problem.unpack(x)
     orbits.residual_field(counted, orbits.FourierOrbit(a0=a0, a=a, b=b, lam=lam), problem.points + 1)
@@ -594,11 +609,11 @@ REPLACED_EVALUATORS = {
 def test_replaced_satellite_evaluators_fall_back_to_per_point_calls(replaced, expected, symmetric, points):
     sat, eq, cand = satellite_setup()
     counted, calls = counting_evaluators(replaced(sat))
-    problem = problem_for(counted, eq, cand, 0.05, 8, symmetric)
+    problem = problem_for(counted, eq, cand, 8, symmetric)
     assert problem.points == points
     x = perturbed_unknowns(problem, eq, cand, 0.05, np.random.default_rng(5))
-    problem(x)
-    problem.jacobian(x)
+    _, curve = problem(x, 0.05)
+    problem.jacobian(x, curve)
     assert calls == {what: points if count == "points" else count for what, count in expected.items()}
 
 
@@ -614,9 +629,9 @@ def counting_jacobians(monkeypatch):
     count = [0]
     assemble = orbits._HarmonicBalance.jacobian
 
-    def counted(self, x):
+    def counted(self, x, curve):
         count[0] += 1
-        return assemble(self, x)
+        return assemble(self, x, curve)
 
     monkeypatch.setattr(orbits._HarmonicBalance, "jacobian", counted)
     return count
@@ -651,18 +666,22 @@ def test_gradient_only_jacobian_differences_forward_from_held_gradients():
 
 
 class LinearStub:
-    """Residual ``A x`` with scripted Jacobians; records where each is asked for."""
+    """Residual ``A x`` with scripted Jacobians; records where each is asked for and the curve it is handed.
+
+    The curve a residual returns is the point it was evaluated at.
+    """
 
     def __init__(self, a, jacobians):
         self.a = np.asarray(a, dtype=float)
         self.jacobians = list(jacobians)
-        self.asked_at = []
+        self.asked_at, self.curves = [], []
 
-    def __call__(self, x):
-        return self.a @ x
+    def __call__(self, x, s):
+        return self.a @ x, np.array(x)
 
-    def jacobian(self, x):
+    def jacobian(self, x, curve):
         self.asked_at.append(np.array(x))
+        self.curves.append(curve)
         return np.array(self.jacobians[min(len(self.asked_at), len(self.jacobians)) - 1], dtype=float)
 
 
@@ -676,16 +695,18 @@ STUB_X0 = np.linalg.solve(STUB_A, [1.0, 0.0])
 
 def test_newton_rebuilds_a_stale_jacobian_whose_line_search_fails():
     stub = LinearStub(STUB_A, [np.eye(2), STUB_A])
-    x, f, converged = orbits._newton(stub, STUB_X0.copy(), tol_inner=1e-12)
+    x, f, converged = orbits._newton(stub, 0.0, STUB_X0.copy(), tol_inner=1e-12)
     assert converged and np.max(np.abs(f)) < 1e-12
     assert len(stub.asked_at) == 2
     # rebuilt where the stale Jacobian's step was accepted, not at the start
     assert np.allclose(stub.asked_at[1], STUB_X0 - [1.0, 0.0], rtol=0.0, atol=1e-12)
+    # each from the curve of the iterate it is built at, not of a rejected trial point
+    assert all(np.array_equal(curve, at) for curve, at in zip(stub.curves, stub.asked_at))
 
 
 def test_newton_ends_when_a_fresh_jacobians_line_search_fails():
     stub = LinearStub(STUB_A, [-STUB_A])
-    x, f, converged = orbits._newton(stub, STUB_X0.copy(), tol_inner=1e-12)
+    x, f, converged = orbits._newton(stub, 0.0, STUB_X0.copy(), tol_inner=1e-12)
     assert not converged
     assert len(stub.asked_at) == 1
     assert np.array_equal(x, STUB_X0) and np.allclose(f, [1.0, 0.0])
@@ -693,7 +714,7 @@ def test_newton_ends_when_a_fresh_jacobians_line_search_fails():
 
 def test_newton_ends_when_a_fresh_jacobian_is_singular():
     stub = LinearStub(STUB_A, [np.zeros((2, 2))])
-    x, f, converged = orbits._newton(stub, STUB_X0.copy(), tol_inner=1e-12)
+    x, f, converged = orbits._newton(stub, 0.0, STUB_X0.copy(), tol_inner=1e-12)
     assert not converged
     assert len(stub.asked_at) == 1
     assert np.array_equal(x, STUB_X0) and np.array_equal(f, STUB_A @ STUB_X0)
@@ -703,7 +724,7 @@ def test_newton_stops_after_its_step_cap():
     # residual x with the Jacobian 2: every step halves the residual, a
     # contraction too weak to keep the Jacobian, and 2^-40 stays above 1e-300
     stub = LinearStub(np.eye(1), [2.0 * np.eye(1)])
-    x, f, converged = orbits._newton(stub, np.ones(1), tol_inner=1e-300)
+    x, f, converged = orbits._newton(stub, 0.0, np.ones(1), tol_inner=1e-300)
     assert not converged
     assert len(stub.asked_at) == orbits.NEWTON_MAX_STEPS
     assert np.array_equal(x, [0.5**orbits.NEWTON_MAX_STEPS]) and np.array_equal(f, x)
@@ -755,13 +776,13 @@ def test_newtonian_harmonic_balance_makes_one_stacked_call_per_evaluation(with_h
     eq = model.refine_equilibrium(chain, np.zeros(6))
     cand = analysis.analyze(chain, eq)[0]
     counted, calls = counting_evaluators(chain)
-    problem = problem_for(counted, eq, cand, 0.05, 8, symmetric)
+    problem = problem_for(counted, eq, cand, 8, symmetric)
     assert problem.points == points
     x = perturbed_unknowns(problem, eq, cand, 0.05, np.random.default_rng(7))
     q_calls.clear()
-    problem(x)
+    _, curve = problem(x, 0.05)
     assert calls == {"gradient.batch": 1} and q_calls == {"gradient": problem.points}
-    problem.jacobian(x)
+    problem.jacobian(x, curve)
     if with_hessian:
         assert calls == {"gradient.batch": 1, "hessian.batch": 1}
         assert q_calls == {"gradient": problem.points, "hessian": problem.points}
@@ -825,6 +846,10 @@ def gradient_only_pendulum():
     return replace(pendulum_setup()[0], hessian=None)
 
 
+def energy_only_pendulum():
+    return replace(pendulum_setup()[0], gradient=None, hessian=None)
+
+
 @pytest.mark.parametrize(
     "build, base",
     [
@@ -832,16 +857,19 @@ def gradient_only_pendulum():
         (lambda: spring_chain(CHAIN_FREQS, with_hessian=False), np.zeros(8)),
         (gradient_only_pendulum, np.zeros(2)),
         (reused_buffer_springs, np.zeros(4)),
+        (energy_only_pendulum, np.zeros(2)),
     ],
-    ids=["satellite", "chain", "pendulum-gradient-only", "reused-gradient-buffer"],
+    ids=["satellite", "chain", "pendulum-gradient-only", "reused-gradient-buffer", "pendulum-energy-only"],
 )
 def test_stacked_forward_differences_equal_the_per_point_loop(build, base):
-    # the Newtonian systems shift only the positions; the loop shifts all 2N
+    # the Newtonian systems shift only the positions; the loop shifts all 2N.
+    # hessians_of, handed the gradients, gives the loop's matrices symmetrized
     system = build()
     zs = base + 0.3 * np.random.default_rng(37).standard_normal((20, base.size))
     grads = model.gradients_of(system, zs)
-    expected = [forward_differences_per_point(system, z, g) for z, g in zip(zs, grads)]
+    expected = np.array([forward_differences_per_point(system, z, g) for z, g in zip(zs, grads)])
     assert np.array_equal(model._forward_differences(system, zs, grads), expected)
+    assert np.array_equal(model.hessians_of(system, zs, grads), 0.5 * (expected + expected.transpose(0, 2, 1)))
 
 
 def without_newtonian_marker(system):
@@ -890,11 +918,11 @@ def test_lu_sees_no_entry_below_rounding_of_the_jacobian(monkeypatch, symmetric=
     branch = orbits.continue_branch(chain, eq, cand, steps=7, s0=1e-3)
     # a start near the eighth step's: the seventh orbit scaled by 2
     last = branch.orbits[-1]
-    problem = problem_for(chain, eq, cand, 0.128, last.m, symmetric)
+    problem = problem_for(chain, eq, cand, last.m, symmetric)
     a0 = eq.z0 + 2.0 * (last.a0 - eq.z0)
     x = problem.pack(a0, 2.0 * last.a, 2.0 * last.b, last.lam, np.zeros(problem.n_mult))
-    f = problem(x)
-    raw = problem.jacobian(x)
+    f, curve = problem(x, 0.128)
+    raw = problem.jacobian(x, curve)
     floor = np.finfo(float).eps * np.max(np.abs(raw))
     assert np.count_nonzero((raw != 0.0) & (np.abs(raw) < floor)) > 1000
     cleaned = orbits._lu_ready(raw.copy())
@@ -910,7 +938,7 @@ def test_lu_sees_no_entry_below_rounding_of_the_jacobian(monkeypatch, symmetric=
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", spy)
-    _, _, converged = orbits._newton(problem, x, tol_inner=1e-11)
+    _, _, converged = orbits._newton(problem, 0.128, x, tol_inner=1e-11)
     assert converged and handed
     for a in handed:
         assert not np.any((a != 0.0) & (np.abs(a) < np.finfo(float).eps * np.max(np.abs(a))))
@@ -1100,7 +1128,7 @@ def test_reversible_branch_of_an_h_not_even_keeps_its_problem_and_bits(monkeypat
     assert calls == {"gradient.batch": 1}  # the probe: one stacked call, at 96 points
     setup_ = orbits._BranchSetup(system, eq, cand)
     assert not setup_.half_wave
-    problem, symmetric = setup_.problem(s0, 8), orbits._HarmonicBalance(system, eq, kernel, s0, 8, reversor)
+    problem, symmetric = setup_.problem(8), orbits._HarmonicBalance(system, eq, kernel, 8, reversor)
     assert (problem.size, problem.points) == (symmetric.size, symmetric.points) == (symmetric.size, 17)
     branch = orbits.continue_branch(system, eq, cand, steps=steps, s0=s0)
     assert len(branch.orbits) == steps and not branch.failures
@@ -1122,7 +1150,7 @@ def test_energy_only_even_system_keeps_the_symmetric_ansatz():
     calls.clear()
     setup_ = orbits._BranchSetup(system, eq, cand)
     assert not setup_.half_wave and not calls
-    assert setup_.problem(0.1, 8).points == 17
+    assert setup_.problem(8).points == 17
     branch = orbits.continue_branch(system, eq, cand, steps=2, s0=0.1)
     assert len(branch.orbits) == 2 and not branch.failures
 
@@ -1398,9 +1426,9 @@ def test_branch_builds_its_setup_once_and_each_problem_once_per_modes(monkeypatc
         monkeypatch.setattr(orbits, name, counted)
     build, trig, tables = orbits._HarmonicBalance.__init__, orbits._trig, Counter()
 
-    def counted_build(self, system, eq, predictor, s, m, reversor=None, half_wave=False):
+    def counted_build(self, system, eq, predictor, m, reversor=None, half_wave=False):
         built.append(m)
-        build(self, system, eq, predictor, s, m, reversor, half_wave)
+        build(self, system, eq, predictor, m, reversor, half_wave)
 
     def counted_trig(t, m):
         if len(t) > 16:  # a grid table, not the half-wave probe or the refined sup times
@@ -1559,6 +1587,50 @@ def test_sup_distance_far_from_the_origin_matches_an_exact_sum():
         assert abs(sup - exact) <= 1e-12 * exact
 
 
+def test_sup_distance_of_tiny_and_huge_orbits_is_the_scaled_sup():
+    # coefficients of 1e-200 read 0.0 (their squares underflow), of 1e200 inf with overflow warnings
+    sat, eq, cand = satellite_j0_setup(1)
+    orbit = orbits.solve_orbit(sat, eq, cand, 0.05)
+    origin, sup = np.zeros(eq.z0.size), orbits.sup_distance(orbit, eq.z0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for power in (-664, 664):  # 2^664 is about 1e200; a power of two scales every step exactly
+            scaled = orbits.FourierOrbit(*(np.ldexp(v, power) for v in (orbit.a0 - eq.z0, orbit.a, orbit.b)), orbit.lam)
+            assert orbits.sup_distance(scaled, origin) == np.ldexp(sup, power)
+        for radius in (1e-200, 1e200):  # the circle z(t) = radius (cos t, -sin t)
+            circle = orbits.FourierOrbit(np.zeros(2), np.array([[radius, 0.0]]), np.array([[0.0, -radius]]), 1.0)
+            assert abs(orbits.sup_distance(circle, np.zeros(2)) - radius) <= 4e-16 * radius
+
+
+@pytest.mark.parametrize(
+    "s0, growth, steps, named",
+    [
+        (1e-300, 2.0, 3, "s0"),  # squares to 0: amplitude 0.0 and sup distance 0.0 at every step
+        (1e-160, 2.0, 3, "s0"),  # squares to a subnormal: amplitude 9.997e-161 for the pin 1e-160
+        (1e160, 2.0, 1, "s0"),  # squares to inf
+        (1e-150, 1e-3, 3, "s0 * growth**(steps - 1)"),
+        (1e150, 1e3, 3, "s0 * growth**(steps - 1)"),
+    ],
+    ids=["s0-square-zero", "s0-square-subnormal", "s0-square-inf", "last-square-subnormal", "last-square-inf"],
+)
+def test_amplitudes_whose_squares_are_not_normal_floats_are_rejected(s0, growth, steps, named):
+    system, eq, cand = harmonic_setup()
+    message = "must have a square that is a normal float"
+    with pytest.raises(ValueError, match=re.escape(f"{named} {message}")):
+        orbits.continue_branch(system, eq, cand, steps=steps, s0=s0, growth=growth)
+    with pytest.raises(ValueError, match=f"amplitude_s {message}"):
+        orbits.solve_orbit(system, eq, cand, s0 * growth ** (steps - 1))
+
+
+def test_the_amplitude_bounds_are_the_normal_float_squares():
+    # the least normal float is the square of 2^-511; 1.35e154 squares past the largest float
+    message, least = "must have a square that is a normal float", 2.0**-511
+    assert orbits._amplitude("s", least) == least and orbits._amplitude("s", 1.3e154) == 1.3e154
+    for s in (np.nextafter(least, 0.0), 1.35e154):
+        with pytest.raises(ValueError, match=f"s {message}"):
+            orbits._amplitude("s", s)
+
+
 def test_stacked_sup_distances_give_each_orbit_its_lone_bits():
     # every step of the stacked pass is row-wise, so neither the other orbits
     # of a stack nor their order moves an orbit's value
@@ -1605,15 +1677,15 @@ def test_swapped_field_derivative_equals_the_einsum_to_the_bit(name):
     # J holds one +-1, so H with its row blocks swapped gives the same bits,
     # signed zeros included, on the full ansatz with its energy multiplier
     system, eq, cand = ini_setup(name)
-    problem = problem_for(system, eq, cand, 0.05, 8, symmetric=False)
+    problem = problem_for(system, eq, cand, 8, symmetric=False)
     assert problem.n_mult >= 1 and system.hessian is not None
     x = perturbed_unknowns(problem, eq, cand, 0.05, np.random.default_rng(5))
     seen = []
     problem.transform = RecordingTransform(problem.transform, seen)
-    problem.jacobian(x)
+    problem.jacobian(x, problem.curve(x))
     lam, mus = x[problem.n_coeff], x[problem.n_coeff + 1 :]
     mix = lam * linalg.standard_symplectic(problem.dim // 2) + mus[0] * np.eye(problem.dim)
-    reference = -np.einsum("ij,pjk->pik", mix, model.hessians_of(system, problem._curve(x)[0]))
+    reference = -np.einsum("ij,pjk->pik", mix, model.hessians_of(system, problem.curve(x)[0]))
     for i, mat in enumerate(problem.moment_mats):
         reference -= mus[1 + i] * mat
     reference = reference.reshape(problem.points, -1)
@@ -1658,11 +1730,11 @@ def reference_collocation(problem, x):
     return z, grads, (problem.weights.T @ np.array(fields)).reshape(len(fields), -1)[:, problem.rows]
 
 
-def reference_residual(problem, x, layout):
-    """The dense affine operator ``linear`` of ``reference_layout`` applied to ``x``, plus the fields (reference)."""
+def reference_residual(problem, x, s, layout):
+    """The dense affine operator ``linear`` of ``reference_layout`` applied to ``x``, less the pin ``s``, plus the fields (reference)."""
     n = problem.n_coeff
     f = layout["linear"] @ x - layout["offsets"]
-    f[n] -= problem.s
+    f[n] -= s
     f[:n] += x[n:] @ reference_collocation(problem, x)[2]
     return f
 
@@ -1689,17 +1761,20 @@ def reference_jacobian(problem, x, layout, blocks):
     return jac
 
 
-def assert_matches_the_per_block_assembly(problem, x, layout, blocks):
+def assert_matches_the_per_block_assembly(problem, x, layout, blocks, s=0.05):
     """Hill's Jacobian within 4 eps max|J| of the per-block one, the Galerkin rows to the bit, the constraint rows to rounding.
 
-    Each constraint row is a product over the kept columns alone, not a row
-    of the dense ``size x size`` one, so it may round differently: by at most
-    4 eps of ``|cons_i| |x| + |offset_i|``.
+    The Jacobian is taken from the curve of the residual at ``x`` (pinned at
+    ``s``) and from a curve evaluated afresh.  Each constraint row is a
+    product over the kept columns alone, not a row of the dense
+    ``size x size`` one, so it may round differently: by at most 4 eps of
+    ``|cons_i| |x| + |offset_i|``.
     """
     n, eps = problem.n_coeff, np.finfo(float).eps
-    jac, ref = problem.jacobian(x), reference_jacobian(problem, x, layout, blocks)
-    assert np.max(np.abs(jac - ref)) <= 4 * eps * np.max(np.abs(ref))
-    f, ref_f = problem(x), reference_residual(problem, x, layout)
+    (f, curve), ref = problem(x, s), reference_jacobian(problem, x, layout, blocks)
+    for jac in (problem.jacobian(x, curve), problem.jacobian(x, problem.curve(x))):
+        assert np.max(np.abs(jac - ref)) <= 4 * eps * np.max(np.abs(ref))
+    ref_f = reference_residual(problem, x, s, layout)
     assert np.array_equal(f[:n], ref_f[:n])
     assert np.all(np.abs(f[n:] - ref_f[n:]) <= 4 * eps * (np.abs(problem.cons) @ np.abs(x[:n]) + np.abs(problem.offsets)))
 
@@ -1717,19 +1792,18 @@ ASSEMBLY_CASES = {
 def test_residual_and_jacobian_have_the_bits_of_the_per_block_assembly(setup, symmetric, half_wave):
     # Hill's form sums each Jacobian entry in another order than the per-block
     # weight-basis products, so the Jacobian agrees to rounding; the Galerkin
-    # rows of the residual keep their bits, whether the memo misses or hits
+    # rows of the residual keep their bits, at each point and at a nearby one
     system, eq, cand = setup()
     reversor = system.reversor if symmetric else None
-    problem = problem_for(system, eq, cand, 0.05, 8, symmetric, half_wave)
+    problem = problem_for(system, eq, cand, 8, symmetric, half_wave)
     layout = reference_layout(system, eq, orbits.kernel_direction(system, eq, cand), 8, reversor, half_wave)
     blocks = reference_blocks(problem, reversor, half_wave)
     rng = np.random.default_rng(11)
     for _ in range(3):
         x = perturbed_unknowns(problem, eq, cand, 0.05, rng)
-        assert_matches_the_per_block_assembly(problem, x, layout, blocks)  # the Jacobian's memo misses
+        assert_matches_the_per_block_assembly(problem, x, layout, blocks)
         xn = x + 1e-3 * rng.standard_normal(x.size) * np.abs(x)
-        problem(xn)
-        assert_matches_the_per_block_assembly(problem, xn, layout, blocks)  # the Jacobian's memo hits
+        assert_matches_the_per_block_assembly(problem, xn, layout, blocks)
 
 
 def reference_layout(system, eq, predictor, m, reversor, half_wave):
@@ -1793,7 +1867,7 @@ def test_parity_groups_give_the_layout_of_the_mask_construction(setup, symmetric
     predictor, reversor = orbits.kernel_direction(system, eq, cand), system.reversor if symmetric else None
     rng = np.random.default_rng(13)
     for modes in (1, 2, 3, 8, 16):
-        problem = problem_for(system, eq, cand, 0.05, modes, symmetric, half_wave)
+        problem = problem_for(system, eq, cand, modes, symmetric, half_wave)
         layout = reference_layout(system, eq, predictor, modes, reversor, half_wave)
         for key in ("keep", "rows", "fixed", "phi", "weights"):
             assert array_bits(getattr(problem, key)) == array_bits(layout[key]), (modes, key)
@@ -1809,7 +1883,7 @@ def spring_preset_problem(n, m, half_wave):
     eq = model.refine_equilibrium(system, np.zeros(system.dim))
     cand = analysis.analyze(system, eq, analysis.AnalyzeOptions(j0=1))[0]
     predictor = orbits.kernel_direction(system, eq, cand)
-    return orbits._HarmonicBalance(system, eq, predictor, 0.1, m, system.reversor if half_wave else None, half_wave)
+    return orbits._HarmonicBalance(system, eq, predictor, m, system.reversor if half_wave else None, half_wave)
 
 
 def test_a_problem_holds_no_table_the_size_of_its_jacobian():
@@ -1846,9 +1920,9 @@ def test_satellite_branch_step_costs_two_residuals_one_jacobian_one_solve_and_on
 
     newton, check = orbits._newton, orbits.residual_field
 
-    def counted_newton(problem, x, tol_inner):
+    def counted_newton(problem, s, x, tol_inner):
         before = counts.copy()
-        result = newton(problem, x, tol_inner)
+        result = newton(problem, s, x, tol_inner)
         per_newton.append((problem.m, *(counts[k] - before[k] for k in ("residual", "jacobian", "solve"))))
         return result
 
@@ -1900,3 +1974,32 @@ def test_interleaved_branches_equal_fresh_ones():
     order = ["satellite", "chain", "satellite"]
     interleaved = [run(name, kept[name]) for name in order]
     assert interleaved == [run(name, INTERLEAVED[name][0]()) for name in order]
+
+
+def problem_state(problem):
+    """Every attribute of a problem: an array by its bits, a list by its items, a number or ``None`` by value, anything else by identity."""
+
+    def frozen(value):
+        if isinstance(value, np.ndarray):
+            return array_bits(value)
+        if isinstance(value, list):
+            return [frozen(item) for item in value]
+        return value if value is None or isinstance(value, (int, float)) else id(value)
+
+    return {key: frozen(value) for key, value in vars(problem).items()}
+
+
+@pytest.mark.parametrize("setup, steps, s0", [INTERLEAVED["satellite"], MARKED_BRANCHES["chain-n4-gradient-only"]], ids=["satellite", "chain-gradient-only"])
+def test_a_branch_leaves_each_problem_as_it_was_built(monkeypatch, setup, steps, s0):
+    # the pin s and the memo of the last curve were written into the cached problem at every step
+    built, build = [], orbits._HarmonicBalance.__init__
+
+    def recorded_build(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        built.append((self, problem_state(self)))
+
+    monkeypatch.setattr(orbits._HarmonicBalance, "__init__", recorded_build)
+    branch = orbits.continue_branch(*setup(), steps=steps, s0=s0)
+    assert len(branch.orbits) == steps and not branch.failures and built
+    for problem, state in built:
+        assert problem_state(problem) == state
