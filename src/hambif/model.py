@@ -16,11 +16,12 @@ generators are built once, for the refined point.
 
 Every call of a supplied evaluator goes through ``_evaluate``, which turns
 any failure that is not a ``HambifError`` into ``EvaluationFailure``, as it
-does a gradient or Hessian of the wrong shape.  A point whose length is not
-``2N`` it rejects with ``ValueError`` before the call (``linalg._array``,
-which checks the shape alone here, so that a non-finite iterate reaches the
-evaluator and the typed errors of its caller).  It copies each per-point
-result, so an evaluator may return one reused buffer.
+does a gradient or Hessian of the wrong shape.  Its point or stack was
+checked once, where it entered: a point whose length is not ``2N`` is a
+``ValueError`` there (``linalg._array``, which checks the shape alone, so
+that a non-finite iterate reaches the evaluator and the typed errors of its
+caller).  It copies each per-point result, so an evaluator may return one
+reused buffer.
 ``gradient_of`` and ``hessian_of`` fill a missing derivative from one
 central-difference kernel or, from the energy alone, second differences.
 The kernel, ``_central_differences(stacked, z)``, evaluates the rows
@@ -269,10 +270,11 @@ def _evaluate(system: HamiltonianSystem, what: str, z: np.ndarray, stacked: bool
     With ``stacked``, ``z`` is a ``(P, 2N)`` stack and ``system.<what>.batch(z)``
     is called.  Stacked energies not of shape ``(P,)``, gradients not of the
     shape of ``z`` and Hessians not of that shape plus ``(2N,)`` are an
-    EvaluationFailure too; only a per-point result is copied.  A point whose
-    length is not ``2N`` is a ``ValueError`` (``_array``, the shape alone), before any call.
+    EvaluationFailure too; only a per-point result is copied.  ``z`` comes
+    checked, its shape once, where it entered: a point by ``gradient_of``,
+    ``hessian_of`` or ``refine_equilibrium``, a stack, and each of its rows,
+    by ``_stack_of``.
     """
-    _array(what, z, (None, system.dim) if stacked else (system.dim,), finite=False)
     try:
         evaluator = getattr(system, what)
         value = evaluator.batch(z) if stacked else evaluator(z)

@@ -68,12 +68,14 @@ gradient makes no probe and keeps the symmetric ansatz.  The probe sees
 finitely many points, so the ``4M + 1``-point check of the full equations
 stays the guard, and a half-wave solve that fails it, or fails otherwise, is
 solved again in the symmetric ansatz, which the branch then keeps: a wrong
-hypothesis costs time, never an orbit.
+hypothesis costs time, never an orbit.  ``_BranchSetup.solve`` owns that
+fallback, and nothing else rewrites a branch's ansatz.
 
 Only the amplitude pin moves along a branch, and it is an argument of the
-residual, not a field of the problem: ``continue_branch`` builds the kernel
-pair (from the report ``analyze`` kept on ``eq``), the ansatz and each
-truncation's problem once, for every step and doubling, and takes the sup
+residual, not a field of the problem: a branch is one ``_BranchSetup``,
+which builds the kernel pair (from the report ``analyze`` kept on ``eq``),
+the ansatz and each truncation's problem once, for every step and doubling,
+and solves each step.  ``continue_branch`` builds it once and takes the sup
 distances of each truncation's orbits in one stacked pass after the last
 step.  The cos/sin tables of the equispaced grids (``4M`` solve points,
 to mode ``2M``; ``4M + 1`` residual and energy checks; ``8M`` sup samples)
@@ -555,8 +557,8 @@ def _half_wave(system: HamiltonianSystem, eq: EquilibriumOrbit, predictor) -> bo
     largest ``|d_i H|`` over that radius: a rounding-level bound.  Taken per component, a large even
     term (``p^3`` at ``|z0| ~ 1e8``) cannot hide an odd one in another
     component.  A system without a gradient, or whose gradient fails or is
-    not finite there, keeps the ansatz it had.  ``solve_orbit`` still falls
-    back to that ansatz where the hypothesis fails between the probe points.
+    not finite there, keeps the ansatz it had.  ``_BranchSetup.solve`` still
+    falls back to that ansatz where the hypothesis fails between the probe points.
     """
     if system.gradient is None:
         return False
@@ -573,7 +575,11 @@ def _half_wave(system: HamiltonianSystem, eq: EquilibriumOrbit, predictor) -> bo
 
 
 class _BranchSetup:
-    """What every step of one branch shares: the system, the equilibrium, ``lambda0``, the kernel pair, the ansatz and each ``M``'s problem."""
+    """One branch: its system, equilibrium, ``lambda0``, kernel pair, ansatz and each ``M``'s problem, and the solve of each step.
+
+    The ansatz and the problems are built once, for every step and doubling,
+    and ``solve`` alone rewrites them, when it drops the half-wave ansatz.
+    """
 
     def __init__(self, system, eq, candidate):
         if not candidate.confirmed:
@@ -589,6 +595,77 @@ class _BranchSetup:
             self.problems[m] = _HarmonicBalance(self.system, self.eq, self.kernel, m, self.reversor, self.half_wave)
         return self.problems[m]
 
+    def solve(self, amplitude_s, modes, initial_guess) -> FourierOrbit:
+        """``solve_orbit`` of this branch at a checked amplitude and ``modes``: Newton, the full check and the ``M`` doubling.
+
+        A half-wave solve that raises, at any ``M``, is solved again from
+        ``initial_guess`` at ``modes`` in the symmetric ansatz, which the branch
+        keeps from then on: H may be odd somewhere between the probe's points.
+        A step that fails in both ansatzes fails twice, with the symmetric
+        ansatz's message.
+        """
+        system, eq = self.system, self.eq
+        scale = 1.0 + float(np.linalg.norm(eq.z0))
+        tol = 1e-9 * scale
+        # Newton's own stop: 1e-11 where |z0| is moderate, never below the
+        # rounding of the collocation values (about eps |z0|) far from the origin
+        tol_inner = min(0.02 * tol, max(1e-11, 64.0 * _EPS * scale))
+        start = initial_guess or FourierOrbit(eq.z0, *(amplitude_s * p[None, :] for p in self.kernel), self.lambda0)
+        m, guess = modes, start
+        while True:
+            problem = self.problem(m)
+            a, b = np.zeros((2, m, system.dim))  # the warm start's first M modes, zeros above its own
+            a[: guess.m], b[: guess.m] = guess.a[:m], guess.b[:m]
+            x = problem.pack(guess.a0, a, b, guess.lam, np.zeros(problem.n_mult))
+            try:
+                x, fvec, converged = _newton(problem, amplitude_s, x, tol_inner)
+                a0, a, b, lam, _ = problem.unpack(x)
+                orbit = FourierOrbit(a0=a0, a=a, b=b, lam=float(lam))
+                energies = orbit.mode_energies(eq.z0)
+                orbit.amplitude = float(np.sqrt(energies.sum()))
+                converged = converged and np.abs(fvec[problem.n_coeff :]).max() < 1e-8 * (1.0 + amplitude_s)
+                # truncation control: grow M while the last two modes carry more than
+                # 1e-10 of the oscillatory energy or the collocation residual is above
+                # tolerance.  Mode M alone is not enough: where H is even about z0 (the
+                # chains, the pendulum) the family has odd harmonics only, so every even
+                # mode is empty.  At M = 2 mode 1 dominates, so mode 2 is tested alone.
+                total = float(energies[1:].sum())
+                tail = energies[max(2, m - 1) :].max() / total if m > 1 and total > 0.0 else 0.0
+                if not (converged and tail > 1e-10 and m < MAX_MODES):
+                    # validate the full equations on 4M + 1 points, finer than and incommensurate with
+                    # the solve grid, so aliased spurious solutions and a wrong symmetry assumption
+                    # cannot hide; a converged truncation whose tail forces doubling needs no check
+                    check = residual_field(system, orbit, 4 * m + 1)
+                    orbit.residual = float(np.sqrt((check * check).sum(axis=1)).max())  # the largest row norm
+                    if not np.isfinite(orbit.residual):  # NaN passes every '>= tol' test
+                        raise NoConvergence(
+                            f"the {4 * m + 1}-point residual check is not finite at M={m} (amplitude {amplitude_s:.3e})"
+                        )
+                if not converged:
+                    raise NoConvergence(
+                        f"Newton stalled (residual {orbit.residual:.3e}, tol {tol:.1e}) "
+                        f"at amplitude {amplitude_s:.3e}, M={m}"
+                    )
+                if (tail > 1e-10 or orbit.residual >= tol) and m < MAX_MODES:
+                    guess = orbit
+                    m = min(2 * m, MAX_MODES)
+                    continue
+                if orbit.residual >= tol:
+                    raise NoConvergence(
+                        f"residual {orbit.residual:.3e} above tol {tol:.1e} at M={m} "
+                        f"(amplitude {amplitude_s:.3e})"
+                    )
+                if orbit.lam <= 0.0:
+                    raise WrongBranch(f"period {orbit.period:.8g} is not positive: the orbit is not on the family")
+                if energies[1:].argmax() != 0:
+                    raise WrongBranch(f"dominant Fourier mode is k={int(energies[1:].argmax()) + 1}, not k=1")
+                return orbit
+            except HambifError:
+                if not self.half_wave:
+                    raise
+            self.half_wave, self.problems = False, {}
+            m, guess = modes, start
+
 
 def solve_orbit(
     system: HamiltonianSystem,
@@ -597,8 +674,6 @@ def solve_orbit(
     amplitude_s: float,
     modes: int = 8,
     initial_guess: Optional[FourierOrbit] = None,
-    *,
-    _setup: Optional[_BranchSetup] = None,
 ) -> FourierOrbit:
     """One amplitude-pinned Newton solve of the mode-1 branch.
 
@@ -632,13 +707,12 @@ def solve_orbit(
     collocation points in ``[0, pi/2]``, where each kept Galerkin sum of the
     full grid is exact.  An energy-only system makes no probe.  Every other
     system takes the full ansatz.  Whatever the ansatz, the ``4M + 1``-point
-    check of the full equations decides.  A half-wave solve that raises is
-    solved again from the same warm start in the symmetric ansatz, which
-    ``_setup`` keeps for the rest of its branch.  The system, ``eq``,
-    ``lambda0``, the kernel pair, the reversor and each ``M``'s problem come
-    from ``_setup``, which ``continue_branch`` builds once per branch from
-    the same arguments; a lone call builds its own.
-    The grid tables come from ``_grid`` either way.
+    check of the full equations decides.  The call builds the branch's
+    ``_BranchSetup`` (the kernel pair, the ansatz and each ``M``'s problem)
+    and returns its ``solve``, which owns the fallback: a half-wave solve
+    that raises is solved again from the same warm start in the symmetric
+    ansatz.  ``continue_branch`` builds the same object once and calls its
+    ``solve`` at every step.  The grid tables come from ``_grid`` either way.
 
     Parameters
     ----------
@@ -665,76 +739,7 @@ def solve_orbit(
     """
     _amplitude("amplitude_s", amplitude_s)
     modes = _integer("modes", modes, 1, MAX_MODES)
-    setup = _setup or _BranchSetup(system, eq, candidate)
-    try:
-        return _solve(setup, amplitude_s, modes, initial_guess)
-    except HambifError:
-        if not setup.half_wave:
-            raise
-    # H may be odd somewhere between the probe's points: the symmetric ansatz
-    # solves this step and the rest of the branch (a step that fails in any
-    # ansatz fails twice, with the symmetric ansatz's message)
-    setup.half_wave, setup.problems = False, {}
-    return _solve(setup, amplitude_s, modes, initial_guess)
-
-
-def _solve(setup, amplitude_s, modes, initial_guess) -> FourierOrbit:
-    """``solve_orbit`` of ``setup``'s branch in the ansatz it holds: Newton, the full check and the ``M`` doubling."""
-    system, eq = setup.system, setup.eq
-    scale = 1.0 + float(np.linalg.norm(eq.z0))
-    tol = 1e-9 * scale
-    # Newton's own stop: 1e-11 where |z0| is moderate, never below the
-    # rounding of the collocation values (about eps |z0|) far from the origin
-    tol_inner = min(0.02 * tol, max(1e-11, 64.0 * _EPS * scale))
-    m = modes
-    guess = initial_guess or FourierOrbit(eq.z0, *(amplitude_s * p[None, :] for p in setup.kernel), setup.lambda0)
-    while True:
-        problem = setup.problem(m)
-        a, b = np.zeros((2, m, system.dim))  # the warm start's first M modes, zeros above its own
-        a[: guess.m], b[: guess.m] = guess.a[:m], guess.b[:m]
-        x = problem.pack(guess.a0, a, b, guess.lam, np.zeros(problem.n_mult))
-        x, fvec, converged = _newton(problem, amplitude_s, x, tol_inner)
-        a0, a, b, lam, _ = problem.unpack(x)
-        orbit = FourierOrbit(a0=a0, a=a, b=b, lam=float(lam))
-        energies = orbit.mode_energies(eq.z0)
-        orbit.amplitude = float(np.sqrt(energies.sum()))
-        converged = converged and np.abs(fvec[problem.n_coeff :]).max() < 1e-8 * (1.0 + amplitude_s)
-        # truncation control: grow M while the last two modes carry more than
-        # 1e-10 of the oscillatory energy or the collocation residual is above
-        # tolerance.  Mode M alone is not enough: where H is even about z0 (the
-        # chains, the pendulum) the family has odd harmonics only, so every even
-        # mode is empty.  At M = 2 mode 1 dominates, so mode 2 is tested alone.
-        total = float(energies[1:].sum())
-        tail = energies[max(2, m - 1) :].max() / total if m > 1 and total > 0.0 else 0.0
-        if not (converged and tail > 1e-10 and m < MAX_MODES):
-            # validate the full equations on 4M + 1 points, finer than and incommensurate with
-            # the solve grid, so aliased spurious solutions and a wrong symmetry assumption
-            # cannot hide; a converged truncation whose tail forces doubling needs no check
-            check = residual_field(system, orbit, 4 * m + 1)
-            orbit.residual = float(np.sqrt((check * check).sum(axis=1)).max())  # the largest row norm
-            if not np.isfinite(orbit.residual):  # NaN passes every '>= tol' test
-                raise NoConvergence(
-                    f"the {4 * m + 1}-point residual check is not finite at M={m} (amplitude {amplitude_s:.3e})"
-                )
-        if not converged:
-            raise NoConvergence(
-                f"Newton stalled (residual {orbit.residual:.3e}, tol {tol:.1e}) "
-                f"at amplitude {amplitude_s:.3e}, M={m}"
-            )
-        if (tail > 1e-10 or orbit.residual >= tol) and m < MAX_MODES:
-            guess = orbit
-            m = min(2 * m, MAX_MODES)
-            continue
-        if orbit.residual >= tol:
-            raise NoConvergence(
-                f"residual {orbit.residual:.3e} above tol {tol:.1e} at M={m} "
-                f"(amplitude {amplitude_s:.3e})"
-            )
-        if orbit.lam <= 0.0:
-            raise WrongBranch(f"period {orbit.period:.8g} is not positive: the orbit is not on the family")
-        if energies[1:].argmax() != 0:
-            raise WrongBranch(f"dominant Fourier mode is k={int(energies[1:].argmax()) + 1}, not k=1")
-        return orbit
+    return _BranchSetup(system, eq, candidate).solve(amplitude_s, modes, initial_guess)
 
 
 def _amplitude(name: str, s):
@@ -750,18 +755,23 @@ def _amplitude(name: str, s):
     return s
 
 
-def _check_ladder(steps, s0, growth, modes) -> None:
-    """``continue_branch``'s argument contract, which ``cli.RunConfig`` applies at parse time.
+def _check_ladder(steps, s0, growth, modes) -> tuple:
+    """``continue_branch``'s argument contract, which ``cli.RunConfig`` applies at parse time: ``(s0, growth, modes)`` as Python numbers.
 
     ``ValueError`` unless ``steps`` is an integer of at least 1, ``growth`` is
     positive and finite, the first and the last amplitude, ``s0`` and
     ``s0 * growth**(steps - 1)``, pass ``_amplitude`` (so every amplitude
     between them does), and ``modes`` is an integer in ``1..MAX_MODES``.
+    This is the one check of every step's amplitude and ``modes``, so the
+    Python numbers keep a numpy scalar's width out of the ladder and every
+    problem's tables: a float32 ``growth`` makes ``s0 * growth**i`` a float32,
+    0 at ``s0 = 1e-60``, an int64 one wraps ``growth**i`` at ``2**63``, and a
+    uint8 ``modes`` wraps ``-m``.
     """
     _integer("steps", steps)
     with np.errstate(over="ignore"):  # a last amplitude past the float range is inf or 0, rejected as such
         _amplitude("s0 * growth**(steps - 1)", _amplitude("s0", s0) * np.float64(_real("growth", growth)) ** (steps - 1))
-    _integer("modes", modes, 1, MAX_MODES)
+    return float(s0), float(growth), _integer("modes", modes, 1, MAX_MODES)
 
 
 def _lu_ready(jac: np.ndarray) -> np.ndarray:
@@ -858,24 +868,26 @@ def continue_branch(
 
     ``steps`` must be a positive integer, ``s0``, ``growth`` and the last
     amplitude positive and finite, and ``modes`` an integer in
-    ``1..MAX_MODES`` (``_check_ladder``: ``ValueError`` before any work).
-    What the steps share is built once (``_BranchSetup``).
-    The first step starts from the linear kernel predictor, each later one
-    from the previous orbit scaled by the Lyapunov-Schmidt orders
-    (``_predict``: mode ``k`` by ``growth**k``, the mean and period shifts by
-    ``growth**2``), and ``solve_orbit`` doubles the modes up to 64.
+    ``1..MAX_MODES`` (``_check_ladder``: ``ValueError`` before any work, and
+    the one check of every step's amplitude and ``modes``).  The branch is
+    one ``_BranchSetup``, built once, whose ``solve`` takes each step and
+    owns the fallback from the half-wave ansatz.  The first step starts from
+    the linear kernel predictor, each later one from the previous orbit
+    scaled by the Lyapunov-Schmidt orders (``_predict``: mode ``k`` by
+    ``growth**k``, the mean and period shifts by ``growth**2``), and
+    ``solve`` doubles the modes up to 64.
     A failed step is recorded and stops the branch; the partial branch is
     returned with the failure list populated.  ``sup_distance_trend`` is filled
     after the last step, in step order, by one ``_sup_distances`` pass per ``M``.
     """
-    _check_ladder(steps, s0, growth, modes)
+    s0, growth, modes = _check_ladder(steps, s0, growth, modes)
     branch = Branch(orbits=[], period_trend=[], sup_distance_trend=[])
     guess = setup = None
     for i in range(steps):
         s = s0 * growth**i
         try:
             setup = setup or _BranchSetup(system, eq, candidate)  # at step 0, whose failure an EmptyKernel is
-            orbit = solve_orbit(system, eq, candidate, s, modes=modes, initial_guess=guess, _setup=setup)
+            orbit = setup.solve(s, modes, guess)
         except HambifError as exc:
             branch.failures.append(f"step {i} (amplitude {s:.3e}): {exc}")
             break
@@ -902,9 +914,17 @@ def minimal_period_check(orbit: FourierOrbit) -> str:
     period is shorter than 2 pi).  It does exactly when every mode ``k``
     with ``r`` not dividing ``k`` is empty, so the test is that the energy
     of those modes is at most ``1e-12 S^2``.  Minimal requires the mode-1
-    energy to dominate every higher mode by a factor of 100.
+    energy to dominate every higher mode by a factor of 100, or every
+    higher mode to be below ``1e-30`` of the larger of the mode-1 energy and
+    1, both taken on the scaled coefficients.  The coefficients are scaled
+    by ``2^-e`` before they are squared, ``e`` the binary exponent of the
+    largest, as ``_sup_distances`` scales: a power of two scales exactly, so
+    every ratio is that of the unscaled energies, and coefficients near
+    ``1e-200`` or ``1e200`` keep their squares in the float range.
     """
-    energies = orbit.mode_energies(orbit.a0)[1:]
+    power = np.frexp(np.abs(np.concatenate([orbit.a, orbit.b])).max(initial=0.0))[1]
+    scaled = FourierOrbit(orbit.a0, np.ldexp(orbit.a, -power), np.ldexp(orbit.b, -power), orbit.lam)
+    energies = scaled.mode_energies(orbit.a0)[1:]
     if not 0.0 < energies.sum() < np.inf:  # S^2, which NaN fails too
         return "undetermined"
     k = np.arange(1, orbit.m + 1)

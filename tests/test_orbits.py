@@ -279,6 +279,15 @@ def test_minimal_period_check_cases():
         assert orbits.minimal_period_check(replace(circle, a=modes, b=modes)) == "undetermined"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("r", [1.0, 1e-200, 1e200])
+def test_circle_has_a_minimal_period_at_every_scale(r):
+    # z(t) = r (cos t, -sin t): its energy r^2 underflowed to 0 ("undetermined")
+    # at r = 1e-200 and overflowed with a RuntimeWarning at r = 1e200
+    circle = orbits.FourierOrbit(a0=np.zeros(2), a=np.array([[r, 0.0]]), b=np.array([[0.0, -r]]), lam=1.0)
+    assert orbits.minimal_period_check(circle) == "minimal"
+
+
 def test_transformed_orbit_keeps_its_minimal_period():
     # transform_orbit leaves the amplitude field NaN, which read "undetermined"
     sat, eq, cand = satellite_j0_setup(1)
@@ -1181,7 +1190,7 @@ def test_half_wave_solve_that_fails_falls_back_to_the_symmetric_ansatz(monkeypat
     setup_ = orbits._BranchSetup(system, eq, cand)
     orbit, guess, half_wave = None, None, []
     for i in range(steps):
-        orbit = orbits.solve_orbit(system, eq, cand, s0 * 2.0**i, initial_guess=guess, _setup=setup_)
+        orbit = setup_.solve(s0 * 2.0**i, 8, guess)
         half_wave.append(setup_.half_wave)
         assert orbit.m == ref.orbits[i].m
         slack = orbits.TWO_PI * (orbit.residual + ref.orbits[i].residual) / ref.orbits[i].amplitude
@@ -1200,20 +1209,21 @@ def test_half_wave_solve_that_fails_falls_back_to_the_symmetric_ansatz(monkeypat
 )
 def test_a_failing_solve_is_solved_again_only_from_the_half_wave_ansatz(monkeypatch, setup, s, half_wave, solves):
     # with no Newton step the predictor fails the check in every ansatz: a
-    # symmetric failure raises at once, a half-wave one after one more solve
+    # symmetric failure raises at once, a half-wave one after one more solve,
+    # each solve one Newton call at the starting M
     system, eq, cand = setup()
-    calls, solve = Counter(), orbits._solve
+    calls, newton = Counter(), orbits._newton
 
     def counted(*args):
         calls["solve"] += 1
-        return solve(*args)
+        return newton(*args)
 
-    monkeypatch.setattr(orbits, "_solve", counted)
+    monkeypatch.setattr(orbits, "_newton", counted)
     monkeypatch.setattr(orbits, "NEWTON_MAX_STEPS", 0)
     shared = orbits._BranchSetup(system, eq, cand)
     assert shared.reversor is not None and shared.half_wave == half_wave
     with pytest.raises(NoConvergence, match="Newton stalled"):
-        orbits.solve_orbit(system, eq, cand, s, _setup=shared)
+        shared.solve(s, 8, None)
     assert calls["solve"] == solves and not shared.half_wave
 
 
@@ -1288,6 +1298,27 @@ def test_amplitudes_and_growth_must_be_positive_and_finite_before_any_work(call)
     with pytest.raises(ValueError, match="positive and finite"):
         call(counted, eq, cand)
     assert not calls
+
+
+NUMPY_LADDERS = {
+    # (steps, s0, growth): the amplitudes are s0 * 2**i, the float64 ladder
+    "int64-growth": (64, 1e-30, np.int64(2)),  # np.int64(2)**63 wraps to -2**63
+    "float32-growth": (2, 1e-60, np.float32(2.0)),  # 1e-60 * np.float32(1) rounds to 0
+}
+
+
+@pytest.mark.parametrize("steps, s0, growth", NUMPY_LADDERS.values(), ids=NUMPY_LADDERS.keys())
+def test_numpy_ladder_numbers_give_the_float64_ladder(steps, s0, growth):
+    # the ladder is checked once, before the steps, which no longer check their
+    # own amplitudes, so a numpy scalar's width must not reach the steps: the
+    # last int64 step solved at the pin -2**63 s0, and the float32 steps at 0
+    system, eq, cand = harmonic_setup()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        branch = orbits.continue_branch(system, eq, cand, steps=steps, s0=s0, growth=growth, modes=1)
+    assert len(branch.orbits) == steps and not branch.failures
+    for i, orbit in enumerate(branch.orbits):
+        assert abs(orbit.amplitude - s0 * 2.0**i) <= 1e-12 * s0 * 2.0**i
 
 
 @pytest.mark.parametrize(
@@ -1395,13 +1426,13 @@ PAST_THE_ORDERS = {
 @pytest.mark.parametrize("setup, steps, s0, growth", PAST_THE_ORDERS.values(), ids=PAST_THE_ORDERS.keys())
 def test_predictor_stays_finite_and_mode_1_dominated_past_the_orders(monkeypatch, setup, steps, s0, growth):
     system, eq, cand = setup()
-    guesses, solve = [], orbits.solve_orbit
+    guesses, solve = [], orbits._BranchSetup.solve
 
-    def spy(*args, initial_guess=None, **kwargs):
+    def spy(setup_, amplitude_s, modes, initial_guess):
         guesses.append(initial_guess)
-        return solve(*args, initial_guess=initial_guess, **kwargs)
+        return solve(setup_, amplitude_s, modes, initial_guess)
 
-    monkeypatch.setattr(orbits, "solve_orbit", spy)
+    monkeypatch.setattr(orbits._BranchSetup, "solve", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         branch = orbits.continue_branch(system, eq, cand, steps=steps, s0=s0, growth=growth, modes=64)
@@ -1417,13 +1448,13 @@ def test_branch_builds_its_setup_once_and_each_problem_once_per_modes(monkeypatc
     # 8 problems and 6 kernel directions and symmetric frames
     system, eq, cand = chain_setup(False)
     calls, built = Counter(), []
-    for name in ("kernel_direction", "_symmetric_frame", "solve_orbit"):
+    for owner, name in ((orbits, "kernel_direction"), (orbits, "_symmetric_frame"), (orbits._BranchSetup, "solve")):
 
-        def counted(*args, _name=name, _fn=getattr(orbits, name), **kwargs):
+        def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(orbits, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     build, trig, tables = orbits._HarmonicBalance.__init__, orbits._trig, Counter()
 
     def counted_build(self, system, eq, predictor, m, reversor=None, half_wave=False):
@@ -1441,7 +1472,7 @@ def test_branch_builds_its_setup_once_and_each_problem_once_per_modes(monkeypatc
     branch = orbits.continue_branch(system, eq, cand, steps=6, s0=0.1)
     assert [orbit.m for orbit in branch.orbits] == [8, 8, 8, 8, 16, 16] and not branch.failures
     assert built == [8, 16]
-    assert calls == {"kernel_direction": 1, "_symmetric_frame": 1, "solve_orbit": 6}
+    assert calls == {"kernel_direction": 1, "_symmetric_frame": 1, "solve": 6}
     # each cos/sin table once: every M's solve grid (4M points, to mode 2M
     # for the transform), residual check (4M + 1) and sup distance (8M); they
     # were rebuilt at every step
