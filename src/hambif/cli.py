@@ -6,6 +6,13 @@ preset: this module reads a preset's parameter flags, sample configuration
 and default starting point from ``model``'s registry.  A flag is read only
 when written out in full: argparse's prefix matching is off.
 
+Each value of a system is checked once, by the ``model`` constructor that
+builds with it (``linalg._array`` for the guess), and ``build_system``
+reports its ``ValueError`` as ``bad system: ...``, where ``generators[k]``
+is generator key ``k + 1`` in number order.  ``RunConfig`` checks only what
+the command line alone states: the rules between keys, the monomial
+exponent grammar, the ladder, the ``n``/``j0`` kinds and the output format.
+
 Configuration is a flat key = value file with sections ([system],
 [analysis], [branch], [output], [run]).  Each run setting is declared once,
 on its ``RunConfig`` field: its ``[section] key``, how its text is parsed
@@ -43,7 +50,7 @@ from . import analysis as analysis_mod
 from . import model as model_mod
 from . import orbits as orbits_mod
 from .errors import ConfigParse, HambifError
-from .linalg import _integer
+from .linalg import _array, _integer
 
 __all__ = ["RunConfig", "parse_config", "main", "console_entry", "cmd_analyze", "cmd_branch", "cmd_presets"]
 
@@ -203,16 +210,6 @@ class RunConfig:
         for _, exps in self.monomials:
             if len(exps) != 2 * self.n or any(e < 0 for e in exps):
                 raise ConfigParse(f"a monomial needs {2 * self.n} non-negative exponents, got {list(exps)}")
-        for rows in self.generators:
-            if len(rows) != 2 * self.n or any(len(row) != 2 * self.n for row in rows):
-                lengths = [len(row) for row in rows]
-                raise ConfigParse(f"a generator must be {2 * self.n} x {2 * self.n}, got rows of lengths {lengths}")
-        numbers = [*self.params, ("guess", self.guess or ()), *(("monomials", c) for c, _ in self.monomials)]
-        numbers += [(f"generator{i}", rows) for i, rows in enumerate(self.generators, start=1)]
-        for key, value in numbers:
-            bad = [v for v in np.ravel(value) if not np.isfinite(v)]
-            if bad:
-                raise ConfigParse(f"non-finite value {bad[0]} for {key}")
         if self.fmt not in FORMATS:
             raise ConfigParse(f"unknown output format {self.fmt!r}")
 
@@ -291,22 +288,23 @@ def parse_config(text: str) -> RunConfig:
 def build_system(config: RunConfig) -> tuple:
     """System plus the equilibrium guess for it: the configured one, else the origin or the preset's ``preset_guess``.
 
-    The model rejects bad parameters and generators, a list where a number
-    belongs among them, with ``ValueError``: a configuration error here.
+    The model rejects bad parameters, coefficients and generators, a list
+    where a number belongs among them, and ``linalg._array`` a guess that is
+    not finite or not of the system's dimension, with ``ValueError``: a
+    configuration error here, ``bad system: ...``.
     """
     params = {k: (list(v) if isinstance(v, tuple) else v) for k, v in config.params}
     try:
         if config.preset is None:
             system = model_mod._polynomial_system(config.n, config.monomials, config.generators)
+            guess = np.zeros(system.dim)
         else:
-            system = model_mod.preset(config.preset, params)
+            system, guess = model_mod._preset(config.preset, params)
+        if config.guess is not None:
+            guess = _array("guess", config.guess, (system.dim,))
     except ValueError as exc:
         raise ConfigParse(f"bad system: {exc}") from exc
-    if config.guess is not None:
-        if len(config.guess) != system.dim:
-            raise ConfigParse(f"guess needs {system.dim} numbers, got {len(config.guess)}")
-        return system, np.array(config.guess, dtype=float)
-    return system, (np.zeros(system.dim) if config.preset is None else model_mod.preset_guess(config.preset, params))
+    return system, guess
 
 
 def _record(table: dict, *sources) -> dict:

@@ -161,15 +161,18 @@ class SymmetryGroup:
 
     Each generator must be skew-symmetric and commute with the standard
     symplectic matrix (so the one-parameter subgroups are unitary).  An
-    empty generator tuple encodes the trivial group.
+    empty generator tuple encodes the trivial group.  A generator that is no
+    float matrix (ragged rows, a string), not square of even size, not
+    finite, not skew or not commuting is a ``ValueError`` naming
+    ``generators[k]``.
     """
 
     generators: tuple = ()
 
     def __post_init__(self):
-        gens = tuple(np.asarray(g, dtype=float) for g in self.generators)
+        gens = tuple(_array(f"generators[{k}]", g, (None, None), finite=False) for k, g in enumerate(self.generators))
         for k, g in enumerate(gens):
-            if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2:
+            if g.shape[0] != g.shape[1] or g.shape[0] % 2:
                 raise ValueError(f"generators[{k}] must be square of even size, got shape {g.shape}")
             if not np.all(np.isfinite(g)):  # NaN would pass the comparisons below
                 bad = ", ".join(f"[{i}, {j}] = {g[i, j]}" for i, j in np.argwhere(~np.isfinite(g)))
@@ -216,8 +219,9 @@ class HamiltonianSystem:
     ``None`` means no reversor is known, and every branch takes the full
     harmonic-balance system.
 
-    ``n`` must be an integer of at least 1, and every generator of
-    ``symmetry`` must act on R^(2N) (``ValueError`` naming them otherwise).
+    ``n`` must be an integer of at least 1, every generator of ``symmetry``
+    must act on R^(2N), and ``reversor`` must be a float array of length
+    ``2N`` (``ValueError`` naming them otherwise).
     """
 
     n: int
@@ -234,9 +238,8 @@ class HamiltonianSystem:
             if len(g) != self.dim:
                 raise ValueError(f"symmetry acts on R^{len(g)}, but the system is on R^{self.dim}")
         if self.reversor is not None:
-            r = np.asarray(self.reversor, dtype=float)
-            anti_symplectic = r.shape == (2 * self.n,) and np.array_equal(r[self.n :], -r[: self.n])
-            if not (anti_symplectic and np.all(np.abs(r) == 1.0)):
+            r = _array("reversor", self.reversor, (self.dim,), finite=False)
+            if not (np.array_equal(r[self.n :], -r[: self.n]) and np.all(np.abs(r) == 1.0)):
                 raise ValueError("reversor must be 2N entries +-1 with r[N:] = -r[:N]")
             self.reversor = r
 
@@ -696,11 +699,12 @@ def _polynomial_system(n: int, monomials, generators=()) -> HamiltonianSystem:
     lowered exponents are clipped at 0 and each derivative is one product
     over the whole table.  When every monomial has even degree in ``p``,
     ``H(q, -p) = H(q, p)`` exactly and the system carries the reversor
-    ``diag(I, -I)``.
+    ``diag(I, -I)``.  A coefficient that is not finite is a ``ValueError``
+    naming ``monomials``.
     """
     dim = 2 * n
     eye = np.eye(dim)
-    coeffs = np.array([c for c, _ in monomials])
+    coeffs = _array("monomials", [c for c, _ in monomials], (None,))
     exps = np.array([e for _, e in monomials], dtype=float)  # (terms, dim)
     # d/dz_i: factor c e_i, exponents e - e_i; shapes (terms, i) and (terms, i, dim)
     grad_factor = coeffs[:, None] * exps

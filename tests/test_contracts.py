@@ -144,7 +144,8 @@ def generators(valid):
     """Square, even-sized, finite, skew generators commuting with J."""
     twist = np.zeros((4, 4))
     twist[0, 1], twist[1, 0] = -1.0, 1.0  # skew but not commuting with J
-    return [(True,), (np.zeros((3, 3)),), (_entry(ROTATION, math.nan),), (np.eye(2),), (twist,)], [[ROTATION.tolist()]]
+    bad = [(True,), (np.zeros((3, 3)),), (_entry(ROTATION, math.nan),), (np.eye(2),), (twist,)]
+    return bad + [(x,) for x in _unconvertible(ROTATION)], [[ROTATION.tolist()]]
 
 
 def lifted_generators(valid):
@@ -154,7 +155,8 @@ def lifted_generators(valid):
 
 def reversor(valid):
     """The diagonal of a reversor of R^2: entries +-1 with r[N:] = -r[:N]."""
-    return [True, np.ones(3), np.array([1.0, 1.0]), np.array([math.nan, -math.nan]), np.array([2.0, -2.0])], [list(valid)]
+    bad = [True, np.ones(3), np.array([1.0, 1.0]), np.array([math.nan, -math.nan]), np.array([2.0, -2.0])]
+    return bad + _unconvertible(valid), [list(valid)]
 
 
 @cache
@@ -403,6 +405,14 @@ def _holes() -> dict:
         "refine-from-a-dict": (
             lambda: model.refine_equilibrium(sat, {"a": 1}),
             "guess must be a float array, got {'a': 1}",
+        ),
+        "ragged-generator": (
+            lambda: model.SymmetryGroup(([[0.0, -1.0], [1.0]],)),
+            "generators[0] must be a float array, got [[0.0, -1.0], [1.0]]",
+        ),
+        "reversor-a-string": (
+            lambda: model.HamiltonianSystem(n=1, energy=len, reversor="ab"),
+            "reversor must be a float array, got 'ab'",
         ),
         "symmetry-of-another-space": (
             lambda: model.HamiltonianSystem(n=1, energy=len, symmetry=model.SymmetryGroup((np.kron(np.eye(2), ROTATION),))),

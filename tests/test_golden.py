@@ -12,11 +12,15 @@ residual only as below the orbit tolerance ``1e-9 (1 + |a0|)``.  Stated
 tolerances, not bytes, keep the test stable across BLAS builds, while a
 phase flip, a verdict change or a lost orbit fails it.
 
-After an intended change of output, regenerate every file with
+After an intended change of output, regenerate the files of the commands
+whose output moved, by name,
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py branch-springs analyze-harmonic
 
-and name each file that moved, and why, in ``CHANGES.md``.
+(an unknown name is an error and writes nothing), or, with no names, every
+file, the stale ones deleted; then name each file that moved, and why, in
+``CHANGES.md``.  Regenerating by name keeps the last-digit moves that another
+BLAS kernel makes in the other files out of the commit.
 """
 
 import contextlib
@@ -202,10 +206,33 @@ def test_golden_files_are_the_command_matrix():
     assert sorted(path.stem for path in GOLDEN.glob("*.jsonl")) == sorted(COMMANDS)
 
 
+def regenerate(names, directory: Path = GOLDEN) -> list:
+    """Write the golden file of each command in ``names`` to ``directory``, or, with no names, of every command, the stale files deleted; return the paths written."""
+    unknown = [name for name in names if name not in COMMANDS]
+    if unknown:
+        raise ValueError(f"unknown golden file name(s): {', '.join(unknown)}")
+    directory.mkdir(parents=True, exist_ok=True)
+    if not names:
+        for stale in directory.glob("*.jsonl"):
+            stale.unlink()
+    paths = [directory / f"{name}.jsonl" for name in names or COMMANDS]
+    for path in paths:
+        path.write_text("".join(f"{line}\n" for line in run(COMMANDS[path.stem])), encoding="utf-8")
+    return paths
+
+
+def test_regenerating_by_name_writes_only_the_named_files(tmp_path):
+    (path,) = regenerate(["analyze-harmonic"], tmp_path)
+    assert list(tmp_path.iterdir()) == [path] == [tmp_path / "analyze-harmonic.jsonl"]
+    assert path.read_text(encoding="utf-8").splitlines() == run(COMMANDS["analyze-harmonic"])
+    with pytest.raises(ValueError, match=r"^unknown golden file name\(s\): no-such-command$"):
+        regenerate(["analyze-harmonic", "no-such-command"], tmp_path / "unknown")
+    assert not (tmp_path / "unknown").exists()
+
+
 if __name__ == "__main__":
-    GOLDEN.mkdir(parents=True, exist_ok=True)
-    for stale in GOLDEN.glob("*.jsonl"):
-        stale.unlink()
-    for name, command in COMMANDS.items():
-        (GOLDEN / f"{name}.jsonl").write_text("".join(f"{line}\n" for line in run(command)), encoding="utf-8")
-    print(f"wrote {len(COMMANDS)} golden files to {GOLDEN.relative_to(ROOT)}", file=sys.stderr)
+    try:
+        written = regenerate(sys.argv[1:])
+    except ValueError as exc:
+        sys.exit(f"error: {exc}")
+    print(f"wrote {len(written)} golden file(s) to {GOLDEN.relative_to(ROOT)}", file=sys.stderr)

@@ -64,12 +64,31 @@ def test_finite_difference_satellite_reports_the_two_levels_of_the_analytic_one(
     assert len(analysis.analyze(system, eq)) == 2
 
 
+@known_defect(2, "the energy-only refinement stops at the rounding floor of its central differences, 8.6e-11 off the quintic")
+def test_energy_only_satellite_refines_to_the_root_of_its_quintic():
+    # q0 = (d, 0, 0) up to a rotation about the axis, with omega^2 d^5 - d^2 - 3 c = 0
+    params = {"omega": 1.0, "c": 0.1}
+    system = replace(model.preset("satellite", params), gradient=None, hessian=None)
+    eq = model.refine_equilibrium(system, model.preset_guess("satellite", params))
+    d = float(np.linalg.norm(eq.z0[:3]))
+    assert abs(d**5 - d**2 - 0.3) <= 1e-12
+
+
 @known_defect(7, "the section radius follows |z0|, not the germ, so the range equation goes unsolved at z = 1000")
 def test_shifted_germ_keeps_its_section_degree_far_from_the_origin():
     # H = x^2 / 2 + x p^2 + p^4 / 4 in x = q - z, plus a constant: degree -1 at every z
     z = 1000
     system, eq = refined(f"[system]\nn = 1\nmonomials = 0.5 2 0 ; -{z} 1 0 ; 0.25 0 4 ; 1 1 2 ; -{z} 0 2\nguess = {z} 0\n")
     assert degree.section_degree(system, eq).value == -1
+
+
+@pytest.mark.parametrize("sign", ["", "-"], ids=["plus-p2-squared", "minus-p2-squared"])
+@known_defect(7, "a level is confirmed on the degree of a disk whose isolation nothing verifies")
+def test_no_level_is_confirmed_on_a_disk_of_unverified_isolation(sign):
+    # H = (q1^2 + p1^2) / 2 +- p2^2 / 2 + q2^4 / 4: the Hessian's kernel, q2, is no group orbit direction
+    system, eq = refined(f"[system]\nn = 2\nmonomials = 0.5 2 0 0 0 ; 0.5 0 0 2 0 ; {sign}0.5 0 0 0 2 ; 0.25 0 4 0 0\n")
+    unverified = "orbit isolatedness unverified"
+    assert not [c.beta for c in analysis.analyze(system, eq) if c.confirmed and any(unverified in r for r in c.reasons)]
 
 
 @known_defect(3, "a resonant level with a nonzero jump and degree ends 'multi-mode jump analysis not implemented'")
