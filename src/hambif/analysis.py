@@ -5,7 +5,7 @@ purely imaginary eigenvalue pairs of J * hessian(H).  One eigendecomposition
 of J * hessian(H) decides them: its purely imaginary eigenvalues are
 clustered as sets of indices, and each level's beta_j, multiplicity and
 invariant subspace E_j come from its one index set.  The levels' subspaces
-and the Hessian's inertia on each come from ``linalg.invariant_subspaces``:
+and the Hessian's inertia on each come from ``linalg._invariant_subspaces``:
 one stacked SVD, invariance residual and ``eigvalsh`` per cluster size, not
 one set of calls per level.  The report also holds the equilibrium's own
 facts, the Hessian's inertia ``(m_plus, m_minus, kernel_dim)``; it is kept on
@@ -45,7 +45,7 @@ import numpy as np
 
 from . import degree as degree_mod
 from .errors import Degenerate, NoImaginaryPairs, NoSuchLevel
-from .linalg import _array, _integer, _real, check_symmetric, general_eigensystem, inertia, invariant_subspaces, standard_symplectic
+from .linalg import _array, _general_eigensystem, _inertia, _integer, _invariant_subspaces, _real, check_symmetric, standard_symplectic
 from .model import EquilibriumOrbit, HamiltonianSystem
 
 __all__ = [
@@ -75,9 +75,9 @@ class SpectralReport:
     ``betas`` are the distinct imaginary parts beta_1 > ... > beta_m > 0 of
     the eigenvalue pairs of J A, ``multiplicities`` their cluster sizes,
     ``subspaces`` the matching orthonormal real invariant subspace bases E_j
-    and ``inertias`` the inertia ``(m+, m-, kernel)`` of ``compress(A, E_j)``,
+    and ``inertias`` the inertia ``(m+, m-, kernel)`` of ``E_j^T A E_j``,
     read by the Morse jump and the A7.1/A7.3 checks.  Both come from
-    ``linalg.invariant_subspaces``: one stacked ``eigvalsh`` for all the
+    ``linalg._invariant_subspaces``: one stacked ``eigvalsh`` for all the
     levels of one multiplicity, with the bits of one ``eigvalsh`` each.
     ``m_plus``, ``m_minus`` and ``kernel_dim`` are the inertia of the whole
     Hessian, which ``analyze``'s isolatedness reason and the CLI's
@@ -153,9 +153,9 @@ def matrix_report(a) -> SpectralReport:
     """Spectral report for a bare symmetric matrix acting as the Hessian."""
     a, j = _hamiltonian(a)
     wa = np.linalg.eigvalsh(a)
-    m_plus, m_minus, kernel_dim = inertia(wa)
+    m_plus, m_minus, kernel_dim = _inertia(wa)
     ja = j @ a
-    wja, vja = general_eigensystem(ja)
+    wja, vja = _general_eigensystem(ja)
     scale = 1.0 + float(np.abs(wja).max())
     # the degenerate-orbit modes sit numerically near 0 and are not
     # oscillation frequencies; require beta well above the splitting noise
@@ -170,7 +170,7 @@ def matrix_report(a) -> SpectralReport:
             clusters[-1].append(i)
         else:
             clusters.append([i])
-    subspaces, inertias = invariant_subspaces(ja, a, vja, [sorted(c) for c in clusters], scale)
+    subspaces, inertias = _invariant_subspaces(ja, a, vja, [sorted(c) for c in clusters], scale)
     return SpectralReport(
         n=a.shape[0] // 2,
         hessian=a,
@@ -248,7 +248,7 @@ def morse_jump(a, lambda0: float, report: SpectralReport) -> int:
 
     The crossing form of ``T_1`` at ``lambda0 = 1/beta_j`` is congruent to
     the Hessian restricted to the level's invariant subspace ``E_j``, so the
-    jump is the signature ``m+(C) - m-(C)`` of ``C = compress(a, E_j)``
+    jump is the signature ``m+(C) - m-(C)`` of ``C = E_j^T a E_j``
     (Robbin & Salamon, Bull. LMS 27, 1995).  A ``lambda0`` with no ``k = 1``
     contributor gives 0.  The jump is the mode-1 entry of the level's index
     table (``_index_components``), read from ``report.inertias``.

@@ -9,7 +9,7 @@ when written out in full: argparse's prefix matching is off.
 Each value of a system is checked once, by the ``model`` constructor that
 builds with it (``linalg._array`` for the guess), and ``build_system``
 reports its ``ValueError`` as ``bad system: ...``, where ``generators[k]``
-is generator key ``k + 1`` in number order.  ``RunConfig`` checks only what
+is config key ``generator<k+1>``.  ``RunConfig`` checks only what
 the command line alone states: the rules between keys, the monomial
 exponent grammar, the ladder, the ``n``/``j0`` kinds and the output format.
 
@@ -40,7 +40,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 
@@ -251,9 +250,9 @@ def _parse_value(section: str, key: str, parse, text: str):
 def parse_config(text: str) -> RunConfig:
     """Parse the flat key = value configuration format; an unknown section or key is an error.
 
-    The generators are taken in the order of their keys' numbers, ``generator1``
-    to ``generator<k>``; a ``generator`` key without a positive integer after
-    it (``generator0``, ``generator01``, ``generatorx``) is an error.
+    The ``k`` generator keys are ``generator1`` to ``generator<k>``, taken in
+    that order; any other ``generator`` key (``generator0``, ``generatorx``,
+    or ``generator3`` beside ``generator1`` alone) is an error naming it.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -275,13 +274,13 @@ def parse_config(text: str) -> RunConfig:
     }
     if parser.has_section("system"):
         free = sorted((k, v) for k, v in parser.items("system") if k not in _SECTION_KEYS["system"])
-        gens = [(k, v) for k, v in free if k.startswith("generator")]
-        for k, _ in gens:
-            if not re.fullmatch(r"generator[1-9][0-9]*", k):
-                raise ConfigParse(f"[system] {k}: a generator key is 'generator' followed by a positive integer")
-        gens.sort(key=lambda item: int(item[0][len("generator") :]))  # generator2 before generator10
-        kw["generators"] = tuple(_parse_value("system", k, _matrix, v) for k, v in gens)
-        kw["params"] = tuple((k, _parse_value("system", k, _param, v)) for k, v in free if (k, v) not in gens)
+        gens = [k for k, _ in free if k.startswith("generator")]
+        keys = [f"generator{i}" for i in range(1, len(gens) + 1)]
+        for k in gens:
+            if k not in keys:
+                raise ConfigParse(f"[system] {k}: the generator keys are generator1 to generator{len(gens)}, without a gap")
+        kw["generators"] = tuple(_parse_value("system", k, _matrix, parser.get("system", k)) for k in keys)
+        kw["params"] = tuple((k, _parse_value("system", k, _param, v)) for k, v in free if k not in gens)
     return RunConfig(**kw)
 
 

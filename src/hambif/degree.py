@@ -32,15 +32,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import BoundaryZero, Degenerate, HambifError, NoConvergence, NotAMinimum, SectionNotZero
-from .linalg import _array, _integer, _real, compress
+from .linalg import _array, _integer, _real
 from .model import EquilibriumOrbit, HamiltonianSystem, _central_differences, gradient_of
 
 __all__ = [
     "SectionMap",
     "DegreeReport",
-    "section_map",
     "degree_nondegenerate",
-    "degree_reduced",
     "degree_minimum",
     "degree_regular_value",
     "section_degree",
@@ -51,7 +49,7 @@ __all__ = [
 # the error of every Jacobian the reduction sees: central differences of a
 # gradient (about 1e-10), second differences of an energy (about 1e-8) and
 # central differences of a bare section map (exact for quadratic terms).
-# linalg.inertia's 1e-8 is too tight: a forward-difference Jacobian
+# linalg._inertia's 1e-8 is too tight: a forward-difference Jacobian
 # of the squaring field at 0 has entries of about 1e-7, which it would read
 # as nonsingular.
 _KERNEL_TOL = 1e-6
@@ -97,10 +95,9 @@ class DegreeReport:
     detail: str = ""
 
 
-def section_map(system: HamiltonianSystem, eq: EquilibriumOrbit) -> SectionMap:
-    """The section field of ``eq`` on the ball of radius ``1e-2 (1 + |z0|)``; ``ValueError`` unless ``eq`` has ``system``'s dimension."""
-    z0 = _array("eq.z0", eq.z0, (system.dim,))
-    basis = eq.section_basis
+def _section_map(system: HamiltonianSystem, eq: EquilibriumOrbit) -> SectionMap:
+    """The section field of ``eq`` on the ball of radius ``1e-2 (1 + |z0|)``."""
+    z0, basis = eq.z0, eq.section_basis
     radius = 1e-2 * (1.0 + float(np.linalg.norm(z0)))
 
     def evaluator(u):
@@ -153,7 +150,7 @@ def _winding_number(g, r: float) -> int:
     return int(round(total / (2.0 * np.pi)))
 
 
-def degree_reduced(smap: SectionMap) -> int:
+def _degree_reduced(smap: SectionMap) -> int:
     """Degree by Lyapunov-Schmidt reduction onto a kernel of dimension at most 2.
 
     Central differences of ``smap.evaluator`` give the section Jacobian at
@@ -167,7 +164,7 @@ def degree_reduced(smap: SectionMap) -> int:
 
 
 def _degree(smap: SectionMap, w, v) -> int:
-    """:func:`degree_reduced` from the eigendecomposition ``(w, v)`` of the symmetrised Jacobian."""
+    """:func:`_degree_reduced` from the eigendecomposition ``(w, v)`` of the symmetrised Jacobian."""
     in_kernel = _in_kernel(w)
     kernel, image, w_range = v[:, in_kernel], v[:, ~in_kernel], w[~in_kernel]
     sign, dim = (-1) ** int((w_range < 0.0).sum()), kernel.shape[1]
@@ -203,7 +200,7 @@ def degree_minimum(smap: SectionMap) -> int:
     """Degree +1 of a section field with a positive semidefinite Jacobian.
 
     Raises :class:`NotAMinimum` when the central-difference Jacobian has a
-    negative eigenvalue or the degree of :func:`degree_reduced` is not +1.
+    negative eigenvalue or the degree of :func:`_degree_reduced` is not +1.
     """
     w, v = _eigh(_fd_jacobian(smap))
     if ((w < 0.0) & ~_in_kernel(w)).any():
@@ -215,12 +212,12 @@ def degree_minimum(smap: SectionMap) -> int:
 
 
 def degree_regular_value(smap: SectionMap, attempts: int = 64, seed: int = 0) -> int:
-    """The degree of ``smap`` by :func:`degree_reduced`.
+    """The degree of ``smap`` by :func:`_degree_reduced`.
 
     ``attempts`` and ``seed`` are accepted for compatibility and ignored:
     the computation is deterministic, and no regular value is drawn.
     """
-    return degree_reduced(smap)
+    return _degree_reduced(smap)
 
 
 def section_degree(system: HamiltonianSystem, eq: EquilibriumOrbit) -> DegreeReport:
@@ -229,11 +226,13 @@ def section_degree(system: HamiltonianSystem, eq: EquilibriumOrbit) -> DegreeRep
     The Jacobian is ``eq.hessian`` compressed to the section.  The path is
     "nondegenerate" when it has no kernel and "reduced" otherwise.  Without
     a value the report has ``value=None`` and the reason in ``detail``.
+    ``ValueError`` unless ``eq`` has ``system``'s dimension.
     """
-    w, v = _eigh(compress(eq.hessian, eq.section_basis))
+    _array("eq.z0", eq.z0, (system.dim,))
+    w, v = _eigh(eq.section_basis.T @ eq.hessian @ eq.section_basis)
     path, detail = ("reduced", _SINGULAR) if _in_kernel(w).any() else ("nondegenerate", "")
     try:
-        value = _degree(section_map(system, eq), w, v)
+        value = _degree(_section_map(system, eq), w, v)
     except HambifError as exc:
         return DegreeReport(value=None, path=path, detail="; ".join(filter(None, (detail, str(exc)))))
     return DegreeReport(value=value, path=path, detail=detail)

@@ -4,10 +4,17 @@ All routines are pure functions on plain numpy arrays, sized for phase
 dimensions of a few dozen at most.  Eigenvalue classification is
 scale-aware: anything inside ``(-eps, +eps)`` with
 ``eps = 1e-8 * (1 + spectral radius)`` counts as numerical kernel.
-``invariant_subspaces`` treats every eigenvalue cluster of one size in one
+``_invariant_subspaces`` treats every eigenvalue cluster of one size in one
 stacked SVD, invariance residual and ``eigvalsh``; numpy applies the same
 LAPACK/BLAS call to each matrix of a stack, so each cluster gets the bits it
 would get in a list of its own.
+
+The public names are ``standard_symplectic``, ``check_symmetric`` and
+``morse_index_negative``.  The private kernels (``_inertia``,
+``_general_eigensystem``, ``_invariant_subspaces``) take arrays the package
+has just made, so they check no argument; they keep every check on a value
+they compute: a non-finite eigenvalue, an eigensolver failure, a defective
+cluster and an invariance residual.
 
 The package's argument kinds live here, beside ``check_symmetric``, because
 this is the lowest numeric module and every other one imports it: an integer
@@ -28,16 +35,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, NonSymmetric
 
-__all__ = [
-    "standard_symplectic",
-    "check_symmetric",
-    "inertia",
-    "morse_index_negative",
-    "general_eigensystem",
-    "invariant_subspaces",
-    "orthonormal_columns",
-    "compress",
-]
+__all__ = ["standard_symplectic", "check_symmetric", "morse_index_negative"]
 
 
 def _integer(name: str, value, low=1, high=None):
@@ -115,13 +113,12 @@ def check_symmetric(a) -> np.ndarray:
     return half + half.T
 
 
-def inertia(w) -> tuple[int, int, int]:
-    """``(m+, m-, kernel)`` of symmetric-matrix eigenvalues ``w``, the kernel within ``1e-8 (1 + max|w|)`` of 0.
+def _inertia(w) -> tuple[int, int, int]:
+    """``(m+, m-, kernel)`` of the 1-D array ``w`` of symmetric-matrix eigenvalues, the kernel within ``1e-8 (1 + max|w|)`` of 0.
 
     A non-finite eigenvalue is a ``ValueError`` naming ``w``: ``eps`` is
-    finite exactly when every ``|w|`` is, so the kind checks the shape alone.
+    finite exactly when every ``|w|`` is.
     """
-    w = _array("w", w, (None,), finite=False)
     eps = 1e-8 * (1.0 + (float(np.abs(w).max()) if w.size else 0.0))
     if not math.isfinite(eps):
         raise ValueError(f"w must be finite, got {w[~np.isfinite(w)][0]}")
@@ -131,13 +128,14 @@ def inertia(w) -> tuple[int, int, int]:
 
 def morse_index_negative(a) -> int:
     """Number of negative eigenvalues of a symmetric matrix, with multiplicity."""
-    return inertia(np.linalg.eigvalsh(check_symmetric(a)))[1]
+    return _inertia(np.linalg.eigvalsh(check_symmetric(a)))[1]
 
 
-def general_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues ``w`` (with multiplicity) of a real square matrix and unit eigenvectors ``v[:, i]`` for ``w[i]``."""
-    m = _array("m", m, (None, None))
-    m = _array("m", m, m.shape[:1] * 2)  # square
+def _general_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues ``w`` (with multiplicity) of a real square array and unit eigenvectors ``v[:, i]`` for ``w[i]``.
+
+    numpy's own failures, a non-finite entry among them, are ``ConvergenceFailure``.
+    """
     try:
         w, v = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
@@ -150,9 +148,8 @@ def _numerical_rank(s):
     return (s.T > 1e-10 * s.T[0]).sum(axis=0)
 
 
-def orthonormal_columns(mat) -> np.ndarray:
-    """Orthonormal basis of the column span (SVD, rank ``_numerical_rank``)."""
-    mat = _array("mat", mat, (None, None))
+def _orthonormal_columns(mat) -> np.ndarray:
+    """Orthonormal basis of the column span of a 2-D array (SVD, rank ``_numerical_rank``): the per-cluster reference of ``_real_spans``."""
     if mat.size == 0:
         return np.zeros((mat.shape[0], 0))
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
@@ -161,18 +158,18 @@ def orthonormal_columns(mat) -> np.ndarray:
     return u[:, : _numerical_rank(s)]
 
 
-def invariant_subspaces(m, a, vectors, clusters, scale: float) -> tuple[tuple, tuple]:
-    """Bases ``E_j`` of the real invariant subspaces of ``m`` that eigenvalue clusters span, and each inertia of ``compress(a, E_j)``.
+def _invariant_subspaces(m, a, vectors, clusters, scale: float) -> tuple[tuple, tuple]:
+    """Bases ``E_j`` of the real invariant subspaces of ``m`` that eigenvalue clusters span, and each inertia of ``E_j^T a E_j``.
 
     ``clusters`` are lists of column indices into the eigenvectors
     ``vectors`` of ``m``, each a cluster of eigenvalues that holds no
-    conjugate pair (for instance all near ``+i beta``); ``a`` is symmetric
-    (``matrix_report`` checked it; here only its shape and finiteness are),
-    and ``scale`` is ``1 + max|eigenvalue of m|``.  Each basis ``E_j`` has
+    conjugate pair (for instance all near ``+i beta``); ``a`` is the
+    symmetric array ``matrix_report`` checked, and ``scale`` is
+    ``1 + max|eigenvalue of m|``.  Each basis ``E_j`` has
     orthonormal columns spanning the real and imaginary parts of its
     cluster's vectors, two per vector.  The clusters of one size share one
     stacked SVD, one invariance residual and one ``eigvalsh``, and each
-    gets the bits that a list of that cluster alone, ``compress`` and
+    gets the bits that a list of that cluster alone, ``E_j^T a E_j`` and
     ``eigvalsh`` give it.  Returns the bases and the inertias in cluster
     order.  ``vectors`` and ``clusters`` are taken as the eigensolver gave
     them.
@@ -184,15 +181,13 @@ def invariant_subspaces(m, a, vectors, clusters, scale: float) -> tuple[tuple, t
         span has fewer than two dimensions per vector) or whose span's
         invariance residual is above ``1e-8 * scale``.
     """
-    m = _array("m", m, (len(vectors),) * 2)
-    a, vectors, scale = _array("a", a, m.shape), np.asarray(vectors), _real("scale", scale)
     bases, inertias, failures = [None] * len(clusters), [None] * len(clusters), []
     for mult in sorted({len(c) for c in clusters}):
         at = [i for i, c in enumerate(clusters) if len(c) == mult]
         spans, texts = _real_spans(m, vectors[:, [clusters[i] for i in at]].transpose(1, 0, 2), scale)
         failures += [(i, text) for i, text in zip(at, texts) if text]
         for i, basis, w in zip(at, spans, np.linalg.eigvalsh(spans.transpose(0, 2, 1) @ a @ spans)):
-            bases[i], inertias[i] = basis, inertia(w)
+            bases[i], inertias[i] = basis, _inertia(w)
     if failures:
         raise ConvergenceFailure(min(failures)[1])
     return tuple(bases), tuple(inertias)
@@ -201,7 +196,7 @@ def invariant_subspaces(m, a, vectors, clusters, scale: float) -> tuple[tuple, t
 def _real_spans(m, vectors, scale: float) -> tuple[np.ndarray, list]:
     """Orthonormal bases of the real spans of a ``(count, n, mult)`` stack of clusters, with each one's failure text or ``""``.
 
-    Each basis is ``orthonormal_columns`` of ``[Re v_1, Im v_1, ...]`` where
+    Each basis is ``_orthonormal_columns`` of ``[Re v_1, Im v_1, ...]`` where
     that has full rank, and each residual norm is ``np.linalg.norm``'s own
     ``sqrt(x . x)`` of the flattened residual, to the bit.
     """
@@ -215,13 +210,3 @@ def _real_spans(m, vectors, scale: float) -> tuple[np.ndarray, list]:
         else f"invariance residual {norm:.3e} too large for a cluster of multiplicity {mult}" if norm > 1e-8 * scale else ""
         for rank, norm in zip(ranks.tolist(), norms.tolist())
     ]
-
-
-def compress(a, basis) -> np.ndarray:
-    """Restriction ``basis^T a basis`` of a quadratic form to the span of a matrix's columns.
-
-    Only the shapes are checked: a non-finite entry gives a non-finite
-    restriction, on which ``model.refine_equilibrium`` stops.
-    """
-    basis = _array("basis", basis, (None, None), finite=False)
-    return basis.T @ _array("a", a, (len(basis),) * 2, finite=False) @ basis

@@ -122,7 +122,7 @@ from .errors import (
     NotASymmetry,
     UnknownPreset,
 )
-from .linalg import _array, _integer, _numerical_rank, _real, compress, standard_symplectic
+from .linalg import _array, _integer, _numerical_rank, _real, standard_symplectic
 
 __all__ = [
     "EARTH_J2",
@@ -579,7 +579,7 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
             stop = "a stall (3 iterations without a 10% fall)"
             break
         section = _orbit_bases(system, z)[0]
-        hs = compress(hessian_of(system, z), section)
+        hs = section.T @ hessian_of(system, z) @ section
         if not np.isfinite(hs).all():
             stop = "a non-finite Hessian"
             break

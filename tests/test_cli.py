@@ -159,7 +159,7 @@ def test_so3_sphere_with_one_declared_rotation_stays_inconclusive(tmp_path):
     text = (DATA / "so3-hat.ini").read_text(encoding="utf-8")
     path = tmp_path / "so3-one.ini"
     kept = [line for line in text.splitlines(True) if not line.startswith(("generator1", "generator2"))]
-    path.write_text("".join(kept), encoding="utf-8")
+    path.write_text("".join(kept).replace("generator3", "generator1"), encoding="utf-8")
     code, out = run_cli(["analyze", "--config", str(path)])
     assert code == 2 and "orbit dim = 1" in out
     assert "inconclusive" in out and "kernel dimension 2 differs from orbit dimension 1" in out
@@ -946,7 +946,15 @@ def test_generators_parse_in_the_order_of_their_number_and_survive_the_round_tri
 @pytest.mark.parametrize("key", ["generator", "generator0", "generator01", "generatorx", "generator-1"])
 def test_a_generator_key_without_a_positive_integer_is_an_error(key):
     text = f"[system]\nn = 1\nmonomials = 0.5 2 0 ; 0.5 0 2\n{key} = 0 1 ; -1 0\n"
-    with pytest.raises(ConfigParse, match=rf"^\[system\] {key}: a generator key is 'generator' followed by a positive integer$"):
+    with pytest.raises(ConfigParse, match=rf"^\[system\] {key}: the generator keys are generator1 to generator1, without a gap$"):
+        cli.parse_config(text)
+
+
+def test_a_gap_in_the_generator_keys_is_an_error_naming_the_key_after_it():
+    # generator3 beside generator1 alone was taken as the second generator, so
+    # model's errors named it generators[1] and NotASymmetry "generator 2"
+    text = "[system]\nn = 1\nmonomials = 0.5 2 0 ; 0.5 0 2\ngenerator1 = 0 1 ; -1 0\ngenerator3 = 0 1 ; -1\n"
+    with pytest.raises(ConfigParse, match=r"^\[system\] generator3: the generator keys are generator1 to generator2, without a gap$"):
         cli.parse_config(text)
 
 

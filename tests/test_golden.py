@@ -153,8 +153,8 @@ def _section_negated(bases):
 
 
 BASIS_CHANGES = {
-    "invariant-subspace-negated": (analysis, "invariant_subspaces", _negated),
-    "invariant-subspace-rotated": (analysis, "invariant_subspaces", _rotated),
+    "invariant-subspace-negated": (analysis, "_invariant_subspaces", _negated),
+    "invariant-subspace-rotated": (analysis, "_invariant_subspaces", _rotated),
     "section-negated": (model, "_orbit_bases", _section_negated),
 }
 

@@ -406,7 +406,7 @@ def test_newtonian_lift_spectrum():
         hessian=lambda q: np.diag([1.0, 4.0]),
     )
     j = linalg.standard_symplectic(2)
-    w = linalg.general_eigensystem(j @ model.hessian_of(sys, np.zeros(4)))[0]
+    w = linalg._general_eigensystem(j @ model.hessian_of(sys, np.zeros(4)))[0]
     imag = sorted(v.imag for v in w)
     assert np.allclose(imag, [-2.0, -1.0, 1.0, 2.0], atol=1e-12)
     assert max(abs(v.real) for v in w) < 1e-12
@@ -417,7 +417,7 @@ def test_newtonian_flat_potential_no_imaginary_pairs():
     h = model.hessian_of(sys, np.zeros(2))
     assert np.allclose(h, np.diag([0.0, 1.0]), atol=1e-7)
     j = linalg.standard_symplectic(1)
-    w = linalg.general_eigensystem(j @ h)[0]
+    w = linalg._general_eigensystem(j @ h)[0]
     assert max(abs(v.imag) for v in w) < 1e-3  # FD noise only, no unit-size pair
 
 
@@ -616,7 +616,7 @@ def test_lifted_and_satellite_generators_are_diag_x_x_to_the_bit():
 def test_preset_harmonic_spectrum():
     sys = model.preset("harmonic", beta=1.0)
     j = linalg.standard_symplectic(1)
-    w = np.sort_complex(linalg.general_eigensystem(j @ model.hessian_of(sys, np.zeros(2)))[0])
+    w = np.sort_complex(linalg._general_eigensystem(j @ model.hessian_of(sys, np.zeros(2)))[0])
     assert np.allclose(w, [-1j, 1j], atol=1e-12)
 
 
