@@ -45,7 +45,7 @@ import numpy as np
 
 from . import degree as degree_mod
 from .errors import Degenerate, NoImaginaryPairs, NoSuchLevel
-from .linalg import _array, _general_eigensystem, _inertia, _integer, _invariant_subspaces, _real, check_symmetric, standard_symplectic
+from .linalg import _array, _general_eigensystem, _inertia, _integer, _invariant_subspaces, _real, _symplectic, check_symmetric
 from .model import EquilibriumOrbit, HamiltonianSystem
 
 __all__ = [
@@ -142,11 +142,11 @@ def spectral_report(system: HamiltonianSystem, eq: EquilibriumOrbit) -> Spectral
 
 
 def _hamiltonian(a) -> tuple:
-    """``check_symmetric(a)`` and the standard symplectic ``J`` of its space; ``ValueError`` unless that space is even-dimensional."""
+    """``check_symmetric(a)`` and the standard symplectic ``J`` of its space (read-only); ``ValueError`` unless that space is even-dimensional and not empty."""
     a = check_symmetric(a)
-    if a.shape[0] % 2:
-        raise ValueError(f"a must act on an even-dimensional space, got shape {a.shape}")
-    return a, standard_symplectic(a.shape[0] // 2)
+    if a.shape[0] % 2 or not a.size:
+        raise ValueError(f"a must act on a non-empty even-dimensional space, got shape {a.shape}")
+    return a, _symplectic(a.shape[0] // 2)
 
 
 def matrix_report(a) -> SpectralReport:
@@ -160,13 +160,15 @@ def matrix_report(a) -> SpectralReport:
     # the degenerate-orbit modes sit numerically near 0 and are not
     # oscillation frequencies; require beta well above the splitting noise
     beta_floor = 1e-6 * scale
-    imaginary = [i for i, v in enumerate(wja) if abs(v.real) < 1e-8 * scale and v.imag > beta_floor]
+    # selected and clustered on Python floats: the bits of numpy's scalars at a fraction of their cost
+    real, imag = wja.real.tolist(), wja.imag.tolist()
+    imaginary = [i for i, v in enumerate(imag) if abs(real[i]) < 1e-8 * scale and v > beta_floor]
     # clusters of indices, by decreasing beta; each level's beta, multiplicity
     # and invariant subspace come from its one index set
     clusters = []
-    for i in sorted(imaginary, key=lambda i: wja[i].imag, reverse=True):
-        head = wja[clusters[-1][0]].imag if clusters else None
-        if head is not None and abs(wja[i].imag - head) < 1e-8 * (1.0 + head):
+    for i in sorted(imaginary, key=imag.__getitem__, reverse=True):
+        head = imag[clusters[-1][0]] if clusters else None
+        if head is not None and abs(imag[i] - head) < 1e-8 * (1.0 + head):
             clusters[-1].append(i)
         else:
             clusters.append([i])

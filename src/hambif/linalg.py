@@ -14,7 +14,11 @@ The public names are ``standard_symplectic``, ``check_symmetric`` and
 ``_general_eigensystem``, ``_invariant_subspaces``) take arrays the package
 has just made, so they check no argument; they keep every check on a value
 they compute: a non-finite eigenvalue, an eigensolver failure, a defective
-cluster and an invariance residual.
+cluster and an invariance residual.  ``_symplectic(n)`` is
+``standard_symplectic(n)``, read-only, for the package's own products with
+``J``; it keeps the ``J`` of the 8 dimensions used last, so a caller who works
+through many dimensions holds no more than 8 of them.  The public function
+returns a fresh array.
 
 The package's argument kinds live here, beside ``check_symmetric``, because
 this is the lowest numeric module and every other one imports it: an integer
@@ -30,6 +34,7 @@ not finite and symmetric).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,6 +90,14 @@ def standard_symplectic(n: int) -> np.ndarray:
     j = np.zeros((2 * n, 2 * n))
     j[:n, n:] = np.eye(n)
     j[n:, :n] = -np.eye(n)
+    return j
+
+
+@lru_cache(maxsize=8)
+def _symplectic(n: int) -> np.ndarray:
+    """``standard_symplectic(n)``, read-only, kept for the 8 dimensions used last: the ``J`` that the package's own products read."""
+    j = standard_symplectic(n)
+    j.flags.writeable = False
     return j
 
 

@@ -58,12 +58,14 @@ one.  The satellite preset and every system from
 presets among them) carry stacked derivatives, and the satellite a stacked
 energy.  Every stacked form equals its per-point form to the bit,
 so no derivative, finite-difference or not, depends on which one a caller
-reaches.  The per-point Hessians, the satellite's per-point energy and the
-lift's per-point gradient are derived, row 0 of the stacked form on a
-one-row stack (``_per_point``).  The satellite's per-point gradient is
-written out, because a one-row stacked call costs several per-point ones,
-and its stacked form makes the same float operations in the same order;
-both square ``q_3`` by a product.  The satellite's energy takes ``d^3``,
+reaches.  Only the satellite's per-point energy is derived, row 0 of the
+stacked form on a one-row stack.  No other per-point form makes a one-row
+stacked call, which costs several per-point ones.  The satellite's per-point
+gradient and the lift's per-point gradient and Hessian are written out
+beside their stacked forms: the satellite's makes its stacked form's float
+operations in the same order, and the lift's call the q-callable once and
+fill the same blocks.  The satellite's two Hessians share one formula,
+written once over a point or a stack.  The satellite's energy takes ``d^3``,
 ``d^5`` and ``q_3^2`` from C's ``pow``, the power of numpy-scalar
 arithmetic: Python's float power, the builtin ``pow`` mapped over the
 column's floats with a float exponent straight into ``np.fromiter``, or
@@ -122,7 +124,7 @@ from .errors import (
     NotASymmetry,
     UnknownPreset,
 )
-from .linalg import _array, _integer, _numerical_rank, _real, standard_symplectic
+from .linalg import _array, _integer, _numerical_rank, _real, _symplectic
 
 __all__ = [
     "EARTH_J2",
@@ -162,8 +164,8 @@ class SymmetryGroup:
     Each generator must be skew-symmetric and commute with the standard
     symplectic matrix (so the one-parameter subgroups are unitary).  An
     empty generator tuple encodes the trivial group.  A generator that is no
-    float matrix (ragged rows, a string), not square of even size, not
-    finite, not skew or not commuting is a ``ValueError`` naming
+    float matrix (ragged rows, a string), not square of positive even size,
+    not finite, not skew or not commuting is a ``ValueError`` naming
     ``generators[k]``.
     """
 
@@ -172,15 +174,15 @@ class SymmetryGroup:
     def __post_init__(self):
         gens = tuple(_array(f"generators[{k}]", g, (None, None), finite=False) for k, g in enumerate(self.generators))
         for k, g in enumerate(gens):
-            if g.shape[0] != g.shape[1] or g.shape[0] % 2:
-                raise ValueError(f"generators[{k}] must be square of even size, got shape {g.shape}")
+            if g.shape[0] != g.shape[1] or g.shape[0] % 2 or not g.size:
+                raise ValueError(f"generators[{k}] must be square of positive even size, got shape {g.shape}")
             if not np.all(np.isfinite(g)):  # NaN would pass the comparisons below
                 bad = ", ".join(f"[{i}, {j}] = {g[i, j]}" for i, j in np.argwhere(~np.isfinite(g)))
                 raise ValueError(f"generators[{k}] has non-finite entries {bad}")
             scale = 1.0 + float(np.max(np.abs(g)))
             if float(np.max(np.abs(g + g.T))) > 1e-12 * scale:
                 raise ValueError(f"generators[{k}] is not skew-symmetric")
-            j = standard_symplectic(g.shape[0] // 2)
+            j = _symplectic(g.shape[0] // 2)
             if float(np.max(np.abs(g @ j - j @ g))) > 1e-12 * scale:
                 raise ValueError(f"generators[{k}] does not commute with the symplectic matrix")
         object.__setattr__(self, "generators", gens)
@@ -460,16 +462,6 @@ def hessians_of(system: HamiltonianSystem, zs, grads=None) -> np.ndarray:
     return 0.5 * (fd + fd.transpose(0, 2, 1))
 
 
-def _per_point(stacked):
-    """The per-point form of a stacked evaluator: row 0 of its value on the one-row stack, with ``batch = stacked``."""
-
-    def evaluator(z):
-        return stacked(z[None])[0]
-
-    evaluator.batch = stacked
-    return evaluator
-
-
 def gradient_equivariance_residual(
     system: HamiltonianSystem,
     probes: int,
@@ -611,12 +603,15 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
         if residual > bound:
             raise NotASymmetry(f"generator {i} is not a symmetry of H: |A X z0| = {residual:.3e} exceeds {bound:.3e}")
     section, coefficients = _orbit_bases(system, z0)
+    d = system.dim
+    # np.tensordot's own product, without its Python path
+    combined = np.dot(coefficients, np.reshape(generators, (len(generators), d * d))).reshape(-1, d, d)
     return EquilibriumOrbit(
         z0=z0,
         hessian=hessian,
         gradient_norm=gn,
         section_basis=section,
-        orbit_generators=tuple(np.tensordot(coefficients, generators, axes=1)),
+        orbit_generators=tuple(combined),
     )
 
 
@@ -644,8 +639,9 @@ def newtonian_to_hamiltonian(
     The lifted ``gradient`` and ``hessian`` carry stacked forms (see the
     module docstring), so a harmonic-balance evaluation makes one stacked
     call.  They call the supplied q-level ``gradient``/``hessian`` once per
-    row.  The per-point ``gradient`` and ``hessian`` are the stacked ones on
-    one row, so each gives the same bits either way.  The lifted ``gradient`` is
+    row.  The per-point ``gradient`` and ``hessian`` call them once and
+    build the row that the stacked form builds, without a one-row stack, so
+    each gives the same bits either way.  The lifted ``gradient`` is
     ``(grad U(q), p)`` and says so by its ``newtonian`` marker: without a
     ``hessian``, a harmonic-balance Jacobian differences it in the ``n``
     positions alone, and its momentum columns are the same bits a shifted
@@ -662,24 +658,34 @@ def newtonian_to_hamiltonian(
 
     grad = None
     if gradient is not None:
+        def grad(z):
+            return np.concatenate((np.asarray(gradient(z[:n]), dtype=float), z[n:]))
+
         def grads(zs):
             # copy each row as it comes back: a gradient may reuse its buffer
             gq = [np.array(gradient(q), dtype=float) for q in zs[:, :n]]
             return np.concatenate([np.asarray(gq), zs[:, n:]], axis=1)
 
-        grad = _per_point(grads)
+        grad.batch = grads
         grad.newtonian = True
 
     hess = None
     if hessian is not None:
-        def hesses(zs):
-            m = np.zeros((len(zs), 2 * n, 2 * n))
-            for mp, q in zip(m, zs[:, :n]):
-                mp[:n, :n] = np.asarray(hessian(q), dtype=float)
-            m[:, n:, n:] = np.eye(n)
+        momenta = np.zeros((2 * n, 2 * n))  # every Hessian's constant blocks
+        momenta[n:, n:] = np.eye(n)
+
+        def hess(z):
+            m = momenta.copy()
+            m[:n, :n] = np.asarray(hessian(z[:n]), dtype=float)
             return m
 
-        hess = _per_point(hesses)
+        def hesses(zs):
+            m = momenta[None].repeat(len(zs), axis=0)
+            for mp, q in zip(m, zs[:, :n]):
+                mp[:n, :n] = np.asarray(hessian(q), dtype=float)
+            return m
+
+        hess.batch = hesses
 
     return HamiltonianSystem(
         n=n,
@@ -783,6 +789,8 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
 
     coupling = np.array([[0.0, omega, 0.0], [-omega, 0.0, 0.0], [0.0, 0.0, 0.0]])
     eye, e3e3 = np.eye(3), np.outer(e3, e3)
+    constant = np.zeros((6, 6))  # every Hessian's blocks but the potential's
+    constant[:3, 3:], constant[3:, :3], constant[3:, 3:] = coupling, coupling.T, eye
 
     def gradient(z):
         q, p = z[:3], z[3:]
@@ -790,12 +798,39 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
         gp = p + omega * np.array([-q[1], q[0], 0.0])
         return np.concatenate([gq, gp])
 
-    # Stacked forms.  The per-point energy and Hessian are derived: row 0 of
-    # the stacked form on a one-row stack.  The stacked gradient makes the
-    # per-point operations in the same order on a (P, 6) stack, so it equals
-    # its per-point form to the bit.  |q|^2 and |p|^2 come from one matmul
-    # per row, the dot kernel of the per-point q @ q, so no row's value
-    # depends on its stack.
+    # The potential's Hessian at one point or at each row of a stack: ``d2``
+    # holds |q|^2 per point, and ``expand`` turns a per-point weight into a
+    # factor of a 3x3 block.  One formula serves both forms; q_3 is squared
+    # by a product, never pow, and q q^T and e_3 q^T + q e_3^T are outer
+    # products.
+    def potential_hessian(d2, q, expand):
+        d = np.sqrt(d2)
+        d3 = d * d2
+        d5 = d3 * d2
+        d7 = d5 * d2
+        d9 = d7 * d2
+        q3 = q[..., 2]
+        s1 = 1.0 / d3 + 3.0 * c / d5
+        s2 = -3.0 / d5 - 15.0 * c / d7
+        e3q = e3[:, None] * q[..., None, :] + q[..., :, None] * e3
+        hp = expand(s1 - 15.0 * c * (q3 * q3) / d7) * eye
+        hp += expand(s2 + 105.0 * c * (q3 * q3) / d9) * (q[..., :, None] * q[..., None, :])
+        hp += expand(6.0 * c / d5) * e3e3
+        hp -= expand(30.0 * c * q3 / d7) * e3q
+        return hp
+
+    def hessian(z):
+        q = z[:3]
+        m = constant.copy()
+        m[:3, :3] = potential_hessian(float(q @ q), q, lambda w: w)
+        return m
+
+    # Stacked forms.  The per-point energy is derived: row 0 of the stacked
+    # form on a one-row stack.  The stacked gradient makes the per-point
+    # operations in the same order on a (P, 6) stack, so it equals its
+    # per-point form to the bit.  |q|^2 and |p|^2 come from one matmul per
+    # row, the dot kernel of the per-point q @ q, so no row's value depends
+    # on its stack.
     def squares(x):
         return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
@@ -834,34 +869,21 @@ def _satellite_system(omega: float, c: float) -> HamiltonianSystem:
 
     def hessians(zs):
         q = zs[:, :3]
-        d2, d = distances(q)
-        d3 = d * d2
-        d5 = d3 * d2
-        d7 = d5 * d2
-        d9 = d7 * d2
-        q3 = q[:, 2]
-        s1 = 1.0 / d3 + 3.0 * c / d5
-        s2 = -3.0 / d5 - 15.0 * c / d7
-        e3q = e3[:, None] * q[:, None, :] + q[:, :, None] * e3  # outer(e3, q) + outer(q, e3) per point
-        hp = (s1 - 15.0 * c * q3**2 / d7)[:, None, None] * eye
-        hp += (s2 + 105.0 * c * q3**2 / d9)[:, None, None] * (q[:, :, None] * q[:, None, :])
-        hp += (6.0 * c / d5)[:, None, None] * e3e3
-        hp -= (30.0 * c * q3 / d7)[:, None, None] * e3q
-        m = np.zeros((len(zs), 6, 6))
-        m[:, :3, :3] = hp
-        m[:, :3, 3:] = coupling
-        m[:, 3:, :3] = coupling.T
-        m[:, 3:, 3:] = eye
+        m = constant[None].repeat(len(zs), axis=0)
+        m[:, :3, :3] = potential_hessian(squares(q), q, lambda w: w[:, None, None])
         return m
 
-    gradient.batch = gradients
+    def energy(z):
+        return energies(z[None])[0]
+
+    energy.batch, gradient.batch, hessian.batch = energies, gradients, hessians
 
     spin = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     return HamiltonianSystem(
         n=3,
-        energy=_per_point(energies),
+        energy=energy,
         gradient=gradient,
-        hessian=_per_point(hessians),
+        hessian=hessian,
         symmetry=SymmetryGroup((_doubled(spin, 3),)),
         name="satellite",
         reversor=np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0]),

@@ -427,6 +427,14 @@ def test_package_exports_only_its_modules():
     assert proc.stdout.strip() == str(["module"] * 7 + ["str"])
 
 
+def test_package_getattr_loads_cli_and_names_a_missing_attribute(monkeypatch):
+    # both branches of the package's __getattr__, in this process, so a line trace sees them
+    monkeypatch.delattr(hambif, "cli")
+    assert hambif.cli is sys.modules["hambif.cli"]
+    with pytest.raises(AttributeError, match="^module 'hambif' has no attribute 'nothing'$"):
+        hambif.nothing
+
+
 @pytest.mark.parametrize(
     "argv",
     [

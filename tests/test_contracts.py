@@ -385,6 +385,20 @@ def _holes() -> dict:
             lambda: model.HamiltonianSystem(n=1, energy=len, reversor="ab"),
             "reversor must be a float array, got 'ab'",
         ),
+        # numpy's "zero-size array to reduction operation maximum which has no identity"
+        "empty-generator": (
+            lambda: model.SymmetryGroup((np.zeros((0, 0)),)),
+            "generators[0] must be square of positive even size, got shape (0, 0)",
+        ),
+        # "n must be an integer of at least 1, got 0", which names no argument of the call
+        "matrix-report-of-an-empty-matrix": (
+            lambda: analysis.matrix_report(np.zeros((0, 0))),
+            "a must act on a non-empty even-dimensional space, got shape (0, 0)",
+        ),
+        "t-matrix-of-an-empty-matrix": (
+            lambda: analysis.t_matrix(np.zeros((0, 0)), 1, 1.0),
+            "a must act on a non-empty even-dimensional space, got shape (0, 0)",
+        ),
         "symmetry-of-another-space": (
             lambda: model.HamiltonianSystem(n=1, energy=len, symmetry=model.SymmetryGroup((np.kron(np.eye(2), ROTATION),))),
             "symmetry acts on R^4, but the system is on R^2",

@@ -20,6 +20,14 @@ def test_symplectic_square_and_antisymmetry(n):
     assert np.array_equal(j.T, -j)
 
 
+def test_the_kept_symplectic_matrices_are_read_only_and_at_most_eight():
+    for n in range(1, 13):
+        j = linalg._symplectic(n)
+        assert np.array_equal(j, linalg.standard_symplectic(n)) and not j.flags.writeable
+    assert linalg._symplectic.cache_info().currsize == 8
+    assert linalg.standard_symplectic(1).flags.writeable  # the public J is the caller's own
+
+
 @pytest.mark.parametrize(
     "call, error",
     [

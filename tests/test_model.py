@@ -1,5 +1,6 @@
 import contextlib
 import re
+import sys
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -37,7 +38,7 @@ def test_symmetry_group_validation():
     assert grp.group_dim == 1
     with pytest.raises(ValueError):
         model.SymmetryGroup((np.eye(2),))  # not skew
-    with pytest.raises(ValueError, match=r"generators\[0\] must be square of even size, got shape \(3, 3\)"):
+    with pytest.raises(ValueError, match=r"generators\[0\] must be square of positive even size, got shape \(3, 3\)"):
         model.SymmetryGroup((np.zeros((3, 3)),))
     # a NaN entry compared False against both tolerances and passed
     for value, named in ((np.nan, r"\[0, 1\] = nan, \[1, 0\] = nan"), (np.inf, r"\[0, 1\] = inf, \[1, 0\] = -inf")):
@@ -1212,15 +1213,22 @@ def test_satellite_stacked_gradient_is_its_per_point_gradient_to_the_bit():
 
 
 def test_satellite_per_point_hessian_is_row_zero_of_the_stacked_one():
-    # at this point the separately written per-point form differed from the
-    # stacked one in the last bit (2.2e-16)
+    # the draw of the gradient's test above, and the point where an earlier
+    # written-out form, which took q3**2 from pow, differed from the stacked
+    # one in the last bit (2.2e-16)
     sat = model.preset("satellite", omega=1.0, c=0.1)
-    z = np.array([
+    d = model.satellite_equilibrium_distance(1.0, 0.1)
+    star = np.array([d, 0.0, 0.0, 0.0, -d, 0.0])
+    rng = np.random.default_rng(41)
+    zs = star + 10.0 ** rng.uniform(-3.0, 3.0, (10_000, 1)) * rng.standard_normal((10_000, 6))
+    pinned = [
         0.9589665327342726, -0.27284736524283815, 0.7294716928251465,
         -0.2721839989505945, -0.6333917099199842, -0.5496969084774124,
-    ])
-    assert np.array_equal(sat.hessian(z), sat.hessian.batch(z[None])[0])
-    assert np.array_equal(model.hessian_of(sat, z), model.hessians_of(sat, z[None])[0])
+    ]
+    zs = np.vstack([zs, pinned])
+    assert _bits(sat.hessian.batch(zs)) == _bits([sat.hessian(z) for z in zs])
+    z = zs[-1]
+    assert _bits(model.hessian_of(sat, z)) == _bits(model.hessians_of(sat, z[None])[0])
 
 
 @pytest.mark.parametrize("n", [1, 4])
@@ -1246,6 +1254,44 @@ def test_lifted_per_point_gradient_is_row_zero_of_the_stacked_one(n):
     assert lift.gradient.newtonian and lift.gradient.batch
     for z in np.random.default_rng(n).standard_normal((20, 2 * n)):
         assert _bits(lift.gradient(z)) == _bits(lift.gradient.batch(z[None])[0])
+
+
+def _functions_run(f, *args) -> set:
+    """The code objects of every Python function that ``f(*args)`` enters."""
+    codes, previous = set(), sys.getprofile()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        f(*args)
+    finally:
+        sys.setprofile(previous)
+    return codes
+
+
+def test_per_point_derivatives_make_no_stacked_call():
+    # a one-row stacked call costs several per-point ones; no per-point form
+    # below makes one, and the lift's calls its q-callable once
+    sat = model.preset("satellite", omega=1.0, c=0.1)
+    calls = Counter()
+
+    def q_gradient(q):
+        calls["gradient"] += 1
+        return 2.0 * q
+
+    def q_hessian(q):
+        calls["hessian"] += 1
+        return np.diag(q * q)
+
+    spin = np.array([[0.0, -1.0], [1.0, 0.0]])
+    lift = model.newtonian_to_hamiltonian(len, 2, gradient=q_gradient, hessian=q_hessian, generators=[spin])
+    z = np.array([0.3, -0.2, 0.5, 0.1])
+    for f, point in ((sat.hessian, SATELLITE_README_GUESS), (lift.gradient, z), (lift.hessian, z)):
+        assert f.batch.__code__ not in _functions_run(f, point)
+    assert calls == {"gradient": 1, "hessian": 1}
 
 
 def _counted_gradient(f, calls, stacked):
