@@ -2,15 +2,17 @@
 
 Candidate levels are lambda = 1/beta_j, where +/- i beta_j runs through the
 purely imaginary eigenvalue pairs of J * hessian(H).  One eigendecomposition
-of J * hessian(H) decides them: its purely imaginary eigenvalues are
-clustered as sets of indices, and each level's beta_j, multiplicity and
-invariant subspace E_j come from its one index set.  The levels' subspaces
-and the Hessian's inertia on each come from ``linalg._invariant_subspaces``:
-one stacked SVD, invariance residual and ``eigvalsh`` per cluster size, not
-one set of calls per level.  The report also holds the equilibrium's own
-facts, the Hessian's inertia ``(m_plus, m_minus, kernel_dim)``; it is kept on
-the equilibrium, and a candidate does not copy them.  Each candidate is put
-through the checks below and aggregated into a verdict:
+of J * hessian(H), formed by ``linalg._apply_j`` along the rows (the
+package's one product with J, a swap of halves), decides them: its purely
+imaginary eigenvalues are clustered as sets of indices, and each level's
+beta_j, multiplicity and invariant subspace E_j come from its one index set.
+The levels' subspaces and the Hessian's inertia on each come from
+``linalg._invariant_subspaces``: one stacked SVD, invariance residual and
+``eigvalsh`` per cluster size, not one set of calls per level.  The report
+also holds the equilibrium's own facts, the Hessian's inertia
+``(m_plus, m_minus, kernel_dim)``; it is kept on the equilibrium, and a
+candidate does not copy them.  Each candidate is put through the checks
+below and aggregated into a verdict:
 
 * resonance: one rule, ``SpectralReport.contributors``, gives the levels
   k/beta_j (where the mode-k linearization is singular) that coincide with a
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import degree as degree_mod
 from .errors import Degenerate, NoImaginaryPairs, NoSuchLevel
-from .linalg import _array, _general_eigensystem, _inertia, _integer, _invariant_subspaces, _real, _symplectic, check_symmetric
+from .linalg import _apply_j, _array, _general_eigensystem, _inertia, _integer, _invariant_subspaces, _real, check_symmetric, standard_symplectic
 from .model import EquilibriumOrbit, HamiltonianSystem
 
 __all__ = [
@@ -141,20 +143,20 @@ def spectral_report(system: HamiltonianSystem, eq: EquilibriumOrbit) -> Spectral
     return eq._report
 
 
-def _hamiltonian(a) -> tuple:
-    """``check_symmetric(a)`` and the standard symplectic ``J`` of its space (read-only); ``ValueError`` unless that space is even-dimensional and not empty."""
+def _hamiltonian(a) -> np.ndarray:
+    """``check_symmetric(a)``; ``ValueError`` unless ``a`` acts on a non-empty even-dimensional space."""
     a = check_symmetric(a)
     if a.shape[0] % 2 or not a.size:
         raise ValueError(f"a must act on a non-empty even-dimensional space, got shape {a.shape}")
-    return a, _symplectic(a.shape[0] // 2)
+    return a
 
 
 def matrix_report(a) -> SpectralReport:
     """Spectral report for a bare symmetric matrix acting as the Hessian."""
-    a, j = _hamiltonian(a)
+    a = _hamiltonian(a)
     wa = np.linalg.eigvalsh(a)
     m_plus, m_minus, kernel_dim = _inertia(wa)
-    ja = j @ a
+    ja = _apply_j(a, axis=0)
     wja, vja = _general_eigensystem(ja)
     scale = 1.0 + float(np.abs(wja).max())
     # the degenerate-orbit modes sit numerically near 0 and are not
@@ -189,13 +191,14 @@ def matrix_report(a) -> SpectralReport:
 
 def t_matrix(a, k: int, lam: float) -> np.ndarray:
     """Mode-k block matrix [[-(lam/k) A, -J], [J, -(lam/k) A]] (size 4N)."""
-    a, j = _hamiltonian(a)
+    a = _hamiltonian(a)
     k = _integer("k", k)
     _real("lam", lam)
     two_n = a.shape[0]
     out = np.zeros((2 * two_n, 2 * two_n))
     out[:two_n, :two_n] = -(lam / k) * a
     out[two_n:, two_n:] = -(lam / k) * a
+    j = standard_symplectic(two_n // 2)
     out[:two_n, two_n:] = -j
     out[two_n:, :two_n] = j
     return out

@@ -430,7 +430,7 @@ def cmd_branch(config: RunConfig, stdout=None) -> int:
     coeff_records = [_record(_COEFFICIENTS, i, orbit) for i, orbit in numbered]
     coeff_rows = [
         _record(_COEFF_ROW, rec, k, comp)
-        for rec in (coeff_records if config.fmt == "csv" else ())  # only the csv side table reads them
+        for rec in (coeff_records if config.fmt == "csv" and config.output else ())  # only the csv side table of --output reads them
         for k in range(rec["modes"] + 1)
         for comp in range(len(rec["a0"]))
     ]

@@ -150,21 +150,8 @@ def _winding_number(g, r: float) -> int:
     return int(round(total / (2.0 * np.pi)))
 
 
-def _degree_reduced(smap: SectionMap) -> int:
-    """Degree by Lyapunov-Schmidt reduction onto a kernel of dimension at most 2.
-
-    Central differences of ``smap.evaluator`` give the section Jacobian at
-    the origin.  The reduced field is sampled at radius ``smap.radius / 2``.
-    Raises :class:`Degenerate` for a larger kernel, :class:`BoundaryZero`
-    where ``|g|`` does not clear 100 times its evaluation error, and
-    :class:`NoConvergence` where the range equation cannot be solved inside
-    the ball.
-    """
-    return _degree(smap, *_eigh(_fd_jacobian(smap)))
-
-
 def _degree(smap: SectionMap, w, v) -> int:
-    """:func:`_degree_reduced` from the eigendecomposition ``(w, v)`` of the symmetrised Jacobian."""
+    """:func:`degree_regular_value` from the eigendecomposition ``(w, v)`` of the symmetrised Jacobian."""
     in_kernel = _in_kernel(w)
     kernel, image, w_range = v[:, in_kernel], v[:, ~in_kernel], w[~in_kernel]
     sign, dim = (-1) ** int((w_range < 0.0).sum()), kernel.shape[1]
@@ -200,7 +187,7 @@ def degree_minimum(smap: SectionMap) -> int:
     """Degree +1 of a section field with a positive semidefinite Jacobian.
 
     Raises :class:`NotAMinimum` when the central-difference Jacobian has a
-    negative eigenvalue or the degree of :func:`_degree_reduced` is not +1.
+    negative eigenvalue or the degree of :func:`degree_regular_value` is not +1.
     """
     w, v = _eigh(_fd_jacobian(smap))
     if ((w < 0.0) & ~_in_kernel(w)).any():
@@ -212,12 +199,17 @@ def degree_minimum(smap: SectionMap) -> int:
 
 
 def degree_regular_value(smap: SectionMap, attempts: int = 64, seed: int = 0) -> int:
-    """The degree of ``smap`` by :func:`_degree_reduced`.
+    """Degree by Lyapunov-Schmidt reduction onto a kernel of dimension at most 2.
 
-    ``attempts`` and ``seed`` are accepted for compatibility and ignored:
-    the computation is deterministic, and no regular value is drawn.
+    Central differences of ``smap.evaluator`` give the section Jacobian at
+    the origin.  The reduced field is sampled at radius ``smap.radius / 2``.
+    Raises :class:`Degenerate` for a larger kernel, :class:`BoundaryZero`
+    where ``|g|`` does not clear 100 times its evaluation error, and
+    :class:`NoConvergence` where the range equation cannot be solved inside
+    the ball.  ``attempts`` and ``seed`` are accepted for compatibility and
+    ignored: the computation is deterministic, and no regular value is drawn.
     """
-    return _degree_reduced(smap)
+    return _degree(smap, *_eigh(_fd_jacobian(smap)))
 
 
 def section_degree(system: HamiltonianSystem, eq: EquilibriumOrbit) -> DegreeReport:

@@ -14,11 +14,12 @@ The public names are ``standard_symplectic``, ``check_symmetric`` and
 ``_general_eigensystem``, ``_invariant_subspaces``) take arrays the package
 has just made, so they check no argument; they keep every check on a value
 they compute: a non-finite eigenvalue, an eigensolver failure, a defective
-cluster and an invariance residual.  ``_symplectic(n)`` is
-``standard_symplectic(n)``, read-only, for the package's own products with
-``J``; it keeps the ``J`` of the 8 dimensions used last, so a caller who works
-through many dimensions holds no more than 8 of them.  The public function
-returns a fresh array.
+cluster and an invariance residual.  Every product with
+``J = standard_symplectic(n)`` in the package is ``_apply_j(v, axis)``, a
+swap of the two halves of ``v`` along ``axis`` with one of them negated, so
+this module alone decides J's layout and no module multiplies by a dense
+``J``; ``standard_symplectic`` returns a fresh array for callers who want
+the matrix.
 
 The package's argument kinds live here, beside ``check_symmetric``, because
 this is the lowest numeric module and every other one imports it: an integer
@@ -34,7 +35,6 @@ not finite and symmetric).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -93,12 +93,10 @@ def standard_symplectic(n: int) -> np.ndarray:
     return j
 
 
-@lru_cache(maxsize=8)
-def _symplectic(n: int) -> np.ndarray:
-    """``standard_symplectic(n)``, read-only, kept for the 8 dimensions used last: the ``J`` that the package's own products read."""
-    j = standard_symplectic(n)
-    j.flags.writeable = False
-    return j
+def _apply_j(v, axis=-1) -> np.ndarray:
+    """``J v`` along ``axis`` for ``J = [[0, I], [-I, 0]]``: the two halves swapped and the new second half negated."""
+    head, half = (slice(None),) * (axis % v.ndim), v.shape[axis] // 2
+    return np.concatenate([v[head + (slice(half, None),)], -v[head + (slice(None, half),)]], axis=axis)
 
 
 def check_symmetric(a) -> np.ndarray:

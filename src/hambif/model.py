@@ -124,7 +124,7 @@ from .errors import (
     NotASymmetry,
     UnknownPreset,
 )
-from .linalg import _array, _integer, _numerical_rank, _real, _symplectic
+from .linalg import _apply_j, _array, _integer, _numerical_rank, _real
 
 __all__ = [
     "EARTH_J2",
@@ -182,8 +182,7 @@ class SymmetryGroup:
             scale = 1.0 + float(np.max(np.abs(g)))
             if float(np.max(np.abs(g + g.T))) > 1e-12 * scale:
                 raise ValueError(f"generators[{k}] is not skew-symmetric")
-            j = _symplectic(g.shape[0] // 2)
-            if float(np.max(np.abs(g @ j - j @ g))) > 1e-12 * scale:
+            if float(np.max(np.abs(_apply_j(g, axis=0) + _apply_j(g, axis=1)))) > 1e-12 * scale:  # |X J - J X|
                 raise ValueError(f"generators[{k}] does not commute with the symplectic matrix")
         object.__setattr__(self, "generators", gens)
 

@@ -92,7 +92,8 @@ Griffin, J. Appl. Mech. 56, 1989; Krack & Gross, Harmonic Balance for
 Nonlinear Vibration Problems, 2019): the Hessians of H at the collocation
 points, from one stacked call per evaluation where the evaluator has a
 stacked form (``model.hessians_of``), projected onto the Fourier basis.
-``J`` is applied as a swap of the halves with one sign flip.  On the
+``J`` is applied as ``linalg._apply_j``, a swap of the halves with one sign
+flip, the package's one product with ``J``.  On the
 equispaced grid each Galerkin sum of the field derivative ``D`` is a signed
 pair of its weighted Fourier coefficients, ``C_|k-l| +- C_k+l`` or
 ``S_k+l +- S_|k-l|``: Hill's block Toeplitz-plus-Hankel form (Deconinck &
@@ -125,7 +126,7 @@ import numpy as np
 
 from .analysis import BifurcationCandidate, spectral_report
 from .errors import EmptyKernel, HambifError, NoConvergence, WrongBranch
-from .linalg import _array, _integer, _real
+from .linalg import _apply_j, _array, _integer, _real
 from .model import (
     EquilibriumOrbit,
     HamiltonianSystem,
@@ -217,12 +218,6 @@ def _trig(t, m: int) -> tuple:
     """``(cos kt, sin kt)`` for ``k = 1..m``, each ``(len(t), m)``."""
     phases = np.outer(np.asarray(t, dtype=float), np.arange(1, m + 1))
     return np.cos(phases), np.sin(phases)
-
-
-def _apply_j(v, axis=-1) -> np.ndarray:
-    """``J v`` along ``axis`` for ``J = [[0, I], [-I, 0]]``: the two halves swapped and the new second half negated."""
-    head, half = (slice(None),) * (axis % v.ndim), v.shape[axis] // 2
-    return np.concatenate([v[head + (slice(half, None),)], -v[head + (slice(None, half),)]], axis=axis)
 
 
 @functools.lru_cache

@@ -22,7 +22,7 @@ def test_reduced_degree_raises_where_the_range_equation_leaves_the_ball():
     # is 0.25 at |c| = r / 2 = 5e-3, far outside the ball of radius 1e-2
     smap = make_map(2, lambda u: np.array([u[0] ** 3 + u[0] * u[1], u[1] - 1e4 * u[0] ** 2]), radius=1e-2)
     with pytest.raises(NoConvergence, match="range equation unsolved"):
-        degree._degree_reduced(smap)
+        degree.degree_regular_value(smap)
 
 
 def test_nondegenerate_identity():
@@ -118,7 +118,7 @@ def test_winding_number_gives_up_on_a_field_vanishing_on_the_circle():
 def test_reduced_rejects_kernel_beyond_two():
     smap = make_map(3, lambda u: float(u @ u) * u)
     with pytest.raises(Degenerate):
-        degree._degree_reduced(smap)
+        degree.degree_regular_value(smap)
 
 
 def test_homotopy_scaling_invariance():

@@ -20,12 +20,20 @@ def test_symplectic_square_and_antisymmetry(n):
     assert np.array_equal(j.T, -j)
 
 
-def test_the_kept_symplectic_matrices_are_read_only_and_at_most_eight():
-    for n in range(1, 13):
-        j = linalg._symplectic(n)
-        assert np.array_equal(j, linalg.standard_symplectic(n)) and not j.flags.writeable
-    assert linalg._symplectic.cache_info().currsize == 8
-    assert linalg.standard_symplectic(1).flags.writeable  # the public J is the caller's own
+def test_the_public_symplectic_matrix_is_the_callers_own():
+    j = linalg.standard_symplectic(1)
+    assert j.flags.writeable and not np.shares_memory(j, linalg.standard_symplectic(1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("shape", ["point", "stack", "matrix-stack"])
+def test_apply_j_is_the_product_with_standard_symplectic_along_every_axis(n, shape):
+    j, rng = linalg.standard_symplectic(n), np.random.default_rng(n)
+    v = rng.standard_normal({"point": (2 * n,), "stack": (5, 2 * n), "matrix-stack": (5, 2 * n, 2 * n)}[shape])
+    for axis in [axis for axis, length in enumerate(v.shape) if length == 2 * n]:
+        expected = np.moveaxis(np.tensordot(j, v, axes=(1, axis)), 0, axis)
+        assert np.array_equal(linalg._apply_j(v, axis=axis), expected)
+        assert np.array_equal(linalg._apply_j(v, axis=axis - v.ndim), expected)
 
 
 @pytest.mark.parametrize(

@@ -1755,7 +1755,7 @@ def reference_collocation(problem, x):
     """Collocation values, gradients and the fields stacked by ``np.array`` of a list, without a memo (reference)."""
     z = problem.phi @ problem._coefficients(x)
     grads = model.gradients_of(problem.system, z)
-    fields = [-orbits._apply_j(grads)]
+    fields = [-linalg._apply_j(grads)]
     if problem.n_mult:
         fields += [-grads] + [-z @ mat.T for mat in problem.moment_mats]
     return z, grads, (problem.weights.T @ np.array(fields)).reshape(len(fields), -1)[:, problem.rows]
@@ -1780,7 +1780,7 @@ def reference_jacobian(problem, x, layout, blocks):
         hess = 0.5 * (fd + fd.transpose(0, 2, 1))
     else:
         hess = model.hessians_of(problem.system, z)
-    jh = orbits._apply_j(hess, axis=1)
+    jh = linalg._apply_j(hess, axis=1)
     dfield = -(lam * jh + mus[0] * hess) if problem.n_mult else -(lam * jh)
     for i, mat in enumerate(problem.moment_mats):
         dfield -= mus[1 + i] * mat
