@@ -27,7 +27,7 @@ below and aggregated into a verdict:
   the table is the single entry ``(1, j0)``, and that entry's jump is the
   Morse jump: the change of the negative index of the mode-1 block matrix
   across the level.  ``analyze`` builds it once per level, and its verdict,
-  ``check_nonresonance`` and ``morse_jump`` read it;
+  its ``nonresonant`` flag and ``morse_jump`` read it;
 * index criteria on the invariant subspaces (the signature imbalance on the
   level's own subspace is a nonzero jump wherever the jump is defined);
 * Brouwer degree of the section-restricted gradient (delegated to
@@ -60,11 +60,8 @@ __all__ = [
     "matrix_report",
     "t_matrix",
     "resonance_set",
-    "check_nonresonance",
     "morse_jump",
     "check_szulkin_zj",
-    "check_definite_zj",
-    "check_definite_z",
     "check_mplus",
     "newtonian_blocks",
     "analyze",
@@ -239,12 +236,8 @@ def _singular(report: SpectralReport, j: int) -> str:
     return f"the Hessian is singular on the level's invariant subspace (kernel dimension {report.inertias[j - 1][2]})"
 
 
-def check_nonresonance(report: SpectralReport, j0: int) -> bool:
-    """True when the level ``1/beta_{j0}`` has no contributor but its own ``(1, j0)``: a one-entry index table."""
-    return len(_index_components(report, 1.0 / report.beta(j0))) == 1
-
-
 def _definite(pos: int, neg: int, kernel: int) -> bool:
+    """Whether a form of inertia ``(pos, neg, kernel)`` is definite: no kernel and one sign."""
     return pos + neg + kernel in (pos, neg)
 
 
@@ -287,23 +280,6 @@ def check_szulkin_zj(report: SpectralReport, j0: int) -> bool:
     report.beta(j0)
     pos, neg, _ = report.inertias[j0 - 1]
     return pos != neg
-
-
-def check_definite_zj(report: SpectralReport, j0: int) -> bool:
-    """Definiteness of the Hessian restricted to the level's invariant subspace."""
-    report.beta(j0)
-    return _definite(*report.inertias[j0 - 1])
-
-
-def check_definite_z(report: SpectralReport) -> bool:
-    """Definiteness of the Hessian on the sum of all imaginary-pair subspaces.
-
-    Distinct levels' subspaces are ``J A``-invariant and symplectically orthogonal, hence
-    ``A``-orthogonal, so the inertia on their sum is the sum of ``report.inertias``.
-    """
-    if not report.betas:
-        return False
-    return _definite(*map(sum, zip(*report.inertias)))
 
 
 def check_mplus(report: SpectralReport) -> bool:
@@ -415,7 +391,9 @@ def analyze(
     levels = range(1, len(report.betas) + 1) if opts.j0 is None else [opts.j0]
     report.beta(levels[0])  # NoSuchLevel for an out-of-range j0
     degree_report = degree_mod.section_degree(system, eq)
-    report_a7 = {"definite-z": check_definite_z(report), "mplus": check_mplus(report)}
+    # A7.4: distinct levels' subspaces are J A-invariant and symplectically orthogonal, hence
+    # A-orthogonal, so the inertia on their sum is the sum of the per-level inertias
+    report_a7 = {"definite-z": _definite(*map(sum, zip(*report.inertias))), "mplus": check_mplus(report)}
     candidates = []
     for j0 in levels:
         beta = report.betas[j0 - 1]
@@ -424,7 +402,7 @@ def analyze(
         jump = components[1, j0]
         a7 = {
             "szulkin": check_szulkin_zj(report, j0),
-            "definite-zj": check_definite_zj(report, j0),
+            "definite-zj": _definite(*report.inertias[j0 - 1]),
             **report_a7,
         }
         verdict, path, reason = _candidate_verdict(components, j0, a7, degree_report)

@@ -66,7 +66,10 @@ _SINGULAR = "section Hessian has a near-zero eigenvalue"
 
 @dataclass
 class SectionMap:
-    """The compressed gradient u -> B^T grad H(z0 + B u) on a ball |u| < radius; ``origin`` is |F(0)|."""
+    """The compressed gradient u -> B^T grad H(z0 + B u) on a ball |u| < radius; ``origin`` is |F(0)|.
+
+    ``ValueError`` unless ``evaluator(0)`` has ``dim`` components.
+    """
 
     dim: int
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -78,7 +81,8 @@ class SectionMap:
         _real("radius", self.radius)
         # relative to the radius, which scales with 1 + |z0| like the
         # refinement's gradient bound, so that every refined equilibrium passes
-        self.origin = float(np.linalg.norm(self.evaluator(np.zeros(self.dim))))
+        origin = _array("evaluator(0)", self.evaluator(np.zeros(self.dim)), (self.dim,), finite=False)
+        self.origin = float(np.linalg.norm(origin))
         if not self.origin < 1e-7 * self.radius:
             raise SectionNotZero(
                 f"section map must vanish at the origin, got |F(0)|={self.origin:.3e} "

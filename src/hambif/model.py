@@ -43,7 +43,9 @@ names it when it raises.  The refinement's vector norms, the floor's
 ``|1/h|`` among them, are ``_norm(v) = sqrt(v . v)``: ``np.linalg.norm``'s
 own formula for a 1-D float vector, with its bits and its overflow warning
 but without its dispatch, which costs more than the arithmetic on a
-6-vector.
+6-vector.  The gradient's norm is taken with that warning off: a finite
+gradient whose norm overflows is the infinite norm that ends the loop
+with a typed error, as a non-finite gradient is.
 
 The energy, and a supplied ``gradient`` or ``hessian``, may carry a stacked
 form as its ``batch`` attribute: called on a ``(P, 2N)`` stack of points, it
@@ -554,7 +556,8 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
     stop = "the 50-iteration cap"
     for iterations in range(1, 51):
         g, floor = _gradient_and_floor(system, z)
-        gn = _norm(g)
+        with np.errstate(over="ignore"):  # a finite gradient whose norm overflows is the inf that stops the loop
+            gn = _norm(g)
         stall = 0 if gn <= 0.9 * best_norm else stall + 1
         if gn < best_norm:
             best_z, best_norm, best_floor = z.copy(), gn, floor
@@ -646,7 +649,9 @@ def newtonian_to_hamiltonian(
     positions alone, and its momentum columns are the same bits a shifted
     call would give, because the q-gradient gets the same ``q`` there.
     ``n`` must be an integer of at least 1, and each generator a finite
-    ``n x n`` matrix.
+    ``n x n`` matrix.  A q-Hessian that is not ``n x n`` is a ``ValueError``
+    inside the lifted ``hessian``, which ``_evaluate`` types as an
+    ``EvaluationFailure``.
     """
     n = _integer("n", n)
     generators = [_array("generators", x, (n, n)) for x in generators]
@@ -673,15 +678,16 @@ def newtonian_to_hamiltonian(
         momenta = np.zeros((2 * n, 2 * n))  # every Hessian's constant blocks
         momenta[n:, n:] = np.eye(n)
 
+        # each q-Hessian's shape is checked: numpy would broadcast a (1, 1) or scalar one into the block
         def hess(z):
             m = momenta.copy()
-            m[:n, :n] = np.asarray(hessian(z[:n]), dtype=float)
+            m[:n, :n] = _array("the q-Hessian", hessian(z[:n]), (n, n), finite=False)
             return m
 
         def hesses(zs):
             m = momenta[None].repeat(len(zs), axis=0)
             for mp, q in zip(m, zs[:, :n]):
-                mp[:n, :n] = np.asarray(hessian(q), dtype=float)
+                mp[:n, :n] = _array("the q-Hessian", hessian(q), (n, n), finite=False)
             return m
 
         hess.batch = hesses

@@ -175,7 +175,11 @@ kept steps converge as slowly as 0.5 per step against the 40-step cap.
 
 @dataclass
 class FourierOrbit:
-    """Truncated Fourier representation z(t) = a0 + sum a_k cos kt + b_k sin kt."""
+    """Truncated Fourier representation z(t) = a0 + sum a_k cos kt + b_k sin kt.
+
+    ``ValueError`` unless ``a0`` is a point and ``a`` and ``b`` are ``(M, len(a0))`` arrays of one ``M``;
+    an entry may be non-finite, as in the solver's trial orbits.
+    """
 
     a0: np.ndarray
     a: np.ndarray  # (m, 2N)
@@ -183,6 +187,11 @@ class FourierOrbit:
     lam: float
     residual: float = np.nan
     amplitude: float = np.nan
+
+    def __post_init__(self):
+        self.a0 = _array("a0", self.a0, (None,), finite=False)
+        self.a = _array("a", self.a, (None, self.a0.size), finite=False)
+        self.b = _array("b", self.b, self.a.shape, finite=False)
 
     @property
     def m(self) -> int:
@@ -238,7 +247,7 @@ def sup_distance(orbit: FourierOrbit, z0) -> float:
 
 
 def _sup_distances(stack, z0) -> np.ndarray:
-    """``sup_distance`` of every orbit of ``stack``, all of one ``M``, in one pass on the ``8M``-point ``_grid``.
+    """``sup_distance`` of every orbit of ``stack``, all of one ``M``, in one pass on the ``8M``-point ``_grid`` (1 point at ``M = 0``).
 
     ``f(t) = |z(t) - z0|^2`` is a trigonometric polynomial of degree ``2M``, so
     its ``8M`` equispaced samples give its Fourier coefficients exactly (one
@@ -256,16 +265,17 @@ def _sup_distances(stack, z0) -> np.ndarray:
     orbit's value depends on its stack.
     """
     m = stack[0].m
+    points = max(8 * m, 1)  # one sample of an orbit without modes, a constant curve
     shift = np.array([orbit.a0 for orbit in stack])[:, None] - z0  # (n, 1, 2N)
     a, b = (np.array([getattr(orbit, key) for orbit in stack]) for key in "ab")
-    cos, sin = _grid(8 * m, m)
+    cos, sin = _grid(points, m)
     dz = shift + cos @ a + sin @ b
     power = np.frexp(np.abs(dz).max(axis=(1, 2)))[1]
     dz = np.ldexp(dz, -power[:, None, None])
     samples = (dz * dz).sum(axis=-1)
     ring = np.concatenate([samples[:, -1:], samples, samples[:, :1]], axis=1)
     rows, cols = np.nonzero((samples >= ring[:, :-2]) & (samples >= ring[:, 2:]))  # the local maxima
-    t, ij = cols * (TWO_PI / (8 * m)), 1j * np.arange(1, 2 * m + 1)
+    t, ij = cols * (TWO_PI / points), 1j * np.arange(1, 2 * m + 1)
     slopes = np.fft.rfft(samples)[rows, None, 1 : 2 * m + 1] * np.array([ij, ij * ij])  # f', f'' up to a factor 1/4M
     for _ in range(3):
         df, d2f = (slopes * np.exp(t[:, None, None] * ij)).sum(axis=-1).real.T

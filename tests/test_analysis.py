@@ -20,6 +20,18 @@ def random_definite_matrix(rng, two_n, low=0.5, high=2.5):
     return q @ np.diag(rng.uniform(low, high, size=two_n)) @ q.T
 
 
+def quadratic(a):
+    """``H = z . A z / 2`` with its exact derivatives, and its equilibrium 0 as a record, so ``A`` may be singular."""
+    a = np.asarray(a, dtype=float)
+    system = model.HamiltonianSystem(
+        n=len(a) // 2, energy=lambda z: 0.5 * float(z @ a @ z), gradient=lambda z: a @ z, hessian=lambda z: a
+    )
+    eq = model.EquilibriumOrbit(
+        z0=np.zeros(len(a)), hessian=a, gradient_norm=0.0, section_basis=np.eye(len(a)), orbit_generators=()
+    )
+    return system, eq
+
+
 def test_t_matrix_frozen_2x2_case():
     t = analysis.t_matrix(np.eye(2), 1, 1.0)
     expected = np.array(
@@ -176,14 +188,14 @@ def test_resonance_singularity_cross_check():
 
 
 def test_nonresonance_checks():
-    rep = analysis.matrix_report(np.diag([9.0, 4.0, 1.0, 1.0]))  # betas 3, 2
-    assert np.allclose(rep.betas, [3.0, 2.0], atol=1e-12)
-    assert analysis.check_nonresonance(rep, 2)  # 3/2 not an integer
-    assert analysis.check_nonresonance(rep, 1)  # largest beta always passes
+    cands = analysis.analyze(*quadratic(np.diag([9.0, 4.0, 1.0, 1.0])))
+    assert np.allclose([c.beta for c in cands], [3.0, 2.0], atol=1e-12)
+    # the largest beta always passes, and 3/2 is not an integer
+    assert [c.nonresonant for c in cands] == [True, True]
 
-    rep2 = analysis.matrix_report(np.diag([4.0, 1.0, 1.0, 1.0]))  # betas 2, 1
-    assert not analysis.check_nonresonance(rep2, 2)  # 2/1 = 2
-    assert analysis.check_nonresonance(rep2, 1)
+    cands2 = analysis.analyze(*quadratic(np.diag([4.0, 1.0, 1.0, 1.0])))  # betas 2, 1
+    assert [c.nonresonant for c in cands2] == [True, False]  # 2/1 = 2
+    assert analysis._index_components(analysis.matrix_report(np.diag([4.0, 1.0, 1.0, 1.0])), 1.0) == {(2, 1): 2, (1, 2): 2}
 
 
 def lattice_report(rng, n):
@@ -206,14 +218,12 @@ def test_every_resonance_reader_takes_the_contributors_rule():
     rng = np.random.default_rng(27)
     for trial in range(60):
         rep = lattice_report(rng, 1 + trial % 4)
-        m, two_n = len(rep.betas), rep.hessian.shape[0]
-        system = model.HamiltonianSystem(n=rep.n, energy=lambda z, a=rep.hessian: 0.5 * z @ a @ z)
-        eq = model.EquilibriumOrbit(
-            z0=np.zeros(two_n), hessian=rep.hessian, gradient_norm=0.0, section_basis=np.eye(two_n), orbit_generators=()
-        )
-        for j0 in range(1, m + 1):
-            own = rep.contributors(1.0 / rep.beta(j0))
-            assert analysis.check_nonresonance(rep, j0) == (own == ((1, j0),))
+        m = len(rep.betas)
+        system, eq = quadratic(rep.hessian)
+        cands = analysis.analyze(system, eq)
+        assert [c.j0 for c in cands] == list(range(1, m + 1))
+        for cand in cands:
+            assert cand.nonresonant == (rep.contributors(cand.lambda0) == ((1, cand.j0),))
         ladder = [k / beta for beta in rep.betas for k in range(1, 6)]
         for lam in ladder + [lam * (1.0 + 3e-9) for lam in ladder]:
             pairs = rep.contributors(lam)
@@ -262,7 +272,7 @@ def _index_table_sources():
 
 
 def _check_index_tables(rep) -> dict:
-    """Each level's index table against ``contributors``, ``morse_jump`` and ``check_nonresonance``; the tables by j0."""
+    """Each level's index table against ``contributors`` and ``morse_jump``; the tables by j0."""
     tables = {}
     for j0, beta in enumerate(rep.betas, start=1):
         table = tables[j0] = analysis._index_components(rep, 1.0 / beta)
@@ -273,7 +283,6 @@ def _check_index_tables(rep) -> dict:
                 analysis.morse_jump(rep.hessian, 1.0 / beta, rep)
         else:
             assert analysis.morse_jump(rep.hessian, 1.0 / beta, rep) == table[1, j0]
-        assert (list(table) == [(1, j0)]) == analysis.check_nonresonance(rep, j0)
     return tables
 
 
@@ -302,11 +311,13 @@ def test_one_index_table_gives_each_levels_contributors_jump_and_nonresonance():
 
 def test_nonresonance_cost_does_not_grow_with_the_level_ratio():
     # a k ladder reaching the level 1 from 1/300000 takes seconds
-    rep = analysis.matrix_report(np.diag([3e5, 1.0, 3e5, 1.0]))  # betas 3e5, 1
+    a = np.diag([3e5, 1.0, 3e5, 1.0])  # betas 3e5, 1
+    rep = analysis.matrix_report(a)
     start = time.perf_counter()
-    verdicts = analysis.check_nonresonance(rep, 1), analysis.check_nonresonance(rep, 2)
+    tables = [analysis._index_components(rep, 1.0 / beta) for beta in rep.betas]
     assert time.perf_counter() - start < 0.01
-    assert verdicts == (True, False)
+    assert tables == [{(1, 1): 2}, {(300000, 1): 2, (1, 2): 2}]
+    assert [c.nonresonant for c in analysis.analyze(*quadratic(a))] == [True, False]
 
 
 def test_morse_jump_harmonic():
@@ -551,7 +562,7 @@ def test_quartet_next_to_a_level_stays_out_of_its_subspace():
     assert rep.multiplicities == (1,)
     assert rep.subspaces[0].shape == (6, 2)
     assert np.allclose(rep.subspaces[0].T @ rep.hessian @ rep.subspaces[0], np.eye(2), atol=1e-10)
-    assert analysis.check_definite_zj(rep, 1) and analysis.check_definite_z(rep)
+    assert rep.inertias == ((2, 0, 0),)
     (cand,) = analysis.analyze(system, eq)
     assert cand.a7_results["definite-zj"] and cand.a7_results["definite-z"]
 
@@ -628,14 +639,18 @@ def test_szulkin_definite_and_indefinite():
     # positive definite restriction -> signature imbalance holds
     rep = analysis.matrix_report(np.eye(2))
     assert analysis.check_szulkin_zj(rep, 1)
-    assert analysis.check_definite_zj(rep, 1)
+    assert analysis._definite(*rep.inertias[0])
+    (cand,) = analysis.analyze(*quadratic(np.eye(2)))
+    assert cand.a7_results["szulkin"] and cand.a7_results["definite-zj"]
     # signature (1,1) on a multiplicity-2 cluster -> no imbalance, no jump
     a = np.diag([1.0, -1.0, 1.0, -1.0])
     rep2 = analysis.matrix_report(a)
     assert rep2.betas == (1.0,)
     assert rep2.multiplicities == (2,)
     assert not analysis.check_szulkin_zj(rep2, 1)
-    assert not analysis.check_definite_zj(rep2, 1)
+    assert not analysis._definite(*rep2.inertias[0])
+    (cand2,) = analysis.analyze(*quadratic(a))
+    assert not cand2.a7_results["szulkin"] and not cand2.a7_results["definite-zj"]
     assert analysis.morse_jump(a, 1.0, rep2) == 0
 
 
@@ -655,16 +670,19 @@ def test_szulkin_agrees_with_jump_on_random_matrices():
 
 
 def test_check_definite_z_and_mplus():
-    rep = analysis.matrix_report(np.diag([1.0, 4.0, 1.0, 1.0]))
-    assert analysis.check_definite_z(rep)
+    a = np.diag([1.0, 4.0, 1.0, 1.0])
+    rep = analysis.matrix_report(a)
     assert rep.m_plus == 4 and rep.n == 2
     assert analysis.check_mplus(rep)
-    rep2 = analysis.matrix_report(np.diag([1.0, -1.0, 1.0, -1.0]))
-    assert not analysis.check_definite_z(rep2)
+    assert [(c.a7_results["definite-z"], c.a7_results["mplus"]) for c in analysis.analyze(*quadratic(a))] == [(True, True)] * 2
+    a2 = np.diag([1.0, -1.0, 1.0, -1.0])
+    rep2 = analysis.matrix_report(a2)
     assert not analysis.check_mplus(rep2)  # m+ = 2 = N
-    # a saddle has no level, so there is no subspace to be definite on
-    rep3 = analysis.matrix_report(np.diag([1.0, -1.0]))
-    assert rep3.betas == () and not analysis.check_definite_z(rep3)
+    (cand2,) = analysis.analyze(*quadratic(a2))
+    assert (cand2.a7_results["definite-z"], cand2.a7_results["mplus"]) == (False, False)
+    # a saddle has no level, so there is no subspace to be definite on, and no candidate
+    a3 = np.diag([1.0, -1.0])
+    assert analysis.matrix_report(a3).betas == () and analysis.analyze(*quadratic(a3)) == []
 
 
 def stacked_definite_z(rep):
@@ -709,16 +727,18 @@ def test_definite_z_from_per_level_inertias_matches_the_stacked_subspace():
     seen = {kind: set() for kind in kinds}
     for kind, make in kinds.items():
         for _ in range(60):
-            rep = analysis.matrix_report(make(2 * int(rng.integers(1, 5))))
+            system, eq = quadratic(make(2 * int(rng.integers(1, 5))))
+            rep = analysis.spectral_report(system, eq)
             if rep.betas:
-                value = analysis.check_definite_z(rep)
-                assert value == stacked_definite_z(rep), kind
-                seen[kind].add(value)
+                values = {cand.a7_results["definite-z"] for cand in analysis.analyze(system, eq)}
+                assert values == {stacked_definite_z(rep)}, kind
+                seen[kind] |= values
     # a Newtonian level's subspace only ever meets positive eta q^2 + p^2
     assert seen == {"definite": {True}, "indefinite": {True, False}, "singular": {True, False}, "newtonian": {True}}
     system, start = cli.build_system(cli.parse_config((DATA / "quartet.ini").read_text(encoding="utf-8")))
-    rep = analysis.spectral_report(system, model.refine_equilibrium(system, start))
-    assert analysis.check_definite_z(rep) and stacked_definite_z(rep)
+    eq = model.refine_equilibrium(system, start)
+    (cand,) = analysis.analyze(system, eq)
+    assert cand.a7_results["definite-z"] and stacked_definite_z(analysis.spectral_report(system, eq))
 
 
 def test_analyze_satellite_confirms():

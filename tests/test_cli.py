@@ -612,6 +612,27 @@ def test_overflowing_guess_is_an_error_with_warnings_as_errors(capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["analyze --config {config}", "analyze --preset satellite --omega 1 --c 1e300"],
+    ids=["harmonic-guess-1e200", "satellite-c-1e300"],
+)
+def test_a_finite_gradient_whose_norm_overflows_is_one_error_line(tmp_path, capsys, command):
+    # the gradient is finite, its norm is not: numpy's "overflow encountered in dot" was printed,
+    # and with warnings as errors it ended in a traceback
+    config = tmp_path / "huge-guess.ini"
+    config.write_text("[system]\npreset = harmonic\nguess = 1e200 0\n", encoding="utf-8")
+    argv = command.format(config=config).split()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hambif.cli", *argv], capture_output=True, text=True, env=src_env(), timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: the gradient norm at the guess is not finite\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(argv) == (1, "")
+    assert capsys.readouterr().err == "error: the gradient norm at the guess is not finite\n"
+
+
 @pytest.mark.parametrize("argv", [["analyze", "--preset", "harmonic"], ["presets"]], ids=["analyze", "presets"])
 def test_unwritable_output_is_an_error(tmp_path, capsys, argv):
     path = tmp_path / "missing-dir" / "x.jsonl"

@@ -149,6 +149,12 @@ def lifted_generators(valid):
     return [[ROTATION], [[[math.nan]]], [True]], [[[[0.0]]]]
 
 
+def mean(valid):
+    """A 1-D array of any length, finite or not: a bool and a stack of one point are not."""
+    v = np.asarray(valid, dtype=float)
+    return [True, v[None]] + _unconvertible(v), [v.tolist(), _entry(v, math.nan)]
+
+
 def reversor(valid):
     """The diagonal of a reversor of R^2: entries +-1 with r[N:] = -r[:N]."""
     bad = [True, np.ones(3), np.array([1.0, 1.0]), np.array([math.nan, -math.nan]), np.array([2.0, -2.0])]
@@ -227,15 +233,12 @@ def rows() -> dict:
         "analysis.matrix_report": (analysis.matrix_report, {"a": (a, symmetric(even=True))}),
         "analysis.t_matrix": (analysis.t_matrix, {"a": (a, symmetric(even=True)), "k": (2, integer()), "lam": (0.5, positive)}),
         "analysis.resonance_set": (lambda k_max: analysis.resonance_set(report, k_max), {"k_max": (3, integer())}),
-        "analysis.check_nonresonance": (lambda j0: analysis.check_nonresonance(report, j0), {"j0": (1, integer(1, 1))}),
         "analysis.morse_jump": (
             lambda a, lambda0: analysis.morse_jump(a, lambda0, report),
             {"a": (a, symmetric()), "lambda0": (1.0, positive)},
         ),
         "analysis.check_szulkin_zj": (lambda j0: analysis.check_szulkin_zj(report, j0), {"j0": (1, integer(1, 1))}),
-        "analysis.check_definite_zj": (lambda j0: analysis.check_definite_zj(report, j0), {"j0": (1, integer(1, 1))}),
-        "analysis.check_definite_z": None,  # a report alone
-        "analysis.check_mplus": None,
+        "analysis.check_mplus": None,  # a report alone
         "analysis.newtonian_blocks": (analysis.newtonian_blocks, {"etas": ([1.0, 4.0], vector), "lam": (0.5, positive)}),
         "analysis.analyze": (lambda eq: analysis.analyze(har, eq), {"eq": (eq, equilibrium)}),
         # degree
@@ -249,7 +252,10 @@ def rows() -> dict:
         "degree.degree_regular_value": None,  # a SectionMap, and attempts and seed, ignored
         "degree.section_degree": (lambda eq: degree.section_degree(har, eq), {"eq": (eq, equilibrium)}),
         # orbits
-        "orbits.FourierOrbit": None,  # a record solve_orbit fills
+        "orbits.FourierOrbit": (
+            lambda a0, a, b: orbits.FourierOrbit(a0, a, b, 1.0),  # a solver's trial orbit may be non-finite
+            {"a0": (orbit.a0, mean), "a": (orbit.a, stack), "b": (orbit.b, stack)},
+        ),
         "orbits.FourierOrbit.mode_energies": (orbit.mode_energies, {"z0": (np.zeros(2), point())}),
         "orbits.Branch": None,  # a record continue_branch fills
         "orbits.kernel_direction": (lambda eq: orbits.kernel_direction(har, eq, candidate), {"eq": (eq, equilibrium)}),
@@ -340,7 +346,6 @@ def _holes() -> dict:
     return {
         "analyze-j0-true": (lambda: analysis.analyze(har, eq, analysis.AnalyzeOptions(j0=True)), "j0 must be an integer, got True"),
         "analyze-j0-float": (lambda: analysis.analyze(har, eq, analysis.AnalyzeOptions(j0=1.0)), "j0 must be an integer, got 1.0"),
-        "nonresonance-j0-true": (lambda: analysis.check_nonresonance(report, True), "j0 must be an integer, got True"),
         "morse-jump-lambda0-true": (
             lambda: analysis.morse_jump(report.hessian, True, report),
             "lambda0 must be positive and finite, got True",
@@ -398,6 +403,16 @@ def _holes() -> dict:
         "t-matrix-of-an-empty-matrix": (
             lambda: analysis.t_matrix(np.zeros((0, 0)), 1, 1.0),
             "a must act on a non-empty even-dimensional space, got shape (0, 0)",
+        ),
+        # broadcast to every component: the numbers of [[0.1, 0.1]], half of them for mode_energies
+        "orbit-rows-of-width-1": (
+            lambda: orbits.FourierOrbit(np.zeros(2), [[0.1]], [[0.1]], 1.0),
+            "a must have shape (P, 2), got (1, 1)",
+        ),
+        # a section map of dim 2 whose values have one component got a degree
+        "section-map-of-short-values": (
+            lambda: degree.SectionMap(2, lambda u: np.zeros(1), 0.1),
+            "evaluator(0) must have shape (2,), got (1,)",
         ),
         "symmetry-of-another-space": (
             lambda: model.HamiltonianSystem(n=1, energy=len, symmetry=model.SymmetryGroup((np.kron(np.eye(2), ROTATION),))),

@@ -1383,6 +1383,9 @@ def test_stacked_form_failures_are_typed(what, bad_batch, scale, message):
         ("gradient", lambda q: q[0], "gradient evaluator failed"),
         ("hessian", _failing, "hessian evaluator failed.*planted failure"),
         ("hessian", lambda q: np.eye(3), "hessian evaluator failed"),
+        # numpy broadcast these into the q-block
+        ("hessian", lambda q: [[2.0]], r"hessian evaluator failed.*: the q-Hessian must have shape \(2, 2\), got \(1, 1\)$"),
+        ("hessian", lambda q: 2.0, r"hessian evaluator failed.*: the q-Hessian must have shape \(2, 2\), got \(\)$"),
     ],
     ids=[
         "gradient-raises",
@@ -1390,6 +1393,8 @@ def test_stacked_form_failures_are_typed(what, bad_batch, scale, message):
         "gradient-scalar",
         "hessian-raises",
         "hessian-too-big",
+        "hessian-too-small",
+        "hessian-scalar",
     ],
 )
 def test_stacked_newtonian_failures_are_typed(what, q_callable, message):
@@ -1433,8 +1438,19 @@ def test_a_gradient_that_reuses_its_buffer_gives_the_true_derivatives():
             [0.1, 0.1],
             r"^hessian evaluator returned shape \(3, 3\), not \(2, 2\)$",
         ),
+        # numpy broadcast these into the q-block of the lifted Hessian
+        (
+            model.newtonian_to_hamiltonian(lambda q: 0.5 * float(q @ q), 2, gradient=lambda q: q, hessian=lambda q: [[1.0]]),
+            [0.1, 0.1, 0.0, 0.0],
+            r"^hessian evaluator failed at max\|z_i\|=0.1: the q-Hessian must have shape \(2, 2\), got \(1, 1\)$",
+        ),
+        (
+            model.newtonian_to_hamiltonian(lambda q: 0.5 * float(q @ q), 2, gradient=lambda q: q, hessian=lambda q: 1.0),
+            [0.1, 0.1, 0.0, 0.0],
+            r"^hessian evaluator failed at max\|z_i\|=0.1: the q-Hessian must have shape \(2, 2\), got \(\)$",
+        ),
     ],
-    ids=["newtonian-gradient-too-long", "hessian-too-big"],
+    ids=["newtonian-gradient-too-long", "hessian-too-big", "hessian-too-small", "hessian-scalar"],
 )
 def test_per_point_results_of_the_wrong_shape_are_typed(system, guess, message):
     with pytest.raises(EvaluationFailure, match=message):

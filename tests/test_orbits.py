@@ -1633,6 +1633,15 @@ def test_sup_distance_of_tiny_and_huge_orbits_is_the_scaled_sup():
             assert abs(orbits.sup_distance(circle, np.zeros(2)) - radius) <= 4e-16 * radius
 
 
+def test_sup_distance_of_an_orbit_without_modes_is_its_distance_from_z0():
+    # M = 0 sampled an empty grid, and numpy's maximum of no samples raised
+    constant = orbits.FourierOrbit(np.array([1.0, 2.0]), np.zeros((0, 2)), np.zeros((0, 2)), 1.0)
+    assert orbits.sup_distance(constant, np.zeros(2)) == math.sqrt(5.0)
+    assert orbits.sup_distance(constant, np.array([1.0, 2.0])) == 0.0
+    assert orbits.minimal_period_check(constant) == "undetermined"
+    assert np.array_equal(constant.evaluate([0.0, 1.0]), [[1.0, 2.0], [1.0, 2.0]])
+
+
 @pytest.mark.parametrize(
     "s0, growth, steps, named",
     [
