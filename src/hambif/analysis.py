@@ -203,9 +203,9 @@ def t_matrix(a, k: int, lam: float) -> np.ndarray:
 
 def resonance_set(report: SpectralReport, k_max: int = 20) -> ResonanceSet:
     """The distinct levels k/beta_j, 1 <= k <= k_max, sorted, each with its ``report.contributors`` up to ``k_max``."""
+    _integer("k_max", k_max)
     if not report.betas:
         raise NoImaginaryPairs("the linearization has no purely imaginary pairs")
-    _integer("k_max", k_max)
     ladder = sorted((k / beta, k, j) for j, beta in enumerate(report.betas, start=1) for k in range(1, k_max + 1))
     entries, seen = [], set()
     for lam, k, j in ladder:

@@ -334,14 +334,13 @@ def _csv(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(stdout, fmt: str, path: str | None, lines, records, table, side=None) -> None:
+def _emit(fmt: str, path: str | None, lines, records, table, side=None) -> None:
     """Write one command's output (no other function does), by the rule in ``_HELP_EPILOG``.
 
     ``lines`` are the text report's lines, ``records`` the json-lines payload,
     ``table`` the csv payload as ``(columns, rows)`` and ``side`` the csv
     table for ``<path>.coeffs.csv``.
     """
-    stdout = sys.stdout if stdout is None else stdout
     report = "".join(f"{line}\n" for line in lines)
     if fmt == "text":
         payload = report
@@ -352,7 +351,7 @@ def _emit(stdout, fmt: str, path: str | None, lines, records, table, side=None) 
     else:
         raise ConfigParse(f"unknown output format {fmt!r}")
     if path is None:
-        stdout.write(payload)
+        sys.stdout.write(payload)
         if fmt != "text":
             sys.stderr.write(report)
         return
@@ -365,7 +364,7 @@ def _emit(stdout, fmt: str, path: str | None, lines, records, table, side=None) 
                 handle.write(text)
         except OSError as exc:
             raise ConfigParse(f"cannot write {name}: {exc.strerror or exc}") from exc
-    stdout.write(report)
+    sys.stdout.write(report)
 
 
 def _run_analysis(config: RunConfig):
@@ -375,7 +374,7 @@ def _run_analysis(config: RunConfig):
     return system, eq, candidates
 
 
-def cmd_analyze(config: RunConfig, stdout=None) -> int:
+def cmd_analyze(config: RunConfig) -> int:
     system, eq, candidates = _run_analysis(config)
     records = [_record(_CANDIDATE, i, cand) for i, cand in enumerate(candidates, start=1)]
     lines = [
@@ -404,16 +403,16 @@ def cmd_analyze(config: RunConfig, stdout=None) -> int:
                 f"{_flag(rec['definite_z']):>4} {_flag(rec['mplus']):>4}  {rec['verdict']}"
             )
             lines += [f"      - {reason}" for reason in rec["reasons"]]
-    _emit(stdout, config.fmt, config.output, lines, records, (ANALYZE_COLUMNS, records))
+    _emit(config.fmt, config.output, lines, records, (ANALYZE_COLUMNS, records))
     return 0 if any(c.confirmed for c in candidates) else 2
 
 
-def cmd_branch(config: RunConfig, stdout=None) -> int:
+def cmd_branch(config: RunConfig) -> int:
     system, eq, candidates = _run_analysis(config)
     # the first confirmed candidate; analyze kept only the configured j0's, if one is set
     picks = [c for c in candidates if c.confirmed]
     if not picks:
-        _emit(stdout, config.fmt, config.output, ["no confirmed candidate to verify"], [], (BRANCH_COLUMNS, []))
+        _emit(config.fmt, config.output, ["no confirmed candidate to verify"], [], (BRANCH_COLUMNS, []))
         return 2
     chosen = picks[0]
     branch = orbits_mod.continue_branch(
@@ -457,7 +456,6 @@ def cmd_branch(config: RunConfig, stdout=None) -> int:
         lines.append(f"sup-distance at smallest amplitude: {smallest['sup_distance']:.3e}")
     lines.append(f"branch verdict: {'ok' if ok else 'not verified'}")
     _emit(
-        stdout,
         config.fmt,
         config.output,
         lines,
@@ -476,7 +474,7 @@ def _branch_healthy(records, candidate) -> bool:
     return gaps[0] <= gaps[-1] + 1e-12 and records[0]["sup_distance"] <= records[-1]["sup_distance"]
 
 
-def cmd_presets(fmt: str = RunConfig.fmt, output: str | None = None, stdout=None) -> int:
+def cmd_presets(fmt: str = RunConfig.fmt, output: str | None = None) -> int:
     records = []
     for name, entry in sorted(model_mod.preset_info().items()):
         # the sample sets each flagged parameter at its default and each required one at its example
@@ -498,7 +496,7 @@ def cmd_presets(fmt: str = RunConfig.fmt, output: str | None = None, stdout=None
         shown = {k: "required" if v is None else _fmt(v) for k, v in rec["parameters"].items()}
         lines += [f"{rec['name']}:", *(f"  {k} = {v}" for k, v in shown.items()), f"  note: {rec['notes']}"]
         rows.append({**rec, "parameters": " ".join(f"{k}={v}" for k, v in shown.items())})
-    _emit(stdout, fmt, output, lines, records, (("name", "parameters", "notes"), rows))
+    _emit(fmt, output, lines, records, (("name", "parameters", "notes"), rows))
     return 0
 
 
@@ -571,15 +569,15 @@ def _effective_config(args) -> RunConfig:
     return replace(config, **updates) if updates else config
 
 
-def main(argv=None, stdout=None) -> int:
+def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "presets":
-            return cmd_presets(args.format or RunConfig.fmt, args.output, stdout=stdout)
+            return cmd_presets(args.format or RunConfig.fmt, args.output)
         config = _effective_config(args)
         if args.command == "analyze":
-            return cmd_analyze(config, stdout=stdout)
-        return cmd_branch(config, stdout=stdout)
+            return cmd_analyze(config)
+        return cmd_branch(config)
     except HambifError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,24 +16,25 @@ generators are built once, for the refined point.
 
 Every call of a supplied evaluator goes through ``_evaluate``, which turns
 any failure that is not a ``HambifError`` into ``EvaluationFailure``, as it
-does a gradient or Hessian of the wrong shape.  Its point or stack was
-checked once, where it entered: a point whose length is not ``2N`` is a
-``ValueError`` there (``linalg._array``, which checks the shape alone, so
-that a non-finite iterate reaches the evaluator and the typed errors of its
-caller).  It copies each per-point result, so an evaluator may return one
-reused buffer.
+does a gradient or Hessian of the wrong shape.  A point was checked once,
+where it entered: one whose length is not ``2N`` is a ``ValueError`` there
+(``linalg._array``, which checks the shape alone, so that a non-finite
+iterate reaches the evaluator and the typed errors of its caller).  A stack
+is built inside the package, so it is not checked again.  ``_evaluate``
+copies each per-point result, so an evaluator may return one reused
+buffer.
 ``gradient_of`` and ``hessian_of`` fill a missing derivative from one
 central-difference kernel or, from the energy alone, second differences.
 The kernel, ``_central_differences(stacked, z)``, evaluates the rows
-``z +- h_i e_i`` in one ``stacked`` call (``energies_of`` for the gradient,
-``gradients_of`` for the Hessian, ``degree``'s section map for its
+``z +- h_i e_i`` in one ``stacked`` call (``_energies_of`` for the gradient,
+``_gradients_of`` for the Hessian, ``degree``'s section map for its
 Jacobian) and returns the quotient with the values and the steps.  Every
 stencil has the float operations of one point at a time (``z_i + h_i``,
 then ``+- h_j``).  The forward-difference kernel beside them serves
-``hessians_of`` when its caller passes the gradients it already holds at a
+``_hessians_of`` when its caller passes the gradients it already holds at a
 stack of base points (the harmonic-balance Jacobian does), for a system
 without a Hessian, and evaluates all its shifted points through one
-``gradients_of`` call.  So ``model`` alone decides how a missing derivative
+``_gradients_of`` call.  So ``model`` alone decides how a missing derivative
 is made.
 ``_gradient_and_floor`` gives the gradient with the rounding floor of its
 stencil, ``eps max|H(z +- h_i e_i)| |1/h|``, from the energies the kernel
@@ -43,19 +44,21 @@ names it when it raises.  The refinement's vector norms, the floor's
 ``|1/h|`` among them, are ``_norm(v) = sqrt(v . v)``: ``np.linalg.norm``'s
 own formula for a 1-D float vector, with its bits and its overflow warning
 but without its dispatch, which costs more than the arithmetic on a
-6-vector.  The gradient's norm is taken with that warning off: a finite
-gradient whose norm overflows is the infinite norm that ends the loop
-with a typed error, as a non-finite gradient is.
+6-vector.  The norms of the gradient and of the iterate are taken with
+that warning off: a finite vector whose norm overflows is the infinite norm
+that ends the loop, as a non-finite gradient does.  Such an iterate is
+never the best one, so its infinite tolerance accepts nothing.
 
 The energy, and a supplied ``gradient`` or ``hessian``, may carry a stacked
 form as its ``batch`` attribute: called on a ``(P, 2N)`` stack of points, it
 returns the ``(P,)`` energies, the ``(P, 2N)`` gradients or the
 ``(P, 2N, 2N)`` Hessians, row ``i`` being the value at point ``i``, in a new
-array on each call.  ``energies_of``, ``gradients_of`` and ``hessians_of``
-share one dispatcher, which makes one such call for a whole stack and
-evaluates the points one at a time otherwise.  The stacked form belongs to
-the callable, so a system whose evaluator is replaced never keeps a stale
-one.  The satellite preset and every system from
+array on each call.  The private ``_energies_of``, ``_gradients_of`` and
+``_hessians_of``, which serve this module's difference kernels and
+``orbits``, share one dispatcher, which makes one such call for a whole
+stack and evaluates the points one at a time otherwise.  The stacked form
+belongs to the callable, so a system whose evaluator is replaced never
+keeps a stale one.  The satellite preset and every system from
 ``newtonian_to_hamiltonian`` (the ``harmonic`` and ``coupled-springs``
 presets among them) carry stacked derivatives, and the satellite a stacked
 energy.  Every stacked form equals its per-point form to the bit,
@@ -135,9 +138,6 @@ __all__ = [
     "EquilibriumOrbit",
     "gradient_of",
     "hessian_of",
-    "energies_of",
-    "gradients_of",
-    "hessians_of",
     "refine_equilibrium",
     "newtonian_to_hamiltonian",
     "preset",
@@ -278,8 +278,8 @@ def _evaluate(system: HamiltonianSystem, what: str, z: np.ndarray, stacked: bool
     shape of ``z`` and Hessians not of that shape plus ``(2N,)`` are an
     EvaluationFailure too; only a per-point result is copied.  ``z`` comes
     checked, its shape once, where it entered: a point by ``gradient_of``,
-    ``hessian_of`` or ``refine_equilibrium``, a stack, and each of its rows,
-    by ``_stack_of``.
+    ``hessian_of`` or ``refine_equilibrium``; a stack is built by its caller
+    inside the package.
     """
     try:
         evaluator = getattr(system, what)
@@ -325,14 +325,14 @@ def _gradient_and_floor(system: HamiltonianSystem, z: np.ndarray) -> tuple:
     each energy value carries a rounding error of about ``eps |H|``, so column
     ``i`` is uncertain by about ``eps |H| / h_i``, and the gradient norm by the
     floor ``eps max|H(z +- h_i e_i)| |1/h|``, read from the stencil's own
-    energies, which ``_central_differences`` evaluates in one ``energies_of``
+    energies, which ``_central_differences`` evaluates in one ``_energies_of``
     call and returns beside the quotient.  Below it Newton sees no progress.
     The floor is a-priori: an energy whose evaluation cancels (``1 - cos q``
     near ``q = 0``) carries more noise than ``eps |H|``.
     """
     if system.gradient is not None:
         return _evaluate(system, "gradient", z), 0.0
-    gradient, values, steps = _central_differences(partial(energies_of, system), z)
+    gradient, values, steps = _central_differences(partial(_energies_of, system), z)
     return gradient, _EPS * float(np.abs(values).max()) * _norm(1.0 / steps)
 
 
@@ -342,7 +342,7 @@ def _forward_differences(system: HamiltonianSystem, zs: np.ndarray, grads: np.nd
     Matrix ``p`` has columns ``(grad H(z_p + h_i e_i) - grads[p]) / h_i`` with
     ``h_i = 1.5e-8 (1 + |z_pi|)``, each taken as the representable step
     ``(z_p + h_i e_i)_i - z_pi``.  The shifted points go through one
-    ``gradients_of`` call, which is one stacked evaluator call where the
+    ``_gradients_of`` call, which is one stacked evaluator call where the
     gradient has a stacked form (every Newtonian system has one).  A
     Newtonian lift's gradient (its ``newtonian`` marker) is
     ``(grad U(q), p)``, so at a momentum shift it is the held q-half beside
@@ -357,7 +357,7 @@ def _forward_differences(system: HamiltonianSystem, zs: np.ndarray, grads: np.nd
     k = system.n if getattr(system.gradient, "newtonian", False) else d  # the shifts evaluated
     moved = shifted.copy()  # at a momentum shift of a Newtonian lift: the held q-half beside the shifted p
     moved[:, k:, :k] = grads[:, None, :k]
-    moved[:, :k] = gradients_of(system, shifted[:, :k].reshape(count * k, d)).reshape(count, k, d)
+    moved[:, :k] = _gradients_of(system, shifted[:, :k].reshape(count * k, d)).reshape(count, k, d)
     return ((moved - grads[:, None, :]) / steps[:, :, None]).transpose(0, 2, 1)
 
 
@@ -379,7 +379,7 @@ def _second_differences(system: HamiltonianSystem, z: np.ndarray) -> np.ndarray:
 
     Entry ``(i, j)``, ``i <= j``, is ``((H_0 - H_1) - H_2) + H_3`` over ``(4 h_i) h_j``,
     ``H_r`` the energy at ``z +- h_i e_i``, then ``+- h_j e_j`` (signs ``++``,
-    ``+-``, ``-+``, ``--``), all rows in one ``energies_of`` call.
+    ``+-``, ``-+``, ``--``), all rows in one ``_energies_of`` call.
     """
     d = z.size
     steps = _FD_HESSIAN_STEP * (1.0 + np.abs(z))
@@ -390,7 +390,7 @@ def _second_differences(system: HamiltonianSystem, z: np.ndarray) -> np.ndarray:
     flat = stencil.reshape(-1)
     flat[at_i] += shifts[shift_i]
     flat[at_j] += shifts[shift_j]
-    values = energies_of(system, stencil).reshape(-1, 4)
+    values = _energies_of(system, stencil).reshape(-1, 4)
     m = np.empty((d, d))
     m[i, j] = m[j, i] = (values[:, 0] - values[:, 1] - values[:, 2] + values[:, 3]) / (4.0 * steps[i] * steps[j])
     return m
@@ -408,7 +408,7 @@ def hessian_of(system: HamiltonianSystem, z) -> np.ndarray:
     """Hessian of H at z, symmetrized as (M + M^T)/2.
 
     Uses the supplied evaluator when present, central differences of the
-    gradient (``_central_differences`` over one ``gradients_of`` call) when
+    gradient (``_central_differences`` over one ``_gradients_of`` call) when
     only that is available, and second differences of the energy otherwise.
     ``z`` is a point of length ``2N``, as for ``gradient_of``.
     """
@@ -416,50 +416,46 @@ def hessian_of(system: HamiltonianSystem, z) -> np.ndarray:
     if system.hessian is not None:
         m = _evaluate(system, "hessian", z)
     elif system.gradient is not None:
-        m = _central_differences(partial(gradients_of, system), z)[0]
+        m = _central_differences(partial(_gradients_of, system), z)[0]
     else:
         m = _second_differences(system, z)
     return 0.5 * (m + m.T)
 
 
-def _stack_of(system: HamiltonianSystem, what: str, zs, per_point) -> np.ndarray:
+def _stack_of(system: HamiltonianSystem, what: str, zs: np.ndarray, per_point) -> np.ndarray:
     """``system.<what>`` at the rows of a ``(P, 2N)`` stack: one stacked call when it has one, else ``per_point(z)`` per row.
 
     Only a stacked Hessian is symmetrized here; ``hessian_of`` symmetrizes each per-point one.
-    ``zs`` must have the shape ``(P, 2N)``; its points may be non-finite.
     """
-    zs = _array("zs", zs, (None, system.dim), finite=False)
     if not hasattr(getattr(system, what), "batch"):
         return np.array([per_point(z) for z in zs])
     value = _evaluate(system, what, zs, stacked=True)
     return 0.5 * (value + value.transpose(0, 2, 1)) if what == "hessian" else value
 
 
-def energies_of(system: HamiltonianSystem, zs) -> np.ndarray:
+def _energies_of(system: HamiltonianSystem, zs: np.ndarray) -> np.ndarray:
     """Energies of H at the rows of a ``(P, 2N)`` stack."""
     return _stack_of(system, "energy", zs, partial(_evaluate, system, "energy"))
 
 
 # The per-row paths look ``gradient_of`` and ``hessian_of`` up at call time,
 # so a wrapper installed under those names sees every row.
-def gradients_of(system: HamiltonianSystem, zs) -> np.ndarray:
+def _gradients_of(system: HamiltonianSystem, zs: np.ndarray) -> np.ndarray:
     """Gradients of H at the rows of a ``(P, 2N)`` stack, ``gradient_of`` per row without a stacked form."""
     return _stack_of(system, "gradient", zs, lambda z: gradient_of(system, z))
 
 
-def hessians_of(system: HamiltonianSystem, zs, grads=None) -> np.ndarray:
+def _hessians_of(system: HamiltonianSystem, zs: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """Hessians of H at the rows of a ``(P, 2N)`` stack, each symmetrized as in ``hessian_of``.
 
-    ``grads``, the gradients at ``zs`` that a caller already holds, are read
-    only without a ``hessian`` evaluator, and checked then (the shape of
-    ``zs``, finite or not): the Hessians are the symmetrized forward
+    ``grads`` are the gradients at ``zs`` that the caller already holds.
+    Without a ``hessian`` evaluator the Hessians are the symmetrized forward
     differences from them (``_forward_differences``), in place of
-    ``hessian_of``'s central ones.  A supplied Hessian ignores them.
+    ``hessian_of``'s central ones; a supplied Hessian ignores them.
     """
-    if grads is None or system.hessian is not None:
+    if system.hessian is not None:
         return _stack_of(system, "hessian", zs, lambda z: hessian_of(system, z))
-    zs = _array("zs", zs, (None, system.dim), finite=False)
-    fd = _forward_differences(system, zs, _array("grads", grads, zs.shape, finite=False))
+    fd = _forward_differences(system, zs, grads)
     return 0.5 * (fd + fd.transpose(0, 2, 1))
 
 
@@ -542,9 +538,10 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
     NoConvergence
         If the best iterate misses ``|grad H| <= 1e-10 * (1 + |z|)``, with the
         iterations run, the stop that ended them (a stall, a non-finite
-        gradient or section Hessian, or the 50-iteration cap) and, without a
-        ``gradient``, the rounding floor at the best iterate; or if the
-        gradient at the guess or the Hessian at the result is not finite.
+        gradient, iterate norm or section Hessian, or the 50-iteration cap)
+        and, without a ``gradient``, the rounding floor at the best iterate;
+        or if the gradient norm at the guess, the norm of the guess or the
+        Hessian at the result is not finite.
     DegenerateSection
         If the section-restricted Hessian is singular beyond tolerance.
     NotASymmetry
@@ -556,16 +553,16 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
     stop = "the 50-iteration cap"
     for iterations in range(1, 51):
         g, floor = _gradient_and_floor(system, z)
-        with np.errstate(over="ignore"):  # a finite gradient whose norm overflows is the inf that stops the loop
-            gn = _norm(g)
+        with np.errstate(over="ignore"):  # a finite vector whose norm overflows is the inf that stops the loop
+            gn, zn = _norm(g), _norm(z)
+        # no Newton step from a non-finite gradient or iterate: the best iterate stands
+        if not (math.isfinite(gn) and math.isfinite(zn)):
+            stop = "an iterate whose norm is not finite" if math.isfinite(gn) else "a non-finite gradient"
+            break
         stall = 0 if gn <= 0.9 * best_norm else stall + 1
         if gn < best_norm:
             best_z, best_norm, best_floor = z.copy(), gn, floor
-        # no Newton step from a non-finite gradient: the best iterate stands
-        if not math.isfinite(gn):
-            stop = "a non-finite gradient"
-            break
-        if gn <= 1e-13 * (1.0 + _norm(z)):
+        if gn <= 1e-13 * (1.0 + zn):
             break
         if gn <= floor and best_norm <= _acceptance_tolerance(best_z):
             break
@@ -584,9 +581,9 @@ def refine_equilibrium(system: HamiltonianSystem, guess) -> EquilibriumOrbit:
             )
         du = np.linalg.solve(hs, -(section.T @ g))
         z = z + section @ du
+    if not math.isfinite(best_norm):  # the loop stopped at the guess
+        raise NoConvergence(f"the {'gradient norm at' if not math.isfinite(gn) else 'norm of'} the guess is not finite")
     z0, gn = best_z, best_norm
-    if not math.isfinite(gn):
-        raise NoConvergence("the gradient norm at the guess is not finite")
     tol = _acceptance_tolerance(z0)
     if not gn <= tol:
         note = f"; the central-difference gradient's rounding floor there is {best_floor:.3e}" if best_floor else ""

@@ -91,7 +91,7 @@ derivatives, assembled by the alternating frequency/time method (Cameron &
 Griffin, J. Appl. Mech. 56, 1989; Krack & Gross, Harmonic Balance for
 Nonlinear Vibration Problems, 2019): the Hessians of H at the collocation
 points, from one stacked call per evaluation where the evaluator has a
-stacked form (``model.hessians_of``), projected onto the Fourier basis.
+stacked form (``model._hessians_of``), projected onto the Fourier basis.
 ``J`` is applied as ``linalg._apply_j``, a swap of the halves with one sign
 flip, the package's one product with ``J``.  On the
 equispaced grid each Galerkin sum of the field derivative ``D`` is a signed
@@ -101,10 +101,10 @@ Kutz, J. Comput. Phys. 219, 2006).  So the projection is one product of a
 ``(4M + 2) x P`` transform table with ``D`` and two gathers through
 ``O(M^2)`` index tables, and no table of the problem grows with the
 Jacobian.  The residual likewise takes the gradients at all collocation
-points from one ``model.gradients_of`` call, and returns them with the
+points from one ``model._gradients_of`` call, and returns them with the
 collocation values and fields (the curve) beside the residual; the Jacobian
 at the same unknowns takes that curve as an argument, so the problem keeps
-no memo.  Its Hessians come from one ``model.hessians_of`` call, which owns
+no memo.  Its Hessians come from one ``model._hessians_of`` call, which owns
 the rule for a system without an analytic Hessian: forward differences of
 the gradients the curve holds (``model`` documents the kernel).
 Newton is a chord iteration (Kelley, Solving Nonlinear Equations with
@@ -132,9 +132,9 @@ from .model import (
     HamiltonianSystem,
     _EPS,
     _SYMMETRY_TOL,
-    energies_of,
-    gradients_of,
-    hessians_of,
+    _energies_of,
+    _gradients_of,
+    _hessians_of,
 )
 
 __all__ = [
@@ -292,7 +292,7 @@ def orbit_energy_range(system: HamiltonianSystem, orbit: FourierOrbit):
     ``ValueError`` unless the orbit has ``system``'s dimension.
     """
     _array("orbit.a0", orbit.a0, (system.dim,), finite=False)
-    values = energies_of(system, orbit._values(_grid(4 * orbit.m + 1, orbit.m)))
+    values = _energies_of(system, orbit._values(_grid(4 * orbit.m + 1, orbit.m)))
     return float(np.min(values)), float(np.max(values))
 
 
@@ -344,7 +344,7 @@ def residual_field(system: HamiltonianSystem, orbit: FourierOrbit, collocation_p
     _array("orbit.a0", orbit.a0, (system.dim,), finite=False)
     collocation_points = _integer("collocation_points", collocation_points, 2 * orbit.m + 1)
     table = _grid(collocation_points, orbit.m)
-    return orbit._rates(table) - orbit.lam * _apply_j(gradients_of(system, orbit._values(table)))
+    return orbit._rates(table) - orbit.lam * _apply_j(_gradients_of(system, orbit._values(table)))
 
 
 class _HarmonicBalance:
@@ -468,13 +468,13 @@ class _HarmonicBalance:
         return coeffs[0], coeffs[1 : self.m + 1], coeffs[self.m + 1 :], x[self.n_coeff], x[self.n_coeff + 1 :]
 
     def curve(self, x) -> tuple:
-        """The curve at ``x``: the collocation values, their gradients (one ``gradients_of`` call) and the fields.
+        """The curve at ``x``: the collocation values, their gradients (one ``_gradients_of`` call) and the fields.
 
         The fields are the kept Galerkin rows of those that ``lam`` and ``mu``
         weigh: ``-J grad H``, ``-grad H``, each ``-M_i z``.
         """
         z = self.phi @ self._coefficients(x)
-        grads = gradients_of(self.system, z)
+        grads = _gradients_of(self.system, z)
         fields = -_apply_j(grads)
         if self.n_mult:
             fields = np.array([fields, -grads] + [-z @ mat.T for mat in self.moment_mats])
@@ -499,13 +499,13 @@ class _HarmonicBalance:
         ``(row basis, column basis)`` blocks of ``jac[:n, :n]``.  The ``z'``
         entries, the ``lam`` and ``mu`` columns (the curve's fields) and the
         constraint rows go in beside them.  The Hessians ``H(z)`` come from
-        ``model.hessians_of``, which reads the curve's gradients where the
+        ``model._hessians_of``, which reads the curve's gradients where the
         system has no Hessian.
         """
         n, nb, nc = self.n_coeff, self.places.shape[1], self.row_comps.shape[1]
         lam, mus = x[n], x[n + 1 :]
         z, grads, fields = curve
-        hess = hessians_of(self.system, z, grads)
+        hess = _hessians_of(self.system, z, grads)
         jh = _apply_j(hess, axis=1)
         dfield = -(lam * jh + mus[0] * hess) if self.n_mult else -(lam * jh)
         for i, mat in enumerate(self.moment_mats):
@@ -552,7 +552,7 @@ def _symmetric_frame(system: HamiltonianSystem, eq: EquilibriumOrbit, predictor)
 def _half_wave(system: HamiltonianSystem, eq: EquilibriumOrbit, predictor) -> bool:
     """Whether ``grad H`` is odd about ``z0``, ``grad H(z0 + v) + grad H(z0 - v) = 0``: the half-wave ansatz's hypothesis.
 
-    Probed at ``z0 +- v`` from one ``gradients_of`` call, ``v`` along 16
+    Probed at ``z0 +- v`` from one ``_gradients_of`` call, ``v`` along 16
     directions, the 8 angles ``pi i / 8`` of the kernel pair's circle
     ``a1 cos + b1 sin`` and 8 generic directions of the whole phase space,
     with components ``sin(i j)`` (so a term that vanishes on the kernel plane
@@ -572,7 +572,7 @@ def _half_wave(system: HamiltonianSystem, eq: EquilibriumOrbit, predictor) -> bo
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     v = (np.array([1e-2, 1e-1, 1.0])[:, None, None] * (1.0 + np.linalg.norm(eq.z0)) * v).reshape(-1, system.dim)
     try:
-        grads = gradients_of(system, np.vstack([eq.z0 + v, eq.z0 - v])).reshape(2, 3, 16, system.dim)
+        grads = _gradients_of(system, np.vstack([eq.z0 + v, eq.z0 - v])).reshape(2, 3, 16, system.dim)
     except HambifError:
         return False
     bound = 1e-12 * (1.0 + np.max(np.abs(grads), axis=(0, 2), keepdims=True))
@@ -601,10 +601,13 @@ class _BranchSetup:
         return self.problems[m]
 
     def solve(self, amplitude_s, modes, initial_guess) -> FourierOrbit:
-        """``solve_orbit`` of this branch at a checked amplitude and ``modes``: Newton, the full check and the ``M`` doubling.
+        """One step of this branch at a checked amplitude and ``modes``: Newton, the full check and the ``M`` doubling.
+
+        It starts from the warm start ``initial_guess``, or from the linear
+        kernel predictor at ``lambda0`` where that is ``None``.
 
         A half-wave solve that raises, at any ``M``, is solved again from
-        ``initial_guess`` at ``modes`` in the symmetric ansatz, which the branch
+        the same start at ``modes`` in the symmetric ansatz, which the branch
         keeps from then on: H may be odd somewhere between the probe's points.
         A step that fails in both ansatzes fails twice, with the symmetric
         ansatz's message.
@@ -678,12 +681,11 @@ def solve_orbit(
     candidate: BifurcationCandidate,
     amplitude_s: float,
     modes: int = 8,
-    initial_guess: Optional[FourierOrbit] = None,
 ) -> FourierOrbit:
-    """One amplitude-pinned Newton solve of the mode-1 branch.
+    """One amplitude-pinned Newton solve of the mode-1 branch, from the linear kernel predictor at ``lambda0``.
 
     Newton solves with the assembled harmonic-balance Jacobian (the Hessians
-    of H at the collocation points, from ``model.hessians_of``, which
+    of H at the collocation points, from ``model._hessians_of``, which
     differences the gradients of the residual at the same unknowns where the
     system has no Hessian; see the module docstring) and halves each
     step until the max-norm residual decreases.  The Jacobian is kept while
@@ -699,8 +701,9 @@ def solve_orbit(
     half the unknowns, with the gradients and Hessians taken at the ``2M + 1``
     collocation points in ``[0, pi]`` alone.  By the reversible Lyapunov
     centre theorem the branch is symmetric, so this is the same orbit, in
-    the symmetric frame of the kernel pair; a warm start's parts outside the
-    ansatz are dropped.  A generator with ``R X R = -X`` needs no pin row
+    the symmetric frame of the kernel pair, where the predictor lies.  A
+    warm start of a later step, in ``continue_branch``, loses its parts
+    outside the ansatz.  A generator with ``R X R = -X`` needs no pin row
     and no momentum multiplier there, since its group drift leaves the
     symmetric curves and its momentum identity holds identically on them.
     Where H is moreover even about ``z0`` (``_half_wave``: ``grad H(z0 + v)
@@ -715,7 +718,7 @@ def solve_orbit(
     check of the full equations decides.  The call builds the branch's
     ``_BranchSetup`` (the kernel pair, the ansatz and each ``M``'s problem)
     and returns its ``solve``, which owns the fallback: a half-wave solve
-    that raises is solved again from the same warm start in the symmetric
+    that raises is solved again from the same start in the symmetric
     ansatz.  ``continue_branch`` builds the same object once and calls its
     ``solve`` at every step.  The grid tables come from ``_grid`` either way.
 
@@ -727,8 +730,6 @@ def solve_orbit(
         Initial Fourier truncation, an integer in ``1..MAX_MODES``; doubled
         (up to ``MAX_MODES``) whenever mode ``M - 1`` or ``M`` (mode 2 alone at
         ``M = 2``) holds more than 1e-10 of the oscillatory energy.
-    initial_guess : FourierOrbit, optional
-        Warm start; by default the linear kernel predictor at ``lambda0``.
 
     Raises
     ------
@@ -744,7 +745,7 @@ def solve_orbit(
     """
     _amplitude("amplitude_s", amplitude_s)
     modes = _integer("modes", modes, 1, MAX_MODES)
-    return _BranchSetup(system, eq, candidate).solve(amplitude_s, modes, initial_guess)
+    return _BranchSetup(system, eq, candidate).solve(amplitude_s, modes, None)
 
 
 def _amplitude(name: str, s):

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -23,7 +24,8 @@ DATA = Path(__file__).parent / "data"
 
 def run_cli(args):
     buf = io.StringIO()
-    code = cli.main(args, stdout=buf)
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(args)
     return code, buf.getvalue()
 
 
@@ -494,7 +496,7 @@ def test_presets_golden_output(tmp_path, fmt, ext):
 
 def test_presets_unknown_format_is_a_config_error():
     with pytest.raises(ConfigParse, match="unknown output format 'xml'"):
-        cli.cmd_presets("xml", stdout=io.StringIO())
+        cli.cmd_presets("xml")
 
 
 @pytest.mark.parametrize(
@@ -622,15 +624,27 @@ def test_a_finite_gradient_whose_norm_overflows_is_one_error_line(tmp_path, caps
     # and with warnings as errors it ended in a traceback
     config = tmp_path / "huge-guess.ini"
     config.write_text("[system]\npreset = harmonic\nguess = 1e200 0\n", encoding="utf-8")
-    argv = command.format(config=config).split()
+    assert_one_error_line(command.format(config=config).split(), "the gradient norm at the guess is not finite", capsys)
+
+
+def test_a_guess_whose_norm_overflows_is_one_error_line(tmp_path, capsys):
+    # H = q has no critical point; |z|^2 of the guess overflowed, numpy printed "overflow encountered
+    # in dot", and the inf tolerance accepted |grad H| = 1 (exit 2)
+    config = tmp_path / "linear-huge-guess.ini"
+    config.write_text("[system]\nn = 1\nmonomials = 1 1 0\nguess = 1e200 0\n", encoding="utf-8")
+    assert_one_error_line(["analyze", "--config", str(config)], "the norm of the guess is not finite", capsys)
+
+
+def assert_one_error_line(argv, message, capsys):
+    """``argv`` exits 1 with the one line ``error: <message>`` and no warning, in a fresh interpreter and in-process."""
     proc = subprocess.run(
         [sys.executable, "-m", "hambif.cli", *argv], capture_output=True, text=True, env=src_env(), timeout=60
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: the gradient norm at the guess is not finite\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert run_cli(argv) == (1, "")
-    assert capsys.readouterr().err == "error: the gradient norm at the guess is not finite\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [["analyze", "--preset", "harmonic"], ["presets"]], ids=["analyze", "presets"])
@@ -853,7 +867,7 @@ def test_removed_analysis_keys_are_errors(key):
 
 def test_kmax_flag_is_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["analyze", "--preset", "harmonic", "--kmax", "5"], stdout=io.StringIO())
+        cli.main(["analyze", "--preset", "harmonic", "--kmax", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --kmax 5" in capsys.readouterr().err
 
@@ -939,7 +953,7 @@ def test_each_keyed_flag_overrides_its_config_key(tmp_path):
 )
 def test_a_misspelled_flag_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv, stdout=io.StringIO())
+        cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

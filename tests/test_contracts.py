@@ -197,12 +197,6 @@ def rows() -> dict:
         "model.EquilibriumOrbit": None,  # a record refine_equilibrium fills
         "model.gradient_of": (lambda z: model.gradient_of(har, z), {"z": (np.ones(2), point(finite=False))}),
         "model.hessian_of": (lambda z: model.hessian_of(har, z), {"z": (np.ones(2), point(finite=False))}),
-        "model.energies_of": (lambda zs: model.energies_of(har, zs), {"zs": (np.ones((3, 2)), stack)}),
-        "model.gradients_of": (lambda zs: model.gradients_of(har, zs), {"zs": (np.ones((3, 2)), stack)}),
-        "model.hessians_of": (
-            lambda zs, grads: model.hessians_of(replace(har, hessian=None), zs, grads),  # grads are read without a Hessian
-            {"zs": (np.ones((3, 2)), stack), "grads": (np.ones((3, 2)), stack)},
-        ),
         "model.refine_equilibrium": (lambda guess: model.refine_equilibrium(har, guess), {"guess": (np.full(2, 0.1), point())}),
         "model.newtonian_to_hamiltonian": (
             lambda n, generators: model.newtonian_to_hamiltonian(lambda q: 0.5 * float(q @ q), n, generators=generators),
@@ -341,11 +335,15 @@ def test_each_argument_of_a_public_name_is_checked_at_its_entry(name):
 
 def _holes() -> dict:
     har, eq, report, candidate, orbit, smap, sat = objects()
-    energy_only = model.HamiltonianSystem(n=1, energy=lambda z: 0.5 * float(z @ z))
     nan_z0 = np.array([math.nan, 0.0])
     return {
         "analyze-j0-true": (lambda: analysis.analyze(har, eq, analysis.AnalyzeOptions(j0=True)), "j0 must be an integer, got True"),
         "analyze-j0-float": (lambda: analysis.analyze(har, eq, analysis.AnalyzeOptions(j0=1.0)), "j0 must be an integer, got 1.0"),
+        # NoImaginaryPairs, raised from the report before k_max was read
+        "resonance-set-k-max-0-of-a-report-without-pairs": (
+            lambda: analysis.resonance_set(analysis.matrix_report(np.diag([1.0, -1.0])), k_max=0),
+            "k_max must be an integer of at least 1, got 0",
+        ),
         "morse-jump-lambda0-true": (
             lambda: analysis.morse_jump(report.hessian, True, report),
             "lambda0 must be positive and finite, got True",
@@ -355,8 +353,6 @@ def _holes() -> dict:
         "system-n-true": (lambda: model.HamiltonianSystem(n=True, energy=len), "n must be an integer of at least 1, got True"),
         "sup-distance-nan": (lambda: orbits.sup_distance(orbit, nan_z0), "z0 must be finite, got nan"),
         "mode-energies-nan": (lambda: orbit.mode_energies(nan_z0), "z0 must be finite, got nan"),
-        "energies-of-one-point": (lambda: model.energies_of(sat, np.zeros(6)), "zs must have shape (P, 6), got (6,)"),
-        "hessians-of-one-point": (lambda: model.hessians_of(energy_only, np.zeros(2)), "zs must have shape (P, 2), got (2,)"),
         "symplectic-n-fraction": (lambda: linalg.standard_symplectic(1.5), "n must be an integer of at least 1, got 1.5"),
         "symplectic-n-true": (lambda: linalg.standard_symplectic(True), "n must be an integer of at least 1, got True"),
         "rotation-of-another-space": (

@@ -71,8 +71,8 @@ def run(command: str) -> list:
     """The golden lines of ``command``: its header record, then its json-lines stdout."""
     argv = [str(ROOT / arg) if arg.startswith("tests/") else arg for arg in command.split()]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = cli.main([*argv, "--format", "json-lines"], stdout=out)
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = cli.main([*argv, "--format", "json-lines"])
     error = next((line for line in err.getvalue().splitlines() if line.startswith("error: ")), None)
     header = json.dumps({"command": command, "exit": code, "error": error}, ensure_ascii=True)
     return [header, *out.getvalue().splitlines()]

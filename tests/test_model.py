@@ -115,6 +115,11 @@ def test_fd_hessian_matches_analytic_satellite():
     assert np.max(np.abs(h_fd - h)) < 1e-7
 
 
+def _supplied_hessians(system, zs):
+    """``model._hessians_of`` of a system with a Hessian, which reads no held gradients: NaN ones show it."""
+    return model._hessians_of(system, zs, np.full(zs.shape, np.nan))
+
+
 def test_forward_differences_from_a_held_gradient():
     sat = model.preset("satellite", omega=1.0, c=0.1)
     zs = np.array([[1.05, 0.1, -0.05, 0.02, -1.0, 0.03], [0.95, -0.1, 0.05, -0.02, -1.1, 0.0]])
@@ -125,18 +130,16 @@ def test_forward_differences_from_a_held_gradient():
         return sat.gradient.batch(stack)
 
     counted = replace(sat, gradient=_with_stacked_form(sat.gradient, gradients), hessian=None)
-    grads = model.gradients_of(sat, zs)
-    h_fd = model.hessians_of(counted, zs, grads)
+    grads = model._gradients_of(sat, zs)
+    h_fd = model._hessians_of(counted, zs, grads)
     # one stacked call with one row per column; f(z) is not recomputed
     assert len(calls) == 1 and calls[0].shape == (zs.size, 6)
     assert not any(np.array_equal(row, z) for row in calls[0] for z in zs)
     # a step of about sqrt(eps) leaves an error of about sqrt(eps) |H|
     for z, h in zip(zs, h_fd):
         assert np.max(np.abs(h - sat.hessian(z))) < 1e-6
-    # held gradients must fit the stack; a supplied Hessian is used, and they are not read
-    with pytest.raises(ValueError, match=re.escape("grads must have shape (2, 6), got (1, 6)")):
-        model.hessians_of(counted, zs, grads[:1])
-    assert np.array_equal(model.hessians_of(sat, zs, grads), model.hessians_of(sat, zs))
+    # a supplied Hessian is used, and the held gradients are not read
+    assert np.array_equal(_supplied_hessians(sat, zs), [model.hessian_of(sat, z) for z in zs])
 
 
 def test_invariance_check_satellite_passes():
@@ -538,7 +541,6 @@ def _wrong_length_calls():
         "mode-energies": (lambda: six.mode_energies([0.0]), "z0", (6,), (1,)),
         "gradient-of": (lambda: model.gradient_of(harmonic, np.zeros(3)), "z", (2,), (3,)),
         "hessian-of": (lambda: model.hessian_of(harmonic, np.zeros(1)), "z", (2,), (1,)),
-        "energies-of": (lambda: model.energies_of(harmonic, np.zeros((5, 3))), "zs", "(P, 2)", (5, 3)),
         "a-number": (lambda: model.gradient_of(harmonic, 1.0), "z", (2,), ()),
     }
 
@@ -565,9 +567,9 @@ def test_harmonic_preset_is_the_one_frequency_spring_lift(beta):
         assert harm.hessian(z).tobytes() == np.diag([beta**2, 1.0]).tobytes()
         closed = 0.5 * (z[1] ** 2 + beta**2 * z[0] ** 2)
         assert abs(harm.energy(z) - closed) <= 4.0 * np.finfo(float).eps * closed
-    for f in (model.gradients_of, model.hessians_of):
+    for f in (model._gradients_of, _supplied_hessians):
         assert f(harm, zs).tobytes() == f(springs, zs).tobytes()
-    assert np.array_equal(model.gradients_of(harm, zs), [harm.gradient(z) for z in zs])
+    assert np.array_equal(model._gradients_of(harm, zs), [harm.gradient(z) for z in zs])
 
 
 def test_harmonic_beta_is_one_positive_finite_number():
@@ -806,6 +808,43 @@ def test_refine_equilibrium_rejects_an_overflowing_guess():
     system, guess = cli.build_system(config)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NoConvergence, match="not finite"):
         model.refine_equilibrium(system, guess)
+
+
+def _norm_overflows():
+    # sum |z_i|^1.5 from (1e200, 0): |z|^2 overflows, and the stop 1e-13 (1 + |z|) and the
+    # tolerance 1e-10 (1 + |z0|) were inf, so the guess passed with |grad H| = 1.5e100
+    power = model.HamiltonianSystem(
+        n=1,
+        energy=lambda z: float(np.sum(np.abs(z) ** 1.5)),
+        gradient=lambda z: 1.5 * np.sign(z) * np.sqrt(np.abs(z)),
+        hessian=lambda z: np.diag(0.75 / np.sqrt(np.abs(z) + 1.0)),
+    )
+    # a gradient of 1e150 at q = 0 and a Hessian held at diag(1e-11, 1): Newton's first step
+    # lands on q = -1e161, whose norm overflows and whose gradient, 1e138, was the best
+    far_step = model.HamiltonianSystem(
+        n=1,
+        energy=lambda z: 0.0,
+        gradient=lambda z: np.array([1e150 / (1.0 + (z[0] / 1e155) ** 2), z[1]]),
+        hessian=lambda z: np.diag([1e-11, 1.0]),
+    )
+    return {
+        "guess": (power, [1e200, 0.0], "the norm of the guess is not finite"),
+        "iterate": (
+            far_step,
+            [0.0, 0.0],
+            "gradient norm 1.000e+150 above tolerance 1.000e-10 after 2 iterations, "
+            "stopped by an iterate whose norm is not finite",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_norm_overflows()))
+def test_a_point_whose_norm_overflows_is_never_accepted(case):
+    system, guess, message = _norm_overflows()[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence, match=f"^{re.escape(message)}$"):
+            model.refine_equilibrium(system, guess)
 
 
 def test_refine_equilibrium_requires_a_finite_hessian():
@@ -1122,7 +1161,7 @@ def test_orbit_energy_range_failure_is_typed():
 def test_stacked_energy_failures_are_typed(bad_batch, message):
     system = model.HamiltonianSystem(n=3, energy=_with_stacked_form(_failing, bad_batch))
     with pytest.raises(EvaluationFailure, match=message):
-        model.energies_of(system, np.ones((4, 6)))
+        model._energies_of(system, np.ones((4, 6)))
     # the central-difference gradient and Hessian evaluate their stencils through it
     for derivative in (model.gradient_of, model.hessian_of):
         with pytest.raises(EvaluationFailure, match="energy evaluator"):
@@ -1133,9 +1172,9 @@ def test_energies_of_calls_an_energy_without_a_stacked_form_per_row():
     sat = model.preset("satellite", omega=1.0, c=0.1)
     counted, calls = counting_evaluators(model.HamiltonianSystem(n=3, energy=sat.energy))
     zs = SATELLITE_README_GUESS + 0.1 * np.random.default_rng(3).standard_normal((5, 6))
-    assert _bits(model.energies_of(counted, zs)) == _bits([sat.energy(z) for z in zs])
+    assert _bits(model._energies_of(counted, zs)) == _bits([sat.energy(z) for z in zs])
     assert calls == {"energy": 5}
-    assert model.energies_of(counted, np.empty((0, 6))).shape == (0,)
+    assert model._energies_of(counted, np.empty((0, 6))).shape == (0,)
 
 
 def counting_stacked_energy(system):
@@ -1187,8 +1226,8 @@ def test_stacked_satellite_forms_agree_with_per_point_forms():
     sat = model.preset("satellite", omega=1.0, c=0.1)
     rng = np.random.default_rng(23)
     zs = np.array([1.0, 0.0, 0.0, 0.0, -1.0, 0.0]) + 0.3 * rng.standard_normal((200, 6))
-    grads = model.gradients_of(sat, zs)
-    hessians = model.hessians_of(sat, zs)
+    grads = model._gradients_of(sat, zs)
+    hessians = model._hessians_of(sat, zs, grads)
     assert grads.shape == (200, 6) and hessians.shape == (200, 6, 6)
     for z, g, h in zip(zs, grads, hessians):
         assert np.array_equal(g, model.gradient_of(sat, z)) and np.array_equal(h, model.hessian_of(sat, z))
@@ -1228,7 +1267,7 @@ def test_satellite_per_point_hessian_is_row_zero_of_the_stacked_one():
     zs = np.vstack([zs, pinned])
     assert _bits(sat.hessian.batch(zs)) == _bits([sat.hessian(z) for z in zs])
     z = zs[-1]
-    assert _bits(model.hessian_of(sat, z)) == _bits(model.hessians_of(sat, z[None])[0])
+    assert _bits(model.hessian_of(sat, z)) == _bits(_supplied_hessians(sat, z[None])[0])
 
 
 @pytest.mark.parametrize("n", [1, 4])
@@ -1244,7 +1283,7 @@ def test_lifted_per_point_hessian_is_row_zero_of_the_stacked_one(n):
     zs = np.random.default_rng(n).standard_normal((20, 2 * n))
     stacked = chain.hessian.batch(zs)
     assert all(np.array_equal(chain.hessian(z), h) for z, h in zip(zs, stacked))
-    assert all(np.array_equal(model.hessian_of(chain, z), h) for z, h in zip(zs, model.hessians_of(chain, zs)))
+    assert all(np.array_equal(model.hessian_of(chain, z), h) for z, h in zip(zs, _supplied_hessians(chain, zs)))
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -1370,7 +1409,7 @@ def test_stacked_form_failures_are_typed(what, bad_batch, scale, message):
     sat = model.preset("satellite", omega=1.0, c=0.1)
     f = getattr(sat, what)
     system = replace(sat, **{what: _with_stacked_form(f, bad_batch(f))})
-    stacked_of = {"gradient": model.gradients_of, "hessian": model.hessians_of}[what]
+    stacked_of = {"gradient": model._gradients_of, "hessian": _supplied_hessians}[what]
     with pytest.raises(EvaluationFailure, match=message):
         stacked_of(system, np.full((4, 6), scale))
 
@@ -1399,7 +1438,7 @@ def test_stacked_form_failures_are_typed(what, bad_batch, scale, message):
 )
 def test_stacked_newtonian_failures_are_typed(what, q_callable, message):
     system = model.newtonian_to_hamiltonian(lambda q: 0.5 * float(q @ q), 2, **{what: q_callable})
-    stacked_of = {"gradient": model.gradients_of, "hessian": model.hessians_of}[what]
+    stacked_of = {"gradient": model._gradients_of, "hessian": _supplied_hessians}[what]
     with pytest.raises(EvaluationFailure, match=message):
         stacked_of(system, np.ones((4, 4)))
 
@@ -1418,7 +1457,7 @@ def _reused_buffer_gradient():
 def test_a_gradient_that_reuses_its_buffer_gives_the_true_derivatives():
     system = _reused_buffer_gradient()
     assert np.allclose(model.hessian_of(system, np.array([0.3, 0.2])), [[2.0, 0.0], [0.0, 1.0]], atol=1e-8)
-    assert np.array_equal(model.gradients_of(system, np.array([[1.0, 2.0], [3.0, 4.0]])), [[2.0, 2.0], [6.0, 4.0]])
+    assert np.array_equal(model._gradients_of(system, np.array([[1.0, 2.0], [3.0, 4.0]])), [[2.0, 2.0], [6.0, 4.0]])
     eq = model.refine_equilibrium(system, np.array([0.3, 0.2]))
     assert np.allclose(eq.z0, 0.0, atol=1e-12)
 

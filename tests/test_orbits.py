@@ -168,7 +168,7 @@ def test_solve_orbit_pendulum_against_quadrature():
     previous_lam = 1.0
     guess = None
     for s in (0.1, 0.2, 0.4):
-        orbit = orbits.solve_orbit(pend, eq, cand, s, modes=8, initial_guess=guess)
+        orbit = orbits._BranchSetup(pend, eq, cand).solve(s, 8, guess)
         emin, emax = orbits.orbit_energy_range(pend, orbit)
         oracle = pendulum_period_oracle(0.5 * (emin + emax))
         assert abs(orbit.period - oracle) / oracle < 1e-4
@@ -830,8 +830,10 @@ def test_stacked_newtonian_forms_equal_per_point_forms(build):
     system = build()
     assert hasattr(system.gradient, "batch")
     zs = 0.8 * np.random.default_rng(31).standard_normal((50, system.dim))
-    assert np.array_equal(model.gradients_of(system, zs), [model.gradient_of(system, z) for z in zs])
-    assert np.array_equal(model.hessians_of(system, zs), [model.hessian_of(system, z) for z in zs])
+    grads = model._gradients_of(system, zs)
+    assert np.array_equal(grads, [model.gradient_of(system, z) for z in zs])
+    if system.hessian is not None:  # without one, the Hessians are forward differences: the test below
+        assert np.array_equal(model._hessians_of(system, zs, grads), [model.hessian_of(system, z) for z in zs])
 
 
 def forward_differences_per_point(system, z, g0):
@@ -872,13 +874,13 @@ def energy_only_pendulum():
 )
 def test_stacked_forward_differences_equal_the_per_point_loop(build, base):
     # the Newtonian systems shift only the positions; the loop shifts all 2N.
-    # hessians_of, handed the gradients, gives the loop's matrices symmetrized
+    # _hessians_of, handed the gradients, gives the loop's matrices symmetrized
     system = build()
     zs = base + 0.3 * np.random.default_rng(37).standard_normal((20, base.size))
-    grads = model.gradients_of(system, zs)
+    grads = model._gradients_of(system, zs)
     expected = np.array([forward_differences_per_point(system, z, g) for z, g in zip(zs, grads)])
     assert np.array_equal(model._forward_differences(system, zs, grads), expected)
-    assert np.array_equal(model.hessians_of(system, zs, grads), 0.5 * (expected + expected.transpose(0, 2, 1)))
+    assert np.array_equal(model._hessians_of(system, zs, grads), 0.5 * (expected + expected.transpose(0, 2, 1)))
 
 
 def without_newtonian_marker(system):
@@ -1355,10 +1357,10 @@ def test_steps_must_be_a_positive_integer_before_any_work(steps):
 
 
 def chained_solves(system, eq, cand, steps, s0, growth=2.0):
-    """One ``solve_orbit`` call per step, each warm-started as ``continue_branch`` does."""
+    """One solve of a branch of its own per step, each warm-started as ``continue_branch`` does."""
     found, guess = [], None
     for i in range(steps):
-        orbit = orbits.solve_orbit(system, eq, cand, s0 * growth**i, initial_guess=guess)
+        orbit = orbits._BranchSetup(system, eq, cand).solve(s0 * growth**i, 8, guess)
         found.append(orbit)
         guess = orbits._predict(orbit, eq.z0, cand.lambda0, growth)
     return found
@@ -1505,7 +1507,7 @@ def test_solve_orbit_rejects_a_negative_period():
     guess = orbits.FourierOrbit(mean, factors * last.a, factors * last.b, lam)
     assert guess.lam < 0.0
     with pytest.raises(WrongBranch, match=r"period -1\.1116309 is not positive"):
-        orbits.solve_orbit(system, eq, cand, 0.1 * 3.0**4, modes=last.m, initial_guess=guess)
+        orbits._BranchSetup(system, eq, cand).solve(0.1 * 3.0**4, last.m, guess)
 
 
 def test_solve_orbit_rejects_an_orbit_dominated_by_mode_two():
@@ -1531,7 +1533,7 @@ def test_solve_orbit_rejects_an_orbit_dominated_by_mode_two():
         lam=1.0,
     )
     with pytest.raises(WrongBranch, match=r"dominant Fourier mode is k=2, not k=1"):
-        orbits.solve_orbit(system, eq, cand, s, modes=2, initial_guess=guess)
+        orbits._BranchSetup(system, eq, cand).solve(s, 2, guess)
 
 
 def reference_curve(orbit, t):
@@ -1564,7 +1566,7 @@ def test_shared_grid_tables_give_the_per_call_formulas_to_the_bit(setup, s):
         t = rng.uniform(-10.0, 10.0, 5)
         assert np.array_equal(orbit.evaluate(t), reference_curve(orbit, t)[0])
         z, zdot = reference_curve(orbit, np.arange(4 * m + 1) * orbits.TWO_PI / (4 * m + 1))
-        residual = zdot - orbit.lam * model.gradients_of(system, z) @ j.T
+        residual = zdot - orbit.lam * model._gradients_of(system, z) @ j.T
         energies = [float(system.energy(point)) for point in z]
         grid, fine = (
             np.max(np.linalg.norm(reference_curve(orbit, np.arange(p) * orbits.TWO_PI / p)[0] - eq.z0, axis=1))
@@ -1725,7 +1727,7 @@ def test_swapped_field_derivative_equals_the_einsum_to_the_bit(name):
     problem.jacobian(x, problem.curve(x))
     lam, mus = x[problem.n_coeff], x[problem.n_coeff + 1 :]
     mix = lam * linalg.standard_symplectic(problem.dim // 2) + mus[0] * np.eye(problem.dim)
-    reference = -np.einsum("ij,pjk->pik", mix, model.hessians_of(system, problem.curve(x)[0]))
+    reference = -np.einsum("ij,pjk->pik", mix, model._hessians_of(system, *problem.curve(x)[:2]))
     for i, mat in enumerate(problem.moment_mats):
         reference -= mus[1 + i] * mat
     reference = reference.reshape(problem.points, -1)
@@ -1763,7 +1765,7 @@ def reference_blocks(problem, reversor, half_wave):
 def reference_collocation(problem, x):
     """Collocation values, gradients and the fields stacked by ``np.array`` of a list, without a memo (reference)."""
     z = problem.phi @ problem._coefficients(x)
-    grads = model.gradients_of(problem.system, z)
+    grads = model._gradients_of(problem.system, z)
     fields = [-linalg._apply_j(grads)]
     if problem.n_mult:
         fields += [-grads] + [-z @ mat.T for mat in problem.moment_mats]
@@ -1788,7 +1790,7 @@ def reference_jacobian(problem, x, layout, blocks):
         fd = model._forward_differences(problem.system, z, grads)
         hess = 0.5 * (fd + fd.transpose(0, 2, 1))
     else:
-        hess = model.hessians_of(problem.system, z)
+        hess = model._hessians_of(problem.system, z, grads)
     jh = linalg._apply_j(hess, axis=1)
     dfield = -(lam * jh + mus[0] * hess) if problem.n_mult else -(lam * jh)
     for i, mat in enumerate(problem.moment_mats):
