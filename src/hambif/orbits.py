@@ -111,9 +111,12 @@ Newton is a chord iteration (Kelley, Solving Nonlinear Equations with
 Newton's Method, SIAM 2003): one Jacobian serves as many steps as keep
 contracting the residual by ``CHORD_CONTRACTION``, so a step with a kept
 Jacobian costs one residual, the gradients at the collocation points, and an
-assembly is paid only when the contraction slows.  Before its first solve,
-each assembly drops the entries below ``eps * max|J|``; they lie under its
-rounding, and their products slow the LU with subnormal arithmetic.
+assembly is paid only when the contraction slows.  Newton reaches each
+Jacobian only through ``_HarmonicBalance.linear``, which assembles it, drops
+the entries below ``eps * max|J|`` (they lie under its rounding, and their
+products slow the LU with subnormal arithmetic) and returns the cleaned
+matrix with its dense solve, a ``_DenseSolve``: how the linear systems are
+solved is that one method's choice, not Newton's.
 """
 
 from __future__ import annotations
@@ -524,6 +527,10 @@ class _HarmonicBalance:
         jac[n:, :n] = self.cons
         return jac
 
+    def linear(self, x, curve) -> _DenseSolve:
+        """Newton's linear step at ``x``: the ``jacobian(x, curve)``, cleaned, and its solve, a ``_DenseSolve``."""
+        return _DenseSolve(self.jacobian(x, curve))
+
 
 def _symmetric_frame(system: HamiltonianSystem, eq: EquilibriumOrbit, predictor) -> Optional[np.ndarray]:
     """The reversor of the symmetric ansatz, or ``None`` where the full system is solved.
@@ -687,8 +694,10 @@ def solve_orbit(
     Newton solves with the assembled harmonic-balance Jacobian (the Hessians
     of H at the collocation points, from ``model._hessians_of``, which
     differences the gradients of the residual at the same unknowns where the
-    system has no Hessian; see the module docstring) and halves each
-    step until the max-norm residual decreases.  The Jacobian is kept while
+    system has no Hessian; see the module docstring), which it reaches only
+    through the problem's ``linear``: the matrix cleaned of the entries
+    below ``eps * max|J|``, and its dense solve (``_DenseSolve``).  It halves
+    each step until the max-norm residual decreases.  The Jacobian is kept while
     full steps cut the residual by at least ``CHORD_CONTRACTION``, and
     rebuilt at the current iterate after a damped or slower step, or when
     the line search fails with a kept Jacobian.  Newton stops below
@@ -780,41 +789,57 @@ def _check_ladder(steps, s0, growth, modes) -> tuple:
     return float(s0), float(growth), _integer("modes", modes, 1, MAX_MODES)
 
 
-def _lu_ready(jac: np.ndarray) -> np.ndarray:
-    """``jac`` with every entry below ``eps * max|J|`` set to zero, in place.
+class _DenseSolve:
+    """One Newton matrix, made ready for its LU, and its dense solve.
 
-    Such entries lie under the assembly's own rounding, and their products
-    make subnormal intermediates that slow LAPACK's LU several times over.
-    ``|J|`` is taken once for the max and the mask: a chain's Jacobian is
-    over 100 KB, and with a second temporary of that size alive the
-    allocator hands their pages back and faults them in again at every call.
+    ``matrix`` is the Jacobian handed in, with every entry below
+    ``eps * max|J|`` set to zero in place.  Such entries lie under the
+    assembly's own rounding, and their products make subnormal intermediates
+    that slow LAPACK's LU several times over.  The bound comes from the
+    matrix's max and min and the mask from two comparisons, so no temporary
+    of the matrix's size in floats is made (at N = 32, ``M = 32`` the
+    Jacobian is 139 MB).  ``|x| < t`` and ``-t < x < t`` pick the same
+    entries, so the bits are those of the ``|J|`` rule: with a NaN entry
+    the bound is NaN and nothing is zeroed, with an infinite one every
+    finite entry is.  ``solve(rhs)`` is ``np.linalg.solve(matrix, rhs)``; a
+    singular matrix raises ``LinAlgError``.
     """
-    magnitude = np.abs(jac)
-    jac[magnitude < _EPS * float(magnitude.max())] = 0.0
-    return jac
+
+    def __init__(self, jac: np.ndarray):
+        bound = _EPS * max(float(jac.max()), -float(jac.min()))
+        small = np.less(jac, bound)
+        small &= np.greater(jac, -bound)
+        jac[small] = 0.0
+        self.matrix = jac
+
+    def solve(self, rhs) -> np.ndarray:
+        return np.linalg.solve(self.matrix, rhs)
 
 
 def _newton(problem, s, x, tol_inner):
     """Chord Newton on ``problem`` pinned at ``s``: returns ``(x, residual, converged)``.
 
-    The Jacobian is kept across steps and rebuilt at the current ``x`` after
-    a step that needed damping or that cut the residual by less than
-    ``CHORD_CONTRACTION``.  A line search that fails with a kept Jacobian is
-    retried with a fresh one; one that fails with a fresh Jacobian ends the
-    solve.  Accepted steps lower the residual, so the last iterate is the
-    best one.  Each fresh Jacobian reads the curve of the accepted iterate,
-    which its residual evaluated, so no gradient is taken twice at one ``x``.
+    Newton reaches each Jacobian only through ``problem.linear(x, curve)``
+    and takes each step from its ``solve``; a fresh matrix that is singular
+    ends the solve unconverged.  The matrix is kept across steps and rebuilt
+    at the current ``x`` after a step that needed damping or that cut the
+    residual by less than ``CHORD_CONTRACTION``.  A line search that fails
+    with a kept matrix is retried with a fresh one; one that fails with a
+    fresh matrix ends the solve.  Accepted steps lower the residual, so the
+    last iterate is the best one.  Each fresh matrix reads the curve of the
+    accepted iterate, which its residual evaluated, so no gradient is taken
+    twice at one ``x``.
     """
     f, curve = problem(x, s)
-    nf, jac = float(np.abs(f).max()), None
+    nf, linear = float(np.abs(f).max()), None
     for _ in range(NEWTON_MAX_STEPS):
         if nf < tol_inner:
             return x, f, True
-        fresh = jac is None
+        fresh = linear is None
         if fresh:
-            jac = _lu_ready(problem.jacobian(x, curve))
+            linear = problem.linear(x, curve)
         try:
-            dx = np.linalg.solve(jac, -f)
+            dx = linear.solve(-f)
         except np.linalg.LinAlgError:  # only a fresh matrix can be singular
             return x, f, False
         for scale in NEWTON_DAMPING:
@@ -826,10 +851,10 @@ def _newton(problem, s, x, tol_inner):
         else:
             if fresh:
                 return x, f, False
-            jac = None
+            linear = None
             continue
         if scale < 1.0 or nfn > CHORD_CONTRACTION * nf:
-            jac = None
+            linear = None
         x, f, nf, curve = xn, fn, nfn, trial
     return x, f, nf < tol_inner
 

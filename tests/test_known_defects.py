@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chains import spring_chain
 from hambif import analysis, cli, degree, model, orbits
 
 DATA = Path(__file__).parent / "data"
@@ -34,6 +35,14 @@ QUARTIC_CHAIN_PERIOD_AT_12_8 = 1.274125255897744
 Its periods fall at every rung, so this orbit is on the family that the
 branch starts on.  The ladder takes about a second, so its answer is kept
 here rather than run.
+"""
+
+CHAIN_64_PERIOD_AT_0_8 = 3.206515495850597
+"""The period at the pin 0.8 of the N = 64 spring chain that the 25-rung ladder ``s0 = 0.1``, growth ``2**(1/8)`` reaches.
+
+That orbit has ``M = 16`` and amplitude 1.099, and a 97-rung ``2**(1/32)``
+ladder gives 3.206515495850596.  The 25-rung ladder takes about a second,
+so its answer is kept here rather than run.
 """
 
 
@@ -116,5 +125,19 @@ def test_long_step_of_the_quartic_chain_stays_on_its_family_or_fails():
     if len(branch.orbits) == 3:  # the orbit at the pin 0.05 * 16**2 = 12.8
         period = branch.orbits[2].period
         assert abs(period - QUARTIC_CHAIN_PERIOD_AT_12_8) <= 1e-8 * QUARTIC_CHAIN_PERIOD_AT_12_8, period
+    else:
+        assert branch.failures
+
+
+@known_defect(11, "a doubled step of the N = 64 chain lands on another family, period 3.3064434 at M = 8, and is recorded as a success")
+def test_doubling_ladder_of_the_64_spring_chain_stays_on_its_family_or_fails():
+    n = 64
+    chain = spring_chain(1.0 + 0.9 * np.arange(n) / (n - 1))
+    eq = model.refine_equilibrium(chain, np.zeros(2 * n))
+    candidate = next(c for c in analysis.analyze(chain, eq) if c.j0 == 1)
+    branch = orbits.continue_branch(chain, eq, candidate, steps=4, s0=0.1, growth=2.0)
+    if len(branch.orbits) == 4:  # the orbit at the pin 0.1 * 2**3 = 0.8
+        period = branch.orbits[3].period
+        assert abs(period - CHAIN_64_PERIOD_AT_0_8) <= 1e-8 * CHAIN_64_PERIOD_AT_0_8, period
     else:
         assert branch.failures

@@ -1,3 +1,4 @@
+import importlib
 import math
 import re
 import tracemalloc
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chains import spring_chain
 from hambif import analysis, cli, linalg, model, orbits
 from hambif.errors import EmptyKernel, NoConvergence, WrongBranch
 
@@ -675,9 +677,10 @@ def test_gradient_only_jacobian_differences_forward_from_held_gradients():
 
 
 class LinearStub:
-    """Residual ``A x`` with scripted Jacobians; records where each is asked for and the curve it is handed.
+    """Residual ``A x`` with scripted Jacobians; records where each linear step is asked for and the curve it is handed.
 
-    The curve a residual returns is the point it was evaluated at.
+    The curve a residual returns is the point it was evaluated at.  Each
+    linear step is the package's ``_DenseSolve`` of the next scripted matrix.
     """
 
     def __init__(self, a, jacobians):
@@ -688,10 +691,10 @@ class LinearStub:
     def __call__(self, x, s):
         return self.a @ x, np.array(x)
 
-    def jacobian(self, x, curve):
+    def linear(self, x, curve):
         self.asked_at.append(np.array(x))
         self.curves.append(curve)
-        return np.array(self.jacobians[min(len(self.asked_at), len(self.jacobians)) - 1], dtype=float)
+        return orbits._DenseSolve(np.array(self.jacobians[min(len(self.asked_at), len(self.jacobians)) - 1], dtype=float))
 
 
 # With the identity as the Jacobian of A x, the first step takes the
@@ -737,41 +740,6 @@ def test_newton_stops_after_its_step_cap():
     assert not converged
     assert len(stub.asked_at) == orbits.NEWTON_MAX_STEPS
     assert np.array_equal(x, [0.5**orbits.NEWTON_MAX_STEPS]) and np.array_equal(f, x)
-
-
-def spring_chain(freqs, with_hessian=True, calls=None):
-    """``U(q) = sum f_i^2 q_i^2 / 2 + sum (q_i - q_{i+1})^4 / 4`` with its derivatives.
-
-    ``calls``, a Counter, counts the calls of the q-level gradient and Hessian.
-    """
-    f2 = np.asarray(freqs, dtype=float) ** 2
-    idx = np.arange(f2.size - 1)
-    calls = Counter() if calls is None else calls
-
-    def gradient(q):
-        calls["gradient"] += 1
-        d3 = (q[:-1] - q[1:]) ** 3
-        g = f2 * q
-        g[:-1] += d3
-        g[1:] -= d3
-        return g
-
-    def hessian(q):
-        calls["hessian"] += 1
-        w = 3.0 * (q[:-1] - q[1:]) ** 2
-        h = np.diag(f2)
-        h[idx, idx] += w
-        h[idx + 1, idx + 1] += w
-        h[idx, idx + 1] -= w
-        h[idx + 1, idx] -= w
-        return h
-
-    return model.newtonian_to_hamiltonian(
-        lambda q: 0.5 * float(f2 @ (q * q)) + 0.25 * float(np.sum((q[:-1] - q[1:]) ** 4)),
-        f2.size,
-        gradient=gradient,
-        hessian=hessian if with_hessian else None,
-    )
 
 
 @pytest.mark.parametrize(
@@ -936,27 +904,108 @@ def test_lu_sees_no_entry_below_rounding_of_the_jacobian(monkeypatch, symmetric=
     raw = problem.jacobian(x, curve)
     floor = np.finfo(float).eps * np.max(np.abs(raw))
     assert np.count_nonzero((raw != 0.0) & (np.abs(raw) < floor)) > 1000
-    cleaned = orbits._lu_ready(raw.copy())
+    cleaned = problem.linear(x, curve).matrix
     assert not np.any((cleaned != 0.0) & (np.abs(cleaned) < floor))
     step, exact = np.linalg.solve(cleaned, -f), np.linalg.solve(raw, -f)
     assert np.max(np.abs(step - exact)) <= 1e-12 * np.max(np.abs(exact))
 
-    handed = []
-    solve = np.linalg.solve
+    handed, linear = [], orbits._HarmonicBalance.linear
 
-    def spy(a, b):
-        handed.append(a.copy())
-        return solve(a, b)
+    def spy(self, x, curve):
+        handed.append(linear(self, x, curve))
+        return handed[-1]
 
-    monkeypatch.setattr(np.linalg, "solve", spy)
+    monkeypatch.setattr(orbits._HarmonicBalance, "linear", spy)
     _, _, converged = orbits._newton(problem, 0.128, x, tol_inner=1e-11)
     assert converged and handed
-    for a in handed:
+    for a in (made.matrix for made in handed):
         assert not np.any((a != 0.0) & (np.abs(a) < np.finfo(float).eps * np.max(np.abs(a))))
 
 
 def test_lu_sees_no_entry_below_rounding_of_the_symmetric_jacobian(monkeypatch):
     test_lu_sees_no_entry_below_rounding_of_the_jacobian(monkeypatch, symmetric=True)
+
+
+def cleaned_by_the_magnitude_rule(jac):
+    """The reference cleaning: a copy of ``jac`` with every entry whose ``|J_ij|`` is below ``eps * max|J|`` set to 0."""
+    jac, magnitude = jac.copy(), np.abs(jac)
+    jac[magnitude < np.finfo(float).eps * float(magnitude.max())] = 0.0
+    return jac
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+LINEAR_CASES = {
+    # (setup, modes, symmetric ansatz, half-wave)
+    "satellite-symmetric": (satellite_setup, 8, True, False),
+    "satellite-full": (satellite_setup, 8, False, False),
+    "pendulum-half-wave": (pendulum_setup, 16, True, True),
+    "chain-gradient-only-symmetric": (lambda: chain_setup(False), 8, True, False),
+    "chain-gradient-only-half-wave": (lambda: chain_setup(False), 8, True, True),
+    "so3-hat-full": (lambda: ini_setup("so3-hat"), 8, False, False),
+}
+
+
+@pytest.mark.parametrize("setup, modes, symmetric, half_wave", LINEAR_CASES.values(), ids=LINEAR_CASES.keys())
+def test_linear_step_is_the_cleaned_jacobian_and_its_dense_solve(setup, modes, symmetric, half_wave):
+    system, eq, cand = setup()
+    problem = problem_for(system, eq, cand, modes, symmetric, half_wave)
+    x = perturbed_unknowns(problem, eq, cand, 0.05, np.random.default_rng(11))
+    f, curve = problem(x, 0.05)
+    linear = problem.linear(x, curve)
+    matrix = cleaned_by_the_magnitude_rule(problem.jacobian(x, curve))
+    assert same_bits(linear.matrix, matrix)
+    assert same_bits(linear.solve(-f), np.linalg.solve(matrix, -f))
+
+
+@pytest.mark.parametrize("entry", [None, np.nan, np.inf, -np.inf], ids=["finite", "nan", "inf", "minus-inf"])
+def test_dense_solve_cleans_as_the_magnitude_rule_does(entry):
+    # entries from 1e-20 to 1 of both signs, on both sides of eps * max|J|, and a negative zero
+    jac = np.logspace(-20.0, 0.0, 36).reshape(6, 6) * np.sign(np.random.default_rng(13).standard_normal((6, 6)))
+    jac[0, 1] = -0.0
+    if entry is not None:
+        jac[2, 3] = entry
+    cleaned = orbits._DenseSolve(jac.copy()).matrix
+    assert same_bits(cleaned, cleaned_by_the_magnitude_rule(jac))
+    if entry is None:
+        assert 0 < np.count_nonzero(jac != cleaned) < jac.size - 1
+    elif np.isnan(entry):  # the bound is NaN, so nothing is zeroed
+        assert same_bits(cleaned, jac)
+    else:  # the bound is infinite, so every finite entry is zeroed
+        assert np.count_nonzero(cleaned) == 1 and cleaned[2, 3] == entry
+
+
+BENCHMARK_LINEAR_STEPS = {"satellite-j1": 8, "satellite-j2": 8, "pendulum": 6, "chain-n8": 7, "chain-n4-gradient-only": 11}
+
+
+def test_benchmark_branches_assemble_one_jacobian_per_linear_step(monkeypatch):
+    # a perf guard on the seed-1 branches of perfbench's branch-satellite and
+    # branch-chain workloads: Newton's linear steps, each one assembly, hold
+    # at the counts the chord policy gives (the same under the forced kernels)
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    counts = Counter()
+    linear, assemble = orbits._HarmonicBalance.linear, orbits._HarmonicBalance.jacobian
+
+    def counted(name, f):
+        def wrapper(*args):
+            counts[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(orbits._HarmonicBalance, "linear", counted("linear", linear))
+    monkeypatch.setattr(orbits._HarmonicBalance, "jacobian", counted("jacobian", assemble))
+    steps = {}
+    for req in workloads.build("branch-satellite", 1) + workloads.build("branch-chain", 1):
+        counts.clear()
+        out = workloads.run_inprocess(req, req.system)
+        assert not out.error and len(out.branch.orbits) == req.steps and not out.branch.failures, req.name
+        assert counts["jacobian"] == counts["linear"], req.name
+        steps[req.name] = counts["linear"]
+    assert steps == BENCHMARK_LINEAR_STEPS
 
 
 def ini_setup(name):
@@ -1398,6 +1447,10 @@ FAMILY_BRANCHES = {
     # the period shift scaled by 3**2 predicts lambda < 0, and Newton from
     # there ends at period -1.11163 against 1.64640 on the ladder
     "hessian-growth-3": (True, 3.0, 5),
+    # the fifth orbit, at the pin 25.6, has period 0.8551701244; a 4**(1/32)
+    # ladder of 129 rungs, its periods falling at every rung, agrees there
+    "hessian-growth-4": (True, 4.0, 5),
+    "gradient-only-growth-4": (False, 4.0, 5),
 }
 
 
